@@ -3,9 +3,9 @@
 //! A pass marked cacheable (via [`FrameGraph::set_cache_key`]) publishes its
 //! outputs as shared `Arc`s; the next frame that declares the same pass with
 //! the same fingerprint gets them installed without running the pass. This
-//! is how the graph pipelines reuse a BVH across frames beyond the legacy
-//! per-[`RayTracer`](crate::raytrace::RayTracer) amortization, and how a
-//! static camera memoizes its primary-ray table.
+//! is how the pipelines reuse a BVH across frames without a long-lived
+//! [`RayTracer`](crate::raytrace::RayTracer), and how a static camera
+//! memoizes its primary-ray table.
 //!
 //! [`FrameGraph::set_cache_key`]: crate::graph::FrameGraph::set_cache_key
 

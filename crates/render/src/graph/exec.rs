@@ -33,8 +33,6 @@ pub enum GraphError {
     /// A cached pass wrote an owned (non-`Arc`) value, which cannot be
     /// retained across frames.
     CacheNeedsShared { resource: String, pass: &'static str },
-    /// A pass closure failed.
-    PassFailed { pass: &'static str, message: String },
 }
 
 impl std::fmt::Display for GraphError {
@@ -59,7 +57,6 @@ impl std::fmt::Display for GraphError {
             GraphError::CacheNeedsShared { resource, pass } => {
                 write!(f, "cached pass {pass} must write {resource} as a shared Arc")
             }
-            GraphError::PassFailed { pass, message } => write!(f, "pass {pass} failed: {message}"),
         }
     }
 }
@@ -82,13 +79,15 @@ pub struct PassRecord {
     pub freed_bytes: usize,
 }
 
-/// A slot's value: owned by the graph, or shared with the cross-frame cache.
-enum SlotVal {
+/// A slot's value: owned by the graph, shared with the cross-frame cache, or
+/// borrowed from the caller for the frame (read-only scene data).
+enum SlotVal<'a> {
     Owned(Box<dyn Any + Send>),
     Shared(Arc<dyn Any + Send + Sync>),
+    Borrowed(&'a (dyn Any + Send + Sync)),
 }
 
-type PassFn<'a> = Box<dyn FnOnce(&mut PassCtx<'_>) -> Result<(), GraphError> + 'a>;
+type PassFn<'a> = Box<dyn FnOnce(&mut PassCtx<'_, 'a>) -> Result<(), GraphError> + 'a>;
 
 struct PassDecl<'a> {
     name: &'static str,
@@ -103,8 +102,8 @@ struct PassDecl<'a> {
 /// The scoped view a pass closure gets over the resource slots: reads and
 /// writes are checked against the pass's declarations, so the DAG the
 /// executor scheduled is the DAG the pass actually uses.
-pub struct PassCtx<'s> {
-    slots: &'s mut [Option<SlotVal>],
+pub struct PassCtx<'s, 'a> {
+    slots: &'s mut [Option<SlotVal<'a>>],
     bytes: &'s mut [usize],
     names: &'s [String],
     pass: &'static str,
@@ -113,7 +112,7 @@ pub struct PassCtx<'s> {
     work_override: std::cell::Cell<Option<u64>>,
 }
 
-impl PassCtx<'_> {
+impl PassCtx<'_, '_> {
     fn err_for(&self, id: ResourceId, kind: fn(String, &'static str) -> GraphError) -> GraphError {
         kind(self.names[id.0 as usize].clone(), self.pass)
     }
@@ -135,6 +134,7 @@ impl PassCtx<'_> {
         let any: &dyn Any = match slot {
             SlotVal::Owned(b) => b.as_ref(),
             SlotVal::Shared(a) => a.as_ref(),
+            SlotVal::Borrowed(r) => *r,
         };
         any.downcast_ref::<T>().ok_or_else(|| {
             self.err_for(id, |resource, pass| GraphError::TypeMismatch { resource, pass })
@@ -162,8 +162,8 @@ impl PassCtx<'_> {
                         .err_for(id, |resource, pass| GraphError::TypeMismatch { resource, pass }))
                 }
             },
-            SlotVal::Shared(a) => {
-                self.slots[id.0 as usize] = Some(SlotVal::Shared(a));
+            not_owned => {
+                self.slots[id.0 as usize] = Some(not_owned);
                 Err(self.err_for(id, |resource, pass| GraphError::TypeMismatch { resource, pass }))
             }
         }
@@ -213,7 +213,7 @@ pub fn vec_bytes<T>(len: usize) -> usize {
 /// What a finished graph hands back: per-pass records, the raw
 /// [`PhaseTimer`] (mergeable into renderer outputs), aliasing statistics,
 /// and the exported resources.
-pub struct GraphRun {
+pub struct GraphRun<'a> {
     pub records: Vec<PassRecord>,
     pub timer: PhaseTimer,
     /// Peak bytes of simultaneously live intermediate resources.
@@ -221,11 +221,11 @@ pub struct GraphRun {
     /// Sum of all resource bytes ever put — what a pipeline holding every
     /// intermediate to the end would have kept live.
     pub total_bytes: usize,
-    slots: Vec<Option<SlotVal>>,
+    slots: Vec<Option<SlotVal<'a>>>,
     names: Vec<String>,
 }
 
-impl GraphRun {
+impl GraphRun<'_> {
     /// Move an exported owned resource out of the run.
     pub fn take<T: Any>(&mut self, id: ResourceId) -> Result<T, GraphError> {
         let name = self.names[id.0 as usize].clone();
@@ -237,7 +237,7 @@ impl GraphRun {
                 .downcast::<T>()
                 .map(|v| *v)
                 .map_err(|_| GraphError::TypeMismatch { resource: name, pass: "export" }),
-            SlotVal::Shared(_) => Err(GraphError::TypeMismatch { resource: name, pass: "export" }),
+            _ => Err(GraphError::TypeMismatch { resource: name, pass: "export" }),
         }
     }
 
@@ -251,7 +251,7 @@ impl GraphRun {
             SlotVal::Shared(a) => a
                 .downcast::<T>()
                 .map_err(|_| GraphError::TypeMismatch { resource: name, pass: "export" }),
-            SlotVal::Owned(_) => Err(GraphError::TypeMismatch { resource: name, pass: "export" }),
+            _ => Err(GraphError::TypeMismatch { resource: name, pass: "export" }),
         }
     }
 }
@@ -261,7 +261,7 @@ impl GraphRun {
 pub struct FrameGraph<'a> {
     names: Vec<String>,
     passes: Vec<PassDecl<'a>>,
-    imports: Vec<(ResourceId, SlotVal, usize)>,
+    imports: Vec<(ResourceId, SlotVal<'a>, usize)>,
     exports: Vec<ResourceId>,
 }
 
@@ -301,6 +301,20 @@ impl<'a> FrameGraph<'a> {
         id
     }
 
+    /// Declare a resource backed by a value the caller keeps (a prebuilt
+    /// acceleration structure, for one): passes `read` it like any other
+    /// slot and nothing is copied. The bytes are the caller's, so the
+    /// aliasing accountant charges none.
+    pub fn import_ref<T: Any + Send + Sync>(
+        &mut self,
+        name: impl Into<String>,
+        value: &'a T,
+    ) -> ResourceId {
+        let id = self.resource(name);
+        self.imports.push((id, SlotVal::Borrowed(value), 0));
+        id
+    }
+
     /// Declare a pass: `reads` and `writes` define the DAG edges; `run` does
     /// the work through its [`PassCtx`].
     pub fn add_pass(
@@ -309,7 +323,7 @@ impl<'a> FrameGraph<'a> {
         reads: &[ResourceId],
         writes: &[ResourceId],
         work_units: u64,
-        run: impl FnOnce(&mut PassCtx<'_>) -> Result<(), GraphError> + 'a,
+        run: impl FnOnce(&mut PassCtx<'_, 'a>) -> Result<(), GraphError> + 'a,
     ) -> PassId {
         let id = PassId(self.passes.len() as u32);
         self.passes.push(PassDecl {
@@ -330,7 +344,7 @@ impl<'a> FrameGraph<'a> {
     pub fn set_fallback(
         &mut self,
         pass: PassId,
-        run: impl FnOnce(&mut PassCtx<'_>) -> Result<(), GraphError> + 'a,
+        run: impl FnOnce(&mut PassCtx<'_, 'a>) -> Result<(), GraphError> + 'a,
     ) {
         self.passes[pass.0 as usize].fallback = Some(Box::new(run));
     }
@@ -359,7 +373,7 @@ impl<'a> FrameGraph<'a> {
         self,
         skips: &[&str],
         mut cache: Option<&mut GraphCache>,
-    ) -> Result<GraphRun, GraphError> {
+    ) -> Result<GraphRun<'a>, GraphError> {
         let n_res = self.names.len();
         let n_pass = self.passes.len();
 
@@ -460,7 +474,7 @@ impl<'a> FrameGraph<'a> {
         }
 
         // --- Run. ---
-        let mut slots: Vec<Option<SlotVal>> = (0..n_res).map(|_| None).collect();
+        let mut slots: Vec<Option<SlotVal<'a>>> = (0..n_res).map(|_| None).collect();
         let mut bytes = vec![0usize; n_res];
         let mut peak_live_bytes = 0usize;
         let mut total_bytes = 0usize;

@@ -1,31 +1,31 @@
-//! Render-graph execution layer: an explicit pass/resource DAG.
+//! Render-graph execution layer: an explicit pass/resource DAG, and the one
+//! driver of every renderer in this crate.
 //!
-//! The legacy renderers are hard-coded multi-pass pipelines — each phase
-//! calls the next with its intermediates on the stack. This module factors
-//! that control flow into data: **passes** declare the resources they read
-//! and write, and an executor
+//! A renderer is a fixed sequence of data-parallel stages. Here that control
+//! flow is data: **passes** declare the resources they read and write, and
+//! an executor
 //!
 //! 1. validates the graph (single writer per resource, no cycles, every
 //!    read reachable from a writer),
 //! 2. schedules passes in deterministic topological order (Kahn's
 //!    algorithm, ties broken by insertion order) — each pass is internally
 //!    data-parallel on the `dpp` pool, so execution is deterministic by
-//!    construction and byte-identical to the legacy pipelines,
+//!    construction,
 //! 3. **aliases** intermediate buffers: a resource is dropped the moment
 //!    its last consumer finishes, and the executor reports peak live bytes
-//!    versus the sum a hard-coded pipeline would hold,
+//!    versus the sum a keep-everything pipeline would hold,
 //! 4. **caches** cross-frame resources keyed on input fingerprints (BVH
-//!    reuse beyond the per-`RayTracer` amortization; ray-table memoization
-//!    for static cameras), and
+//!    reuse without a long-lived renderer object; ray-table memoization for
+//!    static cameras), and
 //! 5. supports **pass-granular degradation**: a pass can carry a cheap
 //!    fallback (skip shadows → all-visible, skip ambient occlusion → fully
 //!    unoccluded) that the scheduler selects instead of degrading the whole
 //!    frame.
 //!
-//! The four renderer pipelines in [`pipelines`] rebuild the legacy
-//! renderers on this executor from the *same* stage kernels the legacy
-//! entry points call, so full-fidelity output is byte-identical by
-//! construction (pinned in `tests/parallel_exactness.rs`).
+//! The four pipelines in [`pipelines`] are the only callers of the stage
+//! kernels; `RayTracer::render_with_map`, `rasterize`, `render_structured`
+//! and `render_unstructured` run them with no skips and no cache. The bytes
+//! they draw are pinned by golden hashes in `tests/parallel_exactness.rs`.
 
 pub mod cache;
 pub mod exec;

@@ -1,26 +1,33 @@
-//! The four renderer pipelines rebuilt on the [`FrameGraph`] executor.
+//! The four renderers as [`FrameGraph`] pipelines — the only drivers of the
+//! stage kernels in [`crate::raytrace::pipeline`], [`crate::raster`],
+//! [`crate::volume_structured`] and [`crate::volume_unstructured`].
 //!
-//! Every pass calls the *same* `pub(crate)` stage kernel the legacy entry
-//! point calls, so at full fidelity (no skips, cold cache) each graph
-//! pipeline's frame is byte-identical to its legacy counterpart. On top of
-//! that shared arithmetic the graph adds what the hard-coded pipelines
-//! cannot express:
+//! Each `render_*_graph` function declares its renderer's passes over those
+//! kernels and runs them on the executor; the classic entry points
+//! (`RayTracer::render_with_map`, `rasterize`, `render_structured`,
+//! `render_unstructured`) call it with no skips and no cache. Expressing the
+//! stages as a graph buys:
 //!
 //! * **aliasing** — intermediates are freed at their last use, and
 //!   [`GraphInfo`] reports peak-live versus keep-everything bytes;
 //! * **cross-frame caching** — expensive camera- or geometry-derived passes
-//!   (BVH build, primary-ray tables, screen-space transforms) carry input
-//!   fingerprints and are satisfied from a [`GraphCache`] when their inputs
-//!   repeat;
+//!   (BVH build, primary-ray tables, screen-space transforms) are keyed on a
+//!   fingerprint of *everything* their output depends on and satisfied from
+//!   a [`GraphCache`] when that repeats;
 //! * **pass-granular degradation** — shadow and ambient-occlusion passes
 //!   carry cheap fallbacks the scheduler can select by name instead of
 //!   degrading the whole frame.
+//!
+//! `*Stats.render_seconds` has one definition everywhere: the seconds summed
+//! over the frame's executed passes ([`GraphInfo::total_seconds`]; a cached
+//! pass contributes 0), minus `bvh_build` for the ray tracer, which reports
+//! the build separately.
 //!
 //! [`FrameGraph`]: crate::graph::FrameGraph
 //! [`GraphCache`]: crate::graph::GraphCache
 
 use crate::graph::cache::fingerprint;
-use crate::graph::exec::{GraphRun, PassRecord};
+use crate::graph::exec::{GraphError, GraphRun, PassRecord};
 use vecmath::{Camera, TransferFunction, Vec3};
 
 pub mod raster;
@@ -69,15 +76,39 @@ impl GraphInfo {
     }
 }
 
+/// Unwrap a pipeline run for the entry points whose signatures cannot fail
+/// (`rasterize`, `RayTracer::render_with_map`). The pass declarations are
+/// fixed at compile time, so a [`GraphError`] out of them is a bug in this
+/// crate: it asserts in debug builds, which the test suite runs, and in
+/// release says so on stderr and hands back `blank()` rather than panic
+/// inside the host simulation — the blank frame is never silent.
+pub(crate) fn infallible<T>(
+    run: Result<(T, GraphInfo), GraphError>,
+    blank: impl FnOnce() -> T,
+) -> T {
+    match run {
+        Ok((out, _)) => out,
+        Err(e) => {
+            eprintln!("render: frame graph failed ({e}); emitting a blank frame");
+            debug_assert!(false, "renderer graph is malformed: {e}");
+            blank()
+        }
+    }
+}
+
 fn push_vec3(words: &mut Vec<u64>, v: Vec3) {
     words.push(v.x.to_bits() as u64);
     words.push(v.y.to_bits() as u64);
     words.push(v.z.to_bits() as u64);
 }
 
+// Cache keys hash every word a cached pass's output depends on: a sampled
+// fingerprint lets an edit between samples replay a stale frame. The cost is
+// tens of microseconds per 36k values, paid only when a cache is passed.
+
 /// Fingerprint a camera pose + image dimensions: the cache key input for
 /// passes memoizing view-dependent tables (primary rays, screen transforms).
-pub fn camera_fingerprint(camera: &Camera, width: u32, height: u32) -> u64 {
+pub(crate) fn camera_fingerprint(camera: &Camera, width: u32, height: u32) -> u64 {
     let mut words = Vec::with_capacity(16);
     push_vec3(&mut words, camera.position);
     push_vec3(&mut words, camera.look_at);
@@ -89,40 +120,31 @@ pub fn camera_fingerprint(camera: &Camera, width: u32, height: u32) -> u64 {
     fingerprint(&words)
 }
 
-/// Fingerprint a float slice by length plus a strided sample of raw bits —
-/// cheap (at most ~64 reads) yet sensitive to any uniform edit, resize, or
-/// regeneration of the data.
-pub fn slice_fingerprint_f32(vals: &[f32]) -> u64 {
-    let mut words = Vec::with_capacity(66);
+/// Fingerprint a float slice: its length and every value's raw bits.
+pub(crate) fn slice_fingerprint_f32(vals: &[f32]) -> u64 {
+    let mut words = Vec::with_capacity(vals.len() + 1);
     words.push(vals.len() as u64);
-    let step = (vals.len() / 64).max(1);
-    for i in (0..vals.len()).step_by(step) {
-        words.push(vals[i].to_bits() as u64);
-    }
-    if let Some(last) = vals.last() {
-        words.push(last.to_bits() as u64);
-    }
+    words.extend(vals.iter().map(|v| v.to_bits() as u64));
     fingerprint(&words)
 }
 
-/// Fingerprint triangle geometry: identity input for the cached BVH build.
-pub fn geometry_fingerprint(geom: &crate::raytrace::TriGeometry) -> u64 {
-    let mut words = Vec::with_capacity(72);
+/// Fingerprint triangle positions — all the cached `bvh_build` and
+/// `transform_cull` outputs depend on. Normals and scalars only reach the
+/// shading passes, which are never cached.
+pub(crate) fn geometry_fingerprint(geom: &crate::raytrace::TriGeometry) -> u64 {
+    let mut words = Vec::with_capacity(geom.num_tris() * 9 + 1);
     words.push(geom.num_tris() as u64);
-    push_vec3(&mut words, geom.bounds.min);
-    push_vec3(&mut words, geom.bounds.max);
-    let n = geom.v0.len();
-    let step = (n / 32).max(1);
-    for t in (0..n).step_by(step) {
-        words.push(geom.v0[t].x.to_bits() as u64);
-        words.push(geom.v0[t].z.to_bits() as u64);
+    for t in 0..geom.num_tris() {
+        push_vec3(&mut words, geom.v0[t]);
+        push_vec3(&mut words, geom.e1[t]);
+        push_vec3(&mut words, geom.e2[t]);
     }
     fingerprint(&words)
 }
 
 /// Fingerprint a uniform grid's shape (dims, origin, spacing). Combine with
 /// [`slice_fingerprint_f32`] of the rendered field for a full identity.
-pub fn grid_fingerprint(grid: &mesh::UniformGrid) -> u64 {
+pub(crate) fn grid_fingerprint(grid: &mesh::UniformGrid) -> u64 {
     let mut words = Vec::with_capacity(10);
     for d in grid.dims {
         words.push(d as u64);
@@ -132,48 +154,30 @@ pub fn grid_fingerprint(grid: &mesh::UniformGrid) -> u64 {
     fingerprint(&words)
 }
 
-/// Fingerprint a tetrahedral mesh: tet count plus a strided sample of the
-/// point positions and connectivity.
-pub fn tet_fingerprint(tets: &mesh::TetMesh) -> u64 {
-    let n = tets.num_tets();
-    let mut words = Vec::with_capacity(68);
-    words.push(n as u64);
+/// Fingerprint a tetrahedral mesh: every point and every tet's connectivity.
+pub(crate) fn tet_fingerprint(tets: &mesh::TetMesh) -> u64 {
+    let mut words = Vec::with_capacity(tets.points.len() * 3 + tets.num_tets() * 2 + 1);
     words.push(tets.points.len() as u64);
-    let step = (n / 32).max(1);
-    for t in (0..n).step_by(step) {
-        let p = tets.tet_points(t)[0];
-        words.push(p.x.to_bits() as u64);
-        words.push(p.z.to_bits() as u64);
+    for &p in &tets.points {
+        push_vec3(&mut words, p);
+    }
+    for ix in &tets.tets {
+        words.push(((ix[0] as u64) << 32) | ix[1] as u64);
+        words.push(((ix[2] as u64) << 32) | ix[3] as u64);
     }
     fingerprint(&words)
 }
 
-/// Fingerprint a transfer function by sampling it across `[lo, hi]`.
-pub fn tf_fingerprint(tf: &TransferFunction, lo: f32, hi: f32) -> u64 {
-    const SAMPLES: u32 = 17;
-    let mut words = Vec::with_capacity(SAMPLES as usize * 2 + 2);
-    words.push(lo.to_bits() as u64);
-    words.push(hi.to_bits() as u64);
-    for i in 0..SAMPLES {
-        let v = lo + (hi - lo) * i as f32 / (SAMPLES - 1) as f32;
-        let c = tf.sample(v);
+/// Fingerprint a transfer function: its range and every lookup-table node.
+pub(crate) fn tf_fingerprint(tf: &TransferFunction) -> u64 {
+    let n = TransferFunction::TABLE_SIZE;
+    let mut words = Vec::with_capacity(n * 2 + 2);
+    words.push(tf.range.0.to_bits() as u64);
+    words.push(tf.range.1.to_bits() as u64);
+    for i in 0..n {
+        let c = tf.sample_normalized(i as f32 / (n - 1) as f32);
         words.push(((c.r.to_bits() as u64) << 32) | c.g.to_bits() as u64);
         words.push(((c.b.to_bits() as u64) << 32) | c.a.to_bits() as u64);
     }
     fingerprint(&words)
-}
-
-/// Min/max of a scalar field (the sampling domain for [`tf_fingerprint`]).
-pub(crate) fn value_range(vals: &[f32]) -> (f32, f32) {
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for &v in vals {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    if lo > hi {
-        (0.0, 1.0)
-    } else {
-        (lo, hi)
-    }
 }

@@ -1,11 +1,10 @@
 //! Rasterization on the frame graph.
 //!
-//! Seven passes mirroring the legacy stages: `transform_cull` (cacheable —
-//! a static camera over static geometry reuses last frame's screen-space
-//! triangles), `compact_visible`, `bin_count`, `bin_scan`, `bin_fill`,
-//! `sample_fill`, and `stitch`. The binning intermediates (counts, offsets,
-//! bins, per-tile buffers) are all freed at their last use by the aliasing
-//! accountant — the legacy pipeline holds every one until the frame ends.
+//! Seven passes: `transform_cull` (cacheable — a static camera over static
+//! geometry reuses last frame's screen-space triangles), `compact_visible`,
+//! `bin_count`, `bin_scan`, `bin_fill`, `sample_fill`, and `stitch`. The
+//! binning intermediates (counts, offsets, bins, per-tile buffers) are all
+//! freed at their last use by the aliasing accountant.
 
 use std::sync::Arc;
 
@@ -22,8 +21,9 @@ use crate::shading::ShadingParams;
 use dpp::{compact_indices, Device};
 use vecmath::{Camera, Color, TransferFunction};
 
-/// Rasterize `geom` through the frame graph.
-#[allow(clippy::too_many_arguments)] // mirrors the legacy entry point
+/// Rasterize `geom` through the frame graph — the rasterizer's one driver
+/// ([`rasterize`](crate::raster::rasterize) is this with no skips or cache).
+#[allow(clippy::too_many_arguments)] // one argument per model input, plus skips and cache
 pub fn render_raster_graph(
     device: &Device,
     geom: &TriGeometry,
@@ -41,8 +41,6 @@ pub fn render_raster_graph(
     let tiles_x = width.div_ceil(TILE);
     let tiles_y = height.div_ceil(TILE);
     let n_tiles = (tiles_x * tiles_y) as usize;
-    let tc_key =
-        fingerprint(&[geometry_fingerprint(geom), camera_fingerprint(camera, width, height)]);
 
     let mut g = FrameGraph::new();
     let screen = g.resource("raster.screen");
@@ -58,10 +56,12 @@ pub fn render_raster_graph(
 
     let p_tc = g.add_pass("transform_cull", &[], &[screen], n as u64, move |ctx| {
         let s = transform_cull_stage(device, geom, camera, width, height);
-        let bytes = vec_bytes::<Option<ScreenTri>>(s.len());
-        ctx.put_shared(screen, Arc::new(s), bytes)
+        ctx.put_shared(screen, Arc::new(s), vec_bytes::<Option<ScreenTri>>(n))
     });
-    g.set_cache_key(p_tc, tc_key);
+    if cache.is_some() {
+        let view = camera_fingerprint(camera, width, height);
+        g.set_cache_key(p_tc, fingerprint(&[geometry_fingerprint(geom), view]));
+    }
 
     g.add_pass("compact_visible", &[screen], &[visible, vo_res], n as u64, move |ctx| {
         let s = ctx.read::<Vec<Option<ScreenTri>>>(screen)?;

@@ -1,24 +1,24 @@
 //! Unstructured (tetrahedral) volume rendering on the frame graph.
 //!
-//! The legacy renderer's depth-pass loop unrolls into the DAG: one
+//! The depth-pass loop of Algorithm 2 unrolls into the DAG: one
 //! `initialization` pass (per-tet depth ranges + global range, cacheable
 //! while mesh and camera hold still), then per depth span a
 //! `pass_selection` → `screen_space` → `sampling` → `compositing` chain,
 //! and a final `assemble`. The accumulation buffer threads span-to-span
-//! (span *i*'s compositing reads span *i-1*'s output), so the graph
-//! schedule reproduces the legacy serial order exactly while the sample
-//! slabs — the renderer's dominant allocation, the paper's OOM driver —
-//! are freed by the aliasing accountant as soon as each span composites.
+//! (span *i*'s compositing reads span *i-1*'s output), so the schedule is
+//! the serial front-to-back order, while the sample slabs — the renderer's
+//! dominant allocation, the paper's OOM driver — are freed by the aliasing
+//! accountant as soon as each span composites.
 
 use std::sync::Arc;
 
 use crate::framebuffer::Framebuffer;
 use crate::graph::cache::{fingerprint, GraphCache};
-use crate::graph::exec::{vec_bytes, FrameGraph, GraphError, ResourceId};
+use crate::graph::exec::{vec_bytes, FrameGraph};
 use crate::graph::pipelines::{camera_fingerprint, tet_fingerprint, GraphInfo};
 use crate::volume_unstructured::{
     assemble_uvr_stage, composite_stage, init_ranges_stage, sample_buffer_bytes, sampling_stage,
-    screen_space_stage, select_stage, ScreenTet, UvrConfig, UvrOutput, UvrStats,
+    screen_space_stage, select_stage, ScreenTet, UvrConfig, UvrError, UvrOutput, UvrStats,
 };
 use dpp::Device;
 use mesh::{Assoc, TetMesh};
@@ -26,12 +26,15 @@ use vecmath::{Camera, Color, TransferFunction};
 
 /// Global depth range handed from `initialization` to every span:
 /// `(z0, dz, any)` where `any` is false when nothing lies in front of the
-/// camera (the legacy early-exit, expressed as data instead of control
-/// flow — downstream passes see `any == false` and produce empty results).
+/// camera (an early exit expressed as data instead of control flow —
+/// downstream passes see `any == false` and produce empty results).
 type ZRange = (f32, f32, bool);
 
-/// Render the tetrahedral mesh's point field through the frame graph.
-#[allow(clippy::too_many_arguments)] // mirrors the legacy entry point
+/// Render the tetrahedral mesh's point field through the frame graph — the
+/// unstructured volume renderer's one driver
+/// ([`render_unstructured`](crate::volume_unstructured::render_unstructured)
+/// is this with no skips or cache).
+#[allow(clippy::too_many_arguments)] // one argument per model input, plus skips and cache
 pub fn render_unstructured_graph(
     device: &Device,
     tets: &TetMesh,
@@ -43,26 +46,17 @@ pub fn render_unstructured_graph(
     cfg: &UvrConfig,
     skips: &[&str],
     cache: Option<&mut GraphCache>,
-) -> Result<(UvrOutput, GraphInfo), GraphError> {
-    let field = tets
+) -> Result<(UvrOutput, GraphInfo), UvrError> {
+    let field: &[f32] = &tets
         .field(field_name)
         .filter(|f| f.assoc == Assoc::Point)
-        .ok_or_else(|| GraphError::PassFailed {
-            pass: "scene",
-            message: format!("no point field named {field_name}"),
-        })?
-        .values
-        .clone();
+        .ok_or_else(|| UvrError::MissingField(field_name.to_string()))?
+        .values;
 
     let buffer_bytes = sample_buffer_bytes(width, height, cfg);
     if let Some(limit) = cfg.memory_limit_bytes {
         if buffer_bytes > limit {
-            return Err(GraphError::PassFailed {
-                pass: "scene",
-                message: format!(
-                    "sample buffer needs {buffer_bytes} B but the device limit is {limit} B"
-                ),
-            });
+            return Err(UvrError::OutOfMemory { required_bytes: buffer_bytes, limit_bytes: limit });
         }
     }
 
@@ -73,9 +67,6 @@ pub fn render_unstructured_graph(
     let slab = s_total.div_ceil(passes) as usize;
     let term = cfg.early_termination;
     let near = camera.near;
-    let field = &field;
-
-    let init_key = fingerprint(&[tet_fingerprint(tets), camera_fingerprint(camera, width, height)]);
 
     let mut g = FrameGraph::new();
     let ranges = g.resource("uvr.ranges");
@@ -89,16 +80,19 @@ pub fn render_unstructured_graph(
         });
         let z0 = z0.max(near);
         let zr: ZRange = (z0, (z1 - z0) / s_total as f32, z0 < z1);
-        let bytes = vec_bytes::<(f32, f32)>(r.len());
-        ctx.put_shared(ranges, Arc::new(r), bytes)?;
+        ctx.put_shared(ranges, Arc::new(r), vec_bytes::<(f32, f32)>(n_tets))?;
         ctx.put_shared(zrange, Arc::new(zr), 0)
     });
-    g.set_cache_key(p_init, init_key);
+    if cache.is_some() {
+        let view = camera_fingerprint(camera, width, height);
+        g.set_cache_key(p_init, fingerprint(&[tet_fingerprint(tets), view]));
+    }
 
-    let acc0 = g.import("uvr.acc0", vec![Color::TRANSPARENT; n_px], vec_bytes::<Color>(n_px));
-
-    let mut acc_prev = acc0;
-    let mut tallies: Vec<ResourceId> = Vec::new(); // (tested, composited) per span
+    // The accumulation buffer and the running (cells tested, samples
+    // composited) totals thread span to span.
+    let mut acc_prev =
+        g.import("uvr.acc0", vec![Color::TRANSPARENT; n_px], vec_bytes::<Color>(n_px));
+    let mut totals_prev = g.import("uvr.totals0", (0u64, 0u64), 0);
     for pass in 0..passes {
         let s_begin = pass * slab as u32;
         let s_end = ((pass + 1) * slab as u32).min(s_total);
@@ -110,7 +104,7 @@ pub fn render_unstructured_graph(
         let samples = g.resource(format!("uvr.samples{pass}"));
         let tested = g.resource(format!("uvr.tested{pass}"));
         let acc = g.resource(format!("uvr.acc{}", pass + 1));
-        let comp = g.resource(format!("uvr.comp{pass}"));
+        let totals = g.resource(format!("uvr.totals{}", pass + 1));
 
         g.add_pass("pass_selection", &[ranges, zrange], &[active], n_tets as u64, move |ctx| {
             let r = ctx.read::<Vec<(f32, f32)>>(ranges)?;
@@ -153,37 +147,32 @@ pub fn render_unstructured_graph(
             },
         );
 
-        g.add_pass("compositing", &[acc_prev, samples], &[acc, comp], n_px as u64, move |ctx| {
-            let prev = ctx.read::<Vec<Color>>(acc_prev)?;
-            let buf = ctx.read::<Vec<u64>>(samples)?;
-            let slab_this = (s_end - s_begin) as usize;
-            let (next, composited) = composite_stage(device, prev, buf, slab, slab_this, term, tf);
-            ctx.put(comp, composited, 0)?;
-            ctx.put(acc, next, vec_bytes::<Color>(n_px))
-        });
+        g.add_pass(
+            "compositing",
+            &[acc_prev, samples, tested, totals_prev],
+            &[acc, totals],
+            n_px as u64,
+            move |ctx| {
+                let prev = ctx.read::<Vec<Color>>(acc_prev)?;
+                let buf = ctx.read::<Vec<u64>>(samples)?;
+                let &(ct, total_composited) = ctx.read::<(u64, u64)>(totals_prev)?;
+                let ct = ct + *ctx.read::<u64>(tested)?;
+                let slab_this = (s_end - s_begin) as usize;
+                let (next, composited) =
+                    composite_stage(device, prev, buf, slab, slab_this, term, tf);
+                ctx.put(totals, (ct, total_composited + composited), 0)?;
+                ctx.put(acc, next, vec_bytes::<Color>(n_px))
+            },
+        );
 
-        tallies.push(tested);
-        tallies.push(comp);
+        totals_prev = totals;
         acc_prev = acc;
     }
 
-    let acc_last = acc_prev;
-    let tally_ids = tallies.clone();
-    let mut assemble_reads = vec![acc_last];
-    assemble_reads.extend_from_slice(&tallies);
-    g.add_pass("assemble", &assemble_reads, &[out], n_px as u64, move |ctx| {
-        let acc = ctx.read::<Vec<Color>>(acc_last)?;
+    g.add_pass("assemble", &[acc_prev, totals_prev], &[out], n_px as u64, move |ctx| {
+        let acc = ctx.read::<Vec<Color>>(acc_prev)?;
         let (frame, active_px) = assemble_uvr_stage(acc, width, height);
-        // tally_ids alternates (tested, composited) per span.
-        let mut ct = 0u64;
-        let mut composited = 0u64;
-        for (i, id) in tally_ids.iter().enumerate() {
-            if i % 2 == 0 {
-                ct += *ctx.read::<u64>(*id)?;
-            } else {
-                composited += *ctx.read::<u64>(*id)?;
-            }
-        }
+        let &(ct, composited) = ctx.read::<(u64, u64)>(totals_prev)?;
         ctx.put(out, (frame, active_px, composited, ct), vec_bytes::<Color>(n_px))
     });
     g.export(out);

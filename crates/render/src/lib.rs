@@ -15,12 +15,13 @@
 //! Every renderer reports a stats record carrying the *observed* model inputs
 //! (objects, active pixels, samples per ray, …) and per-phase timings, which
 //! is exactly what the `perfmodel` crate fits its regressions to.
-
-//! The [`graph`] module rebuilds all four pipelines on an explicit
-//! pass/resource DAG (declared reads/writes, deterministic topological
-//! scheduling, buffer aliasing, cross-frame caching, pass-granular
-//! degradation) from the same stage kernels, byte-identical at full
-//! fidelity.
+//!
+//! Each renderer's stages are sequenced by exactly one driver: its pipeline
+//! in the [`graph`] module, an explicit pass/resource DAG (declared
+//! reads/writes, deterministic topological scheduling, buffer aliasing,
+//! cross-frame caching, pass-granular degradation). The entry points above
+//! run that pipeline at full fidelity with no cache, so the models are
+//! fitted to the same code the scheduler degrades and the in situ loop ships.
 
 pub mod counters;
 pub mod framebuffer;

@@ -8,9 +8,10 @@
 
 use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
+use crate::graph::pipelines::{infallible, render_raster_graph};
 use crate::raytrace::TriGeometry;
 use crate::shading::{blinn_phong, ShadingParams};
-use dpp::{compact_indices, count_if, map, Device};
+use dpp::{count_if, map, Device};
 use std::sync::atomic::{AtomicU32, Ordering};
 use vecmath::{Camera, Color, TransferFunction, Vec3};
 
@@ -18,7 +19,7 @@ use vecmath::{Camera, Color, TransferFunction, Vec3};
 pub const TILE: u32 = 64;
 
 /// Rasterization statistics: the model inputs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RasterStats {
     /// O: triangles submitted.
     pub objects: usize,
@@ -30,6 +31,7 @@ pub struct RasterStats {
     pub pixels_per_triangle: f64,
     /// AP: pixels written.
     pub active_pixels: usize,
+    /// Seconds summed over the frame's executed passes.
     pub render_seconds: f64,
 }
 
@@ -69,8 +71,7 @@ fn tile_range(
 }
 
 /// Transform + cull stage: project every triangle, rejecting those behind the
-/// camera, off screen, or degenerate. Shared verbatim by the legacy pipeline
-/// and the graph `transform_cull` pass.
+/// camera, off screen, or degenerate.
 pub(crate) fn transform_cull_stage(
     device: &Device,
     geom: &TriGeometry,
@@ -261,7 +262,8 @@ pub(crate) fn stitch_stage(
     (frame, active)
 }
 
-/// Rasterize `geom` through `camera` into a `width x height` frame.
+/// Rasterize `geom` through `camera` into a `width x height` frame: the
+/// frame graph of [`render_raster_graph`] with no skips and no cache.
 pub fn rasterize(
     device: &Device,
     geom: &TriGeometry,
@@ -271,75 +273,13 @@ pub fn rasterize(
     colormap: &TransferFunction,
     shading: Option<&ShadingParams>,
 ) -> RasterOutput {
-    let mut phases = PhaseTimer::new();
-    let t0 = std::time::Instant::now();
-    let n = geom.num_tris();
-    let default_shading = ShadingParams::headlight(camera.position, camera.up);
-    let shading = shading.unwrap_or(&default_shading);
-
-    // --- Transform + cull (map over all O objects). ---
-    let screen: Vec<Option<ScreenTri>> = phases.run("transform_cull", n as u64, || {
-        transform_cull_stage(device, geom, camera, width, height)
-    });
-
-    // --- Compact visible objects (map + scan + gather). ---
-    let visible: Vec<u32> = phases
-        .run("compact_visible", n as u64, || compact_indices(device, n, |i| screen[i].is_some()));
-    let vo = visible.len();
-
-    // --- Bin to tiles: per-tile atomic counts, scan, fill. ---
-    let tiles_x = width.div_ceil(TILE);
-    let tiles_y = height.div_ceil(TILE);
-    let count_vals: Vec<u32> = phases.run("bin_count", vo as u64, || {
-        bin_count_stage(device, &screen, &visible, width, height, tiles_x, tiles_y)
-    });
-    let (offsets, total_pairs) = dpp::exclusive_scan_u32(device, &count_vals);
-    let bins: Vec<u32> = phases.run("bin_fill", vo as u64, || {
-        bin_fill_stage(
-            device,
-            &screen,
-            &visible,
-            &offsets,
-            total_pairs as u64,
-            width,
-            height,
-            tiles_x,
-            tiles_y,
-        )
-    });
-
-    // --- Per-tile barycentric sampling with a z-buffer (map over tiles). ---
-    let (tile_frames, pc) = phases.run("sample_fill", total_pairs as u64, || {
-        sample_fill_stage(
-            device,
-            geom,
-            &screen,
-            &bins,
-            &offsets,
-            &count_vals,
-            width,
-            height,
-            tiles_x,
-            colormap,
-            shading,
-            camera,
-        )
-    });
-
-    // Stitch tiles into the framebuffer.
-    let (frame, active) = stitch_stage(device, tile_frames, width, height);
-    RasterOutput {
-        stats: RasterStats {
-            objects: n,
-            visible_objects: vo,
-            pixels_considered: pc,
-            pixels_per_triangle: if vo > 0 { pc as f64 / vo as f64 } else { 0.0 },
-            active_pixels: active,
-            render_seconds: t0.elapsed().as_secs_f64(),
-        },
-        frame,
-        phases,
-    }
+    let run =
+        render_raster_graph(device, geom, camera, width, height, colormap, shading, &[], None);
+    infallible(run, || RasterOutput {
+        frame: Framebuffer::new(width, height),
+        stats: RasterStats { objects: geom.num_tris(), ..Default::default() },
+        phases: PhaseTimer::new(),
+    })
 }
 
 /// Rasterize one screen triangle into a tile buffer; returns pixels considered.

@@ -5,8 +5,9 @@ use super::bvh::{Bvh, Hit};
 use super::geometry::TriGeometry;
 use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
+use crate::graph::pipelines::{infallible, rt::rt_graph};
 use crate::shading::{blinn_phong, hash_rand2, hemisphere_dir, ShadingParams};
-use dpp::{compact_indices, count_if, gather, map, Device};
+use dpp::{map, Device};
 use vecmath::{morton2, Camera, Color, Ray, TransferFunction};
 
 /// Which subset of the pipeline runs — the study's three workloads.
@@ -70,7 +71,7 @@ impl RtConfig {
 
 /// Measured quantities of one render: the performance-model inputs plus
 /// stage timings.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RtStats {
     /// O: number of triangles.
     pub objects: usize,
@@ -80,7 +81,7 @@ pub struct RtStats {
     pub rays_traced: u64,
     /// Seconds to build the BVH (the separable `c0*O + c1` model term).
     pub bvh_build_seconds: f64,
-    /// Seconds for everything after the build.
+    /// Seconds summed over the frame's executed passes, build excluded.
     pub render_seconds: f64,
 }
 
@@ -105,19 +106,23 @@ impl RayTracer {
     /// renders (the model's amortized-build use case). Uses the LBVH — the
     /// linear-time build the `c0*O` model term assumes.
     pub fn new(device: Device, geom: TriGeometry) -> RayTracer {
-        let t0 = std::time::Instant::now();
-        let bvh = Bvh::build(&device, &geom);
-        let bvh_build_seconds = t0.elapsed().as_secs_f64();
-        RayTracer { device, geom, bvh, shading: None, bvh_build_seconds }
+        RayTracer::timing_build(device, geom, Bvh::build)
     }
 
     /// Build with the Chapter II split BVH instead (slower build, faster
     /// traversal; `split_alpha` as in the paper, 1e-6).
     pub fn new_with_split_bvh(device: Device, geom: TriGeometry, split_alpha: f32) -> RayTracer {
-        let t0 = std::time::Instant::now();
-        let bvh = super::sbvh::build_split_bvh(&geom, split_alpha);
-        let bvh_build_seconds = t0.elapsed().as_secs_f64();
-        RayTracer { device, geom, bvh, shading: None, bvh_build_seconds }
+        RayTracer::timing_build(device, geom, |_, g| super::sbvh::build_split_bvh(g, split_alpha))
+    }
+
+    fn timing_build(
+        device: Device,
+        geom: TriGeometry,
+        build: impl FnOnce(&Device, &TriGeometry) -> Bvh,
+    ) -> RayTracer {
+        let mut timer = PhaseTimer::new();
+        let bvh = timer.run("bvh_build", geom.num_tris() as u64, || build(&device, &geom));
+        RayTracer { bvh_build_seconds: timer.total_seconds(), device, geom, bvh, shading: None }
     }
 
     /// Render one frame with the default rainbow pseudocolor map.
@@ -126,7 +131,9 @@ impl RayTracer {
         self.render_with_map(camera, width, height, cfg, &tf)
     }
 
-    /// Render with an explicit pseudocolor map.
+    /// Render with an explicit pseudocolor map: the ray-tracing frame graph
+    /// ([`crate::graph::pipelines::rt`]) over this tracer's prebuilt BVH and
+    /// shading override, with no skips and no cache.
     pub fn render_with_map(
         &self,
         camera: &Camera,
@@ -135,116 +142,26 @@ impl RayTracer {
         cfg: &RtConfig,
         colormap: &TransferFunction,
     ) -> RtOutput {
-        let mut phases = PhaseTimer::new();
-        let t_render = std::time::Instant::now();
-        let device = &self.device;
-
-        let ss = if cfg.antialias { 2u32 } else { 1u32 };
-        let rw = width * ss;
-        let rh = height * ss;
-        let n_rays = (rw * rh) as usize;
-        let mut rays_traced = 0u64;
-
-        // --- Ray generation (map). Ray order may follow a Morton curve. ---
-        let pixel_order = pixel_order_stage(device, cfg, rw, rh);
-        let rays: Vec<Ray> = phases
-            .run("ray_gen", n_rays as u64, || ray_gen_stage(device, camera, &pixel_order, rw, rh));
-
-        // --- Traversal + intersection (map over rays). ---
-        let hits: Vec<Hit> = phases.run("intersect", n_rays as u64, || {
-            intersect_stage(device, &self.geom, &self.bvh, &rays)
+        let run = rt_graph(
+            &self.device,
+            &self.geom,
+            Some(&self.bvh),
+            self.shading.as_ref(),
+            camera,
+            width,
+            height,
+            cfg,
+            colormap,
+            &[],
+            None,
+        );
+        let mut out = infallible(run, || RtOutput {
+            frame: Framebuffer::new(width, height),
+            stats: RtStats { objects: self.geom.num_tris(), ..Default::default() },
+            phases: PhaseTimer::new(),
         });
-        rays_traced += n_rays as u64;
-
-        // WORKLOAD1 stops here: depth image only.
-        if cfg.workload == Workload::Intersect {
-            let frame = depth_assemble_stage(&hits, &pixel_order, width, height, rw, ss);
-            let active = frame.active_pixels();
-            return self.finish(frame, phases, rays_traced, active, t_render);
-        }
-
-        // --- Optional stream compaction of misses (map+scan+gather). ---
-        let (live, live_rays, live_hits): (Vec<u32>, Vec<Ray>, Vec<Hit>) = if cfg.compaction {
-            let idx = phases.run("compaction", n_rays as u64, || {
-                compact_indices(device, n_rays, |i| hits[i].is_hit())
-            });
-            let r = gather(device, &idx, &rays);
-            let h = gather(device, &idx, &hits);
-            (idx, r, h)
-        } else {
-            let idx = (0..n_rays as u32).collect();
-            (idx, rays.clone(), hits.clone())
-        };
-        let n_live = live.len();
-
-        let shading = self
-            .shading
-            .clone()
-            .unwrap_or_else(|| ShadingParams::headlight(camera.position, camera.up));
-
-        // --- Ambient occlusion: scatter sample rays, intersect, gather. ---
-        let occlusion: Vec<f32> = if cfg.workload == Workload::Full && cfg.ao_samples > 0 {
-            let s = cfg.ao_samples as usize;
-            let n_occ = n_live * s;
-            let occ_hits: Vec<bool> = phases.run("ambient_occlusion", n_occ as u64, || {
-                ao_stage(device, &self.geom, &self.bvh, cfg, &live, &live_rays, &live_hits)
-            });
-            rays_traced += n_occ as u64;
-            ao_factors_stage(device, &occ_hits, n_live, s)
-        } else {
-            vec![1.0; n_live]
-        };
-
-        // --- Shadow rays (map over live hits x lights). ---
-        let n_lights = shading.lights.len();
-        let light_vis: Vec<bool> = if cfg.workload == Workload::Full {
-            let n_sh = n_live * n_lights;
-            let vis = phases.run("shadows", n_sh as u64, || {
-                shadows_stage(device, &self.geom, &self.bvh, &shading, &live_rays, &live_hits)
-            });
-            rays_traced += n_sh as u64;
-            vis
-        } else {
-            vec![true; n_live * n_lights]
-        };
-
-        // --- Shading (map) + reflections (recursive generations). ---
-        let colors: Vec<Color> = phases.run("shade", n_live as u64, || {
-            shade_stage(
-                device, &self.geom, &self.bvh, cfg, &shading, colormap, &live_rays, &live_hits,
-                &occlusion, &light_vis,
-            )
-        });
-
-        // --- Scatter colors back to the supersampled buffer, then gather
-        //     with anti-aliasing into the final frame. ---
-        let frame = phases.run("anti_alias", (width * height) as u64, || {
-            resolve_stage(&live, &live_hits, &colors, &pixel_order, width, height, ss)
-        });
-
-        let active = count_if(device, frame.num_pixels(), |i| frame.color[i].a > 0.0);
-        self.finish(frame, phases, rays_traced, active, t_render)
-    }
-
-    fn finish(
-        &self,
-        frame: Framebuffer,
-        phases: PhaseTimer,
-        rays_traced: u64,
-        active_pixels: usize,
-        t_render: std::time::Instant,
-    ) -> RtOutput {
-        RtOutput {
-            stats: RtStats {
-                objects: self.geom.num_tris(),
-                active_pixels,
-                rays_traced,
-                bvh_build_seconds: self.bvh_build_seconds,
-                render_seconds: t_render.elapsed().as_secs_f64(),
-            },
-            frame,
-            phases,
-        }
+        out.stats.bvh_build_seconds = self.bvh_build_seconds;
+        out
     }
 }
 
@@ -545,6 +462,20 @@ mod tests {
         assert!(out.stats.active_pixels > 100);
         let c = out.frame.color[out.frame.index(24, 24)];
         assert!(c.a > 0.0 && (c.r + c.g + c.b) > 0.0);
+    }
+
+    #[test]
+    fn workloads_without_secondary_rays_record_no_zero_work_phase() {
+        let rt = tracer(Device::Serial);
+        let cam = Camera::close_view(&rt.geom.bounds);
+        for cfg in [RtConfig::workload1(), RtConfig::workload2()] {
+            let out = rt.render(&cam, 32, 32, &cfg);
+            for p in &out.phases.phases {
+                assert!(p.work_units > 0, "{:?}: phase {} did no work", cfg.workload, p.name);
+                assert!(p.name != "ambient_occlusion" && p.name != "shadows");
+            }
+            assert_eq!(out.stats.rays_traced, 32 * 32);
+        }
     }
 
     #[test]

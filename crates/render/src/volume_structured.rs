@@ -10,6 +10,7 @@
 
 use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
+use crate::graph::{render_structured_graph, GraphError};
 use dpp::{map, Device};
 use mesh::UniformGrid;
 use vecmath::{over, Camera, Color, TransferFunction, Vec3};
@@ -34,17 +35,26 @@ impl Default for SvrConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SvrError {
     MissingField(String),
+    /// The renderer's pass graph was rejected — a bug in this crate.
+    Graph(GraphError),
 }
 
 impl std::fmt::Display for SvrError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SvrError::MissingField(n) => write!(f, "no point field named {n}"),
+            SvrError::Graph(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for SvrError {}
+
+impl From<GraphError> for SvrError {
+    fn from(e: GraphError) -> SvrError {
+        SvrError::Graph(e)
+    }
+}
 
 /// Measured model inputs for one structured-volume render.
 #[derive(Debug, Clone)]
@@ -57,6 +67,7 @@ pub struct SvrStats {
     pub samples_per_ray: f64,
     /// CS: average cells spanned per active ray.
     pub cells_spanned: f64,
+    /// Seconds summed over the frame's executed passes.
     pub render_seconds: f64,
 }
 
@@ -73,7 +84,8 @@ pub(crate) struct RayWork {
     pub(crate) cells: u32,
 }
 
-/// Render `field_name` of `grid` through `camera`.
+/// Render `field_name` of `grid` through `camera`: the frame graph of
+/// [`render_structured_graph`] with no skips and no cache.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 pub fn render_structured(
     device: &Device,
@@ -85,36 +97,11 @@ pub fn render_structured(
     tf: &TransferFunction,
     cfg: &SvrConfig,
 ) -> Result<SvrOutput, SvrError> {
-    let mut phases = PhaseTimer::new();
-    let t0 = std::time::Instant::now();
-    let field = &grid
-        .field(field_name)
-        .ok_or_else(|| SvrError::MissingField(field_name.to_string()))?
-        .values;
-    let n_px = (width * height) as usize;
-
-    let results: Vec<(Color, RayWork)> = phases.run("raycast", n_px as u64, || {
-        raycast_stage(device, grid, field, camera, width, height, tf, cfg)
-    });
-
-    let (frame, active, total_samples, total_cells) = assemble_stage(&results, width, height);
-
-    Ok(SvrOutput {
-        stats: SvrStats {
-            objects: grid.num_cells(),
-            active_pixels: active,
-            samples_per_ray: if active > 0 { total_samples as f64 / active as f64 } else { 0.0 },
-            cells_spanned: if active > 0 { total_cells as f64 / active as f64 } else { 0.0 },
-            render_seconds: t0.elapsed().as_secs_f64(),
-        },
-        frame,
-        phases,
-    })
+    render_structured_graph(device, grid, field_name, camera, width, height, tf, cfg, &[], None)
+        .map(|(out, _)| out)
 }
 
-/// The raycast stage: one DDA march per pixel. Shared verbatim by the legacy
-/// entry point above and the graph pipeline, so both produce bit-identical
-/// sample sets.
+/// The raycast stage: one DDA march per pixel.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn raycast_stage(
     device: &Device,

@@ -27,8 +27,9 @@
 
 use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
+use crate::graph::{render_unstructured_graph, GraphError};
 use dpp::{compact_indices, map, Device};
-use mesh::{Assoc, TetMesh};
+use mesh::TetMesh;
 use std::sync::atomic::{AtomicU64, Ordering};
 use vecmath::{over, Camera, Color, TransferFunction, Vec3};
 
@@ -65,8 +66,13 @@ impl Default for UvrConfig {
 /// Failure modes (the memory cap reproduces the paper's OOM behaviour).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UvrError {
-    OutOfMemory { required_bytes: usize, limit_bytes: usize },
+    OutOfMemory {
+        required_bytes: usize,
+        limit_bytes: usize,
+    },
     MissingField(String),
+    /// The renderer's pass graph was rejected — a bug in this crate.
+    Graph(GraphError),
 }
 
 impl std::fmt::Display for UvrError {
@@ -77,11 +83,18 @@ impl std::fmt::Display for UvrError {
                 "sample buffer needs {required_bytes} B but the device limit is {limit_bytes} B"
             ),
             UvrError::MissingField(n) => write!(f, "no point field named {n}"),
+            UvrError::Graph(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for UvrError {}
+
+impl From<GraphError> for UvrError {
+    fn from(e: GraphError) -> UvrError {
+        UvrError::Graph(e)
+    }
+}
 
 /// Measured model inputs.
 #[derive(Debug, Clone)]
@@ -97,6 +110,7 @@ pub struct UvrStats {
     pub cells_per_pixel: f64,
     /// Peak sample-buffer bytes.
     pub buffer_bytes: usize,
+    /// Seconds summed over the frame's executed passes.
     pub render_seconds: f64,
 }
 
@@ -373,7 +387,8 @@ pub(crate) fn assemble_uvr_stage(acc: &[Color], width: u32, height: u32) -> (Fra
     (frame, active_px)
 }
 
-/// Render the tetrahedral mesh's point field through the camera.
+/// Render the tetrahedral mesh's point field through the camera: the frame
+/// graph of [`render_unstructured_graph`] with no skips and no cache.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 pub fn render_unstructured(
     device: &Device,
@@ -385,130 +400,8 @@ pub fn render_unstructured(
     tf: &TransferFunction,
     cfg: &UvrConfig,
 ) -> Result<UvrOutput, UvrError> {
-    let t_start = std::time::Instant::now();
-    let mut phases = PhaseTimer::new();
-    let field = tets
-        .field(field_name)
-        .filter(|f| f.assoc == Assoc::Point)
-        .ok_or_else(|| UvrError::MissingField(field_name.to_string()))?
-        .values
-        .clone();
-
-    let buffer_bytes = sample_buffer_bytes(width, height, cfg);
-    if let Some(limit) = cfg.memory_limit_bytes {
-        if buffer_bytes > limit {
-            return Err(UvrError::OutOfMemory { required_bytes: buffer_bytes, limit_bytes: limit });
-        }
-    }
-
-    let n_tets = tets.num_tets();
-    let n_px = (width * height) as usize;
-
-    // --- Initialization: per-tet depth ranges (map) + global range (reduce).
-    let ranges: Vec<(f32, f32)> =
-        phases.run("initialization", n_tets as u64, || init_ranges_stage(device, tets, camera));
-    let (z0, z1) = dpp::reduce(device, &ranges, (f32::INFINITY, f32::NEG_INFINITY), |a, b| {
-        (a.0.min(b.0), a.1.max(b.1))
-    });
-    let z0 = z0.max(camera.near);
-    if z0 >= z1 {
-        // Nothing in front of the camera.
-        return Ok(empty_output(width, height, n_tets, buffer_bytes, phases, t_start));
-    }
-
-    let s_total = cfg.depth_samples.max(1);
-    let passes = cfg.num_passes.max(1).min(s_total);
-    let slab = s_total.div_ceil(passes) as usize;
-    let dz = (z1 - z0) / s_total as f32;
-
-    // Persistent accumulation state across passes. The *modeled* buffer
-    // (`sample_buffer_bytes`, what the paper's GPU allocates) stays 4 B per
-    // sample; the host-side tet-index tag is bookkeeping, not workload.
-    let mut acc: Vec<Color> = vec![Color::TRANSPARENT; n_px];
-    let mut ct: u64 = 0;
-    let mut total_composited: u64 = 0;
-    let term = cfg.early_termination;
-
-    for pass in 0..passes {
-        let s_begin = pass * slab as u32;
-        let s_end = ((pass + 1) * slab as u32).min(s_total);
-        if s_begin >= s_end {
-            break;
-        }
-        let pass_z0 = z0 + s_begin as f32 * dz;
-        let pass_z1 = z0 + s_end as f32 * dz;
-
-        // --- Pass selection: threshold + scan + reverse-index + gather. ---
-        let active: Vec<u32> = phases.run("pass_selection", n_tets as u64, || {
-            select_stage(device, &ranges, camera.near, pass_z0, pass_z1)
-        });
-        let m = active.len();
-
-        // --- Screen-space transformation (map over active tets). ---
-        let screen: Vec<Option<ScreenTet>> = phases.run("screen_space", m as u64, || {
-            screen_space_stage(device, tets, &field, camera, width, height, &active)
-        });
-
-        // --- Sampling (map over active tets, atomic writes). ---
-        // Opacity snapshot for sampler-side early termination.
-        let opacity: Vec<f32> = acc.iter().map(|c| c.a).collect();
-        let (samples, tested) = phases.run("sampling", m as u64, || {
-            sampling_stage(
-                device, &active, &screen, &opacity, term, width, height, z0, dz, slab, s_begin,
-                s_end,
-            )
-        });
-        ct += tested;
-
-        // --- Compositing (map over pixels). ---
-        let slab_this = (s_end - s_begin) as usize;
-        let (new_acc, composited) = phases.run("compositing", n_px as u64, || {
-            composite_stage(device, &acc, &samples, slab, slab_this, term, tf)
-        });
-        acc = new_acc;
-        total_composited += composited;
-    }
-
-    // Assemble the frame.
-    let (frame, active_px) = assemble_uvr_stage(&acc, width, height);
-    Ok(UvrOutput {
-        stats: UvrStats {
-            objects: n_tets,
-            active_pixels: active_px,
-            samples_per_ray: if active_px > 0 {
-                total_composited as f64 / active_px as f64
-            } else {
-                0.0
-            },
-            cells_per_pixel: if active_px > 0 { ct as f64 / active_px as f64 } else { 0.0 },
-            buffer_bytes,
-            render_seconds: t_start.elapsed().as_secs_f64(),
-        },
-        frame,
-        phases,
-    })
-}
-
-fn empty_output(
-    width: u32,
-    height: u32,
-    n_tets: usize,
-    buffer_bytes: usize,
-    phases: PhaseTimer,
-    t_start: std::time::Instant,
-) -> UvrOutput {
-    UvrOutput {
-        frame: Framebuffer::new(width, height),
-        stats: UvrStats {
-            objects: n_tets,
-            active_pixels: 0,
-            samples_per_ray: 0.0,
-            cells_per_pixel: 0.0,
-            buffer_bytes,
-            render_seconds: t_start.elapsed().as_secs_f64(),
-        },
-        phases,
-    }
+    render_unstructured_graph(device, tets, field_name, camera, width, height, tf, cfg, &[], None)
+        .map(|(out, _)| out)
 }
 
 #[cfg(test)]
@@ -618,12 +511,9 @@ mod tests {
         let err =
             render_unstructured(&Device::Serial, &t, "scalar", &cam, 256, 256, &tfn(&t), &cfg)
                 .unwrap_err();
-        match err {
-            UvrError::OutOfMemory { required_bytes, limit_bytes } => {
-                assert!(required_bytes > limit_bytes);
-            }
-            other => panic!("wrong error {other:?}"),
-        }
+        // The typed error, not a stringified graph failure, reaches the caller.
+        let required_bytes = sample_buffer_bytes(256, 256, &cfg);
+        assert_eq!(err, UvrError::OutOfMemory { required_bytes, limit_bytes: 1024 });
         // More passes shrink the buffer under the cap.
         let ok_cfg = UvrConfig {
             depth_samples: 1000,

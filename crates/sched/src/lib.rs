@@ -34,7 +34,7 @@ pub mod simexec;
 pub use backpressure::QueuePressure;
 pub use demo::{run_budgeted_demo, CycleOutcome, DemoConfig, DemoReport};
 pub use ladder::{Ladder, Rung, LADDER};
-pub use passes::{PassLadder, PassRung, PassWork, PASS_DROP_LEVEL, PASS_LADDER};
+pub use passes::{PassRung, PassWork, PASS_DROP_LEVEL, PASS_LADDER};
 pub use priority::{Priority, PRIORITIES};
 pub use rebalance::{RebalanceConfig, Rebalancer};
 pub use refit::OnlineRefit;

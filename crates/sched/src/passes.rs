@@ -6,7 +6,7 @@
 //! its next rung throws away 75% of the pixels. The graph executor exposes
 //! cheaper moves first: reuse last frame's BVH (free — the frame is
 //! byte-identical while geometry holds still), then skip ambient occlusion,
-//! then shadows (each replaced by its documented legacy fallback), then swap
+//! then shadows (each replaced by its documented fallback), then swap
 //! in the precomputed LOD proxies (`mesh::lod` ladder levels — geometric
 //! fidelity traded before any pixel is lost), and only then start halving
 //! the image. [`PassRung::skips`] names the passes to hand to
@@ -186,55 +186,6 @@ pub fn first_feasible(predictions: &[f64], budget_s: f64) -> usize {
     predictions.iter().position(|&t| t <= budget_s).unwrap_or(PASS_DROP_LEVEL)
 }
 
-/// Hysteretic position on the pass ladder: escalation is immediate, recovery
-/// steps one rung per full streak of headroom cycles — the same discipline
-/// as the whole-frame [`Ladder`](crate::ladder::Ladder), over the finer
-/// rungs.
-#[derive(Debug, Clone)]
-pub struct PassLadder {
-    level: usize,
-    streak: u32,
-    hysteresis_cycles: u32,
-}
-
-impl PassLadder {
-    pub fn new(hysteresis_cycles: u32) -> PassLadder {
-        PassLadder { level: 0, streak: 0, hysteresis_cycles: hysteresis_cycles.max(1) }
-    }
-
-    /// Current operating level (index into [`PASS_LADDER`]).
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    pub fn rung(&self) -> PassRung {
-        PASS_LADDER[self.level]
-    }
-
-    /// Degrade to at least `level`, immediately. Resets the recovery streak.
-    pub fn escalate_to(&mut self, level: usize) {
-        if level > self.level {
-            self.level = level.min(PASS_DROP_LEVEL);
-            self.streak = 0;
-        }
-    }
-
-    /// Call once per cycle with whether the cycle's demand would have fit
-    /// one level up (with margin). Steps up at most one level per call,
-    /// only after a full streak of headroom cycles.
-    pub fn relax(&mut self, headroom: bool) {
-        if self.level == 0 || !headroom {
-            self.streak = 0;
-            return;
-        }
-        self.streak += 1;
-        if self.streak >= self.hysteresis_cycles {
-            self.level -= 1;
-            self.streak = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,24 +325,5 @@ mod tests {
         assert_eq!(PASS_LADDER[level].frame, Rung::Full);
         // An impossible budget drops the frame.
         assert_eq!(first_feasible(&t, -1.0), PASS_DROP_LEVEL);
-    }
-
-    #[test]
-    fn escalation_is_immediate_and_recovery_is_hysteretic() {
-        let mut l = PassLadder::new(2);
-        l.escalate_to(3);
-        assert_eq!(l.level(), 3);
-        assert_eq!(l.rung().skips(), vec!["ambient_occlusion", "shadows"]);
-        l.relax(true);
-        assert_eq!(l.level(), 3);
-        l.relax(false); // streak resets
-        l.relax(true);
-        l.relax(true);
-        assert_eq!(l.level(), 2);
-        l.escalate_to(99); // clamped to drop
-        assert_eq!(l.level(), PASS_DROP_LEVEL);
-        // Escalating below the current level is a no-op.
-        l.escalate_to(1);
-        assert_eq!(l.level(), PASS_DROP_LEVEL);
     }
 }

@@ -488,21 +488,7 @@ fn render_plot(
         }
         PlotType::Volume => match mesh {
             PublishedMesh::Uniform(g) => {
-                let (g, name) = grid_with_point_field(g, &plot.var)?;
-                let range = g.field(&name).unwrap().range().unwrap_or((0.0, 1.0));
-                let tf = TransferFunction::sparse_features(range);
-                let out = render_structured(
-                    device,
-                    &g,
-                    &name,
-                    camera,
-                    width,
-                    height,
-                    &tf,
-                    &SvrConfig::default(),
-                )
-                .map_err(|e| StrawmanError::Render(e.to_string()))?;
-                Ok((out.frame, "volume_structured", out.stats.active_pixels))
+                render_grid_volume(device, g, &plot.var, camera, width, height)
             }
             PublishedMesh::Rectilinear(r) => {
                 // Evenly spaced axes reinterpret directly; stretched axes are
@@ -511,7 +497,11 @@ fn render_plot(
                     r.to_uniform()
                 } else {
                     let mut with_points = r.clone();
-                    let name = ensure_point_field_rect(&mut with_points, &plot.var)?;
+                    let name = ensure_point_field_structured(
+                        &mut with_points.fields,
+                        r.dims(),
+                        &plot.var,
+                    )?;
                     let d = with_points.dims();
                     let mut resampled =
                         with_points.resample_to_uniform([d[0] - 1, d[1] - 1, d[2] - 1]);
@@ -523,25 +513,16 @@ fn render_plot(
                     }
                     resampled
                 };
-                let (g, name) = grid_with_point_field(&g, &plot.var)?;
-                let range = g.field(&name).unwrap().range().unwrap_or((0.0, 1.0));
-                let tf = TransferFunction::sparse_features(range);
-                let out = render_structured(
-                    device,
-                    &g,
-                    &name,
-                    camera,
-                    width,
-                    height,
-                    &tf,
-                    &SvrConfig::default(),
-                )
-                .map_err(|e| StrawmanError::Render(e.to_string()))?;
-                Ok((out.frame, "volume_structured", out.stats.active_pixels))
+                render_grid_volume(device, &g, &plot.var, camera, width, height)
             }
             PublishedMesh::Hexes(h) => {
                 let mut tets = h.to_tets();
-                let name = ensure_point_field_tets(&mut tets, &plot.var)?;
+                let name = ensure_point_field_unstructured(
+                    &mut tets.fields,
+                    tets.points.len(),
+                    &tets.tets,
+                    &plot.var,
+                )?;
                 let range = tets.field(&name).unwrap().range().unwrap_or((0.0, 1.0));
                 let tf = TransferFunction::sparse_features(range);
                 let out = render_unstructured(
@@ -561,6 +542,24 @@ fn render_plot(
     }
 }
 
+/// Volume-render `var` of a uniform grid with the structured ray caster.
+fn render_grid_volume(
+    device: &Device,
+    g: &UniformGrid,
+    var: &str,
+    camera: &Camera,
+    width: u32,
+    height: u32,
+) -> Result<(Framebuffer, &'static str, usize), StrawmanError> {
+    let (g, name) = grid_with_point_field(g, var)?;
+    let range = g.field(&name).unwrap().range().unwrap_or((0.0, 1.0));
+    let tf = TransferFunction::sparse_features(range);
+    let out =
+        render_structured(device, &g, &name, camera, width, height, &tf, &SvrConfig::default())
+            .map_err(|e| StrawmanError::Render(e.to_string()))?;
+    Ok((out.frame, "volume_structured", out.stats.active_pixels))
+}
+
 /// Build the pseudocolor surface geometry (external faces) for a variable.
 fn surface_geometry(mesh: &PublishedMesh, var: &str) -> Result<TriMesh, StrawmanError> {
     match mesh {
@@ -575,7 +574,8 @@ fn surface_geometry(mesh: &PublishedMesh, var: &str) -> Result<TriMesh, Strawman
         }
         PublishedMesh::Hexes(h) => {
             let mut h = h.clone();
-            let name = ensure_point_field_hex(&mut h, var)?;
+            let name =
+                ensure_point_field_unstructured(&mut h.fields, h.points.len(), &h.hexes, var)?;
             Ok(external_faces_hex(&h, Some(&name)))
         }
     }
@@ -587,84 +587,30 @@ fn grid_with_point_field(
     g: &UniformGrid,
     var: &str,
 ) -> Result<(UniformGrid, String), StrawmanError> {
-    let f = g.field(var).ok_or_else(|| StrawmanError::UnknownField(var.to_string()))?;
-    if f.assoc == Assoc::Point {
-        return Ok((g.clone(), var.to_string()));
-    }
-    // Average cells to points.
-    let cd = g.cell_dims();
-    let pd = g.dims;
-    let mut pvals = vec![0.0f32; g.num_points()];
-    for pk in 0..pd[2] {
-        for pj in 0..pd[1] {
-            for pi in 0..pd[0] {
-                let mut sum = 0.0;
-                let mut count = 0.0;
-                for dk in 0..2usize {
-                    for dj in 0..2usize {
-                        for di in 0..2usize {
-                            if pi >= di && pj >= dj && pk >= dk {
-                                let (ci, cj, ck) = (pi - di, pj - dj, pk - dk);
-                                if ci < cd[0] && cj < cd[1] && ck < cd[2] {
-                                    sum += f.values[g.cell_index(ci, cj, ck)];
-                                    count += 1.0;
-                                }
-                            }
-                        }
-                    }
-                }
-                pvals[g.point_index(pi, pj, pk)] = if count > 0.0 { sum / count } else { 0.0 };
-            }
-        }
-    }
     let mut out = g.clone();
-    let name = format!("{var}__points");
-    out.fields.push(Field::point(name.clone(), pvals));
+    let name = ensure_point_field_structured(&mut out.fields, g.dims, var)?;
     Ok((out, name))
 }
 
-/// Ensure the hex mesh carries `var` as a point field (node-averaging cell
-/// fields); returns the field name to use.
-fn ensure_point_field_hex(h: &mut mesh::HexMesh, var: &str) -> Result<String, StrawmanError> {
-    let f = h.field(var).ok_or_else(|| StrawmanError::UnknownField(var.to_string()))?;
-    if f.assoc == Assoc::Point {
-        return Ok(var.to_string());
-    }
-    let values = f.values.clone();
-    let mut accum = vec![0.0f32; h.points.len()];
-    let mut count = vec![0u32; h.points.len()];
-    for (hex, &v) in h.hexes.iter().zip(values.iter()) {
-        for &n in hex {
-            accum[n as usize] += v;
-            count[n as usize] += 1;
-        }
-    }
-    for (a, c) in accum.iter_mut().zip(count.iter()) {
-        if *c > 0 {
-            *a /= *c as f32;
-        }
-    }
-    let name = format!("{var}__points");
-    h.fields.push(Field::point(name.clone(), accum));
-    Ok(name)
-}
-
-/// Same for a rectilinear grid (cells averaged onto points).
-fn ensure_point_field_rect(
-    r: &mut mesh::RectilinearGrid,
+/// Ensure the fields of a structured grid with point dimensions `dims`
+/// (uniform or rectilinear) carry `var` as a point field, averaging each
+/// point's up-to-8 adjacent cells when it is a cell field; returns the field
+/// name to use.
+fn ensure_point_field_structured(
+    fields: &mut Vec<Field>,
+    dims: [usize; 3],
     var: &str,
 ) -> Result<String, StrawmanError> {
-    let f = r.field(var).ok_or_else(|| StrawmanError::UnknownField(var.to_string()))?;
+    let f = mesh::field::find(fields, var)
+        .ok_or_else(|| StrawmanError::UnknownField(var.to_string()))?;
     if f.assoc == Assoc::Point {
         return Ok(var.to_string());
     }
-    let values = f.values.clone();
-    let d = r.dims();
-    let cd = [d[0] - 1, d[1] - 1, d[2] - 1];
-    let mut pvals = vec![0.0f32; r.num_points()];
-    for pk in 0..d[2] {
-        for pj in 0..d[1] {
-            for pi in 0..d[0] {
+    let cd = [dims[0] - 1, dims[1] - 1, dims[2] - 1];
+    let mut pvals = vec![0.0f32; dims[0] * dims[1] * dims[2]];
+    for pk in 0..dims[2] {
+        for pj in 0..dims[1] {
+            for pi in 0..dims[0] {
                 let mut sum = 0.0;
                 let mut count = 0.0;
                 for dk in 0..2usize {
@@ -673,33 +619,41 @@ fn ensure_point_field_rect(
                             if pi >= di && pj >= dj && pk >= dk {
                                 let (ci, cj, ck) = (pi - di, pj - dj, pk - dk);
                                 if ci < cd[0] && cj < cd[1] && ck < cd[2] {
-                                    sum += values[(ck * cd[1] + cj) * cd[0] + ci];
+                                    sum += f.values[(ck * cd[1] + cj) * cd[0] + ci];
                                     count += 1.0;
                                 }
                             }
                         }
                     }
                 }
-                pvals[(pk * d[1] + pj) * d[0] + pi] = if count > 0.0 { sum / count } else { 0.0 };
+                pvals[(pk * dims[1] + pj) * dims[0] + pi] =
+                    if count > 0.0 { sum / count } else { 0.0 };
             }
         }
     }
     let name = format!("{var}__points");
-    r.fields.push(Field::point(name.clone(), pvals));
+    fields.push(Field::point(name.clone(), pvals));
     Ok(name)
 }
 
-/// Same for a tet mesh.
-fn ensure_point_field_tets(t: &mut mesh::TetMesh, var: &str) -> Result<String, StrawmanError> {
-    let f = t.field(var).ok_or_else(|| StrawmanError::UnknownField(var.to_string()))?;
+/// Ensure the fields of an unstructured mesh (hexes or tets over `n_points`
+/// nodes) carry `var` as a point field, averaging each node's incident cells
+/// when it is a cell field; returns the field name to use.
+fn ensure_point_field_unstructured<const N: usize>(
+    fields: &mut Vec<Field>,
+    n_points: usize,
+    cells: &[[u32; N]],
+    var: &str,
+) -> Result<String, StrawmanError> {
+    let f = mesh::field::find(fields, var)
+        .ok_or_else(|| StrawmanError::UnknownField(var.to_string()))?;
     if f.assoc == Assoc::Point {
         return Ok(var.to_string());
     }
-    let values = f.values.clone();
-    let mut accum = vec![0.0f32; t.points.len()];
-    let mut count = vec![0u32; t.points.len()];
-    for (tet, &v) in t.tets.iter().zip(values.iter()) {
-        for &n in tet {
+    let mut accum = vec![0.0f32; n_points];
+    let mut count = vec![0u32; n_points];
+    for (cell, &v) in cells.iter().zip(f.values.iter()) {
+        for &n in cell {
             accum[n as usize] += v;
             count[n as usize] += 1;
         }
@@ -710,7 +664,7 @@ fn ensure_point_field_tets(t: &mut mesh::TetMesh, var: &str) -> Result<String, S
         }
     }
     let name = format!("{var}__points");
-    t.fields.push(Field::point(name.clone(), accum));
+    fields.push(Field::point(name.clone(), accum));
     Ok(name)
 }
 
