@@ -8,11 +8,8 @@ use dpp::Device;
 use mpirt::NetModel;
 use perfmodel::feasibility::ModelSet;
 use perfmodel::mapping::MappingConstants;
-use perfmodel::models::{
-    CompositeModel, CompressedCompositeModel, DfbCompositeModel, ModelForm, RastModel,
-    RtBuildModel, RtModel, VrModel,
-};
-use perfmodel::sample::{CompositeSample, CompositeWire, RenderSample, RendererKind};
+use perfmodel::models::{Family, Feed};
+use perfmodel::sample::{CompositeSample, CompositeWire, Obs, RenderSample, RendererKind};
 use perfmodel::study::{run_composite_study_wired, run_render_study, StudyConfig};
 
 /// The full experiment corpus: render samples per (device, renderer) plus
@@ -108,42 +105,36 @@ impl Corpus {
         self.composite.iter().filter(|s| s.wire == wire).cloned().collect()
     }
 
-    /// Fit the full model set for one device. The dense compositing model
-    /// fits the dense-exchange samples; the compressed samples feed the
-    /// active-fraction-aware model. A corpus with only one exchange kind
-    /// (e.g. loaded from legacy artifacts) degrades gracefully: the dense
-    /// model falls back to all samples and the compressed slot stays empty.
+    /// Fit the full model set for one device: every family the corpus has
+    /// samples for, each on the samples of its [`Feed`]. A corpus with only
+    /// one exchange kind (e.g. loaded from legacy artifacts) degrades
+    /// gracefully: the required dense model falls back to all compositing
+    /// samples and the other wires stay absent. Per-pass and per-LOD-level
+    /// models come from live timings, not the offline corpus; the online
+    /// refit installs them at run time.
     pub fn fit_models(&self, device: &str) -> ModelSet {
-        let rt = self.subset(device, RendererKind::RayTracing);
-        let ra = self.subset(device, RendererKind::Rasterization);
-        let vr = self.subset(device, RendererKind::VolumeRendering);
-        let dense = self.composite_subset(CompositeWire::Dense);
-        let compressed = self.composite_subset(CompositeWire::Compressed);
-        let dfb = self.composite_subset(CompositeWire::Dfb);
-        ModelSet {
-            device: device.to_string(),
-            rt: RtModel.fit(&rt),
-            rt_build: RtBuildModel.fit(&rt),
-            rast: RastModel.fit(&ra),
-            vr: VrModel.fit(&vr),
-            comp: if dense.is_empty() {
-                CompositeModel.fit(&self.composite)
-            } else {
-                CompositeModel.fit(&dense)
-            },
-            comp_compressed: if compressed.is_empty() {
-                None
-            } else {
-                Some(CompressedCompositeModel.fit(&compressed))
-            },
-            comp_dfb: if dfb.is_empty() { None } else { Some(DfbCompositeModel.fit(&dfb)) },
-            // Per-pass models come from graph-executor timings, not the
-            // offline corpus; the online refit fills them at run time.
-            pass_ao: None,
-            pass_shadows: None,
-            lod_half: None,
-            lod_quarter: None,
-        }
+        let render = |kind| {
+            let of_kind = move |s: &&RenderSample| s.device == device && s.renderer == kind;
+            self.render.iter().filter(of_kind).map(Obs::Render).collect::<Vec<Obs>>()
+        };
+        let models = Family::ALL.iter().filter_map(|row| {
+            let fed = match row.feed {
+                Feed::Render(kind) => render(kind),
+                Feed::Build => render(RendererKind::RayTracing),
+                Feed::Composite(_) => {
+                    let all = || self.composite.iter().map(Obs::Composite);
+                    let own: Vec<Obs> = all().filter(|s| row.family.routes(*s)).collect();
+                    if own.is_empty() && row.required {
+                        all().collect()
+                    } else {
+                        own
+                    }
+                }
+                Feed::Pass(_) | Feed::Lod(_) => Vec::new(),
+            };
+            (row.required || !fed.is_empty()).then(|| row.family.fit(fed))
+        });
+        ModelSet::new(device, models)
     }
 
     /// Mapping constants calibrated from the corpus (tasks=1 samples).

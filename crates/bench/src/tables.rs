@@ -14,10 +14,7 @@ use dpp::Device;
 use mesh::datasets::{surface_dataset_pool, tet_dataset_pool};
 use perfmodel::crossval::{k_fold, k_fold_accuracy};
 use perfmodel::mapping::{map_inputs, RenderConfig};
-use perfmodel::models::{
-    CompositeModel, CompressedCompositeModel, DfbCompositeModel, FittedLinearModel, ModelForm,
-    RastModel, RtBuildModel, RtModel, VrModel,
-};
+use perfmodel::models::{Family, FittedLinearModel};
 use perfmodel::sample::{CompositeWire, RendererKind};
 use perfmodel::stats::AccuracySummary;
 use perfmodel::study::run_one;
@@ -483,11 +480,7 @@ pub fn table12(scale: Scale) -> TextTable {
         let mut cells = vec![renderer.name().to_string()];
         for device in DEVICES {
             let samples = corpus.subset(device, renderer);
-            let r2 = match renderer {
-                RendererKind::RayTracing => RtModel.fit(&samples).r_squared(),
-                RendererKind::Rasterization => RastModel.fit(&samples).r_squared(),
-                RendererKind::VolumeRendering => VrModel.fit(&samples).r_squared(),
-            };
+            let r2 = Family::for_renderer(renderer).fit(&samples).r_squared();
             cells.push(format!("{r2:.4}"));
         }
         t.row(cells);
@@ -501,14 +494,8 @@ fn model_xy(
     renderer: RendererKind,
 ) -> (Vec<Vec<f64>>, Vec<f64>) {
     let samples = corpus.subset(device, renderer);
-    let xs: Vec<Vec<f64>> = samples
-        .iter()
-        .map(|s| match renderer {
-            RendererKind::RayTracing => RtModel.features(s),
-            RendererKind::Rasterization => RastModel.features(s),
-            RendererKind::VolumeRendering => VrModel.features(s),
-        })
-        .collect();
+    let family = Family::for_renderer(renderer);
+    let xs: Vec<Vec<f64>> = samples.iter().map(|s| family.features(s)).collect();
     let ys: Vec<f64> = samples.iter().map(|s| s.render_seconds).collect();
     (xs, ys)
 }
@@ -612,12 +599,7 @@ pub fn table15(scale: Scale) -> TextTable {
             tasks,
         };
         let inputs = perfmodel::mapping::map_inputs(&cfg, &k);
-        let predicted = match renderer {
-            RendererKind::RayTracing => RtModel.predict(&set.rt, &inputs),
-            RendererKind::Rasterization => RastModel.predict(&set.rast, &inputs),
-            RendererKind::VolumeRendering => VrModel.predict(&set.vr, &inputs),
-        }
-        .max(0.0);
+        let predicted = set.predict_local_seconds(&inputs).max(0.0);
         let train = corpus.subset("parallel", renderer).len();
         t.row(vec![
             renderer.name().to_string(),
@@ -667,11 +649,7 @@ pub fn table16(scale: Scale) -> TextTable {
         };
         let mapped = map_inputs(&cfg, &k);
         let set = &sets[device];
-        let predict = |s: &perfmodel::sample::RenderSample| match renderer {
-            RendererKind::RayTracing => RtModel.predict(&set.rt, s),
-            RendererKind::Rasterization => RastModel.predict(&set.rast, s),
-            RendererKind::VolumeRendering => VrModel.predict(&set.vr, s),
-        };
+        let predict = |s: &perfmodel::sample::RenderSample| set.predict_local_seconds(s);
         let (aux_pred, aux_obs) = match renderer {
             RendererKind::VolumeRendering => (mapped.samples_per_ray, observed.samples_per_ray),
             RendererKind::Rasterization => {
@@ -715,8 +693,8 @@ pub fn table17(scale: Scale) -> TextTable {
     );
     for device in DEVICES {
         let rt_samples = corpus.subset(device, RendererKind::RayTracing);
-        let rt = RtModel.fit(&rt_samples);
-        let build = RtBuildModel.fit(&rt_samples);
+        let rt = Family::Rt.fit(&rt_samples);
+        let build = Family::RtBuild.fit(&rt_samples);
         // Paper order for RT: c0,c1 = build; c2,c3,c4 = render.
         t.row(vec![
             table17_label("ray_tracing", &rt),
@@ -727,7 +705,7 @@ pub fn table17(scale: Scale) -> TextTable {
             format!("{:.3e}", rt.coeffs()[1]),
             format!("{:.3e}", rt.coeffs()[2]),
         ]);
-        let ra = RastModel.fit(&corpus.subset(device, RendererKind::Rasterization));
+        let ra = Family::Rast.fit(&corpus.subset(device, RendererKind::Rasterization));
         t.row(vec![
             table17_label("rasterization", &ra),
             device.into(),
@@ -737,7 +715,7 @@ pub fn table17(scale: Scale) -> TextTable {
             "-".into(),
             "-".into(),
         ]);
-        let vr = VrModel.fit(&corpus.subset(device, RendererKind::VolumeRendering));
+        let vr = Family::Vr.fit(&corpus.subset(device, RendererKind::VolumeRendering));
         t.row(vec![
             table17_label("volume", &vr),
             device.into(),
@@ -750,7 +728,7 @@ pub fn table17(scale: Scale) -> TextTable {
     }
     let dense = corpus.composite_subset(CompositeWire::Dense);
     if !dense.is_empty() {
-        let comp = CompositeModel.fit(&dense);
+        let comp = Family::Comp.fit(&dense);
         t.row(vec![
             table17_label("compositing (dense)", &comp),
             "-".into(),
@@ -763,7 +741,7 @@ pub fn table17(scale: Scale) -> TextTable {
     }
     let compressed = corpus.composite_subset(CompositeWire::Compressed);
     if !compressed.is_empty() {
-        let comp = CompressedCompositeModel.fit(&compressed);
+        let comp = Family::CompRle.fit(&compressed);
         t.row(vec![
             table17_label("compositing (compressed)", &comp),
             "-".into(),
@@ -852,8 +830,8 @@ pub fn dfb(scale: Scale) -> TextTable {
         samples.iter().filter(|s| s.wire == CompositeWire::Compressed).cloned().collect();
     let dfbs: Vec<CompositeSample> =
         samples.iter().filter(|s| s.wire == CompositeWire::Dfb).cloned().collect();
-    let rle_fit = CompressedCompositeModel.fit(&rle);
-    let dfb_fit = DfbCompositeModel.fit(&dfbs);
+    let rle_fit = Family::CompRle.fit(&rle);
+    let dfb_fit = Family::CompDfb.fit(&dfbs);
 
     let mut t = TextTable::new(
         "DFB vs radix-k (RLE wire): measured, wire bytes, model-predicted winner",
@@ -885,8 +863,8 @@ pub fn dfb(scale: Scale) -> TextTable {
                 set.iter().find(|s| s.tasks == tasks && s.pixels == px).cloned()
             };
             let (Some(rs), Some(ds)) = (find(&rle), find(&dfbs)) else { continue };
-            let rk_pred = CompressedCompositeModel.predict(&rle_fit, &rs);
-            let dfb_pred = DfbCompositeModel.predict(&dfb_fit, &ds);
+            let rk_pred = rle_fit.predict(&rs);
+            let dfb_pred = dfb_fit.predict(&ds);
             t.row(vec![
                 tasks.to_string(),
                 side.to_string(),
@@ -924,14 +902,8 @@ pub fn composite_cv(
     wire: CompositeWire,
 ) -> (Vec<(f64, f64)>, AccuracySummary) {
     let samples = corpus.composite_subset(wire);
-    let xs: Vec<Vec<f64>> = samples
-        .iter()
-        .map(|s| match wire {
-            CompositeWire::Dense => CompositeModel.features(s),
-            CompositeWire::Compressed => CompressedCompositeModel.features(s),
-            CompositeWire::Dfb => DfbCompositeModel.features(s),
-        })
-        .collect();
+    let family = Family::wire_chain(wire)[0];
+    let xs: Vec<Vec<f64>> = samples.iter().map(|s| family.features(s)).collect();
     let ys: Vec<f64> = samples.iter().map(|s| s.seconds).collect();
     let pairs = k_fold(&xs, &ys, 3);
     let acc = AccuracySummary::from_pairs(&pairs);
@@ -1436,7 +1408,7 @@ fn probe_child(setting: Option<(&str, &str)>) -> Option<(f64, f64)> {
 /// ladder's only move is to throw away 75% of the pixels. The per-pass
 /// timing log is written to `graph_passes.csv`.
 pub fn graph_demo(scale: Scale) -> TextTable {
-    use perfmodel::sample::PassSample;
+    use perfmodel::sample::{PassSample, Sample};
     use render::graph::{render_rt_graph, GraphCache};
     use sched::passes::{first_feasible, PASS_LADDER};
     use sched::{OnlineRefit, Rung, LADDER};
@@ -1482,19 +1454,14 @@ pub fn graph_demo(scale: Scale) -> TextTable {
             if r.name == "bvh_build" && !r.cached {
                 build_seconds = r.seconds;
             }
-            // Executed sheddable passes feed the per-pass refit features.
+            // Executed passes feed the per-pass refit features (the refit
+            // windows only the sheddable passes that have a model family).
             if !r.cached && !r.skipped && r.work_units > 0 {
-                if let Some(pass) = match r.name {
-                    "ambient_occlusion" => Some("ambient_occlusion"),
-                    "shadows" => Some("shadows"),
-                    _ => None,
-                } {
-                    refit.observe_pass(PassSample {
-                        pass: pass.to_string(),
-                        work_units: r.work_units as f64,
-                        seconds: r.seconds,
-                    });
-                }
+                refit.observe(Sample::Pass(PassSample {
+                    pass: r.name.to_string(),
+                    work_units: r.work_units as f64,
+                    seconds: r.seconds,
+                }));
             }
         }
         last_full = Some(info);
@@ -1505,7 +1472,7 @@ pub fn graph_demo(scale: Scale) -> TextTable {
     let mut set = sched::demo::ground_truth();
     let report = refit.refit_into(&mut set);
     assert!(
-        set.pass_ao.is_some() && set.pass_shadows.is_some(),
+        set.get(Family::PassAo).is_some() && set.get(Family::PassShadows).is_some(),
         "per-pass refit must install both pass models (refitted: {:?}, rejected: {:?})",
         report.refitted,
         report.rejected
@@ -1584,13 +1551,9 @@ pub fn graph_demo(scale: Scale) -> TextTable {
         ]);
     }
     // The refit trailer: which families the observed pass timings installed.
-    for name in ["pass_ambient_occlusion", "pass_shadows"] {
-        let m = if name == "pass_ambient_occlusion" {
-            set.pass_ao.as_ref()
-        } else {
-            set.pass_shadows.as_ref()
-        };
-        if let Some(m) = m {
+    for family in [Family::PassAo, Family::PassShadows] {
+        if let Some(m) = set.get(family) {
+            let name = m.name();
             t.row(vec![
                 "refit".into(),
                 name.into(),
@@ -1702,8 +1665,7 @@ pub fn rebalance_run(scale: Scale) -> RebalanceRun {
     // merging a quick-scale frame.
     let set = sched::demo::ground_truth();
     let pixels = f64::from(scale.image_side()) * f64::from(scale.image_side());
-    let comp_s = CompositeModel.predict(
-        &set.comp,
+    let comp_s = set.predict_composite_seconds(
         &CompositeSample {
             tasks: ranks,
             pixels,
@@ -1711,6 +1673,7 @@ pub fn rebalance_run(scale: Scale) -> RebalanceRun {
             seconds: 0.0,
             wire: CompositeWire::Dense,
         },
+        CompositeWire::Dense,
     );
 
     let per_rank =

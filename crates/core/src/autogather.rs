@@ -26,8 +26,6 @@ pub struct PhaseObservation {
 
 /// A per-phase fitted model with quality diagnostics.
 #[derive(Debug, Clone)]
-// xlint::allow(X010): autogather refits per session from live counters; its
-// phase names are runtime strings, so there is no stable persisted record
 pub struct PhaseModel {
     /// Phase name the model was fitted for.
     pub phase: String,

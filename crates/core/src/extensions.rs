@@ -31,8 +31,6 @@ pub struct SliceSample {
 
 /// The slicing model `T_SLICE = c0 * cells_intersected + c1`.
 #[derive(Debug, Clone)]
-// xlint::allow(X010): calibrated fresh per run on the live grid (extension
-// study, not part of the persisted ModelSet format)
 pub struct SliceModel {
     /// The fitted regression `T = c0 * cells + c1`.
     pub fit: LinearRegression,
@@ -247,7 +245,7 @@ impl AdaptivePlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::FittedLinearModel;
+    use crate::test_models::toy_model_set;
 
     #[test]
     fn slice_model_fits_and_predicts() {
@@ -278,31 +276,9 @@ mod tests {
         assert!(model.predict_for_grid(64) > model.predict_for_grid(16));
     }
 
-    fn toy_set() -> ModelSet {
-        let fit = |coeffs: Vec<f64>| FittedLinearModel {
-            name: "toy",
-            fit: LinearRegression::with_stats(coeffs, 1.0, 0.0, 9),
-            feature_names: vec![],
-        };
-        ModelSet {
-            device: "toy".into(),
-            rt: fit(vec![2e-9, 1e-8, 1e-3]),
-            rt_build: fit(vec![2e-8, 1e-3]),
-            rast: fit(vec![4e-9, 4e-10, 1e-3]),
-            vr: fit(vec![2e-10, 1e-9, 1e-2]),
-            comp: fit(vec![2e-8, 5e-8, 1e-3]),
-            comp_compressed: None,
-            comp_dfb: None,
-            pass_ao: None,
-            pass_shadows: None,
-            lod_half: None,
-            lod_quarter: None,
-        }
-    }
-
     #[test]
     fn planner_respects_time_budget() {
-        let planner = AdaptivePlanner::new(toy_set(), MappingConstants::default());
+        let planner = AdaptivePlanner::new(toy_model_set(), MappingConstants::default());
         let c = Constraints {
             time_budget_s: 10.0,
             memory_limit_bytes: usize::MAX,
@@ -323,7 +299,7 @@ mod tests {
 
     #[test]
     fn planner_respects_memory_cap() {
-        let planner = AdaptivePlanner::new(toy_set(), MappingConstants::default());
+        let planner = AdaptivePlanner::new(toy_model_set(), MappingConstants::default());
         let c = Constraints {
             time_budget_s: 1e9,
             memory_limit_bytes: 64 << 20, // 64 MiB
@@ -340,7 +316,7 @@ mod tests {
 
     #[test]
     fn planner_returns_none_when_nothing_fits() {
-        let planner = AdaptivePlanner::new(toy_set(), MappingConstants::default());
+        let planner = AdaptivePlanner::new(toy_model_set(), MappingConstants::default());
         let c = Constraints {
             time_budget_s: 1e-9,
             memory_limit_bytes: 1,
@@ -353,7 +329,7 @@ mod tests {
 
     #[test]
     fn budget_fraction_scales_with_images() {
-        let planner = AdaptivePlanner::new(toy_set(), MappingConstants::default());
+        let planner = AdaptivePlanner::new(toy_model_set(), MappingConstants::default());
         let cfg = RenderConfig {
             renderer: RendererKind::Rasterization,
             cells_per_task: 100,

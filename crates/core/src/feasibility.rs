@@ -4,11 +4,10 @@
 //! beats rasterization (Figure 15).
 
 use crate::mapping::{map_inputs, MappingConstants, RenderConfig};
-use crate::models::{
-    CompositeModel, CompressedCompositeModel, DfbCompositeModel, FittedLinearModel, LodModel,
-    ModelForm, PassModel, RastModel, RtBuildModel, RtModel, VrModel,
+use crate::models::{Family, FittedLinearModel};
+use crate::sample::{
+    CompositeSample, CompositeWire, LodSample, PassSample, RenderSample, RendererKind,
 };
-use crate::sample::{CompositeSample, CompositeWire, RendererKind};
 
 /// Floor applied to predicted per-frame seconds before they are used as a
 /// divisor. A degenerate fit (all-zero coefficients, e.g. from a windowed
@@ -18,50 +17,83 @@ use crate::sample::{CompositeSample, CompositeWire, RendererKind};
 /// so the clamp never distorts a healthy model.
 pub const MIN_PREDICTED_SECONDS: f64 = 1e-9;
 
-/// Fitted models for one device (plus the shared compositing models).
+/// Fitted models for one device (plus the shared compositing models),
+/// indexed by [`Family`]. The required families are always present; an
+/// optional family is present once a fit for it has been installed, and its
+/// absence has a defined fallback: per-wire compositing degrades along
+/// `CompDfb -> CompRle -> Comp` (so legacy persisted sets predict exactly
+/// what they always did), and the per-pass and per-LOD-level predictors
+/// answer `None` so admission never banks on unmeasured savings.
 #[derive(Debug, Clone)]
 pub struct ModelSet {
     /// Device label the single-node models were fitted on.
     pub device: String,
-    /// Ray-tracing per-frame model.
-    pub rt: FittedLinearModel,
-    /// Ray-tracing BVH build model.
-    pub rt_build: FittedLinearModel,
-    /// Rasterization per-frame model.
-    pub rast: FittedLinearModel,
-    /// Volume-rendering per-frame model.
-    pub vr: FittedLinearModel,
-    /// Dense-exchange compositing model (the paper's form).
-    pub comp: FittedLinearModel,
-    /// Compressed-exchange compositing model, fitted on RLE wire timings.
-    /// When present it takes over frame predictions, matching the
-    /// compressed-by-default wire path; `None` falls back to `comp` (and is
-    /// what legacy persisted sets load as).
-    pub comp_compressed: Option<FittedLinearModel>,
-    /// Overlapped-mode compositing model, fitted on Distributed FrameBuffer
-    /// wire timings. Only consulted when a caller asks for the
-    /// [`CompositeWire::Dfb`] wire; `None` falls back through
-    /// `comp_compressed` to `comp`.
-    pub comp_dfb: Option<FittedLinearModel>,
-    /// Per-pass model for the ray tracer's `ambient_occlusion` graph pass
-    /// (`T = c0*W + c1` over reported work units). `None` until per-pass
-    /// timings from the graph executor have been observed; pass-granular
-    /// admission falls back to whole-frame rungs without it.
-    pub pass_ao: Option<FittedLinearModel>,
-    /// Per-pass model for the ray tracer's `shadows` graph pass; see
-    /// [`ModelSet::pass_ao`].
-    pub pass_shadows: Option<FittedLinearModel>,
-    /// Per-level model for rendering the LOD ladder's level-1 (half-cells)
-    /// proxy (`T = c0*Cells + c1`). `None` until proxy-frame timings have
-    /// been observed; LOD rungs price at the full-resolution frame without
-    /// it, so admission never banks on unmeasured savings.
-    pub lod_half: Option<FittedLinearModel>,
-    /// Per-level model for the level-2 (quarter-cells) proxy; see
-    /// [`ModelSet::lod_half`].
-    pub lod_quarter: Option<FittedLinearModel>,
+    required: [FittedLinearModel; Family::REQUIRED],
+    optional: [Option<FittedLinearModel>; Family::ALL.len() - Family::REQUIRED],
 }
 
 impl ModelSet {
+    /// A set holding `models`, each in its family's slot (a later model of
+    /// the same family replaces an earlier one). A required family no model
+    /// is given for stays at the zero fit — the degenerate-but-finite state a
+    /// constant refit window produces, predicting 0 s.
+    pub fn new(device: &str, models: impl IntoIterator<Item = FittedLinearModel>) -> ModelSet {
+        let mut set = ModelSet {
+            device: device.to_string(),
+            required: std::array::from_fn(|i| {
+                let row = &Family::ALL[i];
+                FittedLinearModel::from_coeffs(row.family, &vec![0.0; row.feature_names.len()])
+            }),
+            optional: std::array::from_fn(|_| None),
+        };
+        for m in models {
+            set.install(m);
+        }
+        set
+    }
+
+    /// A hand-built set from `(family, coefficients)` pairs, for fixtures
+    /// and synthetic ground truths; see [`ModelSet::new`].
+    pub fn from_coeffs(device: &str, pairs: &[(Family, &[f64])]) -> ModelSet {
+        ModelSet::new(device, pairs.iter().map(|&(f, c)| FittedLinearModel::from_coeffs(f, c)))
+    }
+
+    /// The fitted model of `family`, when the set carries one (always, for
+    /// a required family).
+    pub fn get(&self, family: Family) -> Option<&FittedLinearModel> {
+        match (family as usize).checked_sub(Family::REQUIRED) {
+            None => Some(&self.required[family as usize]),
+            Some(i) => self.optional[i].as_ref(),
+        }
+    }
+
+    /// Mutable access to the fitted model of `family`; see [`ModelSet::get`].
+    pub fn get_mut(&mut self, family: Family) -> Option<&mut FittedLinearModel> {
+        match (family as usize).checked_sub(Family::REQUIRED) {
+            None => Some(&mut self.required[family as usize]),
+            Some(i) => self.optional[i].as_mut(),
+        }
+    }
+
+    /// Put `model` in its family's slot, replacing any previous fit.
+    pub fn install(&mut self, model: FittedLinearModel) {
+        let slot = model.family as usize;
+        match slot.checked_sub(Family::REQUIRED) {
+            None => self.required[slot] = model,
+            Some(i) => self.optional[i] = Some(model),
+        }
+    }
+
+    /// Every model the set carries, in [`Family::ALL`] order.
+    pub fn models(&self) -> impl Iterator<Item = &FittedLinearModel> {
+        self.required.iter().chain(self.optional.iter().flatten())
+    }
+
+    /// Mutable [`ModelSet::models`].
+    pub fn models_mut(&mut self) -> impl Iterator<Item = &mut FittedLinearModel> {
+        self.required.iter_mut().chain(self.optional.iter_mut().flatten())
+    }
+
     /// Predicted seconds for one *frame* of a multi-task configuration:
     /// `max_tasks(T_LR) + T_COMP` with all tasks identical (weak scaling),
     /// excluding any amortized acceleration-structure build.
@@ -77,8 +109,8 @@ impl ModelSet {
 
     /// [`predict_frame_seconds`](ModelSet::predict_frame_seconds) for an
     /// explicit compositing wire. Missing per-wire models degrade along
-    /// `comp_dfb -> comp_compressed -> comp`, so a set without the newer
-    /// fits predicts exactly what it always did.
+    /// `CompDfb -> CompRle -> Comp`, so a set without the newer fits
+    /// predicts exactly what it always did.
     pub fn predict_frame_seconds_wire(
         &self,
         cfg: &RenderConfig,
@@ -86,11 +118,7 @@ impl ModelSet {
         wire: CompositeWire,
     ) -> f64 {
         let inputs = map_inputs(cfg, k);
-        let local = match cfg.renderer {
-            RendererKind::RayTracing => RtModel.predict(&self.rt, &inputs),
-            RendererKind::Rasterization => RastModel.predict(&self.rast, &inputs),
-            RendererKind::VolumeRendering => VrModel.predict(&self.vr, &inputs),
-        };
+        let local = self.predict_local_seconds(&inputs);
         let sample = CompositeSample {
             tasks: cfg.tasks,
             pixels: cfg.pixels as f64,
@@ -102,20 +130,18 @@ impl ModelSet {
         local.max(0.0) + comp.max(0.0)
     }
 
+    /// Predicted local render seconds (no build, no compositing, unclamped)
+    /// for one task's model inputs, under the whole-frame model of the
+    /// renderer the inputs name.
+    pub fn predict_local_seconds(&self, inputs: &RenderSample) -> f64 {
+        self.required[Family::for_renderer(inputs.renderer) as usize].predict(inputs)
+    }
+
     /// Predicted compositing seconds for one sample shape under `wire`,
     /// falling back through the model chain when newer fits are absent.
     pub fn predict_composite_seconds(&self, sample: &CompositeSample, wire: CompositeWire) -> f64 {
-        if wire == CompositeWire::Dfb {
-            if let Some(m) = &self.comp_dfb {
-                return DfbCompositeModel.predict(m, sample);
-            }
-        }
-        match (&self.comp_compressed, wire) {
-            (Some(m), CompositeWire::Compressed | CompositeWire::Dfb) => {
-                CompressedCompositeModel.predict(m, sample)
-            }
-            _ => CompositeModel.predict(&self.comp, sample),
-        }
+        let fitted = Family::wire_chain(wire).iter().find_map(|&f| self.get(f));
+        fitted.unwrap_or(&self.required[Family::Comp as usize]).predict(sample)
     }
 
     /// Names of models that fail the paper's plausibility criterion
@@ -124,28 +150,7 @@ impl ModelSet {
     /// re-solve instead of silently scheduling on clamped-to-zero
     /// predictions.
     pub fn implausible_models(&self) -> Vec<&'static str> {
-        let mut bad = Vec::new();
-        for m in [&self.rt, &self.rt_build, &self.rast, &self.vr, &self.comp] {
-            if !m.fit.all_coeffs_nonnegative() {
-                bad.push(m.name);
-            }
-        }
-        for m in [
-            &self.comp_compressed,
-            &self.comp_dfb,
-            &self.pass_ao,
-            &self.pass_shadows,
-            &self.lod_half,
-            &self.lod_quarter,
-        ]
-        .into_iter()
-        .flatten()
-        {
-            if !m.fit.all_coeffs_nonnegative() {
-                bad.push(m.name);
-            }
-        }
-        bad
+        self.models().filter(|m| !m.fit.all_coeffs_nonnegative()).map(|m| m.name()).collect()
     }
 
     /// Predicted seconds a named graph pass would cost at `work_units`, when
@@ -153,12 +158,8 @@ impl ModelSet {
     /// falls back to whole-frame degradation). Clamped at 0 like the frame
     /// predictors.
     pub fn predict_pass_seconds(&self, pass: &str, work_units: f64) -> Option<f64> {
-        let (model, slot) = match pass {
-            "ambient_occlusion" => (PassModel::AMBIENT_OCCLUSION, &self.pass_ao),
-            "shadows" => (PassModel::SHADOWS, &self.pass_shadows),
-            _ => return None,
-        };
-        slot.as_ref().map(|m| model.predict(m, work_units).max(0.0))
+        let m = self.get(Family::for_pass(pass)?)?;
+        Some(m.predict(&PassSample { pass: String::new(), work_units, seconds: 0.0 }).max(0.0))
     }
 
     /// Predicted frame seconds for rendering the LOD ladder's `level` proxy
@@ -167,12 +168,8 @@ impl ModelSet {
     /// banking on unmeasured savings). Clamped at 0 like the frame
     /// predictors.
     pub fn predict_lod_seconds(&self, level: u8, cells: f64) -> Option<f64> {
-        let (model, slot) = match level {
-            1 => (LodModel::HALF, &self.lod_half),
-            2 => (LodModel::QUARTER, &self.lod_quarter),
-            _ => return None,
-        };
-        slot.as_ref().map(|m| model.predict(m, cells).max(0.0))
+        let m = self.get(Family::for_level(level)?)?;
+        Some(m.predict(&LodSample { level, cells, seconds: 0.0 }).max(0.0))
     }
 
     /// True when every model in the set passes the plausibility criterion.
@@ -183,7 +180,7 @@ impl ModelSet {
     /// Predicted one-time BVH build seconds (ray tracing only; 0 otherwise).
     pub fn predict_build_seconds(&self, cfg: &RenderConfig, k: &MappingConstants) -> f64 {
         if cfg.renderer == RendererKind::RayTracing {
-            RtBuildModel.predict(&self.rt_build, &map_inputs(cfg, k)).max(0.0)
+            self.required[Family::RtBuild as usize].predict(&map_inputs(cfg, k)).max(0.0)
         } else {
             0.0
         }
@@ -270,46 +267,7 @@ pub fn rt_vs_rast_map(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regression::LinearRegression;
-
-    /// Hand-built model set with known coefficients (seconds-scale).
-    fn toy_models() -> ModelSet {
-        let fit = |coeffs: Vec<f64>| LinearRegression::with_stats(coeffs, 1.0, 0.0, 10);
-        ModelSet {
-            device: "toy".into(),
-            rt: FittedLinearModel {
-                name: "ray_tracing",
-                fit: fit(vec![2e-9, 1e-8, 1e-3]),
-                feature_names: vec!["AP*log2(O)", "AP", "1"],
-            },
-            rt_build: FittedLinearModel {
-                name: "ray_tracing_build",
-                fit: fit(vec![2e-8, 1e-3]),
-                feature_names: vec!["O", "1"],
-            },
-            rast: FittedLinearModel {
-                name: "rasterization",
-                fit: fit(vec![4e-9, 4e-10, 1e-3]),
-                feature_names: vec!["O", "VO*PPT", "1"],
-            },
-            vr: FittedLinearModel {
-                name: "volume_rendering",
-                fit: fit(vec![2e-10, 1e-9, 1e-2]),
-                feature_names: vec!["AP*CS", "AP*SPR", "1"],
-            },
-            comp: FittedLinearModel {
-                name: "compositing",
-                fit: fit(vec![2e-8, 5e-8, 1e-3]),
-                feature_names: vec!["avg(AP)", "Pixels", "1"],
-            },
-            comp_compressed: None,
-            comp_dfb: None,
-            pass_ao: None,
-            pass_shadows: None,
-            lod_half: None,
-            lod_quarter: None,
-        }
-    }
+    use crate::test_models::toy_model_set as toy_models;
 
     #[test]
     fn budget_curve_decreases_with_image_size() {
@@ -353,10 +311,8 @@ mod tests {
         // All-zero coefficients predict 0 s/frame; the clamp must keep the
         // feasibility answers finite and non-negative instead of INFINITY.
         let mut set = toy_models();
-        for m in [&mut set.rt, &mut set.rt_build, &mut set.rast, &mut set.vr, &mut set.comp] {
-            for c in m.fit.coeffs.iter_mut() {
-                *c = 0.0;
-            }
+        for m in set.models_mut() {
+            m.fit.coeffs.fill(0.0);
         }
         let k = MappingConstants::default();
         let sides = [256, 512, 1024, 2048, 4096];
@@ -388,20 +344,16 @@ mod tests {
             pixels: 1024 * 1024,
             tasks: 32,
         };
-        let mut set = toy_models();
-        let dense = set.predict_frame_seconds(&cfg, &k);
+        let bare = toy_models();
+        let dense = bare.predict_frame_seconds(&cfg, &k);
         // A compressed model whose wire term is half the dense one (the RLE
         // exchange ships fewer bytes) must lower the frame prediction.
-        set.comp_compressed = Some(FittedLinearModel {
-            name: "compositing_compressed",
-            fit: LinearRegression::with_stats(vec![1e-8, 2.5e-8, 0.0, 1e-3], 1.0, 0.0, 10),
-            feature_names: vec!["avg(AP)", "Pixels", "AF", "1"],
-        });
+        let mut set = bare.clone();
+        set.install(FittedLinearModel::from_coeffs(Family::CompRle, &[1e-8, 2.5e-8, 0.0, 1e-3]));
         let compressed = set.predict_frame_seconds(&cfg, &k);
         assert!(compressed < dense, "{compressed} !< {dense}");
-        // Wiping the compressed model restores the dense prediction exactly.
-        set.comp_compressed = None;
-        assert_eq!(set.predict_frame_seconds(&cfg, &k).to_bits(), dense.to_bits());
+        // Without the compressed model the dense one answers, as before.
+        assert_eq!(bare.predict_frame_seconds(&cfg, &k).to_bits(), dense.to_bits());
     }
 
     #[test]
@@ -409,17 +361,9 @@ mod tests {
         let mut set = toy_models();
         assert!(set.all_plausible());
         assert!(set.implausible_models().is_empty());
-        set.vr.fit.coeffs[1] = -1e-9;
-        set.comp_compressed = Some(FittedLinearModel {
-            name: "compositing_compressed",
-            fit: LinearRegression::with_stats(vec![1e-8, 2.5e-8, -1e-4, 1e-3], 1.0, 0.0, 10),
-            feature_names: vec!["avg(AP)", "Pixels", "AF", "1"],
-        });
-        set.comp_dfb = Some(FittedLinearModel {
-            name: "compositing_dfb",
-            fit: LinearRegression::with_stats(vec![1e-8, 1e-9, -2e-6, 1e-4], 1.0, 0.0, 10),
-            feature_names: vec!["avg(AP)", "Pixels", "Tasks", "1"],
-        });
+        set.get_mut(Family::Vr).unwrap().fit.coeffs[1] = -1e-9;
+        set.install(FittedLinearModel::from_coeffs(Family::CompRle, &[1e-8, 2.5e-8, -1e-4, 1e-3]));
+        set.install(FittedLinearModel::from_coeffs(Family::CompDfb, &[1e-8, 1e-9, -2e-6, 1e-4]));
         assert!(!set.all_plausible());
         assert_eq!(
             set.implausible_models(),
@@ -436,22 +380,19 @@ mod tests {
             pixels: 1024 * 1024,
             tasks: 32,
         };
-        let mut set = toy_models();
-        let dense = set.predict_frame_seconds(&cfg, &k);
-        set.comp_dfb = Some(FittedLinearModel {
-            name: "compositing_dfb",
-            fit: LinearRegression::with_stats(vec![1e-8, 2e-8, 2e-6, 1e-4], 1.0, 0.0, 10),
-            feature_names: vec!["avg(AP)", "Pixels", "Tasks", "1"],
-        });
+        let bare = toy_models();
+        let dense = bare.predict_frame_seconds(&cfg, &k);
+        let mut set = bare.clone();
+        set.install(FittedLinearModel::from_coeffs(Family::CompDfb, &[1e-8, 2e-8, 2e-6, 1e-4]));
         // Non-DFB wires are untouched, to the bit.
         assert_eq!(set.predict_frame_seconds(&cfg, &k).to_bits(), dense.to_bits());
         // The DFB wire routes through the overlapped-mode fit.
         let dfb = set.predict_frame_seconds_wire(&cfg, &k, CompositeWire::Dfb);
         assert!(dfb < dense, "{dfb} !< {dense}");
         // Without a DFB fit, the DFB wire degrades to the compressed chain:
-        // here comp_compressed is None, so `comp` answers — same as dense.
-        set.comp_dfb = None;
-        let fallback = set.predict_frame_seconds_wire(&cfg, &k, CompositeWire::Dfb);
+        // here there is no compressed fit either, so `Comp` answers — same
+        // as dense.
+        let fallback = bare.predict_frame_seconds_wire(&cfg, &k, CompositeWire::Dfb);
         assert_eq!(fallback.to_bits(), dense.to_bits());
     }
 

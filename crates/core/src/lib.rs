@@ -35,8 +35,6 @@ pub mod study;
 #[cfg(test)]
 pub(crate) mod test_models;
 
-pub use models::{
-    CompositeModel, FittedLinearModel, LodModel, PassModel, RastModel, RtModel, VrModel,
-};
+pub use models::{Family, FittedLinearModel};
 pub use regression::LinearRegression;
 pub use sample::{CompositeSample, LodSample, PassSample, RenderSample, RendererKind};

@@ -1,5 +1,8 @@
-//! The performance-model definitions of Section 5.5 / 5.6, as feature
-//! extractors over [`RenderSample`]s plus fitted-coefficient containers.
+//! The performance-model definitions of Section 5.5 / 5.6. Every model is the
+//! same shape — a feature row times a fitted coefficient vector (Eq. 5.4) —
+//! so a model *family* is a row of [`Family::ALL`] plus its feature row in
+//! [`Family::features`], and nothing else: fitting, prediction, persistence,
+//! the model set and the online refit are all loops or lookups over the table.
 //!
 //! * Ray tracing:   `T_RT  = (c0*O + c1) + (c2*AP*log2 O + c3*AP + c4)`
 //! * Rasterization: `T_RAST = c0*O + c1*(VO*PPT) + c2`
@@ -8,351 +11,288 @@
 //! * Total:         `T_total = max_tasks(T_LR) + T_COMP`
 
 use crate::regression::LinearRegression;
-use crate::sample::{CompositeSample, LodSample, PassSample, RenderSample};
+use crate::sample::{CompositeWire, Obs, RendererKind};
 
-/// A fitted single-node model: feature extraction + regression results.
+/// A performance-model family. The discriminant is the family's index into
+/// [`Family::ALL`] (and into a `ModelSet`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Family {
+    /// Ray-tracing render phase. The BVH build is fitted separately so the
+    /// amortized-build use cases of Section 5.9 can drop it.
+    Rt,
+    /// Ray-tracing BVH build: `T_build = c0*O + c1`.
+    RtBuild,
+    /// Rasterization.
+    Rast,
+    /// Volume rendering.
+    Vr,
+    /// Dense-exchange compositing (the paper's form).
+    Comp,
+    /// Run-length-compressed exchange. The RLE wire ships only active-pixel
+    /// spans, so wire time tracks active pixels rather than the full image;
+    /// following IceT's active-pixel accounting the model adds the average
+    /// active *fraction* `AF = avg(AP) / Pixels`:
+    /// `T_COMP = c0*avg(AP) + c1*Pixels + c2*AF + c3`.
+    ///
+    /// Under the paper's Section 5.8 mapping AF is constant per configuration
+    /// family (fill / tasks^(1/3)), which makes the AF column collinear with
+    /// the intercept over a single-configuration window — exactly the rank
+    /// deficiency the ridge fallback in [`LinearRegression::fit`] absorbs.
+    CompRle,
+    /// Asynchronous Distributed FrameBuffer exchange. The DFB has no
+    /// barriered rounds; its time is dominated by per-tile message handling
+    /// (the tile count scales with `Pixels`, the per-rank scatter fan-out
+    /// with `Tasks`) plus the fold compute over active pixels:
+    /// `T_COMP = c0*avg(AP) + c1*Pixels + c2*Tasks + c3`.
+    ///
+    /// The explicit `Tasks` column is what lets the fit predict the
+    /// crossover against radix-k: the round exchange pays `O(log Tasks)`
+    /// barriered rounds while the DFB pays a linear-in-`Tasks` message tax
+    /// that overlapped transfers amortize at scale.
+    CompDfb,
+    /// The ray tracer's `ambient_occlusion` graph pass: `T_pass = c0*W + c1`
+    /// where `W` is the work units the pass reported. The whole-frame
+    /// families predict a renderer's aggregate cost; the pass families
+    /// predict what one *sheddable* pass contributes, so the scheduler can
+    /// price "skip ambient occlusion" against "halve the image".
+    PassAo,
+    /// The ray tracer's `shadows` graph pass; see [`Family::PassAo`].
+    PassShadows,
+    /// Rendering the LOD ladder's level-1 (~half the cells) proxy:
+    /// `T_frame = c0*Cells + c1`. One family per ladder rung so the
+    /// scheduler can price "render the decimated proxy" against "halve the
+    /// image" — geometric fidelity traded before resolution.
+    LodHalf,
+    /// The level-2 (~a quarter of the cells) proxy; see [`Family::LodHalf`].
+    LodQuarter,
+}
+
+/// Which measured samples feed a family: the sample kind, plus the key that
+/// routes a sample of that kind to this family and no other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Feed {
+    /// Render samples of one renderer (target: render seconds).
+    Render(RendererKind),
+    /// Ray-tracing render samples with a measured build (target: build
+    /// seconds). Hook-driven observations fold the build into render time
+    /// and would otherwise collapse the build model to zero.
+    Build,
+    /// Compositing samples of one exchange wire.
+    Composite(CompositeWire),
+    /// Render-graph pass timings of one named pass.
+    Pass(&'static str),
+    /// Decimated-proxy frame timings of one LOD ladder level.
+    Lod(u8),
+}
+
+/// One row of [`Family::ALL`]: everything about a family that is data.
+#[derive(Debug, Clone, Copy)]
+pub struct FamilyRow {
+    /// The family this row describes (`ALL[i].family as usize == i`).
+    pub family: Family,
+    /// Model name used in report tables and persisted records.
+    pub name: &'static str,
+    /// Record tag in the persisted model file.
+    pub tag: &'static str,
+    /// Feature names, aligned with the coefficients (the last is the
+    /// intercept's `"1"`).
+    pub feature_names: &'static [&'static str],
+    /// Every model set carries the required families; the optional ones are
+    /// present once a fit for them has been installed.
+    pub required: bool,
+    /// The samples this family is fitted on.
+    pub feed: Feed,
+}
+
+const fn row(
+    family: Family,
+    name: &'static str,
+    tag: &'static str,
+    feature_names: &'static [&'static str],
+    required: bool,
+    feed: Feed,
+) -> FamilyRow {
+    FamilyRow { family, name, tag, feature_names, required, feed }
+}
+
+impl Family {
+    /// The one list of model families, required ones first. Persisted record
+    /// order, refit install order and report order all follow it.
+    #[rustfmt::skip]
+    pub const ALL: [FamilyRow; 11] = [
+        row(Family::Rt, "ray_tracing", "rt", &["AP*log2(O)", "AP", "1"], true, Feed::Render(RendererKind::RayTracing)),
+        row(Family::RtBuild, "ray_tracing_build", "rt_build", &["O", "1"], true, Feed::Build),
+        row(Family::Rast, "rasterization", "rast", &["O", "VO*PPT", "1"], true, Feed::Render(RendererKind::Rasterization)),
+        row(Family::Vr, "volume_rendering", "vr", &["AP*CS", "AP*SPR", "1"], true, Feed::Render(RendererKind::VolumeRendering)),
+        row(Family::Comp, "compositing", "comp", &["avg(AP)", "Pixels", "1"], true, Feed::Composite(CompositeWire::Dense)),
+        row(Family::CompRle, "compositing_compressed", "comp_rle", &["avg(AP)", "Pixels", "AF", "1"], false, Feed::Composite(CompositeWire::Compressed)),
+        row(Family::CompDfb, "compositing_dfb", "comp_dfb", &["avg(AP)", "Pixels", "Tasks", "1"], false, Feed::Composite(CompositeWire::Dfb)),
+        row(Family::PassAo, "pass_ambient_occlusion", "pass_ao", &["W", "1"], false, Feed::Pass("ambient_occlusion")),
+        row(Family::PassShadows, "pass_shadows", "pass_shadows", &["W", "1"], false, Feed::Pass("shadows")),
+        row(Family::LodHalf, "lod_half", "lod_half", &["Cells", "1"], false, Feed::Lod(1)),
+        row(Family::LodQuarter, "lod_quarter", "lod_quarter", &["Cells", "1"], false, Feed::Lod(2)),
+    ];
+
+    /// Number of required families — the leading rows of [`Family::ALL`].
+    pub const REQUIRED: usize = {
+        let mut n = 0;
+        while n < Family::ALL.len() && Family::ALL[n].required {
+            n += 1;
+        }
+        n
+    };
+
+    /// This family's row of [`Family::ALL`].
+    pub fn row(self) -> &'static FamilyRow {
+        &Family::ALL[self as usize]
+    }
+
+    /// The whole-frame family of a renderer.
+    pub fn for_renderer(renderer: RendererKind) -> Family {
+        match renderer {
+            RendererKind::RayTracing => Family::Rt,
+            RendererKind::Rasterization => Family::Rast,
+            RendererKind::VolumeRendering => Family::Vr,
+        }
+    }
+
+    /// The compositing families that can answer for an exchange wire, the
+    /// one fitted on that wire first. A set missing the newer fits degrades
+    /// along the chain, which ends at the required dense family.
+    pub fn wire_chain(wire: CompositeWire) -> &'static [Family] {
+        match wire {
+            CompositeWire::Dense => &[Family::Comp],
+            CompositeWire::Compressed => &[Family::CompRle, Family::Comp],
+            CompositeWire::Dfb => &[Family::CompDfb, Family::CompRle, Family::Comp],
+        }
+    }
+
+    /// The family covering a graph pass name, for passes that have one.
+    pub fn for_pass(pass: &str) -> Option<Family> {
+        Family::ALL.iter().find(|r| matches!(r.feed, Feed::Pass(p) if p == pass)).map(|r| r.family)
+    }
+
+    /// The family covering a LOD ladder level, for levels that have one.
+    pub fn for_level(level: u8) -> Option<Family> {
+        Family::ALL.iter().find(|r| r.feed == Feed::Lod(level)).map(|r| r.family)
+    }
+
+    /// True when `s` is one of the samples this family is fitted on (its
+    /// [`Feed`]). At most one family per refit window routes any sample.
+    pub fn routes(self, s: Obs<'_>) -> bool {
+        match (self.row().feed, s) {
+            (Feed::Render(kind), Obs::Render(s)) => s.renderer == kind,
+            (Feed::Build, Obs::Render(s)) => {
+                s.renderer == RendererKind::RayTracing && s.build_seconds > 0.0
+            }
+            (Feed::Composite(wire), Obs::Composite(s)) => s.wire == wire,
+            (Feed::Pass(pass), Obs::Pass(s)) => s.pass == pass,
+            (Feed::Lod(level), Obs::Lod(s)) => s.level == level,
+            _ => false,
+        }
+    }
+
+    /// The feature row of one observation, aligned with the row's
+    /// `feature_names` (the last entry is 1.0 for the intercept).
+    pub fn features<'a>(self, s: impl Into<Obs<'a>>) -> Vec<f64> {
+        match (self, s.into()) {
+            (Family::Rt, Obs::Render(s)) => {
+                let log_o = if s.objects > 1.0 { s.objects.log2() } else { 0.0 };
+                vec![s.active_pixels * log_o, s.active_pixels, 1.0]
+            }
+            (Family::RtBuild, Obs::Render(s)) => vec![s.objects, 1.0],
+            (Family::Rast, Obs::Render(s)) => {
+                vec![s.objects, s.visible_objects * s.pixels_per_triangle, 1.0]
+            }
+            (Family::Vr, Obs::Render(s)) => {
+                vec![s.active_pixels * s.cells_spanned, s.active_pixels * s.samples_per_ray, 1.0]
+            }
+            (Family::Comp, Obs::Composite(s)) => vec![s.avg_active_pixels, s.pixels, 1.0],
+            (Family::CompRle, Obs::Composite(s)) => {
+                vec![s.avg_active_pixels, s.pixels, s.avg_active_pixels / s.pixels.max(1.0), 1.0]
+            }
+            (Family::CompDfb, Obs::Composite(s)) => {
+                vec![s.avg_active_pixels, s.pixels, s.tasks as f64, 1.0]
+            }
+            (Family::PassAo | Family::PassShadows, Obs::Pass(s)) => vec![s.work_units, 1.0],
+            (Family::LodHalf | Family::LodQuarter, Obs::Lod(s)) => vec![s.cells, 1.0],
+            (family, other) => {
+                debug_assert!(false, "{family:?} has no feature row over {other:?}");
+                Vec::new()
+            }
+        }
+    }
+
+    /// Fit this family's coefficients over a corpus of its sample kind.
+    pub fn fit<'a, I>(self, samples: I) -> FittedLinearModel
+    where
+        I: IntoIterator,
+        I::Item: Into<Obs<'a>>,
+    {
+        let (xs, ys): (Vec<Vec<f64>>, Vec<f64>) = samples
+            .into_iter()
+            .map(|s| {
+                let s = s.into();
+                (self.features(s), self.target(s))
+            })
+            .unzip();
+        FittedLinearModel { family: self, fit: LinearRegression::fit(&xs, &ys) }
+    }
+
+    /// The measured seconds this family is fitted against.
+    fn target(self, s: Obs<'_>) -> f64 {
+        match s {
+            Obs::Render(s) if self.row().feed == Feed::Build => s.build_seconds,
+            Obs::Render(s) => s.render_seconds,
+            Obs::Composite(s) => s.seconds,
+            Obs::Pass(s) => s.seconds,
+            Obs::Lod(s) => s.seconds,
+        }
+    }
+}
+
+/// A fitted model: a family plus its regression results.
 #[derive(Debug, Clone)]
 pub struct FittedLinearModel {
-    /// Model name used in report tables.
-    pub name: &'static str,
+    /// The family whose feature row the coefficients multiply.
+    pub family: Family,
     /// Regression coefficients and fit diagnostics.
     pub fit: LinearRegression,
-    /// Feature names aligned with coefficients.
-    pub feature_names: Vec<&'static str>,
 }
 
 impl FittedLinearModel {
+    /// A hand-built model with known coefficients and a clean full-rank fit
+    /// (for fixtures and synthetic ground truths).
+    pub fn from_coeffs(family: Family, coeffs: &[f64]) -> FittedLinearModel {
+        FittedLinearModel {
+            family,
+            fit: LinearRegression::with_stats(coeffs.to_vec(), 1.0, 0.0, 10),
+        }
+    }
+
+    /// Model name used in report tables and persisted records.
+    pub fn name(&self) -> &'static str {
+        self.family.row().name
+    }
+
+    /// Feature names aligned with the coefficients.
+    pub fn feature_names(&self) -> &'static [&'static str] {
+        self.family.row().feature_names
+    }
+
     /// Coefficient of determination of the fit.
     pub fn r_squared(&self) -> f64 {
         self.fit.r_squared
     }
 
-    /// Fitted coefficients, aligned with `feature_names`.
+    /// Fitted coefficients, aligned with [`Self::feature_names`].
     pub fn coeffs(&self) -> &[f64] {
         &self.fit.coeffs
     }
-}
 
-/// Shared trait: a model form over render samples.
-pub trait ModelForm {
-    /// Name for tables.
-    fn name(&self) -> &'static str;
-    /// Feature vector (last entry should be 1.0 for the intercept).
-    fn features(&self, s: &RenderSample) -> Vec<f64>;
-    /// Target time for this model (render only, or build+render).
-    fn target(&self, s: &RenderSample) -> f64 {
-        s.render_seconds
-    }
-    /// Feature names.
-    fn feature_names(&self) -> Vec<&'static str>;
-
-    /// Fit the model over a corpus.
-    fn fit(&self, samples: &[RenderSample]) -> FittedLinearModel
-    where
-        Self: Sized,
-    {
-        let xs: Vec<Vec<f64>> = samples.iter().map(|s| self.features(s)).collect();
-        let ys: Vec<f64> = samples.iter().map(|s| self.target(s)).collect();
-        FittedLinearModel {
-            name: self.name(),
-            fit: LinearRegression::fit(&xs, &ys),
-            feature_names: self.feature_names(),
-        }
-    }
-
-    /// Predict a sample's time with a previously fitted model.
-    fn predict(&self, fitted: &FittedLinearModel, s: &RenderSample) -> f64 {
-        fitted.fit.predict(&self.features(s))
-    }
-}
-
-/// Ray-tracing render-phase model (the BVH build is fitted separately so the
-/// amortized-build use cases of Section 5.9 can drop it).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RtModel;
-
-impl ModelForm for RtModel {
-    fn name(&self) -> &'static str {
-        "ray_tracing"
-    }
-
-    fn features(&self, s: &RenderSample) -> Vec<f64> {
-        let log_o = if s.objects > 1.0 { s.objects.log2() } else { 0.0 };
-        vec![s.active_pixels * log_o, s.active_pixels, 1.0]
-    }
-
-    fn feature_names(&self) -> Vec<&'static str> {
-        vec!["AP*log2(O)", "AP", "1"]
-    }
-}
-
-/// Ray-tracing BVH build model: `T_build = c0*O + c1`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RtBuildModel;
-
-impl ModelForm for RtBuildModel {
-    fn name(&self) -> &'static str {
-        "ray_tracing_build"
-    }
-
-    fn features(&self, s: &RenderSample) -> Vec<f64> {
-        vec![s.objects, 1.0]
-    }
-
-    fn target(&self, s: &RenderSample) -> f64 {
-        s.build_seconds
-    }
-
-    fn feature_names(&self) -> Vec<&'static str> {
-        vec!["O", "1"]
-    }
-}
-
-/// Rasterization model.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RastModel;
-
-impl ModelForm for RastModel {
-    fn name(&self) -> &'static str {
-        "rasterization"
-    }
-
-    fn features(&self, s: &RenderSample) -> Vec<f64> {
-        vec![s.objects, s.visible_objects * s.pixels_per_triangle, 1.0]
-    }
-
-    fn feature_names(&self) -> Vec<&'static str> {
-        vec!["O", "VO*PPT", "1"]
-    }
-}
-
-/// Volume-rendering model.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VrModel;
-
-impl ModelForm for VrModel {
-    fn name(&self) -> &'static str {
-        "volume_rendering"
-    }
-
-    fn features(&self, s: &RenderSample) -> Vec<f64> {
-        vec![s.active_pixels * s.cells_spanned, s.active_pixels * s.samples_per_ray, 1.0]
-    }
-
-    fn feature_names(&self) -> Vec<&'static str> {
-        vec!["AP*CS", "AP*SPR", "1"]
-    }
-}
-
-/// Compositing model over [`CompositeSample`]s (the paper's form, fitted on
-/// dense-exchange behavior): `T_COMP = c0*avg(AP) + c1*Pixels + c2`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompositeModel;
-
-impl CompositeModel {
-    /// Feature vector `[avg(AP), Pixels, 1]` for one sample.
-    pub fn features(&self, s: &CompositeSample) -> Vec<f64> {
-        vec![s.avg_active_pixels, s.pixels, 1.0]
-    }
-
-    /// Fit the dense compositing model to measured samples.
-    pub fn fit(&self, samples: &[CompositeSample]) -> FittedLinearModel {
-        let xs: Vec<Vec<f64>> = samples.iter().map(|s| self.features(s)).collect();
-        let ys: Vec<f64> = samples.iter().map(|s| s.seconds).collect();
-        FittedLinearModel {
-            name: "compositing",
-            fit: LinearRegression::fit(&xs, &ys),
-            feature_names: vec!["avg(AP)", "Pixels", "1"],
-        }
-    }
-
-    /// Predicted seconds for one sample under `fitted`.
-    pub fn predict(&self, fitted: &FittedLinearModel, s: &CompositeSample) -> f64 {
-        fitted.fit.predict(&self.features(s))
-    }
-}
-
-/// Compositing model for the run-length-compressed exchange. The RLE wire
-/// ships only active-pixel spans, so wire time tracks active pixels rather
-/// than the full image; following IceT's active-pixel accounting the model
-/// adds the average active *fraction* `AF = avg(AP) / Pixels` as a feature:
-/// `T_COMP = c0*avg(AP) + c1*Pixels + c2*AF + c3`.
-///
-/// Under the paper's Section 5.8 mapping AF is constant per configuration
-/// family (fill / tasks^(1/3)), which makes the AF column collinear with the
-/// intercept over a single-configuration window — exactly the rank
-/// deficiency the ridge fallback in [`LinearRegression::fit`] absorbs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompressedCompositeModel;
-
-impl CompressedCompositeModel {
-    /// Feature vector `[avg(AP), Pixels, AF, 1]` for one sample.
-    pub fn features(&self, s: &CompositeSample) -> Vec<f64> {
-        vec![s.avg_active_pixels, s.pixels, s.avg_active_pixels / s.pixels.max(1.0), 1.0]
-    }
-
-    /// Fit the compressed compositing model to measured samples.
-    pub fn fit(&self, samples: &[CompositeSample]) -> FittedLinearModel {
-        let xs: Vec<Vec<f64>> = samples.iter().map(|s| self.features(s)).collect();
-        let ys: Vec<f64> = samples.iter().map(|s| s.seconds).collect();
-        FittedLinearModel {
-            name: "compositing_compressed",
-            fit: LinearRegression::fit(&xs, &ys),
-            feature_names: vec!["avg(AP)", "Pixels", "AF", "1"],
-        }
-    }
-
-    /// Predicted seconds for one sample under `fitted`.
-    pub fn predict(&self, fitted: &FittedLinearModel, s: &CompositeSample) -> f64 {
-        fitted.fit.predict(&self.features(s))
-    }
-}
-
-/// Compositing model for the asynchronous Distributed FrameBuffer exchange.
-/// The DFB has no barriered rounds; its time is dominated by per-tile
-/// message handling (the tile count scales with `Pixels`, the per-rank
-/// scatter fan-out with `Tasks`) plus the fold compute over active pixels:
-/// `T_COMP = c0*avg(AP) + c1*Pixels + c2*Tasks + c3`.
-///
-/// The explicit `Tasks` column is what lets the fit predict the crossover
-/// against radix-k: the round exchange pays `O(log Tasks)` barriered rounds
-/// while the DFB pays a linear-in-`Tasks` message tax that overlapped
-/// transfers amortize at scale.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DfbCompositeModel;
-
-impl DfbCompositeModel {
-    /// Feature vector `[avg(AP), Pixels, Tasks, 1]` for one sample.
-    pub fn features(&self, s: &CompositeSample) -> Vec<f64> {
-        vec![s.avg_active_pixels, s.pixels, s.tasks as f64, 1.0]
-    }
-
-    /// Fit the DFB compositing model to measured samples.
-    pub fn fit(&self, samples: &[CompositeSample]) -> FittedLinearModel {
-        let xs: Vec<Vec<f64>> = samples.iter().map(|s| self.features(s)).collect();
-        let ys: Vec<f64> = samples.iter().map(|s| s.seconds).collect();
-        FittedLinearModel {
-            name: "compositing_dfb",
-            fit: LinearRegression::fit(&xs, &ys),
-            feature_names: vec!["avg(AP)", "Pixels", "Tasks", "1"],
-        }
-    }
-
-    /// Predicted seconds for one sample under `fitted`.
-    pub fn predict(&self, fitted: &FittedLinearModel, s: &CompositeSample) -> f64 {
-        fitted.fit.predict(&self.features(s))
-    }
-}
-
-/// Per-pass model over render-graph executor timings: `T_pass = c0*W + c1`
-/// where `W` is the work units the pass reported (occlusion probes, shadow
-/// rays). The whole-frame models above predict a renderer's aggregate cost;
-/// these predict what one *sheddable* pass contributes, so the scheduler can
-/// price "skip ambient occlusion" against "halve the image" instead of only
-/// degrading whole frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PassModel {
-    name: &'static str,
-}
-
-impl PassModel {
-    /// Model for the ray tracer's `ambient_occlusion` graph pass.
-    pub const AMBIENT_OCCLUSION: PassModel = PassModel { name: "pass_ambient_occlusion" };
-    /// Model for the ray tracer's `shadows` graph pass.
-    pub const SHADOWS: PassModel = PassModel { name: "pass_shadows" };
-
-    /// The model covering a graph pass name, for passes that have one.
-    pub fn for_pass(pass: &str) -> Option<PassModel> {
-        match pass {
-            "ambient_occlusion" => Some(PassModel::AMBIENT_OCCLUSION),
-            "shadows" => Some(PassModel::SHADOWS),
-            _ => None,
-        }
-    }
-
-    /// Model name used in report tables and persisted records.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Feature vector `[W, 1]` for one sample.
-    pub fn features(&self, s: &PassSample) -> Vec<f64> {
-        vec![s.work_units, 1.0]
-    }
-
-    /// Fit the pass model to measured per-pass timings.
-    pub fn fit(&self, samples: &[PassSample]) -> FittedLinearModel {
-        let xs: Vec<Vec<f64>> = samples.iter().map(|s| self.features(s)).collect();
-        let ys: Vec<f64> = samples.iter().map(|s| s.seconds).collect();
-        FittedLinearModel {
-            name: self.name,
-            fit: LinearRegression::fit(&xs, &ys),
-            feature_names: vec!["W", "1"],
-        }
-    }
-
-    /// Predicted pass seconds at `work_units` under `fitted`.
-    pub fn predict(&self, fitted: &FittedLinearModel, work_units: f64) -> f64 {
-        fitted.fit.predict(&[work_units, 1.0])
-    }
-}
-
-/// Per-LOD-level model over decimated-proxy render timings: `T_frame =
-/// c0*Cells + c1` where `Cells` is the level's cell count. One model per
-/// ladder rung (half, quarter) so the scheduler can price "render the
-/// decimated proxy" against "halve the image" — geometric fidelity traded
-/// before resolution. Fitted from live timings and persisted exactly like
-/// [`PassModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LodModel {
-    name: &'static str,
-    level: u8,
-}
-
-impl LodModel {
-    /// Model for LOD level 1 (~half the cells).
-    pub const HALF: LodModel = LodModel { name: "lod_half", level: 1 };
-    /// Model for LOD level 2 (~a quarter of the cells).
-    pub const QUARTER: LodModel = LodModel { name: "lod_quarter", level: 2 };
-
-    /// The model covering a ladder level, for levels that have one.
-    pub fn for_level(level: u8) -> Option<LodModel> {
-        match level {
-            1 => Some(LodModel::HALF),
-            2 => Some(LodModel::QUARTER),
-            _ => None,
-        }
-    }
-
-    /// Model name used in report tables and persisted records.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The ladder level this model prices.
-    pub fn level(&self) -> u8 {
-        self.level
-    }
-
-    /// Feature vector `[Cells, 1]` for one sample.
-    pub fn features(&self, s: &LodSample) -> Vec<f64> {
-        vec![s.cells, 1.0]
-    }
-
-    /// Fit the LOD model to measured proxy-frame timings.
-    pub fn fit(&self, samples: &[LodSample]) -> FittedLinearModel {
-        let xs: Vec<Vec<f64>> = samples.iter().map(|s| self.features(s)).collect();
-        let ys: Vec<f64> = samples.iter().map(|s| s.seconds).collect();
-        FittedLinearModel {
-            name: self.name,
-            fit: LinearRegression::fit(&xs, &ys),
-            feature_names: vec!["Cells", "1"],
-        }
-    }
-
-    /// Predicted frame seconds at `cells` under `fitted`.
-    pub fn predict(&self, fitted: &FittedLinearModel, cells: f64) -> f64 {
-        fitted.fit.predict(&[cells, 1.0])
+    /// Predicted seconds for one observation's inputs.
+    pub fn predict<'a>(&self, s: impl Into<Obs<'a>>) -> f64 {
+        self.fit.predict(&self.family.features(s))
     }
 }
 
@@ -364,7 +304,23 @@ pub fn total_time(per_task_render_seconds: &[f64], compositing_seconds: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::RendererKind;
+    use crate::sample::{CompositeSample, PassSample, RenderSample};
+
+    #[test]
+    fn table_is_indexed_by_family_and_required_rows_lead() {
+        for (i, row) in Family::ALL.iter().enumerate() {
+            assert_eq!(row.family as usize, i, "{}", row.name);
+            assert_eq!(row.required, i < Family::REQUIRED, "{}", row.name);
+            assert_eq!(row.feature_names.last(), Some(&"1"), "{}", row.name);
+            // Tags, names and feeds identify a family uniquely.
+            for other in &Family::ALL[..i] {
+                assert_ne!(row.tag, other.tag);
+                assert_ne!(row.name, other.name);
+                assert_ne!(row.feed, other.feed);
+            }
+        }
+        assert_eq!(Family::REQUIRED, 5);
+    }
 
     fn synth_rt_sample(o: f64, ap: f64, c: [f64; 3], build: [f64; 2]) -> RenderSample {
         RenderSample {
@@ -394,14 +350,14 @@ mod tests {
             let ap = 500.0 * ((i * 7) % 23 + 1) as f64;
             samples.push(synth_rt_sample(o, ap, c, b));
         }
-        let fitted = RtModel.fit(&samples);
+        let fitted = Family::Rt.fit(&samples);
         assert!(fitted.r_squared() > 0.99999, "r2 = {}", fitted.r_squared());
         assert!((fitted.coeffs()[0] - c[0]).abs() / c[0] < 1e-6);
         assert!((fitted.coeffs()[1] - c[1]).abs() / c[1] < 1e-6);
-        let build_fit = RtBuildModel.fit(&samples);
+        let build_fit = Family::RtBuild.fit(&samples);
         assert!((build_fit.coeffs()[0] - b[0]).abs() / b[0] < 1e-6);
         // Prediction round-trips.
-        let p = RtModel.predict(&fitted, &samples[3]);
+        let p = fitted.predict(&samples[3]);
         assert!((p - samples[3].render_seconds).abs() < 1e-9);
     }
 
@@ -429,7 +385,7 @@ mod tests {
                 render_seconds: c[0] * ap * cs + c[1] * ap * spr + c[2],
             });
         }
-        let fitted = VrModel.fit(&samples);
+        let fitted = Family::Vr.fit(&samples);
         assert!(fitted.r_squared() > 0.9999);
         assert!((fitted.coeffs()[2] - c[2]).abs() < 1e-6);
         assert!(fitted.fit.all_coeffs_nonnegative());
@@ -447,13 +403,13 @@ mod tests {
                     pixels: px,
                     avg_active_pixels: ap,
                     seconds: c[0] * ap + c[1] * px + c[2],
-                    wire: crate::sample::CompositeWire::Dense,
+                    wire: CompositeWire::Dense,
                 }
             })
             .collect();
-        let fitted = CompositeModel.fit(&samples);
+        let fitted = Family::Comp.fit(&samples);
         assert!(fitted.r_squared() > 0.9999);
-        let pred = CompositeModel.predict(&fitted, &samples[5]);
+        let pred = fitted.predict(&samples[5]);
         assert!((pred - samples[5].seconds).abs() < 1e-9);
     }
 
@@ -472,14 +428,14 @@ mod tests {
                     pixels: px,
                     avg_active_pixels: ap,
                     seconds: c[0] * ap + c[1] * px + c[2] * af + c[3],
-                    wire: crate::sample::CompositeWire::Compressed,
+                    wire: CompositeWire::Compressed,
                 }
             })
             .collect();
-        let fitted = CompressedCompositeModel.fit(&samples);
+        let fitted = Family::CompRle.fit(&samples);
         assert!(fitted.r_squared() > 0.9999, "r2 = {}", fitted.r_squared());
         assert!(!fitted.fit.condition_warning);
-        let pred = CompressedCompositeModel.predict(&fitted, &samples[7]);
+        let pred = fitted.predict(&samples[7]);
         assert!((pred - samples[7].seconds).abs() / samples[7].seconds < 1e-6);
     }
 
@@ -498,14 +454,14 @@ mod tests {
                     pixels: px,
                     avg_active_pixels: ap,
                     seconds: c[0] * ap + c[1] * px + c[2] * tasks as f64 + c[3],
-                    wire: crate::sample::CompositeWire::Dfb,
+                    wire: CompositeWire::Dfb,
                 }
             })
             .collect();
-        let fitted = DfbCompositeModel.fit(&samples);
+        let fitted = Family::CompDfb.fit(&samples);
         assert!(fitted.r_squared() > 0.9999, "r2 = {}", fitted.r_squared());
         assert!((fitted.coeffs()[2] - c[2]).abs() / c[2] < 1e-6);
-        let pred = DfbCompositeModel.predict(&fitted, &samples[9]);
+        let pred = fitted.predict(&samples[9]);
         assert!((pred - samples[9].seconds).abs() / samples[9].seconds < 1e-6);
     }
 
@@ -513,26 +469,22 @@ mod tests {
     fn pass_model_recovers_planted_law() {
         // Planted per-ray cost + fixed setup overhead for each pass family.
         let c = [2.5e-8, 4e-4];
-        let samples: Vec<PassSample> = (1..20)
-            .map(|i| {
-                let w = 3000.0 * i as f64;
-                PassSample {
-                    pass: "ambient_occlusion".into(),
-                    work_units: w,
-                    seconds: c[0] * w + c[1],
-                }
-            })
-            .collect();
-        let fitted = PassModel::AMBIENT_OCCLUSION.fit(&samples);
-        assert_eq!(fitted.name, "pass_ambient_occlusion");
+        let pass = |w: f64| PassSample {
+            pass: "ambient_occlusion".into(),
+            work_units: w,
+            seconds: c[0] * w + c[1],
+        };
+        let samples: Vec<PassSample> = (1..20).map(|i| pass(3000.0 * i as f64)).collect();
+        let fitted = Family::PassAo.fit(&samples);
+        assert_eq!(fitted.name(), "pass_ambient_occlusion");
         assert!(fitted.r_squared() > 0.9999);
         assert!((fitted.coeffs()[0] - c[0]).abs() / c[0] < 1e-6);
-        let p = PassModel::AMBIENT_OCCLUSION.predict(&fitted, 7500.0);
+        let p = fitted.predict(&pass(7500.0));
         assert!((p - (c[0] * 7500.0 + c[1])).abs() < 1e-9);
         // Pass-name routing covers exactly the sheddable passes.
-        assert_eq!(PassModel::for_pass("shadows"), Some(PassModel::SHADOWS));
-        assert_eq!(PassModel::for_pass("ambient_occlusion"), Some(PassModel::AMBIENT_OCCLUSION));
-        assert_eq!(PassModel::for_pass("intersect"), None);
+        assert_eq!(Family::for_pass("shadows"), Some(Family::PassShadows));
+        assert_eq!(Family::for_pass("ambient_occlusion"), Some(Family::PassAo));
+        assert_eq!(Family::for_pass("intersect"), None);
     }
 
     #[test]

@@ -7,19 +7,20 @@
 //! serde format to keep the artifact diffable and the crate dependency-free.
 //!
 //! Version 2 adds a `format|2` header line, per-model solver diagnostics
-//! (`warn=`, `rank=`), and an optional `comp_rle` model record holding the
-//! compression-aware compositing model. Version-1 files (no header, five
-//! model lines, no diagnostics) still load: diagnostics default to a clean
-//! full-rank fit and the compressed model to absent. The per-pass models
-//! (`pass_ao`, `pass_shadows`) ride the same optional-record mechanism, so
-//! files without them load with the slots empty.
+//! (`warn=`, `rank=`), and records for the optional model families. Which
+//! records exist, their tags, names and coefficient counts all come from
+//! [`Family::ALL`]; a record that disagrees with its family's row is a
+//! [`ParseError`]. Version-1 files (no header, the five required model
+//! lines, no diagnostics) still load: diagnostics default to a clean
+//! full-rank fit and every optional family to absent.
 
 use crate::feasibility::ModelSet;
 use crate::mapping::MappingConstants;
-use crate::models::FittedLinearModel;
+use crate::models::{Family, FamilyRow, FittedLinearModel};
 use crate::regression::LinearRegression;
 
-/// Serialize a model set and mapping constants (format version 2).
+/// Serialize a model set and mapping constants (format version 2), one
+/// model record per fitted family in [`Family::ALL`] order.
 pub fn to_text(set: &ModelSet, k: &MappingConstants) -> String {
     let mut out = String::new();
     out.push_str("format|2\n");
@@ -28,36 +29,12 @@ pub fn to_text(set: &ModelSet, k: &MappingConstants) -> String {
         "mapping|ap_fill={}|ppt_factor={}|spr_base={}\n",
         k.ap_fill, k.ppt_factor, k.spr_base
     ));
-    let mut records: Vec<(&str, &FittedLinearModel)> = vec![
-        ("rt", &set.rt),
-        ("rt_build", &set.rt_build),
-        ("rast", &set.rast),
-        ("vr", &set.vr),
-        ("comp", &set.comp),
-    ];
-    if let Some(m) = &set.comp_compressed {
-        records.push(("comp_rle", m));
-    }
-    if let Some(m) = &set.comp_dfb {
-        records.push(("comp_dfb", m));
-    }
-    if let Some(m) = &set.pass_ao {
-        records.push(("pass_ao", m));
-    }
-    if let Some(m) = &set.pass_shadows {
-        records.push(("pass_shadows", m));
-    }
-    if let Some(m) = &set.lod_half {
-        records.push(("lod_half", m));
-    }
-    if let Some(m) = &set.lod_quarter {
-        records.push(("lod_quarter", m));
-    }
-    for (tag, m) in records {
+    for m in set.models() {
         let coeffs: Vec<String> = m.fit.coeffs.iter().map(|c| format!("{c:e}")).collect();
         out.push_str(&format!(
-            "model|{tag}|name={}|r2={}|resid={}|n={}|warn={}|rank={}|coeffs={}\n",
-            m.name,
+            "model|{}|name={}|r2={}|resid={}|n={}|warn={}|rank={}|coeffs={}\n",
+            m.family.row().tag,
+            m.name(),
             m.fit.r_squared,
             m.fit.residual_std,
             m.fit.n,
@@ -88,24 +65,25 @@ fn field<'a>(parts: &'a [&str], key: &str) -> Result<&'a str, ParseError> {
         .ok_or_else(|| ParseError(format!("missing field {key}")))
 }
 
-fn parse_model(parts: &[&str]) -> Result<FittedLinearModel, ParseError> {
-    let name: &'static str = match field(parts, "name")? {
-        "ray_tracing" => "ray_tracing",
-        "ray_tracing_build" => "ray_tracing_build",
-        "rasterization" => "rasterization",
-        "volume_rendering" => "volume_rendering",
-        "compositing" => "compositing",
-        "compositing_compressed" => "compositing_compressed",
-        "compositing_dfb" => "compositing_dfb",
-        "pass_ambient_occlusion" => "pass_ambient_occlusion",
-        "pass_shadows" => "pass_shadows",
-        "lod_half" => "lod_half",
-        "lod_quarter" => "lod_quarter",
-        other => return Err(ParseError(format!("unknown model name {other}"))),
-    };
+/// Parse one `model|<tag>|...` record against the family its tag names: the
+/// record must carry that family's name and exactly one coefficient per
+/// feature, or a rasterizer fit could load into the ray-tracing slot and a
+/// truncated list would silently drop the intercept from every prediction.
+fn parse_model(row: &FamilyRow, parts: &[&str]) -> Result<FittedLinearModel, ParseError> {
+    let (tag, name) = (row.tag, field(parts, "name")?);
+    if name != row.name {
+        return Err(ParseError(format!("model {tag} must be named {}, found {name}", row.name)));
+    }
     let coeffs: Result<Vec<f64>, _> =
         field(parts, "coeffs")?.split(';').map(|c| c.parse::<f64>()).collect();
     let coeffs = coeffs.map_err(|e| ParseError(format!("bad coefficient: {e}")))?;
+    if coeffs.len() != row.feature_names.len() {
+        return Err(ParseError(format!(
+            "model {tag} needs {} coefficients, found {}",
+            row.feature_names.len(),
+            coeffs.len()
+        )));
+    }
     let parse_f = |key: &str| -> Result<f64, ParseError> {
         field(parts, key)?.parse().map_err(|e| ParseError(format!("bad {key}: {e}")))
     };
@@ -131,24 +109,14 @@ fn parse_model(parts: &[&str]) -> Result<FittedLinearModel, ParseError> {
     );
     fit.condition_warning = condition_warning;
     fit.effective_rank = effective_rank;
-    Ok(FittedLinearModel { name, fit, feature_names: Vec::new() })
+    Ok(FittedLinearModel { family: row.family, fit })
 }
 
 /// Deserialize a model set and mapping constants.
 pub fn from_text(text: &str) -> Result<(ModelSet, MappingConstants), ParseError> {
     let mut device = String::new();
     let mut k = MappingConstants::default();
-    let mut rt = None;
-    let mut rt_build = None;
-    let mut rast = None;
-    let mut vr = None;
-    let mut comp = None;
-    let mut comp_compressed = None;
-    let mut comp_dfb = None;
-    let mut pass_ao = None;
-    let mut pass_shadows = None;
-    let mut lod_half = None;
-    let mut lod_quarter = None;
+    let mut models: Vec<FittedLinearModel> = Vec::new();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let parts: Vec<&str> = line.split('|').collect();
         match parts[0] {
@@ -172,45 +140,25 @@ pub fn from_text(text: &str) -> Result<(ModelSet, MappingConstants), ParseError>
                 };
             }
             "model" => {
-                let m = parse_model(&parts)?;
-                match *parts.get(1).unwrap_or(&"") {
-                    "rt" => rt = Some(m),
-                    "rt_build" => rt_build = Some(m),
-                    "rast" => rast = Some(m),
-                    "vr" => vr = Some(m),
-                    "comp" => comp = Some(m),
-                    "comp_rle" => comp_compressed = Some(m),
-                    "comp_dfb" => comp_dfb = Some(m),
-                    "pass_ao" => pass_ao = Some(m),
-                    "pass_shadows" => pass_shadows = Some(m),
-                    "lod_half" => lod_half = Some(m),
-                    "lod_quarter" => lod_quarter = Some(m),
-                    other => return Err(ParseError(format!("unknown model tag {other}"))),
+                let tag = *parts.get(1).unwrap_or(&"");
+                let row = Family::ALL
+                    .iter()
+                    .find(|r| r.tag == tag)
+                    .ok_or_else(|| ParseError(format!("unknown model tag {tag}")))?;
+                if models.iter().any(|m| m.family == row.family) {
+                    return Err(ParseError(format!("duplicate model {tag}")));
                 }
+                models.push(parse_model(row, &parts)?);
             }
             other => return Err(ParseError(format!("unknown record kind {other}"))),
         }
     }
-    let need = |m: Option<FittedLinearModel>, what: &str| {
-        m.ok_or_else(|| ParseError(format!("missing model {what}")))
-    };
-    Ok((
-        ModelSet {
-            device,
-            rt: need(rt, "rt")?,
-            rt_build: need(rt_build, "rt_build")?,
-            rast: need(rast, "rast")?,
-            vr: need(vr, "vr")?,
-            comp: need(comp, "comp")?,
-            comp_compressed,
-            comp_dfb,
-            pass_ao,
-            pass_shadows,
-            lod_half,
-            lod_quarter,
-        },
-        k,
-    ))
+    for row in &Family::ALL[..Family::REQUIRED] {
+        if !models.iter().any(|m| m.family == row.family) {
+            return Err(ParseError(format!("missing model {}", row.tag)));
+        }
+    }
+    Ok((ModelSet::new(&device, models), k))
 }
 
 /// Save to a file.
@@ -230,29 +178,107 @@ pub fn load(
 mod tests {
     use super::*;
 
+    fn fit(family: Family, coeffs: Vec<f64>, r2: f64, resid: f64, n: usize) -> FittedLinearModel {
+        FittedLinearModel { family, fit: LinearRegression::with_stats(coeffs, r2, resid, n) }
+    }
+
+    /// A set carrying all eleven families.
     fn sample_set() -> (ModelSet, MappingConstants) {
-        let fit = |name: &'static str, coeffs: Vec<f64>| FittedLinearModel {
-            name,
-            fit: LinearRegression::with_stats(coeffs, 0.97, 1e-4, 25),
-            feature_names: Vec::new(),
-        };
+        let coeffs: [(Family, &[f64]); 11] = [
+            (Family::Rt, &[2e-9, 1e-8, 1e-3]),
+            (Family::RtBuild, &[2e-8, 1e-3]),
+            (Family::Rast, &[4e-9, 4e-10, 1e-3]),
+            (Family::Vr, &[2e-10, 1e-9, 1e-2]),
+            (Family::Comp, &[2e-8, 5e-8, 1e-3]),
+            (Family::CompRle, &[3e-8, 2e-8, 2e-4, 8e-4]),
+            (Family::CompDfb, &[4e-8, 9e-9, 2e-6, 3e-4]),
+            (Family::PassAo, &[2.5e-8, 4e-4]),
+            (Family::PassShadows, &[1.5e-8, 2e-4]),
+            (Family::LodHalf, &[3.5e-9, 6e-4]),
+            (Family::LodQuarter, &[2.5e-9, 5e-4]),
+        ];
         (
-            ModelSet {
-                device: "parallel".into(),
-                rt: fit("ray_tracing", vec![2e-9, 1e-8, 1e-3]),
-                rt_build: fit("ray_tracing_build", vec![2e-8, 1e-3]),
-                rast: fit("rasterization", vec![4e-9, 4e-10, 1e-3]),
-                vr: fit("volume_rendering", vec![2e-10, 1e-9, 1e-2]),
-                comp: fit("compositing", vec![2e-8, 5e-8, 1e-3]),
-                comp_compressed: Some(fit("compositing_compressed", vec![3e-8, 2e-8, 2e-4, 8e-4])),
-                comp_dfb: Some(fit("compositing_dfb", vec![4e-8, 9e-9, 2e-6, 3e-4])),
-                pass_ao: Some(fit("pass_ambient_occlusion", vec![2.5e-8, 4e-4])),
-                pass_shadows: Some(fit("pass_shadows", vec![1.5e-8, 2e-4])),
-                lod_half: Some(fit("lod_half", vec![3.5e-9, 6e-4])),
-                lod_quarter: Some(fit("lod_quarter", vec![2.5e-9, 5e-4])),
-            },
+            ModelSet::new("parallel", coeffs.map(|(f, c)| fit(f, c.to_vec(), 0.97, 1e-4, 25))),
             MappingConstants { ap_fill: 0.31, ppt_factor: 4.5, spr_base: 210.0 },
         )
+    }
+
+    /// The awkward-float set behind `tests/data/models_v2_all_families.txt`:
+    /// values the `{:e}` / `Display` formatting has to shortest-round-trip —
+    /// irrationals, subnormals, negatives, and extreme magnitudes.
+    fn awkward_set() -> (ModelSet, MappingConstants) {
+        let fit = |family, coeffs: Vec<f64>, r2, resid| fit(family, coeffs, r2, resid, 137);
+        let mut vr_degraded = fit(Family::Vr, vec![1e-300, -1e300, 0.0], -0.25, 123.45678901234568);
+        vr_degraded.fit.condition_warning = true;
+        vr_degraded.fit.effective_rank = 2;
+        let set = ModelSet::new(
+            "parallel",
+            [
+                fit(
+                    Family::Rt,
+                    vec![std::f64::consts::PI * 1e-9, 1.0 / 3.0, -2.5e-17],
+                    0.987654321987654,
+                    1.0e-4 / 3.0,
+                ),
+                fit(Family::RtBuild, vec![5e-324, 1.7976931348623157e308], 1.0, 0.0),
+                fit(Family::Rast, vec![-0.1, 0.2, 0.30000000000000004], 0.5, 2.0_f64.sqrt()),
+                vr_degraded,
+                fit(Family::Comp, vec![2.0_f64.powi(-53), 7.0 / 11.0, 9.9e-99], 0.75, 1e-12),
+                fit(
+                    Family::CompRle,
+                    vec![1.0 / 9.0, -5e-324, 0.1 + 0.2, 6.02214076e23],
+                    0.9999999999999999,
+                    f64::EPSILON,
+                ),
+                fit(
+                    Family::CompDfb,
+                    vec![f64::MIN_POSITIVE, -0.0, 1e-6 + 1e-22, 2.0_f64.powi(60)],
+                    0.3333333333333333,
+                    f64::MIN_POSITIVE,
+                ),
+                fit(
+                    Family::PassAo,
+                    vec![1.0 / 3.0 * 1e-7, 4.9e-324],
+                    0.123_456_789_012_345_68,
+                    2.0_f64.sqrt() * 1e-5,
+                ),
+                fit(Family::PassShadows, vec![-1e-300, 0.1 + 0.7], 1.0 - f64::EPSILON, 0.0),
+                fit(
+                    Family::LodHalf,
+                    vec![1.0 / 7.0 * 1e-8, -4.9e-324],
+                    0.999_999_999_999_999_9,
+                    std::f64::consts::LN_2 * 1e-6,
+                ),
+                fit(
+                    Family::LodQuarter,
+                    vec![2.0_f64.powi(-61), 0.2 + 0.4],
+                    0.111_111_111_111_111_1,
+                    f64::EPSILON * 3.0,
+                ),
+            ],
+        );
+        let k = MappingConstants {
+            ap_fill: 0.5500000000000001,
+            ppt_factor: 1.0 / 7.0,
+            spr_base: 373.0 * std::f64::consts::E,
+        };
+        (set, k)
+    }
+
+    /// Every family of `a` is in `b` with the same name and bit-identical
+    /// coefficients and R².
+    fn assert_same_fits(a: &ModelSet, b: &ModelSet) {
+        for row in &Family::ALL {
+            let (a, b) = (a.get(row.family).unwrap(), b.get(row.family).unwrap());
+            assert_eq!(a.name(), row.name);
+            assert_eq!(b.name(), row.name);
+            assert_eq!(b.feature_names(), row.feature_names);
+            assert_eq!(a.fit.coeffs.len(), b.fit.coeffs.len(), "{}", row.name);
+            for (ca, cb) in a.fit.coeffs.iter().zip(b.fit.coeffs.iter()) {
+                assert_eq!(ca.to_bits(), cb.to_bits(), "{}: {ca:e} != {cb:e}", row.name);
+            }
+            assert_eq!(a.fit.r_squared.to_bits(), b.fit.r_squared.to_bits(), "{} r2", row.name);
+        }
     }
 
     #[test]
@@ -261,30 +287,10 @@ mod tests {
         let text = to_text(&set, &k);
         let (set2, k2) = from_text(&text).unwrap();
         assert_eq!(set2.device, "parallel");
-        assert_eq!(set2.rt.fit.coeffs, set.rt.fit.coeffs);
-        assert_eq!(set2.comp.fit.coeffs, set.comp.fit.coeffs);
-        assert_eq!(
-            set2.comp_compressed.as_ref().unwrap().fit.coeffs,
-            set.comp_compressed.as_ref().unwrap().fit.coeffs
-        );
-        assert_eq!(
-            set2.comp_dfb.as_ref().unwrap().fit.coeffs,
-            set.comp_dfb.as_ref().unwrap().fit.coeffs
-        );
-        assert_eq!(
-            set2.pass_ao.as_ref().unwrap().fit.coeffs,
-            set.pass_ao.as_ref().unwrap().fit.coeffs
-        );
-        assert_eq!(set2.pass_ao.as_ref().unwrap().name, "pass_ambient_occlusion");
-        assert_eq!(
-            set2.pass_shadows.as_ref().unwrap().fit.coeffs,
-            set.pass_shadows.as_ref().unwrap().fit.coeffs
-        );
-        assert_eq!(set2.lod_half.as_ref().unwrap().fit.coeffs, vec![3.5e-9, 6e-4]);
-        assert_eq!(set2.lod_half.as_ref().unwrap().name, "lod_half");
-        assert_eq!(set2.lod_quarter.as_ref().unwrap().fit.coeffs, vec![2.5e-9, 5e-4]);
-        assert_eq!(set2.lod_quarter.as_ref().unwrap().name, "lod_quarter");
-        assert_eq!(set2.vr.fit.n, 25);
+        assert_same_fits(&set, &set2);
+        assert_eq!(set2.get(Family::LodHalf).unwrap().fit.coeffs, vec![3.5e-9, 6e-4]);
+        assert_eq!(set2.get(Family::LodQuarter).unwrap().fit.coeffs, vec![2.5e-9, 5e-4]);
+        assert_eq!(set2.get(Family::Vr).unwrap().fit.n, 25);
         assert_eq!(k2.ap_fill, k.ap_fill);
         assert_eq!(k2.spr_base, k.spr_base);
         // And predictions are identical.
@@ -302,96 +308,16 @@ mod tests {
     #[test]
     fn round_trips_bit_identically() {
         // The scheduler loads persisted models at startup; a reload must
-        // reproduce every float to the bit, including awkward values the
-        // `{:e}` / `Display` formatting has to shortest-round-trip:
-        // irrationals, subnormals, negatives, and extreme magnitudes.
-        let fit = |name: &'static str, coeffs: Vec<f64>, r2: f64, resid: f64| FittedLinearModel {
-            name,
-            fit: LinearRegression::with_stats(coeffs, r2, resid, 137),
-            feature_names: Vec::new(),
-        };
-        let mut vr_degraded =
-            fit("volume_rendering", vec![1e-300, -1e300, 0.0], -0.25, 123.45678901234568);
-        vr_degraded.fit.condition_warning = true;
-        vr_degraded.fit.effective_rank = 2;
-        let set = ModelSet {
-            device: "parallel".into(),
-            rt: fit(
-                "ray_tracing",
-                vec![std::f64::consts::PI * 1e-9, 1.0 / 3.0, -2.5e-17],
-                0.987654321987654,
-                1.0e-4 / 3.0,
-            ),
-            rt_build: fit("ray_tracing_build", vec![5e-324, 1.7976931348623157e308], 1.0, 0.0),
-            rast: fit("rasterization", vec![-0.1, 0.2, 0.30000000000000004], 0.5, 2.0_f64.sqrt()),
-            vr: vr_degraded,
-            comp: fit("compositing", vec![2.0_f64.powi(-53), 7.0 / 11.0, 9.9e-99], 0.75, 1e-12),
-            comp_compressed: Some(fit(
-                "compositing_compressed",
-                vec![1.0 / 9.0, -5e-324, 0.1 + 0.2, 6.02214076e23],
-                0.9999999999999999,
-                f64::EPSILON,
-            )),
-            comp_dfb: Some(fit(
-                "compositing_dfb",
-                vec![f64::MIN_POSITIVE, -0.0, 1e-6 + 1e-22, 2.0_f64.powi(60)],
-                0.3333333333333333,
-                f64::MIN_POSITIVE,
-            )),
-            pass_ao: Some(fit(
-                "pass_ambient_occlusion",
-                vec![1.0 / 3.0 * 1e-7, 4.9e-324],
-                0.123_456_789_012_345_68,
-                2.0_f64.sqrt() * 1e-5,
-            )),
-            pass_shadows: Some(fit(
-                "pass_shadows",
-                vec![-1e-300, 0.1 + 0.7],
-                1.0 - f64::EPSILON,
-                0.0,
-            )),
-            lod_half: Some(fit(
-                "lod_half",
-                vec![1.0 / 7.0 * 1e-8, -4.9e-324],
-                0.999_999_999_999_999_9,
-                std::f64::consts::LN_2 * 1e-6,
-            )),
-            lod_quarter: Some(fit(
-                "lod_quarter",
-                vec![2.0_f64.powi(-61), 0.2 + 0.4],
-                0.111_111_111_111_111_1,
-                f64::EPSILON * 3.0,
-            )),
-        };
-        let k = MappingConstants {
-            ap_fill: 0.5500000000000001,
-            ppt_factor: 1.0 / 7.0,
-            spr_base: 373.0 * std::f64::consts::E,
-        };
+        // reproduce every float to the bit.
+        let (set, k) = awkward_set();
         let (set2, k2) = from_text(&to_text(&set, &k)).unwrap();
-        let pairs = [
-            (&set.rt, &set2.rt),
-            (&set.rt_build, &set2.rt_build),
-            (&set.rast, &set2.rast),
-            (&set.vr, &set2.vr),
-            (&set.comp, &set2.comp),
-            (set.comp_compressed.as_ref().unwrap(), set2.comp_compressed.as_ref().unwrap()),
-            (set.comp_dfb.as_ref().unwrap(), set2.comp_dfb.as_ref().unwrap()),
-            (set.pass_ao.as_ref().unwrap(), set2.pass_ao.as_ref().unwrap()),
-            (set.pass_shadows.as_ref().unwrap(), set2.pass_shadows.as_ref().unwrap()),
-            (set.lod_half.as_ref().unwrap(), set2.lod_half.as_ref().unwrap()),
-            (set.lod_quarter.as_ref().unwrap(), set2.lod_quarter.as_ref().unwrap()),
-        ];
-        for (a, b) in pairs {
-            assert_eq!(a.fit.coeffs.len(), b.fit.coeffs.len());
-            for (ca, cb) in a.fit.coeffs.iter().zip(b.fit.coeffs.iter()) {
-                assert_eq!(ca.to_bits(), cb.to_bits(), "{}: {ca:e} != {cb:e}", a.name);
-            }
-            assert_eq!(a.fit.r_squared.to_bits(), b.fit.r_squared.to_bits(), "{} r2", a.name);
-            assert_eq!(a.fit.residual_std.to_bits(), b.fit.residual_std.to_bits(), "{}", a.name);
+        assert_same_fits(&set, &set2);
+        for row in &Family::ALL {
+            let (a, b) = (set.get(row.family).unwrap(), set2.get(row.family).unwrap());
+            assert_eq!(a.fit.residual_std.to_bits(), b.fit.residual_std.to_bits(), "{}", row.name);
             assert_eq!(a.fit.n, b.fit.n);
-            assert_eq!(a.fit.condition_warning, b.fit.condition_warning, "{} warn", a.name);
-            assert_eq!(a.fit.effective_rank, b.fit.effective_rank, "{} rank", a.name);
+            assert_eq!(a.fit.condition_warning, b.fit.condition_warning, "{} warn", row.name);
+            assert_eq!(a.fit.effective_rank, b.fit.effective_rank, "{} rank", row.name);
         }
         assert_eq!(k.ap_fill.to_bits(), k2.ap_fill.to_bits());
         assert_eq!(k.ppt_factor.to_bits(), k2.ppt_factor.to_bits());
@@ -399,126 +325,118 @@ mod tests {
     }
 
     #[test]
+    fn golden_files_load_and_rewrite_byte_identically() {
+        // Both files were written at the commit before the family table
+        // existed: the v2 file is that writer's output for `awkward_set`, the
+        // v1 file its five required records in the seed writer's shape.
+        let v2 = include_str!("../tests/data/models_v2_all_families.txt");
+        let (set, k) = from_text(v2).unwrap();
+        assert_eq!(to_text(&set, &k), v2);
+        let (awkward, awkward_k) = awkward_set();
+        assert_eq!(to_text(&awkward, &awkward_k), v2);
+
+        let (v1, k1) = from_text(include_str!("../tests/data/models_v1_required.txt")).unwrap();
+        assert_eq!(k1.spr_base.to_bits(), k.spr_base.to_bits());
+        for row in &Family::ALL {
+            match v1.get(row.family) {
+                Some(m) => {
+                    assert!(row.required, "{} is optional and absent from v1", row.name);
+                    assert_eq!(m.fit.coeffs, set.get(row.family).unwrap().fit.coeffs);
+                }
+                None => assert!(!row.required, "{} is required", row.name),
+            }
+        }
+    }
+
+    #[test]
     fn every_model_form_round_trips_its_fit_bit_identically() {
-        // X010's contract: every pub model type must survive save/load, so
-        // fit each form — RtModel, RtBuildModel, RastModel, VrModel,
-        // CompositeModel, CompressedCompositeModel, DfbCompositeModel,
-        // PassModel, LodModel — on a tiny planted corpus and compare the
-        // fitted coefficients to the bit across a text round trip. Fitting
-        // (rather than hand-writing coefficients) keeps the test honest about
-        // the solver's actual output values, irrational intercepts and all.
-        use crate::models::{
-            CompositeModel, CompressedCompositeModel, DfbCompositeModel, LodModel, ModelForm,
-            PassModel, RastModel, RtBuildModel, RtModel, VrModel,
-        };
+        // Fit every family on a tiny planted corpus of its sample kind and
+        // compare the fitted coefficients to the bit across a text round
+        // trip. Fitting (rather than hand-writing coefficients) keeps the
+        // test honest about the solver's actual output values, irrational
+        // intercepts and all; looping over `Family::ALL` keeps it exhaustive.
+        use crate::models::Feed;
         use crate::sample::{
             CompositeSample, CompositeWire, LodSample, PassSample, RenderSample, RendererKind,
+            Sample,
         };
 
-        let render = |i: usize, renderer: RendererKind| {
+        let planted = |feed: Feed, i: usize| {
             let x = 1.0 + i as f64;
-            RenderSample {
-                renderer,
-                device: "parallel".into(),
-                source: "planted".into(),
-                objects: 1000.0 * x,
-                active_pixels: 700.0 * x + 13.0,
-                visible_objects: 90.0 * x,
-                pixels_per_triangle: 3.0 + 0.5 * x,
-                samples_per_ray: 40.0 + 7.0 * x,
-                cells_spanned: 10.0 + 2.0 * x,
-                pixels: 65536.0,
-                tasks: 8,
-                build_seconds: 1e-4 * x + 3e-5,
-                render_seconds: 2e-3 * x + 1e-4 * x * x,
-            }
-        };
-        let rt_corpus: Vec<RenderSample> =
-            (0..6).map(|i| render(i, RendererKind::RayTracing)).collect();
-        let rast_corpus: Vec<RenderSample> =
-            (0..6).map(|i| render(i, RendererKind::Rasterization)).collect();
-        let vr_corpus: Vec<RenderSample> =
-            (0..6).map(|i| render(i, RendererKind::VolumeRendering)).collect();
-        let comp_corpus: Vec<CompositeSample> = (0..8)
-            .map(|i| {
-                let x = 1.0 + i as f64;
-                CompositeSample {
+            match feed {
+                Feed::Render(_) | Feed::Build => Sample::Render(RenderSample {
+                    renderer: match feed {
+                        Feed::Render(kind) => kind,
+                        _ => RendererKind::RayTracing,
+                    },
+                    device: "parallel".into(),
+                    source: "planted".into(),
+                    objects: 1000.0 * x,
+                    active_pixels: 700.0 * x + 13.0,
+                    visible_objects: 90.0 * x,
+                    pixels_per_triangle: 3.0 + 0.5 * x,
+                    samples_per_ray: 40.0 + 7.0 * x,
+                    cells_spanned: 10.0 + 2.0 * x,
+                    pixels: 65536.0,
+                    tasks: 8,
+                    build_seconds: 1e-4 * x + 3e-5,
+                    render_seconds: 2e-3 * x + 1e-4 * x * x,
+                }),
+                Feed::Composite(_) => Sample::Composite(CompositeSample {
                     tasks: 4 + i,
                     pixels: 65536.0 + 4096.0 * x,
                     avg_active_pixels: 900.0 * x,
                     seconds: 5e-4 * x + 2e-5 * x * x,
                     wire: CompositeWire::Compressed,
-                }
-            })
-            .collect();
-        let pass_corpus: Vec<PassSample> = (0..5)
-            .map(|i| {
-                let x = 1.0 + i as f64;
-                PassSample {
-                    pass: "ambient_occlusion".into(),
+                }),
+                Feed::Pass(pass) => Sample::Pass(PassSample {
+                    pass: pass.into(),
                     work_units: 500.0 * x,
                     seconds: 3e-5 * x + 7e-6,
-                }
-            })
-            .collect();
-        let lod_corpus: Vec<LodSample> = (0..5)
-            .map(|i| {
-                let x = 1.0 + i as f64;
-                LodSample { level: 1, cells: 20000.0 * x, seconds: 4e-8 * 20000.0 * x + 9e-5 }
-            })
-            .collect();
-
-        let set = ModelSet {
-            device: "parallel".into(),
-            rt: RtModel.fit(&rt_corpus),
-            rt_build: RtBuildModel.fit(&rt_corpus),
-            rast: RastModel.fit(&rast_corpus),
-            vr: VrModel.fit(&vr_corpus),
-            comp: CompositeModel.fit(&comp_corpus),
-            comp_compressed: Some(CompressedCompositeModel.fit(&comp_corpus)),
-            comp_dfb: Some(DfbCompositeModel.fit(&comp_corpus)),
-            pass_ao: Some(PassModel::AMBIENT_OCCLUSION.fit(&pass_corpus)),
-            pass_shadows: Some(PassModel::SHADOWS.fit(&pass_corpus)),
-            lod_half: Some(LodModel::HALF.fit(&lod_corpus)),
-            lod_quarter: Some(LodModel::QUARTER.fit(&lod_corpus)),
+                }),
+                Feed::Lod(level) => Sample::Lod(LodSample {
+                    level,
+                    cells: 20000.0 * x,
+                    seconds: 4e-8 * 20000.0 * x + 9e-5,
+                }),
+            }
         };
+        let models = Family::ALL.iter().map(|row| {
+            let corpus: Vec<Sample> = (0..8).map(|i| planted(row.feed, i)).collect();
+            row.family.fit(&corpus)
+        });
+        let set = ModelSet::new("parallel", models);
         let k = MappingConstants::default();
         let (set2, _) = from_text(&to_text(&set, &k)).unwrap();
-        let pairs = [
-            (&set.rt, &set2.rt),
-            (&set.rt_build, &set2.rt_build),
-            (&set.rast, &set2.rast),
-            (&set.vr, &set2.vr),
-            (&set.comp, &set2.comp),
-            (set.comp_compressed.as_ref().unwrap(), set2.comp_compressed.as_ref().unwrap()),
-            (set.comp_dfb.as_ref().unwrap(), set2.comp_dfb.as_ref().unwrap()),
-            (set.pass_ao.as_ref().unwrap(), set2.pass_ao.as_ref().unwrap()),
-            (set.pass_shadows.as_ref().unwrap(), set2.pass_shadows.as_ref().unwrap()),
-            (set.lod_half.as_ref().unwrap(), set2.lod_half.as_ref().unwrap()),
-            (set.lod_quarter.as_ref().unwrap(), set2.lod_quarter.as_ref().unwrap()),
-        ];
-        for (a, b) in pairs {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.fit.coeffs.len(), b.fit.coeffs.len(), "{}", a.name);
-            for (ca, cb) in a.fit.coeffs.iter().zip(b.fit.coeffs.iter()) {
-                assert_eq!(ca.to_bits(), cb.to_bits(), "{}: {ca:e} != {cb:e}", a.name);
-            }
-            assert_eq!(a.fit.r_squared.to_bits(), b.fit.r_squared.to_bits(), "{} r2", a.name);
-        }
+        assert_same_fits(&set, &set2);
     }
 
     #[test]
     fn malformed_inputs_rejected() {
         assert!(from_text("garbage|x").is_err());
-        assert!(from_text("model|rt|name=ray_tracing|r2=oops|resid=0|n=1|coeffs=1").is_err());
+        assert!(from_text("model|rt|name=ray_tracing|r2=oops|resid=0|n=1|coeffs=1;1;1").is_err());
         assert!(from_text("device|x\n").is_err()); // missing models
         let (set, k) = sample_set();
-        let text = to_text(&set, &k).replace("model|vr", "model|unknown_tag");
-        assert!(from_text(&text).is_err());
-        let text = to_text(&set, &k).replace("format|2", "format|3");
-        assert!(from_text(&text).is_err());
-        let text = to_text(&set, &k).replace("warn=0", "warn=2");
-        assert!(from_text(&text).is_err());
+        let good = to_text(&set, &k);
+        assert!(from_text(&good).is_ok());
+        for (from, to) in [
+            ("model|vr", "model|unknown_tag"),
+            ("format|2", "format|3"),
+            ("warn=0", "warn=2"),
+            // A rasterizer fit must not load into the ray-tracing slot.
+            ("model|rt|name=ray_tracing|", "model|rt|name=rasterization|"),
+            // One coefficient per feature: a truncated list would drop the
+            // intercept from every prediction, a longer one is not this family.
+            ("coeffs=2e-9;1e-8;1e-3\n", "coeffs=2e-9;1e-8\n"),
+            ("coeffs=2e-9;1e-8;1e-3\n", "coeffs=2e-9;1e-8;1e-3;0e0\n"),
+        ] {
+            assert!(good.contains(from), "{from}");
+            let err = from_text(&good.replacen(from, to, 1));
+            assert!(err.is_err(), "{from} -> {to} must be rejected");
+        }
+        // A duplicate record must not silently win over the first.
+        let rast = good.lines().find(|l| l.starts_with("model|rast|")).unwrap();
+        assert!(from_text(&format!("{good}{rast}\n")).is_err());
     }
 
     #[test]
@@ -536,21 +454,19 @@ model|comp|name=compositing|r2=0.97|resid=0.0001|n=25|coeffs=2e-8;5e-8;1e-3
 ";
         let (set, k) = from_text(v1).unwrap();
         assert_eq!(set.device, "parallel");
-        assert_eq!(set.comp.fit.coeffs, vec![2e-8, 5e-8, 1e-3]);
-        assert!(set.comp_compressed.is_none());
-        assert!(set.comp_dfb.is_none());
-        assert!(set.pass_ao.is_none());
-        assert!(set.pass_shadows.is_none());
-        assert!(set.lod_half.is_none());
-        assert!(set.lod_quarter.is_none());
+        assert_eq!(set.get(Family::Comp).unwrap().fit.coeffs, vec![2e-8, 5e-8, 1e-3]);
+        for row in &Family::ALL[Family::REQUIRED..] {
+            assert!(set.get(row.family).is_none(), "{}", row.name);
+        }
         // Diagnostics default to a clean full-rank fit.
-        assert!(!set.vr.fit.condition_warning);
-        assert_eq!(set.vr.fit.effective_rank, 3);
+        let vr = set.get(Family::Vr).unwrap();
+        assert!(!vr.fit.condition_warning);
+        assert_eq!(vr.fit.effective_rank, 3);
         assert_eq!(k.ap_fill, 0.31);
         // And a v1 file re-saves as v2 without losing anything.
         let (set2, _) = from_text(&to_text(&set, &k)).unwrap();
-        assert_eq!(set2.vr.fit.coeffs, set.vr.fit.coeffs);
-        assert!(set2.comp_compressed.is_none());
+        assert_eq!(set2.get(Family::Vr).unwrap().fit.coeffs, vr.fit.coeffs);
+        assert!(set2.get(Family::CompRle).is_none());
     }
 
     #[test]
@@ -559,7 +475,10 @@ model|comp|name=compositing|r2=0.97|resid=0.0001|n=25|coeffs=2e-8;5e-8;1e-3
         let path = std::env::temp_dir().join(format!("models_{}.txt", std::process::id()));
         save(&path, &set, &k).unwrap();
         let (set2, _) = load(&path).unwrap();
-        assert_eq!(set2.rast.fit.coeffs, set.rast.fit.coeffs);
+        assert_eq!(
+            set2.get(Family::Rast).unwrap().fit.coeffs,
+            set.get(Family::Rast).unwrap().fit.coeffs
+        );
         let _ = std::fs::remove_file(path);
     }
 }

@@ -275,6 +275,68 @@ impl LodSample {
     }
 }
 
+/// A borrowed measurement of any kind: what a model family's feature row
+/// reads (see [`crate::models::Family::features`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Obs<'a> {
+    /// A single-node render measurement.
+    Render(&'a RenderSample),
+    /// An image-compositing measurement.
+    Composite(&'a CompositeSample),
+    /// A render-graph pass timing.
+    Pass(&'a PassSample),
+    /// A decimated-proxy frame timing.
+    Lod(&'a LodSample),
+}
+
+/// An owned measurement of any kind: what the online refit windows hold.
+#[derive(Debug, Clone)]
+pub enum Sample {
+    /// A single-node render measurement.
+    Render(RenderSample),
+    /// An image-compositing measurement.
+    Composite(CompositeSample),
+    /// A render-graph pass timing.
+    Pass(PassSample),
+    /// A decimated-proxy frame timing.
+    Lod(LodSample),
+}
+
+impl<'a> From<&'a Sample> for Obs<'a> {
+    fn from(s: &'a Sample) -> Obs<'a> {
+        match s {
+            Sample::Render(s) => Obs::Render(s),
+            Sample::Composite(s) => Obs::Composite(s),
+            Sample::Pass(s) => Obs::Pass(s),
+            Sample::Lod(s) => Obs::Lod(s),
+        }
+    }
+}
+
+impl<'a> From<&'a RenderSample> for Obs<'a> {
+    fn from(s: &'a RenderSample) -> Obs<'a> {
+        Obs::Render(s)
+    }
+}
+
+impl<'a> From<&'a CompositeSample> for Obs<'a> {
+    fn from(s: &'a CompositeSample) -> Obs<'a> {
+        Obs::Composite(s)
+    }
+}
+
+impl<'a> From<&'a PassSample> for Obs<'a> {
+    fn from(s: &'a PassSample) -> Obs<'a> {
+        Obs::Pass(s)
+    }
+}
+
+impl<'a> From<&'a LodSample> for Obs<'a> {
+    fn from(s: &'a LodSample) -> Obs<'a> {
+        Obs::Lod(s)
+    }
+}
+
 /// Write samples to CSV text.
 pub fn to_csv(samples: &[RenderSample]) -> String {
     let mut out = String::from(RenderSample::CSV_HEADER);

@@ -316,7 +316,7 @@ pub fn synth_rank_images(tasks: usize, side: u32, seed: u64) -> Vec<RankImage> {
 
 /// Run the compositing study over the default (compressed) wire path only:
 /// radix-k over tasks x image sizes. Kept for callers that fit the classic
-/// dense-form [`crate::models::CompositeModel`] on the seed corpus shape;
+/// dense-form [`Family::Comp`](crate::models::Family::Comp) on the seed corpus shape;
 /// new code should prefer [`run_composite_study_wired`].
 pub fn run_composite_study(
     net: NetModel,
@@ -407,7 +407,7 @@ pub fn run_composite_study_wired(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{ModelForm, RtModel, VrModel};
+    use crate::models::Family;
 
     #[test]
     fn stratified_covers_all_strata() {
@@ -445,10 +445,10 @@ mod tests {
         };
         let samples = run_render_study(&d, RendererKind::VolumeRendering, &cfg).unwrap();
         assert_eq!(samples.len(), 8);
-        let fit = VrModel.fit(&samples);
+        let fit = Family::Vr.fit(&samples);
         assert!(fit.r_squared() > 0.5, "r2 = {}", fit.r_squared());
         let rts = run_render_study(&d, RendererKind::RayTracing, &cfg).unwrap();
-        let rfit = RtModel.fit(&rts);
+        let rfit = Family::Rt.fit(&rts);
         assert!(rfit.r_squared() > 0.3, "rt r2 = {}", rfit.r_squared());
     }
 
@@ -473,7 +473,7 @@ mod tests {
         }
         // The planted law is the VR model form, so the fit must be tight —
         // only the seeded ±3% jitter separates it from exact recovery.
-        let fit = VrModel.fit(&a);
+        let fit = Family::Vr.fit(&a);
         assert!(fit.r_squared() > 0.95, "r2 = {}", fit.r_squared());
     }
 
@@ -539,7 +539,6 @@ mod tests {
     /// so the headroom is free on a quiet machine).
     #[test]
     fn compressed_fit_beats_dense_fit_on_rle_wire_at_64_ranks() {
-        use crate::models::{CompositeModel, CompressedCompositeModel};
         let net = NetModel::cluster();
         let mut last = (0.0f64, 0.0f64);
         for attempt in 0..5u64 {
@@ -549,8 +548,8 @@ mod tests {
                 train.iter().filter(|s| s.wire == CompositeWire::Dense).cloned().collect();
             let comp_train: Vec<CompositeSample> =
                 train.iter().filter(|s| s.wire == CompositeWire::Compressed).cloned().collect();
-            let dense_fit = CompositeModel.fit(&dense_train);
-            let comp_fit = CompressedCompositeModel.fit(&comp_train);
+            let dense_fit = Family::Comp.fit(&dense_train);
+            let comp_fit = Family::CompRle.fit(&comp_train);
 
             // Held-out compressed-wire measurements at 64 ranks.
             let eval: Vec<CompositeSample> =
@@ -561,16 +560,12 @@ mod tests {
                     .collect();
             assert_eq!(eval.len(), 3);
             let rel_err = |pred: f64, truth: f64| (pred - truth).abs() / truth;
-            let dense_err: f64 = eval
-                .iter()
-                .map(|s| rel_err(CompositeModel.predict(&dense_fit, s), s.seconds))
-                .sum::<f64>()
-                / eval.len() as f64;
-            let comp_err: f64 = eval
-                .iter()
-                .map(|s| rel_err(CompressedCompositeModel.predict(&comp_fit, s), s.seconds))
-                .sum::<f64>()
-                / eval.len() as f64;
+            let dense_err: f64 =
+                eval.iter().map(|s| rel_err(dense_fit.predict(s), s.seconds)).sum::<f64>()
+                    / eval.len() as f64;
+            let comp_err: f64 =
+                eval.iter().map(|s| rel_err(comp_fit.predict(s), s.seconds)).sum::<f64>()
+                    / eval.len() as f64;
             last = (comp_err, dense_err);
             if comp_err < dense_err && comp_err < 0.25 {
                 return;
@@ -591,7 +586,6 @@ mod tests {
     /// measurement, not any single noisy one.
     #[test]
     fn dfb_beats_radix_k_at_scale_and_the_fits_predict_it() {
-        use crate::models::{CompressedCompositeModel, DfbCompositeModel};
         let net = NetModel::cluster();
         let big = 512.0 * 512.0;
         let mut last = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
@@ -613,17 +607,17 @@ mod tests {
 
             // Each wire's model, fitted on that wire's measurements only,
             // evaluated on the same at-scale configurations.
-            let rle_fit = CompressedCompositeModel.fit(&rle);
-            let dfb_fit = DfbCompositeModel.fit(&dfb);
+            let rle_fit = Family::CompRle.fit(&rle);
+            let dfb_fit = Family::CompDfb.fit(&dfb);
             let pred_dfb: f64 = dfb
                 .iter()
                 .filter(|s| s.tasks == 64 && s.pixels >= big)
-                .map(|s| DfbCompositeModel.predict(&dfb_fit, s))
+                .map(|s| dfb_fit.predict(s))
                 .sum();
             let pred_rle: f64 = rle
                 .iter()
                 .filter(|s| s.tasks == 64 && s.pixels >= big)
-                .map(|s| CompressedCompositeModel.predict(&rle_fit, s))
+                .map(|s| rle_fit.predict(s))
                 .sum();
             last = (meas_dfb, meas_rle, pred_dfb, pred_rle);
             if meas_dfb < meas_rle && pred_dfb < pred_rle {

@@ -1,45 +1,19 @@
 //! Shared in-crate test fixture: a hand-built, seconds-scale model set with
-//! known non-negative coefficients (the same shape `feasibility::tests` uses).
+//! known non-negative coefficients.
 
 use crate::feasibility::ModelSet;
-use crate::models::FittedLinearModel;
-use crate::regression::LinearRegression;
+use crate::models::Family;
 
 /// A plausible toy [`ModelSet`] for unit tests.
 pub(crate) fn toy_model_set() -> ModelSet {
-    let fit = |coeffs: Vec<f64>| LinearRegression::with_stats(coeffs, 1.0, 0.0, 10);
-    ModelSet {
-        device: "toy".into(),
-        rt: FittedLinearModel {
-            name: "ray_tracing",
-            fit: fit(vec![2e-9, 1e-8, 1e-3]),
-            feature_names: vec!["AP*log2(O)", "AP", "1"],
-        },
-        rt_build: FittedLinearModel {
-            name: "ray_tracing_build",
-            fit: fit(vec![2e-8, 1e-3]),
-            feature_names: vec!["O", "1"],
-        },
-        rast: FittedLinearModel {
-            name: "rasterization",
-            fit: fit(vec![4e-9, 4e-10, 1e-3]),
-            feature_names: vec!["O", "VO*PPT", "1"],
-        },
-        vr: FittedLinearModel {
-            name: "volume_rendering",
-            fit: fit(vec![2e-10, 1e-9, 1e-2]),
-            feature_names: vec!["AP*CS", "AP*SPR", "1"],
-        },
-        comp: FittedLinearModel {
-            name: "compositing",
-            fit: fit(vec![2e-8, 5e-8, 1e-3]),
-            feature_names: vec!["avg(AP)", "Pixels", "1"],
-        },
-        comp_compressed: None,
-        comp_dfb: None,
-        pass_ao: None,
-        pass_shadows: None,
-        lod_half: None,
-        lod_quarter: None,
-    }
+    ModelSet::from_coeffs(
+        "toy",
+        &[
+            (Family::Rt, &[2e-9, 1e-8, 1e-3]),
+            (Family::RtBuild, &[2e-8, 1e-3]),
+            (Family::Rast, &[4e-9, 4e-10, 1e-3]),
+            (Family::Vr, &[2e-10, 1e-9, 1e-2]),
+            (Family::Comp, &[2e-8, 5e-8, 1e-3]),
+        ],
+    )
 }

@@ -88,6 +88,7 @@ impl ModelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perfmodel::models::Family;
     use sched::demo::ground_truth;
 
     #[test]
@@ -107,7 +108,7 @@ mod tests {
     fn implausible_install_is_rejected_and_keeps_the_old_generation() {
         let cache = ModelCache::new(ground_truth(), MappingConstants::default());
         let mut bad = ground_truth();
-        bad.vr.fit.coeffs[0] = -1.0;
+        bad.get_mut(Family::Vr).expect("required family").fit.coeffs[0] = -1.0;
         let err = cache.install(bad, MappingConstants::default()).expect_err("gated");
         assert_eq!(err.implausible, vec!["volume_rendering"]);
         assert_eq!(cache.generation(), 1);

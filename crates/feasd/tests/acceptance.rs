@@ -15,6 +15,7 @@ use feasd::{
     Source, TrafficConfig,
 };
 use perfmodel::mapping::{MappingConstants, RenderConfig};
+use perfmodel::models::Family;
 use perfmodel::sample::RendererKind;
 use sched::demo::ground_truth;
 
@@ -174,7 +175,7 @@ fn model_install_swaps_generations_atomically_and_invalidates_the_table() {
 
     // An implausible refit is rejected and leaves generation 2 serving.
     let mut bad = ground_truth();
-    bad.vr.fit.coeffs[0] = -1.0;
+    bad.get_mut(Family::Vr).expect("required family").fit.coeffs[0] = -1.0;
     let err = service.install_models(bad, MappingConstants::default()).expect_err("gated");
     assert_eq!(err.implausible, vec!["volume_rendering"]);
     assert_eq!(service.generation(), 2);

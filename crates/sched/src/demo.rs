@@ -13,8 +13,7 @@ use crate::scheduler::{Decision, RenderRequest, Scheduler, SchedulerConfig};
 use crate::simexec::SimulatedExecutor;
 use perfmodel::feasibility::ModelSet;
 use perfmodel::mapping::{MappingConstants, RenderConfig};
-use perfmodel::models::FittedLinearModel;
-use perfmodel::regression::LinearRegression;
+use perfmodel::models::Family;
 use perfmodel::sample::RendererKind;
 use sims::ProxySim;
 
@@ -133,61 +132,29 @@ fn median(xs: impl Iterator<Item = f64>) -> f64 {
 /// machine (the executor's hidden truth). Coefficients match the toy set the
 /// feasibility tests use, so regimes (RT/RAST crossover, comp-dominated large
 /// images) behave like the paper's Figure 14/15 curves.
+///
+/// The executor's wire truth is the dense-form law; carrying only the
+/// required families keeps the scheduler transcripts (and their pinned
+/// tests) on the classic prediction path until a refit installs per-wire
+/// models from observations.
 pub fn ground_truth() -> ModelSet {
-    let fit = |coeffs: Vec<f64>| LinearRegression::with_stats(coeffs, 1.0, 0.0, 10);
-    ModelSet {
-        device: "sim-rank".into(),
-        rt: FittedLinearModel {
-            name: "ray_tracing",
-            fit: fit(vec![2e-9, 1e-8, 1e-3]),
-            feature_names: vec!["AP*log2(O)", "AP", "1"],
-        },
-        rt_build: FittedLinearModel {
-            name: "ray_tracing_build",
-            fit: fit(vec![2e-8, 1e-3]),
-            feature_names: vec!["O", "1"],
-        },
-        rast: FittedLinearModel {
-            name: "rasterization",
-            fit: fit(vec![4e-9, 4e-10, 1e-3]),
-            feature_names: vec!["O", "VO*PPT", "1"],
-        },
-        vr: FittedLinearModel {
-            name: "volume_rendering",
-            fit: fit(vec![2e-10, 1e-9, 1e-2]),
-            feature_names: vec!["AP*CS", "AP*SPR", "1"],
-        },
-        comp: FittedLinearModel {
-            name: "compositing",
-            fit: fit(vec![2e-8, 5e-8, 1e-3]),
-            feature_names: vec!["avg(AP)", "Pixels", "1"],
-        },
-        // The executor's wire truth is the dense-form law above; leaving the
-        // compressed and DFB slots empty keeps the scheduler transcripts (and
-        // their pinned tests) on the classic prediction path until a refit
-        // installs per-wire models from observations.
-        comp_compressed: None,
-        comp_dfb: None,
-        pass_ao: None,
-        pass_shadows: None,
-        lod_half: None,
-        lod_quarter: None,
-    }
+    ModelSet::from_coeffs(
+        "sim-rank",
+        &[
+            (Family::Rt, &[2e-9, 1e-8, 1e-3]),
+            (Family::RtBuild, &[2e-8, 1e-3]),
+            (Family::Rast, &[4e-9, 4e-10, 1e-3]),
+            (Family::Vr, &[2e-10, 1e-9, 1e-2]),
+            (Family::Comp, &[2e-8, 5e-8, 1e-3]),
+        ],
+    )
 }
 
-/// A copy of `set` with every coefficient scaled by `factor` — the simplest
-/// way to build a uniformly miscalibrated prior.
+/// A copy of `set` with every coefficient of every model it carries scaled
+/// by `factor` — the simplest way to build a uniformly miscalibrated prior.
 pub fn scale_model_set(set: &ModelSet, factor: f64) -> ModelSet {
     let mut out = set.clone();
-    let mut models =
-        vec![&mut out.rt, &mut out.rt_build, &mut out.rast, &mut out.vr, &mut out.comp];
-    if let Some(m) = out.comp_compressed.as_mut() {
-        models.push(m);
-    }
-    if let Some(m) = out.comp_dfb.as_mut() {
-        models.push(m);
-    }
-    for m in models {
+    for m in out.models_mut() {
         for c in m.fit.coeffs.iter_mut() {
             *c *= factor;
         }
@@ -300,6 +267,7 @@ pub fn run_budgeted_demo(sim: &mut dyn ProxySim, cfg: &DemoConfig) -> DemoReport
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perfmodel::models::FittedLinearModel;
 
     #[test]
     fn median_of_even_and_odd() {
@@ -322,6 +290,22 @@ mod tests {
         let t = truth.predict_frame_seconds(&cfg, &k);
         let p = prior.predict_frame_seconds(&cfg, &k);
         assert!((p / t - 1.6).abs() < 1e-12, "{p} / {t}");
+    }
+
+    #[test]
+    fn scaling_reaches_every_family_a_refit_may_have_installed() {
+        let mut set = ground_truth();
+        for row in &Family::ALL[Family::REQUIRED..] {
+            let ones = vec![1.0; row.feature_names.len()];
+            set.install(FittedLinearModel::from_coeffs(row.family, &ones));
+        }
+        let scaled = scale_model_set(&set, 1.6);
+        for row in &Family::ALL {
+            let (was, is) = (set.get(row.family).unwrap(), scaled.get(row.family).unwrap());
+            for (a, b) in was.coeffs().iter().zip(is.coeffs()) {
+                assert_eq!(*b, a * 1.6, "{}", row.name);
+            }
+        }
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //! the image. [`PassRung::skips`] names the passes to hand to
 //! `FrameGraph::execute`, [`PassRung::lod`] the proxy level, and
 //! [`PassRung::predicted_seconds`] prices a rung from the whole-frame models
-//! minus the fitted per-pass models ([`ModelSet::pass_ao`] /
-//! [`ModelSet::pass_shadows`]), with LOD rungs priced by the fitted
-//! [`LodModel`](perfmodel::models::LodModel)s (`ModelSet::lod_half` /
-//! `lod_quarter`) — the refit features that flow back from live timings via
-//! [`OnlineRefit::observe_pass`](crate::refit::OnlineRefit::observe_pass)
-//! and [`OnlineRefit::observe_lod`](crate::refit::OnlineRefit::observe_lod).
+//! minus the fitted per-pass models ([`ModelSet::predict_pass_seconds`]),
+//! with LOD rungs priced by the fitted per-level models
+//! ([`ModelSet::predict_lod_seconds`]) — the refit features that flow back
+//! from live timings via
+//! [`OnlineRefit::observe`](crate::refit::OnlineRefit::observe).
 //!
 //! The legacy whole-frame scheduler is untouched (its decision transcript is
 //! pinned); this module is the admission layer for graph-executed renders.
@@ -41,9 +40,9 @@ pub struct PassRung {
     /// every pass skip.
     pub reuse_bvh: bool,
     /// LOD ladder level to render (0 = full geometry, 1 = half-cells proxy,
-    /// 2 = quarter-cells proxy). Priced by the fitted `lod_half` /
-    /// `lod_quarter` models; without a fit the rung prices at the full
-    /// frame, never promising unmeasured savings.
+    /// 2 = quarter-cells proxy). Priced by the level's fitted model;
+    /// without a fit the rung prices at the full frame, never promising
+    /// unmeasured savings.
     pub lod: u8,
 }
 
@@ -107,7 +106,7 @@ impl PassRung {
     /// `frame_seconds` predicts the whole frame (render + compositing,
     /// excluding build) at a given whole-frame rung — callers close over
     /// [`ModelSet::predict_frame_seconds`] with the rung-shrunk config. On an
-    /// LOD rung with a fitted `LodModel`, the frame term is instead the
+    /// LOD rung with a fitted per-level model, the frame term is instead the
     /// model's prediction at the proxy's cell count (`work.cells / 2^lod`),
     /// scaled by the rung's resolution factor; without the fit the rung
     /// prices at the full frame. `work.ao_units` / `work.shadow_units` are
@@ -189,32 +188,22 @@ pub fn first_feasible(predictions: &[f64], budget_s: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfmodel::models::FittedLinearModel;
-    use perfmodel::regression::LinearRegression;
+    use perfmodel::models::Family;
 
-    fn constant_model(name: &'static str, coeffs: Vec<f64>) -> FittedLinearModel {
-        FittedLinearModel {
-            name,
-            fit: LinearRegression::with_stats(coeffs, 1.0, 0.0, 10),
-            feature_names: Vec::new(),
-        }
-    }
+    const REQUIRED: [(Family, &[f64]); 5] = [
+        (Family::Rt, &[1e-6, 1e-6, 1.0]),
+        (Family::RtBuild, &[1e-6, 1.0]),
+        (Family::Rast, &[1e-6, 1e-6, 1.0]),
+        (Family::Vr, &[1e-6, 1e-6, 1.0]),
+        (Family::Comp, &[1e-6, 1e-6, 1.0]),
+    ];
+    const PASSES: [(Family, &[f64]); 2] =
+        [(Family::PassAo, &[1e-6, 0.01]), (Family::PassShadows, &[1e-6, 0.005])];
+    const LODS: [(Family, &[f64]); 2] =
+        [(Family::LodHalf, &[8e-6, 0.1]), (Family::LodQuarter, &[8e-6, 0.08])];
 
     fn set_with_pass_models() -> ModelSet {
-        ModelSet {
-            device: "test".into(),
-            rt: constant_model("ray_tracing", vec![1e-6, 1e-6, 1.0]),
-            rt_build: constant_model("ray_tracing_build", vec![1e-6, 1.0]),
-            rast: constant_model("rasterization", vec![1e-6, 1e-6, 1.0]),
-            vr: constant_model("volume_rendering", vec![1e-6, 1e-6, 1.0]),
-            comp: constant_model("compositing", vec![1e-6, 1e-6, 1.0]),
-            comp_compressed: None,
-            comp_dfb: None,
-            pass_ao: Some(constant_model("pass_ambient_occlusion", vec![1e-6, 0.01])),
-            pass_shadows: Some(constant_model("pass_shadows", vec![1e-6, 0.005])),
-            lod_half: Some(constant_model("lod_half", vec![8e-6, 0.1])),
-            lod_quarter: Some(constant_model("lod_quarter", vec![8e-6, 0.08])),
-        }
+        ModelSet::from_coeffs("test", &[&REQUIRED[..], &PASSES, &LODS].concat())
     }
 
     /// Whole-frame cost model for tests: linear in pixel area, so each
@@ -288,9 +277,7 @@ mod tests {
     /// never promises headroom the models cannot back.
     #[test]
     fn missing_pass_models_price_skips_at_zero() {
-        let mut set = set_with_pass_models();
-        set.pass_ao = None;
-        set.pass_shadows = None;
+        let set = ModelSet::from_coeffs("test", &[&REQUIRED[..], &LODS].concat());
         let warm = PASS_LADDER[1].predicted_seconds(&set, frame_cost, &WORK);
         let no_both = PASS_LADDER[3].predicted_seconds(&set, frame_cost, &WORK);
         assert_eq!(warm, no_both);
@@ -300,9 +287,7 @@ mod tests {
     /// proxy's savings are never assumed, only measured.
     #[test]
     fn missing_lod_models_price_proxies_at_full_frame() {
-        let mut set = set_with_pass_models();
-        set.lod_half = None;
-        set.lod_quarter = None;
+        let set = ModelSet::from_coeffs("test", &[&REQUIRED[..], &PASSES].concat());
         let no_passes = PASS_LADDER[3].predicted_seconds(&set, frame_cost, &WORK);
         let lod1 = PASS_LADDER[4].predicted_seconds(&set, frame_cost, &WORK);
         let lod2 = PASS_LADDER[5].predicted_seconds(&set, frame_cost, &WORK);

@@ -1,6 +1,6 @@
-//! Live model refinement: measured runtimes accumulate in per-family sliding
-//! windows, and each window is periodically re-solved through
-//! [`perfmodel::regression::LinearRegression`] (via the [`ModelForm`] fits),
+//! Live model refinement: measured runtimes accumulate in sliding windows,
+//! and each model family is periodically re-solved over its window through
+//! [`Family::fit`] (i.e. [`perfmodel::regression::LinearRegression`]),
 //! replacing the corresponding model in the scheduler's [`ModelSet`].
 //!
 //! A windowed re-solve — rather than, say, exponential smoothing of the
@@ -8,17 +8,12 @@
 //! recent data, so the residual statistics stay meaningful.
 
 use perfmodel::feasibility::ModelSet;
-use perfmodel::models::{
-    CompositeModel, CompressedCompositeModel, DfbCompositeModel, FittedLinearModel, LodModel,
-    ModelForm, PassModel, RastModel, RtBuildModel, RtModel, VrModel,
-};
-use perfmodel::sample::{
-    CompositeSample, CompositeWire, LodSample, PassSample, RenderSample, RendererKind,
-};
+use perfmodel::models::{Family, FamilyRow, Feed};
+use perfmodel::sample::{Obs, Sample};
 use std::collections::VecDeque;
 
 /// What one [`OnlineRefit::refit_into`] pass did, for scheduler and repro
-/// reporting.
+/// reporting. Names are in [`Family::ALL`] order.
 #[derive(Debug, Clone, Default)]
 pub struct RefitReport {
     /// Families whose model was replaced by a window re-solve.
@@ -32,90 +27,46 @@ pub struct RefitReport {
     pub condition_warnings: Vec<&'static str>,
 }
 
-/// Sliding observation windows for the five model families.
+/// The family whose window `row`'s samples slide through. Families fed by
+/// one measurement share its window, so `window` caps the measurements kept,
+/// not the samples per family: the BVH-build model reads the ray-tracing
+/// window, and every compositing wire shares the dense family's.
+fn window_owner(row: &FamilyRow) -> Family {
+    match row.feed {
+        Feed::Build => Family::Rt,
+        Feed::Composite(_) => Family::Comp,
+        _ => row.family,
+    }
+}
+
+/// Sliding observation windows for every model family in [`Family::ALL`].
 #[derive(Debug, Clone)]
 pub struct OnlineRefit {
     window: usize,
     min_samples: usize,
-    rt: VecDeque<RenderSample>,
-    rast: VecDeque<RenderSample>,
-    vr: VecDeque<RenderSample>,
-    comp: VecDeque<CompositeSample>,
-    pass_ao: VecDeque<PassSample>,
-    pass_shadows: VecDeque<PassSample>,
-    lod_half: VecDeque<LodSample>,
-    lod_quarter: VecDeque<LodSample>,
+    /// Indexed by [`window_owner`]; a family that shares another's window
+    /// leaves its own slot empty.
+    windows: [VecDeque<Sample>; Family::ALL.len()],
 }
 
 impl OnlineRefit {
-    /// `window` caps each family's retained samples; `min_samples` is the
+    /// `window` caps each window's retained samples; `min_samples` is the
     /// floor below which a family keeps its prior model (re-solving a 3-term
     /// regression on 2 points would be noise, not refinement).
     pub fn new(window: usize, min_samples: usize) -> OnlineRefit {
         OnlineRefit {
             window: window.max(1),
             min_samples: min_samples.max(4),
-            rt: VecDeque::new(),
-            rast: VecDeque::new(),
-            vr: VecDeque::new(),
-            comp: VecDeque::new(),
-            pass_ao: VecDeque::new(),
-            pass_shadows: VecDeque::new(),
-            lod_half: VecDeque::new(),
-            lod_quarter: VecDeque::new(),
+            windows: std::array::from_fn(|_| VecDeque::new()),
         }
     }
 
-    fn push(q: &mut VecDeque<RenderSample>, s: RenderSample, window: usize) {
-        if q.len() == window {
-            q.pop_front();
-        }
-        q.push_back(s);
-    }
-
-    /// Record a measured render (routed to its renderer's window).
-    pub fn observe_render(&mut self, s: RenderSample) {
-        let q = match s.renderer {
-            RendererKind::RayTracing => &mut self.rt,
-            RendererKind::Rasterization => &mut self.rast,
-            RendererKind::VolumeRendering => &mut self.vr,
-        };
-        Self::push(q, s, self.window);
-    }
-
-    /// Record a measured compositing exchange.
-    pub fn observe_composite(&mut self, s: CompositeSample) {
-        if self.comp.len() == self.window {
-            self.comp.pop_front();
-        }
-        self.comp.push_back(s);
-    }
-
-    /// Record a measured render-graph pass timing. Only the sheddable
-    /// passes with per-pass models (`ambient_occlusion`, `shadows`) are
-    /// windowed; other pass names are ignored — their cost is already
-    /// captured by the whole-frame models.
-    pub fn observe_pass(&mut self, s: PassSample) {
-        let q = match s.pass.as_str() {
-            "ambient_occlusion" => &mut self.pass_ao,
-            "shadows" => &mut self.pass_shadows,
-            _ => return,
-        };
-        if q.len() == self.window {
-            q.pop_front();
-        }
-        q.push_back(s);
-    }
-
-    /// Record a measured decimated-geometry render. Only the ladder's named
-    /// rungs (level 1 = half, level 2 = quarter) are windowed; other levels
-    /// are ignored — no [`LodModel`] exists to refit for them.
-    pub fn observe_lod(&mut self, s: LodSample) {
-        let q = match s.level {
-            1 => &mut self.lod_half,
-            2 => &mut self.lod_quarter,
-            _ => return,
-        };
+    /// Record a measurement in the window of the family it feeds. A sample
+    /// no family is fitted on (a graph pass or LOD level without a model) is
+    /// ignored — its cost is already captured by the whole-frame models.
+    pub fn observe(&mut self, s: Sample) {
+        let Some(row) = Family::ALL.iter().find(|r| r.family.routes(Obs::from(&s))) else { return };
+        let q = &mut self.windows[window_owner(row) as usize];
         if q.len() == self.window {
             q.pop_front();
         }
@@ -124,122 +75,41 @@ impl OnlineRefit {
 
     /// Total buffered observations, for reporting.
     pub fn len(&self) -> usize {
-        self.rt.len()
-            + self.rast.len()
-            + self.vr.len()
-            + self.comp.len()
-            + self.pass_ao.len()
-            + self.pass_shadows.len()
-            + self.lod_half.len()
-            + self.lod_quarter.len()
+        self.windows.iter().map(VecDeque::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Install a candidate re-solve, unless its coefficients fail the
-    /// paper's plausibility check (negative marginal cost) — a bad window
-    /// must not replace a working model with one whose negative terms the
-    /// predictor would silently clip to zero.
-    fn install(slot: &mut FittedLinearModel, candidate: FittedLinearModel, rep: &mut RefitReport) {
-        if candidate.fit.all_coeffs_nonnegative() {
-            if candidate.fit.condition_warning {
-                rep.condition_warnings.push(candidate.name);
-            }
-            rep.refitted.push(candidate.name);
-            *slot = candidate;
-        } else {
-            rep.rejected.push(candidate.name);
-        }
-    }
-
-    /// Re-solve every family whose window has enough samples, replacing the
-    /// corresponding model in `set` when the re-solve is plausible (see
-    /// [`RefitReport`]). Families below the floor keep their prior. The
-    /// BVH-build model additionally requires enough samples with a *measured*
-    /// build (hook-driven observations fold the build into render time and
-    /// would otherwise collapse the build model to zero). Compositing windows
-    /// are split by exchange wire: dense samples refit the classic dense
-    /// model, compressed samples the compression-aware one.
+    /// Re-solve every family whose window holds at least `min_samples` of
+    /// the samples it is fitted on (its [`Feed`]: the BVH-build model counts
+    /// only samples with a *measured* build, each compositing model only its
+    /// own exchange wire), installing the re-solve in `set` when it is
+    /// plausible (see [`RefitReport`]). Families below the floor keep their
+    /// prior; an implausible candidate (negative marginal cost) must not
+    /// replace a working model with one whose negative terms the predictor
+    /// would silently clip to zero.
     pub fn refit_into(&self, set: &mut ModelSet) -> RefitReport {
         let mut rep = RefitReport::default();
-        if self.rt.len() >= self.min_samples {
-            let rt: Vec<RenderSample> = self.rt.iter().cloned().collect();
-            Self::install(&mut set.rt, RtModel.fit(&rt), &mut rep);
-            let with_build: Vec<RenderSample> =
-                rt.iter().filter(|s| s.build_seconds > 0.0).cloned().collect();
-            if with_build.len() >= self.min_samples {
-                Self::install(&mut set.rt_build, RtBuildModel.fit(&with_build), &mut rep);
+        for row in &Family::ALL {
+            let q = &self.windows[window_owner(row) as usize];
+            let fed: Vec<Obs> = q.iter().map(Obs::from).filter(|&s| row.family.routes(s)).collect();
+            if fed.len() < self.min_samples {
+                continue;
             }
-        }
-        if self.rast.len() >= self.min_samples {
-            let xs: Vec<RenderSample> = self.rast.iter().cloned().collect();
-            Self::install(&mut set.rast, RastModel.fit(&xs), &mut rep);
-        }
-        if self.vr.len() >= self.min_samples {
-            let xs: Vec<RenderSample> = self.vr.iter().cloned().collect();
-            Self::install(&mut set.vr, VrModel.fit(&xs), &mut rep);
-        }
-        let dense: Vec<CompositeSample> =
-            self.comp.iter().filter(|s| s.wire == CompositeWire::Dense).cloned().collect();
-        if dense.len() >= self.min_samples {
-            Self::install(&mut set.comp, CompositeModel.fit(&dense), &mut rep);
-        }
-        let rle: Vec<CompositeSample> =
-            self.comp.iter().filter(|s| s.wire == CompositeWire::Compressed).cloned().collect();
-        if rle.len() >= self.min_samples {
-            Self::install_opt(
-                &mut set.comp_compressed,
-                CompressedCompositeModel.fit(&rle),
-                &mut rep,
-            );
-        }
-        let dfb: Vec<CompositeSample> =
-            self.comp.iter().filter(|s| s.wire == CompositeWire::Dfb).cloned().collect();
-        if dfb.len() >= self.min_samples {
-            Self::install_opt(&mut set.comp_dfb, DfbCompositeModel.fit(&dfb), &mut rep);
-        }
-        if self.pass_ao.len() >= self.min_samples {
-            let xs: Vec<PassSample> = self.pass_ao.iter().cloned().collect();
-            Self::install_opt(&mut set.pass_ao, PassModel::AMBIENT_OCCLUSION.fit(&xs), &mut rep);
-        }
-        if self.pass_shadows.len() >= self.min_samples {
-            let xs: Vec<PassSample> = self.pass_shadows.iter().cloned().collect();
-            Self::install_opt(&mut set.pass_shadows, PassModel::SHADOWS.fit(&xs), &mut rep);
-        }
-        if self.lod_half.len() >= self.min_samples {
-            let xs: Vec<LodSample> = self.lod_half.iter().cloned().collect();
-            Self::install_opt(&mut set.lod_half, LodModel::HALF.fit(&xs), &mut rep);
-        }
-        if self.lod_quarter.len() >= self.min_samples {
-            let xs: Vec<LodSample> = self.lod_quarter.iter().cloned().collect();
-            Self::install_opt(&mut set.lod_quarter, LodModel::QUARTER.fit(&xs), &mut rep);
+            let candidate = row.family.fit(fed);
+            if candidate.fit.all_coeffs_nonnegative() {
+                if candidate.fit.condition_warning {
+                    rep.condition_warnings.push(row.name);
+                }
+                rep.refitted.push(row.name);
+                set.install(candidate);
+            } else {
+                rep.rejected.push(row.name);
+            }
         }
         rep
-    }
-
-    /// [`Self::install`] for the optional per-wire slots: a plausible
-    /// candidate fills an empty slot instead of being dropped.
-    fn install_opt(
-        slot: &mut Option<FittedLinearModel>,
-        candidate: FittedLinearModel,
-        rep: &mut RefitReport,
-    ) {
-        match slot.as_mut() {
-            Some(m) => Self::install(m, candidate, rep),
-            None => {
-                if candidate.fit.all_coeffs_nonnegative() {
-                    if candidate.fit.condition_warning {
-                        rep.condition_warnings.push(candidate.name);
-                    }
-                    rep.refitted.push(candidate.name);
-                    *slot = Some(candidate);
-                } else {
-                    rep.rejected.push(candidate.name);
-                }
-            }
-        }
     }
 }
 
@@ -247,34 +117,21 @@ impl OnlineRefit {
 mod tests {
     use super::*;
     use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
-    use perfmodel::regression::LinearRegression;
-
-    fn constant_model(
-        name: &'static str,
-        coeffs: Vec<f64>,
-    ) -> perfmodel::models::FittedLinearModel {
-        perfmodel::models::FittedLinearModel {
-            name,
-            fit: LinearRegression::with_stats(coeffs, 1.0, 0.0, 10),
-            feature_names: Vec::new(),
-        }
-    }
+    use perfmodel::sample::{
+        CompositeSample, CompositeWire, LodSample, PassSample, RenderSample, RendererKind,
+    };
 
     fn prior() -> ModelSet {
-        ModelSet {
-            device: "test".into(),
-            rt: constant_model("ray_tracing", vec![1e-6, 1e-6, 1.0]),
-            rt_build: constant_model("ray_tracing_build", vec![1e-6, 1.0]),
-            rast: constant_model("rasterization", vec![1e-6, 1e-6, 1.0]),
-            vr: constant_model("volume_rendering", vec![1e-6, 1e-6, 1.0]),
-            comp: constant_model("compositing", vec![1e-6, 1e-6, 1.0]),
-            comp_compressed: None,
-            comp_dfb: None,
-            pass_ao: None,
-            pass_shadows: None,
-            lod_half: None,
-            lod_quarter: None,
-        }
+        ModelSet::from_coeffs(
+            "test",
+            &[
+                (Family::Rt, &[1e-6, 1e-6, 1.0]),
+                (Family::RtBuild, &[1e-6, 1.0]),
+                (Family::Rast, &[1e-6, 1e-6, 1.0]),
+                (Family::Vr, &[1e-6, 1e-6, 1.0]),
+                (Family::Comp, &[1e-6, 1e-6, 1.0]),
+            ],
+        )
     }
 
     #[test]
@@ -300,14 +157,14 @@ mod tests {
             };
             let mut s = map_inputs(&cfg, &k);
             s.render_seconds = truth(&s);
-            refit.observe_render(s);
+            refit.observe(Sample::Render(s));
             cfgs.push(cfg);
         }
         let mut set = prior();
         let before = set.predict_frame_seconds(&cfgs[9], &k);
         refit.refit_into(&mut set);
         let inputs = map_inputs(&cfgs[9], &k);
-        let after = VrModel.predict(&set.vr, &inputs);
+        let after = set.get(Family::Vr).unwrap().predict(&inputs);
         let want = truth(&inputs);
         assert!((after - want).abs() / want < 1e-6, "refit {after} vs truth {want}");
         assert!((before - want).abs() / want > 1.0, "prior should have been far off");
@@ -339,211 +196,253 @@ mod tests {
             };
             let mut s = map_inputs(&cfg, &k);
             s.render_seconds = truth(&s);
-            refit.observe_render(s);
+            refit.observe(Sample::Render(s));
             cfgs.push(cfg);
         }
         let mut set = prior();
         let rep = refit.refit_into(&mut set);
         assert!(rep.refitted.contains(&"volume_rendering"), "{rep:?}");
         assert!(rep.condition_warnings.contains(&"volume_rendering"), "{rep:?}");
-        assert!(set.vr.fit.condition_warning);
-        assert!(set.vr.fit.effective_rank < set.vr.fit.coeffs.len());
-        assert!(set.vr.fit.all_coeffs_nonnegative(), "{:?}", set.vr.fit.coeffs);
-        for &c in &set.vr.fit.coeffs {
+        let vr = &set.get(Family::Vr).unwrap().fit;
+        assert!(vr.condition_warning);
+        assert!(vr.effective_rank < vr.coeffs.len());
+        assert!(vr.all_coeffs_nonnegative(), "{:?}", vr.coeffs);
+        for &c in &vr.coeffs {
             assert!(c.is_finite() && c.abs() < 1.0, "coefficient exploded: {c:e}");
         }
         for cfg in &cfgs {
             let inputs = map_inputs(cfg, &k);
             let want = truth(&inputs);
-            let got = VrModel.predict(&set.vr, &inputs);
+            let got = set.get(Family::Vr).unwrap().predict(&inputs);
             assert!((got - want).abs() / want < 1e-3, "refit {got} vs truth {want}");
         }
     }
 
-    /// Compositing windows refit per exchange wire: dense samples feed the
-    /// classic dense model, compressed samples the compression-aware one —
-    /// each recovering the law of its own wire.
-    #[test]
-    fn composite_windows_split_by_wire() {
-        let dense_law = |ap: f64, px: f64| 1e-8 * ap + 4e-8 * px + 1e-3;
-        let rle_law = |ap: f64, px: f64| 2e-8 * ap + 1e-8 * px + 5e-4;
-        let mut refit = OnlineRefit::new(64, 4);
-        let mut probes = Vec::new();
-        for i in 1..=8usize {
-            let px = (128.0 * i as f64) * (128.0 * i as f64);
-            let ap = px * 0.1 * (1.0 + (i % 3) as f64); // AF varies: full rank
-            for (wire, law) in [
-                (CompositeWire::Dense, dense_law(ap, px)),
-                (CompositeWire::Compressed, rle_law(ap, px)),
-            ] {
-                refit.observe_composite(CompositeSample {
-                    tasks: 64,
-                    pixels: px,
-                    avg_active_pixels: ap,
-                    seconds: law,
-                    wire,
-                });
+    /// A planted-law window for `family`: samples whose measured seconds
+    /// follow a known non-negative law over the family's inputs, plus the
+    /// relative tolerance the refit must recover it to.
+    fn planted_window(family: Family) -> (Vec<Sample>, f64) {
+        let render = |renderer, build: fn(&RenderSample) -> f64, law: fn(&RenderSample) -> f64| {
+            let k = MappingConstants::default();
+            [128usize, 256, 512, 640, 768, 896, 1024, 1152, 1280, 1408]
+                .into_iter()
+                .enumerate()
+                .map(|(i, side)| {
+                    // Data size varies with image size: full-rank features.
+                    let cfg = RenderConfig {
+                        renderer,
+                        cells_per_task: 40 + 4 * i,
+                        pixels: side * side,
+                        tasks: 8,
+                    };
+                    let mut s = map_inputs(&cfg, &k);
+                    s.render_seconds = law(&s);
+                    s.build_seconds = build(&s);
+                    Sample::Render(s)
+                })
+                .collect::<Vec<Sample>>()
+        };
+        let rt_law = |s: &RenderSample| {
+            3e-8 * s.active_pixels * s.objects.log2() + 5e-7 * s.active_pixels + 1e-3
+        };
+        let composite = |wire, shape: &[(f64, usize)], law: fn(f64, f64, f64) -> f64| {
+            shape
+                .iter()
+                .enumerate()
+                .map(|(i, &(side, tasks))| {
+                    let px = side * side;
+                    let ap = px * 0.1 * (1.0 + ((i + 1) % 3) as f64); // AF varies: full rank
+                    Sample::Composite(CompositeSample {
+                        tasks,
+                        pixels: px,
+                        avg_active_pixels: ap,
+                        seconds: law(ap, px, tasks as f64),
+                        wire,
+                    })
+                })
+                .collect::<Vec<Sample>>()
+        };
+        let barriered: Vec<(f64, usize)> = (1..=8).map(|i| (128.0 * i as f64, 64)).collect();
+        let overlapped: Vec<(f64, usize)> =
+            (1..=10).map(|i| (128.0 * (1 + i % 4) as f64, 1usize << (i % 7))).collect();
+        let pass = |pass: &str, scale: f64, law: fn(f64) -> f64| {
+            (1..=10)
+                .map(|i| {
+                    let w = 5000.0 * i as f64 * scale;
+                    Sample::Pass(PassSample { pass: pass.into(), work_units: w, seconds: law(w) })
+                })
+                .collect::<Vec<Sample>>()
+        };
+        let lod = |level, scale: f64, law: fn(f64) -> f64| {
+            (1..=8)
+                .map(|i| {
+                    let c = 20_000.0 * i as f64 * scale;
+                    Sample::Lod(LodSample { level, cells: c, seconds: law(c) })
+                })
+                .collect::<Vec<Sample>>()
+        };
+        match family {
+            // Hook-driven observations: the build is folded into render time.
+            Family::Rt => (render(RendererKind::RayTracing, |_| 0.0, rt_law), 1e-6),
+            Family::RtBuild => {
+                (render(RendererKind::RayTracing, |s| 2e-8 * s.objects + 5e-4, rt_law), 1e-6)
             }
-            probes.push((ap, px));
-        }
-        let mut set = prior();
-        let rep = refit.refit_into(&mut set);
-        assert!(rep.refitted.contains(&"compositing"), "{rep:?}");
-        assert!(rep.refitted.contains(&"compositing_compressed"), "{rep:?}");
-        let rle = set.comp_compressed.as_ref().expect("compressed model installed");
-        for &(ap, px) in &probes {
-            let s = CompositeSample {
-                tasks: 64,
-                pixels: px,
-                avg_active_pixels: ap,
-                seconds: 0.0,
-                wire: CompositeWire::Dense,
-            };
-            let want_dense = dense_law(ap, px);
-            let got_dense = CompositeModel.predict(&set.comp, &s);
-            assert!((got_dense - want_dense).abs() / want_dense < 1e-6);
-            let want_rle = rle_law(ap, px);
-            let got_rle = CompressedCompositeModel.predict(rle, &s);
-            assert!((got_rle - want_rle).abs() / want_rle < 1e-6);
+            Family::Rast => (
+                render(
+                    RendererKind::Rasterization,
+                    |_| 0.0,
+                    |s| 4e-9 * s.objects + 4e-10 * s.visible_objects * s.pixels_per_triangle + 1e-3,
+                ),
+                1e-6,
+            ),
+            Family::Vr => (
+                render(
+                    RendererKind::VolumeRendering,
+                    |_| 0.0,
+                    |s| {
+                        2e-10 * s.active_pixels * s.cells_spanned
+                            + 1e-9 * s.active_pixels * s.samples_per_ray
+                            + 1e-2
+                    },
+                ),
+                1e-6,
+            ),
+            Family::Comp => (
+                composite(CompositeWire::Dense, &barriered, |ap, px, _| {
+                    1e-8 * ap + 4e-8 * px + 1e-3
+                }),
+                1e-6,
+            ),
+            Family::CompRle => (
+                composite(CompositeWire::Compressed, &barriered, |ap, px, _| {
+                    2e-8 * ap + 1e-8 * px + 5e-4
+                }),
+                1e-6,
+            ),
+            // Including the per-task message-tax term.
+            Family::CompDfb => (
+                composite(CompositeWire::Dfb, &overlapped, |ap, px, tasks| {
+                    3e-8 * ap + 5e-9 * px + 2e-6 * tasks + 2e-4
+                }),
+                1e-5,
+            ),
+            Family::PassAo => (pass("ambient_occlusion", 1.0, |w| 2.5e-8 * w + 4e-4), 1e-6),
+            Family::PassShadows => (pass("shadows", 0.4, |w| 1.2e-8 * w + 2e-4), 1e-6),
+            Family::LodHalf => (lod(1, 1.0, |c| 4e-8 * c + 9e-5), 1e-6),
+            Family::LodQuarter => (lod(2, 0.5, |c| 3e-8 * c + 6e-5), 1e-6),
         }
     }
 
-    /// DFB-wire observations refit the overlapped-mode model — including its
-    /// per-task message-tax term — without disturbing the other wires.
+    /// The seconds `family` is fitted against, as recorded in `s`.
+    fn measured(family: Family, s: &Sample) -> f64 {
+        match s {
+            Sample::Render(s) if family == Family::RtBuild => s.build_seconds,
+            Sample::Render(s) => s.render_seconds,
+            Sample::Composite(s) => s.seconds,
+            Sample::Pass(s) => s.seconds,
+            Sample::Lod(s) => s.seconds,
+        }
+    }
+
+    fn assert_recovers(set: &ModelSet, family: Family, window: &[Sample], tol: f64) {
+        let m = set.get(family).unwrap_or_else(|| panic!("{family:?} installed"));
+        for s in window {
+            let (got, want) = (m.predict(s), measured(family, s));
+            assert!((got - want).abs() / want < tol, "{family:?}: refit {got} vs truth {want}");
+        }
+    }
+
+    /// For each family, a planted-law window installs exactly that family
+    /// (and `rt` + `rt_build` for a ray-tracing window with measured
+    /// builds), recovering the law; samples no family is fitted on are not
+    /// windowed; and a refit over every window reports in table order.
     #[test]
-    fn dfb_window_installs_the_overlapped_model() {
-        let dfb_law = |ap: f64, px: f64, tasks: f64| 3e-8 * ap + 5e-9 * px + 2e-6 * tasks + 2e-4;
-        let mut refit = OnlineRefit::new(64, 4);
-        let mut probes = Vec::new();
-        for i in 1..=10usize {
-            let px = (128.0 * (1 + i % 4) as f64) * (128.0 * (1 + i % 4) as f64);
-            let ap = px * 0.1 * (1.0 + (i % 3) as f64);
-            let tasks = 1usize << (i % 7);
-            refit.observe_composite(CompositeSample {
-                tasks,
-                pixels: px,
-                avg_active_pixels: ap,
-                seconds: dfb_law(ap, px, tasks as f64),
-                wire: CompositeWire::Dfb,
-            });
-            probes.push((ap, px, tasks));
-        }
-        let mut set = prior();
-        let rep = refit.refit_into(&mut set);
-        assert!(rep.refitted.contains(&"compositing_dfb"), "{rep:?}");
-        // No dense or compressed samples were observed: those stay put.
-        assert!(!rep.refitted.contains(&"compositing"));
-        assert!(set.comp_compressed.is_none());
-        let m = set.comp_dfb.as_ref().expect("dfb model installed");
-        for &(ap, px, tasks) in &probes {
-            let s = CompositeSample {
-                tasks,
-                pixels: px,
-                avg_active_pixels: ap,
-                seconds: 0.0,
-                wire: CompositeWire::Dfb,
+    fn each_family_refits_from_its_own_window() {
+        let unrouted = [
+            Sample::Pass(PassSample { pass: "intersect".into(), work_units: 5e3, seconds: 1.0 }),
+            Sample::Lod(LodSample { level: 3, cells: 2e4, seconds: 1.0 }),
+        ];
+        let mut all = OnlineRefit::new(64, 4);
+        for row in &Family::ALL {
+            let (window, tol) = planted_window(row.family);
+            let mut refit = OnlineRefit::new(64, 4);
+            for s in window.iter().chain(&unrouted) {
+                refit.observe(s.clone());
+                all.observe(s.clone());
+            }
+            assert_eq!(refit.len(), window.len(), "{}", row.name);
+            let mut set = prior();
+            let rep = refit.refit_into(&mut set);
+            let expected = match row.family {
+                Family::RtBuild => vec!["ray_tracing", row.name],
+                _ => vec![row.name],
             };
-            let want = dfb_law(ap, px, tasks as f64);
-            let got = DfbCompositeModel.predict(m, &s);
-            assert!((got - want).abs() / want < 1e-5, "{got} vs {want}");
+            assert_eq!(rep.refitted, expected, "{rep:?}");
+            assert!(rep.rejected.is_empty(), "{rep:?}");
+            assert_recovers(&set, row.family, &window, tol);
+            // No other family's samples were observed: those stay put.
+            for other in Family::ALL.iter().filter(|o| !expected.contains(&o.name)) {
+                let (was, is) = (prior(), set.get(other.family).map(|m| m.fit.coeffs.clone()));
+                assert_eq!(
+                    is,
+                    was.get(other.family).map(|m| m.fit.coeffs.clone()),
+                    "{}",
+                    other.name
+                );
+            }
         }
+        // Every window at once (the three compositing wires interleaved in
+        // their shared window): each family recovers the law of its own
+        // samples, reported in `Family::ALL` order.
+        let mut set = prior();
+        let rep = all.refit_into(&mut set);
+        assert_eq!(rep.refitted, Family::ALL.map(|r| r.name), "{rep:?}");
+        for row in &Family::ALL[Family::Rast as usize..] {
+            let (window, tol) = planted_window(row.family);
+            assert_recovers(&set, row.family, &window, tol);
+        }
+        // The pass- and level-keyed predictors reach the installed models at
+        // points off the window, and answer `None` where no family exists.
+        for w in [7500.0, 40000.0] {
+            let (ao, sh) = (2.5e-8 * w + 4e-4, 1.2e-8 * w + 2e-4);
+            let got = set.predict_pass_seconds("ambient_occlusion", w).unwrap();
+            assert!((got - ao).abs() / ao < 1e-6, "{got}");
+            let got = set.predict_pass_seconds("shadows", w).unwrap();
+            assert!((got - sh).abs() / sh < 1e-6, "{got}");
+        }
+        assert!(set.predict_pass_seconds("intersect", 1.0).is_none());
+        for c in [30_000.0, 140_000.0] {
+            let (half, quarter) = (4e-8 * c + 9e-5, 3e-8 * c + 6e-5);
+            let got = set.predict_lod_seconds(1, c).unwrap();
+            assert!((got - half).abs() / half < 1e-6, "{got}");
+            let got = set.predict_lod_seconds(2, c).unwrap();
+            assert!((got - quarter).abs() / quarter < 1e-6, "{got}");
+        }
+        assert!(set.predict_lod_seconds(3, 1.0).is_none());
     }
 
     /// A window whose re-solve carries a negative coefficient (here: cost
     /// *decreasing* with active pixels) must not replace the prior — the
     /// predictor would silently clip the negative term to zero and schedule
     /// on fiction.
-    /// Per-pass windows from graph-executor timings fit the pass models,
-    /// recovering each pass's planted per-work-unit law — the features
-    /// behind pass-granular admission.
-    #[test]
-    fn pass_windows_fit_the_pass_models() {
-        let ao_law = |w: f64| 2.5e-8 * w + 4e-4;
-        let sh_law = |w: f64| 1.2e-8 * w + 2e-4;
-        let mut refit = OnlineRefit::new(64, 4);
-        for i in 1..=10usize {
-            let w = 5000.0 * i as f64;
-            refit.observe_pass(PassSample {
-                pass: "ambient_occlusion".into(),
-                work_units: w,
-                seconds: ao_law(w),
-            });
-            refit.observe_pass(PassSample {
-                pass: "shadows".into(),
-                work_units: w * 0.4,
-                seconds: sh_law(w * 0.4),
-            });
-            // Non-sheddable passes are not windowed.
-            refit.observe_pass(PassSample {
-                pass: "intersect".into(),
-                work_units: w,
-                seconds: 1.0,
-            });
-        }
-        assert_eq!(refit.len(), 20);
-        let mut set = prior();
-        let rep = refit.refit_into(&mut set);
-        assert!(rep.refitted.contains(&"pass_ambient_occlusion"), "{rep:?}");
-        assert!(rep.refitted.contains(&"pass_shadows"), "{rep:?}");
-        for w in [7500.0, 40000.0] {
-            let got = set.predict_pass_seconds("ambient_occlusion", w).unwrap();
-            assert!((got - ao_law(w)).abs() / ao_law(w) < 1e-6, "{got}");
-            let got = set.predict_pass_seconds("shadows", w).unwrap();
-            assert!((got - sh_law(w)).abs() / sh_law(w) < 1e-6, "{got}");
-        }
-        assert!(set.predict_pass_seconds("intersect", 1.0).is_none());
-    }
-
-    /// Decimated-render windows fit the LOD rung models, so admission can
-    /// price `+lod` rungs from live timings — and unnamed levels are not
-    /// windowed.
-    #[test]
-    fn lod_windows_fit_the_rung_models() {
-        let half_law = |c: f64| 4e-8 * c + 9e-5;
-        let quarter_law = |c: f64| 3e-8 * c + 6e-5;
-        let mut refit = OnlineRefit::new(64, 4);
-        for i in 1..=8usize {
-            let c = 20_000.0 * i as f64;
-            refit.observe_lod(LodSample { level: 1, cells: c, seconds: half_law(c) });
-            refit.observe_lod(LodSample {
-                level: 2,
-                cells: c / 2.0,
-                seconds: quarter_law(c / 2.0),
-            });
-            // No model exists for level 3: not windowed.
-            refit.observe_lod(LodSample { level: 3, cells: c, seconds: 1.0 });
-        }
-        assert_eq!(refit.len(), 16);
-        let mut set = prior();
-        let rep = refit.refit_into(&mut set);
-        assert!(rep.refitted.contains(&"lod_half"), "{rep:?}");
-        assert!(rep.refitted.contains(&"lod_quarter"), "{rep:?}");
-        for c in [30_000.0, 140_000.0] {
-            let got = set.predict_lod_seconds(1, c).unwrap();
-            assert!((got - half_law(c)).abs() / half_law(c) < 1e-6, "{got}");
-            let got = set.predict_lod_seconds(2, c).unwrap();
-            assert!((got - quarter_law(c)).abs() / quarter_law(c) < 1e-6, "{got}");
-        }
-        assert!(set.predict_lod_seconds(3, 1.0).is_none());
-    }
-
     #[test]
     fn implausible_refits_keep_the_prior() {
         let mut refit = OnlineRefit::new(64, 4);
         for i in 1..=8usize {
             let ap = 1e4 * i as f64;
-            refit.observe_composite(CompositeSample {
+            refit.observe(Sample::Composite(CompositeSample {
                 tasks: 64,
                 pixels: (1 << 20) as f64,
                 avg_active_pixels: ap,
                 seconds: 0.2 - 1e-6 * ap,
                 wire: CompositeWire::Dense,
-            });
+            }));
         }
         let mut set = prior();
-        let before = set.comp.fit.coeffs.clone();
+        let before = set.get(Family::Comp).unwrap().fit.coeffs.clone();
         let rep = refit.refit_into(&mut set);
-        assert_eq!(set.comp.fit.coeffs, before, "implausible candidate must keep prior");
+        let after = &set.get(Family::Comp).unwrap().fit.coeffs;
+        assert_eq!(*after, before, "implausible candidate must keep prior");
         assert!(rep.rejected.contains(&"compositing"), "{rep:?}");
         assert!(!rep.refitted.contains(&"compositing"));
     }
@@ -561,12 +460,13 @@ mod tests {
         for _ in 0..3 {
             let mut s = map_inputs(&cfg, &k);
             s.render_seconds = 0.5;
-            refit.observe_render(s);
+            refit.observe(Sample::Render(s));
         }
         let mut set = prior();
-        let before = set.rast.fit.coeffs.clone();
+        let before = set.get(Family::Rast).unwrap().fit.coeffs.clone();
         refit.refit_into(&mut set);
-        assert_eq!(set.rast.fit.coeffs, before, "3 < min_samples must not refit");
+        let after = &set.get(Family::Rast).unwrap().fit.coeffs;
+        assert_eq!(*after, before, "3 < min_samples must not refit");
     }
 
     #[test]
@@ -582,10 +482,15 @@ mod tests {
         for i in 0..10 {
             let mut s = map_inputs(&cfg, &k);
             s.render_seconds = i as f64;
-            refit.observe_render(s);
+            refit.observe(Sample::Render(s));
         }
-        assert_eq!(refit.rt.len(), 4);
-        assert_eq!(refit.rt.back().unwrap().render_seconds, 9.0);
-        assert_eq!(refit.rt.front().unwrap().render_seconds, 6.0);
+        assert_eq!(refit.len(), 4);
+        let seconds = |s: Option<&Sample>| match s {
+            Some(Sample::Render(s)) => s.render_seconds,
+            other => panic!("not a render sample: {other:?}"),
+        };
+        let rt = &refit.windows[Family::Rt as usize];
+        assert_eq!(seconds(rt.back()), 9.0);
+        assert_eq!(seconds(rt.front()), 6.0);
     }
 }

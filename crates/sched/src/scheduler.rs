@@ -11,7 +11,7 @@ use crate::ladder::{Ladder, Rung, DROP_LEVEL, LADDER};
 use crate::refit::{OnlineRefit, RefitReport};
 use perfmodel::feasibility::{ModelSet, MIN_PREDICTED_SECONDS};
 use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
-use perfmodel::sample::{CompositeSample, CompositeWire, RendererKind};
+use perfmodel::sample::{CompositeSample, CompositeWire, PassSample, RendererKind, Sample};
 
 /// One queued render request (what the simulation asked for).
 #[derive(Debug, Clone, Copy)]
@@ -345,20 +345,20 @@ impl Scheduler {
         let mut s = map_inputs(cfg, &self.constants);
         s.render_seconds = local_seconds;
         s.build_seconds = build_seconds;
-        self.refit.observe_render(s);
+        self.refit.observe(Sample::Render(s));
     }
 
     /// Feed back a measured render-graph pass timing (from a
     /// `PassRecord`), so the per-pass models refit alongside the
     /// whole-frame families at [`end_cycle`](Scheduler::end_cycle). Only
     /// the sheddable passes are windowed; see
-    /// [`OnlineRefit::observe_pass`](crate::refit::OnlineRefit::observe_pass).
+    /// [`OnlineRefit::observe`](crate::refit::OnlineRefit::observe).
     pub fn observe_pass(&mut self, pass: &str, work_units: f64, seconds: f64) {
-        self.refit.observe_pass(perfmodel::sample::PassSample {
+        self.refit.observe(Sample::Pass(PassSample {
             pass: pass.to_string(),
             work_units,
             seconds,
-        });
+        }));
     }
 
     /// Feed back a measured compositing exchange for one frame. `compressed`
@@ -384,13 +384,13 @@ impl Scheduler {
         } else {
             CompositeWire::Dense
         };
-        self.refit.observe_composite(CompositeSample {
+        self.refit.observe(Sample::Composite(CompositeSample {
             tasks: self.cfg.tasks,
             pixels,
             avg_active_pixels,
             seconds,
             wire,
-        });
+        }));
     }
 
     /// Cost of the cycle's full request list if every job ran at `level`

@@ -6,7 +6,6 @@
 
 use perfmodel::feasibility::{ModelSet, MIN_PREDICTED_SECONDS};
 use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
-use perfmodel::models::{CompositeModel, ModelForm, RastModel, RtBuildModel, RtModel, VrModel};
 use perfmodel::sample::{CompositeSample, CompositeWire, RendererKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,28 +65,24 @@ impl SimulatedExecutor {
     /// frames).
     pub fn execute(&mut self, cfg: &RenderConfig, charge_build: bool) -> JobCost {
         let inputs = map_inputs(cfg, &self.constants);
-        let local = match cfg.renderer {
-            RendererKind::RayTracing => RtModel.predict(&self.truth.rt, &inputs),
-            RendererKind::Rasterization => RastModel.predict(&self.truth.rast, &inputs),
-            RendererKind::VolumeRendering => VrModel.predict(&self.truth.vr, &inputs),
-        }
-        .max(0.0)
-            * self.jitter();
+        let local = self.truth.predict_local_seconds(&inputs).max(0.0) * self.jitter();
         let build = if cfg.renderer == RendererKind::RayTracing && charge_build {
-            RtBuildModel.predict(&self.truth.rt_build, &inputs).max(0.0) * self.jitter()
+            self.truth.predict_build_seconds(cfg, &self.constants) * self.jitter()
         } else {
             0.0
         };
-        let comp = CompositeModel
-            .predict(
-                &self.truth.comp,
+        // The machine's wire truth is the dense-form law.
+        let comp = self
+            .truth
+            .predict_composite_seconds(
                 &CompositeSample {
                     tasks: cfg.tasks,
                     pixels: cfg.pixels as f64,
                     avg_active_pixels: inputs.active_pixels,
                     seconds: 0.0,
-                    wire: CompositeWire::Compressed,
+                    wire: CompositeWire::Dense,
                 },
+                CompositeWire::Dense,
             )
             .max(0.0)
             * self.jitter();

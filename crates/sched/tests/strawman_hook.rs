@@ -6,37 +6,16 @@ use conduit_node::Node;
 use dpp::Device;
 use perfmodel::feasibility::ModelSet;
 use perfmodel::mapping::MappingConstants;
-use perfmodel::models::FittedLinearModel;
-use perfmodel::regression::LinearRegression;
+use perfmodel::models::Family;
 use sched::{Scheduler, SchedulerConfig};
 use strawman::{Options, Strawman, StrawmanError};
 
-fn model(name: &'static str, coeffs: Vec<f64>) -> FittedLinearModel {
-    FittedLinearModel {
-        name,
-        fit: LinearRegression::with_stats(coeffs, 1.0, 0.0, 10),
-        feature_names: Vec::new(),
-    }
-}
-
 /// A model set where cost is purely pixel-driven (1 µs/pixel of compositing,
-/// no local-render or build cost), so budget thresholds in the test map
-/// directly onto image sizes.
+/// no local-render or build cost — the other required families stay at the
+/// zero fit), so budget thresholds in the test map directly onto image
+/// sizes.
 fn pixel_cost_models() -> ModelSet {
-    ModelSet {
-        device: "test".into(),
-        rt: model("ray_tracing", vec![0.0, 0.0, 0.0]),
-        rt_build: model("ray_tracing_build", vec![0.0, 0.0]),
-        rast: model("rasterization", vec![0.0, 0.0, 0.0]),
-        vr: model("volume_rendering", vec![0.0, 0.0, 0.0]),
-        comp: model("compositing", vec![0.0, 1e-6, 0.0]),
-        comp_compressed: None,
-        comp_dfb: None,
-        pass_ao: None,
-        pass_shadows: None,
-        lod_half: None,
-        lod_quarter: None,
-    }
+    ModelSet::from_coeffs("test", &[(Family::Comp, &[0.0, 1e-6, 0.0])])
 }
 
 fn scheduler(budget_s: f64) -> Scheduler {

@@ -7,7 +7,7 @@
 //! `xlint.toml` edits — therefore invalidates everything, and a content
 //! change invalidates exactly that file.
 //!
-//! The cross-file results (X008/X010, the call graph, and the flow lints
+//! The cross-file results (the call graph and the flow lints
 //! X012–X014) are deliberately *not* cached: they depend on every file at
 //! once, and recomputing them from the always-reparsed syntax is cheap. A
 //! warm run is byte-identical to a cold run by construction — the cache

@@ -45,17 +45,6 @@ pub struct Config {
     /// The designated wait modules inside the X009 scopes: the only places
     /// allowed to block (they own the timeout/shutdown discipline).
     pub x009_wait_modules: Vec<String>,
-    /// The models module X008 reads declared model names from. Empty
-    /// disables the cross-file persistence check.
-    pub x008_models: String,
-    /// The persist module that must round-trip every X008 model name.
-    pub x008_persist: String,
-    /// Path prefixes X010 scans for `pub` model-type declarations (types
-    /// whose identifiers end in `Model`). Empty disables the check.
-    pub x010_models: Vec<String>,
-    /// Files/path prefixes whose contents count as X010 round-trip coverage
-    /// (the persist module and its tests). Empty disables the check.
-    pub x010_roundtrip: Vec<String>,
     /// Path prefixes where X011 bans direct construction of per-rank cell
     /// assignments (`Partition::from_assignments`): the byte-pinned crates
     /// and everything that partitions data for them.
@@ -111,10 +100,6 @@ impl Default for Config {
             x007_timing_modules: Vec::new(),
             x009_service: vec!["crates/feasd/src/".to_string()],
             x009_wait_modules: vec!["crates/feasd/src/wait.rs".to_string()],
-            x008_models: "crates/core/src/models.rs".to_string(),
-            x008_persist: "crates/core/src/persist.rs".to_string(),
-            x010_models: vec!["crates/core/src/".to_string()],
-            x010_roundtrip: vec!["crates/core/src/persist.rs".to_string()],
             x011_pinned: [
                 "crates/mesh/",
                 "crates/render/",
@@ -145,10 +130,6 @@ impl Config {
             x007_timing_modules: Vec::new(),
             x009_service: vec![String::new()],
             x009_wait_modules: Vec::new(),
-            x008_models: String::new(),
-            x008_persist: String::new(),
-            x010_models: Vec::new(),
-            x010_roundtrip: Vec::new(),
             x011_pinned: vec![String::new()],
             x011_partition_modules: Vec::new(),
             x014_scopes: Vec::new(),
@@ -229,7 +210,7 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
             section = name.trim().to_string();
             match section.as_str() {
-                "walk" | "x005" | "x006" | "x007" | "x008" | "x009" | "x010" | "x011" | "x014" => {}
+                "walk" | "x005" | "x006" | "x007" | "x009" | "x011" | "x014" => {}
                 other => return Err(err(lineno, format!("unknown section `[{other}]`"))),
             }
             continue;
@@ -273,10 +254,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
             ("x007", "timing_modules") => cfg.x007_timing_modules = parse_array(&value)?,
             ("x009", "service") => cfg.x009_service = parse_array(&value)?,
             ("x009", "wait_modules") => cfg.x009_wait_modules = parse_array(&value)?,
-            ("x008", "models") => cfg.x008_models = parse_string(&value, lineno)?,
-            ("x008", "persist") => cfg.x008_persist = parse_string(&value, lineno)?,
-            ("x010", "models") => cfg.x010_models = parse_array(&value)?,
-            ("x010", "roundtrip") => cfg.x010_roundtrip = parse_array(&value)?,
             ("x011", "pinned") => cfg.x011_pinned = parse_array(&value)?,
             ("x011", "partition_modules") => cfg.x011_partition_modules = parse_array(&value)?,
             ("x014", "scopes") => cfg.x014_scopes = parse_array(&value)?,
@@ -348,26 +325,6 @@ reason = "legacy counters, tracked in ROADMAP"
         assert_eq!(cfg.baseline.len(), 1);
         assert_eq!(cfg.baseline[0].count, 2);
         assert_eq!(cfg.baseline[0].lint, "X003");
-    }
-
-    #[test]
-    fn x008_paths_parse() {
-        let text = "[x008]\nmodels = \"a/models.rs\"\npersist = \"a/persist.rs\"\n";
-        let cfg = parse(text).unwrap();
-        assert_eq!(cfg.x008_models, "a/models.rs");
-        assert_eq!(cfg.x008_persist, "a/persist.rs");
-    }
-
-    #[test]
-    fn x010_arrays_parse() {
-        let text =
-            "[x010]\nmodels = [\"a/src/\"]\nroundtrip = [\"a/src/persist.rs\", \"a/tests/\"]\n";
-        let cfg = parse(text).unwrap();
-        assert_eq!(cfg.x010_models, vec!["a/src/".to_string()]);
-        assert_eq!(
-            cfg.x010_roundtrip,
-            vec!["a/src/persist.rs".to_string(), "a/tests/".to_string()]
-        );
     }
 
     #[test]

@@ -183,7 +183,6 @@ pub fn lint_flow_files(files: &[(&str, &str)], cfg: &Config) -> Report {
 /// Everything computed for one walked file.
 struct PerFile {
     rel: String,
-    source: String,
     content_hash: u64,
     report: FileReport,
     syntax: syntax::FileSyntax,
@@ -192,8 +191,8 @@ struct PerFile {
 }
 
 /// Lint the tree under `root`: parallel per-file pass (cache-accelerated
-/// when enabled), then the cross-file passes — X008/X010, the workspace
-/// call graph, and the flow lints X012–X014.
+/// when enabled), then the cross-file passes — the workspace call graph and
+/// the flow lints X012–X014.
 pub fn run_with_config_opts(
     root: &Path,
     cfg: &Config,
@@ -223,7 +222,7 @@ pub fn run_with_config_opts(
                     (a.report, a.syntax, a.lines, false)
                 }
             };
-            Ok(PerFile { rel: rel.clone(), source, content_hash, report, syntax, lines, cache_hit })
+            Ok(PerFile { rel: rel.clone(), content_hash, report, syntax, lines, cache_hit })
         })
         .collect();
     let per: Vec<PerFile> = per.into_iter().collect::<Result<_, _>>()?;
@@ -235,40 +234,6 @@ pub fn run_with_config_opts(
         stats.cache_misses += !p.cache_hit as usize;
         report.active.extend(p.report.findings.iter().cloned());
         report.waived.extend(p.report.waived.iter().cloned());
-    }
-    let source_of = |rel: &str| per.iter().find(|p| p.rel == rel).map(|p| p.source.as_str());
-
-    // X008 — the models module's declared names against the persist module.
-    // Skipped when either path is unset (fixture configs) or absent.
-    if !cfg.x008_models.is_empty() && !cfg.x008_persist.is_empty() {
-        if let (Some(models), Some(persist)) =
-            (source_of(&cfg.x008_models), source_of(&cfg.x008_persist))
-        {
-            let fr = lints::lint_model_persistence(&cfg.x008_models, models, persist);
-            report.waived.extend(fr.waived);
-            report.active.extend(fr.findings);
-        }
-    }
-    // X010 — the cross-crate companion: every pub model *type* under the
-    // configured model paths must be named by the round-trip corpus (the
-    // persist module plus any other configured round-trip test files).
-    if !cfg.x010_models.is_empty() && !cfg.x010_roundtrip.is_empty() {
-        let mut corpus = String::new();
-        for entry in &cfg.x010_roundtrip {
-            for p in per.iter().filter(|p| p.rel.starts_with(entry.as_str())) {
-                corpus.push_str(&p.source);
-                corpus.push('\n');
-            }
-        }
-        if !corpus.is_empty() {
-            for p in
-                per.iter().filter(|p| cfg.x010_models.iter().any(|m| p.rel.starts_with(m.as_str())))
-            {
-                let fr = lints::lint_model_type_persistence(&p.rel, &p.source, &corpus);
-                report.waived.extend(fr.waived);
-                report.active.extend(fr.findings);
-            }
-        }
     }
 
     // The workspace call graph + the flow lints (X012/X013/X014).

@@ -11,7 +11,9 @@
 use crate::config::Config;
 use crate::mask::{contains_word, mask, MaskedLine};
 
-/// The lint catalog.
+/// The lint catalog. X008 and X010 are retired — they compared hand-kept
+/// model-family lists across files, and the list now exists once
+/// (`perfmodel::models::Family::ALL`) — and their ids are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
     /// Malformed waiver (missing reason). Never waivable itself.
@@ -30,15 +32,9 @@ pub enum Lint {
     X006,
     /// Wall-clock reads outside the designated timing modules.
     X007,
-    /// A model name declared in the models module that the persist module
-    /// never round-trips (cross-crate check).
-    X008,
     /// Bare blocking `.recv()` in service code outside the designated wait
     /// modules.
     X009,
-    /// A `pub` model type declared in the model crate that no persist
-    /// round-trip test ever names (cross-crate check).
-    X010,
     /// Direct construction of a per-rank cell assignment
     /// (`Partition::from_assignments`) outside the partition module in a
     /// byte-pinned crate.
@@ -55,7 +51,7 @@ pub enum Lint {
 }
 
 /// Every lint, in id order.
-pub const ALL_LINTS: [Lint; 15] = [
+pub const ALL_LINTS: [Lint; 13] = [
     Lint::X000,
     Lint::X001,
     Lint::X002,
@@ -64,9 +60,7 @@ pub const ALL_LINTS: [Lint; 15] = [
     Lint::X005,
     Lint::X006,
     Lint::X007,
-    Lint::X008,
     Lint::X009,
-    Lint::X010,
     Lint::X011,
     Lint::X012,
     Lint::X013,
@@ -85,9 +79,7 @@ impl Lint {
             Lint::X005 => "X005",
             Lint::X006 => "X006",
             Lint::X007 => "X007",
-            Lint::X008 => "X008",
             Lint::X009 => "X009",
-            Lint::X010 => "X010",
             Lint::X011 => "X011",
             Lint::X012 => "X012",
             Lint::X013 => "X013",
@@ -111,9 +103,7 @@ impl Lint {
             Lint::X005 => "HashMap/HashSet in a byte-pinned crate",
             Lint::X006 => "unwrap/expect/panic! in non-test library code",
             Lint::X007 => "wall-clock read outside the designated timing modules",
-            Lint::X008 => "model name is not round-tripped by the persist module",
             Lint::X009 => "bare blocking recv() in service code outside the wait modules",
-            Lint::X010 => "pub model type is never named by a persist round-trip test",
             Lint::X011 => {
                 "per-rank cell assignment built outside the partition module in a \
                  byte-pinned crate"
@@ -151,21 +141,10 @@ impl Lint {
                  measured clocks can't silently mix; or add the module to \
                  [x007].timing_modules in xlint.toml if it IS measurement code"
             }
-            Lint::X008 => {
-                "every fitted model must survive save/load: teach the persist format parser \
-                 the new name AND extend the bit-identical round-trip test — X008 requires \
-                 the quoted name on at least two lines of the persist module (parser + test)"
-            }
             Lint::X009 => {
                 "a recv() with no timeout can block the service loop forever: wait through \
                  the designated wait module (e.g. WorkSignal::wait_timeout) or add the module \
                  to [x009].wait_modules in xlint.toml if it IS the wait discipline"
-            }
-            Lint::X010 => {
-                "a model type whose fitted form no round-trip test exercises can silently \
-                 stop surviving save/load: name the type in a persist round-trip test (fit \
-                 it and compare bits across save/load), or waive the declaration with a \
-                 written reason if the model is deliberately never persisted"
             }
             Lint::X011 => {
                 "partitions that feed pinned pixels must come from the deterministic \
@@ -493,82 +472,6 @@ pub fn analyze_file(rel: &str, source: &str, cfg: &Config) -> FileAnalysis {
     FileAnalysis { report: file_report(rel, &lines, raw_hits), syntax, lines }
 }
 
-/// X008 — the one cross-file check: every model-name string literal declared
-/// in the models module (`name: "<lit>"` struct fields and the literal body
-/// of a `fn name(&self)`) must appear, quoted, on at least two lines of the
-/// persist module — one for the format parser, one for the round-trip test.
-/// A name the persist layer has never heard of means a fitted model that
-/// silently vanishes on save/load.
-pub fn lint_model_persistence(models_rel: &str, models_src: &str, persist_src: &str) -> FileReport {
-    let lines = mask(models_src);
-    let raw: Vec<&str> = models_src.lines().collect();
-    let mut raw_hits: Vec<(Lint, usize)> = Vec::new();
-    let mut in_fn_name = false;
-    for (i, l) in lines.iter().enumerate() {
-        let code = l.code.as_str();
-        if code.contains("fn name(") {
-            in_fn_name = true;
-            continue;
-        }
-        let is_decl = code.contains("name: \"");
-        let is_fn_body = in_fn_name && code.trim_start().starts_with('"');
-        if is_decl || is_fn_body {
-            in_fn_name = false;
-            let Some(name) = first_string_literal(raw[i]) else { continue };
-            let quoted = format!("\"{name}\"");
-            let persist_lines = persist_src.lines().filter(|l| l.contains(&quoted)).count();
-            if persist_lines < 2 {
-                raw_hits.push((Lint::X008, i));
-            }
-        } else if in_fn_name && !l.is_comment_or_blank() {
-            in_fn_name = false;
-        }
-    }
-    file_report(models_rel, &lines, raw_hits)
-}
-
-/// X010 — the second cross-file check, one level up from X008: X008 tracks
-/// model *name strings* through the persist format; X010 tracks model
-/// *types*. Every `pub struct`/`pub enum` whose identifier ends in `Model`
-/// declared in a model-crate file must be named somewhere in the round-trip
-/// corpus (the persist module and any other configured round-trip test
-/// files) — a fitted model type no round-trip test ever constructs can
-/// silently stop surviving save/load. Deliberately unpersisted models waive
-/// the declaration line with a written reason.
-pub fn lint_model_type_persistence(
-    models_rel: &str,
-    models_src: &str,
-    roundtrip_src: &str,
-) -> FileReport {
-    let lines = mask(models_src);
-    let mut raw_hits: Vec<(Lint, usize)> = Vec::new();
-    for (i, l) in lines.iter().enumerate() {
-        let Some(ident) = model_type_decl(l.code.as_str()) else { continue };
-        if !contains_word(roundtrip_src, &ident) {
-            raw_hits.push((Lint::X010, i));
-        }
-    }
-    file_report(models_rel, &lines, raw_hits)
-}
-
-/// The identifier of a `pub struct`/`pub enum` declaration on this masked
-/// code line, if its name ends in `Model` (builders, sets, and other
-/// `Model`-prefixed helpers deliberately do not match).
-fn model_type_decl(code: &str) -> Option<String> {
-    let rest = code.trim_start();
-    let rest = rest.strip_prefix("pub struct ").or_else(|| rest.strip_prefix("pub enum "))?;
-    let ident: String = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-    ident.ends_with("Model").then_some(ident)
-}
-
-/// The first `"..."` literal on a raw source line.
-fn first_string_literal(raw: &str) -> Option<String> {
-    let start = raw.find('"')?;
-    let rest = &raw[start + 1..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
 /// Turn raw (lint, line) hits into a report, honoring inline waivers.
 pub(crate) fn file_report(
     rel: &str,
@@ -712,54 +615,6 @@ mod tests {
         let r = lint_file("m/src/lib.rs", src, &cfg());
         let ids: Vec<&str> = r.findings.iter().map(|f| f.lint.id()).collect();
         assert!(ids.contains(&"X000") && ids.contains(&"X001"), "{ids:?}");
-    }
-
-    #[test]
-    fn x008_requires_parser_and_test_coverage_in_persist() {
-        let models = "pub struct FooModel;\n\
-                      impl FooModel {\n\
-                      \x20   pub fn fit(&self) -> F {\n\
-                      \x20       F { name: \"foo\" }\n\
-                      \x20   }\n\
-                      }\n\
-                      impl ModelForm for BarModel {\n\
-                      \x20   fn name(&self) -> &'static str {\n\
-                      \x20       \"bar\"\n\
-                      \x20   }\n\
-                      }\n";
-        // Both names on two persist lines (parser match + round-trip test).
-        let covered = "\"foo\" => \"foo\",\n\"bar\" => \"bar\",\nfit(\"foo\");\nfit(\"bar\");\n";
-        assert!(lint_model_persistence("m.rs", models, covered).findings.is_empty());
-        // `bar` known to the parser but never exercised by a test.
-        let untested = "\"foo\" => \"foo\",\n\"bar\" => \"bar\",\nfit(\"foo\");\n";
-        let r = lint_model_persistence("m.rs", models, untested);
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].lint, Lint::X008);
-        assert_eq!(r.findings[0].line, 9);
-    }
-
-    #[test]
-    fn x010_requires_roundtrip_coverage_per_model_type() {
-        let models = "pub struct RtModel;\n\
-                      pub struct OrphanModel;\n\
-                      // xlint::allow(X010): derived per run, never persisted\n\
-                      pub struct EphemeralModel;\n\
-                      pub struct ModelBuilder;\n\
-                      pub struct PassModelBuilder;\n\
-                      struct PrivateModel;\n";
-        let corpus = "let set = make(RtModel.fit(&samples));\nassert_round_trips(&set);\n";
-        let r = lint_model_type_persistence("m.rs", models, corpus);
-        // Only the orphan fires: RtModel is covered, the ephemeral model is
-        // waived, builders and private types are out of scope.
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].lint, Lint::X010);
-        assert_eq!(r.findings[0].line, 2);
-        assert_eq!(r.waived.len(), 1);
-        assert_eq!(r.waived[0].finding.line, 4);
-        // Substrings are not words: `RtModelX` in the corpus covers nothing.
-        let bad_corpus = "let x = RtModelX;\n";
-        let r2 = lint_model_type_persistence("m.rs", "pub struct RtModel;\n", bad_corpus);
-        assert_eq!(r2.findings.len(), 1);
     }
 
     #[test]

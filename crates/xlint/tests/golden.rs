@@ -110,37 +110,6 @@ fn x011_partition_construction_outside_the_partition_module() {
     check("x011", Lint::X011, 2, 1);
 }
 
-/// X010 is a cross-file check, so its fixture runs through
-/// `lint_model_type_persistence` with an explicit round-trip corpus instead
-/// of the per-file `lint_file` path; the pinning discipline is the same.
-#[test]
-fn x010_model_types_without_roundtrip_coverage() {
-    let src = fs::read_to_string(fixture_dir().join("x010.rs")).expect("read fixture x010.rs");
-    let corpus = "let set = sample_set(CoveredModel.fit(&tiny_corpus()));\n\
-                  assert_bit_identical(save_load(&set));\n";
-    let fr = xlint::lints::lint_model_type_persistence("x010.rs", &src, corpus);
-    let mut report = Report { active: fr.findings, waived: fr.waived, ..Default::default() };
-    report.normalize();
-
-    let hits = report.active.iter().filter(|f| f.lint == Lint::X010).count();
-    assert!(hits >= 2, "x010: expected >= 2 active findings, got:\n{}", xlint::to_text(&report));
-    assert_eq!(report.active.len(), hits, "x010: only X010 may fire on this fixture");
-    assert_eq!(report.waived.len(), 1, "x010: exactly the ephemeral model is waived");
-    assert!(!report.waived[0].reason.trim().is_empty());
-
-    let actual = to_json(&report);
-    let expected_path = fixture_dir().join("x010.expected.json");
-    if std::env::var_os("XLINT_BLESS").is_some() {
-        fs::write(&expected_path, &actual).expect("write expected json");
-    }
-    let expected = fs::read_to_string(&expected_path)
-        .unwrap_or_else(|e| panic!("read x010.expected.json ({e}); bless with XLINT_BLESS=1"));
-    assert_eq!(
-        actual, expected,
-        "x010: report drifted from golden file; re-bless with XLINT_BLESS=1 if intended"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Flow lints (X012–X014): cross-file, so each fixture is a small set of
 // virtual files run through the full per-file + call-graph pipeline.
@@ -265,8 +234,6 @@ fn negatives_do_not_fire() {
         ("x006", &[Lint::X006]),
         ("x007", &[Lint::X007]),
         ("x009", &[Lint::X009]),
-        // x010 is cross-file: the per-file pass must stay silent on it.
-        ("x010", &[]),
         ("x011", &[Lint::X011]),
     ];
     for (name, lints) in allowed {

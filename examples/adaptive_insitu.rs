@@ -12,7 +12,7 @@ use dpp::Device;
 use mpirt::NetModel;
 use perfmodel::feasibility::ModelSet;
 use perfmodel::mapping::MappingConstants;
-use perfmodel::models::{CompositeModel, ModelForm, RastModel, RtBuildModel, RtModel, VrModel};
+use perfmodel::models::Family;
 use perfmodel::sample::RendererKind;
 use perfmodel::study::{run_composite_study, run_render_study, StudyConfig};
 use sched::{Scheduler, SchedulerConfig};
@@ -54,20 +54,16 @@ fn calibrate(device: &Device) -> (ModelSet, MappingConstants) {
     let vr = run_render_study(device, RendererKind::VolumeRendering, &study).expect("vr study");
     let comp = run_composite_study(NetModel::cluster(), &[1, 4, 16], &[128, 256], 5)
         .expect("composite study");
-    let set = ModelSet {
-        device: "parallel".into(),
-        rt: RtModel.fit(&rt),
-        rt_build: RtBuildModel.fit(&rt),
-        rast: RastModel.fit(&ra),
-        vr: VrModel.fit(&vr),
-        comp: CompositeModel.fit(&comp),
-        comp_compressed: None,
-        comp_dfb: None,
-        pass_ao: None,
-        pass_shadows: None,
-        lod_half: None,
-        lod_quarter: None,
-    };
+    let set = ModelSet::new(
+        "parallel",
+        [
+            Family::Rt.fit(&rt),
+            Family::RtBuild.fit(&rt),
+            Family::Rast.fit(&ra),
+            Family::Vr.fit(&vr),
+            Family::Comp.fit(&comp),
+        ],
+    );
     let mut all = rt;
     all.extend(ra);
     all.extend(vr);

@@ -9,7 +9,7 @@ use dpp::Device;
 use mpirt::NetModel;
 use perfmodel::feasibility::{images_in_budget, rt_vs_rast_map, ModelSet};
 use perfmodel::mapping::MappingConstants;
-use perfmodel::models::{CompositeModel, ModelForm, RastModel, RtBuildModel, RtModel, VrModel};
+use perfmodel::models::Family;
 use perfmodel::sample::RendererKind;
 use perfmodel::study::{run_composite_study, run_render_study, StudyConfig};
 
@@ -23,27 +23,19 @@ fn main() {
     let comp = run_composite_study(NetModel::cluster(), &[1, 2, 4, 8, 16, 32], &[128, 256, 512], 7)
         .unwrap();
 
-    let set = ModelSet {
-        device: "parallel".into(),
-        rt: RtModel.fit(&rt),
-        rt_build: RtBuildModel.fit(&rt),
-        rast: RastModel.fit(&ra),
-        vr: VrModel.fit(&vr),
-        comp: CompositeModel.fit(&comp),
-        comp_compressed: None,
-        comp_dfb: None,
-        pass_ao: None,
-        pass_shadows: None,
-        lod_half: None,
-        lod_quarter: None,
-    };
-    println!(
-        "model fits: RT R^2={:.3}  RAST R^2={:.3}  VR R^2={:.3}  COMP R^2={:.3}",
-        set.rt.r_squared(),
-        set.rast.r_squared(),
-        set.vr.r_squared(),
-        set.comp.r_squared()
+    let set = ModelSet::new(
+        "parallel",
+        [
+            Family::Rt.fit(&rt),
+            Family::RtBuild.fit(&rt),
+            Family::Rast.fit(&ra),
+            Family::Vr.fit(&vr),
+            Family::Comp.fit(&comp),
+        ],
     );
+    let fits: Vec<String> =
+        set.models().map(|m| format!("{} R^2={:.3}", m.name(), m.r_squared())).collect();
+    println!("model fits: {}", fits.join("  "));
 
     let mut all = rt.clone();
     all.extend(ra.clone());

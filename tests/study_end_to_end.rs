@@ -7,7 +7,7 @@ use mpirt::NetModel;
 use perfmodel::crossval::k_fold_accuracy;
 use perfmodel::feasibility::{images_in_budget, rt_vs_rast_map, ModelSet};
 use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
-use perfmodel::models::{CompositeModel, ModelForm, RastModel, RtBuildModel, RtModel, VrModel};
+use perfmodel::models::Family;
 use perfmodel::sample::RendererKind;
 use perfmodel::study::{
     run_composite_study, run_one, run_render_study, run_render_study_simulated, StudyConfig,
@@ -33,8 +33,8 @@ fn models_fit_and_cross_validate_on_the_simulated_clock() {
     let device = Device::parallel();
     let vr =
         run_render_study_simulated(&device, RendererKind::VolumeRendering, &small_study()).unwrap();
-    let fit = VrModel.fit(&vr);
-    let xs: Vec<Vec<f64>> = vr.iter().map(|s| VrModel.features(s)).collect();
+    let fit = Family::Vr.fit(&vr);
+    let xs: Vec<Vec<f64>> = vr.iter().map(|s| Family::Vr.features(s)).collect();
     let ys: Vec<f64> = vr.iter().map(|s| s.render_seconds).collect();
     let acc = k_fold_accuracy(&xs, &ys, 3);
     assert!(fit.r_squared() > 0.95, "R^2 = {}", fit.r_squared());
@@ -50,8 +50,8 @@ fn models_fit_and_cross_validate_on_the_simulated_clock() {
 fn models_fit_on_real_wall_clock_measurements_smoke() {
     let device = Device::parallel();
     let vr = run_render_study(&device, RendererKind::VolumeRendering, &small_study()).unwrap();
-    let fit = VrModel.fit(&vr);
-    let xs: Vec<Vec<f64>> = vr.iter().map(|s| VrModel.features(s)).collect();
+    let fit = Family::Vr.fit(&vr);
+    let xs: Vec<Vec<f64>> = vr.iter().map(|s| Family::Vr.features(s)).collect();
     let ys: Vec<f64> = vr.iter().map(|s| s.render_seconds).collect();
     let acc = k_fold_accuracy(&xs, &ys, 3);
     assert!(fit.r_squared() > 0.6, "R^2 = {}", fit.r_squared());
@@ -111,20 +111,16 @@ fn feasibility_answers_have_the_papers_shape() {
     let ra = run_render_study_simulated(&device, RendererKind::Rasterization, &cfg).unwrap();
     let vr = run_render_study_simulated(&device, RendererKind::VolumeRendering, &cfg).unwrap();
     let comp = run_composite_study(NetModel::cluster(), &[1, 4, 16], &[64, 192], 3).unwrap();
-    let set = ModelSet {
-        device: "parallel".into(),
-        rt: RtModel.fit(&rt),
-        rt_build: RtBuildModel.fit(&rt),
-        rast: RastModel.fit(&ra),
-        vr: VrModel.fit(&vr),
-        comp: CompositeModel.fit(&comp),
-        comp_compressed: None,
-        comp_dfb: None,
-        pass_ao: None,
-        pass_shadows: None,
-        lod_half: None,
-        lod_quarter: None,
-    };
+    let set = ModelSet::new(
+        "parallel",
+        [
+            Family::Rt.fit(&rt),
+            Family::RtBuild.fit(&rt),
+            Family::Rast.fit(&ra),
+            Family::Vr.fit(&vr),
+            Family::Comp.fit(&comp),
+        ],
+    );
     let mut all = rt;
     all.extend(ra);
     all.extend(vr);
