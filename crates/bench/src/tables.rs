@@ -1401,16 +1401,19 @@ fn probe_child(setting: Option<(&str, &str)>) -> Option<(f64, f64)> {
 /// `repro graph`: the render-graph executor end to end. A camera orbit
 /// renders frames through the ray-tracing frame graph with cross-frame
 /// caching; every executed pass's measured timing streams into the online
-/// refit as a `PassSample`, the refitted per-pass models price the
-/// pass-granular ladder, and the table prices a budget that full fidelity
-/// misses by less than the ambient-occlusion pass costs: the pass ladder
-/// holds it at *full resolution* by shedding AO, while the whole-frame
-/// ladder's only move is to throw away 75% of the pixels. The per-pass
-/// timing log is written to `graph_passes.csv`.
+/// refit as a `PassSample` (the orbit runs on, up to 3× its length, while a
+/// pass family's wall-clock fit is still rejected), the refitted per-pass
+/// models price the pass-granular ladder, and the table prices a budget that
+/// full fidelity misses by less than the ambient-occlusion pass costs: the
+/// pass ladder holds it at *full resolution* by shedding AO, while the
+/// whole-frame ladder's only move is to throw away 75% of the pixels. The
+/// per-pass timing log is written to `graph_passes.csv`.
 pub fn graph_demo(scale: Scale) -> TextTable {
+    use perfmodel::feasibility::ModelSet;
     use perfmodel::sample::{PassSample, Sample};
     use render::graph::{render_rt_graph, GraphCache};
     use sched::passes::{first_feasible, PASS_LADDER};
+    use sched::refit::RefitReport;
     use sched::{OnlineRefit, Rung, LADDER};
 
     let side = scale.image_side();
@@ -1427,19 +1430,34 @@ pub fn graph_demo(scale: Scale) -> TextTable {
     let bounds = geom.bounds;
 
     let mut cache = GraphCache::new(64);
-    let mut refit = OnlineRefit::new(128, 4);
+    // The window slides over the last `frames` frames, so a preempted
+    // frame's outlier ages out of the refit instead of biasing every retry.
+    let mut refit = OnlineRefit::new(frames, 4);
     let mut csv = String::from("frame,pass,work_units,seconds,cached,skipped,freed_bytes\n");
     let mut build_seconds = 0.0f64;
     let mut last_full = None;
-    for f in 0..frames {
+    // Install the per-pass models fitted from the observed pass timings, the
+    // way the scheduler does online: after the orbit's `frames` frames the
+    // window is re-solved, and while a pass family is still missing (a
+    // wall-clock fit whose noise-driven intercept came out negative is
+    // rejected) one more frame is observed and the window re-solved again.
+    let mut set = sched::demo::ground_truth();
+    let both_installed = |set: &ModelSet| {
+        set.get(Family::PassAo).is_some() && set.get(Family::PassShadows).is_some()
+    };
+    let mut report = RefitReport::default();
+    let mut used = 0usize;
+    for f in 0..3 * frames {
         // Orbit: every frame's camera is new (ray tables re-run) while the
-        // geometry fingerprint holds (BVH cached after frame 0).
-        let a = f as f64 / frames as f64 * std::f64::consts::TAU;
+        // geometry fingerprint holds (BVH cached after frame 0); each further
+        // lap is offset half a step so it repeats no earlier camera.
+        let a = (f as f64 + 0.5 * (f / frames) as f64) / frames as f64 * std::f64::consts::TAU;
         let dir = Vec3::new(a.cos() as f32, 0.25, a.sin() as f32);
         let cam = Camera::framing(&bounds, dir, 0.9);
         // Cycle the resolution so the observed pass work units span a range
         // the 2-term regression can fit (constant work would be
-        // rank-deficient); the last frame lands on full resolution.
+        // rank-deficient); every third frame, and the orbit's last, lands on
+        // full resolution.
         let s = side * (2 + (f % 3) as u32) / 4;
         let (_, info) =
             render_rt_graph(&device, &geom, &cam, s, s, &cfg, &tf, &[], Some(&mut cache))
@@ -1464,16 +1482,22 @@ pub fn graph_demo(scale: Scale) -> TextTable {
                 }));
             }
         }
-        last_full = Some(info);
+        if s == side {
+            last_full = Some(info);
+        }
+        used = f + 1;
+        if used >= frames {
+            report = refit.refit_into(&mut set);
+            if both_installed(&set) {
+                break;
+            }
+        }
     }
     crate::write_artifact("graph_passes.csv", &csv);
-
-    // Install the per-pass models fitted from the observed pass timings.
-    let mut set = sched::demo::ground_truth();
-    let report = refit.refit_into(&mut set);
     assert!(
-        set.get(Family::PassAo).is_some() && set.get(Family::PassShadows).is_some(),
-        "per-pass refit must install both pass models (refitted: {:?}, rejected: {:?})",
+        both_installed(&set),
+        "per-pass refit must install both pass models within {used} frames \
+         (refitted: {:?}, rejected: {:?})",
         report.refitted,
         report.rejected
     );
@@ -1491,7 +1515,7 @@ pub fn graph_demo(scale: Scale) -> TextTable {
         })
         .collect();
     let frame_seconds = |r: Rung| frame_measured[(r.halvings() as usize).min(2)];
-    let full = last_full.expect("at least one frame");
+    let full = last_full.expect("at least one full-resolution frame");
     let ao_units = full.record("ambient_occlusion").map_or(0.0, |r| r.work_units as f64);
     let shadow_units = full.record("shadows").map_or(0.0, |r| r.work_units as f64);
 
@@ -1563,6 +1587,13 @@ pub fn graph_demo(scale: Scale) -> TextTable {
             ]);
         }
     }
+    t.row(vec![
+        "refit".into(),
+        "orbit frames observed".into(),
+        format!("{used} (bound {})", 3 * frames),
+        String::new(),
+        String::new(),
+    ]);
     t
 }
 

@@ -7,7 +7,7 @@
 //! latency + bandwidth cost to every message so compositing experiments can
 //! report network-inclusive times; DESIGN.md documents this substitution.
 //!
-//! Two layers:
+//! Three layers:
 //! * [`World::run`] — spawn N ranks as threads, each receiving a [`Comm`]
 //!   with `send`/`recv`/`barrier`/collectives (for in situ integrations and
 //!   correctness tests at realistic rank counts).

@@ -181,6 +181,16 @@ fn parse_string(s: &str, line: usize) -> Result<String, ConfigError> {
     Ok(s[1..s.len() - 1].to_string())
 }
 
+/// Load `xlint.toml` from the tree root `root`; defaults when absent.
+pub fn load(root: &std::path::Path) -> Result<Config, String> {
+    let path = root.join("xlint.toml");
+    if !path.is_file() {
+        return Ok(Config::default());
+    }
+    let text = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
+    parse(&text).map_err(|e| e.to_string())
+}
+
 /// Parse the text of `xlint.toml`.
 pub fn parse(text: &str) -> Result<Config, ConfigError> {
     let mut cfg = Config::default();

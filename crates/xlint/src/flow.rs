@@ -25,8 +25,8 @@
 
 use crate::callgraph::CallGraph;
 use crate::config::Config;
+use crate::lints::MaskedLine;
 use crate::lints::{self, FileReport, Lint};
-use crate::mask::MaskedLine;
 use crate::syntax::FileSyntax;
 
 /// Per-file inputs the flow pass needs.
@@ -361,7 +361,6 @@ mod tests {
     use super::*;
     use crate::callgraph;
     use crate::lexer::lex;
-    use crate::mask::mask;
     use crate::syntax::extract;
     use std::collections::HashMap;
 
@@ -375,7 +374,8 @@ mod tests {
             .iter()
             .map(|(rel, src)| {
                 let toks = lex(src);
-                (rel.clone(), extract(src, &toks, lints::is_test_file(rel)), mask(src))
+                let lines = lints::masked_lines(src, &toks);
+                (rel.clone(), extract(src, &toks, lints::is_test_file(rel)), lines)
             })
             .collect();
         let for_graph: Vec<(String, FileSyntax)> =

@@ -1,14 +1,12 @@
 //! Hand-written, zero-dependency token lexer for Rust source.
 //!
-//! Where `mask.rs` answers "is this byte code, comment, or string?",
-//! the lexer answers "what token is this?" — producing a flat stream of
-//! spanned tokens the item extractor (`syntax.rs`) and the call graph
-//! (`callgraph.rs`) are built on. The two scanners are written
-//! independently on purpose and must agree on classification;
-//! `tests/prop_lexer.rs` pins that agreement over generated adversarial
-//! sources (nested block comments, raw strings, char-vs-lifetime).
+//! The one scanner in this crate: `lex` turns a file into a flat stream of
+//! spanned tokens, and everything else reads that stream — the item
+//! extractor (`syntax.rs`), the call graph (`callgraph.rs`), and, through
+//! [`class_runs`], the per-line code/comment views the substring lints
+//! match on (`lints::masked_lines`).
 //!
-//! Deliberate simplifications, shared with `mask.rs`:
+//! Deliberate simplifications:
 //! * the char-vs-lifetime heuristic is lookahead-based (`'\...'` and
 //!   `'x'` are literals, anything else after `'` is a lifetime or a bare
 //!   quote), not parser-driven;
@@ -149,7 +147,7 @@ impl<'a> Lexer<'a> {
         self.out
     }
 
-    /// Nested block comment, `mask.rs` semantics: `/* /* */ still comment */`.
+    /// Nested block comment: `/* /* */ still comment */` is one token.
     fn block_comment(&mut self, start: usize, line: usize) {
         let mut depth = 0u32;
         while self.pos < self.chars.len() {
@@ -194,7 +192,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Does a raw-string opener (`r"`, `r#"`, `br"`, `rb#"`, …) start here?
-    /// Mirrors `mask::is_raw_string_opener`, including the 2-char prefix cap.
+    /// The prefix is at most two chars.
     fn raw_string_opens(&self) -> bool {
         // A preceding ident char would have been consumed into an Ident token
         // before we ever look here, so no prev-char check is needed.
@@ -269,8 +267,8 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// `'` — char literal, lifetime, or bare quote, using the same lookahead
-    /// heuristic as `mask.rs`: `'\…'` and `'x'` are literals.
+    /// `'` — char literal, lifetime, or bare quote, by lookahead: `'\…'` and
+    /// `'x'` are literals.
     fn quote(&mut self, start: usize, line: usize) {
         if self.peek(1) == '\\' || (self.peek(1) != '\0' && self.peek(2) == '\'') {
             self.bump(); // opening quote
@@ -311,40 +309,36 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Classification of one source char, for agreement checks against the
-/// masked views.
+/// Classification of one source char, as the masked views see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CharClass {
     /// Plain code, literal framing (quotes/prefixes/hashes), whitespace.
     Code,
     /// Inside a line or block comment.
     Comment,
-    /// Inside the interior of a string/char literal (blanked by the mask).
+    /// Inside the interior of a string/char literal (blanked in both views).
     LiteralInterior,
 }
 
-/// Per-char classes for `src` under `tokens` (parallel to `src.char_indices()`).
-pub fn char_classes(src: &str, tokens: &[Token]) -> Vec<CharClass> {
-    let mut out = vec![CharClass::Code; src.chars().count()];
-    let mut char_of_byte = vec![usize::MAX; src.len() + 1];
-    for (ci, (b, _)) in src.char_indices().enumerate() {
-        char_of_byte[b] = ci;
-    }
-    char_of_byte[src.len()] = out.len();
-    let fill = |out: &mut [CharClass], s: usize, e: usize, class: CharClass| {
-        let (cs, ce) = (char_of_byte[s], char_of_byte[e]);
-        out[cs..ce].iter_mut().for_each(|c| *c = class);
-    };
+/// `src` cut into consecutive runs of one class each under `tokens`; the
+/// runs concatenate back to `src` (some may be empty).
+pub fn class_runs<'a>(src: &'a str, tokens: &[Token]) -> Vec<(&'a str, CharClass)> {
+    let mut out = Vec::new();
+    let mut at = 0usize;
     for t in tokens {
-        match t.kind {
-            TokenKind::Comment => fill(&mut out, t.start, t.end, CharClass::Comment),
+        let (start, end, class) = match t.kind {
+            TokenKind::Comment => (t.start, t.end, CharClass::Comment),
             TokenKind::Str { interior_start, interior_end }
             | TokenKind::Char { interior_start, interior_end } => {
-                fill(&mut out, interior_start, interior_end, CharClass::LiteralInterior)
+                (interior_start, interior_end, CharClass::LiteralInterior)
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        out.push((&src[at..start], CharClass::Code));
+        out.push((&src[start..end], class));
+        at = end;
     }
+    out.push((&src[at..], CharClass::Code));
     out
 }
 
@@ -427,15 +421,17 @@ mod tests {
     #[test]
     fn classes_cover_comments_and_interiors() {
         let src = "x /*c*/ \"sss\" 'y'";
-        let classes = char_classes(src, &lex(src));
-        let chars: Vec<char> = src.chars().collect();
-        for (i, c) in chars.iter().enumerate() {
-            let want = match *c {
+        let runs = class_runs(src, &lex(src));
+        assert_eq!(runs.iter().map(|(text, _)| *text).collect::<String>(), src);
+        for (i, (c, class)) in
+            runs.iter().flat_map(|&(text, class)| text.chars().map(move |c| (c, class))).enumerate()
+        {
+            let want = match c {
                 'c' | '*' | '/' => CharClass::Comment,
                 's' | 'y' => CharClass::LiteralInterior,
                 _ => CharClass::Code,
             };
-            assert_eq!(classes[i], want, "char {i} `{c}`");
+            assert_eq!(class, want, "char {i} `{c}`");
         }
     }
 }

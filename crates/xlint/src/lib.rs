@@ -16,12 +16,9 @@ pub mod config;
 pub mod flow;
 pub mod lexer;
 pub mod lints;
-pub mod mask;
 pub mod report;
-pub mod syntax;
-
-pub mod cache;
 pub mod sarif;
+pub mod syntax;
 
 pub use config::{BaselineEntry, Config, ConfigError};
 pub use lints::{lint_file, FileReport, Finding, Lint, Waived};
@@ -29,6 +26,7 @@ pub use report::{to_json, to_text, Report};
 pub use sarif::to_sarif;
 
 use rayon::prelude::*;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Collect every `.rs` file under `root` selected by the config, as sorted
@@ -72,23 +70,11 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Options for a lint run.
-#[derive(Debug, Default, Clone)]
-pub struct RunOptions {
-    /// Where to read/write the incremental per-file cache. `None` disables
-    /// caching entirely (every library entry point defaults to `None`; the
-    /// CLI turns it on under `target/`).
-    pub cache_path: Option<PathBuf>,
-}
-
 /// Engine counters for `--stats`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Stats {
     /// Files walked.
     pub files: usize,
-    /// Per-file cache hits / misses for this run (both zero when disabled).
-    pub cache_hits: usize,
-    pub cache_misses: usize,
     /// Call-graph size and call-resolution precision ledger.
     pub graph: callgraph::GraphStats,
 }
@@ -115,10 +101,6 @@ impl Stats {
             g.unmatched_method,
             g.unresolved
         ));
-        out.push_str(&format!(
-            "  cache: {} hit(s), {} miss(es)\n",
-            self.cache_hits, self.cache_misses
-        ));
         if let Some(ms) = wall_ms {
             out.push_str(&format!("  wall time: {ms} ms\n"));
         }
@@ -128,28 +110,11 @@ impl Stats {
 
 /// Load `xlint.toml` from `root` (defaults when absent), lint the tree, and
 /// apply the baseline. This is the whole programmatic entry point; the CLI
-/// and the workspace test are thin wrappers over it.
+/// and the workspace test are thin wrappers over it and [`run_with_config`].
 pub fn run_root(root: &Path) -> Result<(Report, Config), String> {
-    let (report, cfg, _) = run_root_opts(root, &RunOptions::default())?;
+    let cfg = config::load(root)?;
+    let (report, _) = run_with_config(root, &cfg)?;
     Ok((report, cfg))
-}
-
-/// [`run_root`] with explicit options, also returning engine stats.
-pub fn run_root_opts(root: &Path, opts: &RunOptions) -> Result<(Report, Config, Stats), String> {
-    let cfg_path = root.join("xlint.toml");
-    let cfg = if cfg_path.is_file() {
-        let text = std::fs::read_to_string(&cfg_path).map_err(|e| e.to_string())?;
-        config::parse(&text).map_err(|e| e.to_string())?
-    } else {
-        Config::default()
-    };
-    let (report, stats) = run_with_config_opts(root, &cfg, opts)?;
-    Ok((report, cfg, stats))
-}
-
-/// Lint the tree under `root` with an explicit config (no cache).
-pub fn run_with_config(root: &Path, cfg: &Config) -> Result<Report, String> {
-    run_with_config_opts(root, cfg, &RunOptions::default()).map(|(r, _)| r)
 }
 
 /// Run the per-file lints plus the cross-file flow pass (X012–X014) over a
@@ -157,109 +122,65 @@ pub fn run_with_config(root: &Path, cfg: &Config) -> Result<Report, String> {
 /// golden fixtures use: the flow lints need multiple virtual files (a
 /// modeled caller plus an out-of-scope dependency) without a tree on disk.
 pub fn lint_flow_files(files: &[(&str, &str)], cfg: &Config) -> Report {
-    let analyzed: Vec<(String, lints::FileAnalysis)> = files
+    let analyzed = files
         .iter()
         .map(|(rel, src)| (rel.to_string(), lints::analyze_file(rel, src, cfg)))
         .collect();
-    let mut report = Report::default();
-    for (_, a) in &analyzed {
-        report.active.extend(a.report.findings.iter().cloned());
-        report.waived.extend(a.report.waived.iter().cloned());
-    }
-    let graph_files: Vec<(String, syntax::FileSyntax)> =
-        analyzed.iter().map(|(rel, a)| (rel.clone(), a.syntax.clone())).collect();
-    let graph = callgraph::build(&graph_files, &std::collections::HashMap::new());
-    let flow_files: Vec<flow::FlowFile> = analyzed
-        .iter()
-        .map(|(rel, a)| flow::FlowFile { rel, lines: &a.lines, syntax: &a.syntax })
-        .collect();
-    let fr = flow::run(&flow_files, &graph, cfg);
-    report.active.extend(fr.findings);
-    report.waived.extend(fr.waived);
+    let (mut report, _) = cross_file(analyzed, &HashMap::new(), cfg);
     report.normalize();
     report
 }
 
-/// Everything computed for one walked file.
-struct PerFile {
-    rel: String,
-    content_hash: u64,
-    report: FileReport,
-    syntax: syntax::FileSyntax,
-    lines: Vec<mask::MaskedLine>,
-    cache_hit: bool,
-}
-
-/// Lint the tree under `root`: parallel per-file pass (cache-accelerated
-/// when enabled), then the cross-file passes — the workspace call graph and
-/// the flow lints X012–X014.
-pub fn run_with_config_opts(
-    root: &Path,
-    cfg: &Config,
-    opts: &RunOptions,
-) -> Result<(Report, Stats), String> {
+/// Lint the tree under `root` with an explicit config: one parallel pass
+/// that reads, lexes, extracts and lints each file once, then the cross-file
+/// passes. Also returns the engine counters behind `--stats`.
+pub fn run_with_config(root: &Path, cfg: &Config) -> Result<(Report, Stats), String> {
     let files = collect_files(root, cfg).map_err(|e| format!("walking {root:?}: {e}"))?;
-    let cfg_hash = cache::config_hash(cfg);
-    let warm = opts.cache_path.as_ref().map(|p| cache::load(p, cfg_hash));
 
-    // Per-file pass: read, hash, mask/lex/extract, and (on cache miss) run
-    // the per-file lints. The rayon shim's ordered collect keeps results in
-    // walk order regardless of worker count.
-    let per: Vec<Result<PerFile, String>> = files
+    // The rayon shim's ordered collect keeps results in walk order
+    // regardless of worker count.
+    let analyzed: Vec<Result<(String, lints::FileAnalysis), String>> = files
         .par_iter()
         .map(|rel| {
             let source = std::fs::read_to_string(root.join(rel))
                 .map_err(|e| format!("reading {rel}: {e}"))?;
-            let content_hash = cache::fnv1a(source.as_bytes());
-            let cached = warm.as_ref().and_then(|c| c.get(rel, content_hash));
-            let (report, syntax, lines, cache_hit) = match cached {
-                Some(report) => {
-                    let (syntax, lines) = lints::structure(rel, &source);
-                    (report, syntax, lines, true)
-                }
-                None => {
-                    let a = lints::analyze_file(rel, &source, cfg);
-                    (a.report, a.syntax, a.lines, false)
-                }
-            };
-            Ok(PerFile { rel: rel.clone(), content_hash, report, syntax, lines, cache_hit })
+            Ok((rel.clone(), lints::analyze_file(rel, &source, cfg)))
         })
         .collect();
-    let per: Vec<PerFile> = per.into_iter().collect::<Result<_, _>>()?;
+    let analyzed: Vec<_> = analyzed.into_iter().collect::<Result<_, _>>()?;
 
-    let mut stats = Stats { files: per.len(), ..Stats::default() };
+    let (mut report, graph) = cross_file(analyzed, &callgraph::workspace_crate_names(root), cfg);
+    apply_baseline(&mut report, cfg);
+    report.normalize();
+    Ok((report, Stats { files: files.len(), graph }))
+}
+
+/// Merge the per-file results in walk order, then run the cross-file passes
+/// over them: the workspace call graph and the flow lints X012–X014.
+fn cross_file(
+    analyzed: Vec<(String, lints::FileAnalysis)>,
+    crate_names: &HashMap<String, String>,
+    cfg: &Config,
+) -> (Report, callgraph::GraphStats) {
     let mut report = Report::default();
-    for p in &per {
-        stats.cache_hits += p.cache_hit as usize;
-        stats.cache_misses += !p.cache_hit as usize;
-        report.active.extend(p.report.findings.iter().cloned());
-        report.waived.extend(p.report.waived.iter().cloned());
+    let mut graph_files = Vec::with_capacity(analyzed.len());
+    let mut views = Vec::with_capacity(analyzed.len());
+    for (rel, a) in analyzed {
+        report.active.extend(a.report.findings);
+        report.waived.extend(a.report.waived);
+        graph_files.push((rel, a.syntax));
+        views.push(a.lines);
     }
-
-    // The workspace call graph + the flow lints (X012/X013/X014).
-    let graph_files: Vec<(String, syntax::FileSyntax)> =
-        per.iter().map(|p| (p.rel.clone(), p.syntax.clone())).collect();
-    let crate_names = callgraph::workspace_crate_names(root);
-    let graph = callgraph::build(&graph_files, &crate_names);
-    stats.graph = graph.stats;
-    let flow_files: Vec<flow::FlowFile> = per
+    let graph = callgraph::build(&graph_files, crate_names);
+    let flow_files: Vec<flow::FlowFile> = graph_files
         .iter()
-        .map(|p| flow::FlowFile { rel: &p.rel, lines: &p.lines, syntax: &p.syntax })
+        .zip(&views)
+        .map(|((rel, syntax), lines)| flow::FlowFile { rel, lines, syntax })
         .collect();
     let fr = flow::run(&flow_files, &graph, cfg);
     report.active.extend(fr.findings);
     report.waived.extend(fr.waived);
-
-    apply_baseline(&mut report, cfg);
-    report.normalize();
-
-    if let Some(path) = &opts.cache_path {
-        let entries: Vec<(String, u64, FileReport)> =
-            per.into_iter().map(|p| (p.rel, p.content_hash, p.report)).collect();
-        // A failed save costs the next run its warm start, nothing else.
-        cache::save(path, cfg_hash, &entries).ok();
-    }
-    Ok((report, stats))
+    (report, graph.stats)
 }
 
 /// Move baseline-covered findings out of `active`, tracking leftover

@@ -3,13 +3,19 @@
 //! Every lint is a repo-specific invariant backing the bit-exact-parallel
 //! guarantee (`tests/parallel_exactness.rs`) or the predicted-vs-measured
 //! discipline of the performance study; DESIGN.md ("Determinism invariants")
-//! documents the why of each. The checks are substring lints over the masked
-//! code view — deliberately simple, tuned to this codebase's idiom, and
-//! paired with an inline waiver syntax for the cases the heuristics get
-//! wrong: `// xlint::allow(X00n): reason`.
+//! documents the why of each. The checks are substring lints over masked
+//! per-line views of the file — deliberately simple, tuned to this
+//! codebase's idiom, and paired with an inline waiver syntax for the cases
+//! the heuristics get wrong: `// xlint::allow(X00n): reason`.
+//!
+//! The views come from the token stream ([`masked_lines`]): one keeps only
+//! the code (string/char literal interiors and comments blanked to spaces),
+//! the other only the comment text. A pattern matched on the code view can
+//! then never fire inside a string literal or a doc comment, and waiver /
+//! `SAFETY:` / `ORDERING:` detection reads the comment view exclusively.
 
 use crate::config::Config;
-use crate::mask::{contains_word, mask, MaskedLine};
+use crate::lexer::{class_runs, lex, CharClass, Token};
 
 /// The lint catalog. X008 and X010 are retired — they compared hand-kept
 /// model-family lists across files, and the list now exists once
@@ -85,11 +91,6 @@ impl Lint {
             Lint::X013 => "X013",
             Lint::X014 => "X014",
         }
-    }
-
-    /// Inverse of [`Lint::id`], for cache deserialization.
-    pub fn from_id(id: &str) -> Option<Lint> {
-        ALL_LINTS.iter().copied().find(|l| l.id() == id)
     }
 
     /// One-line description of the violated invariant.
@@ -222,50 +223,73 @@ pub(crate) fn path_in(rel: &str, prefixes: &[String]) -> bool {
     prefixes.iter().any(|p| rel.starts_with(p.as_str()))
 }
 
-/// Mark the lines that are test code: the whole file when it lives under a
-/// `tests/` directory, plus the brace-spans of `#[cfg(test)]` / `#[test]`
-/// items.
-fn test_lines(rel: &str, lines: &[MaskedLine]) -> Vec<bool> {
-    let mut out = vec![false; lines.len()];
-    if rel.starts_with("tests/") || rel.contains("/tests/") {
-        out.iter_mut().for_each(|b| *b = true);
-        return out;
-    }
-    // Flatten to (line, char) stream for brace matching.
-    for (i, l) in lines.iter().enumerate() {
-        for attr in ["#[cfg(test)]", "#[test]"] {
-            if l.code.contains(attr) {
-                mark_following_brace_span(lines, i, &mut out);
-            }
-        }
-    }
-    out
+/// One source line split into its code part and its comment part. Both
+/// strings preserve column positions (masked spans become spaces).
+#[derive(Debug, Clone)]
+pub struct MaskedLine {
+    /// Code with comments and literal contents blanked.
+    pub code: String,
+    /// Comment text (line + block comments) with everything else blanked.
+    pub comment: String,
 }
 
-/// From the attribute on `start`, find the next `{` and mark every line
-/// through its matching `}` as test code.
-fn mark_following_brace_span(lines: &[MaskedLine], start: usize, out: &mut [bool]) {
-    let mut depth = 0usize;
-    let mut opened = false;
-    for (i, l) in lines.iter().enumerate().skip(start) {
-        for c in l.code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    opened = true;
-                }
-                '}' => depth = depth.saturating_sub(1),
-                _ => {}
+impl MaskedLine {
+    /// True when the line holds no code at all (blank or comment-only) —
+    /// the adjacency rule for justification comments walks over such lines.
+    pub fn is_comment_or_blank(&self) -> bool {
+        self.code.trim().is_empty()
+    }
+}
+
+/// Split `src` into per-line code/comment views under its token stream.
+/// Literal framing (quotes, prefixes, hashes) stays code; a newline splits
+/// both views whatever it sits in, so line numbers always match the source.
+pub fn masked_lines(src: &str, tokens: &[Token]) -> Vec<MaskedLine> {
+    // Blanking keeps columns and line breaks: one space per char.
+    fn blank(view: &mut String, text: &str) {
+        view.extend(text.chars().map(|c| if c == '\n' { '\n' } else { ' ' }));
+    }
+    let mut code = String::with_capacity(src.len());
+    let mut comment = String::with_capacity(src.len());
+    for (text, class) in class_runs(src, tokens) {
+        match class {
+            CharClass::Code => {
+                code.push_str(text);
+                blank(&mut comment, text);
             }
-            if opened && depth == 0 {
-                out[start..=i].iter_mut().for_each(|b| *b = true);
-                return;
+            CharClass::Comment => {
+                blank(&mut code, text);
+                comment.push_str(text);
+            }
+            CharClass::LiteralInterior => {
+                blank(&mut code, text);
+                blank(&mut comment, text);
             }
         }
-        // `#[test]\nfn x() {}` spans a few lines before the first `{`; a
-        // pathological attribute with no following brace marks to EOF.
     }
-    out[start..].iter_mut().for_each(|b| *b = true);
+    code.lines()
+        .zip(comment.lines())
+        .map(|(c, k)| MaskedLine { code: c.to_string(), comment: k.to_string() })
+        .collect()
+}
+
+/// Does `hay` contain `needle` as a standalone word (no identifier chars on
+/// either side)?
+pub fn contains_word(hay: &str, needle: &str) -> bool {
+    let mut start = 0;
+    while let Some(pos) = hay[start..].find(needle) {
+        let at = start + pos;
+        let before_ok = at == 0
+            || !hay[..at].chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_');
+        let after = at + needle.len();
+        let after_ok =
+            !hay[after..].chars().next().is_some_and(|c| c.is_alphanumeric() || c == '_');
+        if before_ok && after_ok {
+            return true;
+        }
+        start = at + needle.len();
+    }
+    false
 }
 
 /// The justification-comment adjacency rule: the marker counts if it appears
@@ -349,19 +373,13 @@ pub fn lint_file(rel: &str, source: &str, cfg: &Config) -> FileReport {
     analyze_file(rel, source, cfg).report
 }
 
-/// Mask + lex + extract only — the inputs the cross-file passes need even
-/// when the per-file lint results come from the cache.
-pub fn structure(rel: &str, source: &str) -> (crate::syntax::FileSyntax, Vec<MaskedLine>) {
-    let lines = mask(source);
-    let tokens = crate::lexer::lex(source);
-    let syntax = crate::syntax::extract(source, &tokens, is_test_file(rel));
-    (syntax, lines)
-}
-
-/// Lint one file and keep the token-level structure for the flow pass.
+/// Lint one file and keep the token-level structure for the flow pass:
+/// lex once, then extract and build the views from that one token stream.
 pub fn analyze_file(rel: &str, source: &str, cfg: &Config) -> FileAnalysis {
-    let (syntax, lines) = structure(rel, source);
-    let tests = test_lines(rel, &lines);
+    let tokens = lex(source);
+    let syntax = crate::syntax::extract(source, &tokens, is_test_file(rel));
+    let lines = masked_lines(source, &tokens);
+    let tests: Vec<bool> = (1..=lines.len()).map(|line| syntax.is_test_line(line)).collect();
     let mut raw_hits: Vec<(Lint, usize)> = Vec::new();
 
     for (i, l) in lines.iter().enumerate() {
@@ -512,6 +530,57 @@ mod tests {
 
     fn cfg() -> Config {
         Config::for_fixtures()
+    }
+
+    fn mask(src: &str) -> Vec<MaskedLine> {
+        masked_lines(src, &lex(src))
+    }
+
+    #[test]
+    fn comments_and_strings_are_separated() {
+        let src = "let x = \"std::thread::spawn\"; // std::sync::mpsc here\nlet y = 1;\n";
+        let m = mask(src);
+        assert!(!m[0].code.contains("spawn"));
+        assert!(!m[0].code.contains("mpsc"));
+        assert!(m[0].comment.contains("mpsc"));
+        assert!(m[1].code.contains("let y"));
+    }
+
+    #[test]
+    fn nested_block_comments_and_raw_strings() {
+        let src = "/* a /* nested */ still */ code();\nlet s = r#\"unsafe \"quoted\"\"#; more();\n";
+        let m = mask(src);
+        assert!(m[0].code.contains("code()"));
+        assert!(m[0].comment.contains("nested"));
+        assert!(!m[1].code.contains("unsafe"));
+        assert!(m[1].code.contains("more()"));
+    }
+
+    #[test]
+    fn char_literals_and_lifetimes() {
+        let src = "fn f<'a>(x: &'a str) -> char { '\"' }\nlet q = 'y';\n";
+        let m = mask(src);
+        // The quote char literal must not open a string state.
+        assert!(m[1].code.contains("let q"));
+        assert!(m[0].code.contains("&'a str"));
+    }
+
+    #[test]
+    fn word_boundaries() {
+        assert!(contains_word("x unsafe {", "unsafe"));
+        assert!(!contains_word("unsafely", "unsafe"));
+        assert!(!contains_word("an_unsafe", "unsafe"));
+        assert!(contains_word("panic!(\"\")", "panic!"));
+    }
+
+    #[test]
+    fn multiline_block_comment_attribution() {
+        let src = "/* SAFETY:\n   spans lines */\nunsafe { work() }\n";
+        let m = mask(src);
+        assert!(m[0].comment.contains("SAFETY:"));
+        assert!(m[0].is_comment_or_blank());
+        assert!(m[1].is_comment_or_blank());
+        assert!(m[2].code.contains("unsafe"));
     }
 
     #[test]

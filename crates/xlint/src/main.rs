@@ -6,16 +6,16 @@
 //! cargo run -p xlint -- --json       # machine-readable output
 //! cargo run -p xlint -- --sarif F    # write a SARIF 2.1.0 log to F
 //! cargo run -p xlint -- --stats      # engine counters + wall time on stderr
-//! cargo run -p xlint -- --no-cache   # skip the incremental cache
 //! cargo run -p xlint -- --root DIR   # lint a different tree
 //! ```
 //!
-//! The incremental cache lives at `<root>/target/xlint-cache.v1` and is
-//! keyed by file content and config hashes — a warm run is finding-identical
-//! to a cold one by construction (`tests/cache.rs` pins this).
+//! Usage: `xlint [--deny] [--json] [--sarif FILE] [--stats] [--root DIR]`.
+//! Every run lints every file; there is no state between runs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: xlint [--deny] [--json] [--sarif FILE] [--stats] [--root DIR]";
 
 fn main() -> ExitCode {
     // The one sanctioned wall-clock read in this crate: the CLI stopwatch
@@ -24,7 +24,6 @@ fn main() -> ExitCode {
     let mut deny = false;
     let mut json = false;
     let mut stats_out = false;
-    let mut no_cache = false;
     let mut sarif_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -33,7 +32,6 @@ fn main() -> ExitCode {
             "--deny" => deny = true,
             "--json" => json = true,
             "--stats" => stats_out = true,
-            "--no-cache" => no_cache = true,
             "--sarif" => match args.next() {
                 Some(p) => sarif_path = Some(PathBuf::from(p)),
                 None => {
@@ -49,14 +47,11 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: xlint [--deny] [--json] [--sarif FILE] [--stats] [--no-cache] \
-                     [--root DIR]"
-                );
+                eprintln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => {
-                eprintln!("xlint: unknown argument `{other}`");
+                eprintln!("xlint: unknown argument `{other}`\n{USAGE}");
                 return ExitCode::from(2);
             }
         }
@@ -65,11 +60,8 @@ fn main() -> ExitCode {
     // manifest's parent-of-parent so the binary also works when invoked from
     // inside a crate directory.
     let root = root.unwrap_or_else(workspace_root);
-    let opts = xlint::RunOptions {
-        cache_path: (!no_cache).then(|| root.join("target").join("xlint-cache.v1")),
-    };
-
-    let (report, _cfg, stats) = match xlint::run_root_opts(&root, &opts) {
+    let run = xlint::config::load(&root).and_then(|cfg| xlint::run_with_config(&root, &cfg));
+    let (report, stats) = match run {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xlint: {e}");

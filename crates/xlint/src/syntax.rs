@@ -25,8 +25,19 @@ pub struct FileSyntax {
     pub uses: Vec<UseDecl>,
     /// Clock-read lines outside any function body (should be rare).
     pub file_clock_lines: Vec<usize>,
+    /// Inclusive 1-based line ranges of test code: each `#[cfg(test)]` /
+    /// `#[test]` item from its attribute through its last token, or the
+    /// whole file when it lives under a `tests/` directory.
+    pub test_spans: Vec<(usize, usize)>,
     /// Token count (stats).
     pub tokens: usize,
+}
+
+impl FileSyntax {
+    /// Is this 1-based line test code? The one definition every lint reads.
+    pub fn is_test_line(&self, line: usize) -> bool {
+        self.test_spans.iter().any(|&(first, last)| first <= line && line <= last)
+    }
 }
 
 /// One function item.
@@ -143,8 +154,8 @@ const CALL_KEYWORDS: &[&str] = &[
     "debug_assert",
 ];
 
-/// Extract the file's structure. `rel_is_test_file` marks every fn as test
-/// (files under `tests/` directories).
+/// Extract the file's structure. `rel_is_test_file` marks the whole file as
+/// test code (files under `tests/` directories).
 pub fn extract(src: &str, tokens: &[Token], rel_is_test_file: bool) -> FileSyntax {
     let mut ex = Extractor {
         src,
@@ -153,14 +164,16 @@ pub fn extract(src: &str, tokens: &[Token], rel_is_test_file: bool) -> FileSynta
         depth: 0,
         mods: Vec::new(),
         impls: Vec::new(),
-        test_depths: Vec::new(),
+        test_until: 0,
         fn_stack: Vec::new(),
         open: Vec::new(),
         seq: 0,
-        pending_test: false,
-        all_test: rel_is_test_file,
         out: FileSyntax { tokens: tokens.len(), ..Default::default() },
     };
+    if rel_is_test_file {
+        ex.test_until = usize::MAX;
+        ex.out.test_spans.push((1, usize::MAX));
+    }
     ex.run();
     ex.out
 }
@@ -188,13 +201,12 @@ struct Extractor<'a> {
     /// `(name, depth at declaration)` — popped when depth returns there.
     mods: Vec<(String, usize)>,
     impls: Vec<(String, usize)>,
-    test_depths: Vec<usize>,
+    /// Tokens before this index belong to a test item (see `attribute`).
+    test_until: usize,
     /// `(fn index in out.fns, depth at declaration)`.
     fn_stack: Vec<(usize, usize)>,
     open: Vec<OpenInterval>,
     seq: u32,
-    pending_test: bool,
-    all_test: bool,
     out: FileSyntax,
 }
 
@@ -228,10 +240,6 @@ impl<'a> Extractor<'a> {
             (Some(a), Some(b)) => a.is_punct(':') && b.is_punct(':') && a.end == b.start,
             _ => false,
         }
-    }
-
-    fn in_test(&self) -> bool {
-        self.all_test || !self.test_depths.is_empty()
     }
 
     fn next_seq(&mut self) -> u32 {
@@ -272,8 +280,10 @@ impl<'a> Extractor<'a> {
         }
     }
 
-    /// `#[…]` — detect test attributes; inner `#![…]` attrs are skipped.
+    /// `#[…]` — a test attribute marks the one item that follows it as test
+    /// code; inner `#![…]` attrs are skipped.
     fn attribute(&mut self) {
+        let attr_line = self.toks[self.i].line;
         let inner = self.sig(1).is_some_and(|t| t.is_punct('!'));
         let open_at = if inner { 2 } else { 1 };
         if !self.sig(open_at).is_some_and(|t| t.is_punct('[')) {
@@ -303,15 +313,38 @@ impl<'a> Extractor<'a> {
             }
             j += 1;
         }
-        // `test` marks test code unless negated (`cfg(not(test))`).
-        if !inner {
-            for (k, id) in idents.iter().enumerate() {
-                if *id == "test" && (k == 0 || idents[k - 1] != "not") {
-                    self.pending_test = true;
-                }
-            }
+        // `test` marks test code unless negated (`cfg(not(test))`); inside a
+        // test item there is nothing left to mark.
+        let is_test = |(k, id): (usize, &&str)| *id == "test" && (k == 0 || idents[k - 1] != "not");
+        if !inner && self.i >= self.test_until && idents.iter().enumerate().any(is_test) {
+            let end = self.item_end(j);
+            self.test_until = end + 1;
+            let last_line = self.toks.get(end).map_or(usize::MAX, |t| t.line);
+            self.out.test_spans.push((attr_line, last_line));
         }
         self.i = j;
+    }
+
+    /// Index of the last token of the item starting at `from`: the first `;`
+    /// outside parens/brackets (a brace-less item such as `use …;` or
+    /// `mod name;`) or the `}` matching the item's first `{`. An item cut
+    /// short by its enclosing block (an attributed field or match arm) ends
+    /// before that block's `}`; an unterminated one runs to EOF.
+    fn item_end(&self, from: usize) -> usize {
+        let (mut nest, mut braces) = (0usize, 0usize);
+        for (j, t) in self.toks.iter().enumerate().skip(from) {
+            match t.kind {
+                TokenKind::Punct('(' | '[') => nest += 1,
+                TokenKind::Punct(')' | ']') => nest = nest.saturating_sub(1),
+                TokenKind::Punct('{') => braces += 1,
+                TokenKind::Punct('}') if braces == 0 => return j - 1,
+                TokenKind::Punct('}') if braces == 1 => return j,
+                TokenKind::Punct('}') => braces -= 1,
+                TokenKind::Punct(';') if braces == 0 && nest == 0 => return j,
+                _ => {}
+            }
+        }
+        self.toks.len()
     }
 
     fn close_brace(&mut self) {
@@ -322,9 +355,6 @@ impl<'a> Extractor<'a> {
         }
         while self.impls.last().is_some_and(|m| m.1 >= nd) {
             self.impls.pop();
-        }
-        while self.test_depths.last().is_some_and(|d| *d >= nd) {
-            self.test_depths.pop();
         }
         let end = self.seq + 1;
         let mut k = 0;
@@ -378,11 +408,7 @@ impl<'a> Extractor<'a> {
                     // Only a body form (`mod x {`) opens a scope.
                     if self.sig(2).is_some_and(|b| b.is_punct('{')) {
                         self.mods.push((name, self.depth));
-                        if self.pending_test {
-                            self.test_depths.push(self.depth);
-                        }
                     }
-                    self.pending_test = false;
                     self.i += 2;
                     return;
                 }
@@ -638,8 +664,6 @@ impl<'a> Extractor<'a> {
     /// `impl …` / `trait …` header: extract the subject type name and open
     /// the context at the body brace.
     fn impl_header(&mut self) {
-        let start_test = self.pending_test;
-        self.pending_test = false;
         let mut j = self.i + 1;
         let mut angle = 0i32;
         let mut after_for: Option<usize> = None;
@@ -704,9 +728,6 @@ impl<'a> Extractor<'a> {
         if !name.is_empty() {
             self.impls.push((name, self.depth));
         }
-        if start_test {
-            self.test_depths.push(self.depth);
-        }
         self.i = body; // main loop opens the brace
     }
 
@@ -730,8 +751,7 @@ impl<'a> Extractor<'a> {
                 _ => j += 1,
             }
         }
-        let is_test = self.pending_test || self.in_test();
-        self.pending_test = false;
+        let is_test = self.i < self.test_until;
         let Some(body) = body else {
             self.i = j + 1;
             return true;
@@ -898,11 +918,17 @@ mod tests {
 
     #[test]
     fn test_code_is_marked() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() {}\n}\n#[cfg(not(test))]\nfn also_lib() {}\n";
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() {}\n}\n#[cfg(not(test))]\nfn also_lib() {}\n#[cfg(test)]\nuse std::fmt::Debug;\n\nfn after_use() {}\n#[cfg(test)]\nconst N: usize = 3;\nfn after_const() {}\n";
         let s = ex(src);
         assert!(!s.fns[0].is_test);
         assert!(s.fns[1].is_test);
         assert!(!s.fns[2].is_test, "cfg(not(test)) is library code");
+        // A test attribute binds to the next item only: the `;` that ends a
+        // brace-less item consumes it.
+        assert!(!s.fns[3].is_test, "cfg(test) on a `use` must not leak onto the next fn");
+        assert!(!s.fns[4].is_test, "cfg(test) on a `const` must not leak onto the next fn");
+        assert_eq!(s.test_spans, vec![(2, 6), (9, 10), (13, 14)]);
+        assert!(s.is_test_line(10) && !s.is_test_line(12) && !s.is_test_line(15));
     }
 
     #[test]

@@ -27,3 +27,19 @@ mod tests {
         let _ = v.expect("tests may panic freely");
     }
 }
+
+// A test attribute binds to the next item only: on a brace-less item
+// (`use …;`, `const …;`) it must not exempt the library fn that follows.
+#[cfg(test)]
+use std::fmt::Debug;
+
+pub fn after_test_use(x: Option<u32>) -> u32 {
+    x.unwrap()
+}
+
+#[cfg(test)]
+const N: usize = 3;
+
+pub fn after_test_const(x: Option<u32>) -> u32 {
+    x.expect("fixture")
+}

@@ -2,9 +2,14 @@
 //! cases for one lint; the full JSON report is pinned in
 //! `fixtures/x00N.expected.json`. Regenerate with
 //! `XLINT_BLESS=1 cargo test -p xlint --test golden` and review the diff.
+//!
+//! The last test pins parallel determinism on the actual binary (the rayon
+//! shim sizes its global pool once per process): `RAYON_NUM_THREADS=1` and
+//! `4` must print identical bytes.
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 use xlint::{lint_file, to_json, Config, Lint, Report};
 
 fn fixture_dir() -> PathBuf {
@@ -89,7 +94,7 @@ fn x005_hashed_containers() {
 
 #[test]
 fn x006_panics_in_library_code() {
-    check("x006", Lint::X006, 3, 1);
+    check("x006", Lint::X006, 5, 1);
 }
 
 #[test]
@@ -248,4 +253,48 @@ fn negatives_do_not_fire() {
             );
         }
     }
+}
+
+/// A small lintable tree in a fresh temp dir: one clean file, one X001
+/// finding, one waiver.
+fn fresh_root(tag: &str) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("xlint-golden-it-{tag}"));
+    fs::remove_dir_all(&root).ok();
+    fs::create_dir_all(root.join("src")).unwrap();
+    fs::write(root.join("xlint.toml"), "[walk]\nroots = [\"src\"]\n").unwrap();
+    fs::write(
+        root.join("src").join("a.rs"),
+        "pub fn spawny() {\n    std::thread::spawn(|| {});\n}\n",
+    )
+    .unwrap();
+    fs::write(
+        root.join("src").join("b.rs"),
+        "pub fn fine() -> u32 {\n    // xlint::allow(X001): fixture waiver\n    std::thread::spawn(|| {});\n    2\n}\n",
+    )
+    .unwrap();
+    fs::write(root.join("src").join("c.rs"), "pub fn quiet() {}\n").unwrap();
+    root
+}
+
+/// `RAYON_NUM_THREADS=1` and `=4` must produce byte-identical reports: the
+/// parallel per-file pass merges in walk order, never in completion order.
+#[test]
+fn thread_count_does_not_change_output() {
+    let root = fresh_root("threads");
+    let run = |threads: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_xlint"))
+            .args(["--json", "--root"])
+            .arg(&root)
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .expect("run xlint binary");
+        assert!(out.status.success(), "xlint exited nonzero: {:?}", out);
+        out.stdout
+    };
+    let single = run("1");
+    let four = run("4");
+    assert!(!single.is_empty());
+    assert_eq!(single, four, "thread count leaked into the report");
+
+    fs::remove_dir_all(&root).ok();
 }
