@@ -221,16 +221,16 @@ const COMPACT_OVERLAY_MIN: usize = 64;
 
 /// The in-memory table: a two-level store tuned for a read-mostly hot path.
 ///
-/// The *base* holds records sorted by key (the `.fst` file order) plus a
-/// probe index of [`TableKey::packed`] keys in **Eytzinger** (BFS heap)
-/// layout: the first cache lines of the index hold the top of the implicit
-/// search tree, so a lookup's first ~8 probes are one or two cache lines and
-/// the branchless descent never mispredicts. The *overlay* is a small sorted
-/// run absorbing online backfill in O(log m + m) without disturbing the
-/// base; once it reaches `COMPACT_OVERLAY_MIN` records and 1/8 of the base
-/// it is folded in and the index rebuilt (amortized O(1) per insert). Key
-/// sets of base and overlay are disjoint; a backfill of an existing base key
-/// updates the record in place.
+/// The *base* holds records sorted by key (the `.fst` file order) plus one
+/// probe index: the [`TableKey::packed`] keys as a dense sorted `u128`
+/// slice, position-for-position with the base, so a search compares one
+/// integer per probe and never touches the wider records. The batch resolve
+/// gallops over it and a point probe binary-searches it. The *overlay* is a
+/// small sorted run absorbing online backfill in O(log m + m) without
+/// disturbing the base; once it reaches `COMPACT_OVERLAY_MIN` records and
+/// 1/8 of the base it is folded in and the index rebuilt (amortized O(1) per
+/// insert). Key sets of base and overlay are disjoint; a backfill of an
+/// existing base key updates the record in place.
 #[derive(Debug, Clone, Default)]
 pub struct FeasTable {
     /// Generation of the fitted models the entries were computed from. A
@@ -238,13 +238,8 @@ pub struct FeasTable {
     /// service drops it wholesale when a refit installs a new generation.
     pub generation: u64,
     base: Vec<TableEntry>,
-    /// Packed base keys in sorted order, position-for-position with `base`
-    /// (the galloping batch-resolve walks this).
+    /// Packed base keys in sorted order, position-for-position with `base`.
     index: Vec<u128>,
-    /// Packed base keys in Eytzinger order, 1-indexed (slot 0 unused).
-    eyt: Vec<u128>,
-    /// Eytzinger slot -> position in `base`.
-    eyt_pos: Vec<u32>,
     /// Sorted-by-key backfill records whose keys are not in `base`.
     overlay: Vec<TableEntry>,
 }
@@ -286,32 +281,10 @@ fn gallop_lower_bound<F: Fn(usize) -> u128>(
     left
 }
 
-/// In-order fill of the Eytzinger arrays from the sorted base: recursing
-/// left-child-first visits slots in ascending key order.
-fn eyt_fill(slot: usize, next: &mut usize, base: &[TableEntry], eyt: &mut [u128], pos: &mut [u32]) {
-    if slot >= eyt.len() {
-        return;
-    }
-    eyt_fill(2 * slot, next, base, eyt, pos);
-    if let Some(e) = base.get(*next) {
-        eyt[slot] = e.key.packed();
-        pos[slot] = *next as u32;
-        *next += 1;
-    }
-    eyt_fill(2 * slot + 1, next, base, eyt, pos);
-}
-
 impl FeasTable {
     /// An empty table for `generation`.
     pub fn new(generation: u64) -> FeasTable {
-        FeasTable {
-            generation,
-            base: Vec::new(),
-            index: Vec::new(),
-            eyt: vec![0],
-            eyt_pos: vec![0],
-            overlay: Vec::new(),
-        }
+        FeasTable { generation, ..FeasTable::default() }
     }
 
     /// Build from unordered records: sorts by key and keeps the *last*
@@ -330,12 +303,7 @@ impl FeasTable {
     }
 
     fn rebuild_index(&mut self) {
-        let n = self.base.len();
         self.index = self.base.iter().map(|e| e.key.packed()).collect();
-        self.eyt = vec![0; n + 1];
-        self.eyt_pos = vec![0; n + 1];
-        let mut next = 0usize;
-        eyt_fill(1, &mut next, &self.base, &mut self.eyt, &mut self.eyt_pos);
     }
 
     /// Fold the overlay into the base and rebuild the probe index.
@@ -385,31 +353,12 @@ impl FeasTable {
         out
     }
 
-    /// Eytzinger exact-match search over the base: the branchless descent
-    /// `slot = 2*slot + (key < needle)` runs a fixed `log2(n)+1` iterations
-    /// (no data-dependent branches to mispredict), then the classic
-    /// ffs-of-complement step recovers the lower-bound slot.
-    #[inline]
-    fn base_find(&self, needle: u128) -> Option<usize> {
-        let n = self.base.len();
-        let mut slot = 1usize;
-        while slot <= n {
-            slot = 2 * slot + usize::from(self.eyt[slot] < needle);
-        }
-        slot >>= slot.trailing_ones() + 1;
-        if slot != 0 && self.eyt[slot] == needle {
-            Some(self.eyt_pos[slot] as usize)
-        } else {
-            None
-        }
-    }
-
-    /// O(log n) point lookup: an Eytzinger probe of the base, then (only if
-    /// backfill has happened since the last compaction) a binary search of
-    /// the small overlay.
+    /// O(log n) point lookup: a binary search of the base index, then (only
+    /// if backfill has happened since the last compaction) one of the small
+    /// overlay.
     pub fn lookup(&self, key: &TableKey) -> Option<&TableEntry> {
         let packed = key.packed();
-        if let Some(i) = self.base_find(packed) {
+        if let Ok(i) = self.index.binary_search(&packed) {
             return self.base.get(i);
         }
         if self.overlay.is_empty() {
@@ -465,7 +414,7 @@ impl FeasTable {
     /// folds a grown overlay into the base, amortized O(1) per insert.
     pub fn insert(&mut self, entry: TableEntry) {
         let packed = entry.key.packed();
-        if let Some(i) = self.base_find(packed) {
+        if let Ok(i) = self.index.binary_search(&packed) {
             self.base[i] = entry;
             return;
         }

@@ -19,7 +19,6 @@
 //! 6. [`extensions`] implements the Chapter VI future directions: a slicing
 //!    performance model and the adaptive in situ planning layer.
 
-pub mod autogather;
 pub mod batch;
 pub mod crossval;
 pub mod extensions;

@@ -22,8 +22,9 @@
 //! * **Backpressure** — queue depth drives [`sched::QueuePressure`] (the
 //!   admission ladder): speculative queries shed first, normal next,
 //!   `must-render` never — it preempts the queue instead ([`sched::Priority`]).
-//! * **Blocking** — only [`wait`] may block, and only with a timeout; the
-//!   X009 lint holds the rest of the crate to that.
+//! * **Blocking** — nothing blocks: [`serve`], the `feasd` binary and
+//!   [`simulate`] are synchronous submit-then-pump loops, and the X009 lint
+//!   bans a bare `.recv()` anywhere in the crate.
 
 pub mod cache;
 pub mod measure;
@@ -31,7 +32,6 @@ pub mod queue;
 pub mod service;
 pub mod simloop;
 pub mod traffic;
-pub mod wait;
 pub mod wire;
 
 pub use cache::{InstallError, ModelCache, ModelSnapshot};

@@ -12,7 +12,6 @@
 
 use crate::cache::{InstallError, ModelCache, ModelSnapshot};
 use crate::queue::{Pending, PriorityQueue};
-use crate::wait::WorkSignal;
 use perfmodel::batch::{predict_batch, FramePrediction};
 use perfmodel::feasibility::MIN_PREDICTED_SECONDS;
 use perfmodel::fstable::{precompute, DeviceClass, FeasTable, Lattice, TableEntry, TableKey};
@@ -21,7 +20,6 @@ use perfmodel::sample::RendererKind;
 use sched::{Priority, QueuePressure};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, RwLock};
-use std::time::Duration;
 
 /// Opaque handle pairing a submission with its answer.
 pub type Ticket = u64;
@@ -196,15 +194,16 @@ struct Admission {
     stats: StatsSnapshot,
 }
 
-/// The service. Thread-safe: any number of submitters and pumpers may run
-/// concurrently; see the crate docs for the locking story.
+/// The service. Thread-safe: any number of submitters, pumpers and model
+/// installers may run concurrently. Three locks, never held two at a time:
+/// `admission`, the table's `RwLock` (one read per batch, a write to
+/// backfill or to swap in a rebuilt table) and the model cache's `Arc` swap.
 #[derive(Debug)]
 pub struct Feasd {
     cfg: FeasdConfig,
     models: ModelCache,
     table: RwLock<FeasTable>,
     admission: Mutex<Admission>,
-    work: WorkSignal,
 }
 
 fn lock_admission<'a>(m: &'a Mutex<Admission>) -> MutexGuard<'a, Admission> {
@@ -233,7 +232,6 @@ impl Feasd {
             }),
             models,
             table,
-            work: WorkSignal::new(),
             cfg,
         }
     }
@@ -312,21 +310,7 @@ impl Feasd {
         adm.next_ticket += 1;
         adm.stats.submitted += 1;
         adm.queue.push(Pending { ticket, query });
-        drop(adm);
-        self.work.notify();
         Ok(ticket)
-    }
-
-    /// Park the calling worker until work may be available or `timeout`
-    /// elapses (the bounded wait X009 demands). `seen` is a previous
-    /// [`Feasd::work_epoch`] observation.
-    pub fn wait_for_work(&self, seen: u64, timeout: Duration) -> u64 {
-        self.work.wait_timeout(seen, timeout)
-    }
-
-    /// Wake-counter observation to pair with [`Feasd::wait_for_work`].
-    pub fn work_epoch(&self) -> u64 {
-        self.work.epoch()
     }
 
     /// Drain up to `batch_max` queries (priority order) and answer them:

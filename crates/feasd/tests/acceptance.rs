@@ -6,8 +6,10 @@
 //! speculative before normal and never `must-render`, refits swap
 //! generations atomically, the `repro feasd` metrics are bit-deterministic
 //! under a fixed seed (no shedding for uniform load within capacity,
-//! strictly positive shedding under bursty overload), and the wall-clock
-//! hot path wins by >= 10x over cold model evaluation.
+//! strictly positive shedding under bursty overload), the wall-clock
+//! hot path wins by >= 10x over cold model evaluation, and concurrent
+//! submitters, a pumper and a model installer never lose or duplicate an
+//! answer, nor compute one from two fits.
 
 use feasd::measure::measure_hit_vs_miss;
 use feasd::{
@@ -17,7 +19,10 @@ use feasd::{
 use perfmodel::mapping::{MappingConstants, RenderConfig};
 use perfmodel::models::Family;
 use perfmodel::sample::RendererKind;
-use sched::demo::ground_truth;
+use sched::demo::{ground_truth, scale_model_set};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 fn serial_cfg() -> FeasdConfig {
     FeasdConfig { pool: dpp::Device::Serial, ..FeasdConfig::default() }
@@ -276,4 +281,124 @@ fn wall_clock_table_hit_is_at_least_ten_times_faster_than_cold_eval() {
         }
     }
     assert!(best >= 10.0, "table hit must beat cold model eval by >= 10x (got {best:.1}x)");
+}
+
+/// The locks that stay, exercised: `Feasd` documents that any number of
+/// submitters and pumpers may run concurrently with model installs. Four
+/// submitters, one pumper and one installer share a service; afterwards
+/// every admitted ticket has exactly one answer, and every answer was
+/// computed from exactly the model generation it is stamped with.
+#[test]
+fn concurrent_submit_pump_and_install_answer_every_ticket_once_from_one_generation() {
+    const SUBMITTERS: u64 = 4;
+    const PER_SUBMITTER: usize = 1500;
+    const INSTALLS: u64 = 4;
+    let total = SUBMITTERS as usize * PER_SUBMITTER;
+    let k = MappingConstants::default();
+    // Generation g was fitted as ground truth scaled by 1 + 0.01 (g - 1).
+    let set_of =
+        |generation: u64| scale_model_set(&ground_truth(), 1.0 + 0.01 * (generation - 1) as f64);
+    // The default pool, so misses evaluate on the (possibly oversubscribed)
+    // global rayon pool; a queue budget nothing here can exceed, so the
+    // oracle is about locking, not shedding.
+    let cfg = FeasdConfig { queue_budget: total, ..FeasdConfig::default() };
+    let lattice = cfg.lattice.clone();
+    let service = Feasd::new(set_of(1), k, cfg);
+    let submitting = AtomicBool::new(true);
+    // All six threads leave the gate together, so the installs land while
+    // queries are in flight rather than before or after them.
+    let gate = Barrier::new(SUBMITTERS as usize + 2);
+
+    let (asked, mut answers) = crossbeam::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|seed| {
+                let (service, lattice, gate) = (&service, &lattice, &gate);
+                scope.spawn(move |_| {
+                    let queries =
+                        generate(&TrafficConfig::uniform(PER_SUBMITTER, seed, 1e4), lattice);
+                    gate.wait();
+                    queries
+                        .into_iter()
+                        .map(|e| {
+                            (service.submit(e.query).expect("within the queue budget"), e.query)
+                        })
+                        .collect::<Vec<(u64, Query)>>()
+                })
+            })
+            .collect();
+        let pumper = scope.spawn(|_| {
+            let mut got = Vec::new();
+            gate.wait();
+            // ORDERING: Acquire — pairs with the Release store below; the
+            // flag only ends the loop, leftovers are drained after the scope.
+            while submitting.load(Ordering::Acquire) {
+                got.extend(service.pump());
+            }
+            got
+        });
+        let installer = scope.spawn(|_| {
+            gate.wait();
+            for generation in 2..=1 + INSTALLS {
+                let installed = service.install_models(set_of(generation), k).expect("plausible");
+                assert_eq!(installed, generation);
+            }
+        });
+        let asked: Vec<(u64, Query)> =
+            submitters.into_iter().flat_map(|h| h.join().expect("submitter")).collect();
+        installer.join().expect("installer");
+        // ORDERING: Release — everything submitted happens-before the
+        // pumper's exit.
+        submitting.store(false, Ordering::Release);
+        (asked, pumper.join().expect("pumper"))
+    })
+    .expect("scope");
+
+    // Whatever the pumper's last round missed, in a bounded drain.
+    for _ in 0..=total {
+        let batch = service.pump();
+        if batch.is_empty() {
+            break;
+        }
+        answers.extend(batch);
+    }
+
+    let stats = service.stats();
+    assert_eq!(stats.submitted, total as u64);
+    assert_eq!(stats.answered, stats.submitted);
+    assert_eq!(stats.shed, 0);
+    assert_eq!(service.depth(), 0);
+    assert_eq!(service.generation(), 1 + INSTALLS);
+
+    let asked: BTreeMap<u64, Query> = asked.into_iter().collect();
+    assert_eq!(asked.len(), total, "tickets are unique");
+    let mut answered: Vec<u64> = answers.iter().map(|(t, _)| *t).collect();
+    answered.sort_unstable();
+    assert!(
+        answered.iter().eq(asked.keys()),
+        "every admitted ticket is answered exactly once ({} answers)",
+        answered.len()
+    );
+
+    let sets: Vec<_> = (1..=1 + INSTALLS).map(set_of).collect();
+    for (ticket, a) in &answers {
+        let set = sets.get(a.generation as usize - 1).expect("a generation that was installed");
+        let (cells_per_task, tasks) = match asked[ticket].ask {
+            Ask::Feasibility { config, .. } => (config.cells_per_task, config.tasks),
+            Ask::Plan { cells_per_task, tasks, .. } => (cells_per_task, tasks),
+        };
+        // The answer echoes the (renderer, side) it priced.
+        let side = a.image_side as usize;
+        let priced =
+            RenderConfig { renderer: a.renderer, cells_per_task, pixels: side * side, tasks };
+        assert_eq!(
+            (a.per_frame_s.to_bits(), a.build_s.to_bits()),
+            (
+                set.predict_frame_seconds(&priced, &k).to_bits(),
+                set.predict_build_seconds(&priced, &k).to_bits()
+            ),
+            "ticket {ticket} ({:?}, stamped generation {}) mixes two fits",
+            a.source,
+            a.generation
+        );
+    }
 }

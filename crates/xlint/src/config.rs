@@ -99,7 +99,7 @@ impl Default for Config {
             .collect(),
             x007_timing_modules: Vec::new(),
             x009_service: vec!["crates/feasd/src/".to_string()],
-            x009_wait_modules: vec!["crates/feasd/src/wait.rs".to_string()],
+            x009_wait_modules: Vec::new(),
             x011_pinned: [
                 "crates/mesh/",
                 "crates/render/",

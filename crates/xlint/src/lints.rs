@@ -121,7 +121,7 @@ impl Lint {
             Lint::X000 => "write `// xlint::allow(X00n): <reason>` — the reason is mandatory",
             Lint::X001 => {
                 "use the crossbeam shim's scoped threads or the rayon shim's pool so the \
-                 parallel-exactness guarantees apply; channels go through crossbeam::channel"
+                 parallel-exactness guarantees apply"
             }
             Lint::X002 => "state the invariant that makes this sound in a `// SAFETY:` comment",
             Lint::X003 => {
@@ -143,9 +143,9 @@ impl Lint {
                  [x007].timing_modules in xlint.toml if it IS measurement code"
             }
             Lint::X009 => {
-                "a recv() with no timeout can block the service loop forever: wait through \
-                 the designated wait module (e.g. WorkSignal::wait_timeout) or add the module \
-                 to [x009].wait_modules in xlint.toml if it IS the wait discipline"
+                "a recv() with no timeout can block the service loop forever: use a bounded \
+                 wait (Condvar::wait_timeout) in a designated wait module listed under \
+                 [x009].wait_modules in xlint.toml"
             }
             Lint::X011 => {
                 "partitions that feed pinned pixels must come from the deterministic \

@@ -738,18 +738,24 @@ impl<'a> Extractor<'a> {
             return false;
         };
         let name = self.text(&name_tok).to_string();
-        // Find the body `{` (or `;` for a bodiless trait method).
+        // Find the body `{` (or `;` for a bodiless trait method). Neither
+        // counts inside `(...)` / `[...]`: `dims: [usize; 3]` and
+        // `-> [f32; 4]` carry a `;`, a const-block length a `{`.
         let mut j = self.i + 2;
+        let mut nest = 0i32;
         let mut body = None;
         while j < self.toks.len() {
             match self.toks[j].kind {
-                TokenKind::Punct('{') => {
+                TokenKind::Punct('(' | '[') => nest += 1,
+                TokenKind::Punct(')' | ']') => nest -= 1,
+                TokenKind::Punct('{') if nest <= 0 => {
                     body = Some(j);
                     break;
                 }
-                TokenKind::Punct(';') => break,
-                _ => j += 1,
+                TokenKind::Punct(';') if nest <= 0 => break,
+                _ => {}
             }
+            j += 1;
         }
         let is_test = self.i < self.test_until;
         let Some(body) = body else {
@@ -868,9 +874,13 @@ mod tests {
 
     #[test]
     fn fns_with_impl_and_mod_context() {
-        let src = "mod a {\n  struct S;\n  impl S {\n    fn m(&self) { helper(); }\n  }\n  fn helper() {}\n}\n";
+        // The last fn's signature carries `;` (array types) and a `{` (a
+        // const-block length) before its body; neither ends the item.
+        let src = "mod a {\n  struct S;\n  impl S {\n    fn m(&self) { helper(); }\n  }\n  fn helper() {}\n}\nfn f(a: [u8; 4], b: [u8; { N }]) -> [f32; 4] { g() }\n";
         let s = ex(src);
-        assert_eq!(s.fns.len(), 2);
+        assert_eq!(s.fns.len(), 3);
+        assert_eq!(s.fns[2].name, "f");
+        assert_eq!(s.fns[2].calls[0].path, vec!["g".to_string()]);
         assert_eq!(s.fns[0].name, "m");
         assert_eq!(s.fns[0].impl_type.as_deref(), Some("S"));
         assert_eq!(s.fns[0].mods, vec!["a".to_string()]);

@@ -196,6 +196,15 @@ fn x012_clock_taint_through_alias_launder() {
 }
 
 #[test]
+fn x012_sees_into_a_function_with_an_array_type_in_its_signature() {
+    // `stamp(dims: [usize; 3]) -> [f64; 2]` has two `;` before its body. It
+    // must still be an item with a body, or the call graph has no `stamp`
+    // and its caller `frame` looks clock-free.
+    let report = run_flow_fixture(&["x012_array_sig.rs"], &Config::for_fixtures());
+    check_flow("x012_array_sig", &report, Lint::X012, 1, 0);
+}
+
+#[test]
 fn x013_lock_order_cycle() {
     let report = run_flow_fixture(&["x013.rs"], &Config::for_fixtures());
     check_flow("x013", &report, Lint::X013, 1, 1);

@@ -1,14 +1,15 @@
-//! Sort-last distributed rendering over the simulated MPI runtime: four
+//! Sort-last distributed rendering over the simulated interconnect: four
 //! ranks each own a spatial sub-domain, render it locally with the DPP ray
-//! tracer, and the images are composited — once with threaded message
-//! passing (gather + ordered merge) and once with the lockstep radix-k
-//! algorithm — producing identical pictures.
+//! tracer, and the images are composited — once by the serial reference
+//! (ordered merge of every rank image) and once with the lockstep radix-k
+//! algorithm, which also reports bytes moved and simulated seconds —
+//! producing identical pictures.
 
 use compositing::{radix_k, reference, CompositeMode, RankImage};
 use dpp::Device;
 use mesh::datasets::{field_grid, FieldKind};
 use mesh::isosurface::isosurface;
-use mpirt::{NetModel, World};
+use mpirt::NetModel;
 use render::raytrace::{RayTracer, RtConfig, TriGeometry};
 use strawman::api::{from_rank_image, to_rank_image};
 use vecmath::{Aabb, Camera, Vec3};
@@ -51,37 +52,12 @@ fn main() {
     let bounds = Aabb::from_corners(Vec3::splat(-3.2), Vec3::splat(3.2));
     let camera = Camera::close_view(&bounds);
 
-    // --- Path 1: threaded ranks + gather-to-root compositing. ---
-    let t0 = std::time::Instant::now();
-    let frames: Vec<Option<RankImage>> = World::run(RANKS, NetModel::cluster(), |comm| {
-        let img = render_rank(comm.rank(), &camera);
-        // Ship the full image to root as raw f32s (color + depth).
-        let mut payload: Vec<f32> = Vec::with_capacity(img.num_pixels() * 5);
-        for (c, d) in img.color.iter().zip(img.depth.iter()) {
-            payload.extend_from_slice(&[c.r, c.g, c.b, c.a, *d]);
-        }
-        if comm.rank() == 0 {
-            let mut images = vec![img];
-            for src in 1..comm.size() {
-                let raw = comm.recv_f32s(src, 42);
-                let mut other = RankImage::empty(SIDE, SIDE);
-                for (i, chunk) in raw.chunks_exact(5).enumerate() {
-                    other.color[i] = vecmath::Color::new(chunk[0], chunk[1], chunk[2], chunk[3]);
-                    other.depth[i] = chunk[4];
-                }
-                images.push(other);
-            }
-            Some(reference(&images, CompositeMode::ZBuffer))
-        } else {
-            comm.send_f32s(0, 42, &payload);
-            None
-        }
-    });
-    let via_comm = frames[0].clone().expect("root image");
-    println!("threaded gather compositing: {:.2} s wall", t0.elapsed().as_secs_f64());
+    let images: Vec<RankImage> = (0..RANKS).map(|r| render_rank(r, &camera)).collect();
+
+    // --- Path 1: the serial reference, every rank image merged in order. ---
+    let via_reference = reference(&images, CompositeMode::ZBuffer);
 
     // --- Path 2: lockstep radix-k over the same rank images. ---
-    let images: Vec<RankImage> = (0..RANKS).map(|r| render_rank(r, &camera)).collect();
     let (via_radix, stats) = radix_k(
         &images,
         CompositeMode::ZBuffer,
@@ -93,7 +69,7 @@ fn main() {
         stats.rounds, stats.total_bytes, stats.simulated_seconds
     );
 
-    let diff = via_comm.max_color_diff(&via_radix);
+    let diff = via_reference.max_color_diff(&via_radix);
     println!("max per-channel difference between the two paths: {diff:.2e}");
     assert!(diff < 1e-5, "compositing paths disagree");
 

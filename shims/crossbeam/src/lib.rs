@@ -1,17 +1,11 @@
 //! Minimal offline stand-in for the `crossbeam` crate.
 //!
-//! Two slices of the real crate are provided:
-//!
-//! - `crossbeam::channel::{unbounded, Sender, Receiver}` — the slice `mpirt`
-//!   uses. Unlike `std::sync::mpsc`, both endpoints are `Sync` (crossbeam
-//!   channels are MPMC), which `mpirt::World` relies on when sharing `&Comm`
-//!   across scoped rank threads. Backed by a mutex-protected `VecDeque` plus
-//!   a condvar; fine for the simulated-MPI message volumes.
-//! - `crossbeam::thread::scope` — scoped threads with the crossbeam
-//!   signature (the spawn closure receives the scope, so spawned threads can
-//!   spawn siblings, and `scope` returns `thread::Result` instead of
-//!   propagating child panics). The `rayon` shim's worker pools are built on
-//!   this.
+//! One slice of the real crate is provided: `crossbeam::thread::scope` —
+//! scoped threads with the crossbeam signature (the spawn closure receives
+//! the scope, so spawned threads can spawn siblings, and `scope` returns
+//! `thread::Result` instead of propagating child panics). It is the one
+//! door every thread in the workspace goes through (xlint X001): the `rayon`
+//! shim's worker pools and Kripke's scoped sweeps are built on it.
 
 /// Scoped threads in the crossbeam style, layered over `std::thread::scope`.
 pub mod thread {
@@ -66,118 +60,8 @@ pub mod thread {
     }
 }
 
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct State<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-    }
-
-    struct Inner<T> {
-        state: Mutex<State<T>>,
-        ready: Condvar,
-    }
-
-    pub struct Sender<T>(Arc<Inner<T>>);
-    pub struct Receiver<T>(Arc<Inner<T>>);
-
-    /// Error returned when sending on a channel with no live receiver.
-    pub struct SendError<T>(pub T);
-
-    /// Error returned when receiving on a channel whose senders are all gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl<T> fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State { queue: VecDeque::new(), senders: 1 }),
-            ready: Condvar::new(),
-        });
-        (Sender(inner.clone()), Receiver(inner))
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Sender<T> {
-            self.0.state.lock().unwrap().senders += 1;
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut st = self.0.state.lock().unwrap();
-            st.senders -= 1;
-            if st.senders == 0 {
-                drop(st);
-                self.0.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Sender<T> {
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            // The receiver half is never dropped before the senders in this
-            // workspace (both live inside `Comm`), so a send always succeeds.
-            self.0.state.lock().unwrap().queue.push_back(value);
-            self.0.ready.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Block until a message arrives or every sender has been dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut st = self.0.state.lock().unwrap();
-            loop {
-                if let Some(v) = st.queue.pop_front() {
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvError);
-                }
-                st = self.0.ready.wait(st).unwrap();
-            }
-        }
-
-        pub fn try_recv(&self) -> Option<T> {
-            self.0.state.lock().unwrap().queue.pop_front()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::channel::unbounded;
-
-    #[test]
-    fn fifo_round_trip() {
-        let (tx, rx) = unbounded();
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(rx.recv().unwrap(), 2);
-    }
-
-    #[test]
-    fn recv_errors_after_all_senders_drop() {
-        let (tx, rx) = unbounded::<u8>();
-        let tx2 = tx.clone();
-        tx2.send(9).unwrap();
-        drop(tx);
-        drop(tx2);
-        assert_eq!(rx.recv().unwrap(), 9);
-        assert!(rx.recv().is_err());
-    }
-
     #[test]
     fn scoped_threads_borrow_and_nest() {
         let data = [1u32, 2, 3];
@@ -200,14 +84,5 @@ mod tests {
             s.spawn(|_| panic!("child panic"));
         });
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn cross_thread_blocking_recv() {
-        let (tx, rx) = unbounded();
-        let handle = std::thread::spawn(move || rx.recv().unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        tx.send(42u32).unwrap();
-        assert_eq!(handle.join().unwrap(), 42);
     }
 }

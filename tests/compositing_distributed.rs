@@ -9,7 +9,7 @@ use compositing::{
 use dpp::Device;
 use mesh::datasets::{field_grid, FieldKind};
 use mesh::isosurface::isosurface;
-use mpirt::{NetModel, World};
+use mpirt::NetModel;
 use render::raytrace::{RayTracer, RtConfig, TriGeometry};
 use strawman::api::to_rank_image;
 use vecmath::Camera;
@@ -92,20 +92,6 @@ fn distributed_render_equals_single_rank_render() {
             .count();
         let frac = diff_pixels as f64 / truth.num_pixels() as f64;
         assert!(frac < 0.01, "{name}: {diff_pixels} differing pixels ({frac:.3})");
-    }
-}
-
-#[test]
-fn threaded_world_produces_same_images_as_direct_calls() {
-    let ranks = 3;
-    let cam = whole_scene_camera();
-    let direct: Vec<RankImage> =
-        (0..ranks).map(|r| render_mesh(&rank_mesh(r, ranks), &cam)).collect();
-    let via_world: Vec<RankImage> = World::run(ranks, NetModel::zero(), |comm| {
-        render_mesh(&rank_mesh(comm.rank(), ranks), &cam)
-    });
-    for (a, b) in direct.iter().zip(via_world.iter()) {
-        assert!(a.max_color_diff(b) < 1e-6);
     }
 }
 
