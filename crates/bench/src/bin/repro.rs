@@ -1,10 +1,9 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! cargo run -p bench-harness --release --bin repro -- <id> [--full]
-//!   <id>:  table1..table17 | fig4 fig5 fig6 fig7 fig11..fig15
-//!          | ablations | compression | dfb | sched | feasd | graph | rebalance
-//!          | scaling | all
+//! cargo run -p bench-harness --release --bin repro -- <id>... [--full]
+//!   <id>:  an id of `EXPERIMENTS` (run with no argument to list them)
+//!          | images | all (every `EXPERIMENTS` row, in table order)
 //!   --full: paper-shaped sizes (minutes-to-hours); default is quick scale
 //! ```
 //!
@@ -16,41 +15,46 @@ use baselines::tuned::Profile;
 use bench_harness::{figures, tables, write_artifact, Scale, TextTable};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-const ALL: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "table8",
-    "table9",
-    "table10",
-    "table11",
-    "table12",
-    "table13",
-    "table14",
-    "table15",
-    "table16",
-    "table17",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "ablations",
-    "compression",
-    "dfb",
-    "sched",
-    "feasd",
-    "graph",
-    "rebalance",
-    "scaling",
+/// One experiment: renders its table at the requested scale.
+type Experiment = fn(Scale) -> TextTable;
+
+/// The one list of experiment ids: `all`, the usage line and the dispatch in
+/// [`run`] all read it.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table1", |s| tables::table_rt_fps(s, false)),
+    ("table2", |s| tables::table_rt_fps(s, true)),
+    ("table3", |s| tables::table_rays_comparison(s, Profile::Optix)),
+    ("table4", |s| tables::table_rays_comparison(s, Profile::Embree)),
+    ("table5", tables::table5),
+    ("table6", tables::table6),
+    ("table7", tables::table7),
+    ("table8", tables::table8),
+    ("table9", tables::table9),
+    ("table10", |_| tables::table10()),
+    ("table11", tables::table11),
+    ("table12", tables::table12),
+    ("table13", tables::table13),
+    ("table14", tables::table14),
+    ("table15", tables::table15),
+    ("table16", tables::table16),
+    ("table17", tables::table17),
+    ("fig4", |s| figures::fig_phase_sweep(s, false)),
+    ("fig5", |s| figures::fig_phase_sweep(s, true)),
+    ("fig6", figures::fig6),
+    ("fig7", figures::fig7),
+    ("fig11", figures::fig11),
+    ("fig12", figures::fig12),
+    ("fig13", figures::fig13),
+    ("fig14", figures::fig14),
+    ("fig15", figures::fig15),
+    ("ablations", tables::ablations),
+    ("compression", tables::compression),
+    ("dfb", tables::dfb),
+    ("sched", tables::sched_demo),
+    ("feasd", tables::feasd_demo),
+    ("graph", tables::graph_demo),
+    ("rebalance", tables::rebalance),
+    ("scaling", tables::scaling),
 ];
 
 fn main() {
@@ -58,9 +62,8 @@ fn main() {
     let scale = if args.iter().any(|a| a == "--full") { Scale::Full } else { Scale::Quick };
     let ids: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();
     if ids.is_empty() {
-        eprintln!(
-            "usage: repro <table1..table17|fig4..fig15|ablations|compression|dfb|sched|feasd|graph|rebalance|scaling|images|all> [--full]"
-        );
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+        eprintln!("usage: repro <{}|images|all> [--full]", ids.join("|"));
         std::process::exit(2);
     }
     let mut failures = Vec::new();
@@ -79,7 +82,7 @@ fn main() {
             continue;
         }
         if id == "all" {
-            for t in ALL {
+            for &(t, _) in EXPERIMENTS {
                 if catch_unwind(AssertUnwindSafe(|| run(t, scale))).is_err() {
                     failures.push(t);
                 }
@@ -96,46 +99,11 @@ fn main() {
 
 fn run(id: &str, scale: Scale) {
     let t0 = std::time::Instant::now();
-    let table: TextTable = match id {
-        "table1" => tables::table_rt_fps(scale, false),
-        "table2" => tables::table_rt_fps(scale, true),
-        "table3" => tables::table_rays_comparison(scale, Profile::Optix),
-        "table4" => tables::table_rays_comparison(scale, Profile::Embree),
-        "table5" => tables::table5(scale),
-        "table6" => tables::table6(scale),
-        "table7" => tables::table7(scale),
-        "table8" => tables::table8(scale),
-        "table9" => tables::table9(scale),
-        "table10" => tables::table10(),
-        "table11" => tables::table11(scale),
-        "table12" => tables::table12(scale),
-        "table13" => tables::table13(scale),
-        "table14" => tables::table14(scale),
-        "table15" => tables::table15(scale),
-        "table16" => tables::table16(scale),
-        "table17" => tables::table17(scale),
-        "ablations" => tables::ablations(scale),
-        "compression" => tables::compression(scale),
-        "dfb" => tables::dfb(scale),
-        "sched" => tables::sched_demo(scale),
-        "feasd" => tables::feasd_demo(scale),
-        "graph" => tables::graph_demo(scale),
-        "rebalance" => tables::rebalance(scale),
-        "scaling" => tables::scaling(scale),
-        "fig4" => figures::fig_phase_sweep(scale, false),
-        "fig5" => figures::fig_phase_sweep(scale, true),
-        "fig6" => figures::fig6(scale),
-        "fig7" => figures::fig7(scale),
-        "fig11" => figures::fig11(scale),
-        "fig12" => figures::fig12(scale),
-        "fig13" => figures::fig13(scale),
-        "fig14" => figures::fig14(scale),
-        "fig15" => figures::fig15(scale),
-        other => {
-            eprintln!("unknown experiment id: {other}");
-            std::process::exit(2);
-        }
+    let Some(&(_, experiment)) = EXPERIMENTS.iter().find(|&&(e, _)| e == id) else {
+        eprintln!("unknown experiment id: {id}");
+        std::process::exit(2);
     };
+    let table = experiment(scale);
     println!("{}", table.render());
     write_artifact(&format!("{id}.csv"), &table.to_csv());
     println!("[{id} done in {:.1}s]\n", t0.elapsed().as_secs_f64());

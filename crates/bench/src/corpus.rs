@@ -109,9 +109,9 @@ impl Corpus {
     /// samples for, each on the samples of its [`Feed`]. A corpus with only
     /// one exchange kind (e.g. loaded from legacy artifacts) degrades
     /// gracefully: the required dense model falls back to all compositing
-    /// samples and the other wires stay absent. Per-pass and per-LOD-level
-    /// models come from live timings, not the offline corpus; the online
-    /// refit installs them at run time.
+    /// samples and the other wires stay absent. Per-pass models come from
+    /// live timings, not the offline corpus; the online refit installs them
+    /// at run time.
     pub fn fit_models(&self, device: &str) -> ModelSet {
         let render = |kind| {
             let of_kind = move |s: &&RenderSample| s.device == device && s.renderer == kind;
@@ -130,7 +130,7 @@ impl Corpus {
                         own
                     }
                 }
-                Feed::Pass(_) | Feed::Lod(_) => Vec::new(),
+                Feed::Pass(_) => Vec::new(),
             };
             (row.required || !fed.is_empty()).then(|| row.family.fit(fed))
         });

@@ -1519,12 +1519,7 @@ pub fn graph_demo(scale: Scale) -> TextTable {
     let ao_units = full.record("ambient_occlusion").map_or(0.0, |r| r.work_units as f64);
     let shadow_units = full.record("shadows").map_or(0.0, |r| r.work_units as f64);
 
-    let work = sched::passes::PassWork {
-        ao_units,
-        shadow_units,
-        build_seconds,
-        cells: geom.num_tris() as f64,
-    };
+    let work = sched::passes::PassWork { ao_units, shadow_units, build_seconds };
     let pass_pred: Vec<f64> =
         PASS_LADDER.iter().map(|r| r.predicted_seconds(&set, frame_seconds, &work)).collect();
     // A budget the pass ladder can hold at full resolution (just above the

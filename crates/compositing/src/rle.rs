@@ -233,11 +233,6 @@ impl SpanImage {
         self.color.len()
     }
 
-    /// Run pairs in the compressed representation.
-    pub fn num_runs(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Bytes this fragment costs on the wire: the compressed encoding
     /// (header + runs + active payloads), or the dense size when run
     /// structure would inflate past it (IceT's raw fallback).
@@ -395,7 +390,6 @@ mod tests {
         let span = SpanImage::encode(&img);
         assert_eq!(span.num_pixels(), 6);
         assert_eq!(span.active_pixels(), 3);
-        assert_eq!(span.num_runs(), 2);
         assert_images_equal(&span.decode(), &img);
     }
 

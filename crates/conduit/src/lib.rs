@@ -176,13 +176,6 @@ impl Node {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Node::Leaf(Value::Bool(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
     pub fn as_f32s(&self) -> Option<&[f32]> {
         match self {
             Node::Leaf(Value::F32Array(a)) => Some(a.as_slice()),
@@ -412,7 +405,7 @@ mod tests {
         n.set("b", 2.5f32);
         assert_eq!(n.get_f64("b"), Some(2.5));
         n.set("c", true);
-        assert_eq!(n.get("c").unwrap().as_bool(), Some(true));
+        assert!(matches!(n.get("c"), Some(Node::Leaf(Value::Bool(true)))));
     }
 
     #[test]

@@ -5,9 +5,7 @@
 
 use crate::mapping::{map_inputs, MappingConstants, RenderConfig};
 use crate::models::{Family, FittedLinearModel};
-use crate::sample::{
-    CompositeSample, CompositeWire, LodSample, PassSample, RenderSample, RendererKind,
-};
+use crate::sample::{CompositeSample, CompositeWire, PassSample, RenderSample, RendererKind};
 
 /// Floor applied to predicted per-frame seconds before they are used as a
 /// divisor. A degenerate fit (all-zero coefficients, e.g. from a windowed
@@ -22,8 +20,8 @@ pub const MIN_PREDICTED_SECONDS: f64 = 1e-9;
 /// optional family is present once a fit for it has been installed, and its
 /// absence has a defined fallback: per-wire compositing degrades along
 /// `CompDfb -> CompRle -> Comp` (so legacy persisted sets predict exactly
-/// what they always did), and the per-pass and per-LOD-level predictors
-/// answer `None` so admission never banks on unmeasured savings.
+/// what they always did), and the per-pass predictor answers `None` so
+/// admission never banks on unmeasured savings.
 #[derive(Debug, Clone)]
 pub struct ModelSet {
     /// Device label the single-node models were fitted on.
@@ -160,21 +158,6 @@ impl ModelSet {
     pub fn predict_pass_seconds(&self, pass: &str, work_units: f64) -> Option<f64> {
         let m = self.get(Family::for_pass(pass)?)?;
         Some(m.predict(&PassSample { pass: String::new(), work_units, seconds: 0.0 }).max(0.0))
-    }
-
-    /// Predicted frame seconds for rendering the LOD ladder's `level` proxy
-    /// at `cells` cells, when that level's model has been fitted (`None`
-    /// otherwise — the caller prices the rung at full resolution instead of
-    /// banking on unmeasured savings). Clamped at 0 like the frame
-    /// predictors.
-    pub fn predict_lod_seconds(&self, level: u8, cells: f64) -> Option<f64> {
-        let m = self.get(Family::for_level(level)?)?;
-        Some(m.predict(&LodSample { level, cells, seconds: 0.0 }).max(0.0))
-    }
-
-    /// True when every model in the set passes the plausibility criterion.
-    pub fn all_plausible(&self) -> bool {
-        self.implausible_models().is_empty()
     }
 
     /// Predicted one-time BVH build seconds (ray tracing only; 0 otherwise).
@@ -359,12 +342,10 @@ mod tests {
     #[test]
     fn implausible_models_are_reported() {
         let mut set = toy_models();
-        assert!(set.all_plausible());
         assert!(set.implausible_models().is_empty());
         set.get_mut(Family::Vr).unwrap().fit.coeffs[1] = -1e-9;
         set.install(FittedLinearModel::from_coeffs(Family::CompRle, &[1e-8, 2.5e-8, -1e-4, 1e-3]));
         set.install(FittedLinearModel::from_coeffs(Family::CompDfb, &[1e-8, 1e-9, -2e-6, 1e-4]));
-        assert!(!set.all_plausible());
         assert_eq!(
             set.implausible_models(),
             vec!["volume_rendering", "compositing_compressed", "compositing_dfb"]

@@ -49,15 +49,6 @@ impl DeviceClass {
         }
     }
 
-    /// Inverse of [`DeviceClass::code`].
-    pub fn from_code(code: u8) -> Option<DeviceClass> {
-        match code {
-            0 => Some(DeviceClass::Serial),
-            1 => Some(DeviceClass::Parallel),
-            _ => None,
-        }
-    }
-
     /// Stable lowercase label (matches `ModelSet::device` conventions).
     pub fn label(self) -> &'static str {
         match self {

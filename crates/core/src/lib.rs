@@ -16,12 +16,9 @@
 //! 5. [`feasibility`] answers the in situ viability questions: images
 //!    renderable in a fixed budget (Figure 14) and the ray-tracing vs
 //!    rasterization regime map (Figure 15).
-//! 6. [`extensions`] implements the Chapter VI future directions: a slicing
-//!    performance model and the adaptive in situ planning layer.
 
 pub mod batch;
 pub mod crossval;
-pub mod extensions;
 pub mod feasibility;
 pub mod fstable;
 pub mod mapping;
@@ -36,4 +33,4 @@ pub(crate) mod test_models;
 
 pub use models::{Family, FittedLinearModel};
 pub use regression::LinearRegression;
-pub use sample::{CompositeSample, LodSample, PassSample, RenderSample, RendererKind};
+pub use sample::{CompositeSample, PassSample, RenderSample, RendererKind};

@@ -58,13 +58,6 @@ pub enum Family {
     PassAo,
     /// The ray tracer's `shadows` graph pass; see [`Family::PassAo`].
     PassShadows,
-    /// Rendering the LOD ladder's level-1 (~half the cells) proxy:
-    /// `T_frame = c0*Cells + c1`. One family per ladder rung so the
-    /// scheduler can price "render the decimated proxy" against "halve the
-    /// image" — geometric fidelity traded before resolution.
-    LodHalf,
-    /// The level-2 (~a quarter of the cells) proxy; see [`Family::LodHalf`].
-    LodQuarter,
 }
 
 /// Which measured samples feed a family: the sample kind, plus the key that
@@ -81,8 +74,6 @@ pub enum Feed {
     Composite(CompositeWire),
     /// Render-graph pass timings of one named pass.
     Pass(&'static str),
-    /// Decimated-proxy frame timings of one LOD ladder level.
-    Lod(u8),
 }
 
 /// One row of [`Family::ALL`]: everything about a family that is data.
@@ -119,7 +110,7 @@ impl Family {
     /// The one list of model families, required ones first. Persisted record
     /// order, refit install order and report order all follow it.
     #[rustfmt::skip]
-    pub const ALL: [FamilyRow; 11] = [
+    pub const ALL: [FamilyRow; 9] = [
         row(Family::Rt, "ray_tracing", "rt", &["AP*log2(O)", "AP", "1"], true, Feed::Render(RendererKind::RayTracing)),
         row(Family::RtBuild, "ray_tracing_build", "rt_build", &["O", "1"], true, Feed::Build),
         row(Family::Rast, "rasterization", "rast", &["O", "VO*PPT", "1"], true, Feed::Render(RendererKind::Rasterization)),
@@ -129,8 +120,6 @@ impl Family {
         row(Family::CompDfb, "compositing_dfb", "comp_dfb", &["avg(AP)", "Pixels", "Tasks", "1"], false, Feed::Composite(CompositeWire::Dfb)),
         row(Family::PassAo, "pass_ambient_occlusion", "pass_ao", &["W", "1"], false, Feed::Pass("ambient_occlusion")),
         row(Family::PassShadows, "pass_shadows", "pass_shadows", &["W", "1"], false, Feed::Pass("shadows")),
-        row(Family::LodHalf, "lod_half", "lod_half", &["Cells", "1"], false, Feed::Lod(1)),
-        row(Family::LodQuarter, "lod_quarter", "lod_quarter", &["Cells", "1"], false, Feed::Lod(2)),
     ];
 
     /// Number of required families — the leading rows of [`Family::ALL`].
@@ -172,11 +161,6 @@ impl Family {
         Family::ALL.iter().find(|r| matches!(r.feed, Feed::Pass(p) if p == pass)).map(|r| r.family)
     }
 
-    /// The family covering a LOD ladder level, for levels that have one.
-    pub fn for_level(level: u8) -> Option<Family> {
-        Family::ALL.iter().find(|r| r.feed == Feed::Lod(level)).map(|r| r.family)
-    }
-
     /// True when `s` is one of the samples this family is fitted on (its
     /// [`Feed`]). At most one family per refit window routes any sample.
     pub fn routes(self, s: Obs<'_>) -> bool {
@@ -187,7 +171,6 @@ impl Family {
             }
             (Feed::Composite(wire), Obs::Composite(s)) => s.wire == wire,
             (Feed::Pass(pass), Obs::Pass(s)) => s.pass == pass,
-            (Feed::Lod(level), Obs::Lod(s)) => s.level == level,
             _ => false,
         }
     }
@@ -215,7 +198,6 @@ impl Family {
                 vec![s.avg_active_pixels, s.pixels, s.tasks as f64, 1.0]
             }
             (Family::PassAo | Family::PassShadows, Obs::Pass(s)) => vec![s.work_units, 1.0],
-            (Family::LodHalf | Family::LodQuarter, Obs::Lod(s)) => vec![s.cells, 1.0],
             (family, other) => {
                 debug_assert!(false, "{family:?} has no feature row over {other:?}");
                 Vec::new()
@@ -246,7 +228,6 @@ impl Family {
             Obs::Render(s) => s.render_seconds,
             Obs::Composite(s) => s.seconds,
             Obs::Pass(s) => s.seconds,
-            Obs::Lod(s) => s.seconds,
         }
     }
 }

@@ -182,9 +182,9 @@ mod tests {
         FittedLinearModel { family, fit: LinearRegression::with_stats(coeffs, r2, resid, n) }
     }
 
-    /// A set carrying all eleven families.
+    /// A set carrying all nine families.
     fn sample_set() -> (ModelSet, MappingConstants) {
-        let coeffs: [(Family, &[f64]); 11] = [
+        let coeffs: [(Family, &[f64]); 9] = [
             (Family::Rt, &[2e-9, 1e-8, 1e-3]),
             (Family::RtBuild, &[2e-8, 1e-3]),
             (Family::Rast, &[4e-9, 4e-10, 1e-3]),
@@ -194,8 +194,6 @@ mod tests {
             (Family::CompDfb, &[4e-8, 9e-9, 2e-6, 3e-4]),
             (Family::PassAo, &[2.5e-8, 4e-4]),
             (Family::PassShadows, &[1.5e-8, 2e-4]),
-            (Family::LodHalf, &[3.5e-9, 6e-4]),
-            (Family::LodQuarter, &[2.5e-9, 5e-4]),
         ];
         (
             ModelSet::new("parallel", coeffs.map(|(f, c)| fit(f, c.to_vec(), 0.97, 1e-4, 25))),
@@ -243,18 +241,6 @@ mod tests {
                     2.0_f64.sqrt() * 1e-5,
                 ),
                 fit(Family::PassShadows, vec![-1e-300, 0.1 + 0.7], 1.0 - f64::EPSILON, 0.0),
-                fit(
-                    Family::LodHalf,
-                    vec![1.0 / 7.0 * 1e-8, -4.9e-324],
-                    0.999_999_999_999_999_9,
-                    std::f64::consts::LN_2 * 1e-6,
-                ),
-                fit(
-                    Family::LodQuarter,
-                    vec![2.0_f64.powi(-61), 0.2 + 0.4],
-                    0.111_111_111_111_111_1,
-                    f64::EPSILON * 3.0,
-                ),
             ],
         );
         let k = MappingConstants {
@@ -288,8 +274,7 @@ mod tests {
         let (set2, k2) = from_text(&text).unwrap();
         assert_eq!(set2.device, "parallel");
         assert_same_fits(&set, &set2);
-        assert_eq!(set2.get(Family::LodHalf).unwrap().fit.coeffs, vec![3.5e-9, 6e-4]);
-        assert_eq!(set2.get(Family::LodQuarter).unwrap().fit.coeffs, vec![2.5e-9, 5e-4]);
+        assert_eq!(set2.get(Family::PassShadows).unwrap().fit.coeffs, vec![1.5e-8, 2e-4]);
         assert_eq!(set2.get(Family::Vr).unwrap().fit.n, 25);
         assert_eq!(k2.ap_fill, k.ap_fill);
         assert_eq!(k2.spr_base, k.spr_base);
@@ -327,8 +312,9 @@ mod tests {
     #[test]
     fn golden_files_load_and_rewrite_byte_identically() {
         // Both files were written at the commit before the family table
-        // existed: the v2 file is that writer's output for `awkward_set`, the
-        // v1 file its five required records in the seed writer's shape.
+        // existed: the v2 file is that writer's output for `awkward_set` (less
+        // the two records of families retired since), the v1 file its five
+        // required records in the seed writer's shape.
         let v2 = include_str!("../tests/data/models_v2_all_families.txt");
         let (set, k) = from_text(v2).unwrap();
         assert_eq!(to_text(&set, &k), v2);
@@ -349,6 +335,17 @@ mod tests {
     }
 
     #[test]
+    fn retired_family_tag_is_a_parse_error_not_a_half_load() {
+        // The LOD proxy families were retired with the proxies nobody drew. A
+        // file written before that (the nine surviving records, then this
+        // one) must fail whole rather than load as a set missing a fit.
+        let retired = "model|lod_half|name=lod_half|r2=0.9999999999999999|\
+resid=0.0000006931471805599452|n=137|warn=0|rank=2|coeffs=1.4285714285714286e-9;-5e-324\n";
+        let old = format!("{}{retired}", include_str!("../tests/data/models_v2_all_families.txt"));
+        assert_eq!(from_text(&old).unwrap_err(), ParseError("unknown model tag lod_half".into()));
+    }
+
+    #[test]
     fn every_model_form_round_trips_its_fit_bit_identically() {
         // Fit every family on a tiny planted corpus of its sample kind and
         // compare the fitted coefficients to the bit across a text round
@@ -357,8 +354,7 @@ mod tests {
         // intercepts and all; looping over `Family::ALL` keeps it exhaustive.
         use crate::models::Feed;
         use crate::sample::{
-            CompositeSample, CompositeWire, LodSample, PassSample, RenderSample, RendererKind,
-            Sample,
+            CompositeSample, CompositeWire, PassSample, RenderSample, RendererKind, Sample,
         };
 
         let planted = |feed: Feed, i: usize| {
@@ -393,11 +389,6 @@ mod tests {
                     pass: pass.into(),
                     work_units: 500.0 * x,
                     seconds: 3e-5 * x + 7e-6,
-                }),
-                Feed::Lod(level) => Sample::Lod(LodSample {
-                    level,
-                    cells: 20000.0 * x,
-                    seconds: 4e-8 * 20000.0 * x + 9e-5,
                 }),
             }
         };

@@ -215,66 +215,6 @@ pub struct PassSample {
     pub seconds: f64,
 }
 
-impl PassSample {
-    /// Column header matching [`PassSample::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "pass,work_units,seconds";
-
-    /// Serialize as one CSV row in `CSV_HEADER` column order.
-    pub fn to_csv_row(&self) -> String {
-        format!("{},{},{}", self.pass, self.work_units, self.seconds)
-    }
-
-    /// Parse a row written by [`PassSample::to_csv_row`].
-    pub fn from_csv_row(row: &str) -> Option<PassSample> {
-        let f: Vec<&str> = row.split(',').collect();
-        if f.len() != 3 || f[0].is_empty() {
-            return None;
-        }
-        Some(PassSample {
-            pass: f[0].to_string(),
-            work_units: f[1].parse().ok()?,
-            seconds: f[2].parse().ok()?,
-        })
-    }
-}
-
-/// One proxy-frame timing measurement at a LOD ladder level: the level, the
-/// cell count of the decimated geometry, and the measured frame seconds.
-/// These feed the fitted `lod_half` / `lod_quarter` models the scheduler
-/// prices fidelity rungs with.
-#[derive(Debug, Clone)]
-pub struct LodSample {
-    /// Ladder level (1 = half, 2 = quarter).
-    pub level: u8,
-    /// Cells (tris / tets / grid cells) rendered at this level.
-    pub cells: f64,
-    /// Measured frame seconds.
-    pub seconds: f64,
-}
-
-impl LodSample {
-    /// Column header matching [`LodSample::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "level,cells,seconds";
-
-    /// Serialize as one CSV row in `CSV_HEADER` column order.
-    pub fn to_csv_row(&self) -> String {
-        format!("{},{},{}", self.level, self.cells, self.seconds)
-    }
-
-    /// Parse a row written by [`LodSample::to_csv_row`].
-    pub fn from_csv_row(row: &str) -> Option<LodSample> {
-        let f: Vec<&str> = row.split(',').collect();
-        if f.len() != 3 {
-            return None;
-        }
-        Some(LodSample {
-            level: f[0].parse().ok()?,
-            cells: f[1].parse().ok()?,
-            seconds: f[2].parse().ok()?,
-        })
-    }
-}
-
 /// A borrowed measurement of any kind: what a model family's feature row
 /// reads (see [`crate::models::Family::features`]).
 #[derive(Debug, Clone, Copy)]
@@ -285,8 +225,6 @@ pub enum Obs<'a> {
     Composite(&'a CompositeSample),
     /// A render-graph pass timing.
     Pass(&'a PassSample),
-    /// A decimated-proxy frame timing.
-    Lod(&'a LodSample),
 }
 
 /// An owned measurement of any kind: what the online refit windows hold.
@@ -298,8 +236,6 @@ pub enum Sample {
     Composite(CompositeSample),
     /// A render-graph pass timing.
     Pass(PassSample),
-    /// A decimated-proxy frame timing.
-    Lod(LodSample),
 }
 
 impl<'a> From<&'a Sample> for Obs<'a> {
@@ -308,7 +244,6 @@ impl<'a> From<&'a Sample> for Obs<'a> {
             Sample::Render(s) => Obs::Render(s),
             Sample::Composite(s) => Obs::Composite(s),
             Sample::Pass(s) => Obs::Pass(s),
-            Sample::Lod(s) => Obs::Lod(s),
         }
     }
 }
@@ -328,12 +263,6 @@ impl<'a> From<&'a CompositeSample> for Obs<'a> {
 impl<'a> From<&'a PassSample> for Obs<'a> {
     fn from(s: &'a PassSample) -> Obs<'a> {
         Obs::Pass(s)
-    }
-}
-
-impl<'a> From<&'a LodSample> for Obs<'a> {
-    fn from(s: &'a LodSample) -> Obs<'a> {
-        Obs::Lod(s)
     }
 }
 
@@ -440,19 +369,6 @@ mod tests {
         let back = CompositeSample::from_csv_row(&c.to_csv_row()).unwrap();
         assert_eq!(back.wire, CompositeWire::Dfb);
         assert_eq!(CompositeWire::parse("dfb"), Some(CompositeWire::Dfb));
-    }
-
-    #[test]
-    fn pass_sample_round_trip() {
-        let p =
-            PassSample { pass: "ambient_occlusion".into(), work_units: 48000.0, seconds: 0.003 };
-        let back = PassSample::from_csv_row(&p.to_csv_row()).unwrap();
-        assert_eq!(back.pass, "ambient_occlusion");
-        assert_eq!(back.work_units, 48000.0);
-        assert_eq!(back.seconds, 0.003);
-        assert!(PassSample::from_csv_row(",1,2").is_none());
-        assert!(PassSample::from_csv_row("shadows,abc,2").is_none());
-        assert!(PassSample::from_csv_row("shadows,1").is_none());
     }
 
     #[test]

@@ -20,32 +20,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Pearson correlation coefficient; 0 when either side is constant.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for i in 0..n {
-        let dx = xs[i] - mx;
-        let dy = ys[i] - my;
-        cov += dx * dy;
-        vx += dx * dx;
-        vy += dy * dy;
-    }
-    if vx <= 0.0 || vy <= 0.0 {
-        0.0
-    } else {
-        cov / (vx.sqrt() * vy.sqrt())
-    }
-}
-
 /// Relative error `|actual - predicted| / actual` as a percentage; infinity
 /// when actual is 0 but predicted isn't.
 pub fn relative_error_pct(actual: f64, predicted: f64) -> f64 {
@@ -123,16 +97,6 @@ mod tests {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert!((variance(&[1.0, 2.0, 3.0]) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn pearson_perfect_and_anti() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y: Vec<f64> = x.iter().map(|v| 3.0 * v + 1.0).collect();
-        assert!((pearson(&x, &y) - 1.0).abs() < 1e-12);
-        let z: Vec<f64> = x.iter().map(|v| -v).collect();
-        assert!((pearson(&x, &z) + 1.0).abs() < 1e-12);
-        assert_eq!(pearson(&x, &[5.0; 4]), 0.0);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl Device {
         Device::Parallel(Some(Arc::new(pool)))
     }
 
-    /// True for any parallel variant.
-    pub fn is_parallel(&self) -> bool {
-        matches!(self, Device::Parallel(_))
-    }
-
     /// Number of worker threads this device will use.
     pub fn threads(&self) -> usize {
         match self {
@@ -111,9 +106,7 @@ mod tests {
     fn names_and_threads() {
         assert_eq!(Device::Serial.name(), "serial");
         assert_eq!(Device::Serial.threads(), 1);
-        assert!(!Device::Serial.is_parallel());
         let p = Device::parallel();
-        assert!(p.is_parallel());
         assert!(p.threads() >= 1);
         let p2 = Device::parallel_with_threads(2);
         assert_eq!(p2.threads(), 2);

@@ -48,29 +48,6 @@ where
     }
 }
 
-/// In-place `map`: `data[i] = f(i, data[i])`.
-pub fn map_inplace<T, F>(device: &Device, data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync + Send,
-{
-    match device {
-        Device::Serial => {
-            for (i, v) in data.iter_mut().enumerate() {
-                f(i, v);
-            }
-        }
-        _ if data.len() < PAR_GRAIN => {
-            for (i, v) in data.iter_mut().enumerate() {
-                f(i, v);
-            }
-        }
-        _ => device.install(|| {
-            data.par_iter_mut().with_min_len(par_min_len()).enumerate().for_each(|(i, v)| f(i, v));
-        }),
-    }
-}
-
 /// Side-effect-only map over `0..n`. The functor must only write through
 /// disjoint or atomic locations — this is the primitive the samplers use to
 /// write into shared atomic buffers.
@@ -427,11 +404,8 @@ mod tests {
     }
 
     #[test]
-    fn map_inplace_and_for_each() {
+    fn for_each_visits_every_index() {
         for d in devices() {
-            let mut v = vec![1u32; 9000];
-            map_inplace(&d, &mut v, |i, x| *x = i as u32);
-            assert_eq!(v[123], 123);
             let counter = std::sync::atomic::AtomicUsize::new(0);
             for_each(&d, 9000, |_| {
                 // ORDERING: Relaxed — commutative test counter, read after

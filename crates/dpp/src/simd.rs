@@ -26,13 +26,6 @@ impl F32x8 {
     }
 
     #[inline]
-    pub fn from_slice(s: &[f32]) -> F32x8 {
-        let mut a = [0.0; 8];
-        a.copy_from_slice(&s[..8]);
-        F32x8(a)
-    }
-
-    #[inline]
     pub fn add(self, o: F32x8) -> F32x8 {
         let mut r = [0.0; 8];
         for i in 0..8 {
@@ -97,24 +90,6 @@ impl F32x8 {
         }
         r
     }
-
-    /// Horizontal minimum across lanes.
-    #[inline]
-    pub fn hmin(self) -> f32 {
-        self.0.iter().fold(f32::INFINITY, |a, &b| a.min(b))
-    }
-
-    /// Horizontal maximum across lanes.
-    #[inline]
-    pub fn hmax(self) -> f32 {
-        self.0.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b))
-    }
-
-    /// Horizontal sum.
-    #[inline]
-    pub fn hsum(self) -> f32 {
-        self.0.iter().sum()
-    }
 }
 
 /// Three packed lanes of 3-vectors (structure-of-arrays), for 8-wide ray /
@@ -174,14 +149,6 @@ mod tests {
         assert_eq!(a.min(b).0[5], 2.0);
         assert_eq!(a.max(b).0[0], 2.0);
         assert_eq!(a.mul_add(b, b).0[2], 8.0);
-    }
-
-    #[test]
-    fn horizontals() {
-        let a = F32x8([3.0, -1.0, 7.0, 0.0, 2.0, 2.0, 2.0, 2.0]);
-        assert_eq!(a.hmin(), -1.0);
-        assert_eq!(a.hmax(), 7.0);
-        assert_eq!(a.hsum(), 17.0);
     }
 
     #[test]

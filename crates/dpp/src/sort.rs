@@ -137,15 +137,6 @@ fn radix_pass_parallel(
     );
 }
 
-/// Sort `u32` keys with payload; convenience wrapper over the u64 path.
-pub fn sort_pairs_u32(device: &Device, keys: &mut [u32], values: &mut Vec<u32>) {
-    let mut wide: Vec<u64> = keys.iter().map(|&k| k as u64).collect();
-    sort_pairs_u64(device, &mut wide, values);
-    for (k, w) in keys.iter_mut().zip(wide.iter()) {
-        *k = *w as u32;
-    }
-}
-
 /// Sort f32 keys (must be finite and non-negative, as depth values are) with
 /// payload, by mapping to order-preserving u32 bit patterns.
 pub fn sort_pairs_f32_nonneg(device: &Device, keys: &[f32], values: &mut Vec<u32>) {
@@ -213,15 +204,5 @@ mod tests {
         let mut vals: Vec<u32> = (0..5).collect();
         sort_pairs_f32_nonneg(&d, &keys, &mut vals);
         assert_eq!(vals, vec![3, 1, 4, 0, 2]);
-    }
-
-    #[test]
-    fn u32_wrapper() {
-        let d = Device::Serial;
-        let mut k = vec![3u32, 1, 2];
-        let mut v = vec![0u32, 1, 2];
-        sort_pairs_u32(&d, &mut k, &mut v);
-        assert_eq!(k, vec![1, 2, 3]);
-        assert_eq!(v, vec![1, 2, 0]);
     }
 }

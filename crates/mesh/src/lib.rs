@@ -11,14 +11,11 @@ pub mod datasets;
 pub mod external_faces;
 pub mod field;
 pub mod isosurface;
-pub mod lod;
 pub mod partition;
-pub mod slice;
 pub mod structured;
 pub mod unstructured;
 
 pub use field::{Assoc, Field};
-pub use lod::{GridLadder, LodCost, TetLadder, TriLadder};
 pub use partition::{Migration, Partition};
 pub use structured::{RectilinearGrid, UniformGrid};
 pub use unstructured::{HexMesh, TetMesh, TriMesh};

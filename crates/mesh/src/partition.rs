@@ -19,9 +19,7 @@
 //! general — compositing correctness never depends on convexity (the DFB
 //! suffix fold is order-fixed by rank, not by depth sorting of domains).
 
-use crate::field::Assoc;
-use crate::structured::UniformGrid;
-use crate::unstructured::{HexMesh, TetMesh, TriMesh};
+use crate::unstructured::{HexMesh, TriMesh};
 use std::collections::BTreeMap;
 use vecmath::Vec3;
 
@@ -131,15 +129,6 @@ impl Partition {
             .collect()
     }
 
-    /// Per-rank weight totals under `weights`.
-    pub fn rank_weights(&self, weights: &[f64]) -> Vec<f64> {
-        let mut w = vec![0.0f64; self.ranks];
-        for (i, &r) in self.assignments.iter().enumerate() {
-            w[r as usize] += sane_weight(weights[i]);
-        }
-        w
-    }
-
     /// The migration that turns `self` into `to`: every cell whose rank
     /// differs, aggregated per `(from, to)` link. Both partitions must cover
     /// the same cell set.
@@ -245,16 +234,6 @@ pub fn tri_centroids(mesh: &TriMesh) -> Vec<Vec3> {
         .collect()
 }
 
-/// Per-tet centroids.
-pub fn tet_centroids(mesh: &TetMesh) -> Vec<Vec3> {
-    (0..mesh.num_tets())
-        .map(|t| {
-            let [a, b, c, d] = mesh.tet_points(t);
-            (a + b + c + d) / 4.0
-        })
-        .collect()
-}
-
 /// Per-hex centroids (mean of the 8 corners).
 pub fn hex_centroids(mesh: &HexMesh) -> Vec<Vec3> {
     mesh.hexes
@@ -267,23 +246,6 @@ pub fn hex_centroids(mesh: &HexMesh) -> Vec<Vec3> {
             s / 8.0
         })
         .collect()
-}
-
-/// Cell centers of a uniform grid, in the grid's canonical cell order
-/// (i fastest, then j, then k — matching cell-field layout).
-pub fn grid_cell_centroids(grid: &UniformGrid) -> Vec<Vec3> {
-    let c = grid.cell_dims();
-    let mut out = Vec::with_capacity(grid.num_cells());
-    for k in 0..c[2] {
-        for j in 0..c[1] {
-            for i in 0..c[0] {
-                let p = grid.point_position(i, j, k);
-                let q = grid.point_position(i + 1, j + 1, k + 1);
-                out.push((p + q) * 0.5);
-            }
-        }
-    }
-    out
 }
 
 /// Extract the sub-mesh of `cells` (triangle indices, any order; output
@@ -309,75 +271,6 @@ pub fn extract_tris(mesh: &TriMesh, cells: &[usize]) -> TriMesh {
         }
         out.tris.push(new_tri);
     }
-    out
-}
-
-/// [`extract_tris`] for tetrahedral meshes; point fields follow the point
-/// compaction, cell fields the cell selection.
-pub fn extract_tets(mesh: &TetMesh, cells: &[usize]) -> TetMesh {
-    let mut remap: Vec<u32> = vec![u32::MAX; mesh.points.len()];
-    let mut out = TetMesh::default();
-    let mut kept_points: Vec<usize> = Vec::new();
-    for &t in cells {
-        let tet = mesh.tets[t];
-        let mut new_tet = [0u32; 4];
-        for (slot, &v) in new_tet.iter_mut().zip(tet.iter()) {
-            let v = v as usize;
-            if remap[v] == u32::MAX {
-                remap[v] = out.points.len() as u32;
-                out.points.push(mesh.points[v]);
-                kept_points.push(v);
-            }
-            *slot = remap[v];
-        }
-        out.tets.push(new_tet);
-    }
-    out.fields = mesh
-        .fields
-        .iter()
-        .map(|f| {
-            let mut g = f.clone();
-            g.values = match f.assoc {
-                Assoc::Point => kept_points.iter().map(|&p| f.values[p]).collect(),
-                Assoc::Cell => cells.iter().map(|&c| f.values[c]).collect(),
-            };
-            g
-        })
-        .collect();
-    out
-}
-
-/// [`extract_tets`] for hex meshes.
-pub fn extract_hexes(mesh: &HexMesh, cells: &[usize]) -> HexMesh {
-    let mut remap: Vec<u32> = vec![u32::MAX; mesh.points.len()];
-    let mut out = HexMesh::default();
-    let mut kept_points: Vec<usize> = Vec::new();
-    for &h in cells {
-        let hex = mesh.hexes[h];
-        let mut new_hex = [0u32; 8];
-        for (slot, &v) in new_hex.iter_mut().zip(hex.iter()) {
-            let v = v as usize;
-            if remap[v] == u32::MAX {
-                remap[v] = out.points.len() as u32;
-                out.points.push(mesh.points[v]);
-                kept_points.push(v);
-            }
-            *slot = remap[v];
-        }
-        out.hexes.push(new_hex);
-    }
-    out.fields = mesh
-        .fields
-        .iter()
-        .map(|f| {
-            let mut g = f.clone();
-            g.values = match f.assoc {
-                Assoc::Point => kept_points.iter().map(|&p| f.values[p]).collect(),
-                Assoc::Cell => cells.iter().map(|&c| f.values[c]).collect(),
-            };
-            g
-        })
-        .collect();
     out
 }
 
@@ -436,7 +329,10 @@ mod tests {
         let c: Vec<Vec3> = (0..n).map(|i| Vec3::new(i as f32, 0.0, 0.0)).collect();
         let w: Vec<f64> = (0..n).map(|i| if i < n / 2 { 1.0 } else { 3.0 }).collect();
         let p = Partition::weighted_bisect(&c, &w, 2);
-        let rw = p.rank_weights(&w);
+        let mut rw = [0.0f64; 2];
+        for (i, wi) in w.iter().enumerate() {
+            rw[p.rank_of(i)] += wi;
+        }
         let total: f64 = rw.iter().sum();
         assert!((rw[0] / total - 0.5).abs() < 0.02, "{rw:?}");
         let counts = p.counts();
@@ -493,46 +389,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn hex_extraction_carries_cell_and_point_fields() {
-        let g =
-            crate::UniformGrid::new([4, 4, 4], vecmath::Aabb::from_corners(Vec3::ZERO, Vec3::ONE));
-        let mut h = HexMesh::from_uniform_grid(&g);
-        h.fields.push(crate::Field::cell("rho", (0..64).map(|i| i as f32).collect()));
-        h.fields
-            .push(crate::Field::point("e", (0..h.points.len()).map(|i| i as f32 * 0.5).collect()));
-        let part = Partition::bisect(&hex_centroids(&h), 4);
-        for r in 0..4 {
-            let cells = part.cells_of(r);
-            let sub = extract_hexes(&h, &cells);
-            assert_eq!(sub.num_hexes(), cells.len());
-            let rho = sub.field("rho").unwrap();
-            for (i, &c) in cells.iter().enumerate() {
-                assert_eq!(rho.values[i], c as f32);
-            }
-            // Point fields follow the compaction: spot-check corner values.
-            let e = sub.field("e").unwrap();
-            assert_eq!(e.values.len(), sub.points.len());
-        }
-        // Tet extraction mirrors hex extraction.
-        let tets = h.to_tets();
-        let tpart = Partition::bisect(&tet_centroids(&tets), 3);
-        let sub = extract_tets(&tets, &tpart.cells_of(0));
-        assert_eq!(sub.field("rho").unwrap().values.len(), sub.num_tets());
-    }
-
-    #[test]
-    fn grid_centroids_match_cell_layout() {
-        let g = crate::UniformGrid::new(
-            [2, 3, 4],
-            vecmath::Aabb::from_corners(Vec3::ZERO, Vec3::new(2.0, 3.0, 4.0)),
-        );
-        let c = grid_cell_centroids(&g);
-        assert_eq!(c.len(), g.num_cells());
-        assert_eq!(c[0], Vec3::new(0.5, 0.5, 0.5));
-        // i runs fastest.
-        assert_eq!(c[1], Vec3::new(1.5, 0.5, 0.5));
     }
 }

@@ -47,12 +47,6 @@ impl UniformGrid {
     }
 
     #[inline]
-    pub fn cell_index(&self, i: usize, j: usize, k: usize) -> usize {
-        let c = self.cell_dims();
-        (k * c[1] + j) * c[0] + i
-    }
-
-    #[inline]
     pub fn point_position(&self, i: usize, j: usize, k: usize) -> Vec3 {
         self.origin
             + Vec3::new(

@@ -25,39 +25,4 @@ impl NetModel {
     pub fn zero() -> NetModel {
         NetModel { latency_s: 0.0, bandwidth_bps: f64::INFINITY }
     }
-
-    /// Seconds to move `bytes` point-to-point.
-    #[inline]
-    pub fn transfer_seconds(&self, bytes: usize) -> f64 {
-        self.latency_s + bytes as f64 / self.bandwidth_bps
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn zero_model_is_free() {
-        let n = NetModel::zero();
-        assert_eq!(n.transfer_seconds(0), 0.0);
-        assert_eq!(n.transfer_seconds(1 << 30), 0.0);
-    }
-
-    #[test]
-    fn cluster_model_scales_with_bytes() {
-        let n = NetModel::cluster();
-        let small = n.transfer_seconds(64);
-        let big = n.transfer_seconds(64 * 1024 * 1024);
-        assert!(big > small);
-        // 64 MiB at 5 GB/s ~ 13.4 ms.
-        assert!((big - (1.5e-6 + 67108864.0 / 5.0e9)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_dominates_tiny_messages() {
-        let n = NetModel::cluster();
-        let t = n.transfer_seconds(8);
-        assert!(t > 1e-6 && t < 2e-6);
-    }
 }

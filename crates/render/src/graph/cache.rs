@@ -73,11 +73,6 @@ impl GraphCache {
         self.entries.is_empty()
     }
 
-    /// Total byte estimate of retained values.
-    pub fn resident_bytes(&self) -> usize {
-        self.entries.values().flat_map(|e| e.iter().map(|(_, b)| *b)).sum()
-    }
-
     /// Drop everything (e.g. when the scene generation changes).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -113,7 +108,6 @@ mod tests {
         assert!(c.lookup("a", 1).is_none(), "oldest entry evicted");
         assert!(c.lookup("a", 2).is_some());
         assert!(c.lookup("a", 3).is_some());
-        assert_eq!(c.resident_bytes(), 16);
     }
 
     #[test]

@@ -240,20 +240,6 @@ impl GraphRun<'_> {
             _ => Err(GraphError::TypeMismatch { resource: name, pass: "export" }),
         }
     }
-
-    /// Clone an exported shared resource out of the run.
-    pub fn take_arc<T: Any + Send + Sync>(&mut self, id: ResourceId) -> Result<Arc<T>, GraphError> {
-        let name = self.names[id.0 as usize].clone();
-        let slot = self.slots[id.0 as usize]
-            .take()
-            .ok_or_else(|| GraphError::MissingValue { resource: name.clone(), pass: "export" })?;
-        match slot {
-            SlotVal::Shared(a) => a
-                .downcast::<T>()
-                .map_err(|_| GraphError::TypeMismatch { resource: name, pass: "export" }),
-            _ => Err(GraphError::TypeMismatch { resource: name, pass: "export" }),
-        }
-    }
 }
 
 /// Builder + executor for one frame's pass DAG. Lifetime `'a` lets pass
@@ -782,13 +768,15 @@ mod tests {
         let mut cache = GraphCache::new(8);
         let run_once = |cache: &mut GraphCache, key: u64| -> (u64, bool) {
             let mut g = FrameGraph::new();
-            let v = g.resource("v");
+            let (v, out) = (g.resource("v"), g.resource("out"));
             let p =
                 g.add_pass("build", &[], &[v], 1, move |ctx| ctx.put_shared(v, Arc::new(42u64), 8));
             g.set_cache_key(p, key);
-            g.export(v);
+            // Consumers see the shared value whether it was built or cached.
+            g.add_pass("read", &[v], &[out], 1, move |ctx| ctx.put(out, *ctx.read::<u64>(v)?, 8));
+            g.export(out);
             let mut run = g.execute(&[], Some(cache)).unwrap();
-            (*run.take_arc::<u64>(v).unwrap(), run.records[0].cached)
+            (run.take::<u64>(out).unwrap(), run.records[0].cached)
         };
         assert_eq!(run_once(&mut cache, 1), (42, false));
         assert_eq!(run_once(&mut cache, 1), (42, true));

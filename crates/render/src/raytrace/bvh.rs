@@ -170,11 +170,6 @@ impl Bvh {
         best
     }
 
-    /// Number of leaf nodes.
-    pub fn num_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| n.count > 0).count()
-    }
-
     /// Validate structural invariants: every child AABB inside its parent,
     /// every primitive referenced exactly once, leaf sizes within bounds.
     /// Used by tests and debug assertions.
@@ -300,7 +295,6 @@ mod tests {
         for d in [Device::Serial, Device::parallel()] {
             let bvh = Bvh::build(&d, &geom);
             bvh.validate(&geom).unwrap();
-            assert!(bvh.num_leaves() >= geom.num_tris() / MAX_LEAF_SIZE);
         }
     }
 

@@ -6,17 +6,13 @@
 //! its next rung throws away 75% of the pixels. The graph executor exposes
 //! cheaper moves first: reuse last frame's BVH (free — the frame is
 //! byte-identical while geometry holds still), then skip ambient occlusion,
-//! then shadows (each replaced by its documented fallback), then swap
-//! in the precomputed LOD proxies (`mesh::lod` ladder levels — geometric
-//! fidelity traded before any pixel is lost), and only then start halving
-//! the image. [`PassRung::skips`] names the passes to hand to
-//! `FrameGraph::execute`, [`PassRung::lod`] the proxy level, and
-//! [`PassRung::predicted_seconds`] prices a rung from the whole-frame models
-//! minus the fitted per-pass models ([`ModelSet::predict_pass_seconds`]),
-//! with LOD rungs priced by the fitted per-level models
-//! ([`ModelSet::predict_lod_seconds`]) — the refit features that flow back
-//! from live timings via
-//! [`OnlineRefit::observe`](crate::refit::OnlineRefit::observe).
+//! then shadows (each replaced by its documented fallback), and only then
+//! start halving the image. [`PassRung::skips`] names the passes to hand to
+//! `FrameGraph::execute`, and [`PassRung::predicted_seconds`] prices a rung
+//! from the whole-frame models minus the fitted per-pass models
+//! ([`ModelSet::predict_pass_seconds`]). The pass families are fitted from
+//! live graph timings: `repro graph` feeds each executed frame's per-pass
+//! records to [`OnlineRefit::observe`](crate::refit::OnlineRefit::observe).
 //!
 //! The legacy whole-frame scheduler is untouched (its decision transcript is
 //! pinned); this module is the admission layer for graph-executed renders.
@@ -39,16 +35,10 @@ pub struct PassRung {
     /// rebuild. Output-neutral while geometry holds still, so it outranks
     /// every pass skip.
     pub reuse_bvh: bool,
-    /// LOD ladder level to render (0 = full geometry, 1 = half-cells proxy,
-    /// 2 = quarter-cells proxy). Priced by the level's fitted model;
-    /// without a fit the rung prices at the full frame, never promising
-    /// unmeasured savings.
-    pub lod: u8,
 }
 
 /// Per-frame work inputs for pricing a [`PassRung`]: the pass work units at
-/// *full* resolution, the acceleration-structure build charge, and the
-/// full-geometry cell count the LOD rungs scale down from.
+/// *full* resolution and the acceleration-structure build charge.
 #[derive(Debug, Clone, Copy)]
 pub struct PassWork {
     /// `ambient_occlusion` work units at full resolution.
@@ -57,9 +47,6 @@ pub struct PassWork {
     pub shadow_units: f64,
     /// One-time build seconds, charged unless the rung reuses the BVH.
     pub build_seconds: f64,
-    /// Cells of the full-resolution geometry; LOD level `l` targets
-    /// `cells / 2^l`.
-    pub cells: f64,
 }
 
 impl PassRung {
@@ -95,9 +82,6 @@ impl PassRung {
         if self.skip_shadows {
             l.push_str("-shadows");
         }
-        if self.lod > 0 {
-            l.push_str(&format!("+lod{}", self.lod));
-        }
         l
     }
 
@@ -105,16 +89,13 @@ impl PassRung {
     ///
     /// `frame_seconds` predicts the whole frame (render + compositing,
     /// excluding build) at a given whole-frame rung — callers close over
-    /// [`ModelSet::predict_frame_seconds`] with the rung-shrunk config. On an
-    /// LOD rung with a fitted per-level model, the frame term is instead the
-    /// model's prediction at the proxy's cell count (`work.cells / 2^lod`),
-    /// scaled by the rung's resolution factor; without the fit the rung
-    /// prices at the full frame. `work.ao_units` / `work.shadow_units` are
-    /// the pass work units at *full* resolution; they scale with active
-    /// pixels, so each halving divides them by 4 before the per-pass models
-    /// price the subtraction. A missing per-pass model prices its skip at 0
-    /// — never over-promising savings the models cannot back.
-    /// `work.build_seconds` is charged unless the rung reuses the cached BVH.
+    /// [`ModelSet::predict_frame_seconds`] with the rung-shrunk config.
+    /// `work.ao_units` / `work.shadow_units` are the pass work units at
+    /// *full* resolution; they scale with active pixels, so each halving
+    /// divides them by 4 before the per-pass models price the subtraction.
+    /// A missing per-pass model prices its skip at 0 — never over-promising
+    /// savings the models cannot back. `work.build_seconds` is charged
+    /// unless the rung reuses the cached BVH.
     pub fn predicted_seconds(
         &self,
         set: &ModelSet,
@@ -125,13 +106,7 @@ impl PassRung {
             return 0.0;
         }
         let scale = 0.25f64.powi(self.frame.halvings() as i32);
-        let lod_frame = if self.lod > 0 {
-            let cells = work.cells / f64::from(1u32 << self.lod);
-            set.predict_lod_seconds(self.lod, cells).map(|t| t * scale)
-        } else {
-            None
-        };
-        let mut t = lod_frame.unwrap_or_else(|| frame_seconds(self.frame));
+        let mut t = frame_seconds(self.frame);
         if self.skip_ao {
             t -=
                 set.predict_pass_seconds("ambient_occlusion", work.ao_units * scale).unwrap_or(0.0);
@@ -148,31 +123,26 @@ impl PassRung {
 
 /// The pass-granular ladder, top (full fidelity) to bottom (drop). BVH reuse
 /// comes first because it costs no fidelity at all; pass skips precede any
-/// geometric loss because their fallbacks degrade shading, not geometry; the
-/// LOD rungs trade geometric fidelity (decimated proxies) before a single
-/// pixel is given up; resolution halvings come last.
-pub const PASS_LADDER: [PassRung; 9] = [
-    PassRung { frame: Rung::Full, skip_ao: false, skip_shadows: false, reuse_bvh: false, lod: 0 },
-    PassRung { frame: Rung::Full, skip_ao: false, skip_shadows: false, reuse_bvh: true, lod: 0 },
-    PassRung { frame: Rung::Full, skip_ao: true, skip_shadows: false, reuse_bvh: true, lod: 0 },
-    PassRung { frame: Rung::Full, skip_ao: true, skip_shadows: true, reuse_bvh: true, lod: 0 },
-    PassRung { frame: Rung::Full, skip_ao: true, skip_shadows: true, reuse_bvh: true, lod: 1 },
-    PassRung { frame: Rung::Full, skip_ao: true, skip_shadows: true, reuse_bvh: true, lod: 2 },
+/// resolution loss because their fallbacks degrade shading, not pixels;
+/// resolution halvings come last.
+pub const PASS_LADDER: [PassRung; 7] = [
+    PassRung { frame: Rung::Full, skip_ao: false, skip_shadows: false, reuse_bvh: false },
+    PassRung { frame: Rung::Full, skip_ao: false, skip_shadows: false, reuse_bvh: true },
+    PassRung { frame: Rung::Full, skip_ao: true, skip_shadows: false, reuse_bvh: true },
+    PassRung { frame: Rung::Full, skip_ao: true, skip_shadows: true, reuse_bvh: true },
     PassRung {
         frame: Rung::Halved { halvings: 1 },
         skip_ao: true,
         skip_shadows: true,
         reuse_bvh: true,
-        lod: 2,
     },
     PassRung {
         frame: Rung::Halved { halvings: 2 },
         skip_ao: true,
         skip_shadows: true,
         reuse_bvh: true,
-        lod: 2,
     },
-    PassRung { frame: Rung::Drop, skip_ao: true, skip_shadows: true, reuse_bvh: true, lod: 2 },
+    PassRung { frame: Rung::Drop, skip_ao: true, skip_shadows: true, reuse_bvh: true },
 ];
 
 /// Index of the terminal drop rung.
@@ -199,11 +169,9 @@ mod tests {
     ];
     const PASSES: [(Family, &[f64]); 2] =
         [(Family::PassAo, &[1e-6, 0.01]), (Family::PassShadows, &[1e-6, 0.005])];
-    const LODS: [(Family, &[f64]); 2] =
-        [(Family::LodHalf, &[8e-6, 0.1]), (Family::LodQuarter, &[8e-6, 0.08])];
 
     fn set_with_pass_models() -> ModelSet {
-        ModelSet::from_coeffs("test", &[&REQUIRED[..], &PASSES, &LODS].concat())
+        ModelSet::from_coeffs("test", &[&REQUIRED[..], &PASSES].concat())
     }
 
     /// Whole-frame cost model for tests: linear in pixel area, so each
@@ -213,8 +181,7 @@ mod tests {
     }
 
     /// Work inputs shared by the pricing tests.
-    const WORK: PassWork =
-        PassWork { ao_units: 1e5, shadow_units: 4e4, build_seconds: 0.2, cells: 1e5 };
+    const WORK: PassWork = PassWork { ao_units: 1e5, shadow_units: 4e4, build_seconds: 0.2 };
 
     #[test]
     fn pass_ladder_orders_fidelity_loss() {
@@ -226,15 +193,17 @@ mod tests {
         let t: Vec<f64> =
             PASS_LADDER.iter().map(|r| r.predicted_seconds(&set, frame_cost, &WORK)).collect();
         assert!(t.windows(2).all(|w| w[0] >= w[1]), "{t:?}");
-        // Frame halvings and LOD levels are monotone over the executable
-        // rungs, and every LOD loss precedes the first resolution loss.
+        // Frame halvings are monotone over the executable rungs, and every
+        // pass skip precedes the first resolution loss.
         let h: Vec<u8> =
             PASS_LADDER[..PASS_DROP_LEVEL].iter().map(|r| r.frame.halvings()).collect();
         assert!(h.windows(2).all(|w| w[0] <= w[1]), "{h:?}");
-        let l: Vec<u8> = PASS_LADDER[..PASS_DROP_LEVEL].iter().map(|r| r.lod).collect();
-        assert!(l.windows(2).all(|w| w[0] <= w[1]), "{l:?}");
         let first_halved = PASS_LADDER.iter().position(|r| r.frame.halvings() > 0).unwrap();
-        assert_eq!(PASS_LADDER[first_halved].lod, 2, "resolution falls only after max LOD");
+        assert_eq!(
+            PASS_LADDER[first_halved].skips(),
+            vec!["ambient_occlusion", "shadows"],
+            "resolution falls only after both pass skips"
+        );
     }
 
     #[test]
@@ -244,9 +213,8 @@ mod tests {
         assert_eq!(PASS_LADDER[0].label(), "full");
         assert_eq!(PASS_LADDER[1].label(), "full+bvh");
         assert_eq!(PASS_LADDER[3].label(), "full+bvh-ao-shadows");
-        assert_eq!(PASS_LADDER[4].label(), "full+bvh-ao-shadows+lod1");
-        assert_eq!(PASS_LADDER[5].label(), "full+bvh-ao-shadows+lod2");
-        assert_eq!(PASS_LADDER[6].label(), "half+bvh-ao-shadows+lod2");
+        assert_eq!(PASS_LADDER[4].label(), "half+bvh-ao-shadows");
+        assert_eq!(PASS_LADDER[5].label(), "quarter+bvh-ao-shadows");
         assert_eq!(PASS_LADDER[PASS_DROP_LEVEL].label(), "drop");
     }
 
@@ -261,14 +229,10 @@ mod tests {
         // Skipping AO subtracts its modeled cost (1e-6 * 1e5 + 0.01).
         let no_ao = PASS_LADDER[2].predicted_seconds(&set, frame_cost, &WORK);
         assert!((warm - no_ao - 0.11).abs() < 1e-12, "{warm} {no_ao}");
-        // The lod1 rung replaces the frame term with the fitted half-cells
-        // prediction at cells/2 (8e-6 * 5e4 + 0.1), minus both pass skips.
-        let lod1 = PASS_LADDER[4].predicted_seconds(&set, frame_cost, &WORK);
-        let want = (8e-6 * 5e4 + 0.1) - (1e-6 * 1e5 + 0.01) - (1e-6 * 4e4 + 0.005);
-        assert!((lod1 - want).abs() < 1e-12, "{lod1} vs {want}");
-        // Halving scales both the LOD frame term and the pass work by 4.
-        let half = PASS_LADDER[6].predicted_seconds(&set, frame_cost, &WORK);
-        let want = (8e-6 * 2.5e4 + 0.08) * 0.25 - (1e-6 * 2.5e4 + 0.01) - (1e-6 * 1e4 + 0.005);
+        // Halving shrinks the frame term through its rung and the pass work
+        // by 4 before the per-pass models price the skips.
+        let half = PASS_LADDER[4].predicted_seconds(&set, frame_cost, &WORK);
+        let want = frame_cost(PASS_LADDER[4].frame) - (1e-6 * 2.5e4 + 0.01) - (1e-6 * 1e4 + 0.005);
         assert!((half - want).abs() < 1e-12, "{half} vs {want}");
         assert_eq!(PASS_LADDER[PASS_DROP_LEVEL].predicted_seconds(&set, frame_cost, &WORK), 0.0);
     }
@@ -277,22 +241,10 @@ mod tests {
     /// never promises headroom the models cannot back.
     #[test]
     fn missing_pass_models_price_skips_at_zero() {
-        let set = ModelSet::from_coeffs("test", &[&REQUIRED[..], &LODS].concat());
+        let set = ModelSet::from_coeffs("test", &REQUIRED);
         let warm = PASS_LADDER[1].predicted_seconds(&set, frame_cost, &WORK);
         let no_both = PASS_LADDER[3].predicted_seconds(&set, frame_cost, &WORK);
         assert_eq!(warm, no_both);
-    }
-
-    /// Without fitted LOD models an LOD rung prices at the full frame — the
-    /// proxy's savings are never assumed, only measured.
-    #[test]
-    fn missing_lod_models_price_proxies_at_full_frame() {
-        let set = ModelSet::from_coeffs("test", &[&REQUIRED[..], &PASSES].concat());
-        let no_passes = PASS_LADDER[3].predicted_seconds(&set, frame_cost, &WORK);
-        let lod1 = PASS_LADDER[4].predicted_seconds(&set, frame_cost, &WORK);
-        let lod2 = PASS_LADDER[5].predicted_seconds(&set, frame_cost, &WORK);
-        assert_eq!(no_passes, lod1);
-        assert_eq!(no_passes, lod2);
     }
 
     /// The ladder's reason to exist: a budget that full fidelity misses by a

@@ -102,11 +102,6 @@ impl Rebalancer {
         &self.part
     }
 
-    /// EWMA-smoothed measured cost per cell.
-    pub fn cell_costs(&self) -> &[f64] {
-        &self.cost
-    }
-
     /// Feed one cycle's measured per-rank render seconds. Each rank's time
     /// is attributed uniformly to the cells it owns (EWMA against previous
     /// cycles); on the [`RebalanceConfig::sustain_cycles`]-th consecutive

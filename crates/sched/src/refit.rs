@@ -62,8 +62,8 @@ impl OnlineRefit {
     }
 
     /// Record a measurement in the window of the family it feeds. A sample
-    /// no family is fitted on (a graph pass or LOD level without a model) is
-    /// ignored — its cost is already captured by the whole-frame models.
+    /// no family is fitted on (a graph pass without a model) is ignored — its
+    /// cost is already captured by the whole-frame models.
     pub fn observe(&mut self, s: Sample) {
         let Some(row) = Family::ALL.iter().find(|r| r.family.routes(Obs::from(&s))) else { return };
         let q = &mut self.windows[window_owner(row) as usize];
@@ -118,7 +118,7 @@ mod tests {
     use super::*;
     use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
     use perfmodel::sample::{
-        CompositeSample, CompositeWire, LodSample, PassSample, RenderSample, RendererKind,
+        CompositeSample, CompositeWire, PassSample, RenderSample, RendererKind,
     };
 
     fn prior() -> ModelSet {
@@ -273,14 +273,6 @@ mod tests {
                 })
                 .collect::<Vec<Sample>>()
         };
-        let lod = |level, scale: f64, law: fn(f64) -> f64| {
-            (1..=8)
-                .map(|i| {
-                    let c = 20_000.0 * i as f64 * scale;
-                    Sample::Lod(LodSample { level, cells: c, seconds: law(c) })
-                })
-                .collect::<Vec<Sample>>()
-        };
         match family {
             // Hook-driven observations: the build is folded into render time.
             Family::Rt => (render(RendererKind::RayTracing, |_| 0.0, rt_law), 1e-6),
@@ -328,8 +320,6 @@ mod tests {
             ),
             Family::PassAo => (pass("ambient_occlusion", 1.0, |w| 2.5e-8 * w + 4e-4), 1e-6),
             Family::PassShadows => (pass("shadows", 0.4, |w| 1.2e-8 * w + 2e-4), 1e-6),
-            Family::LodHalf => (lod(1, 1.0, |c| 4e-8 * c + 9e-5), 1e-6),
-            Family::LodQuarter => (lod(2, 0.5, |c| 3e-8 * c + 6e-5), 1e-6),
         }
     }
 
@@ -340,7 +330,6 @@ mod tests {
             Sample::Render(s) => s.render_seconds,
             Sample::Composite(s) => s.seconds,
             Sample::Pass(s) => s.seconds,
-            Sample::Lod(s) => s.seconds,
         }
     }
 
@@ -358,10 +347,8 @@ mod tests {
     /// windowed; and a refit over every window reports in table order.
     #[test]
     fn each_family_refits_from_its_own_window() {
-        let unrouted = [
-            Sample::Pass(PassSample { pass: "intersect".into(), work_units: 5e3, seconds: 1.0 }),
-            Sample::Lod(LodSample { level: 3, cells: 2e4, seconds: 1.0 }),
-        ];
+        let unrouted =
+            [Sample::Pass(PassSample { pass: "intersect".into(), work_units: 5e3, seconds: 1.0 })];
         let mut all = OnlineRefit::new(64, 4);
         for row in &Family::ALL {
             let (window, tol) = planted_window(row.family);
@@ -401,8 +388,8 @@ mod tests {
             let (window, tol) = planted_window(row.family);
             assert_recovers(&set, row.family, &window, tol);
         }
-        // The pass- and level-keyed predictors reach the installed models at
-        // points off the window, and answer `None` where no family exists.
+        // The pass-keyed predictor reaches the installed models at points
+        // off the window, and answers `None` where no family exists.
         for w in [7500.0, 40000.0] {
             let (ao, sh) = (2.5e-8 * w + 4e-4, 1.2e-8 * w + 2e-4);
             let got = set.predict_pass_seconds("ambient_occlusion", w).unwrap();
@@ -411,14 +398,6 @@ mod tests {
             assert!((got - sh).abs() / sh < 1e-6, "{got}");
         }
         assert!(set.predict_pass_seconds("intersect", 1.0).is_none());
-        for c in [30_000.0, 140_000.0] {
-            let (half, quarter) = (4e-8 * c + 9e-5, 3e-8 * c + 6e-5);
-            let got = set.predict_lod_seconds(1, c).unwrap();
-            assert!((got - half).abs() / half < 1e-6, "{got}");
-            let got = set.predict_lod_seconds(2, c).unwrap();
-            assert!((got - quarter).abs() / quarter < 1e-6, "{got}");
-        }
-        assert!(set.predict_lod_seconds(3, 1.0).is_none());
     }
 
     /// A window whose re-solve carries a negative coefficient (here: cost

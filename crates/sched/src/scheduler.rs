@@ -11,7 +11,7 @@ use crate::ladder::{Ladder, Rung, DROP_LEVEL, LADDER};
 use crate::refit::{OnlineRefit, RefitReport};
 use perfmodel::feasibility::{ModelSet, MIN_PREDICTED_SECONDS};
 use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
-use perfmodel::sample::{CompositeSample, CompositeWire, PassSample, RendererKind, Sample};
+use perfmodel::sample::{CompositeSample, CompositeWire, RendererKind, Sample};
 
 /// One queued render request (what the simulation asked for).
 #[derive(Debug, Clone, Copy)]
@@ -346,19 +346,6 @@ impl Scheduler {
         s.render_seconds = local_seconds;
         s.build_seconds = build_seconds;
         self.refit.observe(Sample::Render(s));
-    }
-
-    /// Feed back a measured render-graph pass timing (from a
-    /// `PassRecord`), so the per-pass models refit alongside the
-    /// whole-frame families at [`end_cycle`](Scheduler::end_cycle). Only
-    /// the sheddable passes are windowed; see
-    /// [`OnlineRefit::observe`](crate::refit::OnlineRefit::observe).
-    pub fn observe_pass(&mut self, pass: &str, work_units: f64, seconds: f64) {
-        self.refit.observe(Sample::Pass(PassSample {
-            pass: pass.to_string(),
-            work_units,
-            seconds,
-        }));
     }
 
     /// Feed back a measured compositing exchange for one frame. `compressed`

@@ -156,6 +156,26 @@ pub enum StrawmanError {
     /// The admission hook rejected one or more renders this cycle (over
     /// budget even at the deepest degradation).
     Rejected,
+    /// A `SaveImage` side (`key` is `width` or `height`) outside
+    /// `1..=MAX_IMAGE_SIDE`.
+    ImageSide {
+        key: &'static str,
+        side: i64,
+    },
+}
+
+/// Largest `SaveImage` width or height: `Framebuffer::index` does its
+/// arithmetic in `u32`, which a `MAX_IMAGE_SIDE`² frame still fits.
+const MAX_IMAGE_SIDE: u32 = 16_384;
+
+/// A `SaveImage` side as the host passed it (default 512), range-checked
+/// before any admission or render call sees it.
+fn image_side(action: &Node, key: &'static str) -> Result<u32, StrawmanError> {
+    let side = action.get_i64(key).unwrap_or(512);
+    match u32::try_from(side) {
+        Ok(s) if (1..=MAX_IMAGE_SIDE).contains(&s) => Ok(s),
+        _ => Err(StrawmanError::ImageSide { key, side }),
+    }
 }
 
 impl std::fmt::Display for StrawmanError {
@@ -168,6 +188,9 @@ impl std::fmt::Display for StrawmanError {
             StrawmanError::Render(e) => write!(f, "render: {e}"),
             StrawmanError::Io(e) => write!(f, "io: {e}"),
             StrawmanError::Rejected => write!(f, "render rejected by scheduler (over budget)"),
+            StrawmanError::ImageSide { key, side } => {
+                write!(f, "SaveImage {key} must be in 1..={MAX_IMAGE_SIDE}, found {side}")
+            }
         }
     }
 }
@@ -330,8 +353,8 @@ impl Strawman {
                     self.draw_requested = true;
                 }
                 "SaveImage" => {
-                    let width = action.get_i64("width").unwrap_or(512) as u32;
-                    let height = action.get_i64("height").unwrap_or(512) as u32;
+                    let width = image_side(action, "width")?;
+                    let height = image_side(action, "height")?;
                     let file = action.get_str("fileName").unwrap_or("strawman_image");
                     let format = action.get_str("format").unwrap_or("png");
                     let view = action.get_str("camera").unwrap_or("close");
@@ -744,6 +767,30 @@ mod tests {
         let bytes = std::fs::read(rec.path.as_ref().unwrap()).unwrap();
         assert_eq!(&bytes[1..4], b"PNG");
         sm.close();
+    }
+
+    #[test]
+    fn save_image_rejects_out_of_range_sides() {
+        let dir = std::env::temp_dir().join("strawman_test_bad_side");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (key, side) in [("width", -1i64), ("height", 0), ("width", 16_385)] {
+            let mut sm = Strawman::open(Options {
+                device: Device::Serial,
+                output_dir: dir.clone(),
+                ..Options::default()
+            });
+            sm.publish(&uniform_data(12)).unwrap();
+            let mut a = actions("scalar", "pseudocolor", "bad_side");
+            let Node::List(items) = &mut a else { panic!("actions are a list") };
+            items.last_mut().unwrap().set(key, side);
+            let err = sm.execute(&a).unwrap_err();
+            assert!(
+                matches!(err, StrawmanError::ImageSide { key: k, side: s } if k == key && s == side),
+                "{key}={side}: {err}"
+            );
+            assert!(sm.records.is_empty(), "{key}={side}");
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{key}={side}");
+        }
     }
 
     #[test]

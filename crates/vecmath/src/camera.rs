@@ -127,14 +127,6 @@ impl ScreenTransform {
             ndc.z,
         )
     }
-
-    /// Camera-space depth (distance along view axis) of a world point given
-    /// the view matrix; used for visibility ordering in HAVS and the
-    /// unstructured volume renderer pass selection.
-    #[inline]
-    pub fn pixel_count(&self) -> usize {
-        self.width as usize * self.height as usize
-    }
 }
 
 #[cfg(test)]

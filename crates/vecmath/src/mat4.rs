@@ -40,15 +40,6 @@ impl Mat4 {
         out
     }
 
-    /// Translation matrix.
-    pub fn translate(t: Vec3) -> Mat4 {
-        let mut out = Mat4::identity();
-        out.m[0][3] = t.x;
-        out.m[1][3] = t.y;
-        out.m[2][3] = t.z;
-        out
-    }
-
     /// Right-handed look-at view matrix (world -> camera space). The camera
     /// looks down -Z in camera space, matching OpenGL conventions.
     pub fn look_at(eye: Vec3, target: Vec3, up: Vec3) -> Mat4 {
@@ -104,27 +95,6 @@ impl Mat4 {
         } else {
             Vec3::new(x, y, z)
         }
-    }
-
-    /// Transform a direction (w = 0, no translation or divide).
-    #[inline]
-    pub fn transform_vector(&self, v: Vec3) -> Vec3 {
-        Vec3::new(
-            self.m[0][0] * v.x + self.m[0][1] * v.y + self.m[0][2] * v.z,
-            self.m[1][0] * v.x + self.m[1][1] * v.y + self.m[1][2] * v.z,
-            self.m[2][0] * v.x + self.m[2][1] * v.y + self.m[2][2] * v.z,
-        )
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Mat4 {
-        let mut out = [[0.0f32; 4]; 4];
-        for (r, row) in self.m.iter().enumerate() {
-            for (c, v) in row.iter().enumerate() {
-                out[c][r] = *v;
-            }
-        }
-        Mat4 { m: out }
     }
 
     /// General inverse via Gauss-Jordan elimination with partial pivoting.
@@ -187,16 +157,9 @@ mod tests {
     #[test]
     fn identity_is_neutral() {
         let id = Mat4::identity();
-        let t = Mat4::translate(Vec3::new(1.0, 2.0, 3.0));
+        let t = Mat4::scale(Vec3::new(1.0, 2.0, 3.0));
         assert!(approx(&id.mul(&t), &t, 1e-6));
         assert!(approx(&t.mul(&id), &t, 1e-6));
-    }
-
-    #[test]
-    fn translate_moves_points_not_vectors() {
-        let t = Mat4::translate(Vec3::new(1.0, 2.0, 3.0));
-        assert_eq!(t.transform_point(Vec3::ZERO), Vec3::new(1.0, 2.0, 3.0));
-        assert_eq!(t.transform_vector(Vec3::X), Vec3::X);
     }
 
     #[test]

@@ -118,12 +118,6 @@ impl Vec3 {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
-
-    /// Components as an array `[x, y, z]`.
-    #[inline]
-    pub fn to_array(self) -> [f32; 3] {
-        [self.x, self.y, self.z]
-    }
 }
 
 impl From<[f32; 3]> for Vec3 {

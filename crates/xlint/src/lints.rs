@@ -670,8 +670,8 @@ mod tests {
         c.x011_pinned = vec!["crates/mesh/".to_string()];
         c.x011_partition_modules = vec!["crates/mesh/src/partition.rs".to_string()];
         let src = "let p = Partition::from_assignments(v, 4);\n";
-        assert_eq!(lint_file("crates/mesh/src/lod.rs", src, &c).findings.len(), 1);
-        assert_eq!(lint_file("crates/mesh/src/lod.rs", src, &c).findings[0].lint, Lint::X011);
+        assert_eq!(lint_file("crates/mesh/src/field.rs", src, &c).findings.len(), 1);
+        assert_eq!(lint_file("crates/mesh/src/field.rs", src, &c).findings[0].lint, Lint::X011);
         // The partition module, test code, and out-of-scope paths all pass.
         assert!(lint_file("crates/mesh/src/partition.rs", src, &c).findings.is_empty());
         assert!(lint_file("crates/mesh/tests/part.rs", src, &c).findings.is_empty());

@@ -4,7 +4,6 @@
 
 use compositing::{reference, CompositeMode, RankImage};
 use dpp::Device;
-use mesh::lod::TriLadder;
 use mesh::partition::{tri_centroids, Partition};
 use proptest::prelude::*;
 use render::raytrace::{RayTracer, RtConfig, TriGeometry};
@@ -139,30 +138,25 @@ proptest! {
     }
 }
 
-/// Full-LOD partitioned rendering is byte-identical to the unpartitioned
+/// Full-fidelity partitioned rendering is byte-identical to the unpartitioned
 /// single-rank reference on every pool size from 1 to 8 workers — the
 /// acceptance pin for the distributed-data render path.
 #[test]
 fn full_lod_partitioned_render_is_byte_identical_across_workers() {
     let grid = mesh::datasets::field_grid(mesh::datasets::FieldKind::Tangle, [12, 12, 12]);
     let mesh = mesh::isosurface::isosurface(&grid, "scalar", 0.0, Some("elevation"));
-    // Full LOD is ladder rung 0: the input mesh, bit-for-bit.
-    let ladder = TriLadder::build(&mesh, 2);
-    let full = ladder.level(0);
-    assert_eq!(full.num_tris(), mesh.num_tris());
-
-    let camera = Camera::close_view(&full.bounds());
+    let camera = Camera::close_view(&mesh.bounds());
     let cfg = RtConfig::workload2();
     let (w, h) = (32, 32);
-    let tf = TransferFunction::rainbow(full.scalar_range());
-    let rt = RayTracer::new(Device::Serial, TriGeometry::from_mesh(full));
+    let tf = TransferFunction::rainbow(mesh.scalar_range());
+    let rt = RayTracer::new(Device::Serial, TriGeometry::from_mesh(&mesh));
     let single = to_rank_image(&rt.render_with_map(&camera, w, h, &cfg, &tf).frame);
     assert!(single.active_pixels() > 30, "fixture must be visible");
 
-    let part = Partition::bisect(&tri_centroids(full), 3);
+    let part = Partition::bisect(&tri_centroids(&mesh), 3);
     for workers in 1..=8usize {
         let device = Device::parallel_with_threads(workers);
-        let frames = render_partitioned(&device, full, &part, &camera, w, h, &cfg);
+        let frames = render_partitioned(&device, &mesh, &part, &camera, w, h, &cfg);
         let images: Vec<RankImage> = frames.iter().map(|f| f.image.clone()).collect();
         let folded = reference(&images, CompositeMode::ZBuffer);
         for i in 0..single.color.len() {
