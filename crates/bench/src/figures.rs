@@ -239,7 +239,7 @@ pub fn fig11(scale: Scale) -> TextTable {
     );
     for device in crate::corpus::DEVICES {
         for renderer in crate::corpus::RENDERERS {
-            for (actual, predicted) in cv_pairs(&corpus, device, renderer) {
+            for (actual, predicted) in cv_pairs(corpus, device, renderer) {
                 let err = if actual != 0.0 { (actual - predicted) / actual * 100.0 } else { 0.0 };
                 t.row(vec![
                     device.into(),
@@ -277,10 +277,7 @@ pub fn fig13(scale: Scale) -> TextTable {
     let mut header = String::from("Figure 13: compositing CV error");
     let mut series = Vec::new();
     for wire in [CompositeWire::Dense, CompositeWire::Compressed] {
-        let (pairs, acc) = composite_cv(&corpus, wire);
-        if pairs.is_empty() {
-            continue;
-        }
+        let (pairs, acc) = composite_cv(corpus, wire);
         use std::fmt::Write as _;
         let _ = write!(
             header,
@@ -362,7 +359,6 @@ pub fn fig15(scale: Scale) -> TextTable {
     println!(
         "[figure 15 summary: ray tracing wins {rt_wins} cells, rasterization wins {rast_wins} cells]"
     );
-    let _ = scale;
     t
 }
 

@@ -21,13 +21,15 @@ use vecmath::{Camera, Color, TransferFunction};
 
 fn save(frame: &mut Framebuffer, name: &str) {
     let dir = crate::out_dir().join("images");
-    let _ = std::fs::create_dir_all(&dir);
     frame.set_background(Color::WHITE);
     let path = dir.join(format!("{name}.png"));
-    match strawman::api::write_image(frame, &path, "png") {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: {e}"),
+    // As `write_artifact`: a picture that was not written fails the stage.
+    let written = std::fs::create_dir_all(&dir)
+        .and_then(|()| strawman::api::write_image(frame, &path, "png"));
+    if let Err(e) = written {
+        panic!("could not write {}: {e}", path.display());
     }
+    println!("[wrote {}]", path.display());
 }
 
 /// Figure 2: the RM isosurface, intersection-only (left) and shaded (right).

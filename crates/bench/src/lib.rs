@@ -2,7 +2,7 @@
 //!
 //! The `repro` binary (`cargo run -p bench-harness --release --bin repro --
 //! <id>`) drives one experiment per table/figure; this library holds the
-//! common machinery: run scales, dataset construction, the cached study
+//! common machinery: run scales, dataset construction, the measured study
 //! corpus, and plain-text table formatting.
 
 pub mod corpus;
@@ -145,18 +145,21 @@ pub fn fmt_count(v: f64) -> String {
 /// Output directory for CSVs and images produced by the harness.
 pub fn out_dir() -> std::path::PathBuf {
     let dir = std::path::PathBuf::from("repro_out");
-    let _ = std::fs::create_dir_all(&dir);
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        panic!("could not create {}: {e}", dir.display());
+    }
     dir
 }
 
-/// Write an artifact file and report it.
+/// Write an artifact file and report it. A failed write panics — `repro`
+/// runs every stage under `catch_unwind`, so the stage is reported failed
+/// and the exit code is nonzero instead of a CSV silently missing or stale.
 pub fn write_artifact(name: &str, contents: &str) {
     let path = out_dir().join(name);
     if let Err(e) = std::fs::write(&path, contents) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[wrote {}]", path.display());
+        panic!("could not write {}: {e}", path.display());
     }
+    println!("[wrote {}]", path.display());
 }
 
 #[cfg(test)]
@@ -212,6 +215,23 @@ mod tests {
         assert_eq!(fmt_s(12.345), "12.3");
         assert_eq!(fmt_s(0.5), "0.500");
         assert_eq!(fmt_s(0.01234), "0.01234");
+    }
+
+    #[test]
+    fn failed_artifact_write_fails_the_call() {
+        // A regular file where the artifact's parent directory should be.
+        let dir = out_dir();
+        let blocker = dir.join("write_artifact_test_blocker");
+        std::fs::write(&blocker, "").unwrap();
+        let result = std::panic::catch_unwind(|| {
+            write_artifact("write_artifact_test_blocker/table.csv", "a,b\n")
+        });
+        std::fs::remove_file(&blocker).unwrap();
+        // The test's own `repro_out/` (cargo runs it in the crate directory);
+        // `remove_dir` leaves a non-empty one alone.
+        let _ = std::fs::remove_dir(dir);
+        let message = *result.expect_err("write must fail").downcast::<String>().unwrap();
+        assert!(message.contains("write_artifact_test_blocker"), "{message}");
     }
 
     #[test]

@@ -509,7 +509,7 @@ pub fn table13(scale: Scale) -> TextTable {
     );
     for device in DEVICES {
         for renderer in crate::corpus::RENDERERS {
-            let (xs, ys) = model_xy(&corpus, device, renderer);
+            let (xs, ys) = model_xy(corpus, device, renderer);
             let acc = k_fold_accuracy(&xs, &ys, 3);
             t.row(vec![
                 device.to_string(),
@@ -538,10 +538,7 @@ pub fn table14(scale: Scale) -> TextTable {
         ("compositing (dense)", CompositeWire::Dense),
         ("compositing (compressed)", CompositeWire::Compressed),
     ] {
-        let (pairs, acc) = composite_cv(&corpus, wire);
-        if pairs.is_empty() {
-            continue;
-        }
+        let (_, acc) = composite_cv(corpus, wire);
         t.row(vec![
             name.into(),
             format!("{:.1}", acc.within_50),
@@ -726,32 +723,26 @@ pub fn table17(scale: Scale) -> TextTable {
             "-".into(),
         ]);
     }
-    let dense = corpus.composite_subset(CompositeWire::Dense);
-    if !dense.is_empty() {
-        let comp = Family::Comp.fit(&dense);
-        t.row(vec![
-            table17_label("compositing (dense)", &comp),
-            "-".into(),
-            format!("{:.3e}", comp.coeffs()[0]),
-            format!("{:.3e}", comp.coeffs()[1]),
-            format!("{:.3e}", comp.coeffs()[2]),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
-    let compressed = corpus.composite_subset(CompositeWire::Compressed);
-    if !compressed.is_empty() {
-        let comp = Family::CompRle.fit(&compressed);
-        t.row(vec![
-            table17_label("compositing (compressed)", &comp),
-            "-".into(),
-            format!("{:.3e}", comp.coeffs()[0]),
-            format!("{:.3e}", comp.coeffs()[1]),
-            format!("{:.3e}", comp.coeffs()[2]),
-            format!("{:.3e}", comp.coeffs()[3]),
-            "-".into(),
-        ]);
-    }
+    let comp = Family::Comp.fit(&corpus.composite_subset(CompositeWire::Dense));
+    t.row(vec![
+        table17_label("compositing (dense)", &comp),
+        "-".into(),
+        format!("{:.3e}", comp.coeffs()[0]),
+        format!("{:.3e}", comp.coeffs()[1]),
+        format!("{:.3e}", comp.coeffs()[2]),
+        "-".into(),
+        "-".into(),
+    ]);
+    let comp = Family::CompRle.fit(&corpus.composite_subset(CompositeWire::Compressed));
+    t.row(vec![
+        table17_label("compositing (compressed)", &comp),
+        "-".into(),
+        format!("{:.3e}", comp.coeffs()[0]),
+        format!("{:.3e}", comp.coeffs()[1]),
+        format!("{:.3e}", comp.coeffs()[2]),
+        format!("{:.3e}", comp.coeffs()[3]),
+        "-".into(),
+    ]);
     t
 }
 
@@ -1072,7 +1063,7 @@ pub fn ablations(scale: Scale) -> TextTable {
 /// prediction-error trajectory (first vs last quartile of cycles) as the
 /// online refit converges. A per-cycle trajectory CSV is written alongside.
 pub fn sched_demo(scale: Scale) -> TextTable {
-    use sched::{run_budgeted_demo, DemoConfig, DemoReport};
+    use sched::{run_budgeted_demo, DemoConfig};
     use sims::ProxySim;
 
     let cycles = match scale {
@@ -1084,18 +1075,13 @@ pub fn sched_demo(scale: Scale) -> TextTable {
         &["sim", "mode", "budget (s)", "within budget", "degraded", "rejected", "err q1", "err q4"],
     );
     let mut trajectory = String::from("sim,cycle,level,predicted_s,actual_s,within\n");
-    let run = |sim: &mut dyn ProxySim, scheduled: bool| -> DemoReport {
-        let mut cfg = DemoConfig::quick(scheduled);
-        cfg.cycles = cycles;
-        run_budgeted_demo(sim, &cfg)
-    };
     for scheduled in [true, false] {
         let mut lulesh = sims::Lulesh::new(10);
         let mut kripke = sims::Kripke::new(12);
         let mut clover = sims::Cloverleaf::new(12);
         let proxies: [&mut dyn ProxySim; 3] = [&mut lulesh, &mut kripke, &mut clover];
         for sim in proxies {
-            let report = run(sim, scheduled);
+            let report = run_budgeted_demo(sim, &DemoConfig { cycles, scheduled });
             if scheduled {
                 for c in &report.cycles {
                     use std::fmt::Write as _;
@@ -1133,7 +1119,7 @@ pub fn sched_demo(scale: Scale) -> TextTable {
 /// `feasd_hotpath.csv`.
 pub fn feasd_demo(scale: Scale) -> TextTable {
     use feasd::measure::measure_hit_vs_miss;
-    use feasd::{generate, simulate, Feasd, FeasdConfig, Lattice, SimCosts, TrafficConfig};
+    use feasd::{generate, simulate, Feasd, FeasdConfig, Lattice, TrafficConfig};
     use sched::demo::ground_truth;
 
     let (queries, rounds) = match scale {
@@ -1142,7 +1128,6 @@ pub fn feasd_demo(scale: Scale) -> TextTable {
     };
     let seed = 2024u64;
     let lattice = Lattice::service_default();
-    let costs = SimCosts::default();
     let cfg = || FeasdConfig { pool: Device::Serial, ..FeasdConfig::default() };
 
     let hot = {
@@ -1183,7 +1168,7 @@ pub fn feasd_demo(scale: Scale) -> TextTable {
         let service =
             Feasd::new(ground_truth(), perfmodel::mapping::MappingConstants::default(), cfg());
         let events = generate(&traffic, &lattice);
-        let r = simulate(&service, &events, &costs, name);
+        let r = simulate(&service, &events, name);
         t.row(vec![
             r.scenario.clone(),
             r.offered.to_string(),
@@ -1705,8 +1690,7 @@ pub fn rebalance_run(scale: Scale) -> RebalanceRun {
     let per_rank =
         |p: &Partition| -> Vec<f64> { p.counts().iter().map(|&c| c as f64 * t_cell).collect() };
 
-    let cfg =
-        RebalanceConfig { threshold: 1.3, sustain_cycles: 3, bytes_per_cell: 256, smoothing: 0.5 };
+    let cfg = RebalanceConfig { threshold: 1.3, sustain_cycles: 3, bytes_per_cell: 256 };
     let mut rb = Rebalancer::with_partition(centroids, skewed.clone(), cfg);
     let mut world = EventWorld::new(ranks, NetModel::cluster());
 

@@ -1,5 +1,5 @@
 //! Experiment records: one row per rendering test (the corpus the models
-//! are fitted on), with CSV serialization for offline analysis.
+//! are fitted on).
 
 /// Which rendering technique a sample measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,54 +64,6 @@ pub struct RenderSample {
     pub render_seconds: f64,
 }
 
-impl RenderSample {
-    /// Column header matching [`RenderSample::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "renderer,device,source,objects,active_pixels,visible_objects,pixels_per_triangle,samples_per_ray,cells_spanned,pixels,tasks,build_seconds,render_seconds";
-
-    /// Serialize as one CSV row in `CSV_HEADER` column order.
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.renderer.name(),
-            self.device,
-            self.source,
-            self.objects,
-            self.active_pixels,
-            self.visible_objects,
-            self.pixels_per_triangle,
-            self.samples_per_ray,
-            self.cells_spanned,
-            self.pixels,
-            self.tasks,
-            self.build_seconds,
-            self.render_seconds
-        )
-    }
-
-    /// Parse a row written by [`RenderSample::to_csv_row`].
-    pub fn from_csv_row(row: &str) -> Option<RenderSample> {
-        let f: Vec<&str> = row.split(',').collect();
-        if f.len() != 13 {
-            return None;
-        }
-        Some(RenderSample {
-            renderer: RendererKind::parse(f[0])?,
-            device: f[1].to_string(),
-            source: f[2].to_string(),
-            objects: f[3].parse().ok()?,
-            active_pixels: f[4].parse().ok()?,
-            visible_objects: f[5].parse().ok()?,
-            pixels_per_triangle: f[6].parse().ok()?,
-            samples_per_ray: f[7].parse().ok()?,
-            cells_spanned: f[8].parse().ok()?,
-            pixels: f[9].parse().ok()?,
-            tasks: f[10].parse().ok()?,
-            build_seconds: f[11].parse().ok()?,
-            render_seconds: f[12].parse().ok()?,
-        })
-    }
-}
-
 /// Which exchange the wire bytes of a compositing measurement traveled as:
 /// dense full-image fragments, run-length-compressed active-pixel spans
 /// (the default wire path since the RLE compositing change), or the
@@ -136,16 +88,6 @@ impl CompositeWire {
             CompositeWire::Dfb => "dfb",
         }
     }
-
-    /// Inverse of [`CompositeWire::name`].
-    pub fn parse(s: &str) -> Option<CompositeWire> {
-        match s {
-            "dense" => Some(CompositeWire::Dense),
-            "compressed" => Some(CompositeWire::Compressed),
-            "dfb" => Some(CompositeWire::Dfb),
-            _ => None,
-        }
-    }
 }
 
 /// One image-compositing measurement.
@@ -161,43 +103,6 @@ pub struct CompositeSample {
     pub seconds: f64,
     /// Exchange the measurement used on the wire.
     pub wire: CompositeWire,
-}
-
-impl CompositeSample {
-    /// Column header matching [`CompositeSample::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "tasks,pixels,avg_active_pixels,seconds,wire";
-
-    /// Serialize as one CSV row in `CSV_HEADER` column order.
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{}",
-            self.tasks,
-            self.pixels,
-            self.avg_active_pixels,
-            self.seconds,
-            self.wire.name()
-        )
-    }
-
-    /// Parse a row. Legacy 4-column rows (no `wire` field) predate the tag
-    /// and were produced by the compressed-by-default radix-k study, so they
-    /// parse as [`CompositeWire::Compressed`].
-    pub fn from_csv_row(row: &str) -> Option<CompositeSample> {
-        let f: Vec<&str> = row.split(',').collect();
-        if f.len() != 4 && f.len() != 5 {
-            return None;
-        }
-        Some(CompositeSample {
-            tasks: f[0].parse().ok()?,
-            pixels: f[1].parse().ok()?,
-            avg_active_pixels: f[2].parse().ok()?,
-            seconds: f[3].parse().ok()?,
-            wire: match f.get(4) {
-                Some(w) => CompositeWire::parse(w)?,
-                None => CompositeWire::Compressed,
-            },
-        })
-    }
 }
 
 /// One per-pass timing measurement from the render-graph executor: a pass
@@ -266,110 +171,9 @@ impl<'a> From<&'a PassSample> for Obs<'a> {
     }
 }
 
-/// Write samples to CSV text.
-pub fn to_csv(samples: &[RenderSample]) -> String {
-    let mut out = String::from(RenderSample::CSV_HEADER);
-    out.push('\n');
-    for s in samples {
-        out.push_str(&s.to_csv_row());
-        out.push('\n');
-    }
-    out
-}
-
-/// Parse CSV text (header optional).
-pub fn from_csv(text: &str) -> Vec<RenderSample> {
-    text.lines()
-        .filter(|l| !l.is_empty() && !l.starts_with("renderer,"))
-        .filter_map(RenderSample::from_csv_row)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> RenderSample {
-        RenderSample {
-            renderer: RendererKind::RayTracing,
-            device: "parallel".into(),
-            source: "kripke".into(),
-            objects: 12000.0,
-            active_pixels: 3000.5,
-            visible_objects: 100.0,
-            pixels_per_triangle: 4.0,
-            samples_per_ray: 0.0,
-            cells_spanned: 0.0,
-            pixels: 65536.0,
-            tasks: 8,
-            build_seconds: 0.01,
-            render_seconds: 0.05,
-        }
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let s = sample();
-        let row = s.to_csv_row();
-        let back = RenderSample::from_csv_row(&row).unwrap();
-        assert_eq!(back.renderer, s.renderer);
-        assert_eq!(back.device, s.device);
-        assert_eq!(back.objects, s.objects);
-        assert_eq!(back.tasks, s.tasks);
-        assert_eq!(back.render_seconds, s.render_seconds);
-    }
-
-    #[test]
-    fn csv_text_round_trip_with_header() {
-        let text = to_csv(&[sample(), sample()]);
-        let parsed = from_csv(&text);
-        assert_eq!(parsed.len(), 2);
-    }
-
-    #[test]
-    fn malformed_rows_skipped() {
-        assert!(RenderSample::from_csv_row("nope").is_none());
-        assert!(RenderSample::from_csv_row("bad,kind,x,1,2,3,4,5,6,7,8,9,10").is_none());
-    }
-
-    #[test]
-    fn composite_round_trip() {
-        let c = CompositeSample {
-            tasks: 16,
-            pixels: 1e6,
-            avg_active_pixels: 4e4,
-            seconds: 0.02,
-            wire: CompositeWire::Dense,
-        };
-        let back = CompositeSample::from_csv_row(&c.to_csv_row()).unwrap();
-        assert_eq!(back.tasks, 16);
-        assert_eq!(back.seconds, 0.02);
-        assert_eq!(back.wire, CompositeWire::Dense);
-    }
-
-    #[test]
-    fn legacy_composite_rows_parse_as_compressed() {
-        // Pre-tag corpora came from the compressed-by-default radix-k study.
-        let back = CompositeSample::from_csv_row("16,1000000,40000,0.02").unwrap();
-        assert_eq!(back.wire, CompositeWire::Compressed);
-        assert_eq!(back.tasks, 16);
-        assert!(CompositeSample::from_csv_row("16,1e6,4e4,0.02,teleported").is_none());
-        assert!(CompositeSample::from_csv_row("16,1e6,4e4").is_none());
-    }
-
-    #[test]
-    fn dfb_wire_rows_round_trip() {
-        let c = CompositeSample {
-            tasks: 64,
-            pixels: 65536.0,
-            avg_active_pixels: 9000.0,
-            seconds: 0.001,
-            wire: CompositeWire::Dfb,
-        };
-        let back = CompositeSample::from_csv_row(&c.to_csv_row()).unwrap();
-        assert_eq!(back.wire, CompositeWire::Dfb);
-        assert_eq!(CompositeWire::parse("dfb"), Some(CompositeWire::Dfb));
-    }
 
     #[test]
     fn renderer_names_round_trip() {

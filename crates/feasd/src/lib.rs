@@ -38,7 +38,7 @@ pub use cache::{InstallError, ModelCache, ModelSnapshot};
 pub use perfmodel::fstable::{DeviceClass, FeasTable, Lattice, TableKey};
 pub use sched::Priority;
 pub use service::{Answer, Ask, Feasd, FeasdConfig, Query, Shed, Source, StatsSnapshot, Ticket};
-pub use simloop::{simulate, SimCosts, SimReport};
+pub use simloop::{simulate, SimReport};
 pub use traffic::{generate, ArrivalEvent, ArrivalPattern, TrafficConfig};
 
 use std::io::{BufRead, Write};

@@ -13,26 +13,16 @@
 use crate::service::{Feasd, StatsSnapshot};
 use crate::traffic::ArrivalEvent;
 
-/// Virtual cost of serving one pump batch: `batch_overhead_s` + per-query
-/// hit/miss costs. The defaults are shaped like the measured hot path
-/// (lookups are microseconds-ish, cold evals tens of microseconds) — the
-/// exact values only set the simulated capacity, not any correctness
-/// property.
-#[derive(Debug, Clone, Copy)]
-pub struct SimCosts {
-    /// Fixed cost per pump (drain, locks, dispatch).
-    pub batch_overhead_s: f64,
-    /// Cost per lattice point served from the table.
-    pub hit_s: f64,
-    /// Cost per lattice point evaluated through the models.
-    pub miss_s: f64,
-}
-
-impl Default for SimCosts {
-    fn default() -> SimCosts {
-        SimCosts { batch_overhead_s: 30e-6, hit_s: 2e-6, miss_s: 50e-6 }
-    }
-}
+/// Virtual cost of serving one pump batch: this fixed overhead (drain,
+/// locks, dispatch) plus the per-query hit/miss costs below. The values are
+/// shaped like the measured hot path (lookups are microseconds-ish, cold
+/// evals tens of microseconds) — they only set the simulated capacity, not
+/// any correctness property.
+const BATCH_OVERHEAD_S: f64 = 30e-6;
+/// Cost per lattice point served from the table.
+const HIT_S: f64 = 2e-6;
+/// Cost per lattice point evaluated through the models.
+const MISS_S: f64 = 50e-6;
 
 /// Deterministic serving metrics for one scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,14 +61,10 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// Drive `service` with `events` (as produced by [`crate::traffic::generate`],
 /// arrival times non-decreasing) on a virtual clock. Each iteration admits
 /// every arrival due by the clock, then serves one pump batch whose duration
-/// is priced by `costs`; idle gaps fast-forward the clock to the next
-/// arrival. Returns the full metric set; bit-deterministic for fixed inputs.
-pub fn simulate(
-    service: &Feasd,
-    events: &[ArrivalEvent],
-    costs: &SimCosts,
-    scenario: &str,
-) -> SimReport {
+/// is priced by `BATCH_OVERHEAD_S`, `HIT_S` and `MISS_S`; idle gaps
+/// fast-forward the clock to the next arrival. Returns the full metric set;
+/// bit-deterministic for fixed inputs.
+pub fn simulate(service: &Feasd, events: &[ArrivalEvent], scenario: &str) -> SimReport {
     let offered = events.len();
     let mut clock = 0.0f64;
     let mut next_event = 0usize;
@@ -112,7 +98,7 @@ pub fn simulate(
         let after = service.stats();
         let hits = (after.table_hits - before.table_hits) as f64;
         let misses = (after.table_misses - before.table_misses) as f64;
-        clock += costs.batch_overhead_s + hits * costs.hit_s + misses * costs.miss_s;
+        clock += BATCH_OVERHEAD_S + hits * HIT_S + misses * MISS_S;
         last_completion = clock;
         for (ticket, _) in &answered {
             // Tickets are answered in near-arrival order; linear scan from
@@ -176,7 +162,7 @@ mod tests {
         let service = quick_service();
         let events =
             generate(&TrafficConfig::uniform(3000, 42, 40_000.0), &Lattice::service_default());
-        let report = simulate(&service, &events, &SimCosts::default(), "uniform");
+        let report = simulate(&service, &events, "uniform");
         assert_eq!(report.answered + report.shed, report.offered);
         assert_eq!(report.shed, 0, "{report:?}");
         assert!(report.hit_rate > 0.8, "precomputed table should absorb most traffic: {report:?}");

@@ -20,7 +20,7 @@ use sched::Priority;
 pub enum ArrivalPattern {
     /// Poisson arrivals at the mean rate.
     Uniform,
-    /// Periodic bursts: within each `burst_period_s`, a `burst_duty`
+    /// Periodic bursts: within each `BURST_PERIOD_S`, a `BURST_DUTY`
     /// fraction carries the whole period's traffic at a proportionally
     /// higher instantaneous rate.
     Bursty,
@@ -36,6 +36,11 @@ impl ArrivalPattern {
     }
 }
 
+/// Burst cycle length in seconds (`Bursty` only).
+const BURST_PERIOD_S: f64 = 0.25;
+/// Fraction of each period that carries traffic (`Bursty` only).
+const BURST_DUTY: f64 = 0.2;
+
 /// Generator parameters.
 #[derive(Debug, Clone)]
 pub struct TrafficConfig {
@@ -47,10 +52,6 @@ pub struct TrafficConfig {
     pub mean_rate_qps: f64,
     /// Arrival shape.
     pub pattern: ArrivalPattern,
-    /// Burst cycle length in seconds (`Bursty` only).
-    pub burst_period_s: f64,
-    /// Fraction of each period that carries traffic (`Bursty` only).
-    pub burst_duty: f64,
     /// Fraction of queries sampled off the lattice (guaranteed table miss).
     pub off_lattice: f64,
     /// Fraction of queries that are render-plan asks.
@@ -65,8 +66,6 @@ impl TrafficConfig {
             seed,
             mean_rate_qps,
             pattern: ArrivalPattern::Uniform,
-            burst_period_s: 0.25,
-            burst_duty: 0.2,
             off_lattice: 0.05,
             plan_fraction: 0.1,
         }
@@ -103,18 +102,17 @@ pub fn generate(cfg: &TrafficConfig, lattice: &Lattice) -> Vec<ArrivalEvent> {
     // peak rate, accept each with probability inst_rate(t)/peak — the
     // textbook construction that preserves the mean rate exactly, unlike
     // naively stretching inter-arrival gaps across phase boundaries.
-    let duty = cfg.burst_duty.clamp(1e-6, 1.0);
     let peak = match cfg.pattern {
         ArrivalPattern::Uniform => rate,
-        ArrivalPattern::Bursty => rate / duty,
+        ArrivalPattern::Bursty => rate / BURST_DUTY,
     };
     let inst_rate = |t: f64| -> f64 {
         match cfg.pattern {
             ArrivalPattern::Uniform => rate,
             ArrivalPattern::Bursty => {
-                let phase = (t / cfg.burst_period_s).fract();
-                if phase < duty {
-                    rate / duty
+                let phase = (t / BURST_PERIOD_S).fract();
+                if phase < BURST_DUTY {
+                    rate / BURST_DUTY
                 } else {
                     // Quiescent floor between bursts: 1% of mean.
                     rate * 0.01

@@ -13,8 +13,8 @@
 
 use feasd::measure::measure_hit_vs_miss;
 use feasd::{
-    generate, simulate, Ask, DeviceClass, Feasd, FeasdConfig, Lattice, Priority, Query, SimCosts,
-    Source, TrafficConfig,
+    generate, simulate, Ask, DeviceClass, Feasd, FeasdConfig, Lattice, Priority, Query, Source,
+    TrafficConfig,
 };
 use perfmodel::mapping::{MappingConstants, RenderConfig};
 use perfmodel::models::Family;
@@ -229,16 +229,15 @@ fn plan_queries_pick_the_largest_feasible_side() {
 
 fn sim_pair(seed: u64) -> (feasd::SimReport, feasd::SimReport) {
     let lattice = Lattice::service_default();
-    let costs = SimCosts::default();
     let uniform = {
         let service = Feasd::new(ground_truth(), MappingConstants::default(), serial_cfg());
         let events = generate(&TrafficConfig::uniform(4000, seed, 20_000.0), &lattice);
-        simulate(&service, &events, &costs, "uniform")
+        simulate(&service, &events, "uniform")
     };
     let bursty = {
         let service = Feasd::new(ground_truth(), MappingConstants::default(), serial_cfg());
         let events = generate(&TrafficConfig::bursty(4000, seed, 60_000.0), &lattice);
-        simulate(&service, &events, &costs, "bursty")
+        simulate(&service, &events, "bursty")
     };
     (uniform, bursty)
 }

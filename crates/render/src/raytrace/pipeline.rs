@@ -28,8 +28,6 @@ pub struct RtConfig {
     pub workload: Workload,
     /// Hemisphere samples per intersection for ambient occlusion.
     pub ao_samples: u32,
-    /// AO ray maximum distance as a fraction of the scene diagonal.
-    pub ao_distance: f32,
     /// Specular-reflection bounce limit (0 disables reflections).
     pub max_reflections: u32,
     /// Stream compaction of dead rays between stages.
@@ -46,7 +44,6 @@ impl RtConfig {
         RtConfig {
             workload: Workload::Intersect,
             ao_samples: 0,
-            ao_distance: 0.05,
             max_reflections: 0,
             compaction: false,
             antialias: false,
@@ -227,6 +224,9 @@ pub(crate) fn depth_assemble_stage(
     frame
 }
 
+/// AO ray maximum distance as a fraction of the scene diagonal.
+const AO_DISTANCE: f32 = 0.05;
+
 /// Ambient-occlusion sample rays (map over live hits x samples).
 pub(crate) fn ao_stage(
     device: &Device,
@@ -238,7 +238,7 @@ pub(crate) fn ao_stage(
     live_hits: &[Hit],
 ) -> Vec<bool> {
     let s = cfg.ao_samples as usize;
-    let max_dist = geom.bounds.diagonal() * cfg.ao_distance;
+    let max_dist = geom.bounds.diagonal() * AO_DISTANCE;
     let n_occ = live.len() * s;
     map(device, n_occ, |j| {
         let li = j / s;

@@ -26,6 +26,8 @@ use crate::priority::Priority;
 pub const SHED_SPECULATIVE_LEVEL: usize = 1;
 /// First ladder level at which [`Priority::Normal`] requests are shed.
 pub const SHED_NORMAL_LEVEL: usize = 3;
+/// Deepest shed level (a queue past eight times its budget).
+pub const MAX_LEVEL: usize = 4;
 
 /// Hysteretic admission gate driven by observed queue depth.
 #[derive(Debug, Clone)]
@@ -39,7 +41,10 @@ impl QueuePressure {
     /// deeper queues escalate. `hysteresis_ticks` quiet observations are
     /// required per rung of recovery.
     pub fn new(depth_budget: usize, hysteresis_ticks: u32) -> QueuePressure {
-        QueuePressure { ladder: Ladder::new(hysteresis_ticks), depth_budget: depth_budget.max(1) }
+        QueuePressure {
+            ladder: Ladder::new(hysteresis_ticks, MAX_LEVEL),
+            depth_budget: depth_budget.max(1),
+        }
     }
 
     /// Feed one queue-depth observation. Overload escalates immediately and
@@ -49,7 +54,7 @@ impl QueuePressure {
     pub fn observe_depth(&mut self, depth: usize) {
         let budget = self.depth_budget;
         let target = if depth > budget.saturating_mul(8) {
-            4
+            MAX_LEVEL
         } else if depth > budget.saturating_mul(4) {
             3
         } else if depth > budget.saturating_mul(2) {

@@ -3,7 +3,7 @@
 //! simulated 64-rank machine, on a simulated clock.
 //!
 //! The scheduler starts from a deliberately miscalibrated prior (ground truth
-//! scaled by `prior_scale`), so early predictions are badly conservative;
+//! scaled by `PRIOR_SCALE`), so early predictions are badly conservative;
 //! the online refit then converges them toward the executor's hidden truth,
 //! which is what the `repro sched` table and the acceptance tests measure:
 //! budget adherence stays high the whole run, and prediction error shrinks
@@ -17,44 +17,36 @@ use perfmodel::models::Family;
 use perfmodel::sample::RendererKind;
 use sims::ProxySim;
 
-/// Demo parameters. `Default` is the 64-rank quick configuration the
+/// Demo parameters; [`DemoConfig::quick`] is the configuration the
 /// acceptance tests and the `repro sched` table use.
 #[derive(Debug, Clone)]
 pub struct DemoConfig {
-    /// Simulated MPI ranks (weak scaling; each owns one block).
-    pub tasks: usize,
     /// Simulation cycles to run.
     pub cycles: usize,
-    /// Requested (full-fidelity) image side.
-    pub image_side: u32,
-    /// Per-cycle budget as a fraction of the ground-truth full-fidelity
-    /// cycle cost — 0.5 means "you may spend half of what blind rendering
-    /// would".
-    pub budget_fraction: f64,
-    /// Scheduler prior = ground truth scaled by this factor (the
-    /// miscalibration the refit has to work off).
-    pub prior_scale: f64,
-    /// Relative runtime noise amplitude in the executor.
-    pub noise: f64,
-    pub seed: u64,
     /// `false` renders everything at full fidelity (the blind baseline).
     pub scheduled: bool,
 }
 
 impl DemoConfig {
     pub fn quick(scheduled: bool) -> DemoConfig {
-        DemoConfig {
-            tasks: 64,
-            cycles: 40,
-            image_side: 1024,
-            budget_fraction: 0.5,
-            prior_scale: 1.6,
-            noise: 0.03,
-            seed: 0x5EED,
-            scheduled,
-        }
+        DemoConfig { cycles: 40, scheduled }
     }
 }
+
+/// Simulated MPI ranks (weak scaling; each owns one block).
+const TASKS: usize = 64;
+/// Requested (full-fidelity) image side.
+const IMAGE_SIDE: u32 = 1024;
+/// Per-cycle budget as a fraction of the ground-truth full-fidelity cycle
+/// cost — 0.5 means "you may spend half of what blind rendering would".
+const BUDGET_FRACTION: f64 = 0.5;
+/// Scheduler prior = ground truth scaled by this factor (the miscalibration
+/// the refit has to work off).
+const PRIOR_SCALE: f64 = 1.6;
+/// Relative runtime noise amplitude in the executor.
+const NOISE: f64 = 0.03;
+/// Seed of the executor's runtime noise.
+const SEED: u64 = 0x5EED;
 
 /// One demo cycle, as reported.
 #[derive(Debug, Clone, Copy)]
@@ -173,36 +165,36 @@ fn cells_per_task_axis(num_cells: usize, tasks: usize) -> usize {
 pub fn run_budgeted_demo(sim: &mut dyn ProxySim, cfg: &DemoConfig) -> DemoReport {
     let constants = MappingConstants::default();
     let truth = ground_truth();
-    let mut exec = SimulatedExecutor::new(truth.clone(), constants, cfg.noise, cfg.seed);
+    let mut exec = SimulatedExecutor::new(truth.clone(), constants, NOISE, SEED);
 
-    let n = cells_per_task_axis(sim.num_cells(), cfg.tasks);
+    let n = cells_per_task_axis(sim.num_cells(), TASKS);
     let renderers: Vec<RendererKind> =
         sim.vis_renderers().iter().filter_map(|s| RendererKind::parse(s)).collect();
     assert!(!renderers.is_empty(), "sim requested no renderers");
 
     // Budget: a fraction of the noise-free ground-truth cost of rendering
     // everything the sim asks for at full fidelity.
-    let pixels = (cfg.image_side as usize) * (cfg.image_side as usize);
+    let pixels = (IMAGE_SIDE as usize) * (IMAGE_SIDE as usize);
     let mut full_cost = 0.0;
     let mut build_counted = false;
     for &renderer in &renderers {
-        let c = RenderConfig { renderer, cells_per_task: n, pixels, tasks: cfg.tasks };
+        let c = RenderConfig { renderer, cells_per_task: n, pixels, tasks: TASKS };
         full_cost += exec.true_frame_seconds(&c);
         if renderer == RendererKind::RayTracing && !build_counted {
             full_cost += exec.true_build_seconds(&c);
             build_counted = true;
         }
     }
-    let budget_s = cfg.budget_fraction * full_cost;
+    let budget_s = BUDGET_FRACTION * full_cost;
 
     // The blind baseline reuses the same machinery with an infinite admission
     // budget: everything admits at full fidelity, and adherence is judged
     // against the real budget below.
     let admission_budget = if cfg.scheduled { budget_s } else { f64::INFINITY };
     let mut sched = Scheduler::new(
-        scale_model_set(&truth, cfg.prior_scale),
+        scale_model_set(&truth, PRIOR_SCALE),
         constants,
-        SchedulerConfig::new(admission_budget, cfg.tasks),
+        SchedulerConfig::new(admission_budget, TASKS),
     );
 
     let mut cycles = Vec::with_capacity(cfg.cycles);
@@ -213,8 +205,8 @@ pub fn run_budgeted_demo(sim: &mut dyn ProxySim, cfg: &DemoConfig) -> DemoReport
             .iter()
             .map(|&renderer| RenderRequest {
                 renderer,
-                width: cfg.image_side,
-                height: cfg.image_side,
+                width: IMAGE_SIDE,
+                height: IMAGE_SIDE,
                 cells_per_task: n,
             })
             .collect();
@@ -222,8 +214,8 @@ pub fn run_budgeted_demo(sim: &mut dyn ProxySim, cfg: &DemoConfig) -> DemoReport
             // Periodic load burst: an extra showcase frame at twice the side.
             requests.push(RenderRequest {
                 renderer: RendererKind::RayTracing,
-                width: cfg.image_side * 2,
-                height: cfg.image_side * 2,
+                width: IMAGE_SIDE * 2,
+                height: IMAGE_SIDE * 2,
                 cells_per_task: n,
             });
         }

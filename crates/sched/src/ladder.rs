@@ -60,32 +60,33 @@ pub const DROP_LEVEL: usize = LADDER.len() - 1;
 /// immediate — a blown budget must be honored *now* — but recovery steps up
 /// one rung at a time, and only after `hysteresis_cycles` consecutive cycles
 /// with headroom at the higher fidelity. A single cheap cycle therefore
-/// never flips the schedule back and forth.
+/// never flips the schedule back and forth. The walker knows nothing of what
+/// its levels mean: its caller says how deep they go (the scheduler
+/// [`DROP_LEVEL`], queue backpressure its own shed levels).
 #[derive(Debug, Clone)]
 pub struct Ladder {
     level: usize,
     streak: u32,
     hysteresis_cycles: u32,
+    max_level: usize,
 }
 
 impl Ladder {
-    pub fn new(hysteresis_cycles: u32) -> Ladder {
-        Ladder { level: 0, streak: 0, hysteresis_cycles: hysteresis_cycles.max(1) }
+    pub fn new(hysteresis_cycles: u32, max_level: usize) -> Ladder {
+        Ladder { level: 0, streak: 0, hysteresis_cycles: hysteresis_cycles.max(1), max_level }
     }
 
-    /// Current operating level (index into [`LADDER`]).
+    /// Current operating level (0 = full fidelity, at most `max_level`; the
+    /// scheduler's levels index [`LADDER`]).
     pub fn level(&self) -> usize {
         self.level
     }
 
-    pub fn rung(&self) -> Rung {
-        LADDER[self.level]
-    }
-
-    /// Degrade to at least `level`, immediately. Resets the recovery streak.
+    /// Degrade to at least `level` (clamped to `max_level`), immediately.
+    /// Resets the recovery streak.
     pub fn escalate_to(&mut self, level: usize) {
         if level > self.level {
-            self.level = level.min(DROP_LEVEL);
+            self.level = level.min(self.max_level);
             self.streak = 0;
         }
     }
@@ -121,7 +122,7 @@ mod tests {
 
     #[test]
     fn escalation_is_immediate_and_recovery_is_hysteretic() {
-        let mut l = Ladder::new(3);
+        let mut l = Ladder::new(3, DROP_LEVEL);
         l.escalate_to(2);
         assert_eq!(l.level(), 2);
         // Two headroom cycles are not enough.
@@ -147,10 +148,17 @@ mod tests {
 
     #[test]
     fn relax_never_rises_above_full() {
-        let mut l = Ladder::new(1);
+        let mut l = Ladder::new(1, DROP_LEVEL);
         l.relax(true);
         assert_eq!(l.level(), 0);
         l.escalate_to(9); // clamped to the drop rung
         assert_eq!(l.level(), DROP_LEVEL);
+    }
+
+    #[test]
+    fn depth_comes_from_the_caller_not_the_render_ladder() {
+        let mut l = Ladder::new(1, 2);
+        l.escalate_to(9);
+        assert_eq!(l.level(), 2);
     }
 }

@@ -37,13 +37,14 @@ pub struct RebalanceConfig {
     /// Payload bytes per migrated cell (geometry + fields) charged to the
     /// simulated network.
     pub bytes_per_cell: u64,
-    /// EWMA weight of the newest per-cell cost observation in `[0, 1]`.
-    pub smoothing: f64,
 }
+
+/// EWMA weight of the newest per-cell cost observation in `[0, 1]`.
+const SMOOTHING: f64 = 0.5;
 
 impl Default for RebalanceConfig {
     fn default() -> RebalanceConfig {
-        RebalanceConfig { threshold: 1.2, sustain_cycles: 3, bytes_per_cell: 256, smoothing: 0.5 }
+        RebalanceConfig { threshold: 1.2, sustain_cycles: 3, bytes_per_cell: 256 }
     }
 }
 
@@ -115,7 +116,7 @@ impl Rebalancer {
         let counts = self.part.counts();
         // The first observation seeds the cost field outright — the initial
         // placeholder weights carry no timing information to average against.
-        let a = if self.last_obs.is_none() { 1.0 } else { self.cfg.smoothing };
+        let a = if self.last_obs.is_none() { 1.0 } else { SMOOTHING };
         for (rank, &t) in per_rank_seconds.iter().enumerate() {
             if counts[rank] == 0 {
                 continue;

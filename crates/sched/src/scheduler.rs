@@ -77,32 +77,24 @@ pub struct SchedulerConfig {
     /// degraded image at least one full rasterizer tile per side, so every
     /// ladder rung yields a renderable, nonzero-pixel config.
     pub min_image_side: u32,
-    /// Jobs are packed against `safety * budget_s`, leaving headroom for
-    /// prediction noise so small errors do not blow the budget.
-    pub safety: f64,
-    /// Consecutive headroom cycles required before regaining one rung.
-    pub hysteresis_cycles: u32,
-    /// Upgrading requires the cycle's demand one level up to fit within
-    /// `upgrade_margin` of the effective budget (second hysteresis band).
-    pub upgrade_margin: f64,
-    /// Sliding-window size for the online refit.
-    pub refit_window: usize,
-    /// Minimum samples before a model family is re-solved.
-    pub refit_min_samples: usize,
 }
+
+/// Jobs are packed against `SAFETY * budget_s`, leaving headroom for
+/// prediction noise so small errors do not blow the budget.
+const SAFETY: f64 = 0.9;
+/// Consecutive headroom cycles required before regaining one rung.
+const HYSTERESIS_CYCLES: u32 = 3;
+/// Upgrading requires the cycle's demand one level up to fit within
+/// `UPGRADE_MARGIN` of the effective budget (second hysteresis band).
+const UPGRADE_MARGIN: f64 = 0.8;
+/// Sliding-window size for the online refit.
+const REFIT_WINDOW: usize = 96;
+/// Minimum samples before a model family is re-solved.
+const REFIT_MIN_SAMPLES: usize = 8;
 
 impl SchedulerConfig {
     pub fn new(budget_s: f64, tasks: usize) -> SchedulerConfig {
-        SchedulerConfig {
-            budget_s,
-            tasks,
-            min_image_side: 64,
-            safety: 0.9,
-            hysteresis_cycles: 3,
-            upgrade_margin: 0.8,
-            refit_window: 96,
-            refit_min_samples: 8,
-        }
+        SchedulerConfig { budget_s, tasks, min_image_side: 64 }
     }
 }
 
@@ -169,8 +161,8 @@ pub struct Scheduler {
 
 impl Scheduler {
     pub fn new(models: ModelSet, constants: MappingConstants, cfg: SchedulerConfig) -> Scheduler {
-        let ladder = Ladder::new(cfg.hysteresis_cycles);
-        let refit = OnlineRefit::new(cfg.refit_window, cfg.refit_min_samples);
+        let ladder = Ladder::new(HYSTERESIS_CYCLES, DROP_LEVEL);
+        let refit = OnlineRefit::new(REFIT_WINDOW, REFIT_MIN_SAMPLES);
         Scheduler {
             models,
             constants,
@@ -286,7 +278,7 @@ impl Scheduler {
         let (effective_budget, spent, build_charged) = {
             // xlint::allow(X006): public-API misuse guard; the message is the contract.
             let cur = self.cur.as_ref().expect("decide() called outside begin_cycle()/end_cycle()");
-            (cur.budget_s * self.cfg.safety, cur.spent_predicted_s, cur.build_charged)
+            (cur.budget_s * SAFETY, cur.spent_predicted_s, cur.build_charged)
         };
 
         let mut outcome = None;
@@ -411,7 +403,7 @@ impl Scheduler {
         let level = self.ladder.level();
         let headroom = if level > 0 {
             let up_cost = self.cycle_cost_at_level(&cur.requests, level - 1);
-            up_cost <= self.cfg.upgrade_margin * self.cfg.safety * cur.budget_s
+            up_cost <= UPGRADE_MARGIN * SAFETY * cur.budget_s
         } else {
             false
         };
@@ -623,7 +615,7 @@ mod tests {
         };
         let probe = sched(1.0);
         // Budget fits one full frame plus a half-size frame, not two full.
-        let budget = (frame(&probe, 512) + 1.1 * frame(&probe, 256)) / probe.cfg.safety;
+        let budget = (frame(&probe, 512) + 1.1 * frame(&probe, 256)) / SAFETY;
         let mut s = sched(budget);
         s.begin_cycle(0);
         let r = req(RendererKind::VolumeRendering, 512);
@@ -662,7 +654,7 @@ mod tests {
             false,
         );
         assert!(!s.past_crossover(500, 64 * 64));
-        s.cfg.budget_s = 0.9 * quarter_cost / s.cfg.safety;
+        s.cfg.budget_s = 0.9 * quarter_cost / SAFETY;
         s.begin_cycle(0);
         assert!(matches!(s.decide(heavy), Decision::Reject));
         s.end_cycle();
@@ -696,7 +688,7 @@ mod tests {
         );
         assert!(s.past_crossover(3, 512 * 512));
         assert!(ra_quarter < rt_quarter);
-        s.cfg.budget_s = 0.5 * (rt_quarter + ra_quarter) / s.cfg.safety;
+        s.cfg.budget_s = 0.5 * (rt_quarter + ra_quarter) / SAFETY;
         s.begin_cycle(0);
         match s.decide(light) {
             Decision::Degrade(j) => {

@@ -43,8 +43,8 @@ fn online_refit_strictly_reduces_prediction_error() {
         last < first,
         "median abs rel error must strictly drop: first quartile {first}, last quartile {last}"
     );
-    // The prior is off by prior_scale (60%); converged predictions should sit
-    // near the executor's noise floor.
+    // The prior is off by the demo's `PRIOR_SCALE` (60%); converged predictions
+    // should sit near the executor's noise floor.
     assert!(first > 0.15, "first-quartile error {first} should reflect the bad prior");
     assert!(last < 0.10, "last-quartile error {last} should be near the noise level");
 }

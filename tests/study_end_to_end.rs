@@ -156,15 +156,3 @@ fn feasibility_answers_have_the_papers_shape() {
         get(4096, 64)
     );
 }
-
-#[test]
-fn corpus_round_trips_through_csv() {
-    let device = Device::Serial;
-    let s = run_one(&device, RendererKind::Rasterization, 12, 48, 0.8).unwrap();
-    let text = perfmodel::sample::to_csv(std::slice::from_ref(&s));
-    let parsed = perfmodel::sample::from_csv(&text);
-    assert_eq!(parsed.len(), 1);
-    assert_eq!(parsed[0].renderer, s.renderer);
-    assert!((parsed[0].render_seconds - s.render_seconds).abs() < 1e-12);
-    assert!((parsed[0].pixels_per_triangle - s.pixels_per_triangle).abs() < 1e-9);
-}
