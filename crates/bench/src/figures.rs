@@ -10,7 +10,7 @@ use baselines::havs::render_havs;
 use dpp::Device;
 use mesh::datasets::tet_dataset_pool;
 use perfmodel::feasibility::{images_in_budget, rt_vs_rast_map};
-use perfmodel::sample::{CompositeWire, RendererKind};
+use perfmodel::sample::CompositeWire;
 use render::volume_unstructured::{render_unstructured, sample_buffer_bytes, UvrConfig};
 use vecmath::{Camera, TransferFunction};
 
@@ -360,9 +360,4 @@ pub fn fig15(scale: Scale) -> TextTable {
         "[figure 15 summary: ray tracing wins {rt_wins} cells, rasterization wins {rast_wins} cells]"
     );
     t
-}
-
-/// Helper used by fig 14 summary printing.
-pub fn renderer_label(r: RendererKind) -> &'static str {
-    r.name()
 }

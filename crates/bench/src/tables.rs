@@ -1085,10 +1085,11 @@ pub fn sched_demo(scale: Scale) -> TextTable {
             if scheduled {
                 for c in &report.cycles {
                     use std::fmt::Write as _;
+                    let within = c.actual_s <= report.budget_s;
                     let _ = writeln!(
                         trajectory,
-                        "{},{},{},{:.6e},{:.6e},{}",
-                        report.sim, c.cycle, c.level, c.predicted_s, c.actual_s, c.within
+                        "{},{},{},{:.6e},{:.6e},{within}",
+                        report.sim, c.cycle, c.level, c.predicted_s, c.actual_s
                     );
                 }
             }
@@ -1113,51 +1114,21 @@ pub fn sched_demo(scale: Scale) -> TextTable {
 /// uniform load inside capacity and bursty overload — and the table reports
 /// offered/answered/shed counts, the table hit rate, shed rate, latency
 /// percentiles, and throughput. Every number is a pure function of the seed
-/// (the acceptance suite pins bit-determinism). A separate wall-clock pass
-/// times the two batch resolution paths — precomputed-table hit vs cold
-/// model evaluation — whose medians land in the title and in
-/// `feasd_hotpath.csv`.
+/// (the acceptance suite pins bit-determinism).
 pub fn feasd_demo(scale: Scale) -> TextTable {
-    use feasd::measure::measure_hit_vs_miss;
     use feasd::{generate, simulate, Feasd, FeasdConfig, Lattice, TrafficConfig};
     use sched::demo::ground_truth;
 
-    let (queries, rounds) = match scale {
-        Scale::Quick => (2_000usize, 5usize),
-        Scale::Full => (20_000, 15),
+    let queries = match scale {
+        Scale::Quick => 2_000usize,
+        Scale::Full => 20_000,
     };
     let seed = 2024u64;
     let lattice = Lattice::service_default();
     let cfg = || FeasdConfig { pool: Device::Serial, ..FeasdConfig::default() };
 
-    let hot = {
-        let serial =
-            Lattice { devices: vec![feasd::DeviceClass::Serial], ..Lattice::service_default() };
-        measure_hit_vs_miss(
-            &ground_truth(),
-            &perfmodel::mapping::MappingConstants::default(),
-            &serial,
-            rounds,
-        )
-    };
-    crate::write_artifact(
-        "feasd_hotpath.csv",
-        &format!(
-            "hit_ns,miss_ns,speedup\n{:.3},{:.3},{:.2}\n",
-            hot.hit_ns,
-            hot.miss_ns,
-            hot.speedup()
-        ),
-    );
-
     let mut t = TextTable::new(
-        format!(
-            "Feasibility service under seeded traffic (seed {seed}; hot path: table hit \
-             {:.0} ns vs cold eval {:.0} ns = {:.1}x)",
-            hot.hit_ns,
-            hot.miss_ns,
-            hot.speedup()
-        ),
+        format!("Feasibility service under seeded traffic (seed {seed})"),
         &["scenario", "offered", "answered", "shed", "hit %", "shed %", "p50 us", "p99 us", "qps"],
     );
     let scenarios = [

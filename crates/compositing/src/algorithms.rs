@@ -11,9 +11,10 @@
 //! * factors `[2, 2, ..., 2]` => binary swap (log2 P pairwise rounds)
 //! * anything else            => general radix-k
 //!
-//! Rounds execute on the [`LockstepWorld`]: per rank we *measure* blending
-//! compute and *model* the wire (latency + bytes/bandwidth), advancing the
-//! simulated clock by the slowest rank per round.
+//! Rounds execute as barriered supersteps of the [`EventWorld`]
+//! ([`EventWorld::finish_round`]): per rank we *measure* blending compute and
+//! *model* the wire (latency + bytes/bandwidth), and every rank leaves the
+//! round when the slowest one does.
 //!
 //! By default every exchange ships **run-length compressed** fragments
 //! ([`crate::rle::SpanImage`]) — IceT's active-pixel optimization — and the
@@ -25,7 +26,7 @@
 
 use crate::image::{CompositeMode, RankImage};
 use crate::rle::SpanImage;
-use mpirt::{LockstepWorld, NetModel, RoundCost};
+use mpirt::{EventWorld, NetModel, RoundCost};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -90,6 +91,24 @@ pub struct CompositeStats {
 }
 
 impl CompositeStats {
+    /// The record of an exchange that ran on `world`, whose ranks spent
+    /// `compute_seconds` blending in total and whose communication phases
+    /// moved `per_round`.
+    pub(crate) fn from_world(
+        world: &EventWorld,
+        compute_seconds: f64,
+        per_round: Vec<RoundBytes>,
+    ) -> CompositeStats {
+        CompositeStats {
+            simulated_seconds: world.elapsed(),
+            compute_seconds,
+            total_bytes: world.total_bytes,
+            dense_bytes: world.dense_bytes,
+            rounds: per_round.len(),
+            per_round,
+        }
+    }
+
     /// Overall dense-to-wire compression ratio (1.0 when nothing moved).
     pub fn compression_ratio(&self) -> f64 {
         if self.total_bytes == 0 {
@@ -220,23 +239,21 @@ pub fn binary_swap_opts(
 ) -> (RankImage, CompositeStats) {
     let p = images.len();
     assert!(p > 0);
-    if p.is_power_of_two() {
-        let rounds = p.trailing_zeros() as usize;
-        if rounds == 0 {
-            return radix_k_opts(images, mode, net, &[1], opts);
-        }
-        return radix_k_opts(images, mode, net, &vec![2usize; rounds], opts);
+    let pow2 = 1usize << p.ilog2();
+    let swaps = vec![2usize; p.ilog2() as usize];
+    if p == pow2 {
+        return radix_k_opts(images, mode, net, &swaps, opts);
     }
 
     // Fold: with m = p - pow2 extras, ranks 0..2m merge in adjacent pairs
     // (2i, 2i+1) — adjacency keeps the visibility order contiguous for the
-    // ordered-alpha mode.
-    let pow2 = 1usize << (usize::BITS - 1 - p.leading_zeros());
+    // ordered-alpha mode. The fold is the first barriered round of the world
+    // the swap rounds then run on.
     let m = p - pow2;
     let bpp = RankImage::bytes_per_pixel(mode);
     let n_px = images[0].num_pixels();
-    let mut world = mpirt::LockstepWorld::new(p, net);
-    let mut fold_costs = vec![mpirt::RoundCost::default(); p];
+    let mut world = EventWorld::new(p, net);
+    let mut fold_costs = vec![RoundCost::default(); p];
     let mut folded: Vec<RankImage> = Vec::with_capacity(pow2);
     let mut fold_compute = 0.0f64;
     for i in 0..m {
@@ -252,43 +269,15 @@ pub fn binary_swap_opts(
         back.merge_front(&images[2 * i], mode);
         let dt = t0.elapsed().as_secs_f64();
         fold_compute += dt;
-        fold_costs[2 * i + 1] = mpirt::RoundCost {
-            compute_s: 0.0,
-            bytes_sent: sent,
-            bytes_dense: n_px * bpp,
-            messages: 1,
-        };
-        fold_costs[2 * i] =
-            mpirt::RoundCost { compute_s: dt, bytes_sent: 0, bytes_dense: 0, messages: 0 };
+        fold_costs[2 * i + 1] =
+            RoundCost { compute_s: 0.0, bytes_sent: sent, bytes_dense: n_px * bpp, messages: 1 };
+        fold_costs[2 * i] = RoundCost { compute_s: dt, ..RoundCost::default() };
         folded.push(back);
     }
     folded.extend(images[2 * m..].iter().cloned());
     debug_assert_eq!(folded.len(), pow2);
     world.finish_round(&fold_costs);
-
-    let rounds = pow2.trailing_zeros() as usize;
-    let (img, swap_stats) = if rounds == 0 {
-        radix_k_opts(&folded, mode, net, &[1], opts)
-    } else {
-        radix_k_opts(&folded, mode, net, &vec![2usize; rounds], opts)
-    };
-    let mut per_round: Vec<RoundBytes> = world
-        .round_bytes
-        .iter()
-        .map(|&(w, d)| RoundBytes { wire_bytes: w, dense_bytes: d })
-        .collect();
-    per_round.extend(swap_stats.per_round.iter().copied());
-    (
-        img,
-        CompositeStats {
-            simulated_seconds: world.elapsed_s + swap_stats.simulated_seconds,
-            compute_seconds: fold_compute + swap_stats.compute_seconds,
-            total_bytes: world.total_bytes + swap_stats.total_bytes,
-            dense_bytes: world.dense_bytes + swap_stats.dense_bytes,
-            per_round,
-            rounds: 1 + swap_stats.rounds,
-        },
-    )
+    exchange(&folded, mode, world, fold_compute, &swaps, opts)
 }
 
 /// Factor `p` into radix-k round sizes (2s and small primes, largest last).
@@ -338,17 +327,32 @@ pub fn radix_k_opts(
     factors: &[usize],
     opts: ExchangeOptions,
 ) -> (RankImage, CompositeStats) {
+    exchange(images, mode, EventWorld::new(images.len(), net), 0.0, factors, opts)
+}
+
+/// Run the rounds on `world` in the wire format `opts` selects. Binary swap
+/// hands over a world that has run the fold round (`compute_so_far` is its
+/// blending) and whose folded-away ranks sit the remaining rounds out.
+fn exchange(
+    images: &[RankImage],
+    mode: CompositeMode,
+    world: EventWorld,
+    compute_so_far: f64,
+    factors: &[usize],
+    opts: ExchangeOptions,
+) -> (RankImage, CompositeStats) {
     if opts.compress {
-        run_radix::<SpanImage>(images, mode, net, factors)
+        run_radix::<SpanImage>(images, mode, world, compute_so_far, factors)
     } else {
-        run_radix::<RankImage>(images, mode, net, factors)
+        run_radix::<RankImage>(images, mode, world, compute_so_far, factors)
     }
 }
 
 fn run_radix<F: Fragment>(
     images: &[RankImage],
     mode: CompositeMode,
-    net: NetModel,
+    mut world: EventWorld,
+    mut compute_total: f64,
     factors: &[usize],
 ) -> (RankImage, CompositeStats) {
     let p = images.len();
@@ -358,9 +362,6 @@ fn run_radix<F: Fragment>(
     let height = images[0].height;
     let n_px = images[0].num_pixels();
     let bpp = RankImage::bytes_per_pixel(mode);
-
-    let mut world = LockstepWorld::new(p, net);
-    let mut compute_total = 0.0f64;
 
     // Initial (compressed) fragment construction is compute the ranks do.
     let t_init = Instant::now();
@@ -481,19 +482,9 @@ fn run_radix<F: Fragment>(
     let per_round = world
         .round_bytes
         .iter()
-        .map(|&(w, d)| RoundBytes { wire_bytes: w, dense_bytes: d })
+        .map(|&(wire_bytes, dense_bytes)| RoundBytes { wire_bytes, dense_bytes })
         .collect();
-    (
-        full,
-        CompositeStats {
-            simulated_seconds: world.elapsed_s,
-            compute_seconds: compute_total,
-            total_bytes: world.total_bytes,
-            dense_bytes: world.dense_bytes,
-            per_round,
-            rounds: world.rounds,
-        },
-    )
+    (full, CompositeStats::from_world(&world, compute_total, per_round))
 }
 
 #[cfg(test)]
@@ -569,6 +560,31 @@ mod tests {
         assert_eq!(st3.rounds, 1 + 3 + 1);
         let expect = reference(&imgs12, CompositeMode::AlphaOrdered);
         assert!(out.max_color_diff(&expect) < 2e-5);
+    }
+
+    /// Non-power-of-two binary swap runs its fold round and its swap rounds
+    /// on one world: one set of books, fold round first, gather last.
+    #[test]
+    fn folded_binary_swap_keeps_one_set_of_books() {
+        for (p, pow2) in [(6usize, 4usize), (12, 8)] {
+            let imgs = make_images(p, 16, 9, 300 + p as u64);
+            for mode in [CompositeMode::ZBuffer, CompositeMode::AlphaOrdered] {
+                let expect = reference(&imgs, mode);
+                for opts in [ExchangeOptions::default(), ExchangeOptions::dense()] {
+                    let (out, st) = binary_swap_opts(&imgs, mode, NetModel::cluster(), opts);
+                    assert!(out.max_color_diff(&expect) < 2e-5, "p={p} {mode:?} {opts:?}");
+                    assert_eq!(st.rounds, 1 + pow2.trailing_zeros() as usize + 1);
+                    assert_eq!(st.per_round.len(), st.rounds);
+                    let wire: u64 = st.per_round.iter().map(|r| r.wire_bytes).sum();
+                    let dense: u64 = st.per_round.iter().map(|r| r.dense_bytes).sum();
+                    assert_eq!(wire, st.total_bytes, "p={p} {mode:?} {opts:?}");
+                    assert_eq!(dense, st.dense_bytes, "p={p} {mode:?} {opts:?}");
+                    // The fold round: p - pow2 whole images, one per pair.
+                    let image_bytes = (16 * 9 * RankImage::bytes_per_pixel(mode)) as u64;
+                    assert_eq!(st.per_round[0].dense_bytes, (p - pow2) as u64 * image_bytes);
+                }
+            }
+        }
     }
 
     #[test]

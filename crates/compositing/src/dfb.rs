@@ -22,10 +22,11 @@
 //! entry point that delivers fragments in a seeded random permutation; the
 //! property tests pin that the pixels do not move.
 //!
-//! Timing runs on [`mpirt::EventWorld`]: fragment production and fold
-//! compute are *measured*, the wire is *modeled* (eager injection — the
-//! sender pays one message latency, the payload's transfer time rides the
-//! wire and delays only the receiver). [`dfb_compose_staggered`] seeds
+//! Timing runs on the same [`mpirt::EventWorld`] the round exchanges use,
+//! without its barrier: fragment production and fold compute are
+//! *measured*, the wire is *modeled* (eager injection — the sender pays one
+//! message latency, the payload's transfer time rides the wire and delays
+//! only the receiver). [`dfb_compose_staggered`] seeds
 //! per-rank start clocks with render-completion times, so the overlap of
 //! rendering and compositing — the DFB's reason to exist — shows up in
 //! `simulated_seconds`.
@@ -311,15 +312,7 @@ fn run_dfb<F: Fragment>(
     world.compute(0, asm);
     compute_total += asm;
 
-    let stats = CompositeStats {
-        simulated_seconds: world.elapsed(),
-        compute_seconds: compute_total,
-        total_bytes: world.total_bytes,
-        dense_bytes: world.dense_bytes,
-        per_round: vec![scatter, gather],
-        rounds: 2,
-    };
-    (out, stats)
+    (out, CompositeStats::from_world(&world, compute_total, vec![scatter, gather]))
 }
 
 #[cfg(test)]

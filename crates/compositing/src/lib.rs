@@ -10,11 +10,12 @@
 //!   *over* operator in visibility order (rank index = front-to-back order;
 //!   the caller sorts ranks by view depth first, as Strawman does).
 //!
-//! Three classic algorithms are implemented over the [`mpirt::LockstepWorld`]
-//! superstep executor, so rank counts up to the paper's 1024-rank Titan runs
-//! are simulated with measured compute and modeled transfer time:
-//! [`direct_send`], [`binary_swap`], and [`radix_k`] (direct send == radix-k
-//! with one factor P; binary swap == radix-k with factors all 2).
+//! Three classic algorithms are implemented as barriered rounds of the
+//! [`mpirt::EventWorld`] simulated clock, so rank counts up to the paper's
+//! 1024-rank Titan runs are simulated with measured compute and modeled
+//! transfer time: [`direct_send`], [`binary_swap`], and [`radix_k`] (direct
+//! send == radix-k with one factor P; binary swap == radix-k with factors
+//! all 2).
 //!
 //! Exchanges ship run-length-compressed active-pixel spans ([`SpanImage`])
 //! by default, mirroring IceT's compression of background pixels; pass
@@ -22,8 +23,8 @@
 //! uncompressed exchange. Both produce pixel-identical output.
 //!
 //! A fourth, *asynchronous* mode lives in [`dfb`]: Distributed FrameBuffer
-//! tile compositing over the barrier-free [`mpirt::EventWorld`], which
-//! overlaps rendering with the exchange while staying byte-identical to the
+//! tile compositing on the same clock with no barrier, which overlaps
+//! rendering with the exchange while staying byte-identical to the
 //! serial [`reference()`] under any fragment arrival order.
 
 pub mod algorithms;

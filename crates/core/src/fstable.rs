@@ -21,7 +21,6 @@ use crate::mapping::{MappingConstants, RenderConfig};
 use crate::sample::RendererKind;
 use dpp::Device;
 use std::fmt;
-use std::path::Path;
 
 /// File magic: `FST` plus a one-byte format version.
 pub const FST_MAGIC: [u8; 4] = *b"FST1";
@@ -496,17 +495,6 @@ impl FeasTable {
         table.rebuild_index();
         Ok(table)
     }
-
-    /// Write the encoded table to `path`.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.encode())
-    }
-
-    /// Read and decode a table from `path`.
-    pub fn load(path: &Path) -> Result<FeasTable, LoadError> {
-        let bytes = std::fs::read(path).map_err(LoadError::Io)?;
-        FeasTable::decode(&bytes).map_err(LoadError::Format)
-    }
 }
 
 impl PartialEq for FeasTable {
@@ -516,26 +504,6 @@ impl PartialEq for FeasTable {
         self.generation == other.generation && self.entries() == other.entries()
     }
 }
-
-/// Error from [`FeasTable::load`].
-#[derive(Debug)]
-pub enum LoadError {
-    /// The file could not be read.
-    Io(std::io::Error),
-    /// The bytes are not a valid table.
-    Format(FstError),
-}
-
-impl fmt::Display for LoadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LoadError::Io(e) => write!(f, "reading feasibility table: {e}"),
-            LoadError::Format(e) => write!(f, "decoding feasibility table: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for LoadError {}
 
 /// The configuration lattice an offline sweep covers.
 #[derive(Debug, Clone)]

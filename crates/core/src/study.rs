@@ -340,7 +340,7 @@ pub fn run_composite_study_wired(
     seed: u64,
 ) -> Result<Vec<CompositeSample>, StudyError> {
     // Calibration measurements must time each rank's merge compute in
-    // isolation: the lockstep clock takes per-round maxima over ranks, and
+    // isolation: a barriered round costs its slowest rank's time, and
     // letting rank closures run concurrently on an oversubscribed core would
     // charge CPU contention to whichever merge the scheduler preempts. A
     // one-thread pool serializes the compute (install routes the nested
@@ -357,11 +357,11 @@ pub fn run_composite_study_wired(
                 images.iter().map(|i| i.active_pixels() as f64).sum::<f64>() / tasks as f64;
             let factors = compositing::algorithms::default_factors(tasks);
             for wire in [CompositeWire::Dense, CompositeWire::Compressed, CompositeWire::Dfb] {
-                // Min of three runs: both clocks only ever see scheduler
-                // jitter as inflation (lockstep takes per-round maxima over
-                // ranks; the DFB event clock takes the max over rank
-                // completion times), so the minimum is the cleanest estimate
-                // of the true cost.
+                // Min of three runs: the clock only ever sees scheduler
+                // jitter as inflation (a barriered round takes the maximum
+                // over ranks; the DFB takes the max over rank completion
+                // times), so the minimum is the cleanest estimate of the
+                // true cost.
                 let seconds = (0..3)
                     .map(|_| {
                         timing_pool
@@ -530,7 +530,7 @@ mod tests {
         panic!("compressed exchange never measured cheaper than dense: {last}");
     }
 
-    /// The ISSUE acceptance criterion: against `mpirt::lockstep` wire timings
+    /// The ISSUE acceptance criterion: against `mpirt` round-clock wire timings
     /// of the default (compressed) exchange at 64 ranks, the composite model
     /// fitted on compressed-wire samples must beat the model fitted on
     /// dense-exchange behavior — the seed's systematic miscalibration.

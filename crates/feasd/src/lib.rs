@@ -25,9 +25,10 @@
 //! * **Blocking** — nothing blocks: [`serve`], the `feasd` binary and
 //!   [`simulate`] are synchronous submit-then-pump loops, and the X009 lint
 //!   bans a bare `.recv()` anywhere in the crate.
+//! * **Time** — the library reads no clock: [`simulate`] charges service
+//!   time to an [`mpirt::EventWorld`], and the benchmark times the real one.
 
 pub mod cache;
-pub mod measure;
 pub mod queue;
 pub mod service;
 pub mod simloop;

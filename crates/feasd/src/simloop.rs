@@ -2,16 +2,19 @@
 //!
 //! The answers, admission decisions, and hit/miss splits come from the
 //! *real* service ([`Feasd::submit`] / [`Feasd::pump`] against real tables
-//! and real model evaluations); only the passage of time is simulated, on a
-//! virtual clock driven by a fixed per-batch cost model. That buys the same
-//! property the scheduler demo and mpirt event clocks rely on: latency
+//! and real model evaluations); only the passage of time is simulated: the
+//! service is rank 0 of a one-rank [`mpirt::EventWorld`], a pump batch is
+//! compute on that rank priced by a fixed per-batch cost model, and an idle
+//! gap is a receive of the next arrival. That buys the same property the
+//! scheduler demo and the compositing exchanges rely on: latency
 //! percentiles, queue dynamics, and shed rates are bit-identical for a
 //! fixed seed on any machine, so the acceptance test can pin them. The
-//! *real* hot-path speed claim (table hit vs cold eval) is measured on the
-//! wall clock separately in [`crate::measure`].
+//! *real* hot-path speed claim (table hit vs cold eval) is the benchmark's
+//! `perfmodel.fstable_probe_ns` / `perfmodel.predict_batch_ns` pair.
 
 use crate::service::{Feasd, StatsSnapshot};
 use crate::traffic::ArrivalEvent;
+use mpirt::{EventWorld, NetModel};
 
 /// Virtual cost of serving one pump batch: this fixed overhead (drain,
 /// locks, dispatch) plus the per-query hit/miss costs below. The values are
@@ -59,14 +62,14 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Drive `service` with `events` (as produced by [`crate::traffic::generate`],
-/// arrival times non-decreasing) on a virtual clock. Each iteration admits
+/// arrival times non-decreasing) on a simulated clock. Each iteration admits
 /// every arrival due by the clock, then serves one pump batch whose duration
 /// is priced by `BATCH_OVERHEAD_S`, `HIT_S` and `MISS_S`; idle gaps
 /// fast-forward the clock to the next arrival. Returns the full metric set;
 /// bit-deterministic for fixed inputs.
 pub fn simulate(service: &Feasd, events: &[ArrivalEvent], scenario: &str) -> SimReport {
     let offered = events.len();
-    let mut clock = 0.0f64;
+    let mut world = EventWorld::new(1, NetModel::zero());
     let mut next_event = 0usize;
     // Arrival time per ticket, indexed by ticket id (tickets are sequential
     // from this service's counter).
@@ -77,7 +80,7 @@ pub fn simulate(service: &Feasd, events: &[ArrivalEvent], scenario: &str) -> Sim
 
     loop {
         // Admit everything that has arrived by now.
-        while next_event < events.len() && events[next_event].t_s <= clock {
+        while next_event < events.len() && events[next_event].t_s <= world.now(0) {
             let ev = &events[next_event];
             next_event += 1;
             if let Ok(ticket) = service.submit(ev.query) {
@@ -88,8 +91,8 @@ pub fn simulate(service: &Feasd, events: &[ArrivalEvent], scenario: &str) -> Sim
             if next_event >= events.len() {
                 break;
             }
-            // Idle: fast-forward to the next arrival.
-            clock = events[next_event].t_s;
+            // Idle: block until the next arrival.
+            world.recv(0, events[next_event].t_s);
             continue;
         }
         // Serve one batch and charge its virtual duration.
@@ -98,14 +101,14 @@ pub fn simulate(service: &Feasd, events: &[ArrivalEvent], scenario: &str) -> Sim
         let after = service.stats();
         let hits = (after.table_hits - before.table_hits) as f64;
         let misses = (after.table_misses - before.table_misses) as f64;
-        clock += BATCH_OVERHEAD_S + hits * HIT_S + misses * MISS_S;
-        last_completion = clock;
+        world.compute(0, BATCH_OVERHEAD_S + hits * HIT_S + misses * MISS_S);
+        last_completion = world.now(0);
         for (ticket, _) in &answered {
             // Tickets are answered in near-arrival order; linear scan from
             // the back would be O(n^2) in the worst case, so binary-search
             // the sorted-by-ticket arrival log instead.
             if let Ok(i) = arrivals.binary_search_by_key(ticket, |(t, _)| *t) {
-                latencies.push(clock - arrivals[i].1);
+                latencies.push(last_completion - arrivals[i].1);
             }
         }
     }

@@ -11,18 +11,21 @@
 //! submitters, a pumper and a model installer never lose or duplicate an
 //! answer, nor compute one from two fits.
 
-use feasd::measure::measure_hit_vs_miss;
 use feasd::{
     generate, simulate, Ask, DeviceClass, Feasd, FeasdConfig, Lattice, Priority, Query, Source,
     TrafficConfig,
 };
+use perfmodel::batch::predict_batch;
+use perfmodel::fstable::{precompute, FeasTable, TableEntry, TableKey};
 use perfmodel::mapping::{MappingConstants, RenderConfig};
 use perfmodel::models::Family;
 use perfmodel::sample::RendererKind;
 use sched::demo::{ground_truth, scale_model_set};
 use std::collections::BTreeMap;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
+use std::time::Instant;
 
 fn serial_cfg() -> FeasdConfig {
     FeasdConfig { pool: dpp::Device::Serial, ..FeasdConfig::default() }
@@ -264,17 +267,59 @@ fn repro_metrics_are_deterministic_and_shed_only_under_bursty_overload() {
     }
 }
 
+/// Median wall seconds of `rounds` runs of `sweep`.
+fn median_seconds(rounds: usize, mut sweep: impl FnMut()) -> f64 {
+    let mut xs: Vec<f64> = (0..rounds)
+        .map(|_| {
+            // xlint::allow(X007): the >= 10x bar below is a wall-clock claim and this is where it is measured.
+            let t0 = Instant::now();
+            sweep();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Median wall-clock speedup, over `rounds` sweeps each, of the two ways a
+/// pump batch resolves its sorted, deduplicated probe set, exactly as
+/// `Feasd::pump` executes them: the *hit* path is one
+/// `FeasTable::resolve_sorted` merge pass over the precomputed table; the
+/// *miss* path coalesces the same probes into one `predict_batch` evaluation
+/// followed by the backfill inserts into an empty table.
+fn hit_vs_miss_speedup(lattice: &Lattice, rounds: usize) -> f64 {
+    let (set, k) = (ground_truth(), MappingConstants::default());
+    let pool = dpp::Device::Serial;
+    let table = precompute(&[(DeviceClass::Serial, &set)], &k, lattice, &pool, 1);
+    let points: Vec<TableKey> = lattice.points().into_iter().filter(|p| p.device == 0).collect();
+
+    let hit_s = median_seconds(rounds, || {
+        black_box(table.resolve_sorted(black_box(&points)));
+    });
+    let miss_s = median_seconds(rounds, || {
+        let mut cold = FeasTable::new(1);
+        let cfgs: Vec<RenderConfig> = points.iter().filter_map(TableKey::to_config).collect();
+        let predictions = predict_batch(&set, &k, &cfgs, &pool);
+        for (key, pred) in points.iter().zip(&predictions) {
+            cold.insert(TableEntry {
+                key: *key,
+                per_frame_s: pred.per_frame_s,
+                build_s: pred.build_s,
+            });
+        }
+        black_box(&cold);
+    });
+    miss_s / hit_s.max(1e-12)
+}
+
 #[test]
 fn wall_clock_table_hit_is_at_least_ten_times_faster_than_cold_eval() {
     let lattice = Lattice { devices: vec![DeviceClass::Serial], ..Lattice::service_default() };
-    let set = ground_truth();
-    let k = MappingConstants::default();
     // Wall-clock medians jitter under load; take the best speedup over a few
     // attempts before judging the 10x bar.
     let mut best = 0.0f64;
     for _ in 0..5 {
-        let m = measure_hit_vs_miss(&set, &k, &lattice, 9);
-        best = best.max(m.speedup());
+        best = best.max(hit_vs_miss_speedup(&lattice, 9));
         if best >= 10.0 {
             break;
         }

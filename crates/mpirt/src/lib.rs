@@ -8,19 +8,18 @@
 //! latency + bandwidth cost to every message so compositing experiments can
 //! report network-inclusive times; DESIGN.md documents this substitution.
 //!
-//! Two layers over that cost model:
-//! * [`lockstep`] — a deterministic round-based clock for algorithms that
-//!   advance in synchronized supersteps (direct-send, binary-swap, radix-k,
-//!   the rebalancer's migration rounds, up to 1024-rank compositing):
-//!   simulated time is `max` over ranks per round.
-//! * [`event`] — a per-rank clock for message-driven exchanges with no global
-//!   barrier (the Distributed FrameBuffer): elapsed time is the slowest
-//!   rank's clock, so compute/communication overlap is captured.
+//! One engine charges it, [`EventWorld`]: a clock per rank for message-driven
+//! work (the Distributed FrameBuffer, the rebalancer's migrations, the
+//! study's and feasd's one-rank service clocks) plus a barrier for
+//! round-structured exchanges (direct-send, binary-swap, radix-k); [`event`]
+//! has the rules.
 
 pub mod event;
-pub mod lockstep;
 pub mod net;
 
-pub use event::EventWorld;
-pub use lockstep::{LockstepWorld, RoundCost};
+pub use event::{EventWorld, RoundCost};
 pub use net::NetModel;
+
+/// What `benchmark/` still calls the engine (barriered rounds once had a
+/// world of their own); it goes in a benchmark-only PR. Nothing else names it.
+pub type LockstepWorld = EventWorld;

@@ -9,7 +9,7 @@
 //! budget adherence stays high the whole run, and prediction error shrinks
 //! from the first quartile of cycles to the last.
 
-use crate::scheduler::{Decision, RenderRequest, Scheduler, SchedulerConfig};
+use crate::scheduler::{CycleRecord, Decision, RenderRequest, Scheduler, SchedulerConfig};
 use crate::simexec::SimulatedExecutor;
 use perfmodel::feasibility::ModelSet;
 use perfmodel::mapping::{MappingConstants, RenderConfig};
@@ -48,31 +48,14 @@ const NOISE: f64 = 0.03;
 /// Seed of the executor's runtime noise.
 const SEED: u64 = 0x5EED;
 
-/// One demo cycle, as reported.
-#[derive(Debug, Clone, Copy)]
-pub struct CycleOutcome {
-    pub cycle: i64,
-    pub level: usize,
-    pub admitted: u32,
-    pub degraded: u32,
-    pub rejected: u32,
-    pub predicted_s: f64,
-    pub actual_s: f64,
-    pub within: bool,
-}
-
-impl CycleOutcome {
-    pub fn abs_rel_error(&self) -> f64 {
-        (self.predicted_s - self.actual_s).abs() / self.actual_s.max(1e-12)
-    }
-}
-
 /// Full-run report.
 #[derive(Debug, Clone)]
 pub struct DemoReport {
     pub sim: &'static str,
+    /// The per-cycle budget adherence is judged against. (A cycle's own
+    /// `budget_s` is what admission saw: infinite in the blind baseline.)
     pub budget_s: f64,
-    pub cycles: Vec<CycleOutcome>,
+    pub cycles: Vec<CycleRecord>,
 }
 
 impl DemoReport {
@@ -81,7 +64,8 @@ impl DemoReport {
         if self.cycles.is_empty() {
             return 1.0;
         }
-        self.cycles.iter().filter(|c| c.within).count() as f64 / self.cycles.len() as f64
+        let within = self.cycles.iter().filter(|c| c.actual_s <= self.budget_s).count();
+        within as f64 / self.cycles.len() as f64
     }
 
     pub fn degraded_total(&self) -> u32 {
@@ -197,7 +181,6 @@ pub fn run_budgeted_demo(sim: &mut dyn ProxySim, cfg: &DemoConfig) -> DemoReport
         SchedulerConfig::new(admission_budget, TASKS),
     );
 
-    let mut cycles = Vec::with_capacity(cfg.cycles);
     for c in 0..cfg.cycles {
         sim.step();
         sched.begin_cycle(sim.cycle() as i64);
@@ -241,19 +224,9 @@ pub fn run_budgeted_demo(sim: &mut dyn ProxySim, cfg: &DemoConfig) -> DemoReport
                 Decision::Reject => {}
             }
         }
-        let Some(rec) = sched.end_cycle() else { continue };
-        cycles.push(CycleOutcome {
-            cycle: rec.cycle,
-            level: rec.level,
-            admitted: rec.admitted,
-            degraded: rec.degraded,
-            rejected: rec.rejected,
-            predicted_s: rec.predicted_s,
-            actual_s: rec.actual_s,
-            within: rec.actual_s <= budget_s,
-        });
+        sched.end_cycle();
     }
-    DemoReport { sim: sim.name(), budget_s, cycles }
+    DemoReport { sim: sim.name(), budget_s, cycles: sched.history }
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ pub mod scheduler;
 pub mod simexec;
 
 pub use backpressure::QueuePressure;
-pub use demo::{run_budgeted_demo, CycleOutcome, DemoConfig, DemoReport};
+pub use demo::{run_budgeted_demo, DemoConfig, DemoReport};
 pub use ladder::{Ladder, Rung, LADDER};
 pub use passes::{PassRung, PassWork, PASS_DROP_LEVEL, PASS_LADDER};
 pub use priority::{Priority, PRIORITIES};

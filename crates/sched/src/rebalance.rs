@@ -6,12 +6,12 @@
 //! skewed, because per-cell render cost tracks the physics (dense isosurface
 //! crossings near the blast front, nothing elsewhere). This module closes
 //! the loop the way Equalizer-style load balancing does: per-rank render
-//! times come back from the `mpirt` executors each cycle, are attributed to
+//! times come back from the `mpirt` clock each cycle, are attributed to
 //! the cells each rank owns (EWMA-smoothed so one noisy frame cannot thrash
 //! the layout), and on *sustained* imbalance the partition's split planes
 //! are recomputed from the measured per-cell costs via
 //! [`Partition::weighted_bisect`]. The migration that reconciles old and new
-//! layouts is charged to the event clock — `observe` → `charge_migration` —
+//! layouts is charged to the same clock — `observe` → `charge_migration` —
 //! so the rebalanced `T_total` honestly pays for the cells it moved.
 //!
 //! The trigger is hysteretic: imbalance = `max(T_LR) / mean(T_LR)` must
@@ -21,8 +21,7 @@
 //! (a page fault, a cache-cold frame) never moves data.
 
 use mesh::partition::{Migration, Partition};
-use mpirt::event::EventWorld;
-use mpirt::lockstep::{LockstepWorld, RoundCost};
+use mpirt::EventWorld;
 use perfmodel::regression::LinearRegression;
 use vecmath::Vec3;
 
@@ -109,8 +108,8 @@ impl Rebalancer {
     /// over-threshold cycle the split planes are recomputed from the
     /// smoothed costs and the reconciling [`Migration`] is returned. The
     /// caller must charge that migration to its simulated network
-    /// ([`charge_migration`] / [`migration_round`]) — the win is only honest
-    /// if the moved bytes are paid for.
+    /// ([`charge_migration`]) — the win is only honest if the moved bytes are
+    /// paid for.
     pub fn observe_cycle(&mut self, per_rank_seconds: &[f64]) -> Option<Migration> {
         assert_eq!(per_rank_seconds.len(), self.part.ranks(), "one time per rank");
         let counts = self.part.counts();
@@ -180,28 +179,10 @@ pub fn charge_migration(world: &mut EventWorld, mig: &Migration, bytes_per_cell:
     total
 }
 
-/// The same migration expressed as one lockstep superstep: per-rank
-/// [`RoundCost`]s with the bytes and message counts each source rank sends.
-/// Feed to [`LockstepWorld::finish_round`].
-pub fn migration_round(
-    world: &LockstepWorld,
-    mig: &Migration,
-    bytes_per_cell: u64,
-) -> Vec<RoundCost> {
-    let mut costs = vec![RoundCost::default(); world.size];
-    for (&(from, _), &cells) in &mig.per_link {
-        let c = &mut costs[from as usize];
-        c.bytes_sent += cells * bytes_per_cell as usize;
-        c.bytes_dense += cells * bytes_per_cell as usize;
-        c.messages += 1;
-    }
-    costs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpirt::net::NetModel;
+    use mpirt::NetModel;
 
     /// A 1-D cell line whose right half costs `skew`× the left half.
     fn line(n: usize) -> Vec<Vec3> {
@@ -280,10 +261,6 @@ mod tests {
         assert_eq!(bytes, mig.moved_cells() as u64 * 512);
         assert_eq!(world.total_bytes, bytes);
         assert!(world.elapsed() > 0.0, "migration must cost simulated time");
-        // Lockstep sees the same wire bytes.
-        let lw = LockstepWorld::new(4, NetModel::cluster());
-        let costs = migration_round(&lw, &mig, 512);
-        assert_eq!(costs.iter().map(|c| c.bytes_sent as u64).sum::<u64>(), bytes);
     }
 
     #[test]

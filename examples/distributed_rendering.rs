@@ -1,7 +1,7 @@
 //! Sort-last distributed rendering over the simulated interconnect: four
 //! ranks each own a spatial sub-domain, render it locally with the DPP ray
 //! tracer, and the images are composited — once by the serial reference
-//! (ordered merge of every rank image) and once with the lockstep radix-k
+//! (ordered merge of every rank image) and once with the barriered radix-k
 //! algorithm, which also reports bytes moved and simulated seconds —
 //! producing identical pictures.
 
@@ -57,7 +57,7 @@ fn main() {
     // --- Path 1: the serial reference, every rank image merged in order. ---
     let via_reference = reference(&images, CompositeMode::ZBuffer);
 
-    // --- Path 2: lockstep radix-k over the same rank images. ---
+    // --- Path 2: barriered radix-k over the same rank images. ---
     let (via_radix, stats) = radix_k(
         &images,
         CompositeMode::ZBuffer,

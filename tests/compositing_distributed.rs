@@ -154,7 +154,7 @@ fn compression_halves_wire_bytes_at_64_ranks() {
 
 #[test]
 fn compositing_cost_reported_for_simulated_scale() {
-    // 256 simulated ranks: lockstep executor handles rank counts no thread
+    // 256 simulated ranks: the simulated clock handles rank counts no thread
     // pool could, reporting wire-inclusive timing.
     let images = perfmodel::study::synth_rank_images(256, 64, 1);
     let (out, stats) = radix_k(
