@@ -24,7 +24,7 @@
 //! output, so the delta in `total_bytes`/`simulated_seconds` isolates what
 //! compression buys.
 
-use crate::image::{CompositeMode, RankImage};
+use crate::image::{CompositeMode, PixelView, Pixels, RankImage};
 use crate::rle::SpanImage;
 use mpirt::{EventWorld, NetModel, RoundCost};
 use rayon::prelude::*;
@@ -134,7 +134,7 @@ pub fn reference(images: &[RankImage], mode: CompositeMode) -> RankImage {
 /// round loop (and the [`crate::dfb`] tile exchange) is generic over the
 /// wire format.
 pub(crate) trait Fragment: Clone + Send + Sync {
-    fn from_image(img: &RankImage) -> Self;
+    fn from_view(view: PixelView<'_>) -> Self;
     fn slice(&self, start: usize, end: usize) -> Self;
     fn merge_front(&mut self, front: &Self, mode: CompositeMode);
     /// Bytes this whole fragment costs to send.
@@ -145,8 +145,8 @@ pub(crate) trait Fragment: Clone + Send + Sync {
 }
 
 impl Fragment for RankImage {
-    fn from_image(img: &RankImage) -> RankImage {
-        img.clone()
+    fn from_view(view: PixelView<'_>) -> RankImage {
+        RankImage::from_view(view)
     }
 
     fn slice(&self, start: usize, end: usize) -> RankImage {
@@ -172,8 +172,8 @@ impl Fragment for RankImage {
 }
 
 impl Fragment for SpanImage {
-    fn from_image(img: &RankImage) -> SpanImage {
-        SpanImage::encode(img)
+    fn from_view(view: PixelView<'_>) -> SpanImage {
+        SpanImage::from_view(view)
     }
 
     fn slice(&self, start: usize, end: usize) -> SpanImage {
@@ -189,7 +189,7 @@ impl Fragment for SpanImage {
     }
 
     fn wire_bytes_range(&self, start: usize, end: usize, mode: CompositeMode) -> usize {
-        SpanImage::slice(self, start, end).wire_bytes(mode)
+        SpanImage::wire_bytes_range(self, start, end, mode)
     }
 
     fn write_into(&self, out: &mut RankImage, start: usize) {
@@ -200,7 +200,7 @@ impl Fragment for SpanImage {
 /// Direct send: every rank owns `1/P` of the pixels and receives that part
 /// from all other ranks in one round.
 pub fn direct_send(
-    images: &[RankImage],
+    images: &[impl Pixels],
     mode: CompositeMode,
     net: NetModel,
 ) -> (RankImage, CompositeStats) {
@@ -209,7 +209,7 @@ pub fn direct_send(
 
 /// [`direct_send`] with explicit exchange options.
 pub fn direct_send_opts(
-    images: &[RankImage],
+    images: &[impl Pixels],
     mode: CompositeMode,
     net: NetModel,
     opts: ExchangeOptions,
@@ -223,7 +223,7 @@ pub fn direct_send_opts(
 /// leaves a power-of-two group of contiguous visibility blocks for the swap
 /// rounds.
 pub fn binary_swap(
-    images: &[RankImage],
+    images: &[impl Pixels],
     mode: CompositeMode,
     net: NetModel,
 ) -> (RankImage, CompositeStats) {
@@ -232,7 +232,7 @@ pub fn binary_swap(
 
 /// [`binary_swap`] with explicit exchange options.
 pub fn binary_swap_opts(
-    images: &[RankImage],
+    images: &[impl Pixels],
     mode: CompositeMode,
     net: NetModel,
     opts: ExchangeOptions,
@@ -244,6 +244,7 @@ pub fn binary_swap_opts(
     if p == pow2 {
         return radix_k_opts(images, mode, net, &swaps, opts);
     }
+    let images = views_of(images);
 
     // Fold: with m = p - pow2 extras, ranks 0..2m merge in adjacent pairs
     // (2i, 2i+1) — adjacency keeps the visibility order contiguous for the
@@ -251,30 +252,31 @@ pub fn binary_swap_opts(
     // the swap rounds then run on.
     let m = p - pow2;
     let bpp = RankImage::bytes_per_pixel(mode);
-    let n_px = images[0].num_pixels();
+    let n_px = images[0].color.len();
     let mut world = EventWorld::new(p, net);
     let mut fold_costs = vec![RoundCost::default(); p];
-    let mut folded: Vec<RankImage> = Vec::with_capacity(pow2);
+    let mut pairs: Vec<RankImage> = Vec::with_capacity(m);
     let mut fold_compute = 0.0f64;
     for i in 0..m {
         let t0 = Instant::now();
         // The odd member ships its whole image to the even member (active
         // spans only when compression is on).
         let sent = if opts.compress {
-            SpanImage::encode(&images[2 * i + 1]).wire_bytes(mode)
+            SpanImage::from_view(images[2 * i + 1]).wire_bytes(mode)
         } else {
             n_px * bpp
         };
-        let mut back = images[2 * i + 1].clone();
-        back.merge_front(&images[2 * i], mode);
+        let mut back = RankImage::from_view(images[2 * i + 1]);
+        back.merge_front(&RankImage::from_view(images[2 * i]), mode);
         let dt = t0.elapsed().as_secs_f64();
         fold_compute += dt;
         fold_costs[2 * i + 1] =
             RoundCost { compute_s: 0.0, bytes_sent: sent, bytes_dense: n_px * bpp, messages: 1 };
         fold_costs[2 * i] = RoundCost { compute_s: dt, ..RoundCost::default() };
-        folded.push(back);
+        pairs.push(back);
     }
-    folded.extend(images[2 * m..].iter().cloned());
+    let folded: Vec<PixelView> =
+        pairs.iter().map(Pixels::view).chain(images[2 * m..].iter().copied()).collect();
     debug_assert_eq!(folded.len(), pow2);
     world.finish_round(&fold_costs);
     exchange(&folded, mode, world, fold_compute, &swaps, opts)
@@ -311,7 +313,7 @@ struct RankState<F> {
 /// General radix-k compositing. `factors` must multiply to `images.len()`.
 /// Rank index is visibility order (front = rank 0) for `AlphaOrdered`.
 pub fn radix_k(
-    images: &[RankImage],
+    images: &[impl Pixels],
     mode: CompositeMode,
     net: NetModel,
     factors: &[usize],
@@ -321,20 +323,25 @@ pub fn radix_k(
 
 /// [`radix_k`] with explicit exchange options.
 pub fn radix_k_opts(
-    images: &[RankImage],
+    images: &[impl Pixels],
     mode: CompositeMode,
     net: NetModel,
     factors: &[usize],
     opts: ExchangeOptions,
 ) -> (RankImage, CompositeStats) {
-    exchange(images, mode, EventWorld::new(images.len(), net), 0.0, factors, opts)
+    exchange(&views_of(images), mode, EventWorld::new(images.len(), net), 0.0, factors, opts)
+}
+
+/// The views every entry point hands the one exchange path.
+pub(crate) fn views_of(images: &[impl Pixels]) -> Vec<PixelView<'_>> {
+    images.iter().map(Pixels::view).collect()
 }
 
 /// Run the rounds on `world` in the wire format `opts` selects. Binary swap
 /// hands over a world that has run the fold round (`compute_so_far` is its
 /// blending) and whose folded-away ranks sit the remaining rounds out.
 fn exchange(
-    images: &[RankImage],
+    images: &[PixelView],
     mode: CompositeMode,
     world: EventWorld,
     compute_so_far: f64,
@@ -349,7 +356,7 @@ fn exchange(
 }
 
 fn run_radix<F: Fragment>(
-    images: &[RankImage],
+    images: &[PixelView],
     mode: CompositeMode,
     mut world: EventWorld,
     mut compute_total: f64,
@@ -360,16 +367,21 @@ fn run_radix<F: Fragment>(
     assert_eq!(factors.iter().product::<usize>(), p, "factors {factors:?} do not multiply to {p}");
     let width = images[0].width;
     let height = images[0].height;
-    let n_px = images[0].num_pixels();
+    let n_px = images[0].color.len();
     let bpp = RankImage::bytes_per_pixel(mode);
 
-    // Initial (compressed) fragment construction is compute the ranks do.
-    let t_init = Instant::now();
-    let mut states: Vec<RankState<F>> = images
-        .iter()
-        .map(|img| RankState { start: 0, end: n_px, frag: F::from_image(img) })
+    // Initial (compressed) fragment construction is compute the ranks do,
+    // each on its own.
+    let encoded: Vec<(F, f64)> = images
+        .par_iter()
+        .map(|&view| {
+            let t0 = Instant::now();
+            (F::from_view(view), t0.elapsed().as_secs_f64())
+        })
         .collect();
-    compute_total += t_init.elapsed().as_secs_f64();
+    compute_total += encoded.iter().map(|e| e.1).sum::<f64>();
+    let mut states: Vec<RankState<F>> =
+        encoded.into_iter().map(|(frag, _)| RankState { start: 0, end: n_px, frag }).collect();
 
     let mut stride = 1usize;
     for &k in factors {

@@ -31,8 +31,8 @@
 //! rendering and compositing — the DFB's reason to exist — shows up in
 //! `simulated_seconds`.
 
-use crate::algorithms::{CompositeStats, ExchangeOptions, Fragment, RoundBytes};
-use crate::image::{CompositeMode, RankImage};
+use crate::algorithms::{views_of, CompositeStats, ExchangeOptions, Fragment, RoundBytes};
+use crate::image::{CompositeMode, PixelView, Pixels, RankImage};
 use crate::rle::SpanImage;
 use mpirt::{EventWorld, NetModel};
 use rayon::prelude::*;
@@ -105,7 +105,7 @@ impl<F: Fragment> TileBuffer<F> {
 
 /// DFB composite with default options (compressed fragments).
 pub fn dfb_compose(
-    images: &[RankImage],
+    images: &[impl Pixels],
     mode: CompositeMode,
     net: NetModel,
 ) -> (RankImage, CompositeStats) {
@@ -114,7 +114,7 @@ pub fn dfb_compose(
 
 /// [`dfb_compose`] with explicit exchange options.
 pub fn dfb_compose_opts(
-    images: &[RankImage],
+    images: &[impl Pixels],
     mode: CompositeMode,
     net: NetModel,
     opts: ExchangeOptions,
@@ -127,16 +127,17 @@ pub fn dfb_compose_opts(
 /// completion time — so the exchange overlaps the staggered producer.
 /// Pixel output is independent of `starts`; only the stats change.
 pub fn dfb_compose_staggered(
-    images: &[RankImage],
+    images: &[impl Pixels],
     mode: CompositeMode,
     net: NetModel,
     opts: ExchangeOptions,
     starts: &[f64],
 ) -> (RankImage, CompositeStats) {
+    let images = views_of(images);
     if opts.compress {
-        run_dfb::<SpanImage>(images, mode, net, starts, None)
+        run_dfb::<SpanImage>(&images, mode, net, starts, None)
     } else {
-        run_dfb::<RankImage>(images, mode, net, starts, None)
+        run_dfb::<RankImage>(&images, mode, net, starts, None)
     }
 }
 
@@ -145,17 +146,18 @@ pub fn dfb_compose_staggered(
 /// says the pixels must be byte-identical to [`dfb_compose_opts`] for every
 /// seed; the property tests pin exactly that.
 pub fn dfb_compose_shuffled(
-    images: &[RankImage],
+    images: &[impl Pixels],
     mode: CompositeMode,
     net: NetModel,
     opts: ExchangeOptions,
     arrival_seed: u64,
 ) -> (RankImage, CompositeStats) {
     let starts = vec![0.0; images.len()];
+    let images = views_of(images);
     if opts.compress {
-        run_dfb::<SpanImage>(images, mode, net, &starts, Some(arrival_seed))
+        run_dfb::<SpanImage>(&images, mode, net, &starts, Some(arrival_seed))
     } else {
-        run_dfb::<RankImage>(images, mode, net, &starts, Some(arrival_seed))
+        run_dfb::<RankImage>(&images, mode, net, &starts, Some(arrival_seed))
     }
 }
 
@@ -174,7 +176,7 @@ fn shuffle(order: &mut [usize], mut state: u64) {
 type MergedTile<F> = (Option<F>, Vec<(usize, f64)>);
 
 fn run_dfb<F: Fragment>(
-    images: &[RankImage],
+    images: &[PixelView],
     mode: CompositeMode,
     net: NetModel,
     starts: &[f64],
@@ -185,7 +187,7 @@ fn run_dfb<F: Fragment>(
     assert_eq!(starts.len(), p, "one start clock per rank");
     let width = images[0].width;
     let height = images[0].height;
-    let n_px = images[0].num_pixels();
+    let n_px = images[0].color.len();
     let bpp = RankImage::bytes_per_pixel(mode);
     let tiles = num_tiles(n_px);
 
@@ -196,9 +198,9 @@ fn run_dfb<F: Fragment>(
     //    per-tile fragments as its local (render) work completes.
     let produced: Vec<(Vec<F>, f64)> = images
         .par_iter()
-        .map(|img| {
+        .map(|&view| {
             let t0 = Instant::now();
-            let whole = F::from_image(img);
+            let whole = F::from_view(view);
             let frags: Vec<F> = (0..tiles)
                 .map(|t| {
                     let (s, e) = tile_bounds(t, tiles, n_px);

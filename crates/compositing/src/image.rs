@@ -22,7 +22,62 @@ pub struct RankImage {
     pub depth: Vec<f32>,
 }
 
+/// A borrowed rank image — the one input every exchange reads its fragments
+/// from, so a framebuffer is encoded where it lies.
+#[derive(Debug, Clone, Copy)]
+pub struct PixelView<'a> {
+    pub width: u32,
+    pub height: u32,
+    pub color: &'a [Color],
+    pub depth: &'a [f32],
+    /// `color` is straight (un-premultiplied) alpha, as a framebuffer holds it.
+    pub straight_alpha: bool,
+}
+
+impl PixelView<'_> {
+    /// Pixel `i`'s color as the exchanges blend it: premultiplied.
+    #[inline]
+    pub fn premultiplied(&self, i: usize) -> Color {
+        if self.straight_alpha {
+            self.color[i].premultiplied()
+        } else {
+            self.color[i]
+        }
+    }
+
+    /// Count pixels carrying a fragment (the per-rank *active pixels* input
+    /// of the compositing model); premultiplying does not move it.
+    pub fn active_pixels(&self) -> usize {
+        self.color.iter().zip(self.depth.iter()).filter(|(c, d)| c.a > 0.0 || d.is_finite()).count()
+    }
+}
+
+/// One rank's contribution to an exchange: an owned [`RankImage`] or a
+/// [`PixelView`] of pixels that live elsewhere.
+pub trait Pixels {
+    fn view(&self) -> PixelView<'_>;
+}
+
+impl Pixels for PixelView<'_> {
+    fn view(&self) -> PixelView<'_> {
+        *self
+    }
+}
+
+impl Pixels for RankImage {
+    fn view(&self) -> PixelView<'_> {
+        let RankImage { width, height, color, depth } = self;
+        PixelView { width: *width, height: *height, color, depth, straight_alpha: false }
+    }
+}
+
 impl RankImage {
+    /// The dense, premultiplied copy of `view`.
+    pub fn from_view(view: PixelView<'_>) -> RankImage {
+        let color = (0..view.color.len()).map(|i| view.premultiplied(i)).collect();
+        RankImage { width: view.width, height: view.height, color, depth: view.depth.to_vec() }
+    }
+
     /// Empty (fully transparent) image.
     pub fn empty(width: u32, height: u32) -> RankImage {
         let n = (width * height) as usize;
@@ -38,10 +93,9 @@ impl RankImage {
         self.color.len()
     }
 
-    /// Count pixels carrying a fragment (the per-rank *active pixels* input
-    /// of the compositing model).
+    /// [`PixelView::active_pixels`] of this image.
     pub fn active_pixels(&self) -> usize {
-        self.color.iter().zip(self.depth.iter()).filter(|(c, d)| c.a > 0.0 || d.is_finite()).count()
+        self.view().active_pixels()
     }
 
     /// Bytes one pixel costs on the wire for the given mode (RGBA f32, plus

@@ -22,6 +22,10 @@
 //! [`ExchangeOptions::dense`] to the `*_opts` variants to measure the
 //! uncompressed exchange. Both produce pixel-identical output.
 //!
+//! Every exchange takes its per-rank input as [`Pixels`] — owned
+//! [`RankImage`]s, or [`PixelView`]s borrowing a renderer's framebuffers,
+//! encoded where they lie — and both forms run the same code.
+//!
 //! A fourth, *asynchronous* mode lives in [`dfb`]: Distributed FrameBuffer
 //! tile compositing on the same clock with no barrier, which overlaps
 //! rendering with the exchange while staying byte-identical to the
@@ -37,5 +41,5 @@ pub use algorithms::{
     CompositeStats, ExchangeOptions, RoundBytes,
 };
 pub use dfb::{dfb_compose, dfb_compose_opts, dfb_compose_shuffled, dfb_compose_staggered};
-pub use image::{CompositeMode, RankImage};
+pub use image::{CompositeMode, PixelView, Pixels, RankImage};
 pub use rle::SpanImage;

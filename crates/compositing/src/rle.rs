@@ -20,14 +20,19 @@
 //! predicate is deliberately stricter than [`RankImage::active_pixels`],
 //! which is a *model statistic* and ignores zero-alpha colored pixels.)
 //!
+//! The one encoder, [`SpanImage::from_view`], reads a borrowed [`PixelView`]
+//! and premultiplies a straight-alpha framebuffer pixel as it tests it, so
+//! no dense copy is built only to have its background thrown away.
+//!
 //! Wire cost: a compressed fragment costs an 8-byte header, 8 bytes per run
 //! pair, and `bytes_per_pixel(mode)` per active pixel. [`SpanImage::wire_bytes`]
 //! charges `min(dense, compressed)` — a sender always falls back to the raw
 //! representation when run structure would inflate a dense image, exactly as
 //! IceT's per-scanline compression flag does, so fully-active images cost
-//! the same bytes as the uncompressed path.
+//! the same bytes as the uncompressed path. [`SpanImage::wire_bytes_range`]
+//! prices a sub-range the same way from run counts alone, without slicing.
 
-use crate::image::{CompositeMode, RankImage};
+use crate::image::{CompositeMode, PixelView, Pixels, RankImage};
 use vecmath::{over, Color};
 
 /// Wire-format overhead charged per compressed fragment (pixel count + run
@@ -103,16 +108,16 @@ impl Builder {
         self.depth.push(d);
     }
 
-    fn push_active(&mut self, colors: &[Color], depths: &[f32]) {
-        if colors.is_empty() {
+    fn push_active(&mut self, colors: impl Iterator<Item = Color>, depths: &[f32]) {
+        if depths.is_empty() {
             return;
         }
-        self.len += colors.len();
+        self.len += depths.len();
         match self.runs.last_mut() {
-            Some(r) => r.active += colors.len() as u32,
-            None => self.runs.push(Run { background: 0, active: colors.len() as u32 }),
+            Some(r) => r.active += depths.len() as u32,
+            None => self.runs.push(Run { background: 0, active: depths.len() as u32 }),
         }
-        self.color.extend_from_slice(colors);
+        self.color.extend(colors);
         self.depth.extend_from_slice(depths);
     }
 
@@ -186,13 +191,26 @@ impl<'a> SegCursor<'a> {
 impl SpanImage {
     /// Compress a dense rank image (or fragment).
     pub fn encode(img: &RankImage) -> SpanImage {
-        let mut b = Builder::new(img.width, img.height);
-        for (c, d) in img.color.iter().zip(img.depth.iter()) {
-            if is_active(*c, *d) {
-                b.push_pixel(*c, *d);
-            } else {
-                b.push_background(1);
-            }
+        SpanImage::from_view(img.view())
+    }
+
+    /// Compress the pixels behind `view` — the one encoder. It scans for run
+    /// boundaries and appends each active run whole. A straight-alpha pixel
+    /// is premultiplied *before* the activity test, so the spans are those
+    /// of the premultiplied image, bit for bit.
+    pub fn from_view(view: PixelView<'_>) -> SpanImage {
+        let depth = view.depth;
+        let n = view.color.len().min(depth.len());
+        let run_end = |from: usize, active: bool| -> usize {
+            (from..n).find(|&i| is_active(view.premultiplied(i), depth[i]) != active).unwrap_or(n)
+        };
+        let mut b = Builder::new(view.width, view.height);
+        let mut i = 0usize;
+        while i < n {
+            let bg_end = run_end(i, false);
+            b.push_background(bg_end - i);
+            i = run_end(bg_end, true);
+            b.push_active((bg_end..i).map(|j| view.premultiplied(j)), &depth[bg_end..i]);
         }
         b.finish()
     }
@@ -243,41 +261,62 @@ impl SpanImage {
         dense.min(compressed)
     }
 
-    /// Extract pixels `[start, end)` as a new fragment.
-    pub fn slice(&self, start: usize, end: usize) -> SpanImage {
+    /// Call `f(active, payload_start, n)` for each non-empty piece of a run
+    /// half inside `[start, end)`, in pixel order. The runs cover `len`
+    /// pixels, so the pieces cover the window.
+    fn for_segments_in(&self, start: usize, end: usize, mut f: impl FnMut(bool, usize, usize)) {
         assert!(start <= end && end <= self.len, "slice {start}..{end} of {}", self.len);
-        let mut b = Builder::new(self.width, self.height);
         let mut pos = 0usize;
         let mut pay = 0usize;
         for r in &self.runs {
             for (active, n) in [(false, r.background as usize), (true, r.active as usize)] {
-                let seg_start = pos;
-                let seg_end = pos + n;
-                let lo = seg_start.max(start);
-                let hi = seg_end.min(end);
+                let lo = pos.max(start);
+                let hi = (pos + n).min(end);
                 if lo < hi {
-                    if active {
-                        let p = pay + (lo - seg_start);
-                        b.push_active(&self.color[p..p + (hi - lo)], &self.depth[p..p + (hi - lo)]);
-                    } else {
-                        b.push_background(hi - lo);
-                    }
+                    f(active, pay + (lo - pos), hi - lo);
                 }
-                pos = seg_end;
+                pos += n;
                 if active {
                     pay += n;
                 }
             }
             if pos >= end {
-                break;
+                return;
             }
         }
-        // A fragment covers exactly end-start pixels even when the parent's
-        // trailing pixels are implicit (no runs past the window).
-        if b.len < end - start {
-            b.push_background(end - start - b.len);
-        }
+    }
+
+    /// Extract pixels `[start, end)` as a new fragment.
+    pub fn slice(&self, start: usize, end: usize) -> SpanImage {
+        let mut b = Builder::new(self.width, self.height);
+        self.for_segments_in(start, end, |active, p, n| {
+            if active {
+                b.push_active(self.color[p..p + n].iter().copied(), &self.depth[p..p + n]);
+            } else {
+                b.push_background(n);
+            }
+        });
         b.finish()
+    }
+
+    /// `self.slice(start, end).wire_bytes(mode)` without building the slice:
+    /// the run-coalescing rule replayed on counts alone.
+    pub fn wire_bytes_range(&self, start: usize, end: usize, mode: CompositeMode) -> usize {
+        let (mut runs, mut tail_active, mut active) = (0usize, 0usize, 0usize);
+        self.for_segments_in(start, end, |is_active, _, n| {
+            // A background piece opens a pair unless the last one is still
+            // pure background; an active piece joins the last pair.
+            if runs == 0 || (!is_active && tail_active != 0) {
+                runs += 1;
+                tail_active = 0;
+            }
+            if is_active {
+                tail_active += n;
+                active += n;
+            }
+        });
+        let bpp = RankImage::bytes_per_pixel(mode);
+        ((end - start) * bpp).min(HEADER_BYTES + runs * RUN_BYTES + active * bpp)
     }
 
     /// Merge `front` into `self` with the same per-pixel semantics (and
@@ -306,12 +345,13 @@ pub fn composite(front: &SpanImage, back: &SpanImage, mode: CompositeMode) -> Sp
             (false, false) => out.push_background(n),
             // Background in front never obscures: z-test against +inf fails,
             // and over(transparent, x) == x; the back payload survives.
-            (false, true) => out.push_active(&back.color[bp..bp + n], &back.depth[bp..bp + n]),
+            (false, true) => {
+                out.push_active(back.color[bp..bp + n].iter().copied(), &back.depth[bp..bp + n])
+            }
             (true, false) => match mode {
                 // over(x, transparent) == x, depth min(d, inf) == d.
-                CompositeMode::AlphaOrdered => {
-                    out.push_active(&front.color[fp..fp + n], &front.depth[fp..fp + n])
-                }
+                CompositeMode::AlphaOrdered => out
+                    .push_active(front.color[fp..fp + n].iter().copied(), &front.depth[fp..fp + n]),
                 // The z test `front.depth < inf` can still fail for an
                 // active pixel whose color is set but whose depth is
                 // infinite; the dense path keeps the background there.

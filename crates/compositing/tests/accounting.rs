@@ -4,7 +4,9 @@
 //! the simulated-clock rules (latency on messages, bytes over bandwidth).
 
 use compositing::{
-    binary_swap_opts, direct_send_opts, radix_k_opts, CompositeMode, ExchangeOptions, RankImage,
+    binary_swap_opts, dfb_compose_opts, dfb_compose_shuffled, dfb_compose_staggered,
+    direct_send_opts, radix_k_opts, CompositeMode, CompositeStats, ExchangeOptions, PixelView,
+    Pixels, RankImage,
 };
 use mpirt::NetModel;
 use vecmath::Color;
@@ -117,4 +119,66 @@ fn simulated_time_tracks_wire_bytes() {
     }
     assert_eq!(comp.per_round.iter().map(|r| r.wire_bytes).sum::<u64>(), comp.total_bytes);
     assert_eq!(comp.per_round.iter().map(|r| r.dense_bytes).sum::<u64>(), comp.dense_bytes);
+}
+
+/// Every exchange, entered with `images` in whichever form they come.
+fn every_exchange(
+    images: &[impl Pixels],
+    mode: CompositeMode,
+    opts: ExchangeOptions,
+) -> Vec<(&'static str, RankImage, CompositeStats)> {
+    let net = NetModel::cluster();
+    let factors = compositing::algorithms::default_factors(images.len());
+    let starts: Vec<f64> = (0..images.len()).map(|r| r as f64 * 1e-3).collect();
+    [
+        ("direct_send", direct_send_opts(images, mode, net, opts)),
+        ("binary_swap", binary_swap_opts(images, mode, net, opts)),
+        ("radix_k", radix_k_opts(images, mode, net, &factors, opts)),
+        ("dfb", dfb_compose_opts(images, mode, net, opts)),
+        ("dfb_staggered", dfb_compose_staggered(images, mode, net, opts, &starts)),
+        ("dfb_shuffled", dfb_compose_shuffled(images, mode, net, opts, 7)),
+    ]
+    .into_iter()
+    .map(|(name, (pixels, stats))| (name, pixels, stats))
+    .collect()
+}
+
+/// Every exchange keeps the same books and makes the same pixels whether it
+/// is entered through owned premultiplied images or through views of the
+/// straight-alpha framebuffers those images were made from. 6 and 12 ranks
+/// take binary swap through its fold round, 8 does not.
+#[test]
+fn views_of_framebuffers_keep_the_books_of_rank_images() {
+    for p in [1usize, 6, 8, 12] {
+        // The framebuffers hold straight alpha; the rank images are their
+        // premultiplied copies, as `strawman::api::to_rank_image` makes them.
+        let mut images = images_with_active(p, 40, 23, 150);
+        let frames: Vec<Vec<Color>> = images
+            .iter()
+            .map(|img| img.color.iter().map(|c| c.unpremultiplied()).collect())
+            .collect();
+        for (img, frame) in images.iter_mut().zip(&frames) {
+            img.color = frame.iter().map(|c| c.premultiplied()).collect();
+        }
+        let views: Vec<PixelView> = images
+            .iter()
+            .zip(&frames)
+            .map(|(img, color)| PixelView { color, straight_alpha: true, ..img.view() })
+            .collect();
+        for opts in [ExchangeOptions::default(), ExchangeOptions::dense()] {
+            for mode in [CompositeMode::ZBuffer, CompositeMode::AlphaOrdered] {
+                let owned = every_exchange(&images, mode, opts);
+                let viewed = every_exchange(&views, mode, opts);
+                for ((name, owned_px, owned), (_, view_px, viewed)) in owned.iter().zip(&viewed) {
+                    let what = format!("{name} p={p} {mode:?} {opts:?}");
+                    assert_eq!(viewed.total_bytes, owned.total_bytes, "{what}");
+                    assert_eq!(viewed.dense_bytes, owned.dense_bytes, "{what}");
+                    assert_eq!(viewed.per_round, owned.per_round, "{what}");
+                    assert_eq!(viewed.rounds, owned.rounds, "{what}");
+                    assert_eq!(view_px.max_color_diff(owned_px), 0.0, "{what}");
+                    assert_eq!(view_px.depth, owned_px.depth, "{what}");
+                }
+            }
+        }
+    }
 }

@@ -4,8 +4,8 @@
 //! adversarial payloads (zero-alpha colored pixels, active pixels with
 //! infinite depth) that a naive "active == visible" predicate would drop.
 
-use compositing::rle::composite;
-use compositing::{CompositeMode, RankImage, SpanImage};
+use compositing::rle::{composite, Run};
+use compositing::{CompositeMode, PixelView, RankImage, SpanImage};
 use proptest::prelude::*;
 use vecmath::Color;
 
@@ -41,6 +41,74 @@ fn build_image(w: u32, h: u32, pixels: &[Px]) -> RankImage {
         }
     }
     img
+}
+
+/// A straight-alpha frame (what a renderer's framebuffer holds) built from
+/// the same descriptors, eight flavors wide so the encoder meets every pixel
+/// whose premultiplied form is awkward. `shape` forces the whole-frame
+/// cases: 1 all background, 2 all active, 3 one active pixel at each end of
+/// a background frame, 4 one background pixel at each end of an active one.
+fn build_frame(w: u32, h: u32, pixels: &[Px], shape: u8) -> (Vec<Color>, Vec<f32>) {
+    let n = (w * h) as usize;
+    let mut color = vec![Color::TRANSPARENT; n];
+    let mut depth = vec![f32::INFINITY; n];
+    for i in 0..n {
+        let (sel, a, d) = if pixels.is_empty() { (0, 0.0, 0.0) } else { pixels[i % pixels.len()] };
+        let edge = i == 0 || i + 1 == n;
+        let flavor = match shape {
+            1 => 0,
+            2 => 2 + sel % 2,
+            3 if edge => 2,
+            3 => 0,
+            4 if edge => 1,
+            4 => 3,
+            _ => sel % 8,
+        };
+        (color[i], depth[i]) = match flavor {
+            // Background, and a colored pixel behind zero alpha at infinite
+            // depth, which premultiplies to background.
+            0 => (Color::TRANSPARENT, f32::INFINITY),
+            1 => (Color::new(0.7, a, 0.2, 0.0), f32::INFINITY),
+            // Ordinary fragment; transparent color over a finite depth.
+            2 => (Color::new(0.8, 0.5, a, a.max(0.01)), d),
+            3 => (Color::TRANSPARENT, d),
+            // Colored at infinite depth; zero alpha over a finite depth.
+            4 => (Color::new(0.1, 0.2, 0.3, a.max(0.05)), f32::INFINITY),
+            5 => (Color::new(a, 0.4, 0.0, 0.0), d),
+            // Negative zero: stored (background by the codec's `!=` test),
+            // and produced by premultiplying a negative channel by alpha 0
+            // or a -0.0 channel by any alpha.
+            6 => (Color::new(-0.0, 0.0, -0.0, 0.0), f32::INFINITY),
+            _ => (Color::new(-0.0, -a, 0.3, if sel >= 8 { 0.0 } else { a }), d),
+        };
+    }
+    (color, depth)
+}
+
+/// What the encoder this codec started with — one `push` per pixel, a run
+/// pair opened by a background pixel after an active one — makes of `img`,
+/// printed as `SpanImage`'s `Debug` prints its six fields (a float so that it
+/// round-trips, signed zero included).
+fn pixel_at_a_time_spans(img: &RankImage) -> String {
+    let mut runs: Vec<Run> = Vec::new();
+    let (mut color, mut depth) = (Vec::new(), Vec::new());
+    for (&c, &d) in img.color.iter().zip(&img.depth) {
+        let active = c.a != 0.0 || c.r != 0.0 || c.g != 0.0 || c.b != 0.0 || d.is_finite();
+        match runs.last_mut() {
+            Some(r) if active => r.active += 1,
+            Some(r) if r.active == 0 => r.background += 1,
+            _ => runs.push(Run { background: !active as u32, active: active as u32 }),
+        }
+        if active {
+            color.push(c);
+            depth.push(d);
+        }
+    }
+    let (w, h, len) = (img.width, img.height, img.num_pixels());
+    format!(
+        "SpanImage {{ width: {w}, height: {h}, len: {len}, runs: {runs:?}, color: {color:?}, \
+         depth: {depth:?} }}"
+    )
 }
 
 fn assert_bit_exact(a: &RankImage, b: &RankImage) -> Result<(), String> {
@@ -115,5 +183,61 @@ proptest! {
         };
         let span = SpanImage::encode(&img);
         assert_bit_exact(&span.slice(s, e).decode(), &img.slice(s, e))?;
+    }
+
+    /// The one encoder, handed a straight-alpha view, produces the spans the
+    /// pixel-at-a-time encoder made of the premultiplied copy, field for
+    /// field, and `encode` of that copy is the same encoder.
+    #[test]
+    fn view_encoder_equals_encoding_the_premultiplied_copy(
+        w in 1u32..12,
+        h in 1u32..8,
+        pixels in proptest::collection::vec((0u8..16, 0.0f32..1.0, 0.0f32..10.0), 0..96),
+        shape in 0u8..8
+    ) {
+        let (color, depth) = build_frame(w, h, &pixels, shape);
+        let straight =
+            PixelView { width: w, height: h, color: &color, depth: &depth, straight_alpha: true };
+        let copy = RankImage {
+            width: w,
+            height: h,
+            color: color.iter().map(|c| c.premultiplied()).collect(),
+            depth: depth.clone(),
+        };
+        let fused = SpanImage::from_view(straight);
+        prop_assert_eq!(format!("{fused:?}"), pixel_at_a_time_spans(&copy));
+        prop_assert_eq!(format!("{fused:?}"), format!("{:?}", SpanImage::encode(&copy)));
+        // The dense constructor premultiplies the same way.
+        let dense = RankImage::from_view(straight);
+        for i in 0..copy.num_pixels() {
+            let bits = |img: &RankImage| {
+                let c = img.color[i];
+                [c.r.to_bits(), c.g.to_bits(), c.b.to_bits(), c.a.to_bits(), img.depth[i].to_bits()]
+            };
+            prop_assert_eq!(bits(&dense), bits(&copy), "pixel {}", i);
+        }
+    }
+
+    /// Pricing a sub-range from run counts is pricing the slice, for every
+    /// window of the fragment.
+    #[test]
+    fn wire_bytes_range_is_the_slice_s_wire_bytes(
+        w in 1u32..12,
+        h in 1u32..8,
+        pixels in proptest::collection::vec((0u8..8, 0.0f32..1.0, 0.0f32..10.0), 0..96)
+    ) {
+        let span = SpanImage::encode(&build_image(w, h, &pixels));
+        let n = span.num_pixels();
+        for mode in [CompositeMode::ZBuffer, CompositeMode::AlphaOrdered] {
+            for start in 0..=n {
+                for end in start..=n {
+                    prop_assert_eq!(
+                        span.wire_bytes_range(start, end, mode),
+                        span.slice(start, end).wire_bytes(mode),
+                        "{}..{} of {} {:?}", start, end, n, mode
+                    );
+                }
+            }
+        }
     }
 }

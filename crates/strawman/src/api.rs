@@ -4,7 +4,8 @@
 use crate::mesh_convert::{convert, ConvertError, PublishedMesh};
 use crate::png;
 use compositing::{
-    dfb_compose_opts, radix_k_opts, CompositeMode, CompositeStats, ExchangeOptions, RankImage,
+    dfb_compose_opts, radix_k_opts, CompositeMode, CompositeStats, ExchangeOptions, PixelView,
+    RankImage,
 };
 use conduit_node::Node;
 use dpp::Device;
@@ -281,19 +282,19 @@ impl Strawman {
         mode: CompositeMode,
     ) -> (Framebuffer, CompositeStats) {
         assert!(!frames.is_empty(), "composite of zero frames");
-        let images: Vec<RankImage> = frames.iter().map(to_rank_image).collect();
+        let views: Vec<PixelView> = frames.iter().map(frame_view).collect();
         let opts = ExchangeOptions { compress: self.opts.compress_compositing };
         let (merged, stats) = if self.opts.dfb_compositing {
-            dfb_compose_opts(&images, mode, self.opts.net, opts)
+            dfb_compose_opts(&views, mode, self.opts.net, opts)
         } else {
-            let factors = compositing::algorithms::default_factors(images.len());
-            radix_k_opts(&images, mode, self.opts.net, &factors, opts)
+            let factors = compositing::algorithms::default_factors(views.len());
+            radix_k_opts(&views, mode, self.opts.net, &factors, opts)
         };
         let pixels = merged.num_pixels() as u64 * frames.len() as u64;
         self.phases.record_bytes("compositing", stats.simulated_seconds, pixels, stats.total_bytes);
         if let Some(hook) = self.opts.scheduler.as_mut() {
             let avg_active =
-                images.iter().map(|i| i.active_pixels() as f64).sum::<f64>() / images.len() as f64;
+                views.iter().map(|v| v.active_pixels() as f64).sum::<f64>() / views.len() as f64;
             hook.observe_composite(&CompositeObservation {
                 cycle: self.cycle,
                 pixels: merged.num_pixels() as f64,
@@ -303,7 +304,9 @@ impl Strawman {
                 dfb: self.opts.dfb_compositing,
             });
         }
-        (from_rank_image(&merged), stats)
+        let RankImage { width, height, mut color, depth } = merged;
+        color.iter_mut().for_each(|c| *c = c.unpremultiplied());
+        (Framebuffer { width, height, color, depth }, stats)
     }
 
     /// Publish simulation data described with the mesh conventions.
@@ -689,6 +692,13 @@ fn ensure_point_field_unstructured<const N: usize>(
     let name = format!("{var}__points");
     fields.push(Field::point(name.clone(), accum));
     Ok(name)
+}
+
+/// Borrow a framebuffer as an exchange's input: nothing is copied, and the
+/// fragment encoder premultiplies each pixel as it reads it.
+pub fn frame_view(frame: &Framebuffer) -> PixelView<'_> {
+    let Framebuffer { width, height, color, depth } = frame;
+    PixelView { width: *width, height: *height, color, depth, straight_alpha: true }
 }
 
 /// Convert a framebuffer into a compositing rank image (premultiplied).

@@ -339,8 +339,14 @@ impl std::fmt::Debug for ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
+        // Store and notify under the queue lock: a worker checks `shutdown`
+        // under that lock and then waits, so without it the notify can fall
+        // between the check and the wait and that worker sleeps forever. A
+        // poisoned lock guards the same state, and `drop` must not panic.
+        let queue = self.state.queue.lock().unwrap_or_else(|e| e.into_inner());
         self.state.shutdown.store(true, Ordering::SeqCst);
         self.state.work_ready.notify_all();
+        drop(queue);
         if let Some(handle) = self.supervisor.take() {
             let _ = handle.join();
         }

@@ -3,16 +3,18 @@
 //! the whole scene, for every compositing algorithm.
 
 use compositing::{
-    binary_swap, binary_swap_opts, direct_send, direct_send_opts, radix_k, radix_k_opts, reference,
-    CompositeMode, ExchangeOptions, RankImage,
+    binary_swap, binary_swap_opts, dfb_compose_opts, direct_send, direct_send_opts, radix_k,
+    radix_k_opts, reference, CompositeMode, ExchangeOptions, PixelView, RankImage,
 };
 use dpp::Device;
 use mesh::datasets::{field_grid, FieldKind};
 use mesh::isosurface::isosurface;
 use mpirt::NetModel;
 use render::raytrace::{RayTracer, RtConfig, TriGeometry};
-use strawman::api::to_rank_image;
-use vecmath::Camera;
+use render::Framebuffer;
+use strawman::api::{frame_view, from_rank_image, to_rank_image};
+use strawman::{Options, Strawman};
+use vecmath::{Camera, Color};
 
 const SIDE: u32 = 96;
 
@@ -170,4 +172,84 @@ fn compositing_cost_reported_for_simulated_scale() {
                                      // Must equal the serial reference.
     let expect = reference(&images, CompositeMode::AlphaOrdered);
     assert!(out.max_color_diff(&expect) < 2e-5);
+}
+
+fn pixel_bits(color: &[Color], depth: &[f32]) -> Vec<[u32; 5]> {
+    let bits = |(c, d): (&Color, &f32)| {
+        [c.r.to_bits(), c.g.to_bits(), c.b.to_bits(), c.a.to_bits(), d.to_bits()]
+    };
+    color.iter().zip(depth).map(bits).collect()
+}
+
+/// `Strawman::composite` encodes its fragments straight from the borrowed
+/// framebuffers and moves the merged image out; the frame it returns is the
+/// one the staged path makes — frames to rank images, the serial reference,
+/// back to a frame — bit for bit under the z test and within the
+/// re-association tolerance under ordered alpha, for both exchanges, both
+/// wire formats, and rank counts that fold, factor unevenly or do neither.
+#[test]
+fn strawman_composite_is_the_reference_of_its_frames() {
+    for ranks in [1usize, 2, 5, 8, 12] {
+        let mut frames: Vec<Framebuffer> =
+            perfmodel::study::synth_rank_images(ranks, 40, 200 + ranks as u64)
+                .iter()
+                .map(from_rank_image)
+                .collect();
+        // Pixels whose premultiplied form is not their stored form, and a
+        // depth under whatever color is there. (No color at infinite depth:
+        // the z test keeps one only in the rearmost image, so the serial
+        // fold and a tree exchange disagree about it in any wire format.)
+        for (r, f) in frames.iter_mut().enumerate() {
+            let n = f.num_pixels();
+            f.color[r] = Color::new(0.4, -0.2, 0.9, 0.0);
+            f.depth[n / 2 + r] = 3.0 + r as f32;
+            f.color[n - 1 - r] = Color::new(0.2, -0.0, 0.4, 0.5);
+            f.depth[n - 1 - r] = 0.5 + r as f32;
+        }
+        let images: Vec<RankImage> = frames.iter().map(to_rank_image).collect();
+        let views: Vec<PixelView> = frames.iter().map(frame_view).collect();
+        let factors = compositing::algorithms::default_factors(ranks);
+        for mode in [CompositeMode::ZBuffer, CompositeMode::AlphaOrdered] {
+            let expect = reference(&images, mode);
+            let expect_frame = from_rank_image(&expect);
+            for (dfb, compress) in [(false, true), (false, false), (true, true), (true, false)] {
+                let what = format!("p={ranks} {mode:?} dfb={dfb} compress={compress}");
+                let mut sm = Strawman::open(Options {
+                    dfb_compositing: dfb,
+                    compress_compositing: compress,
+                    ..Options::default()
+                });
+                let (frame, stats) = sm.composite(&frames, mode);
+                assert_eq!((frame.width, frame.height), (40, 40), "{what}");
+                match mode {
+                    CompositeMode::ZBuffer => {
+                        let (got, want) = (
+                            pixel_bits(&frame.color, &frame.depth),
+                            pixel_bits(&expect_frame.color, &expect_frame.depth),
+                        );
+                        let diff = (0..got.len()).find(|&i| got[i] != want[i]);
+                        assert_eq!(diff.map(|i| (i, got[i], want[i])), None, "{what}");
+                    }
+                    CompositeMode::AlphaOrdered => {
+                        assert!(to_rank_image(&frame).max_color_diff(&expect) <= 2e-5, "{what}")
+                    }
+                }
+                // The API adds nothing to the exchange entered with views of
+                // the frames but the unpremultiply: same bits, same wire.
+                let opts = ExchangeOptions { compress };
+                let (merged, wire) = if dfb {
+                    dfb_compose_opts(&views, mode, NetModel::cluster(), opts)
+                } else {
+                    radix_k_opts(&views, mode, NetModel::cluster(), &factors, opts)
+                };
+                let merged = from_rank_image(&merged);
+                assert_eq!(
+                    pixel_bits(&frame.color, &frame.depth),
+                    pixel_bits(&merged.color, &merged.depth),
+                    "{what}"
+                );
+                assert_eq!(stats.total_bytes, wire.total_bytes, "{what}");
+            }
+        }
+    }
 }
