@@ -54,9 +54,9 @@ impl Framebuffer {
 
     /// Convert to packed RGBA8 bytes (row-major, top row first).
     pub fn to_rgba8(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.color.len() * 4);
-        for c in &self.color {
-            out.extend_from_slice(&c.to_rgba8());
+        let mut out = vec![0u8; self.color.len() * 4];
+        for (px, c) in out.chunks_exact_mut(4).zip(&self.color) {
+            px.copy_from_slice(&c.to_rgba8());
         }
         out
     }

@@ -19,7 +19,7 @@ use render::volume_structured::{render_structured, SvrConfig};
 use render::volume_unstructured::{render_unstructured, UvrConfig};
 use render::Framebuffer;
 use std::path::{Path, PathBuf};
-use vecmath::{Camera, Color, TransferFunction};
+use vecmath::{Aabb, Camera, Color, TransferFunction};
 
 /// A render the infrastructure is about to execute, offered to the
 /// [`AdmissionHook`] before any work happens.
@@ -232,14 +232,76 @@ pub struct RenderRecord {
     pub renderer: &'static str,
     pub width: u32,
     pub height: u32,
+    /// Everything this render made the cycle wait for: the first render of a
+    /// variable after a publish carries its surface extraction, the first
+    /// ray-traced one its BVH build (each also a [`Strawman::phases`] record).
     pub render_seconds: f64,
     pub active_pixels: usize,
+}
+
+/// The pseudocolor surface of one plotted variable: its triangles, and a BVH
+/// over them once a ray-traced plot has drawn it.
+enum Surface {
+    Geometry(TriGeometry),
+    Traced(RayTracer),
+}
+
+impl Surface {
+    fn geom(&self) -> &TriGeometry {
+        match self {
+            Surface::Geometry(geom) => geom,
+            Surface::Traced(rt) => &rt.geom,
+        }
+    }
+}
+
+/// What one `publish` handed over, and the surfaces derived from it since,
+/// by plotted variable. They live exactly as long as the mesh they came from
+/// (`publish` and `close` replace the whole value): nothing to invalidate.
+struct Published {
+    mesh: PublishedMesh,
+    bounds: Aabb,
+    surfaces: Vec<(String, Surface)>,
+}
+
+impl Published {
+    /// The surface of `var`: extracted when the first plot of it draws
+    /// (`"surface_geometry"` phase), given a BVH when the first ray-traced one
+    /// does (`"bvh_build"` phase). An unknown variable leaves nothing behind.
+    fn surface(
+        &mut self,
+        device: &Device,
+        var: &str,
+        traced: bool,
+        phases: &mut PhaseTimer,
+    ) -> Result<&Surface, StrawmanError> {
+        let (var, surface) = match self.surfaces.iter().position(|(v, _)| v == var) {
+            Some(i) => self.surfaces.swap_remove(i),
+            None => {
+                let t0 = std::time::Instant::now();
+                let geom = TriGeometry::from_mesh(&surface_geometry(&mut self.mesh, var)?);
+                let cells = self.mesh.num_cells() as u64;
+                phases.record("surface_geometry", t0.elapsed().as_secs_f64(), cells);
+                (var.to_string(), Surface::Geometry(geom))
+            }
+        };
+        let surface = match surface {
+            Surface::Geometry(geom) if traced => {
+                let rt = RayTracer::new(device.clone(), geom);
+                phases.record("bvh_build", rt.bvh_build_seconds, rt.geom.num_tris() as u64);
+                Surface::Traced(rt)
+            }
+            kept => kept,
+        };
+        self.surfaces.push((var, surface));
+        Ok(&self.surfaces[self.surfaces.len() - 1].1)
+    }
 }
 
 /// The in situ infrastructure instance held by a simulation.
 pub struct Strawman {
     opts: Options,
-    published: Option<PublishedMesh>,
+    published: Option<Published>,
     cycle: i64,
     plots: Vec<Plot>,
     draw_requested: bool,
@@ -309,9 +371,13 @@ impl Strawman {
         (Framebuffer { width, height, color, depth }, stats)
     }
 
-    /// Publish simulation data described with the mesh conventions.
+    /// Publish simulation data described with the mesh conventions. The
+    /// previous publish and everything derived from it go first: a publish
+    /// that fails leaves nothing to draw under this cycle's name.
     pub fn publish(&mut self, data: &Node) -> Result<(), StrawmanError> {
-        self.published = Some(convert(data).map_err(StrawmanError::Convert)?);
+        self.published = None;
+        let mesh = convert(data).map_err(StrawmanError::Convert)?;
+        self.published = Some(Published { bounds: mesh.bounds(), mesh, surfaces: Vec::new() });
         self.cycle = data.get_i64("state/cycle").unwrap_or(self.cycle);
         Ok(())
     }
@@ -388,12 +454,12 @@ impl Strawman {
         if !self.draw_requested || self.plots.is_empty() {
             return Ok(());
         }
-        let mesh = self.published.as_ref().ok_or(StrawmanError::NothingPublished)?;
+        let published = self.published.as_mut().ok_or(StrawmanError::NothingPublished)?;
         let camera = match view {
-            "far" => Camera::far_view(&mesh.bounds()),
-            _ => Camera::close_view(&mesh.bounds()),
+            "far" => Camera::far_view(&published.bounds),
+            _ => Camera::close_view(&published.bounds),
         };
-        let cells = mesh.num_cells();
+        let cells = published.mesh.num_cells();
         let plots = self.plots.clone();
         let mut any_rejected = false;
         for plot in &plots {
@@ -436,7 +502,7 @@ impl Strawman {
 
             let t0 = std::time::Instant::now();
             let (frame, renderer, active) =
-                render_plot(&self.opts.device, mesh, &plot, &camera, w, h)?;
+                render_plot(&self.opts.device, published, &plot, &camera, w, h, &mut self.phases)?;
             let seconds = t0.elapsed().as_secs_f64();
             if let Some(hook) = self.opts.scheduler.as_mut() {
                 hook.observe(&ExecutedRender {
@@ -485,34 +551,36 @@ pub fn write_image(frame: &Framebuffer, path: &Path, format: &str) -> std::io::R
     std::fs::write(path, bytes)
 }
 
-/// Render a single plot of the published mesh.
+/// Render a single plot of the published mesh. A pseudocolor plot draws the
+/// surface `published` keeps for its variable (deriving it if this is the
+/// first to ask); a volume plot derives what it samples per render.
 fn render_plot(
     device: &Device,
-    mesh: &PublishedMesh,
+    published: &mut Published,
     plot: &Plot,
     camera: &Camera,
     width: u32,
     height: u32,
+    phases: &mut PhaseTimer,
 ) -> Result<(Framebuffer, &'static str, usize), StrawmanError> {
     match plot.plot_type {
         PlotType::Pseudocolor => {
-            let tri = surface_geometry(mesh, &plot.var)?;
-            let geom = TriGeometry::from_mesh(&tri);
-            let tf = TransferFunction::rainbow(geom.scalar_range);
-            match plot.renderer {
-                RendererKind::RayTracer => {
-                    let rt = RayTracer::new(device.clone(), geom);
+            let traced = plot.renderer == RendererKind::RayTracer;
+            let surface = published.surface(device, &plot.var, traced, phases)?;
+            let tf = TransferFunction::rainbow(surface.geom().scalar_range);
+            match surface {
+                Surface::Traced(rt) if traced => {
                     let out =
                         rt.render_with_map(camera, width, height, &RtConfig::workload2(), &tf);
                     Ok((out.frame, "raytracer", out.stats.active_pixels))
                 }
-                RendererKind::Rasterizer => {
-                    let out = rasterize(device, &geom, camera, width, height, &tf, None);
+                _ => {
+                    let out = rasterize(device, surface.geom(), camera, width, height, &tf, None);
                     Ok((out.frame, "rasterizer", out.stats.active_pixels))
                 }
             }
         }
-        PlotType::Volume => match mesh {
+        PlotType::Volume => match &published.mesh {
             PublishedMesh::Uniform(g) => {
                 render_grid_volume(device, g, &plot.var, camera, width, height)
             }
@@ -587,7 +655,7 @@ fn render_grid_volume(
 }
 
 /// Build the pseudocolor surface geometry (external faces) for a variable.
-fn surface_geometry(mesh: &PublishedMesh, var: &str) -> Result<TriMesh, StrawmanError> {
+fn surface_geometry(mesh: &mut PublishedMesh, var: &str) -> Result<TriMesh, StrawmanError> {
     match mesh {
         PublishedMesh::Uniform(g) => {
             let (g, name) = grid_with_point_field(g, var)?;
@@ -599,10 +667,15 @@ fn surface_geometry(mesh: &PublishedMesh, var: &str) -> Result<TriMesh, Strawman
             Ok(external_faces_grid(&g, &name))
         }
         PublishedMesh::Hexes(h) => {
-            let mut h = h.clone();
+            // `external_faces_hex` reads its scalar from the mesh's own
+            // fields: a cell variable's point average is lent to the mesh for
+            // the call and taken back, so the mesh stays as `convert` made it.
+            let converted = h.fields.len();
             let name =
                 ensure_point_field_unstructured(&mut h.fields, h.points.len(), &h.hexes, var)?;
-            Ok(external_faces_hex(&h, Some(&name)))
+            let tri = external_faces_hex(h, Some(&name));
+            h.fields.truncate(converted);
+            Ok(tri)
         }
     }
 }
@@ -828,8 +901,13 @@ mod tests {
         let mut bad = Node::new();
         bad.append().set("action", "FlyToTheMoon");
         assert!(matches!(sm.execute(&bad), Err(StrawmanError::UnknownAction(_))));
+        // An unknown variable fails on every attempt and derives nothing.
         let missing = actions("not_a_field", "pseudocolor", "");
-        assert!(matches!(sm.execute(&missing), Err(StrawmanError::UnknownField(_))));
+        for _ in 0..2 {
+            assert!(matches!(sm.execute(&missing), Err(StrawmanError::UnknownField(_))));
+        }
+        assert!(sm.published.as_ref().unwrap().surfaces.is_empty());
+        assert!(sm.phases.phases.is_empty());
     }
 
     #[test]

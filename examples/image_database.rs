@@ -2,6 +2,12 @@
 //! question (Section 1.1): extract *many* renderings of the same geometry
 //! under varying camera parameters, amortizing the acceleration-structure
 //! build across all of them.
+//!
+//! `Strawman` does the same amortisation on its own for repeated `SaveImage`s
+//! of one `publish`: the surface of a plotted variable is extracted once and
+//! its BVH built once, whatever the number of views (DESIGN §11). This example
+//! drives the renderer directly because its geometry is an isosurface, which
+//! Strawman's actions do not produce.
 
 use dpp::Device;
 use mesh::datasets::{field_grid, FieldKind};
