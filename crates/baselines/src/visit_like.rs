@@ -9,6 +9,7 @@
 //! ones, which is the crossover Table 9 exhibits.
 
 use mesh::{Assoc, TetMesh};
+use render::volume_unstructured::column_run;
 use render::Framebuffer;
 use vecmath::{over, Camera, Color, TransferFunction, Vec3};
 
@@ -158,7 +159,12 @@ pub fn render_visit(
         for py in y0..=y1 {
             for px in x0..=x1 {
                 let pix = (py * width + px) as usize;
-                for sl in s_lo..=s_hi {
+                // The column's sample run in depth; the inside test below
+                // still decides each sample of it.
+                let centre = (px as f32 + 0.5, py as f32 + 0.5);
+                let run = column_run(&cell.inv, sv[3], centre, z0, dz, (s_lo, s_hi));
+                let Some((lo, hi)) = run else { continue };
+                for sl in lo..=hi {
                     let z = z0 + (sl as f32 + 0.5) * dz;
                     let r = Vec3::new(px as f32 + 0.5, py as f32 + 0.5, z) - sv[3];
                     let l0 = cell.inv[0][0] * r.x + cell.inv[0][1] * r.y + cell.inv[0][2] * r.z;

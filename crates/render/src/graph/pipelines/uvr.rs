@@ -154,7 +154,7 @@ pub fn render_unstructured_graph(
             n_px as u64,
             move |ctx| {
                 let prev = ctx.read::<Vec<Color>>(acc_prev)?;
-                let buf = ctx.read::<Vec<u64>>(samples)?;
+                let buf = ctx.read::<Vec<std::sync::atomic::AtomicU64>>(samples)?;
                 let &(ct, total_composited) = ctx.read::<(u64, u64)>(totals_prev)?;
                 let ct = ct + *ctx.read::<u64>(tested)?;
                 let slab_this = (s_end - s_begin) as usize;

@@ -10,10 +10,17 @@
 //! 2. **Screen-space transformation** — map the active tets into screen
 //!    space, precomputing the inverse barycentric matrix (the "interpolation
 //!    constants" the paper re-uses across samples of the same cell).
-//! 3. **Sampling** — map over active tets; every sample position inside the
-//!    tet's screen AABB and depth range gets an inside-outside barycentric
+//! 3. **Sampling** — map over active tets; each pixel column of the tet's
+//!    screen AABB is narrowed to the run of depth slices that can lie inside
+//!    the tet ([`column_run`]: along a column the barycentric coordinates are
+//!    affine in depth, so each of the four half-spaces bounds the run from one
+//!    side), and every sample of that run gets an inside-outside barycentric
 //!    test and, if inside, writes the interpolated scalar into the sample
-//!    buffer. Tets partition space, so at most one writer reaches a sample —
+//!    buffer. The run is a superset of what the test accepts, not a
+//!    replacement for it — solved in `f64` against thresholds lowered past
+//!    the `f32` test's rounding, then widened a slice either side — so the
+//!    test decides every sample and the solve only moves the loop bounds.
+//!    Tets partition space, so at most one writer reaches a sample —
 //!    except at shared faces, where the epsilon'd inside test lets two
 //!    adjacent tets claim the same sample. Those boundary ties are resolved
 //!    with an atomic `fetch_max` keyed on the global tet index, which is both
@@ -24,6 +31,8 @@
 //!
 //! Splitting the buffer into passes trades memory for repeated screen-space
 //! work — exactly the trade-off Figures 4 and 5 of the dissertation sweep.
+//! A pass's slab is resident once, 8 bytes per sample (scalar bits plus the
+//! 4-byte tie-break tag): sampling fills it and compositing reads it in place.
 
 use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
@@ -108,7 +117,7 @@ pub struct UvrStats {
     /// CS proxy: cell-location operations per active pixel (tet-pixel-column
     /// tests, the `AP*CS` cell-frequency work of the model).
     pub cells_per_pixel: f64,
-    /// Peak sample-buffer bytes.
+    /// Peak sample-buffer bytes, as [`sample_buffer_bytes`] counts them.
     pub buffer_bytes: usize,
     /// Seconds summed over the frame's executed passes.
     pub render_seconds: f64,
@@ -134,7 +143,9 @@ pub(crate) struct ScreenTet {
     bbox: [f32; 6],
 }
 
-/// Bytes required for the sample buffer at the given configuration.
+/// Bytes required for the sample buffer at the given configuration: the
+/// paper's 4-byte float per sample, the quantity Figure 5's OOM gaps are
+/// defined on — not the 8 resident here (the tie-break tag is the other 4).
 pub fn sample_buffer_bytes(width: u32, height: u32, cfg: &UvrConfig) -> usize {
     let slab = cfg.depth_samples.div_ceil(cfg.num_passes.max(1)) as usize;
     width as usize * height as usize * slab * 4
@@ -249,9 +260,64 @@ pub(crate) fn screen_space_stage(
     })
 }
 
+/// The inside-outside test's slack: inside is all four coordinates `>= EPS`.
+const EPS: f32 = -1e-5;
+
+/// The run `(lo, hi)` of depth slices within `slices` that can lie inside a
+/// tet along the pixel column through `centre`, or `None` when none can (the
+/// module doc's solve). `inv` is the inverse of `[v0-d | v1-d | v2-d]`, `d` the
+/// reference vertex; slice `sl` sits at depth `z0 + (sl + 0.5) dz`. Holds every
+/// slice the `f32` test `l_i >= -1e-5` accepts and more: the test still runs.
+#[inline]
+pub fn column_run(
+    inv: &[[f32; 3]; 3],
+    d: Vec3,
+    centre: (f32, f32),
+    z0: f32,
+    dz: f32,
+    slices: (u32, u32),
+) -> Option<(u32, u32)> {
+    // Up to eight slices the solve costs more than the tests it would save.
+    if slices.1.saturating_sub(slices.0) < 8 {
+        return (slices.0 <= slices.1).then_some(slices);
+    }
+    const U: f64 = 1.0 / (1u64 << 24) as f64; // unit roundoff of f32
+    let (rx, ry) = ((centre.0 - d.x) as f64, (centre.1 - d.y) as f64);
+    let (z0, dz, dz_ref) = (z0 as f64, dz as f64, d.z as f64);
+    // Slice 0's depth relative to `d`, and a bound on every depth the test rounds at.
+    let rz0 = z0 + 0.5 * dz - dz_ref;
+    let z_mag = z0.abs() + (slices.1 as f64 + 1.0) * dz.abs() + dz_ref.abs();
+    // `l_i(sl) = a + b sl`, `mag` the summed magnitudes of its terms; `l_3 = 1 - Σ`.
+    let mut l = [(0.0, 0.0, 0.0); 4];
+    l[3] = (1.0, 0.0, 1.0);
+    for (i, row) in inv.iter().enumerate() {
+        let (tx, ty, c) = (row[0] as f64 * rx, row[1] as f64 * ry, row[2] as f64);
+        let (a, b, mag) = (tx + ty + c * rz0, c * dz, tx.abs() + ty.abs() + c.abs() * z_mag);
+        l[i] = (a, b, mag);
+        l[3] = (l[3].0 - a, l[3].1 - b, l[3].2 + mag);
+    }
+    let (mut lo, mut hi) = (slices.0 as f64, slices.1 as f64);
+    for (a, b, mag) in l {
+        // Lowered by several times what the f32 test's rounding can reach.
+        let thr = EPS as f64 - 32.0 * U * mag;
+        if b > 0.0 {
+            lo = lo.max((thr - a) / b);
+        } else if b < 0.0 {
+            hi = hi.min((thr - a) / b);
+        } else if a < thr {
+            return None;
+        }
+    }
+    // `max`/`min` skip a NaN bound (a non-finite solve keeps the full range),
+    // the casts saturate, and a slice either side absorbs the solve's own rounding.
+    let lo = (lo.floor() - 1.0).max(slices.0 as f64) as u32;
+    let hi = (hi.ceil() + 1.0).min(slices.1 as f64) as u32;
+    (lo <= hi).then_some((lo, hi))
+}
+
 /// Sampling stage: fill this pass's sample slab with `fetch_max`-merged
-/// tagged scalars. Returns the loaded slab and the tet-pixel-column tests
-/// performed (the CS model input).
+/// tagged scalars over each column's run. Returns the slab and the
+/// bounding-box tet-pixel-column tests performed (the CS model input).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 pub(crate) fn sampling_stage(
     device: &Device,
@@ -266,9 +332,16 @@ pub(crate) fn sampling_stage(
     slab: usize,
     s_begin: u32,
     s_end: u32,
-) -> (Vec<u64>, u64) {
+) -> (Vec<AtomicU64>, u64) {
+    #[cfg(test)] // the oracle's switch, never compiled into the library
+    if tests::REFERENCE_SAMPLER.with(|on| on.get()) {
+        return tests::sampling_stage_reference(
+            device, active, screen, opacity, term, width, height, z0, dz, slab, s_begin, s_end,
+        );
+    }
     let n_px = (width * height) as usize;
-    let samples: Vec<AtomicU64> = (0..n_px * slab).map(|_| AtomicU64::new(EMPTY)).collect();
+    // Zero-filled by a map, so the pool shares the slab's first-touch page faults.
+    let samples: Vec<AtomicU64> = map(device, n_px * slab, |_| AtomicU64::new(EMPTY));
     let cells_tested = AtomicU64::new(0);
     dpp::for_each(device, active.len(), |a| {
         let Some(tet) = &screen[a] else { return };
@@ -295,7 +368,10 @@ pub(crate) fn sampling_stage(
                 if opacity[pix] >= term {
                     continue; // early-termination in the sampler
                 }
-                for sl in s_lo..=s_hi {
+                let centre = (px as f32 + 0.5, py as f32 + 0.5);
+                let run = column_run(&tet.inv, tet.d, centre, z0, dz, (s_lo, s_hi));
+                let Some((lo, hi)) = run else { continue };
+                for sl in lo..=hi {
                     let zc = z0 + (sl as f32 + 0.5) * dz;
                     let p = Vec3::new(px as f32 + 0.5, py as f32 + 0.5, zc);
                     let r = p - tet.d;
@@ -303,7 +379,6 @@ pub(crate) fn sampling_stage(
                     let l1 = tet.inv[1][0] * r.x + tet.inv[1][1] * r.y + tet.inv[1][2] * r.z;
                     let l2 = tet.inv[2][0] * r.x + tet.inv[2][1] * r.y + tet.inv[2][2] * r.z;
                     let l3 = 1.0 - l0 - l1 - l2;
-                    const EPS: f32 = -1e-5;
                     if l0 >= EPS && l1 >= EPS && l2 >= EPS && l3 >= EPS {
                         let value = tet.s[0] * l0 + tet.s[1] * l1 + tet.s[2] * l2 + tet.s[3] * l3;
                         let slot = pix * slab + (sl - s_begin) as usize;
@@ -320,11 +395,9 @@ pub(crate) fn sampling_stage(
         // ORDERING: Relaxed — commutative statistics counter.
         cells_tested.fetch_add(tested, Ordering::Relaxed);
     });
-    // ORDERING: Relaxed — reads after the for_each joined.
-    let loaded = samples.iter().map(|s| s.load(Ordering::Relaxed)).collect();
     // ORDERING: Relaxed — read after the for_each joined.
     let tested = cells_tested.load(Ordering::Relaxed);
-    (loaded, tested)
+    (samples, tested)
 }
 
 /// Compositing stage: fold this pass's samples front-to-back into the
@@ -334,7 +407,7 @@ pub(crate) fn sampling_stage(
 pub(crate) fn composite_stage(
     device: &Device,
     acc: &[Color],
-    samples: &[u64],
+    samples: &[AtomicU64],
     slab: usize,
     slab_this: usize,
     term: f32,
@@ -348,7 +421,8 @@ pub(crate) fn composite_stage(
         }
         let mut n_comp = 0u64;
         for sl in 0..slab_this {
-            let packed = samples[pix * slab + sl];
+            // ORDERING: Relaxed — the sampling region joined before this stage.
+            let packed = samples[pix * slab + sl].load(Ordering::Relaxed);
             if packed == EMPTY {
                 continue;
             }
@@ -409,6 +483,340 @@ mod tests {
     use super::*;
     use mesh::datasets::FieldKind;
     use mesh::datasets::TetDatasetSpec;
+    use proptest::TestRng;
+    use sims::{Lulesh, ProxySim};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// While set, this thread's `sampling_stage` calls run the
+        /// brute-force oracle below instead.
+        pub(super) static REFERENCE_SAMPLER: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Run `f` with this thread's sampler switched to the oracle or not.
+    fn with_sampler<T>(reference: bool, f: impl FnOnce() -> T) -> T {
+        REFERENCE_SAMPLER.with(|on| on.set(reference));
+        let out = f();
+        REFERENCE_SAMPLER.with(|on| on.set(false));
+        out
+    }
+
+    /// The sampler as it was before `column_run`: every slice of every pixel
+    /// column of each tet's bounding box takes the inside test. The oracle
+    /// `sampling_stage` must match slot for slot.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn sampling_stage_reference(
+        device: &Device,
+        active: &[u32],
+        screen: &[Option<ScreenTet>],
+        opacity: &[f32],
+        term: f32,
+        width: u32,
+        height: u32,
+        z0: f32,
+        dz: f32,
+        slab: usize,
+        s_begin: u32,
+        s_end: u32,
+    ) -> (Vec<AtomicU64>, u64) {
+        let n_px = (width * height) as usize;
+        let samples: Vec<AtomicU64> = (0..n_px * slab).map(|_| AtomicU64::new(EMPTY)).collect();
+        let cells_tested = AtomicU64::new(0);
+        dpp::for_each(device, active.len(), |a| {
+            let Some(tet) = &screen[a] else { return };
+            let tag = (active[a] as u64 + 1) << 32;
+            let [bx0, bx1, by0, by1, bz0, bz1] = tet.bbox;
+            let px0 = bx0.floor().max(0.0) as u32;
+            let px1 = (bx1.ceil() as i64).min(width as i64 - 1).max(0) as u32;
+            let py0 = by0.floor().max(0.0) as u32;
+            let py1 = (by1.ceil() as i64).min(height as i64 - 1).max(0) as u32;
+            if bx1 < 0.0 || by1 < 0.0 {
+                return;
+            }
+            let s_lo = (((bz0 - z0) / dz).floor().max(s_begin as f32)) as u32;
+            let s_hi = ((((bz1 - z0) / dz).ceil()) as i64).min(s_end as i64 - 1).max(0) as u32;
+            if s_lo > s_hi {
+                return;
+            }
+            let mut tested = 0u64;
+            for py in py0..=py1 {
+                for px in px0..=px1 {
+                    let pix = (py * width + px) as usize;
+                    tested += 1;
+                    if opacity[pix] >= term {
+                        continue;
+                    }
+                    for sl in s_lo..=s_hi {
+                        let zc = z0 + (sl as f32 + 0.5) * dz;
+                        let p = Vec3::new(px as f32 + 0.5, py as f32 + 0.5, zc);
+                        let r = p - tet.d;
+                        let l0 = tet.inv[0][0] * r.x + tet.inv[0][1] * r.y + tet.inv[0][2] * r.z;
+                        let l1 = tet.inv[1][0] * r.x + tet.inv[1][1] * r.y + tet.inv[1][2] * r.z;
+                        let l2 = tet.inv[2][0] * r.x + tet.inv[2][1] * r.y + tet.inv[2][2] * r.z;
+                        let l3 = 1.0 - l0 - l1 - l2;
+                        if l0 >= EPS && l1 >= EPS && l2 >= EPS && l3 >= EPS {
+                            let value =
+                                tet.s[0] * l0 + tet.s[1] * l1 + tet.s[2] * l2 + tet.s[3] * l3;
+                            let slot = pix * slab + (sl - s_begin) as usize;
+                            let tagged = tag | value.to_bits() as u64;
+                            // ORDERING: Relaxed — monotonic merge, read after the join.
+                            samples[slot].fetch_max(tagged, Ordering::Relaxed);
+                        }
+                    }
+                }
+            }
+            // ORDERING: Relaxed — commutative statistics counter.
+            cells_tested.fetch_add(tested, Ordering::Relaxed);
+        });
+        // ORDERING: Relaxed — read after the for_each joined.
+        let tested = cells_tested.load(Ordering::Relaxed);
+        (samples, tested)
+    }
+
+    fn unit(rng: &mut TestRng) -> f32 {
+        (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32
+    }
+
+    fn between(rng: &mut TestRng, lo: f32, hi: f32) -> f32 {
+        lo + (hi - lo) * unit(rng)
+    }
+
+    fn det(sv: &[Vec3; 4]) -> f32 {
+        let (m0, m1, m2) = (sv[0] - sv[3], sv[1] - sv[3], sv[2] - sv[3]);
+        m0.x * (m1.y * m2.z - m2.y * m1.z) - m1.x * (m0.y * m2.z - m2.y * m0.z)
+            + m2.x * (m0.y * m1.z - m1.y * m0.z)
+    }
+
+    /// What `screen_space_stage` derives from four screen vertices.
+    fn screen_tet(sv: [Vec3; 4], s: [f32; 4]) -> Option<ScreenTet> {
+        let d = sv[3];
+        let (m0, m1, m2) = (sv[0] - d, sv[1] - d, sv[2] - d);
+        let det = det(&sv);
+        if det.abs() < 1e-12 {
+            return None;
+        }
+        let id = 1.0 / det;
+        let inv = [
+            [
+                (m1.y * m2.z - m2.y * m1.z) * id,
+                (m2.x * m1.z - m1.x * m2.z) * id,
+                (m1.x * m2.y - m2.x * m1.y) * id,
+            ],
+            [
+                (m2.y * m0.z - m0.y * m2.z) * id,
+                (m0.x * m2.z - m2.x * m0.z) * id,
+                (m2.x * m0.y - m0.x * m2.y) * id,
+            ],
+            [
+                (m0.y * m1.z - m1.y * m0.z) * id,
+                (m1.x * m0.z - m0.x * m1.z) * id,
+                (m0.x * m1.y - m1.x * m0.y) * id,
+            ],
+        ];
+        let span = |f: fn(&Vec3) -> f32| {
+            let c = sv.iter().map(f);
+            (c.clone().fold(f32::INFINITY, f32::min), c.fold(f32::NEG_INFINITY, f32::max))
+        };
+        let ((bx0, bx1), (by0, by1), (bz0, bz1)) = (span(|v| v.x), span(|v| v.y), span(|v| v.z));
+        Some(ScreenTet { d, inv, s, bbox: [bx0, bx1, by0, by1, bz0, bz1] })
+    }
+
+    /// One pass's worth of seeded tets of every awkward kind the sampler can
+    /// meet, on a `w x h` image whose slices sit at `z0 + (sl + 0.5) dz`.
+    fn awkward_tets(
+        rng: &mut TestRng,
+        n: usize,
+        (w, h): (u32, u32),
+        (z0, dz): (f32, f32),
+        (s_begin, s_end, s_total): (u32, u32, u32),
+    ) -> Vec<Option<ScreenTet>> {
+        (0..n)
+            .map(|t| {
+                let kind = t % 8;
+                // Centre: on screen, or (kind 5) hanging over / beyond one of
+                // the four image edges; in depth anywhere from before the
+                // first slice to past the last, or (kind 4) on a pass edge.
+                let (mut cx, mut cy) = (between(rng, 0.0, w as f32), between(rng, 0.0, h as f32));
+                if kind == 5 {
+                    let off = between(rng, -6.0, 3.0);
+                    match rng.next_u64() % 4 {
+                        0 => cx = off,
+                        1 => cx = w as f32 - off,
+                        2 => cy = off,
+                        _ => cy = h as f32 - off,
+                    }
+                }
+                let mut cs = between(rng, -4.0, s_total as f32 + 4.0);
+                if kind == 4 {
+                    cs = if rng.next_u64().is_multiple_of(2) { s_begin } else { s_end } as f32
+                        + between(rng, -1.0, 1.0);
+                }
+                let (ex, es) = (between(rng, 0.3, 5.0), between(rng, 0.3, 25.0));
+                let mut sv = [Vec3::ZERO; 4];
+                for v in &mut sv {
+                    *v = Vec3::new(
+                        cx + between(rng, -ex, ex),
+                        cy + between(rng, -ex, ex),
+                        z0 + (cs + between(rng, -es, es)) * dz,
+                    );
+                }
+                if kind == 1 {
+                    // Sliver: pull the reference vertex into the plane of the
+                    // other three until |det| is anywhere down to the cut-off.
+                    let det = det(&sv);
+                    let target = 1.05e-12 * 10f32.powf(between(rng, 0.0, 9.0));
+                    let c = (sv[0] + sv[1] + sv[2]) * (1.0 / 3.0);
+                    if det.abs() > target {
+                        sv[3] = c + (sv[3] - c) * (target / det.abs());
+                    }
+                }
+                if kind == 2 {
+                    // An edge along the view ray: the two faces on it are
+                    // edge-on, so two rows of `inv` get an exact 0 in z.
+                    sv[1].x = sv[0].x;
+                    sv[1].y = sv[0].y;
+                }
+                let s = [unit(rng), unit(rng), unit(rng), unit(rng)];
+                let mut tet = screen_tet(sv, s)?;
+                if kind == 3 {
+                    let row = (rng.next_u64() % 3) as usize;
+                    tet.inv[row][2] = [0.0, 1e-30, -1e-30, 1e-38, -1e-42][(t / 8) % 5];
+                }
+                if kind == 7 {
+                    // A face edge-on and, along the pixel column nearest the
+                    // centre, its coordinate within a few ulps of the
+                    // threshold: only rounding decides, in every slice.
+                    let row = (rng.next_u64() % 3) as usize;
+                    tet.inv[row][2] = [0.0, 1e-30, -1e-30][(t / 8) % 3];
+                    let (rx, ry) = (cx.floor() + 0.5 - tet.d.x, cy.floor() + 0.5 - tet.d.y);
+                    if rx.abs() > 0.05 {
+                        let ulps = (rng.next_u64() % 9) as f32 - 4.0;
+                        tet.inv[row][0] =
+                            (EPS * (1.0 + ulps * f32::EPSILON) - tet.inv[row][1] * ry) / rx;
+                    }
+                }
+                if kind == 6 && t % 64 == 6 {
+                    let row = (rng.next_u64() % 3) as usize;
+                    let col = (rng.next_u64() % 3) as usize;
+                    tet.inv[row][col] =
+                        [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38][(t / 64) % 4];
+                }
+                Some(tet)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn column_runs_lose_no_sample_the_inside_test_accepts() {
+        let devices = [Device::Serial, Device::parallel_with_threads(3)];
+        let mut rng = TestRng::new(23);
+        let mut written = 0usize;
+        let mut culled = false;
+        for case in 0..12 {
+            let (w, h) = (9 + (rng.next_u64() % 20) as u32, 7 + (rng.next_u64() % 16) as u32);
+            // dz from 1e-4 to 10, near and far from the camera.
+            let dz = 10f32.powf(between(&mut rng, -4.0, 1.0));
+            let z0 = between(&mut rng, 0.05, 40.0);
+            let s_total = 48 + (rng.next_u64() % 64) as u32;
+            // Whole range, or a pass that begins and ends mid-volume.
+            let (s_begin, s_end) = if case % 3 == 0 {
+                (0, s_total)
+            } else {
+                let b = (rng.next_u64() % (s_total as u64 / 2)) as u32;
+                (b, b + 16 + (rng.next_u64() % (s_total - b - 15) as u64) as u32)
+            };
+            let slab = (s_end - s_begin) as usize + (rng.next_u64() % 3) as usize;
+            let term = 0.98;
+            let opacity: Vec<f32> = (0..w * h)
+                .map(|_| if rng.next_u64().is_multiple_of(5) { 0.99 } else { 0.3 })
+                .collect();
+            // More than dpp's serial cut-off, so the pool really forks.
+            let n = 4600;
+            let screen = awkward_tets(&mut rng, n, (w, h), (z0, dz), (s_begin, s_end, s_total));
+            let active: Vec<u32> = (0..n as u32).map(|t| t * 3 + 1).collect();
+            for device in &devices {
+                let run = |reference: bool| {
+                    let (buf, tested) = with_sampler(reference, || {
+                        sampling_stage(
+                            device, &active, &screen, &opacity, term, w, h, z0, dz, slab, s_begin,
+                            s_end,
+                        )
+                    });
+                    (buf.into_iter().map(AtomicU64::into_inner).collect::<Vec<u64>>(), tested)
+                };
+                let (want, want_tested) = run(true);
+                let (got, got_tested) = run(false);
+                assert_eq!(got_tested, want_tested, "case {case} on {device:?}");
+                if let Some(slot) = (0..want.len()).find(|&i| got[i] != want[i]) {
+                    panic!(
+                        "case {case} on {device:?}: slot {slot} holds {:#x}, the oracle {:#x} \
+                         ({w}x{h}, z0 {z0}, dz {dz}, slices {s_begin}..{s_end})",
+                        got[slot], want[slot]
+                    );
+                }
+                written += want.iter().filter(|&&v| v != EMPTY).count();
+            }
+            // The solve is not vacuous: some column of some well-shaped tet
+            // is narrower than its bounding box, or empty.
+            culled |= screen.iter().flatten().any(|tet| {
+                let [bx0, _, by0, _, bz0, bz1] = tet.bbox;
+                let s_lo = ((bz0 - z0) / dz).floor().max(0.0) as u32;
+                let s_hi = ((bz1 - z0) / dz).ceil().max(0.0) as u32;
+                let centre = (bx0.floor() + 0.5, by0.floor() + 0.5);
+                column_run(&tet.inv, tet.d, centre, z0, dz, (s_lo, s_hi)) != Some((s_lo, s_hi))
+            });
+        }
+        assert!(written > 50_000, "only {written} samples written: the cases are too thin");
+        assert!(culled, "column_run never narrowed a column");
+    }
+
+    #[test]
+    fn stats_equal_the_reference_samplers() {
+        let mut sim = Lulesh::new(6);
+        for _ in 0..5 {
+            sim.step();
+        }
+        let hexes = sim.hex_mesh();
+        let tets = hexes.to_tets();
+        let tf = TransferFunction::sparse_features(tets.field("e_p").unwrap().range().unwrap());
+        let bounds = hexes.bounds();
+        for camera in [Camera::close_view(&bounds), Camera::far_view(&bounds)] {
+            for num_passes in [1, 3] {
+                let cfg = UvrConfig { depth_samples: 96, num_passes, ..Default::default() };
+                let render = |reference: bool| {
+                    with_sampler(reference, || {
+                        render_unstructured_graph(
+                            &Device::Serial,
+                            &tets,
+                            "e_p",
+                            &camera,
+                            56,
+                            56,
+                            &tf,
+                            &cfg,
+                            &[],
+                            None,
+                        )
+                    })
+                    .unwrap()
+                    .0
+                };
+                let (want, got) = (render(true), render(false));
+                assert!(want.stats.active_pixels > 100, "{:?}", want.stats);
+                assert_eq!(got.stats.active_pixels, want.stats.active_pixels);
+                assert_eq!(
+                    got.stats.samples_per_ray.to_bits(),
+                    want.stats.samples_per_ray.to_bits()
+                );
+                assert_eq!(
+                    got.stats.cells_per_pixel.to_bits(),
+                    want.stats.cells_per_pixel.to_bits()
+                );
+                assert_eq!(got.stats.buffer_bytes, want.stats.buffer_bytes);
+                assert_eq!(got.frame.color, want.frame.color);
+            }
+        }
+    }
 
     fn small_tets() -> TetMesh {
         TetDatasetSpec { name: "t", cells: [10, 10, 10], kind: FieldKind::ShockShell }.build(1.0)
