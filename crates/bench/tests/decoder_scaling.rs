@@ -1,0 +1,98 @@
+//! Each decoder of outside input takes time linear in that input.
+//!
+//! `tests/prop_decoders.rs` shows that damaged input is refused, not crashed
+//! on; this file shows that large input is not a denial of service either —
+//! `feasd::serve` puts no cap on the length of a line, and model files and
+//! `.fst` tables are read whole. Every check is a ratio of two decodes on
+//! one machine, ten times the bytes against at most twenty times the
+//! seconds, never a wall-clock constant. It lives under `crates/bench/`
+//! because that is where reading the clock is sanctioned (X007).
+
+use perfmodel::fstable::{FeasTable, TableEntry, TableKey};
+use perfmodel::persist;
+use std::hint::black_box;
+use std::time::Instant;
+
+/// Median seconds of five runs of `decode`.
+fn median_seconds(mut decode: impl FnMut()) -> f64 {
+    let mut xs: Vec<f64> = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            decode();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    xs.sort_by(f64::total_cmp);
+    xs[2]
+}
+
+/// Assert that decoding `input(10 * n)` costs under twenty times decoding
+/// `input(n)`. Medians jitter under load, so the best of a few attempts is
+/// judged; a quadratic decoder sits near 100 on every one of them.
+fn assert_linear<T>(what: &str, n: usize, input: impl Fn(usize) -> T, decode: impl Fn(&T)) {
+    let (small, large) = (input(n), input(10 * n));
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let large_s = median_seconds(|| decode(black_box(&large)));
+        best = best.min(large_s / median_seconds(|| decode(black_box(&small))).max(1e-9));
+        if best < 20.0 {
+            return;
+        }
+    }
+    panic!("{what}: ten times the input took {best:.1}x the time");
+}
+
+/// A parser that re-validates the rest of the line for every character of a
+/// string value reads about 90 here.
+#[test]
+fn a_request_line_parses_in_linear_time() {
+    assert_linear(
+        "wire::json_to_node",
+        20_000,
+        |bytes| format!(r#"{{"note":"{}","budget_s":1}}"#, "héllo wörld ".repeat(bytes / 14)),
+        |line| {
+            black_box(feasd::wire::json_to_node(line)).expect("parses");
+        },
+    );
+}
+
+#[test]
+fn a_model_file_loads_in_linear_time() {
+    let (set, k) = (sched::demo::ground_truth(), perfmodel::mapping::MappingConstants::default());
+    let valid = persist::to_text(&set, &k);
+    assert_linear(
+        "persist::from_text",
+        5_000,
+        |lines| valid.clone() + &"mapping|ap_fill=0.25|ppt_factor=4.5|spr_base=210\n".repeat(lines),
+        |text| {
+            black_box(persist::from_text(text)).expect("loads");
+        },
+    );
+}
+
+#[test]
+fn an_fst_table_decodes_in_linear_time() {
+    assert_linear(
+        "FeasTable::decode",
+        10_000,
+        |records| {
+            let entries = (0..records as u32)
+                .map(|i| TableEntry {
+                    key: TableKey {
+                        renderer: 0,
+                        device: 0,
+                        image_side: i,
+                        cells_per_task: 100,
+                        tasks: 8,
+                    },
+                    per_frame_s: 0.25,
+                    build_s: 0.0,
+                })
+                .collect();
+            FeasTable::from_entries(1, entries).encode()
+        },
+        |bytes| {
+            black_box(FeasTable::decode(bytes)).expect("decodes");
+        },
+    );
+}

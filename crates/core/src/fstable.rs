@@ -20,6 +20,7 @@ use crate::feasibility::ModelSet;
 use crate::mapping::{MappingConstants, RenderConfig};
 use crate::sample::RendererKind;
 use dpp::Device;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// File magic: `FST` plus a one-byte format version.
@@ -154,13 +155,13 @@ pub struct TableEntry {
 }
 
 impl PartialOrd for TableKey {
-    fn partial_cmp(&self, other: &TableKey) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &TableKey) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for TableKey {
-    fn cmp(&self, other: &TableKey) -> std::cmp::Ordering {
+    fn cmp(&self, other: &TableKey) -> Ordering {
         self.packed().cmp(&other.packed())
     }
 }
@@ -460,14 +461,15 @@ impl FeasTable {
             u32::from_le_bytes(b)
         };
         let generation = u64_at(4);
-        let count = u64_at(12) as usize;
+        let count = usize::try_from(u64_at(12)).unwrap_or(usize::MAX);
         let body = &bytes[20..];
-        match body.len().cmp(&(count * RECORD_BYTES)) {
-            std::cmp::Ordering::Less => return Err(FstError::Truncated),
-            std::cmp::Ordering::Greater => return Err(FstError::TrailingBytes),
-            std::cmp::Ordering::Equal => {}
+        // A count whose records no buffer could hold is a truncated buffer.
+        match count.checked_mul(RECORD_BYTES).map_or(Ordering::Less, |need| body.len().cmp(&need)) {
+            Ordering::Less => return Err(FstError::Truncated),
+            Ordering::Greater => return Err(FstError::TrailingBytes),
+            Ordering::Equal => {}
         }
-        let mut entries = Vec::with_capacity(count);
+        let mut entries: Vec<TableEntry> = Vec::with_capacity(count);
         for i in 0..count {
             let off = 20 + i * RECORD_BYTES;
             let key = TableKey {
@@ -482,11 +484,8 @@ impl FeasTable {
                 per_frame_s: f64::from_bits(u64_at(off + 14)),
                 build_s: f64::from_bits(u64_at(off + 22)),
             };
-            if let Some(prev) = entries.last() {
-                let prev: &TableEntry = prev;
-                if prev.key >= key {
-                    return Err(FstError::Unsorted { index: i });
-                }
+            if entries.last().is_some_and(|prev| prev.key >= key) {
+                return Err(FstError::Unsorted { index: i });
             }
             entries.push(entry);
         }

@@ -22,9 +22,9 @@
 //! * **Backpressure** — queue depth drives [`sched::QueuePressure`] (the
 //!   admission ladder): speculative queries shed first, normal next,
 //!   `must-render` never — it preempts the queue instead ([`sched::Priority`]).
-//! * **Blocking** — nothing blocks: [`serve`], the `feasd` binary and
-//!   [`simulate`] are synchronous submit-then-pump loops, and the X009 lint
-//!   bans a bare `.recv()` anywhere in the crate.
+//! * **Blocking** — nothing blocks, because nothing waits: [`serve`], the
+//!   `feasd` binary and [`simulate`] are synchronous submit-then-pump loops
+//!   with no channel in them (xlint's X001 is what keeps one out).
 //! * **Time** — the library reads no clock: [`simulate`] charges service
 //!   time to an [`mpirt::EventWorld`], and the benchmark times the real one.
 

@@ -26,16 +26,6 @@ pub enum ArrivalPattern {
     Bursty,
 }
 
-impl ArrivalPattern {
-    /// Stable label for tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            ArrivalPattern::Uniform => "uniform",
-            ArrivalPattern::Bursty => "bursty",
-        }
-    }
-}
-
 /// Burst cycle length in seconds (`Bursty` only).
 const BURST_PERIOD_S: f64 = 0.25;
 /// Fraction of each period that carries traffic (`Bursty` only).
@@ -206,8 +196,8 @@ mod tests {
             let empirical = events.len() as f64 / span;
             assert!(
                 (empirical / cfg.mean_rate_qps).log2().abs() < 1.0,
-                "{}: empirical rate {empirical:.0} vs mean {}",
-                cfg.pattern.label(),
+                "{:?}: empirical rate {empirical:.0} vs mean {}",
+                cfg.pattern,
                 cfg.mean_rate_qps
             );
         }

@@ -46,24 +46,31 @@ fn werr(message: impl Into<String>) -> WireError {
 
 // ---------------------------------------------------------------- JSON in
 
+/// Deepest object nesting a line may have. The wire format is flat; the
+/// bound keeps a hostile line from overflowing the stack, in the parser or
+/// in the drop of the tree it would build.
+const MAX_DEPTH: usize = 32;
+
+/// Most keys one object may have: `Node` looks a key up by scanning its
+/// siblings, so an unbounded object would parse in quadratic time.
+const MAX_KEYS: usize = 64;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    line: &'a str,
     pos: usize,
+    /// Objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\r' | b'\n') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.line.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), WireError> {
@@ -92,7 +99,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_literal(&mut self, lit: &str) -> Result<(), WireError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.line.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
@@ -137,12 +144,13 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from a &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| werr("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| werr("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, so the run ends on a char boundary of `line`.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.line[start..self.pos]);
                 }
             }
         }
@@ -157,8 +165,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| werr("invalid number"))?;
+        let text = &self.line[start..self.pos];
         if text.bytes().all(|b| b.is_ascii_digit() || b == b'-') {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Node::Leaf(Value::I64(i)));
@@ -176,9 +183,14 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             return Ok(node);
         }
-        loop {
+        self.depth += 1;
+        for _ in 0..MAX_KEYS {
             self.skip_ws();
             let key = self.parse_string()?;
+            // A `/` in a key nests too: `fetch_mut` reads it as a path.
+            if self.depth + key.matches('/').count() > MAX_DEPTH {
+                return Err(werr(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos)));
+            }
             self.skip_ws();
             self.expect(b':')?;
             let value = self.parse_value()?;
@@ -188,20 +200,22 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(node);
                 }
                 _ => return Err(werr(format!("expected `,` or `}}` at byte {}", self.pos))),
             }
         }
+        Err(werr(format!("more than {MAX_KEYS} keys in one object")))
     }
 }
 
 /// Parse one JSON line into a conduit node.
 pub fn json_to_node(line: &str) -> Result<Node, WireError> {
-    let mut p = Parser { bytes: line.as_bytes(), pos: 0 };
+    let mut p = Parser { line, pos: 0, depth: 0 };
     let node = p.parse_value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != line.len() {
         return Err(werr(format!("trailing garbage at byte {}", p.pos)));
     }
     Ok(node)
@@ -320,11 +334,12 @@ pub fn query_from_node(node: &Node) -> Result<Query, WireError> {
             let renderer = RendererKind::parse(renderer_label)
                 .ok_or_else(|| werr(format!("unknown renderer `{renderer_label}`")))?;
             let side = get_usize(node, "image_side")?;
+            let pixels = side.checked_mul(side).ok_or_else(|| werr("image_side is too large"))?;
             Ask::Feasibility {
                 config: RenderConfig {
                     renderer,
                     cells_per_task: get_usize(node, "cells_per_task")?,
-                    pixels: side * side,
+                    pixels,
                     tasks: get_usize(node, "tasks")?,
                 },
                 budget_s,
@@ -426,6 +441,39 @@ mod tests {
     }
 
     #[test]
+    fn hostile_shapes_are_refused_not_crashed_on() {
+        let deep = r#"{"a":"#.repeat(200_000);
+        let slashed = format!(r#"{{"{}":1}}"#, "a/".repeat(200_000));
+        let wide: String =
+            (0..20_000).map(|i| format!(r#""k{i}":1,"#)).collect::<String>() + r#""z":1}"#;
+        for (line, needle) in [
+            (deep.as_str(), "nesting deeper than 32"),
+            (slashed.as_str(), "nesting deeper than 32"),
+            (&format!("{{{wide}"), "more than 64 keys"),
+        ] {
+            let err = json_to_node(line).expect_err("refused");
+            assert!(err.message.contains(needle), "{err}");
+        }
+        // The limits are far from anything the wire format uses.
+        let nested = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(json_to_node(&nested).is_ok());
+    }
+
+    #[test]
+    fn an_image_side_whose_square_overflows_is_refused() {
+        let line = |side: &str| {
+            format!(
+                r#"{{"renderer":"ray_tracing","image_side":{side},"cells_per_task":100,"tasks":8,"budget_s":1}}"#
+            )
+        };
+        for side in ["8589934592", "1e300"] {
+            let err = query_from_json(&line(side)).expect_err(side);
+            assert!(err.message.contains("image_side"), "{err}");
+        }
+        assert!(query_from_json(&line("4096")).is_ok());
+    }
+
+    #[test]
     fn answer_renders_one_json_line() {
         let a = Answer {
             feasible: true,
@@ -456,8 +504,11 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        let node = json_to_node(r#"{"msg":"a\"b\\c\nd"}"#).expect("parses");
+        // Multi-byte characters on both sides of an escape: the run copy has
+        // to land on char boundaries.
+        let node = json_to_node(r#"{"msg":"a\"b\\c\nd","né":"ü\tö→"}"#).expect("parses");
         assert_eq!(node.get_str("msg"), Some("a\"b\\c\nd"));
+        assert_eq!(node.get_str("né"), Some("ü\tö→"));
         let mut out = Node::new();
         out.set("msg", "a\"b\\c\nd");
         let line = node_to_json(&out);

@@ -31,15 +31,6 @@ impl Mat4 {
         Mat4 { m: [r0, r1, r2, r3] }
     }
 
-    /// Uniform scaling matrix.
-    pub fn scale(s: Vec3) -> Mat4 {
-        let mut out = Mat4::identity();
-        out.m[0][0] = s.x;
-        out.m[1][1] = s.y;
-        out.m[2][2] = s.z;
-        out
-    }
-
     /// Right-handed look-at view matrix (world -> camera space). The camera
     /// looks down -Z in camera space, matching OpenGL conventions.
     pub fn look_at(eye: Vec3, target: Vec3, up: Vec3) -> Mat4 {
@@ -150,6 +141,12 @@ impl Mat4 {
 mod tests {
     use super::*;
 
+    fn diagonal(x: f32, y: f32, z: f32) -> Mat4 {
+        let rows =
+            [[x, 0.0, 0.0, 0.0], [0.0, y, 0.0, 0.0], [0.0, 0.0, z, 0.0], [0.0, 0.0, 0.0, 1.0]];
+        Mat4 { m: rows }
+    }
+
     fn approx(a: &Mat4, b: &Mat4, eps: f32) -> bool {
         a.m.iter().flatten().zip(b.m.iter().flatten()).all(|(x, y)| (x - y).abs() < eps)
     }
@@ -157,7 +154,7 @@ mod tests {
     #[test]
     fn identity_is_neutral() {
         let id = Mat4::identity();
-        let t = Mat4::scale(Vec3::new(1.0, 2.0, 3.0));
+        let t = diagonal(1.0, 2.0, 3.0);
         assert!(approx(&id.mul(&t), &t, 1e-6));
         assert!(approx(&t.mul(&id), &t, 1e-6));
     }
@@ -165,7 +162,7 @@ mod tests {
     #[test]
     fn inverse_round_trips() {
         let m = Mat4::look_at(Vec3::new(3.0, 4.0, 5.0), Vec3::ZERO, Vec3::Y)
-            .mul(&Mat4::scale(Vec3::new(2.0, 3.0, 0.5)));
+            .mul(&diagonal(2.0, 3.0, 0.5));
         let inv = m.inverse().expect("invertible");
         assert!(approx(&m.mul(&inv), &Mat4::identity(), 1e-4));
         assert!(approx(&inv.mul(&m), &Mat4::identity(), 1e-4));

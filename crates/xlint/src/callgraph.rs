@@ -77,6 +77,33 @@ pub struct GraphStats {
     pub unresolved: usize,
 }
 
+impl GraphStats {
+    /// Human-readable rendering for `--stats`; `wall_ms` is measured by the
+    /// CLI (the library never reads the clock — X007 applies to xlint too).
+    pub fn render(&self, wall_ms: Option<u128>) -> String {
+        let mut out = format!(
+            "xlint stats: {} files, {} tokens, {} functions, {} call edges\n",
+            self.files, self.tokens, self.fns, self.edges
+        );
+        out.push_str(&format!(
+            "  call resolution: {} path + {} method resolved; \
+             {} external, {} constructor, {} ambiguous-method, \
+             {} unmatched-method, {} unresolved\n",
+            self.resolved,
+            self.resolved_method,
+            self.external,
+            self.constructor,
+            self.ambiguous_method,
+            self.unmatched_method,
+            self.unresolved
+        ));
+        if let Some(ms) = wall_ms {
+            out.push_str(&format!("  wall time: {ms} ms\n"));
+        }
+        out
+    }
+}
+
 /// The workspace call graph.
 #[derive(Debug, Clone, Default)]
 pub struct CallGraph {
@@ -169,7 +196,7 @@ pub fn crate_and_mods(rel: &str, crate_names: &HashMap<String, String>) -> (Stri
 }
 
 /// Build the graph. `files` is `(rel_path, syntax)` in walk order.
-pub fn build(files: &[(String, FileSyntax)], crate_names: &HashMap<String, String>) -> CallGraph {
+pub fn build(files: &[(&str, &FileSyntax)], crate_names: &HashMap<String, String>) -> CallGraph {
     let mut g = CallGraph::default();
     g.stats.files = files.len();
 
@@ -261,7 +288,7 @@ fn resolve(
     caller: usize,
     nodes: &[FnNode],
     by_name: &HashMap<&str, Vec<usize>>,
-    files: &[(String, FileSyntax)],
+    files: &[(&str, &FileSyntax)],
     file_idx: usize,
     krate: &str,
     fmods: &[String],
@@ -428,16 +455,14 @@ mod tests {
     use crate::lexer::lex;
     use crate::syntax::extract;
 
-    fn graph(files: &[(&str, &str)]) -> (CallGraph, Vec<(String, FileSyntax)>) {
-        let files: Vec<(String, FileSyntax)> = files
+    fn graph(files: &[(&str, &str)]) -> CallGraph {
+        let syntax: Vec<FileSyntax> = files
             .iter()
-            .map(|(rel, src)| {
-                let toks = lex(src);
-                (rel.to_string(), extract(src, &toks, rel.starts_with("tests/")))
-            })
+            .map(|(rel, src)| extract(src, &lex(src), rel.starts_with("tests/")))
             .collect();
-        let g = build(&files, &HashMap::new());
-        (g, files)
+        let files: Vec<(&str, &FileSyntax)> =
+            files.iter().map(|(rel, _)| *rel).zip(&syntax).collect();
+        build(&files, &HashMap::new())
     }
 
     fn node<'a>(g: &'a CallGraph, name: &str) -> (usize, &'a FnNode) {
@@ -456,7 +481,7 @@ mod tests {
 
     #[test]
     fn same_file_and_cross_file_paths() {
-        let (g, _) = graph(&[
+        let g = graph(&[
             (
                 "crates/a/src/lib.rs",
                 "pub fn top() { helper(); crate::util::deep(); }\npub fn helper() {}\npub mod util { pub fn deep() {} }\n",
@@ -471,7 +496,7 @@ mod tests {
 
     #[test]
     fn method_resolution_unique_vs_ambiguous() {
-        let (g, _) = graph(&[
+        let g = graph(&[
             (
                 "crates/a/src/lib.rs",
                 "pub struct S;\nimpl S { pub fn unique_m(&self) {} pub fn common(&self) {} }\npub struct T;\nimpl T { pub fn common(&self) {} }\nfn use_it(s: &S) { s.unique_m(); s.common(); s.len(); }\n",
@@ -485,7 +510,7 @@ mod tests {
 
     #[test]
     fn self_super_and_self_type() {
-        let (g, _) = graph(&[(
+        let g = graph(&[(
             "crates/a/src/deep.rs",
             "pub fn at_root() {}\npub mod inner {\n  pub fn here() { super::at_root(); self::also_here(); }\n  pub fn also_here() {}\n}\npub struct W;\nimpl W {\n  pub fn new() -> W { W }\n  pub fn spawn() -> W { Self::new() }\n}\n",
         )]);
@@ -496,7 +521,7 @@ mod tests {
 
     #[test]
     fn external_buckets() {
-        let (g, _) = graph(&[(
+        let g = graph(&[(
             "crates/a/src/lib.rs",
             "fn f() { std::mem::drop2(3); Vec::with_capacity(4); completely_unknown(); }\n",
         )]);
@@ -524,7 +549,7 @@ mod tests {
 
     #[test]
     fn tests_are_marked_and_reverse_edges_dedup() {
-        let (g, _) = graph(&[
+        let g = graph(&[
             ("crates/a/src/lib.rs", "pub fn target() {}\nfn caller() { target(); target(); }\n"),
             ("tests/smoke.rs", "fn t() { a::target(); }\n"),
         ]);

@@ -12,7 +12,7 @@
 //!   (an unwaived clock read outside the timing modules for X012; an
 //!   unwaived panic outside X006's accounted scope for X014).
 //! * **Barriers** are sanctioned functions taint cannot flow out of:
-//!   anything in a `[x007].timing_modules` file (that *is* the measurement
+//!   anything in an `x007_timing_modules` file (that *is* the measurement
 //!   API), and any function whose direct violations are all waived with a
 //!   written reason — one waiver on the wrapper covers every caller.
 //! * **Findings** land on the first in-scope caller: each reported function
@@ -115,7 +115,7 @@ fn clock_taint(
 ) {
     let n = graph.nodes.len();
     let in_timing: Vec<bool> =
-        files.iter().map(|f| lints::path_in(f.rel, &cfg.x007_timing_modules)).collect();
+        files.iter().map(|f| lints::path_in(f.rel, cfg.x007_timing_modules)).collect();
     let mut sources = vec![false; n];
     let mut pass_through = vec![false; n];
     let mut reportable = vec![false; n];
@@ -139,11 +139,10 @@ fn clock_taint(
     taint_findings(graph, files, Lint::X012, &sources, &pass_through, &reportable, hits);
 }
 
-/// X014 — functions in the modeled scope that transitively reach
-/// `panic!`/`unwrap`/`expect` through non-test code. Direct panics inside
-/// `[x006].scopes` are X006-accounted (active or waived) and do not
-/// re-taint; the lint exists for the panics *outside* that scope which
-/// modeled code depends on.
+/// X014 — functions in the modeled scope (`x006_scopes`) that transitively
+/// reach `panic!`/`unwrap`/`expect` through non-test code. Direct panics
+/// inside the scope are X006-accounted (active or waived) and do not taint;
+/// the lint exists for the panics *outside* it which modeled code depends on.
 fn panic_taint(
     files: &[FlowFile],
     graph: &CallGraph,
@@ -151,9 +150,7 @@ fn panic_taint(
     hits: &mut Vec<(Lint, usize, usize)>,
 ) {
     let n = graph.nodes.len();
-    let scope14 = cfg.x014_effective_scopes();
-    let in6: Vec<bool> = files.iter().map(|f| lints::path_in(f.rel, &cfg.x006_scopes)).collect();
-    let in14: Vec<bool> = files.iter().map(|f| lints::path_in(f.rel, scope14)).collect();
+    let modeled: Vec<bool> = files.iter().map(|f| lints::path_in(f.rel, cfg.x006_scopes)).collect();
     let mut sources = vec![false; n];
     let mut pass_through = vec![false; n];
     let mut reportable = vec![false; n];
@@ -163,25 +160,11 @@ fn panic_taint(
         if node.is_test {
             continue; // test code may panic, and nothing modeled calls it
         }
-        let unwaived_panic = !in6[node.file_idx]
-            && item.panic_lines.iter().any(|&l| !line_waived(f.lines, l - 1, Lint::X014));
-        sources[i] = unwaived_panic;
-        reportable[i] = in14[node.file_idx];
-        pass_through[i] = !in14[node.file_idx] && !unwaived_panic;
-    }
-    // With a scope wider than X006's, an in-scope direct panicker is
-    // reportable at its own panic lines (no X006 to account for it).
-    for (i, node) in graph.nodes.iter().enumerate() {
-        if sources[i] && reportable[i] {
-            let f = &files[node.file_idx];
-            let item = &f.syntax.fns[node.fn_idx];
-            for &l in &item.panic_lines {
-                if !line_waived(f.lines, l - 1, Lint::X014) {
-                    hits.push((Lint::X014, node.file_idx, l - 1));
-                }
-            }
-            // Reported here — accounted, so callers stay clean.
-            sources[i] = false;
+        if modeled[node.file_idx] {
+            reportable[i] = true; // its own panics are X006's: neither source nor conduit
+        } else {
+            sources[i] = item.panic_lines.iter().any(|&l| !line_waived(f.lines, l - 1, Lint::X014));
+            pass_through[i] = !sources[i];
         }
     }
     taint_findings(graph, files, Lint::X014, &sources, &pass_through, &reportable, hits);
@@ -378,18 +361,16 @@ mod tests {
                 (rel.clone(), extract(src, &toks, lints::is_test_file(rel)), lines)
             })
             .collect();
-        let for_graph: Vec<(String, FileSyntax)> =
-            parsed.iter().map(|(r, s, _)| (r.clone(), s.clone())).collect();
+        let for_graph: Vec<(&str, &FileSyntax)> =
+            parsed.iter().map(|(r, s, _)| (r.as_str(), s)).collect();
         let graph = callgraph::build(&for_graph, &HashMap::new());
         let flow_files: Vec<FlowFile> =
             parsed.iter().map(|(r, s, l)| FlowFile { rel: r, lines: l, syntax: s }).collect();
         run(&flow_files, &graph, cfg)
     }
 
-    fn cfg_with_timing(timing: &[&str]) -> Config {
-        let mut cfg = Config::for_fixtures();
-        cfg.x007_timing_modules = timing.iter().map(|s| s.to_string()).collect();
-        cfg
+    fn cfg_with_timing(timing: crate::config::Paths) -> Config {
+        Config { x007_timing_modules: timing, ..Config::for_fixtures() }
     }
 
     fn lints_at(r: &FileReport, lint: Lint) -> Vec<(String, usize)> {
@@ -453,9 +434,7 @@ mod tests {
 
     #[test]
     fn x014_transits_out_of_scope_helpers() {
-        let mut cfg = Config::for_fixtures();
-        cfg.x006_scopes = vec!["scoped/".into()];
-        cfg.x014_scopes = vec!["scoped/".into()];
+        let cfg = Config { x006_scopes: &["scoped/"], ..Config::for_fixtures() };
         let world = World {
             files: vec![
                 (
@@ -480,9 +459,7 @@ mod tests {
 
     #[test]
     fn x014_in_scope_panics_are_x006s_business() {
-        let mut cfg = Config::for_fixtures();
-        cfg.x006_scopes = vec!["scoped/".into()];
-        cfg.x014_scopes = vec!["scoped/".into()];
+        let cfg = Config { x006_scopes: &["scoped/"], ..Config::for_fixtures() };
         let world = World {
             files: vec![(
                 "scoped/model.rs".into(),
@@ -499,9 +476,7 @@ mod tests {
 
     #[test]
     fn x014_call_site_waiver_is_honored() {
-        let mut cfg = Config::for_fixtures();
-        cfg.x006_scopes = vec!["scoped/".into()];
-        cfg.x014_scopes = vec!["scoped/".into()];
+        let cfg = Config { x006_scopes: &["scoped/"], ..Config::for_fixtures() };
         let world = World {
             files: vec![
                 (

@@ -17,9 +17,12 @@
 use crate::config::Config;
 use crate::lexer::{class_runs, lex, CharClass, Token};
 
-/// The lint catalog. X008 and X010 are retired — they compared hand-kept
-/// model-family lists across files, and the list now exists once
-/// (`perfmodel::models::Family::ALL`) — and their ids are not reused.
+/// The lint catalog. Three ids are retired and not reused. X008 and X010
+/// compared hand-kept model-family lists across files, and the list now
+/// exists once (`perfmodel::models::Family::ALL`). X009 banned a bare
+/// `.recv()` in `crates/feasd/src/`, and could not fire: the only channel
+/// type a crate here can name is `std::sync::mpsc`, which X001 bans on the
+/// line that would create the receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
     /// Malformed waiver (missing reason). Never waivable itself.
@@ -38,9 +41,6 @@ pub enum Lint {
     X006,
     /// Wall-clock reads outside the designated timing modules.
     X007,
-    /// Bare blocking `.recv()` in service code outside the designated wait
-    /// modules.
-    X009,
     /// Direct construction of a per-rank cell assignment
     /// (`Partition::from_assignments`) outside the partition module in a
     /// byte-pinned crate.
@@ -57,7 +57,7 @@ pub enum Lint {
 }
 
 /// Every lint, in id order.
-pub const ALL_LINTS: [Lint; 13] = [
+pub const ALL_LINTS: [Lint; 12] = [
     Lint::X000,
     Lint::X001,
     Lint::X002,
@@ -66,7 +66,6 @@ pub const ALL_LINTS: [Lint; 13] = [
     Lint::X005,
     Lint::X006,
     Lint::X007,
-    Lint::X009,
     Lint::X011,
     Lint::X012,
     Lint::X013,
@@ -85,7 +84,6 @@ impl Lint {
             Lint::X005 => "X005",
             Lint::X006 => "X006",
             Lint::X007 => "X007",
-            Lint::X009 => "X009",
             Lint::X011 => "X011",
             Lint::X012 => "X012",
             Lint::X013 => "X013",
@@ -104,7 +102,6 @@ impl Lint {
             Lint::X005 => "HashMap/HashSet in a byte-pinned crate",
             Lint::X006 => "unwrap/expect/panic! in non-test library code",
             Lint::X007 => "wall-clock read outside the designated timing modules",
-            Lint::X009 => "bare blocking recv() in service code outside the wait modules",
             Lint::X011 => {
                 "per-rank cell assignment built outside the partition module in a \
                  byte-pinned crate"
@@ -140,12 +137,7 @@ impl Lint {
             Lint::X007 => {
                 "route timing through PhaseTimer / calibration / bench so predicted and \
                  measured clocks can't silently mix; or add the module to \
-                 [x007].timing_modules in xlint.toml if it IS measurement code"
-            }
-            Lint::X009 => {
-                "a recv() with no timeout can block the service loop forever: use a bounded \
-                 wait (Condvar::wait_timeout) in a designated wait module listed under \
-                 [x009].wait_modules in xlint.toml"
+                 x007_timing_modules in crates/xlint/src/config.rs if it IS measurement code"
             }
             Lint::X011 => {
                 "partitions that feed pinned pixels must come from the deterministic \
@@ -156,7 +148,7 @@ impl Lint {
             }
             Lint::X012 => {
                 "the callee wraps a clock read X007 can't see from this line: move the \
-                 wrapper into [x007].timing_modules if it IS measurement code, take the \
+                 wrapper into x007_timing_modules if it IS measurement code, take the \
                  time as a parameter instead, or waive the wrapper's X007 finding with a \
                  written reason (a sanctioned wrapper stops the taint)"
             }
@@ -219,8 +211,8 @@ const PAR_SOURCES: [&str; 5] =
 
 const FLOAT_REDUCERS: [&str; 4] = ["sum::<f32>", "sum::<f64>", "product::<f32>", "product::<f64>"];
 
-pub(crate) fn path_in(rel: &str, prefixes: &[String]) -> bool {
-    prefixes.iter().any(|p| rel.starts_with(p.as_str()))
+pub(crate) fn path_in(rel: &str, prefixes: &[&str]) -> bool {
+    prefixes.iter().any(|p| rel.starts_with(p))
 }
 
 /// One source line split into its code part and its comment part. Both
@@ -431,14 +423,14 @@ pub fn analyze_file(rel: &str, source: &str, cfg: &Config) -> FileAnalysis {
         }
 
         // X005 — hashed containers in byte-pinned crates.
-        if path_in(rel, &cfg.x005_pinned)
+        if path_in(rel, cfg.x005_pinned)
             && (contains_word(code, "HashMap") || contains_word(code, "HashSet"))
         {
             raw_hits.push((Lint::X005, i));
         }
 
         // X006 — panics in non-test library code of the modeled crates.
-        if path_in(rel, &cfg.x006_scopes)
+        if path_in(rel, cfg.x006_scopes)
             && !tests[i]
             && (code.contains(".unwrap()")
                 || code.contains(".expect(")
@@ -447,22 +439,11 @@ pub fn analyze_file(rel: &str, source: &str, cfg: &Config) -> FileAnalysis {
             raw_hits.push((Lint::X006, i));
         }
 
-        // X009 — bare blocking receives in service code. `.recv()` (no
-        // timeout) can park the batching loop forever; `recv_timeout` /
-        // `try_recv` and anything inside the designated wait modules pass.
-        if path_in(rel, &cfg.x009_service)
-            && !path_in(rel, &cfg.x009_wait_modules)
-            && !tests[i]
-            && code.contains(".recv()")
-        {
-            raw_hits.push((Lint::X009, i));
-        }
-
         // X011 — per-rank cell assignments are single-sourced: in the
         // byte-pinned crates only the partition module (and test code) may
         // call the `from_assignments` escape hatch.
-        if path_in(rel, &cfg.x011_pinned)
-            && !path_in(rel, &cfg.x011_partition_modules)
+        if path_in(rel, cfg.x011_pinned)
+            && !path_in(rel, cfg.x011_partition_modules)
             && !tests[i]
             && code.contains("from_assignments(")
         {
@@ -475,7 +456,7 @@ pub fn analyze_file(rel: &str, source: &str, cfg: &Config) -> FileAnalysis {
     // aliases and fn-pointer laundering (`let f = Instant::now;`), which the
     // old substring check missed. The per-line hit is the direct-source
     // special case of X012's taint pass.
-    if !path_in(rel, &cfg.x007_timing_modules) {
+    if !path_in(rel, cfg.x007_timing_modules) {
         let mut clock_lines: Vec<usize> = syntax.file_clock_lines.clone();
         for f in &syntax.fns {
             clock_lines.extend(f.clock_lines.iter().copied());
@@ -628,47 +609,32 @@ mod tests {
     fn x006_skips_test_mod() {
         let src = "fn lib() { x.unwrap(); }\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { y.unwrap(); }\n}\n";
-        let r = lint_file("crates/core/src/lib.rs", src, &Config::default());
+        let r = lint_file("crates/core/src/lib.rs", src, &Config::workspace());
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.findings[0].line, 1);
     }
 
     #[test]
     fn x006_out_of_scope_crate_is_clean() {
-        let r = lint_file("crates/mesh/src/lib.rs", "fn f() { x.unwrap(); }\n", &Config::default());
+        let r =
+            lint_file("crates/mesh/src/lib.rs", "fn f() { x.unwrap(); }\n", &Config::workspace());
         assert!(r.findings.is_empty());
     }
 
     #[test]
     fn x007_timing_module_allowlist() {
         let mut c = cfg();
-        c.x007_timing_modules = vec!["m/src/timer.rs".to_string()];
+        c.x007_timing_modules = &["m/src/timer.rs"];
         let src = "let t0 = std::time::Instant::now();\n";
         assert!(lint_file("m/src/timer.rs", src, &c).findings.is_empty());
         assert_eq!(lint_file("m/src/other.rs", src, &c).findings.len(), 1);
     }
 
     #[test]
-    fn x009_wait_module_and_timeout_variants_pass() {
-        let mut c = cfg();
-        c.x009_service = vec!["svc/src/".to_string()];
-        c.x009_wait_modules = vec!["svc/src/wait.rs".to_string()];
-        let bare = "let m = rx.recv();\n";
-        assert_eq!(lint_file("svc/src/loop.rs", bare, &c).findings.len(), 1);
-        assert_eq!(lint_file("svc/src/loop.rs", bare, &c).findings[0].lint, Lint::X009);
-        // The designated wait module, timeout/try variants, and out-of-scope
-        // paths all pass.
-        assert!(lint_file("svc/src/wait.rs", bare, &c).findings.is_empty());
-        let bounded = "let m = rx.recv_timeout(d);\nlet n = rx.try_recv();\n";
-        assert!(lint_file("svc/src/loop.rs", bounded, &c).findings.is_empty());
-        assert!(lint_file("other/src/lib.rs", bare, &c).findings.is_empty());
-    }
-
-    #[test]
     fn x011_partition_module_and_tests_pass() {
         let mut c = cfg();
-        c.x011_pinned = vec!["crates/mesh/".to_string()];
-        c.x011_partition_modules = vec!["crates/mesh/src/partition.rs".to_string()];
+        c.x011_pinned = &["crates/mesh/"];
+        c.x011_partition_modules = &["crates/mesh/src/partition.rs"];
         let src = "let p = Partition::from_assignments(v, 4);\n";
         assert_eq!(lint_file("crates/mesh/src/field.rs", src, &c).findings.len(), 1);
         assert_eq!(lint_file("crates/mesh/src/field.rs", src, &c).findings[0].lint, Lint::X011);

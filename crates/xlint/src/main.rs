@@ -2,29 +2,27 @@
 //!
 //! ```text
 //! cargo run -p xlint --              # report findings, exit 0
-//! cargo run -p xlint -- --deny       # exit 1 on any non-baselined finding
+//! cargo run -p xlint -- --deny       # exit 1 on any active finding
 //! cargo run -p xlint -- --json       # machine-readable output
-//! cargo run -p xlint -- --sarif F    # write a SARIF 2.1.0 log to F
 //! cargo run -p xlint -- --stats      # engine counters + wall time on stderr
-//! cargo run -p xlint -- --root DIR   # lint a different tree
+//! cargo run -p xlint -- --root DIR   # lint the tree under DIR
 //! ```
 //!
-//! Usage: `xlint [--deny] [--json] [--sarif FILE] [--stats] [--root DIR]`.
+//! Usage: `xlint [--deny] [--json] [--stats] [--root DIR]`.
 //! Every run lints every file; there is no state between runs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: xlint [--deny] [--json] [--sarif FILE] [--stats] [--root DIR]";
+const USAGE: &str = "usage: xlint [--deny] [--json] [--stats] [--root DIR]";
 
 fn main() -> ExitCode {
     // The one sanctioned wall-clock read in this crate: the CLI stopwatch
-    // for `--stats` (this file is listed in `[x007].timing_modules`).
+    // for `--stats` (this file is one of `x007_timing_modules`).
     let t0 = std::time::Instant::now();
     let mut deny = false;
     let mut json = false;
     let mut stats_out = false;
-    let mut sarif_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -32,13 +30,6 @@ fn main() -> ExitCode {
             "--deny" => deny = true,
             "--json" => json = true,
             "--stats" => stats_out = true,
-            "--sarif" => match args.next() {
-                Some(p) => sarif_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("xlint: --sarif needs an output path");
-                    return ExitCode::from(2);
-                }
-            },
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -60,20 +51,13 @@ fn main() -> ExitCode {
     // manifest's parent-of-parent so the binary also works when invoked from
     // inside a crate directory.
     let root = root.unwrap_or_else(workspace_root);
-    let run = xlint::config::load(&root).and_then(|cfg| xlint::run_with_config(&root, &cfg));
-    let (report, stats) = match run {
+    let (report, stats) = match xlint::run_with_stats(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xlint: {e}");
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = &sarif_path {
-        if let Err(e) = std::fs::write(path, xlint::to_sarif(&report)) {
-            eprintln!("xlint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
     if json {
         print!("{}", xlint::to_json(&report));
     } else {
@@ -89,13 +73,10 @@ fn main() -> ExitCode {
 }
 
 /// Find the enclosing workspace root: the nearest ancestor of the current
-/// directory holding an `xlint.toml` or a `Cargo.toml` with `[workspace]`.
+/// directory holding a `Cargo.toml` with `[workspace]`.
 fn workspace_root() -> PathBuf {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     loop {
-        if dir.join("xlint.toml").is_file() {
-            return dir;
-        }
         let manifest = dir.join("Cargo.toml");
         if manifest.is_file() {
             if let Ok(text) = std::fs::read_to_string(&manifest) {

@@ -1,29 +1,22 @@
 //! Rendering: human-readable findings and the `--json` machine format.
 
-use crate::config::BaselineEntry;
 use crate::lints::{Finding, Waived};
 use std::fmt::Write as _;
 
 /// Full result of a lint run over a tree.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings that stand (not waived, not baselined). Nonempty fails `--deny`.
+    /// Findings that stand (not waived). Nonempty fails `--deny`.
     pub active: Vec<Finding>,
-    /// Findings absorbed by `xlint.toml` baseline entries.
-    pub baselined: Vec<Finding>,
     /// Findings silenced by inline waivers.
     pub waived: Vec<Waived>,
-    /// Baseline entries (or parts of their counts) that matched nothing —
-    /// debt that has been paid off and should be deleted from `xlint.toml`.
-    pub stale_baseline: Vec<BaselineEntry>,
 }
 
 impl Report {
-    /// Sort every section for deterministic output.
+    /// Sort both sections for deterministic output.
     pub fn normalize(&mut self) {
         let key = |f: &Finding| (f.file.clone(), f.line, f.lint);
         self.active.sort_by_key(key);
-        self.baselined.sort_by_key(key);
         self.waived.sort_by_key(|w| key(&w.finding));
     }
 }
@@ -74,16 +67,13 @@ fn join_indented(items: Vec<String>) -> String {
 /// Render the report as JSON (stable field and element order).
 pub fn to_json(r: &Report) -> String {
     let findings: Vec<String> = r.active.iter().map(|f| finding_json(f, None)).collect();
-    let baselined: Vec<String> = r.baselined.iter().map(|f| finding_json(f, None)).collect();
     let waived: Vec<String> =
         r.waived.iter().map(|w| finding_json(&w.finding, Some(("reason", &w.reason)))).collect();
     format!(
-        "{{\n  \"findings\": {},\n  \"baselined\": {},\n  \"waived\": {},\n  \"summary\": {{\"active\":{},\"baselined\":{},\"waived\":{}}}\n}}\n",
+        "{{\n  \"findings\": {},\n  \"waived\": {},\n  \"summary\": {{\"active\":{},\"waived\":{}}}\n}}\n",
         join_indented(findings),
-        join_indented(baselined),
         join_indented(waived),
         r.active.len(),
-        r.baselined.len(),
         r.waived.len(),
     )
 }
@@ -96,21 +86,7 @@ pub fn to_text(r: &Report) -> String {
         let _ = writeln!(out, "    | {}", f.excerpt);
         let _ = writeln!(out, "    = hint: {}", f.lint.hint());
     }
-    for e in &r.stale_baseline {
-        let _ = writeln!(
-            out,
-            "note: stale baseline entry — {} in {} (x{}) no longer matches anything; \
-             delete it from xlint.toml",
-            e.lint, e.file, e.count
-        );
-    }
-    let _ = writeln!(
-        out,
-        "xlint: {} active finding(s), {} baselined, {} waived",
-        r.active.len(),
-        r.baselined.len(),
-        r.waived.len()
-    );
+    let _ = writeln!(out, "xlint: {} active finding(s), {} waived", r.active.len(), r.waived.len());
     out
 }
 
@@ -130,6 +106,6 @@ mod tests {
         });
         let j = to_json(&r);
         assert!(j.contains("\\\"boom\\\""));
-        assert!(j.contains("\"summary\": {\"active\":1,\"baselined\":0,\"waived\":0}"));
+        assert!(j.contains("\"summary\": {\"active\":1,\"waived\":0}"));
     }
 }

@@ -118,29 +118,45 @@ fn frame_hash(f: &Framebuffer) -> u64 {
     h
 }
 
-// Golden frame hashes (`Device::Serial`, 72x72), produced at commit 23daacf
-// by the hard-coded render drivers that the frame graph replaced — the
-// oracle that the one remaining driver still draws the same bytes. They are
-// dev-profile hashes, the profile `cargo test` and CI run: the optimizer
-// evaluates some float expressions differently, so under `--release` the
-// golden test is ignored.
+// Golden frame hashes (`Device::Serial`, 72x72), one table per profile: the
+// optimizer evaluates some float expressions differently, so `cargo test`
+// and `cargo test --release` each pin their own bytes (the benchmark and
+// every `repro` table run release; CI runs both). The dev table was produced
+// at commit 23daacf by the hard-coded render drivers that the frame graph
+// replaced — the oracle that the one remaining driver still draws the same
+// bytes; the release table was taken with rustc 1.95.0 at e2d3731, the
+// commit after the unstructured sampler's column-run rewrite.
 //
-// They also depend on the host libm (`sin`/`cos`/`powf` feed the datasets,
-// the cameras and Blinn-Phong). If every case fails on a new host while the
+// Both also depend on the host libm (`sin`/`cos`/`powf` feed the datasets,
+// the cameras and Blinn-Phong), and the release table on the rustc version
+// as well. If every case fails on a new host or toolchain while the
 // cross-device tests above pass, re-bless: run
-// `cargo test --test parallel_exactness golden`, copy the `got` hashes from
-// the failure message, and say so in the commit.
-const GOLDEN_RT_WORKLOAD1: u64 = 0x6c6497b34af767a6;
-const GOLDEN_RT_WORKLOAD2: u64 = 0x9d8f2c8afb620e2c;
-const GOLDEN_RT_WORKLOAD3: u64 = 0xe9ee09d219d7fde9;
-const GOLDEN_RT_SPLIT_BVH_CUSTOM_SHADING: u64 = 0xc0ea2e32bc31c0ef;
-const GOLDEN_RASTER: u64 = 0x65228b8f860a9f66;
-const GOLDEN_SVR: u64 = 0x37587fb044d5d240;
-const GOLDEN_UVR_1_PASS: u64 = 0x31e2a74fb69d2cd4;
-const GOLDEN_UVR_3_PASS: u64 = 0x31e2a74fb69d2cd4;
+// `cargo test [--release] --test parallel_exactness golden`, copy the `got`
+// hashes from the failure message, and say so in the commit.
+#[cfg(debug_assertions)]
+mod golden {
+    pub const RT_WORKLOAD1: u64 = 0x6c6497b34af767a6;
+    pub const RT_WORKLOAD2: u64 = 0x9d8f2c8afb620e2c;
+    pub const RT_WORKLOAD3: u64 = 0xe9ee09d219d7fde9;
+    pub const RT_SPLIT_BVH_CUSTOM_SHADING: u64 = 0xc0ea2e32bc31c0ef;
+    pub const RASTER: u64 = 0x65228b8f860a9f66;
+    pub const SVR: u64 = 0x37587fb044d5d240;
+    pub const UVR_1_PASS: u64 = 0x31e2a74fb69d2cd4;
+    pub const UVR_3_PASS: u64 = 0x31e2a74fb69d2cd4;
+}
+#[cfg(not(debug_assertions))]
+mod golden {
+    pub const RT_WORKLOAD1: u64 = 0xeab89e4b39095a8f;
+    pub const RT_WORKLOAD2: u64 = 0xc09b9295c7537d7d;
+    pub const RT_WORKLOAD3: u64 = 0x1dec621fdb57b988;
+    pub const RT_SPLIT_BVH_CUSTOM_SHADING: u64 = 0x352c8156a9602c7d;
+    pub const RASTER: u64 = 0xb698d4ddf8e98821;
+    pub const SVR: u64 = 0xc69b5e15e4b277a1;
+    pub const UVR_1_PASS: u64 = 0x85941346a71cc037;
+    pub const UVR_3_PASS: u64 = 0x85941346a71cc037;
+}
 
 #[test]
-#[cfg_attr(not(debug_assertions), ignore = "the goldens are dev-profile hashes")]
 fn renderers_match_golden_frame_hashes() {
     use render::shading::{Light, Material, ShadingParams};
     let d = Device::Serial;
@@ -151,9 +167,9 @@ fn renderers_match_golden_frame_hashes() {
 
     let rt = RayTracer::new(Device::Serial, geom.clone());
     for (name, cfg, golden) in [
-        ("rt workload1", RtConfig::workload1(), GOLDEN_RT_WORKLOAD1),
-        ("rt workload2", RtConfig::workload2(), GOLDEN_RT_WORKLOAD2),
-        ("rt workload3", RtConfig::workload3(), GOLDEN_RT_WORKLOAD3),
+        ("rt workload1", RtConfig::workload1(), golden::RT_WORKLOAD1),
+        ("rt workload2", RtConfig::workload2(), golden::RT_WORKLOAD2),
+        ("rt workload3", RtConfig::workload3(), golden::RT_WORKLOAD3),
     ] {
         got.push((name, frame_hash(&rt.render_with_map(&cam, 72, 72, &cfg, &tf).frame), golden));
     }
@@ -176,23 +192,23 @@ fn renderers_match_golden_frame_hashes() {
     got.push((
         "rt split BVH + custom shading",
         frame_hash(&split.render_with_map(&cam, 72, 72, &cfg, &tf).frame),
-        GOLDEN_RT_SPLIT_BVH_CUSTOM_SHADING,
+        golden::RT_SPLIT_BVH_CUSTOM_SHADING,
     ));
 
     got.push((
         "raster",
         frame_hash(&rasterize(&d, &geom, &cam, 72, 72, &tf, None).frame),
-        GOLDEN_RASTER,
+        golden::RASTER,
     ));
 
     let (grid, vtf, vcam) = volume();
     let svr_cfg = SvrConfig { samples_per_ray: 96, ..Default::default() };
     let svr = render_structured(&d, &grid, "scalar", &vcam, 72, 72, &vtf, &svr_cfg).unwrap();
-    got.push(("svr", frame_hash(&svr.frame), GOLDEN_SVR));
+    got.push(("svr", frame_hash(&svr.frame), golden::SVR));
 
     let tets = mesh::HexMesh::from_uniform_grid(&grid).to_tets();
     for (name, num_passes, golden) in
-        [("uvr 1 pass", 1, GOLDEN_UVR_1_PASS), ("uvr 3 passes", 3, GOLDEN_UVR_3_PASS)]
+        [("uvr 1 pass", 1, golden::UVR_1_PASS), ("uvr 3 passes", 3, golden::UVR_3_PASS)]
     {
         let cfg = UvrConfig { depth_samples: 64, num_passes, ..Default::default() };
         let uvr = render_unstructured(&d, &tets, "scalar", &vcam, 72, 72, &vtf, &cfg).unwrap();
