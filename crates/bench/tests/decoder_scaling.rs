@@ -43,17 +43,33 @@ fn assert_linear<T>(what: &str, n: usize, input: impl Fn(usize) -> T, decode: im
 }
 
 /// A parser that re-validates the rest of the line for every character of a
-/// string value reads about 90 here.
+/// string value reads about 90 here. `serve` reads with `query_from_json`;
+/// `json_to_node` is the same scanner building a tree.
 #[test]
 fn a_request_line_parses_in_linear_time() {
-    assert_linear(
-        "wire::json_to_node",
-        20_000,
-        |bytes| format!(r#"{{"note":"{}","budget_s":1}}"#, "héllo wörld ".repeat(bytes / 14)),
-        |line| {
-            black_box(feasd::wire::json_to_node(line)).expect("parses");
-        },
-    );
+    let long_string = |bytes: usize| {
+        format!(
+            r#"{{"note":"{}","ask":"plan","cells_per_task":200,"tasks":64,"budget_s":1}}"#,
+            r#"héllo \"wörld\" "#.repeat(bytes / 18)
+        )
+    };
+    assert_linear("wire::json_to_node", 20_000, long_string, |line| {
+        black_box(feasd::wire::json_to_node(line)).expect("parses");
+    });
+    assert_linear("wire::query_from_json", 20_000, long_string, |line| {
+        black_box(feasd::wire::query_from_json(line)).expect("parses");
+    });
+    // 63 unknown keys, alike up to their last bytes, and one field: as many
+    // members as an object may have, each matched against the field names.
+    let many_keys = |bytes: usize| {
+        let pad = "k".repeat(bytes / 64);
+        let keys: String = (0..63).map(|i| format!(r#""{pad}{i}":1,"#)).collect();
+        format!(r#"{{{keys}"budget_s":1}}"#)
+    };
+    assert_linear("wire::query_from_json, 63 unknown keys", 20_000, many_keys, |line| {
+        let err = black_box(feasd::wire::query_from_json(line)).expect_err("no renderer");
+        assert!(err.message.contains("renderer"), "{err}");
+    });
 }
 
 #[test]

@@ -105,9 +105,9 @@ pub struct TableKey {
 }
 
 impl TableKey {
-    /// Build a key from a user-level configuration. `image_side` is the
-    /// integer square root of `cfg.pixels`; configurations are square by
-    /// construction everywhere in this repo.
+    /// Build a key from a user-level configuration (square by construction
+    /// everywhere here: `image_side` is the integer square root of
+    /// `cfg.pixels`). Counts are cast to `u32`; the caller owns their range.
     pub fn from_config(cfg: &RenderConfig, device: DeviceClass) -> TableKey {
         let side = (cfg.pixels as f64).sqrt().round() as u32;
         TableKey {

@@ -11,8 +11,9 @@
 //! Architecture (DESIGN.md §10):
 //!
 //! * **Front-end** — an in-process API ([`Feasd::submit`] / [`Feasd::pump`])
-//!   plus a line-delimited-JSON loop ([`serve`]) bridged through the
-//!   [`conduit_node`] hierarchy ([`wire`]); no network dependencies.
+//!   plus a line-delimited-JSON loop ([`serve`]); [`wire`] reads a line
+//!   straight into a [`Query`] and writes the answer straight into the
+//!   reply, building no tree; no network dependencies.
 //! * **Batching** — `pump` drains the queue in priority order and coalesces
 //!   every table miss from the batch into one
 //!   [`perfmodel::batch::predict_batch`] call.
@@ -42,43 +43,42 @@ pub use service::{Answer, Ask, Feasd, FeasdConfig, Query, Shed, Source, StatsSna
 pub use simloop::{simulate, SimReport};
 pub use traffic::{generate, ArrivalEvent, ArrivalPattern, TrafficConfig};
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 
 /// Serve line-delimited JSON queries from `input` to `output` until EOF:
 /// each non-empty line is parsed ([`wire::query_from_json`]), admitted
-/// through the service, answered, and written back as one JSON line.
-/// Malformed or shed queries produce an `{"error": ...}` line so the stream
-/// stays in lockstep with its requests.
-pub fn serve<R: BufRead, W: Write>(
-    service: &Feasd,
-    input: R,
-    mut output: W,
-) -> std::io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
+/// through the service, answered, and written back as one JSON line, all
+/// through one line buffer and one reply buffer. Malformed or shed queries
+/// produce an `{"error": ...}` line so the stream stays in lockstep.
+pub fn serve<R: BufRead, W: Write>(service: &Feasd, mut input: R, mut output: W) -> io::Result<()> {
+    let (mut line, mut reply) = (String::new(), String::new());
+    loop {
+        line.clear();
+        if input.read_line(&mut line)? == 0 {
+            return output.flush();
+        }
         if line.trim().is_empty() {
             continue;
         }
-        let reply = match wire::query_from_json(&line) {
-            Err(e) => wire::error_to_json(&format!("bad query: {e}")),
+        // What `BufRead::lines` strips: a `\n`, then a `\r` before it.
+        let request = line.strip_suffix('\n').map_or(&*line, |l| l.strip_suffix('\r').unwrap_or(l));
+        reply.clear();
+        match wire::query_from_json(request) {
+            Err(e) => wire::write_error(&mut reply, &format!("bad query: {e}")),
             Ok(query) => match service.submit(query) {
-                Err(shed) => wire::error_to_json(&format!(
-                    "shed at pressure level {} ({} priority)",
-                    shed.level,
-                    shed.priority.label()
-                )),
-                Ok(ticket) => {
-                    let mut answered = service.pump();
-                    match answered.iter().position(|(t, _)| *t == ticket) {
-                        Some(i) => wire::answer_to_json(&answered.swap_remove(i).1),
-                        // Unreachable in the synchronous loop (pump drains the
-                        // queue we just filled), but never deadlock on it.
-                        None => wire::error_to_json("answer lost"),
-                    }
+                Err(Shed { level, priority: p }) => {
+                    let why = format!("shed at pressure level {level} ({} priority)", p.label());
+                    wire::write_error(&mut reply, &why)
                 }
+                Ok(ticket) => match service.pump().iter().find(|(t, _)| *t == ticket) {
+                    Some((_, answer)) => wire::write_answer(&mut reply, answer),
+                    // Only when other submitters keep more than a batch
+                    // queued ahead of this line; never wait for it.
+                    None => wire::write_error(&mut reply, "answer lost"),
+                },
             },
-        };
-        writeln!(output, "{reply}")?;
+        }
+        reply.push('\n');
+        output.write_all(reply.as_bytes())?;
     }
-    output.flush()
 }

@@ -219,8 +219,10 @@ impl Feasd {
     pub fn new(
         set: perfmodel::feasibility::ModelSet,
         k: MappingConstants,
-        cfg: FeasdConfig,
+        mut cfg: FeasdConfig,
     ) -> Feasd {
+        // Plan answers scan the sides top-down: sort them once, here.
+        cfg.lattice.image_sides.sort_unstable();
         let models = ModelCache::new(set, k);
         let table = RwLock::new(Self::build_table(&models.snapshot(), &cfg));
         Feasd {
@@ -472,9 +474,7 @@ impl Feasd {
                 let mut best: Option<Answer> = None;
                 let mut cheapest: Option<Answer> = None;
                 let mut any_model = false;
-                let mut sides: Vec<u32> = self.cfg.lattice.image_sides.clone();
-                sides.sort_unstable();
-                for &side in sides.iter().rev() {
+                for &side in self.cfg.lattice.image_sides.iter().rev() {
                     for renderer in &self.cfg.lattice.renderers {
                         let cfg = RenderConfig {
                             renderer: *renderer,

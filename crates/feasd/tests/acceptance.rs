@@ -12,8 +12,8 @@
 //! answer, nor compute one from two fits.
 
 use feasd::{
-    generate, simulate, Ask, DeviceClass, Feasd, FeasdConfig, Lattice, Priority, Query, Source,
-    TrafficConfig,
+    generate, simulate, Answer, Ask, DeviceClass, Feasd, FeasdConfig, Lattice, Priority, Query,
+    Source, TrafficConfig,
 };
 use perfmodel::batch::predict_batch;
 use perfmodel::fstable::{precompute, FeasTable, TableEntry, TableKey};
@@ -228,6 +228,30 @@ fn plan_queries_pick_the_largest_feasible_side() {
         .expect("admitted");
     let (_, broke) = service.pump()[0];
     assert!(!broke.feasible, "a zero budget affords nothing; the echo is best-effort");
+
+    // The sides are scanned top-down in whatever order the lattice lists them.
+    let mut shuffled = Lattice::service_default();
+    shuffled.image_sides.reverse();
+    shuffled.image_sides.rotate_left(3);
+    let unsorted = Feasd::new(
+        ground_truth(),
+        MappingConstants::default(),
+        FeasdConfig { lattice: shuffled, ..serial_cfg() },
+    );
+    for budget_s in [1e9, 0.0, 0.05, 2.0] {
+        let plan = Query {
+            device: DeviceClass::Serial,
+            priority: Priority::Normal,
+            ask: Ask::Plan { cells_per_task: 100, tasks: 64, budget_s, images: 10.0 },
+        };
+        let answers: Vec<Answer> = [&service, &unsorted]
+            .map(|s| {
+                s.submit(plan).expect("admitted");
+                s.pump()[0].1
+            })
+            .to_vec();
+        assert_eq!(answers[0], answers[1], "budget {budget_s}");
+    }
 }
 
 fn sim_pair(seed: u64) -> (feasd::SimReport, feasd::SimReport) {
