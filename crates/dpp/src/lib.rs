@@ -4,8 +4,10 @@
 //! data-parallel primitives — map, gather, scatter, reduce, scan, and
 //! reverse-index — combined with user-defined functors (Chapter 2.3). A single
 //! algorithm expressed this way runs on any architecture for which the
-//! primitive set has a back-end. This crate provides that primitive set with
-//! two back-ends behind one [`Device`] handle:
+//! primitive set has a back-end. This crate provides that primitive set, plus
+//! [`tasks`] — a `map` with one task per index, for a handful of coarse items
+//! such as screen tiles, where `map` would not fork below its grain of 4 096
+//! items — with two back-ends behind one [`Device`] handle:
 //!
 //! * [`Device::Serial`] — single-threaded loops. Stands in for the paper's
 //!   one-core CPU configurations (e.g. CPU1 in the SC16 study).

@@ -1,5 +1,5 @@
-//! The primitive set: map, gather, scatter, reduce, scan, reverse-index,
-//! and stream compaction — each dispatching on [`Device`].
+//! The primitive set: map, tasks, gather, scatter, reduce, scan,
+//! reverse-index, and stream compaction — each dispatching on [`Device`].
 //!
 //! Semantics follow Blelloch's vector model as summarized in Chapter 2.3 of
 //! the dissertation. Every parallel path is observationally identical to the
@@ -45,6 +45,25 @@ where
         Device::Serial => (0..n).map(f).collect(),
         _ if n < PAR_GRAIN => (0..n).map(f).collect(),
         _ => device.install(|| (0..n).into_par_iter().with_min_len(par_min_len()).map(f).collect()),
+    }
+}
+
+/// `tasks`: `out[i] = f(i)` for `i in 0..n`, one task per index.
+///
+/// For a few coarse items — tiles, columns, ranks — each costing far more
+/// than a fork. [`map`] stays serial below `PAR_GRAIN` items and hands each
+/// worker runs of items, so 25 tiles would run on one core; `tasks` forks at
+/// any `n > 1` with grain 1, so a heavy item never holds light ones behind
+/// it. Results come back in index order, as from the serial loop.
+pub fn tasks<T, F>(device: &Device, n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync + Send,
+{
+    match device {
+        Device::Serial => (0..n).map(f).collect(),
+        _ if n < 2 => (0..n).map(f).collect(),
+        _ => device.install(|| (0..n).into_par_iter().with_max_len(1).map(f).collect()),
     }
 }
 

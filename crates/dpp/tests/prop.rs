@@ -234,3 +234,51 @@ proptest! {
         prop_assert_eq!(&serial, &expect);
     }
 }
+
+/// Item `i` of a `tasks` call: `(i, a hash)` after `costs[i]` dependent
+/// multiply-adds, so items finish out of index order on a pool.
+fn uneven_item(costs: &[u32], i: usize) -> (usize, u64) {
+    let mut h = i as u64;
+    for _ in 0..costs[i] {
+        h = h.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+    }
+    (i, h)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `tasks` on a pool of 1, 2, 4 or 8 workers returns the serial loop's
+    /// results, in index order, however uneven the items.
+    #[test]
+    fn tasks_equal_the_serial_loop(costs in proptest::collection::vec(0u32..20_000, 0..64)) {
+        let n = costs.len();
+        let serial = tasks(&Device::Serial, n, |i| uneven_item(&costs, i));
+        prop_assert!(serial.iter().enumerate().all(|(i, r)| r.0 == i));
+        for threads in [1, 2, 4, 8] {
+            let d = Device::parallel_with_threads(threads);
+            prop_assert_eq!(&tasks(&d, n, |i| uneven_item(&costs, i)), &serial);
+        }
+    }
+}
+
+/// A panic in one task is re-thrown on the caller, and the pool still works
+/// afterwards (the `Device` contract).
+#[test]
+fn a_panicking_task_rethrows_on_the_caller() {
+    for threads in [1, 2, 4, 8] {
+        let d = Device::parallel_with_threads(threads);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tasks(&d, 25, |i| {
+                if i == 17 {
+                    panic!("tile {i} failed");
+                }
+                i
+            })
+        }));
+        let payload = r.expect_err("the panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("tile 17 failed"), "{threads} workers: payload {msg:?}");
+        assert_eq!(tasks(&d, 3, |i| i * 2), vec![0, 2, 4]);
+    }
+}

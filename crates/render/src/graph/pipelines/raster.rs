@@ -14,7 +14,7 @@ use crate::graph::exec::{vec_bytes, FrameGraph, GraphError};
 use crate::graph::pipelines::{camera_fingerprint, geometry_fingerprint, GraphInfo};
 use crate::raster::{
     bin_count_stage, bin_fill_stage, sample_fill_stage, stitch_stage, transform_cull_stage,
-    RasterOutput, RasterStats, ScreenTri, TILE,
+    RasterOutput, RasterStats, ScreenTri, TileFrame, TILE,
 };
 use crate::raytrace::TriGeometry;
 use crate::shading::ShadingParams;
@@ -121,7 +121,7 @@ pub fn render_raster_graph(
     );
 
     g.add_pass("stitch", &[tiles], &[out], (width * height) as u64, move |ctx| {
-        let tf = ctx.take::<Vec<(u32, Vec<Color>, Vec<f32>)>>(tiles)?;
+        let tf = ctx.take::<Vec<TileFrame>>(tiles)?;
         let stitched = stitch_stage(device, tf, width, height);
         ctx.put(out, stitched, vec_bytes::<Color>((width * height) as usize))
     });

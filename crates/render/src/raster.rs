@@ -179,8 +179,10 @@ pub(crate) fn bin_fill_stage(
 /// One sampled tile: (tile index, color buffer, depth buffer).
 pub(crate) type TileFrame = (u32, Vec<Color>, Vec<f32>);
 
-/// Per-tile barycentric sampling stage with a z-buffer. Returns the per-tile
-/// color/depth buffers and the total pixels considered (the PPT model input).
+/// Per-tile barycentric sampling stage with a z-buffer, one task per tile
+/// (tiles are disjoint, so no pixel depends on which worker filled it).
+/// Returns the per-tile color/depth buffers and the total pixels considered
+/// (the PPT model input).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sample_fill_stage(
     device: &Device,
@@ -196,9 +198,7 @@ pub(crate) fn sample_fill_stage(
     shading: &ShadingParams,
     camera: &Camera,
 ) -> (Vec<TileFrame>, u64) {
-    let n_tiles = count_vals.len();
-    let pixels_considered = std::sync::atomic::AtomicU64::new(0);
-    let tile_frames = map(device, n_tiles, |tile| {
+    let filled = dpp::tasks(device, count_vals.len(), |tile| {
         let tx = tile as u32 % tiles_x;
         let ty = tile as u32 / tiles_x;
         let x0 = tx * TILE;
@@ -226,18 +226,16 @@ pub(crate) fn sample_fill_stage(
                 geom, tri, x0, y0, x1, y1, tw, &mut color, &mut depth, colormap, shading, camera,
             );
         }
-        // ORDERING: Relaxed — commutative statistics counter.
-        pixels_considered.fetch_add(considered, Ordering::Relaxed);
-        (tile as u32, color, depth)
+        ((tile as u32, color, depth), considered)
     });
-    // ORDERING: Relaxed — read after the map joined.
-    (tile_frames, pixels_considered.load(Ordering::Relaxed))
+    let (frames, considered): (Vec<TileFrame>, Vec<u64>) = filled.into_iter().unzip();
+    (frames, considered.iter().sum())
 }
 
 /// Stitch per-tile buffers into a full framebuffer and count active pixels.
 pub(crate) fn stitch_stage(
     device: &Device,
-    tile_frames: Vec<(u32, Vec<Color>, Vec<f32>)>,
+    tile_frames: Vec<TileFrame>,
     width: u32,
     height: u32,
 ) -> (Framebuffer, usize) {

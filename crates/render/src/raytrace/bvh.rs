@@ -3,8 +3,17 @@
 //! The build is the LBVH variant the SC16 ray-tracing model assumes
 //! (`c0 * O` build complexity): Morton codes over primitive centroids (map),
 //! radix sort (the `dpp` sort primitive), then a top-down radix split on the
-//! sorted codes. Traversal is the stack-based "if-if" style of Aila & Laine,
-//! adapted to one ray per data-parallel lane.
+//! sorted codes.
+//!
+//! Traversal is one ray per data-parallel lane with a short stack, ordered
+//! as in Aila & Laine's kernels and the tuned CPU tracers Chapter II compares
+//! against: an interior node tests both children's boxes and enters the
+//! nearer first, carrying the farther one's entry distance on the stack so
+//! it is dropped on pop once a closer hit is known. Ties in `t` go to the
+//! triangle earlier in `prim_order`; the builders lay leaves out in preorder
+//! ([`Bvh::validate`] and `validate_split` check it), so this is the hit a
+//! left-first preorder walk keeps. The tests hold the walk to that preorder
+//! walk and to a brute force over `prim_order`, `Hit` for `Hit`, bit for bit.
 
 use super::geometry::TriGeometry;
 use dpp::sort::sort_pairs_u64;
@@ -124,32 +133,44 @@ impl Bvh {
         self.traverse(geom, ray, max_t, true).is_hit()
     }
 
+    /// Ordered walk: both children are tested at their parent and the nearer
+    /// is entered first, so `closest` shrinks early and culls more. A popped
+    /// node is skipped when its entry distance is past `closest` — exactly
+    /// what re-testing its box against `closest` would decide. Equal `t`
+    /// goes to the triangle earlier in `prim_order`, which is the hit the
+    /// left-first preorder walk finds first (leaves lie in preorder).
     fn traverse(&self, geom: &TriGeometry, ray: &Ray, max_t: f32, any: bool) -> Hit {
-        if self.nodes.is_empty() {
+        let Some(root) = self.nodes.first() else { return Hit::MISS };
+        let Some((root_near, _)) = root.aabb.intersect_ray(ray, 0.0, max_t) else {
             return Hit::MISS;
-        }
+        };
         let mut best = Hit::MISS;
+        // `prim_order` position of `best`; 0 while it is a miss, so a tie
+        // with `max_t` is never a hit.
+        let mut best_pos = 0usize;
         let mut closest = max_t;
-        let mut stack = [0u32; 64];
-        let mut sp = 0usize;
-        stack[sp] = 0;
-        sp += 1;
+        // (node, the distance at which the ray enters its box)
+        let mut stack = [(0u32, 0.0f32); 64];
+        stack[0] = (0, root_near);
+        let mut sp = 1usize;
         while sp > 0 {
             sp -= 1;
-            let ni = stack[sp] as usize;
-            let node = &self.nodes[ni];
-            if node.aabb.intersect_ray(ray, 0.0, closest).is_none() {
+            let (ni, near) = stack[sp];
+            if near > closest {
                 continue;
             }
+            let node = &self.nodes[ni as usize];
             if node.count > 0 {
                 let start = node.start as usize;
-                for &prim in &self.prim_order[start..start + node.count as usize] {
+                for pos in start..start + node.count as usize {
+                    let prim = self.prim_order[pos];
                     let p = prim as usize;
                     if let Some((t, u, v)) =
                         intersect_triangle(ray, geom.v0[p], geom.e1[p], geom.e2[p])
                     {
-                        if t < closest {
+                        if t < closest || (t == closest && pos < best_pos) {
                             closest = t;
+                            best_pos = pos;
                             best = Hit { t, prim, u, v };
                             if any {
                                 return best;
@@ -159,53 +180,99 @@ impl Bvh {
                 }
             } else {
                 debug_assert!(sp + 2 <= stack.len(), "BVH stack overflow");
-                // Right child first so the (preorder-adjacent) left child is
-                // popped next — front-to-back-ish for Morton-ordered scenes.
-                stack[sp] = node.right;
-                sp += 1;
-                stack[sp] = ni as u32 + 1;
-                sp += 1;
+                let (l, r) = (ni + 1, node.right);
+                let enter_l = self.nodes[l as usize].aabb.intersect_ray(ray, 0.0, closest);
+                let enter_r = self.nodes[r as usize].aabb.intersect_ray(ray, 0.0, closest);
+                // The farther child goes below the nearer one; on a tie the
+                // left child (earlier in preorder) is popped first.
+                match (enter_l, enter_r) {
+                    (Some((nl, _)), Some((nr, _))) => {
+                        let (below, above) =
+                            if nr < nl { ((l, nl), (r, nr)) } else { ((r, nr), (l, nl)) };
+                        stack[sp] = below;
+                        stack[sp + 1] = above;
+                        sp += 2;
+                    }
+                    (Some((nl, _)), None) => {
+                        stack[sp] = (l, nl);
+                        sp += 1;
+                    }
+                    (None, Some((nr, _))) => {
+                        stack[sp] = (r, nr);
+                        sp += 1;
+                    }
+                    (None, None) => {}
+                }
             }
         }
         best
     }
 
-    /// Validate structural invariants: every child AABB inside its parent,
-    /// every primitive referenced exactly once, leaf sizes within bounds.
+    /// Validate structural invariants: those of `validate_tree` (children
+    /// inside parents, bounded leaves in preorder), plus every primitive
+    /// referenced exactly once and contained in its leaf's AABB.
     /// Used by tests and debug assertions.
     pub fn validate(&self, geom: &TriGeometry) -> Result<(), String> {
+        let mut seen = vec![false; geom.num_tris()];
+        self.validate_tree(geom, |ix, node| {
+            for i in node.start..node.start + node.count {
+                let p = self.prim_order[i as usize] as usize;
+                if std::mem::replace(&mut seen[p], true) {
+                    return Err(format!("prim {p} referenced twice"));
+                }
+                if !node.aabb.contains_box(&geom.tri_aabb(p)) {
+                    return Err(format!("prim {p} escapes leaf {ix} AABB"));
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// The invariants of every builder's tree, duplicate references allowed:
+    /// every child AABB inside its parent, leaves of at most
+    /// [`MAX_LEAF_SIZE`] references, every primitive referenced, and leaves
+    /// that, visited in preorder (left child before right), take increasing,
+    /// non-overlapping ranges of `prim_order` — the ordered walk's tie rule
+    /// depends on that. `leaf` sees each leaf, in that order.
+    pub(crate) fn validate_tree(
+        &self,
+        geom: &TriGeometry,
+        mut leaf: impl FnMut(u32, &BvhNode) -> Result<(), String>,
+    ) -> Result<(), String> {
         if geom.num_tris() == 0 {
             return Ok(());
         }
         let mut seen = vec![false; geom.num_tris()];
+        let mut next_start = 0;
         let mut stack = vec![0u32];
         while let Some(ix) = stack.pop() {
             let node = &self.nodes[ix as usize];
             if node.count > 0 {
                 if node.count as usize > MAX_LEAF_SIZE {
-                    return Err(format!("leaf {ix} has {} prims", node.count));
+                    return Err(format!("leaf {ix} has {} refs", node.count));
                 }
-                for i in node.start..node.start + node.count {
-                    let p = self.prim_order[i as usize] as usize;
-                    if seen[p] {
-                        return Err(format!("prim {p} referenced twice"));
-                    }
-                    seen[p] = true;
-                    if !node.aabb.contains_box(&geom.tri_aabb(p)) {
-                        return Err(format!("prim {p} escapes leaf {ix} AABB"));
-                    }
+                if node.start < next_start {
+                    return Err(format!(
+                        "leaf {ix} starts at {} of prim_order, before the end ({next_start}) \
+                         of the leaf preceding it in preorder",
+                        node.start
+                    ));
                 }
+                next_start = node.start + node.count;
+                for i in node.start..next_start {
+                    seen[self.prim_order[i as usize] as usize] = true;
+                }
+                leaf(ix, node)?;
             } else {
-                let l = ix + 1;
-                let r = node.right;
-                for child in [l, r] {
+                for child in [ix + 1, node.right] {
                     let c = &self.nodes[child as usize];
                     if !node.aabb.contains_box(&c.aabb) {
                         return Err(format!("child {child} escapes parent {ix}"));
                     }
                 }
-                stack.push(l);
-                stack.push(r);
+                // Right below left: the left child is visited next.
+                stack.push(node.right);
+                stack.push(ix + 1);
             }
         }
         if let Some(p) = seen.iter().position(|s| !s) {
@@ -280,6 +347,7 @@ fn partition_point(codes: &[u64], pred: impl Fn(u64) -> bool) -> usize {
 mod tests {
     use super::*;
     use mesh::datasets::{field_grid, FieldKind};
+    use mesh::external_faces::external_faces_hex;
     use mesh::isosurface::isosurface;
 
     fn test_geom() -> TriGeometry {
@@ -307,28 +375,129 @@ mod tests {
         for py in (0..64).step_by(7) {
             for px in (0..64).step_by(7) {
                 let ray = cam.primary_ray(px, py, 64, 64, 0.5, 0.5);
-                let bf = brute_force(&geom, &ray);
                 let h = bvh.closest_hit(&geom, &ray);
-                assert_eq!(h.is_hit(), bf.is_hit(), "pixel ({px},{py})");
-                if h.is_hit() {
-                    hits += 1;
-                    assert!((h.t - bf.t).abs() < 1e-3, "t {} vs {}", h.t, bf.t);
-                }
+                assert_eq!(hit_bits(h), hit_bits(brute_force(&bvh, &geom, &ray)), "({px},{py})");
+                hits += h.is_hit() as u32;
             }
         }
         assert!(hits > 10, "camera should see the shell ({hits} hits)");
     }
 
-    fn brute_force(geom: &TriGeometry, ray: &Ray) -> Hit {
+    /// The nearest hit over `prim_order` in position order, first one kept.
+    fn brute_force(bvh: &Bvh, geom: &TriGeometry, ray: &Ray) -> Hit {
         let mut best = Hit::MISS;
-        for p in 0..geom.num_tris() {
+        for &prim in &bvh.prim_order {
+            let p = prim as usize;
             if let Some((t, u, v)) = intersect_triangle(ray, geom.v0[p], geom.e1[p], geom.e2[p]) {
                 if t < best.t {
-                    best = Hit { t, prim: p as u32, u, v };
+                    best = Hit { t, prim, u, v };
                 }
             }
         }
         best
+    }
+
+    #[test]
+    fn leaves_out_of_preorder_are_refused() {
+        let geom = TriGeometry::from_mesh(&mesh::TriMesh {
+            points: vec![Vec3::ZERO, Vec3::X, Vec3::Y, Vec3::Z],
+            tris: vec![[0, 1, 2], [0, 1, 3]],
+            scalars: vec![0.0; 4],
+        });
+        let leaf = |start: u32, prim: usize| BvhNode {
+            aabb: geom.tri_aabb(prim),
+            right: 0,
+            start,
+            count: 1,
+        };
+        let root = BvhNode { aabb: geom.bounds, right: 2, start: 0, count: 0 };
+        // The left leaf holds the second entry of `prim_order`.
+        let swapped = Bvh { nodes: vec![root, leaf(1, 1), leaf(0, 0)], prim_order: vec![0, 1] };
+        let err = swapped.validate(&geom).unwrap_err();
+        assert!(err.contains("preorder"), "{err}");
+        let in_order = Bvh { nodes: vec![root, leaf(0, 0), leaf(1, 1)], prim_order: vec![0, 1] };
+        in_order.validate(&geom).unwrap();
+    }
+
+    /// The walk the ordered traversal replaced: right child pushed first so
+    /// the left is popped next, each node's box re-tested against `closest`
+    /// on pop, the first hit at a given `t` kept. The oracle for
+    /// [`Bvh::closest_hit`].
+    fn preorder_closest_hit(bvh: &Bvh, geom: &TriGeometry, ray: &Ray) -> Hit {
+        let mut best = Hit::MISS;
+        let mut closest = f32::INFINITY;
+        let mut stack = if bvh.nodes.is_empty() { vec![] } else { vec![0u32] };
+        while let Some(ni) = stack.pop() {
+            let node = &bvh.nodes[ni as usize];
+            if node.aabb.intersect_ray(ray, 0.0, closest).is_none() {
+                continue;
+            }
+            if node.count > 0 {
+                let start = node.start as usize;
+                for &prim in &bvh.prim_order[start..start + node.count as usize] {
+                    let p = prim as usize;
+                    if let Some((t, u, v)) =
+                        intersect_triangle(ray, geom.v0[p], geom.e1[p], geom.e2[p])
+                    {
+                        if t < closest {
+                            closest = t;
+                            best = Hit { t, prim, u, v };
+                        }
+                    }
+                }
+            } else {
+                stack.push(node.right);
+                stack.push(ni + 1);
+            }
+        }
+        best
+    }
+
+    fn hit_bits(h: Hit) -> (u32, u32, u32, u32) {
+        (h.prim, h.t.to_bits(), h.u.to_bits(), h.v.to_bits())
+    }
+
+    /// The ordered walk returns the preorder walk's `Hit`, bit for bit, on
+    /// every pixel of both 288² views of every LULESH step the
+    /// `insitu_surface` benchmark can render (up to 15 pre-steps, then a
+    /// 32-cycle period: steps 0–47). Debug builds check every eighth step
+    /// and every fifth row and column.
+    #[test]
+    fn ordered_walk_is_the_preorder_walk_on_the_surface_workload() {
+        let (step_stride, px_stride) = if cfg!(debug_assertions) { (8, 5) } else { (1, 1) };
+        let side = 288;
+        let mut sim = sims::Lulesh::new(24);
+        let mut hits = 0u64;
+        for step in 0..48 {
+            if step > 0 {
+                sims::ProxySim::step(&mut sim);
+            }
+            if step % step_stride != 0 && step != 47 {
+                continue;
+            }
+            let hexes = sim.hex_mesh();
+            let geom = TriGeometry::from_mesh(&external_faces_hex(&hexes, Some("e_p")));
+            let bvh = Bvh::build(&Device::Serial, &geom);
+            bvh.validate(&geom).unwrap();
+            let bounds = hexes.bounds();
+            for cam in [vecmath::Camera::close_view(&bounds), vecmath::Camera::far_view(&bounds)] {
+                let rays = cam.pixel_rays(side, side);
+                for py in (0..side).step_by(px_stride) {
+                    for px in (0..side).step_by(px_stride) {
+                        let ray = rays.ray(px, py, 0.5, 0.5);
+                        let ordered = bvh.closest_hit(&geom, &ray);
+                        let preorder = preorder_closest_hit(&bvh, &geom, &ray);
+                        assert_eq!(
+                            hit_bits(ordered),
+                            hit_bits(preorder),
+                            "step {step}, pixel ({px}, {py}): {ordered:?} vs {preorder:?}"
+                        );
+                        hits += ordered.is_hit() as u64;
+                    }
+                }
+            }
+        }
+        assert!(hits > 1000, "the views should see the mesh ({hits} hits)");
     }
 
     #[test]

@@ -183,10 +183,10 @@ pub(crate) fn ray_gen_stage(
     rw: u32,
     rh: u32,
 ) -> Vec<Ray> {
+    let rays = camera.pixel_rays(rw, rh);
     map(device, pixel_order.len(), |i| {
         let p = pixel_order[i];
-        let (px, py) = (p % rw, p / rw);
-        camera.primary_ray(px, py, rw, rh, 0.5, 0.5)
+        rays.ray(p % rw, p / rw, 0.5, 0.5)
     })
 }
 

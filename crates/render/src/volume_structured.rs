@@ -116,10 +116,9 @@ pub(crate) fn raycast_stage(
     let bounds = grid.bounds();
     let dt = bounds.diagonal() / cfg.samples_per_ray as f32;
     let n_px = (width * height) as usize;
+    let rays = camera.pixel_rays(width, height);
     map(device, n_px, |i| {
-        let px = i as u32 % width;
-        let py = i as u32 / width;
-        let ray = camera.primary_ray(px, py, width, height, 0.5, 0.5);
+        let ray = rays.ray(i as u32 % width, i as u32 / width, 0.5, 0.5);
         let Some((t_in, t_out)) = bounds.intersect_ray(&ray, camera.near, f32::INFINITY) else {
             return (Color::TRANSPARENT, RayWork::default());
         };

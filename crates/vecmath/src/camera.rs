@@ -71,21 +71,26 @@ impl Camera {
         (r, u, -f)
     }
 
-    /// Generate the primary ray through pixel `(px, py)` of a `w x h` image,
-    /// with optional sub-pixel jitter `(jx, jy)` in `[0,1)` (0.5 = center).
-    /// Ray directions are normalized.
-    #[inline]
-    pub fn primary_ray(&self, px: u32, py: u32, w: u32, h: u32, jx: f32, jy: f32) -> Ray {
+    /// The per-frame part of primary-ray generation for a `w x h` image:
+    /// the basis, the view direction and the half extents of the image
+    /// plane. A renderer builds it once per frame and calls
+    /// [`PixelRays::ray`] per pixel.
+    pub fn pixel_rays(&self, w: u32, h: u32) -> PixelRays {
         let (right, up, _back) = self.basis();
         let forward = (self.look_at - self.position).normalized();
         let aspect = w as f32 / h as f32;
         let half_h = (self.fov_y * 0.5).tan();
         let half_w = half_h * aspect;
-        // NDC in [-1, 1], y up.
-        let ndc_x = ((px as f32 + jx) / w as f32) * 2.0 - 1.0;
-        let ndc_y = 1.0 - ((py as f32 + jy) / h as f32) * 2.0;
-        let dir = (forward + right * (ndc_x * half_w) + up * (ndc_y * half_h)).normalized();
-        Ray::new(self.position, dir)
+        PixelRays { origin: self.position, forward, right, up, half_w, half_h, w, h }
+    }
+
+    /// Generate the primary ray through pixel `(px, py)` of a `w x h` image,
+    /// with optional sub-pixel jitter `(jx, jy)` in `[0,1)` (0.5 = center).
+    /// Ray directions are normalized. For a whole frame, build
+    /// [`Camera::pixel_rays`] once instead.
+    #[inline]
+    pub fn primary_ray(&self, px: u32, py: u32, w: u32, h: u32, jx: f32, jy: f32) -> Ray {
+        self.pixel_rays(w, h).ray(px, py, jx, jy)
     }
 
     /// World -> camera matrix.
@@ -103,6 +108,35 @@ impl Camera {
         let aspect = w as f32 / h as f32;
         let vp = self.projection_matrix(aspect).mul(&self.view_matrix());
         ScreenTransform { view_proj: vp, width: w, height: h }
+    }
+}
+
+/// Primary rays of one `w x h` frame through one camera
+/// ([`Camera::pixel_rays`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PixelRays {
+    origin: Vec3,
+    forward: Vec3,
+    right: Vec3,
+    up: Vec3,
+    half_w: f32,
+    half_h: f32,
+    w: u32,
+    h: u32,
+}
+
+impl PixelRays {
+    /// The ray through pixel `(px, py)` with sub-pixel jitter `(jx, jy)`:
+    /// bit for bit [`Camera::primary_ray`].
+    #[inline]
+    pub fn ray(&self, px: u32, py: u32, jx: f32, jy: f32) -> Ray {
+        // NDC in [-1, 1], y up.
+        let ndc_x = ((px as f32 + jx) / self.w as f32) * 2.0 - 1.0;
+        let ndc_y = 1.0 - ((py as f32 + jy) / self.h as f32) * 2.0;
+        let dir =
+            (self.forward + self.right * (ndc_x * self.half_w) + self.up * (ndc_y * self.half_h))
+                .normalized();
+        Ray::new(self.origin, dir)
     }
 }
 
@@ -165,6 +199,40 @@ mod tests {
             ((a.x - c.x).abs() + (a.y - c.y).abs()) / 2.0
         };
         assert!(measure(Camera::far_view(&b)) < measure(Camera::close_view(&b)));
+    }
+
+    /// `pixel_rays` hoists the per-frame terms out of the whole per-pixel
+    /// formula without moving a bit of any ray.
+    #[test]
+    fn pixel_rays_are_the_per_pixel_formula_bit_for_bit() {
+        let per_pixel = |cam: &Camera, px: u32, py: u32, w: u32, h: u32, jx: f32, jy: f32| {
+            let (right, up, _back) = cam.basis();
+            let forward = (cam.look_at - cam.position).normalized();
+            let aspect = w as f32 / h as f32;
+            let half_h = (cam.fov_y * 0.5).tan();
+            let half_w = half_h * aspect;
+            let ndc_x = ((px as f32 + jx) / w as f32) * 2.0 - 1.0;
+            let ndc_y = 1.0 - ((py as f32 + jy) / h as f32) * 2.0;
+            let dir = (forward + right * (ndc_x * half_w) + up * (ndc_y * half_h)).normalized();
+            Ray::new(cam.position, dir)
+        };
+        let bits = |r: Ray| {
+            [r.origin, r.dir, r.inv_dir].map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
+        };
+        let b = Aabb::from_corners(Vec3::new(-1.0, 0.5, 2.0), Vec3::new(3.0, 1.25, 9.0));
+        for cam in [Camera::default(), Camera::close_view(&b), Camera::far_view(&b)] {
+            for (w, h) in [(288, 288), (320, 200), (7, 13)] {
+                let rays = cam.pixel_rays(w, h);
+                for py in (0..h).step_by(3) {
+                    for px in (0..w).step_by(5) {
+                        for (jx, jy) in [(0.5, 0.5), (0.0, 0.0), (0.9, 0.1)] {
+                            let want = per_pixel(&cam, px, py, w, h, jx, jy);
+                            assert_eq!(bits(rays.ray(px, py, jx, jy)), bits(want));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod transfer;
 pub mod vec3;
 
 pub use aabb::Aabb;
-pub use camera::{Camera, ScreenTransform};
+pub use camera::{Camera, PixelRays, ScreenTransform};
 pub use color::{over, Color};
 pub use mat4::Mat4;
 pub use morton::{morton2, morton3, morton_decode3};

@@ -378,11 +378,19 @@ unsafe impl<A: ParallelSource, B: ParallelSource> ParallelSource for ZipSource<A
 // The public combinator carrier
 // ---------------------------------------------------------------------------
 
-/// A parallel iterator: an indexed source plus a grain-size hint.
+/// A parallel iterator: an indexed source plus grain-size hints.
 pub struct Par<S> {
     src: S,
     /// Minimum elements per task; `0` = unset (auto partition).
     min_len: usize,
+    /// Maximum elements per task; `usize::MAX` = unset.
+    max_len: usize,
+}
+
+impl<S> Par<S> {
+    fn new(src: S) -> Par<S> {
+        Par { src, min_len: 0, max_len: usize::MAX }
+    }
 }
 
 /// Conversion into a parallel iterator (ranges, vectors, and `Par` itself).
@@ -406,10 +414,7 @@ impl<T: RangeIndex> IntoParallelIterator for std::ops::Range<T> {
     type Source = RangeSource<T>;
 
     fn into_par_iter(self) -> Par<RangeSource<T>> {
-        Par {
-            src: RangeSource { start: self.start, len: T::range_len(self.start, self.end) },
-            min_len: 0,
-        }
+        Par::new(RangeSource { start: self.start, len: T::range_len(self.start, self.end) })
     }
 }
 
@@ -418,7 +423,7 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     type Source = VecSource<T>;
 
     fn into_par_iter(self) -> Par<VecSource<T>> {
-        Par { src: VecSource::new(self), min_len: 0 }
+        Par::new(VecSource::new(self))
     }
 }
 
@@ -431,12 +436,12 @@ pub trait ParallelSlice<T: Sync> {
 
 impl<T: Sync> ParallelSlice<T> for [T] {
     fn par_iter(&self) -> Par<SliceSource<'_, T>> {
-        Par { src: SliceSource { slice: self }, min_len: 0 }
+        Par::new(SliceSource { slice: self })
     }
 
     fn par_chunks(&self, chunk_size: usize) -> Par<ChunksSource<'_, T>> {
         assert!(chunk_size > 0, "par_chunks chunk size must be non-zero");
-        Par { src: ChunksSource { slice: self, chunk: chunk_size }, min_len: 0 }
+        Par::new(ChunksSource { slice: self, chunk: chunk_size })
     }
 }
 
@@ -448,23 +453,17 @@ pub trait ParallelSliceMut<T: Send> {
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_iter_mut(&mut self) -> Par<SliceMutSource<'_, T>> {
-        Par {
-            src: SliceMutSource { ptr: self.as_mut_ptr(), len: self.len(), _marker: PhantomData },
-            min_len: 0,
-        }
+        Par::new(SliceMutSource { ptr: self.as_mut_ptr(), len: self.len(), _marker: PhantomData })
     }
 
     fn par_chunks_mut(&mut self, chunk_size: usize) -> Par<ChunksMutSource<'_, T>> {
         assert!(chunk_size > 0, "par_chunks_mut chunk size must be non-zero");
-        Par {
-            src: ChunksMutSource {
-                ptr: self.as_mut_ptr(),
-                len: self.len(),
-                chunk: chunk_size,
-                _marker: PhantomData,
-            },
-            min_len: 0,
-        }
+        Par::new(ChunksMutSource {
+            ptr: self.as_mut_ptr(),
+            len: self.len(),
+            chunk: chunk_size,
+            _marker: PhantomData,
+        })
     }
 }
 
@@ -474,22 +473,39 @@ impl<S: ParallelSource> Par<S> {
         F: Fn(S::Item) -> O + Sync + Send,
         O: Send,
     {
-        Par { src: MapSource { inner: self.src, f }, min_len: self.min_len }
+        Par { src: MapSource { inner: self.src, f }, min_len: self.min_len, max_len: self.max_len }
     }
 
     pub fn enumerate(self) -> Par<EnumerateSource<S>> {
-        Par { src: EnumerateSource { inner: self.src }, min_len: self.min_len }
+        Par {
+            src: EnumerateSource { inner: self.src },
+            min_len: self.min_len,
+            max_len: self.max_len,
+        }
     }
 
     pub fn zip<J: IntoParallelIterator>(self, other: J) -> Par<ZipSource<S, J::Source>> {
         let other = other.into_par_iter();
-        Par { src: ZipSource::new(self.src, other.src), min_len: self.min_len.max(other.min_len) }
+        Par {
+            src: ZipSource::new(self.src, other.src),
+            min_len: self.min_len.max(other.min_len),
+            max_len: self.max_len.min(other.max_len),
+        }
     }
 
     /// Set the minimum number of elements each parallel task processes — the
     /// real grain size used when partitioning work (not a no-op).
     pub fn with_min_len(mut self, min: usize) -> Par<S> {
         self.min_len = min.max(1);
+        self
+    }
+
+    /// Set the maximum number of elements each parallel task processes:
+    /// `with_max_len(1)` makes every element a task of its own, so a few
+    /// costly items spread over every worker. Where the two hints conflict,
+    /// the minimum wins.
+    pub fn with_max_len(mut self, max: usize) -> Par<S> {
+        self.max_len = max.max(1);
         self
     }
 
@@ -500,7 +516,7 @@ impl<S: ParallelSource> Par<S> {
     {
         let len = self.src.len();
         let pool = current_pool();
-        let grain = auto_grain(len, self.min_len, pool.num_threads());
+        let grain = auto_grain(len, self.min_len, self.max_len, pool.num_threads());
         let src = &self.src;
         run_chunked(&pool, len, grain, &|start, end| {
             for i in start..end {
@@ -519,7 +535,7 @@ impl<S: ParallelSource> Par<S> {
     fn collect_vec(self) -> Vec<S::Item> {
         let len = self.src.len();
         let pool = current_pool();
-        let grain = auto_grain(len, self.min_len, pool.num_threads());
+        let grain = auto_grain(len, self.min_len, self.max_len, pool.num_threads());
         let mut out: Vec<MaybeUninit<S::Item>> = Vec::with_capacity(len);
         // SAFETY: MaybeUninit needs no initialization; slots are written
         // below before being assumed init.
@@ -547,7 +563,7 @@ impl<S: ParallelSource> Par<S> {
         ID: Fn() -> A + Sync + Send,
         F: Fn(A, S::Item) -> A + Sync + Send,
     {
-        FoldPar { src: self.src, min_len: self.min_len, identity, fold_op }
+        FoldPar { src: self.src, min_len: self.min_len, max_len: self.max_len, identity, fold_op }
     }
 
     /// Parallel sum: per-chunk sums (thread-count-independent partition)
@@ -581,6 +597,7 @@ impl<S: ParallelSource> Par<S> {
 pub struct FoldPar<S, ID, F> {
     src: S,
     min_len: usize,
+    max_len: usize,
     identity: ID,
     fold_op: F,
 }
@@ -605,7 +622,7 @@ where
         }
         // Grain independent of the pool size: the partition (and therefore
         // the accumulator merge tree) is identical on 1, 2, or 64 threads.
-        let grain = if self.min_len > 0 { self.min_len } else { fold_grain() };
+        let grain = if self.min_len > 0 { self.min_len } else { fold_grain().min(self.max_len) };
         let num_chunks = len.div_ceil(grain);
         let pool = current_pool();
         let mut accs: Vec<MaybeUninit<A>> = Vec::with_capacity(num_chunks);
@@ -656,11 +673,12 @@ impl<T> Copy for SendPtr<T> {}
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Elements per task: the `with_min_len` floor, else enough chunks for every
-/// worker to take [`overpartition`] of them.
-fn auto_grain(len: usize, min_len: usize, threads: usize) -> usize {
+/// Elements per task: enough chunks for every worker to take
+/// [`overpartition`] of them, capped by `with_max_len` and floored by
+/// `with_min_len`.
+fn auto_grain(len: usize, min_len: usize, max_len: usize, threads: usize) -> usize {
     let auto = len.div_ceil(threads.saturating_mul(overpartition()).max(1)).max(1);
-    auto.max(min_len)
+    auto.min(max_len).max(min_len)
 }
 
 /// Partition `0..len` into `grain`-sized contiguous chunks and run them on

@@ -39,6 +39,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use crate::RangeSource;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -198,6 +199,30 @@ mod tests {
         // Unset => DEFAULT_FOLD_GRAIN (1024) => ceil(10000/1024) = 10 chunks.
         assert_eq!(count_chunks(0), 10);
         assert_eq!(count_chunks(10_000), 1);
+    }
+
+    #[test]
+    fn with_max_len_caps_task_size() {
+        let p = pool(2);
+        // The reduce sees one accumulator per task, in task order.
+        let task_sizes = |it: Par<RangeSource<usize>>| {
+            let sizes = Mutex::new(Vec::new());
+            p.install(|| {
+                it.fold(|| 0usize, |n, _| n + 1).reduce(
+                    || 0,
+                    |a, n| {
+                        sizes.lock().unwrap().push(n);
+                        a + n
+                    },
+                )
+            });
+            sizes.into_inner().unwrap()
+        };
+        assert_eq!(task_sizes((0..25).into_par_iter().with_max_len(1)), vec![1; 25]);
+        assert_eq!(task_sizes((0..25).into_par_iter().with_max_len(10)), vec![10, 10, 5]);
+        // A floor above the cap wins.
+        let it = (0..25).into_par_iter().with_max_len(1).with_min_len(25);
+        assert_eq!(task_sizes(it), vec![25]);
     }
 
     #[test]
