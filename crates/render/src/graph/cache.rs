@@ -3,7 +3,7 @@
 //! A pass marked cacheable (via [`FrameGraph::set_cache_key`]) publishes its
 //! outputs as shared `Arc`s; the next frame that declares the same pass with
 //! the same fingerprint gets them installed without running the pass. This
-//! is how the pipelines reuse a BVH across frames without a long-lived
+//! is how the ray tracer reuses a BVH across frames without a long-lived
 //! [`RayTracer`](crate::raytrace::RayTracer), and how a static camera
 //! memoizes its primary-ray table.
 //!
@@ -63,25 +63,10 @@ impl GraphCache {
             self.entries.remove(&oldest);
         }
     }
-
-    /// Retained entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop everything (e.g. when the scene generation changes).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-    }
 }
 
-/// Fold a slice of raw bit-words into an FNV-1a fingerprint. The graph
-/// pipelines use this to key cached passes on their inputs (geometry
+/// Fold a slice of raw bit-words into an FNV-1a fingerprint. The ray
+/// tracer's graph uses this to key cached passes on their inputs (geometry
 /// identity, camera pose, image dimensions).
 pub fn fingerprint(words: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -104,7 +89,7 @@ mod tests {
         c.insert("a", 1, vec![(Arc::new(1u64) as Arc<dyn Any + Send + Sync>, 8)]);
         c.insert("a", 2, vec![(Arc::new(2u64) as Arc<dyn Any + Send + Sync>, 8)]);
         c.insert("a", 3, vec![(Arc::new(3u64) as Arc<dyn Any + Send + Sync>, 8)]);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         assert!(c.lookup("a", 1).is_none(), "oldest entry evicted");
         assert!(c.lookup("a", 2).is_some());
         assert!(c.lookup("a", 3).is_some());
@@ -116,7 +101,7 @@ mod tests {
         c.insert("a", 1, Vec::new());
         c.insert("a", 1, Vec::new());
         c.insert("a", 2, Vec::new());
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         assert!(c.lookup("a", 1).is_some());
     }
 

@@ -141,34 +141,6 @@ impl PassCtx<'_, '_> {
         })
     }
 
-    /// Move a declared-read owned resource out of its slot (alias handoff:
-    /// the pass may mutate the buffer in place and `put` it under its own
-    /// write id).
-    pub fn take<T: Any>(&mut self, id: ResourceId) -> Result<T, GraphError> {
-        self.check_declared(id, self.reads)?;
-        let slot = self.slots[id.0 as usize].take().ok_or_else(|| {
-            self.err_for(id, |resource, pass| GraphError::MissingValue { resource, pass })
-        })?;
-        match slot {
-            SlotVal::Owned(b) => match b.downcast::<T>() {
-                Ok(v) => {
-                    self.bytes[id.0 as usize] = 0;
-                    Ok(*v)
-                }
-                Err(b) => {
-                    // Restore the slot: a failed take must not destroy data.
-                    self.slots[id.0 as usize] = Some(SlotVal::Owned(b));
-                    Err(self
-                        .err_for(id, |resource, pass| GraphError::TypeMismatch { resource, pass }))
-                }
-            },
-            not_owned => {
-                self.slots[id.0 as usize] = Some(not_owned);
-                Err(self.err_for(id, |resource, pass| GraphError::TypeMismatch { resource, pass }))
-            }
-        }
-    }
-
     /// Store a value into a declared-write slot. `approx_bytes` feeds the
     /// aliasing accountant (peak-live-bytes reporting); estimate it with
     /// [`vec_bytes`] for buffers and 0 for small scalars.
@@ -247,7 +219,8 @@ impl GraphRun<'_> {
 pub struct FrameGraph<'a> {
     names: Vec<String>,
     passes: Vec<PassDecl<'a>>,
-    imports: Vec<(ResourceId, SlotVal<'a>, usize)>,
+    /// Caller-owned values, borrowed for the frame (see [`FrameGraph::import_ref`]).
+    imports: Vec<(ResourceId, &'a (dyn Any + Send + Sync))>,
     exports: Vec<ResourceId>,
 }
 
@@ -274,19 +247,6 @@ impl<'a> FrameGraph<'a> {
         id
     }
 
-    /// Declare a resource and seed it with an external value (scene data the
-    /// graph reads but no pass produces).
-    pub fn import<T: Any + Send>(
-        &mut self,
-        name: impl Into<String>,
-        value: T,
-        approx_bytes: usize,
-    ) -> ResourceId {
-        let id = self.resource(name);
-        self.imports.push((id, SlotVal::Owned(Box::new(value)), approx_bytes));
-        id
-    }
-
     /// Declare a resource backed by a value the caller keeps (a prebuilt
     /// acceleration structure, for one): passes `read` it like any other
     /// slot and nothing is copied. The bytes are the caller's, so the
@@ -297,7 +257,7 @@ impl<'a> FrameGraph<'a> {
         value: &'a T,
     ) -> ResourceId {
         let id = self.resource(name);
-        self.imports.push((id, SlotVal::Borrowed(value), 0));
+        self.imports.push((id, value));
         id
     }
 
@@ -366,7 +326,7 @@ impl<'a> FrameGraph<'a> {
         // --- Single-writer validation. ---
         // writer[r]: None = nothing, Some(n_pass) = imported, Some(p) = pass p.
         let mut writer: Vec<Option<usize>> = vec![None; n_res];
-        for (id, _, _) in &self.imports {
+        for (id, _) in &self.imports {
             if writer[id.0 as usize].is_some() {
                 return Err(GraphError::DuplicateWriter {
                     resource: self.names[id.0 as usize].clone(),
@@ -464,10 +424,8 @@ impl<'a> FrameGraph<'a> {
         let mut bytes = vec![0usize; n_res];
         let mut peak_live_bytes = 0usize;
         let mut total_bytes = 0usize;
-        for (id, val, b) in self.imports {
-            slots[id.0 as usize] = Some(val);
-            bytes[id.0 as usize] = b;
-            total_bytes += b;
+        for (id, val) in self.imports {
+            slots[id.0 as usize] = Some(SlotVal::Borrowed(val));
         }
 
         let mut timer = PhaseTimer::new();
@@ -558,9 +516,7 @@ impl<'a> FrameGraph<'a> {
             }
 
             // Aliasing accountant: measure live bytes with the new outputs
-            // resident, then free every resource whose last consumer just
-            // ran. (A `take` hand-off zeroes the source slot's bytes, so a
-            // buffer reused in place is charged once.)
+            // resident, then free every resource whose last consumer just ran.
             total_bytes += pass.writes.iter().map(|w| bytes[w.0 as usize]).sum::<usize>();
             let live_now: usize =
                 (0..n_res).filter(|&r| slots[r].is_some()).map(|r| bytes[r]).sum();
@@ -797,22 +753,6 @@ mod tests {
             g.execute(&[], Some(&mut cache)),
             Err(GraphError::CacheNeedsShared { .. })
         ));
-    }
-
-    #[test]
-    fn take_moves_buffers_for_in_place_reuse() {
-        let mut g = FrameGraph::new();
-        let a = g.resource("a");
-        let b = g.resource("b");
-        g.add_pass("alloc", &[], &[a], 1, move |ctx| ctx.put(a, vec![1u32, 2, 3], 12));
-        g.add_pass("mutate", &[a], &[b], 1, move |ctx| {
-            let mut v = ctx.take::<Vec<u32>>(a)?;
-            v.push(4);
-            ctx.put(b, v, 16)
-        });
-        g.export(b);
-        let mut run = g.execute(&[], None).unwrap();
-        assert_eq!(run.take::<Vec<u32>>(b).unwrap(), vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Render-graph execution layer: an explicit pass/resource DAG, and the one
-//! driver of every renderer in this crate.
+//! driver of the ray tracer.
 //!
 //! A renderer is a fixed sequence of data-parallel stages. Here that control
 //! flow is data: **passes** declare the resources they read and write, and
@@ -22,10 +22,12 @@
 //!    unoccluded) that the scheduler selects instead of degrading the whole
 //!    frame.
 //!
-//! The four pipelines in [`pipelines`] are the only callers of the stage
-//! kernels; `RayTracer::render_with_map`, `rasterize`, `render_structured`
-//! and `render_unstructured` run them with no skips and no cache. The bytes
-//! they draw are pinned by golden hashes in `tests/parallel_exactness.rs`.
+//! Only the ray tracer's passes carry fallbacks, cache keys and a borrowed
+//! BVH, so only the ray tracer runs here: [`pipelines`] holds its one
+//! driver, which `RayTracer::render_with_map` runs with no skips and no
+//! cache. `rasterize`, `render_structured` and `render_unstructured` call
+//! their stages directly. The bytes all four draw are pinned by golden
+//! hashes in `tests/parallel_exactness.rs`.
 
 pub mod cache;
 pub mod exec;
@@ -33,7 +35,4 @@ pub mod pipelines;
 
 pub use cache::GraphCache;
 pub use exec::{FrameGraph, GraphError, GraphRun, PassCtx, PassId, PassRecord, ResourceId};
-pub use pipelines::{
-    render_raster_graph, render_rt_graph, render_structured_graph, render_unstructured_graph,
-    GraphInfo,
-};
+pub use pipelines::{render_rt_graph, GraphInfo};

@@ -8,10 +8,9 @@
 
 use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
-use crate::graph::pipelines::{infallible, render_raster_graph};
 use crate::raytrace::TriGeometry;
 use crate::shading::{blinn_phong, ShadingParams};
-use dpp::{count_if, map, Device};
+use dpp::{compact_indices, count_if, map, Device};
 use std::sync::atomic::{AtomicU32, Ordering};
 use vecmath::{Camera, Color, TransferFunction, Vec3};
 
@@ -19,7 +18,7 @@ use vecmath::{Camera, Color, TransferFunction, Vec3};
 pub const TILE: u32 = 64;
 
 /// Rasterization statistics: the model inputs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RasterStats {
     /// O: triangles submitted.
     pub objects: usize,
@@ -31,7 +30,7 @@ pub struct RasterStats {
     pub pixels_per_triangle: f64,
     /// AP: pixels written.
     pub active_pixels: usize,
-    /// Seconds summed over the frame's executed passes.
+    /// Seconds summed over the frame's phases.
     pub render_seconds: f64,
 }
 
@@ -44,7 +43,7 @@ pub struct RasterOutput {
 
 /// Screen-space triangle produced by the transform stage.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ScreenTri {
+struct ScreenTri {
     /// Screen positions (x, y in pixels; z = NDC depth).
     p: [Vec3; 3],
     /// Source triangle id.
@@ -72,7 +71,7 @@ fn tile_range(
 
 /// Transform + cull stage: project every triangle, rejecting those behind the
 /// camera, off screen, or degenerate.
-pub(crate) fn transform_cull_stage(
+fn transform_cull_stage(
     device: &Device,
     geom: &TriGeometry,
     camera: &Camera,
@@ -112,7 +111,7 @@ pub(crate) fn transform_cull_stage(
 
 /// Tile binning count stage: per-tile atomic histogram of visible triangles,
 /// loaded into a plain vector after the join.
-pub(crate) fn bin_count_stage(
+fn bin_count_stage(
     device: &Device,
     screen: &[Option<ScreenTri>],
     visible: &[u32],
@@ -143,7 +142,7 @@ pub(crate) fn bin_count_stage(
 /// Tile binning fill stage: scatter visible triangle ids into per-tile
 /// segments at `offsets`, loaded into a plain vector after the join.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn bin_fill_stage(
+fn bin_fill_stage(
     device: &Device,
     screen: &[Option<ScreenTri>],
     visible: &[u32],
@@ -177,14 +176,14 @@ pub(crate) fn bin_fill_stage(
 }
 
 /// One sampled tile: (tile index, color buffer, depth buffer).
-pub(crate) type TileFrame = (u32, Vec<Color>, Vec<f32>);
+type TileFrame = (u32, Vec<Color>, Vec<f32>);
 
 /// Per-tile barycentric sampling stage with a z-buffer, one task per tile
 /// (tiles are disjoint, so no pixel depends on which worker filled it).
 /// Returns the per-tile color/depth buffers and the total pixels considered
 /// (the PPT model input).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_fill_stage(
+fn sample_fill_stage(
     device: &Device,
     geom: &TriGeometry,
     screen: &[Option<ScreenTri>],
@@ -233,7 +232,7 @@ pub(crate) fn sample_fill_stage(
 }
 
 /// Stitch per-tile buffers into a full framebuffer and count active pixels.
-pub(crate) fn stitch_stage(
+fn stitch_stage(
     device: &Device,
     tile_frames: Vec<TileFrame>,
     width: u32,
@@ -261,7 +260,7 @@ pub(crate) fn stitch_stage(
 }
 
 /// Rasterize `geom` through `camera` into a `width x height` frame: the
-/// frame graph of [`render_raster_graph`] with no skips and no cache.
+/// rasterizer's one driver, its seven stages timed as seven phases.
 pub fn rasterize(
     device: &Device,
     geom: &TriGeometry,
@@ -271,13 +270,53 @@ pub fn rasterize(
     colormap: &TransferFunction,
     shading: Option<&ShadingParams>,
 ) -> RasterOutput {
-    let run =
-        render_raster_graph(device, geom, camera, width, height, colormap, shading, &[], None);
-    infallible(run, || RasterOutput {
-        frame: Framebuffer::new(width, height),
-        stats: RasterStats { objects: geom.num_tris(), ..Default::default() },
-        phases: PhaseTimer::new(),
-    })
+    let n = geom.num_tris();
+    let default_shading = ShadingParams::headlight(camera.position, camera.up);
+    let shading = shading.unwrap_or(&default_shading);
+    let (tiles_x, tiles_y) = (width.div_ceil(TILE), height.div_ceil(TILE));
+    let n_tiles = (tiles_x * tiles_y) as u64;
+
+    let mut phases = PhaseTimer::new();
+    let screen = phases.run("transform_cull", n as u64, || {
+        transform_cull_stage(device, geom, camera, width, height)
+    });
+    let visible = phases.run("compact_visible", n as u64, || {
+        compact_indices(device, screen.len(), |i| screen[i].is_some())
+    });
+    let vo = visible.len();
+    let counts = phases.run("bin_count", vo as u64, || {
+        bin_count_stage(device, &screen, &visible, width, height, tiles_x, tiles_y)
+    });
+    let (offsets, pairs) =
+        phases.run("bin_scan", n_tiles, || dpp::exclusive_scan_u32(device, &counts));
+    let pairs = pairs as u64;
+    let bins = phases.run("bin_fill", vo as u64, || {
+        bin_fill_stage(device, &screen, &visible, &offsets, pairs, width, height, tiles_x, tiles_y)
+    });
+    // Free each intermediate after its last reader, before later stages allocate.
+    drop(visible);
+    let (tiles, pc) = phases.run("sample_fill", pairs, || {
+        sample_fill_stage(
+            device, geom, &screen, &bins, &offsets, &counts, width, height, tiles_x, colormap,
+            shading, camera,
+        )
+    });
+    drop((screen, counts, offsets, bins));
+    let (frame, active) = phases
+        .run("stitch", (width * height) as u64, || stitch_stage(device, tiles, width, height));
+
+    RasterOutput {
+        stats: RasterStats {
+            objects: n,
+            visible_objects: vo,
+            pixels_considered: pc,
+            pixels_per_triangle: if vo > 0 { pc as f64 / vo as f64 } else { 0.0 },
+            active_pixels: active,
+            render_seconds: phases.total_seconds(),
+        },
+        frame,
+        phases,
+    }
 }
 
 /// Rasterize one screen triangle into a tile buffer; returns pixels considered.

@@ -10,7 +10,6 @@
 
 use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
-use crate::graph::{render_structured_graph, GraphError};
 use dpp::{map, Device};
 use mesh::UniformGrid;
 use vecmath::{over, Camera, Color, TransferFunction, Vec3};
@@ -35,26 +34,17 @@ impl Default for SvrConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SvrError {
     MissingField(String),
-    /// The renderer's pass graph was rejected — a bug in this crate.
-    Graph(GraphError),
 }
 
 impl std::fmt::Display for SvrError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SvrError::MissingField(n) => write!(f, "no point field named {n}"),
-            SvrError::Graph(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for SvrError {}
-
-impl From<GraphError> for SvrError {
-    fn from(e: GraphError) -> SvrError {
-        SvrError::Graph(e)
-    }
-}
 
 /// Measured model inputs for one structured-volume render.
 #[derive(Debug, Clone)]
@@ -67,7 +57,7 @@ pub struct SvrStats {
     pub samples_per_ray: f64,
     /// CS: average cells spanned per active ray.
     pub cells_spanned: f64,
-    /// Seconds summed over the frame's executed passes.
+    /// Seconds summed over the frame's phases.
     pub render_seconds: f64,
 }
 
@@ -79,13 +69,13 @@ pub struct SvrOutput {
 
 /// Per-ray work tally returned from the kernel.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct RayWork {
-    pub(crate) samples: u32,
-    pub(crate) cells: u32,
+struct RayWork {
+    samples: u32,
+    cells: u32,
 }
 
-/// Render `field_name` of `grid` through `camera`: the frame graph of
-/// [`render_structured_graph`] with no skips and no cache.
+/// Render `field_name` of `grid` through `camera`: the structured volume
+/// renderer's one driver, timed as two phases (`raycast`, `assemble`).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 pub fn render_structured(
     device: &Device,
@@ -97,13 +87,35 @@ pub fn render_structured(
     tf: &TransferFunction,
     cfg: &SvrConfig,
 ) -> Result<SvrOutput, SvrError> {
-    render_structured_graph(device, grid, field_name, camera, width, height, tf, cfg, &[], None)
-        .map(|(out, _)| out)
+    let field = &grid
+        .field(field_name)
+        .ok_or_else(|| SvrError::MissingField(field_name.to_string()))?
+        .values;
+    let n_px = (width * height) as u64;
+
+    let mut phases = PhaseTimer::new();
+    let results = phases.run("raycast", n_px, || {
+        raycast_stage(device, grid, field, camera, width, height, tf, cfg)
+    });
+    let (frame, active, total_samples, total_cells) =
+        phases.run("assemble", n_px, || assemble_stage(&results, width, height));
+
+    Ok(SvrOutput {
+        stats: SvrStats {
+            objects: grid.num_cells(),
+            active_pixels: active,
+            samples_per_ray: if active > 0 { total_samples as f64 / active as f64 } else { 0.0 },
+            cells_spanned: if active > 0 { total_cells as f64 / active as f64 } else { 0.0 },
+            render_seconds: phases.total_seconds(),
+        },
+        frame,
+        phases,
+    })
 }
 
 /// The raycast stage: one DDA march per pixel.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn raycast_stage(
+fn raycast_stage(
     device: &Device,
     grid: &UniformGrid,
     field: &[f32],
@@ -128,7 +140,7 @@ pub(crate) fn raycast_stage(
 
 /// The frame-assembly stage: fold per-ray results into a framebuffer plus
 /// the model-input tallies (active pixels, samples, cells).
-pub(crate) fn assemble_stage(
+fn assemble_stage(
     results: &[(Color, RayWork)],
     width: u32,
     height: u32,

@@ -36,9 +36,8 @@
 
 use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
-use crate::graph::{render_unstructured_graph, GraphError};
 use dpp::{compact_indices, map, Device};
-use mesh::TetMesh;
+use mesh::{Assoc, TetMesh};
 use std::sync::atomic::{AtomicU64, Ordering};
 use vecmath::{over, Camera, Color, TransferFunction, Vec3};
 
@@ -75,13 +74,8 @@ impl Default for UvrConfig {
 /// Failure modes (the memory cap reproduces the paper's OOM behaviour).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UvrError {
-    OutOfMemory {
-        required_bytes: usize,
-        limit_bytes: usize,
-    },
+    OutOfMemory { required_bytes: usize, limit_bytes: usize },
     MissingField(String),
-    /// The renderer's pass graph was rejected — a bug in this crate.
-    Graph(GraphError),
 }
 
 impl std::fmt::Display for UvrError {
@@ -92,18 +86,11 @@ impl std::fmt::Display for UvrError {
                 "sample buffer needs {required_bytes} B but the device limit is {limit_bytes} B"
             ),
             UvrError::MissingField(n) => write!(f, "no point field named {n}"),
-            UvrError::Graph(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for UvrError {}
-
-impl From<GraphError> for UvrError {
-    fn from(e: GraphError) -> UvrError {
-        UvrError::Graph(e)
-    }
-}
 
 /// Measured model inputs.
 #[derive(Debug, Clone)]
@@ -119,7 +106,7 @@ pub struct UvrStats {
     pub cells_per_pixel: f64,
     /// Peak sample-buffer bytes, as [`sample_buffer_bytes`] counts them.
     pub buffer_bytes: usize,
-    /// Seconds summed over the frame's executed passes.
+    /// Seconds summed over the frame's phases.
     pub render_seconds: f64,
 }
 
@@ -132,7 +119,7 @@ pub struct UvrOutput {
 
 /// Screen-space tetrahedron with precomputed barycentric inverse.
 #[derive(Clone, Copy)]
-pub(crate) struct ScreenTet {
+struct ScreenTet {
     /// Fourth screen vertex (the barycentric reference point).
     d: Vec3,
     /// Inverse of the 3x3 matrix [v0-d | v1-d | v2-d].
@@ -152,11 +139,7 @@ pub fn sample_buffer_bytes(width: u32, height: u32, cfg: &UvrConfig) -> usize {
 }
 
 /// Initialization stage: per-tet view-depth ranges (map).
-pub(crate) fn init_ranges_stage(
-    device: &Device,
-    tets: &TetMesh,
-    camera: &Camera,
-) -> Vec<(f32, f32)> {
+fn init_ranges_stage(device: &Device, tets: &TetMesh, camera: &Camera) -> Vec<(f32, f32)> {
     let n_tets = tets.num_tets();
     let fwd = (camera.look_at - camera.position).normalized();
     map(device, n_tets, |t| {
@@ -174,7 +157,7 @@ pub(crate) fn init_ranges_stage(
 
 /// Pass-selection stage: stream-compact the tets whose depth range overlaps
 /// `[pass_z0, pass_z1]` in front of the camera.
-pub(crate) fn select_stage(
+fn select_stage(
     device: &Device,
     ranges: &[(f32, f32)],
     near: f32,
@@ -189,7 +172,7 @@ pub(crate) fn select_stage(
 
 /// Screen-space transformation stage: project active tets and precompute the
 /// inverse barycentric matrices.
-pub(crate) fn screen_space_stage(
+fn screen_space_stage(
     device: &Device,
     tets: &TetMesh,
     field: &[f32],
@@ -319,7 +302,7 @@ pub fn column_run(
 /// tagged scalars over each column's run. Returns the slab and the
 /// bounding-box tet-pixel-column tests performed (the CS model input).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
-pub(crate) fn sampling_stage(
+fn sampling_stage(
     device: &Device,
     active: &[u32],
     screen: &[Option<ScreenTet>],
@@ -404,7 +387,7 @@ pub(crate) fn sampling_stage(
 /// accumulation buffer with early termination. Returns the new accumulation
 /// state and the number of samples composited.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
-pub(crate) fn composite_stage(
+fn composite_stage(
     device: &Device,
     acc: &[Color],
     samples: &[AtomicU64],
@@ -448,7 +431,7 @@ pub(crate) fn composite_stage(
 
 /// Assemble the accumulation buffer into a framebuffer; returns the frame
 /// and the active-pixel count.
-pub(crate) fn assemble_uvr_stage(acc: &[Color], width: u32, height: u32) -> (Framebuffer, usize) {
+fn assemble_uvr_stage(acc: &[Color], width: u32, height: u32) -> (Framebuffer, usize) {
     let mut frame = Framebuffer::new(width, height);
     let mut active_px = 0usize;
     for (i, c) in acc.iter().enumerate() {
@@ -461,8 +444,11 @@ pub(crate) fn assemble_uvr_stage(acc: &[Color], width: u32, height: u32) -> (Fra
     (frame, active_px)
 }
 
-/// Render the tetrahedral mesh's point field through the camera: the frame
-/// graph of [`render_unstructured_graph`] with no skips and no cache.
+/// Render the tetrahedral mesh's point field through the camera: the
+/// unstructured volume renderer's one driver. One `initialization` phase,
+/// then per depth span the four phases of Algorithm 2, then `assemble`. Each
+/// span's sample slab is dropped as soon as it has been composited, and the
+/// per-tet depth ranges as soon as the last span has selected its tets.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 pub fn render_unstructured(
     device: &Device,
@@ -474,8 +460,97 @@ pub fn render_unstructured(
     tf: &TransferFunction,
     cfg: &UvrConfig,
 ) -> Result<UvrOutput, UvrError> {
-    render_unstructured_graph(device, tets, field_name, camera, width, height, tf, cfg, &[], None)
-        .map(|(out, _)| out)
+    let field: &[f32] = &tets
+        .field(field_name)
+        .filter(|f| f.assoc == Assoc::Point)
+        .ok_or_else(|| UvrError::MissingField(field_name.to_string()))?
+        .values;
+
+    let buffer_bytes = sample_buffer_bytes(width, height, cfg);
+    if let Some(limit) = cfg.memory_limit_bytes {
+        if buffer_bytes > limit {
+            return Err(UvrError::OutOfMemory { required_bytes: buffer_bytes, limit_bytes: limit });
+        }
+    }
+
+    let n_tets = tets.num_tets();
+    let n_px = (width * height) as usize;
+    let s_total = cfg.depth_samples.max(1);
+    let passes = cfg.num_passes.max(1).min(s_total);
+    let slab = s_total.div_ceil(passes) as usize;
+    let term = cfg.early_termination;
+    let near = camera.near;
+
+    let mut phases = PhaseTimer::new();
+    // `any` is false when nothing lies in front of the camera: every span
+    // then selects no tets.
+    let (mut ranges, z0, dz, any) = phases.run("initialization", n_tets as u64, || {
+        let r = init_ranges_stage(device, tets, camera);
+        let (z0, z1) = dpp::reduce(device, &r, (f32::INFINITY, f32::NEG_INFINITY), |a, b| {
+            (a.0.min(b.0), a.1.max(b.1))
+        });
+        let z0 = z0.max(near);
+        (r, z0, (z1 - z0) / s_total as f32, z0 < z1)
+    });
+
+    // The accumulation buffer and the (cells tested, samples composited)
+    // totals thread span to span, front to back.
+    let mut acc = vec![Color::TRANSPARENT; n_px];
+    let (mut cells_tested, mut composited) = (0u64, 0u64);
+    for pass in 0..passes {
+        let s_begin = pass * slab as u32;
+        let s_end = ((pass + 1) * slab as u32).min(s_total);
+        if s_begin >= s_end {
+            break;
+        }
+        let active = phases.run("pass_selection", n_tets as u64, || {
+            let (pass_z0, pass_z1) = (z0 + s_begin as f32 * dz, z0 + s_end as f32 * dz);
+            if any {
+                select_stage(device, &ranges, near, pass_z0, pass_z1)
+            } else {
+                Vec::new()
+            }
+        });
+        if s_end == s_total {
+            // The last span has selected: nothing reads the depth ranges again.
+            ranges = Vec::new();
+        }
+        let screen = phases.run("screen_space", active.len() as u64, || {
+            screen_space_stage(device, tets, field, camera, width, height, &active)
+        });
+        let (samples, tested) = phases.run("sampling", active.len() as u64, || {
+            let opacity: Vec<f32> = acc.iter().map(|c| c.a).collect();
+            sampling_stage(
+                device, &active, &screen, &opacity, term, width, height, z0, dz, slab, s_begin,
+                s_end,
+            )
+        });
+        drop((active, screen));
+        let slab_this = (s_end - s_begin) as usize;
+        let (next, n) = phases.run("compositing", n_px as u64, || {
+            composite_stage(device, &acc, &samples, slab, slab_this, term, tf)
+        });
+        drop(samples);
+        acc = next;
+        cells_tested += tested;
+        composited += n;
+    }
+    let (frame, active_px) =
+        phases.run("assemble", n_px as u64, || assemble_uvr_stage(&acc, width, height));
+
+    let per_active = |total: u64| if active_px > 0 { total as f64 / active_px as f64 } else { 0.0 };
+    Ok(UvrOutput {
+        stats: UvrStats {
+            objects: n_tets,
+            active_pixels: active_px,
+            samples_per_ray: per_active(composited),
+            cells_per_pixel: per_active(cells_tested),
+            buffer_bytes,
+            render_seconds: phases.total_seconds(),
+        },
+        frame,
+        phases,
+    })
 }
 
 #[cfg(test)]
@@ -785,7 +860,7 @@ mod tests {
                 let cfg = UvrConfig { depth_samples: 96, num_passes, ..Default::default() };
                 let render = |reference: bool| {
                     with_sampler(reference, || {
-                        render_unstructured_graph(
+                        render_unstructured(
                             &Device::Serial,
                             &tets,
                             "e_p",
@@ -794,12 +869,9 @@ mod tests {
                             56,
                             &tf,
                             &cfg,
-                            &[],
-                            None,
                         )
                     })
                     .unwrap()
-                    .0
                 };
                 let (want, got) = (render(true), render(false));
                 assert!(want.stats.active_pixels > 100, "{:?}", want.stats);

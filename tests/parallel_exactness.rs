@@ -122,8 +122,8 @@ fn frame_hash(f: &Framebuffer) -> u64 {
 // optimizer evaluates some float expressions differently, so `cargo test`
 // and `cargo test --release` each pin their own bytes (the benchmark and
 // every `repro` table run release; CI runs both). The dev table was produced
-// at commit 23daacf by the hard-coded render drivers that the frame graph
-// replaced — the oracle that the one remaining driver still draws the same
+// at commit 23daacf by the hard-coded render drivers that predate the frame
+// graph — the oracle that each renderer's one driver still draws the same
 // bytes; the release table was taken with rustc 1.95.0 at e2d3731, the
 // commit after the unstructured sampler's column-run rewrite.
 //
@@ -223,11 +223,150 @@ fn renderers_match_golden_frame_hashes() {
     assert!(wrong.is_empty(), "frames differ from the goldens:\n{}", wrong.join("\n"));
 }
 
+/// One render's phases as `name work_units` in order, then its stats' model
+/// inputs (floats as their bits).
+fn phase_sequence(phases: &render::PhaseTimer, stats: String) -> String {
+    let seq: Vec<String> =
+        phases.phases.iter().map(|p| format!("{} {}", p.name, p.work_units)).collect();
+    format!("{} | {stats}", seq.join(", "))
+}
+
+// Golden phase sequences (`Device::Serial`, the 72x72 scenes of the frame
+// goldens above), one table per profile, both taken with rustc 1.95.0 at
+// dc128b0 — the last commit whose rasterizer and volume renderers ran on the
+// frame graph, so the oracle that their straight-line drivers record the same
+// phases. `PhaseModelBuilder`, `repro table6/table7/fig4` and the benchmark's
+// per-phase metrics read these names and work units; the stats are the
+// `T_RT` / `T_RAST` / `T_VR` model inputs. The two tables differ where a
+// float the optimizer evaluates differently decides a cull or a count. The
+// same host/toolchain caveat and re-bless recipe as the frame goldens apply.
+#[cfg(debug_assertions)]
+mod phase_golden {
+    pub const RASTER_PC: &str = "pc 83693";
+    pub const UVR_1_PASS_CPP: &str = "cpp 0x406549d72f9dc7ec";
+    pub const UVR_3_PASS_LAST_SPAN: &str = "screen_space 5772, sampling 5772";
+    pub const UVR_3_PASS_CPP: &str = "cpp 0x40694321ae0a4955";
+}
+#[cfg(not(debug_assertions))]
+mod phase_golden {
+    pub const RASTER_PC: &str = "pc 83681";
+    pub const UVR_1_PASS_CPP: &str = "cpp 0x40654905799cc915";
+    pub const UVR_3_PASS_LAST_SPAN: &str = "screen_space 5790, sampling 5790";
+    pub const UVR_3_PASS_CPP: &str = "cpp 0x4069428fadb5571a";
+}
+
+fn golden_phase_sequences() -> [(&'static str, String); 7] {
+    use phase_golden::*;
+    let uvr = "initialization 24576, pass_selection 24576";
+    [
+        (
+            "rt workload1",
+            "ray_gen 5184, intersect 5184, depth_assemble 5184 | ap 1505 rays 5184".into(),
+        ),
+        (
+            "rt workload2",
+            "ray_gen 5184, intersect 5184, compaction 5184, shade 5184, anti_alias 5184 \
+             | ap 1505 rays 5184"
+                .into(),
+        ),
+        (
+            "rt workload3",
+            "ray_gen 20736, intersect 20736, compaction 20736, ambient_occlusion 24096, \
+             shadows 6024, shade 6024, anti_alias 5184 | ap 1548 rays 50856"
+                .into(),
+        ),
+        (
+            "raster",
+            format!(
+                "transform_cull 8496, compact_visible 8496, bin_count 8496, bin_scan 4, \
+                 bin_fill 8496, sample_fill 8496, stitch 5184 | vo 8496 {RASTER_PC} ap 1505"
+            ),
+        ),
+        (
+            "svr",
+            "raycast 5184, assemble 5184 | ap 3126 spr 0x404179b1b5a3f38d cs 0x402d1ca9af16c438"
+                .into(),
+        ),
+        (
+            "uvr 1 pass",
+            format!(
+                "{uvr}, screen_space 24576, sampling 24576, compositing 5184, assemble 5184 \
+                 | ap 3086 spr 0x403a01d334430722 {UVR_1_PASS_CPP}"
+            ),
+        ),
+        (
+            "uvr 3 passes",
+            format!(
+                "{uvr}, screen_space 7074, sampling 7074, compositing 5184, \
+                 pass_selection 24576, screen_space 16512, sampling 16512, compositing 5184, \
+                 pass_selection 24576, {UVR_3_PASS_LAST_SPAN}, compositing 5184, assemble 5184 \
+                 | ap 3086 spr 0x403a01d334430722 {UVR_3_PASS_CPP}"
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn renderers_match_golden_phase_sequences() {
+    let d = Device::Serial;
+    let geom = surface();
+    let cam = Camera::close_view(&geom.bounds);
+    let tf = TransferFunction::rainbow(geom.scalar_range);
+    let mut got: Vec<(&str, String)> = Vec::new();
+
+    let rt = RayTracer::new(Device::Serial, geom.clone());
+    for (name, cfg) in [
+        ("rt workload1", RtConfig::workload1()),
+        ("rt workload2", RtConfig::workload2()),
+        ("rt workload3", RtConfig::workload3()),
+    ] {
+        let out = rt.render_with_map(&cam, 72, 72, &cfg, &tf);
+        let stats = format!("ap {} rays {}", out.stats.active_pixels, out.stats.rays_traced);
+        got.push((name, phase_sequence(&out.phases, stats)));
+    }
+
+    let out = rasterize(&d, &geom, &cam, 72, 72, &tf, None);
+    let s = &out.stats;
+    let stats =
+        format!("vo {} pc {} ap {}", s.visible_objects, s.pixels_considered, s.active_pixels);
+    got.push(("raster", phase_sequence(&out.phases, stats)));
+
+    let (grid, vtf, vcam) = volume();
+    let svr_cfg = SvrConfig { samples_per_ray: 96, ..Default::default() };
+    let out = render_structured(&d, &grid, "scalar", &vcam, 72, 72, &vtf, &svr_cfg).unwrap();
+    let s = &out.stats;
+    let (spr, cs) = (s.samples_per_ray.to_bits(), s.cells_spanned.to_bits());
+    let stats = format!("ap {} spr {spr:#x} cs {cs:#x}", s.active_pixels);
+    got.push(("svr", phase_sequence(&out.phases, stats)));
+
+    let tets = mesh::HexMesh::from_uniform_grid(&grid).to_tets();
+    for (name, num_passes) in [("uvr 1 pass", 1), ("uvr 3 passes", 3)] {
+        let cfg = UvrConfig { depth_samples: 64, num_passes, ..Default::default() };
+        let out = render_unstructured(&d, &tets, "scalar", &vcam, 72, 72, &vtf, &cfg).unwrap();
+        let s = &out.stats;
+        let (spr, cpp) = (s.samples_per_ray.to_bits(), s.cells_per_pixel.to_bits());
+        let stats = format!("ap {} spr {spr:#x} cpp {cpp:#x}", s.active_pixels);
+        got.push((name, phase_sequence(&out.phases, stats)));
+    }
+
+    let goldens = golden_phase_sequences();
+    let names =
+        |v: &[(&str, String)]| v.iter().map(|(name, _)| name.to_string()).collect::<Vec<_>>();
+    assert_eq!(names(&got), names(&goldens), "renders differ from the golden table's");
+    let wrong: Vec<String> = goldens
+        .iter()
+        .zip(&got)
+        .filter(|((_, golden), (_, got))| golden != got)
+        .map(|((name, golden), (_, got))| format!("{name}:\n  got    {got}\n  golden {golden}"))
+        .collect();
+    assert!(wrong.is_empty(), "phase sequences differ from the goldens:\n{}", wrong.join("\n"));
+}
+
 /// A warm cross-frame cache must not change a single byte: cached passes
 /// replay the exact buffers the cold frame produced.
 #[test]
 fn graph_cache_replay_is_bit_identical() {
-    use render::graph::{render_rt_graph, render_structured_graph, GraphCache};
+    use render::graph::{render_rt_graph, GraphCache};
     let d = Device::Serial;
     let geom = surface();
     let cam = Camera::close_view(&geom.bounds);
@@ -252,29 +391,6 @@ fn graph_cache_replay_is_bit_identical() {
         "second frame must hit the BVH cache"
     );
     assert_eq!(warm.stats.bvh_build_seconds, 0.0, "cached build must cost zero seconds");
-
-    let (grid, vtf, vcam) = volume();
-    let svr_cfg = SvrConfig { samples_per_ray: 96, ..Default::default() };
-    let mut cache = GraphCache::new(8);
-    let render = |cache: &mut GraphCache| {
-        render_structured_graph(
-            &d,
-            &grid,
-            "scalar",
-            &vcam,
-            72,
-            72,
-            &vtf,
-            &svr_cfg,
-            &[],
-            Some(cache),
-        )
-        .unwrap()
-    };
-    let (cold, _) = render(&mut cache);
-    let (warm, info) = render(&mut cache);
-    assert_eq!(frame_bits(&warm.frame), frame_bits(&cold.frame), "cached SVR frame differs");
-    assert!(info.records.iter().any(|r| r.name == "raycast" && r.cached));
 }
 
 /// A cached pass must miss when *any* value its output depends on changes —
@@ -282,79 +398,22 @@ fn graph_cache_replay_is_bit_identical() {
 /// A stale hit would replay the pre-edit frame.
 #[test]
 fn graph_cache_misses_on_a_one_element_edit() {
-    use render::graph::{
-        render_raster_graph, render_rt_graph, render_structured_graph, render_unstructured_graph,
-        GraphCache,
-    };
+    use render::graph::{render_rt_graph, GraphCache};
     let d = Device::Serial;
 
-    // SVR field: a strided sample of <= 66 values skipped index 1.
-    let (mut grid, vtf, vcam) = volume();
-    let svr_cfg = SvrConfig { samples_per_ray: 96, ..Default::default() };
-    let svr = |grid: &mesh::UniformGrid, cache: Option<&mut GraphCache>| {
-        let out =
-            render_structured_graph(&d, grid, "scalar", &vcam, 72, 72, &vtf, &svr_cfg, &[], cache);
-        let (out, info) = out.unwrap();
-        (frame_bits(&out.frame), info.record("raycast").unwrap().cached)
-    };
-    let mut cache = GraphCache::new(8);
-    svr(&grid, Some(&mut cache));
-    let field = grid.fields.iter_mut().find(|f| f.name == "scalar").unwrap();
-    field.values[1] = 0.5 * (field.values[0] + field.values[2]) + 0.25;
-    let (warm, cached) = svr(&grid, Some(&mut cache));
-    assert!(!cached, "edited field replayed the cached raycast");
-    assert!(warm == svr(&grid, None).0, "warm SVR frame differs from a cache-less render");
-
-    // RT / raster geometry: every (n/32)th triangle's `v0.x`/`v0.z` was
-    // sampled; triangle 1's `v0.y` never was.
+    // RT geometry: every (n/32)th triangle's `v0.x`/`v0.z` was sampled;
+    // triangle 1's `v0.y` never was.
     let mut geom = surface();
     let cam = Camera::close_view(&geom.bounds);
     let tf = TransferFunction::rainbow(geom.scalar_range);
     let cfg = RtConfig::workload2();
     let mut cache = GraphCache::new(8);
     render_rt_graph(&d, &geom, &cam, 72, 72, &cfg, &tf, &[], Some(&mut cache)).unwrap();
-    render_raster_graph(&d, &geom, &cam, 72, 72, &tf, None, &[], Some(&mut cache)).unwrap();
     assert!(geom.num_tris() > 64);
     geom.v0[1].y += 0.125;
     let (_, info) =
         render_rt_graph(&d, &geom, &cam, 72, 72, &cfg, &tf, &[], Some(&mut cache)).unwrap();
     assert!(!info.record("bvh_build").unwrap().cached, "edited geometry replayed the cached BVH");
-    let (_, info) =
-        render_raster_graph(&d, &geom, &cam, 72, 72, &tf, None, &[], Some(&mut cache)).unwrap();
-    assert!(
-        !info.record("transform_cull").unwrap().cached,
-        "edited geometry replayed the cached screen triangles"
-    );
-
-    // UVR tets: only the x/z of every (n/32)th tet's first point was sampled.
-    let mut tets = mesh::HexMesh::from_uniform_grid(&grid).to_tets();
-    let uvr_cfg = UvrConfig { depth_samples: 64, ..Default::default() };
-    let mut cache = GraphCache::new(8);
-    let uvr = |tets: &mesh::TetMesh, cache: &mut GraphCache| {
-        render_unstructured_graph(
-            &d,
-            tets,
-            "scalar",
-            &vcam,
-            72,
-            72,
-            &vtf,
-            &uvr_cfg,
-            &[],
-            Some(cache),
-        )
-        .unwrap()
-        .1
-    };
-    uvr(&tets, &mut cache);
-    assert!(tets.num_tets() > 64);
-    let p = tets.tets[1][0] as usize;
-    tets.points[p].y += 0.125;
-    let info = uvr(&tets, &mut cache);
-    assert!(
-        !info.record("initialization").unwrap().cached,
-        "edited tets replayed the cached depth ranges"
-    );
 }
 
 /// Deterministic synthetic rank images with transparent background regions
