@@ -3,7 +3,7 @@
 //! figures are plots of exactly these series.
 
 use crate::corpus::ensure_corpus;
-use crate::tables::{composite_cv, cv_pairs};
+use crate::tables::{composite_cv, cv_pairs, tet_tf};
 use crate::{fmt_s, Scale, TextTable};
 use baselines::bunyk::{render_bunyk, Connectivity};
 use baselines::havs::render_havs;
@@ -12,11 +12,7 @@ use mesh::datasets::tet_dataset_pool;
 use perfmodel::feasibility::{images_in_budget, rt_vs_rast_map};
 use perfmodel::sample::CompositeWire;
 use render::volume_unstructured::{render_unstructured, sample_buffer_bytes, UvrConfig};
-use vecmath::{Camera, TransferFunction};
-
-fn tet_tf(t: &mesh::TetMesh) -> TransferFunction {
-    TransferFunction::sparse_features(t.field("scalar").unwrap().range().unwrap())
-}
+use vecmath::Camera;
 
 /// Figures 4 and 5: unstructured VR runtime by phase as the number of
 /// passes sweeps, for every dataset and both views. Figure 4 is the serial

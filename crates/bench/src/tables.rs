@@ -162,7 +162,8 @@ fn enzo10m_tets(scale: Scale) -> mesh::TetMesh {
     tet_dataset_pool()[1].build(scale.dataset_scale())
 }
 
-fn tet_tf(t: &mesh::TetMesh) -> TransferFunction {
+/// The sparse-features transfer function over a tet mesh's scalar range.
+pub(crate) fn tet_tf(t: &mesh::TetMesh) -> TransferFunction {
     TransferFunction::sparse_features(t.field("scalar").unwrap().range().unwrap())
 }
 
@@ -1368,9 +1369,9 @@ pub fn graph_demo(scale: Scale) -> TextTable {
     use perfmodel::feasibility::ModelSet;
     use perfmodel::sample::{PassSample, Sample};
     use render::graph::{render_rt_graph, GraphCache};
-    use sched::passes::{first_feasible, PASS_LADDER};
+    use sched::ladder::{first_fit, label_at, Rung, RungWork, LADDER, PASS_LADDER};
     use sched::refit::RefitReport;
-    use sched::{OnlineRefit, Rung, LADDER};
+    use sched::OnlineRefit;
 
     let side = scale.image_side();
     let frames = match scale {
@@ -1470,60 +1471,44 @@ pub fn graph_demo(scale: Scale) -> TextTable {
             info.total_seconds() - info.seconds_of("bvh_build")
         })
         .collect();
-    let frame_seconds = |r: Rung| frame_measured[(r.halvings() as usize).min(2)];
     let full = last_full.expect("at least one full-resolution frame");
     let ao_units = full.record("ambient_occlusion").map_or(0.0, |r| r.work_units as f64);
     let shadow_units = full.record("shadows").map_or(0.0, |r| r.work_units as f64);
-
-    let work = sched::passes::PassWork { ao_units, shadow_units, build_seconds };
-    let pass_pred: Vec<f64> =
-        PASS_LADDER.iter().map(|r| r.predicted_seconds(&set, frame_seconds, &work)).collect();
+    let work = RungWork { ao_units, shadow_units, build_seconds };
+    let price = |r: &Rung| r.price(&set, frame_measured[(r.halvings as usize).min(2)], &work);
     // A budget the pass ladder can hold at full resolution (just above the
-    // skip-AO rung) but every executable full-resolution whole-frame state
-    // misses: the whole-frame ladder must halve.
-    let budget = pass_pred[2] * 1.02;
-    let pass_level = first_feasible(&pass_pred, budget);
-    let frame_pred: Vec<f64> = LADDER
-        .iter()
-        .map(|r| match r {
-            Rung::Drop => 0.0,
-            r => frame_seconds(*r) + build_seconds,
-        })
-        .collect();
-    let frame_level = first_feasible(&frame_pred, budget);
+    // skip-AO rung) but every full-resolution whole-frame rung misses: the
+    // whole-frame ladder must halve.
+    let budget = price(&PASS_LADDER[2]) * 1.02;
+    let level = |rungs: &[Rung]| {
+        first_fit(rungs, 0, |r| (price(&r) <= budget).then_some(()))
+            .map_or(rungs.len(), |(l, ())| l)
+    };
+    let (pass_level, frame_level) = (level(&PASS_LADDER), level(&LADDER));
 
     let mut t = TextTable::new(
         format!(
             "Render graph: pass-granular admission under a {:.1} ms budget \
              (pass ladder holds level {pass_level} = {}, whole-frame ladder falls to {})",
             budget * 1e3,
-            PASS_LADDER[pass_level].label(),
-            LADDER[frame_level].label(),
+            label_at(&PASS_LADDER, pass_level),
+            label_at(&LADDER, frame_level),
         ),
         &["ladder", "rung", "predicted (s)", "within budget", "pixels kept"],
     );
-    for (i, r) in PASS_LADDER.iter().enumerate() {
-        let kept = if r.is_drop() { 0.0 } else { 100.0 * 0.25f64.powi(r.frame.halvings() as i32) };
-        t.row(vec![
-            "pass".into(),
-            format!("{i}: {}", r.label()),
-            fmt_s(pass_pred[i]),
-            if pass_pred[i] <= budget { "yes" } else { "no" }.into(),
-            format!("{kept:.0}%"),
-        ]);
-    }
-    for (i, r) in LADDER.iter().enumerate() {
-        let kept = match r {
-            Rung::Drop => 0.0,
-            r => 100.0 * 0.25f64.powi(r.halvings() as i32),
-        };
-        t.row(vec![
-            "whole-frame".into(),
-            format!("{i}: {}", r.label()),
-            fmt_s(frame_pred[i]),
-            if frame_pred[i] <= budget { "yes" } else { "no" }.into(),
-            format!("{kept:.0}%"),
-        ]);
+    for (name, rungs) in [("pass", &PASS_LADDER[..]), ("whole-frame", &LADDER)] {
+        for i in 0..=rungs.len() {
+            let (pred, kept) = rungs
+                .get(i)
+                .map_or((0.0, 0.0), |r| (price(r), 100.0 * 0.25f64.powi(i32::from(r.halvings))));
+            t.row(vec![
+                name.into(),
+                format!("{i}: {}", label_at(rungs, i)),
+                fmt_s(pred),
+                if pred <= budget { "yes" } else { "no" }.into(),
+                format!("{kept:.0}%"),
+            ]);
+        }
     }
     // The refit trailer: which families the observed pass timings installed.
     for family in [Family::PassAo, Family::PassShadows] {

@@ -28,7 +28,10 @@ fn median_seconds(mut decode: impl FnMut()) -> f64 {
 
 /// Assert that decoding `input(10 * n)` costs under twenty times decoding
 /// `input(n)`. Medians jitter under load, so the best of a few attempts is
-/// judged; a quadratic decoder sits near 100 on every one of them.
+/// judged; a quadratic decoder sits near 100 on every one of them. Each `n`
+/// makes the small decode take milliseconds even in the dev profile: a
+/// decode shorter than one scheduler time slice runs uncontended while the
+/// ten-times-larger one is shared with other tests, which alone reads 20x.
 fn assert_linear<T>(what: &str, n: usize, input: impl Fn(usize) -> T, decode: impl Fn(&T)) {
     let (small, large) = (input(n), input(10 * n));
     let mut best = f64::INFINITY;
@@ -53,10 +56,10 @@ fn a_request_line_parses_in_linear_time() {
             r#"héllo \"wörld\" "#.repeat(bytes / 18)
         )
     };
-    assert_linear("wire::json_to_node", 20_000, long_string, |line| {
+    assert_linear("wire::json_to_node", 200_000, long_string, |line| {
         black_box(feasd::wire::json_to_node(line)).expect("parses");
     });
-    assert_linear("wire::query_from_json", 20_000, long_string, |line| {
+    assert_linear("wire::query_from_json", 200_000, long_string, |line| {
         black_box(feasd::wire::query_from_json(line)).expect("parses");
     });
     // 63 unknown keys, alike up to their last bytes, and one field: as many
@@ -66,7 +69,7 @@ fn a_request_line_parses_in_linear_time() {
         let keys: String = (0..63).map(|i| format!(r#""{pad}{i}":1,"#)).collect();
         format!(r#"{{{keys}"budget_s":1}}"#)
     };
-    assert_linear("wire::query_from_json, 63 unknown keys", 20_000, many_keys, |line| {
+    assert_linear("wire::query_from_json, 63 unknown keys", 200_000, many_keys, |line| {
         let err = black_box(feasd::wire::query_from_json(line)).expect_err("no renderer");
         assert!(err.message.contains("renderer"), "{err}");
     });
@@ -90,7 +93,7 @@ fn a_model_file_loads_in_linear_time() {
 fn an_fst_table_decodes_in_linear_time() {
     assert_linear(
         "FeasTable::decode",
-        10_000,
+        50_000,
         |records| {
             let entries = (0..records as u32)
                 .map(|i| TableEntry {

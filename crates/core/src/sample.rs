@@ -108,8 +108,8 @@ pub struct CompositeSample {
 /// One per-pass timing measurement from the render-graph executor: a pass
 /// name, the work units the pass reported (occlusion probes cast, shadow
 /// rays, live pixels shaded), and the measured seconds. These are the refit
-/// features behind pass-granular admission — the scheduler predicts what an
-/// individual pass would cost before deciding to run or shed it.
+/// features behind pass-granular pricing — `sched::ladder` predicts what
+/// shedding an individual pass would save (`repro graph` prices it).
 #[derive(Debug, Clone)]
 pub struct PassSample {
     /// Graph pass name (e.g. "ambient_occlusion", "shadows").

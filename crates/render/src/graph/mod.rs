@@ -19,8 +19,8 @@
 //!    static cameras), and
 //! 5. supports **pass-granular degradation**: a pass can carry a cheap
 //!    fallback (skip shadows → all-visible, skip ambient occlusion → fully
-//!    unoccluded) that the scheduler selects instead of degrading the whole
-//!    frame.
+//!    unoccluded) that a caller's skip list selects; `repro graph` prices
+//!    it, and the in situ scheduler sheds no pass.
 //!
 //! Only the ray tracer's passes carry fallbacks, cache keys and a borrowed
 //! BVH, so only the ray tracer runs here: [`pipelines`] holds its one

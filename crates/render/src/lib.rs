@@ -20,7 +20,7 @@
 //! tracer's is its pipeline in the [`graph`] module, an explicit
 //! pass/resource DAG (declared reads/writes, deterministic topological
 //! scheduling, buffer aliasing, cross-frame caching, pass-granular
-//! degradation), because its passes are the ones a scheduler sheds and a
+//! degradation), because its passes are the ones a skip list sheds and a
 //! cache reuses; `RayTracer::render_with_map` runs it at full fidelity with
 //! no cache. The rasterizer and the volume renderers need none of that: their
 //! entry points call the stages in order, each timed as one phase. Either

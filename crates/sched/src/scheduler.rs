@@ -7,7 +7,7 @@
 //! fidelity, it walks down the degradation [`LADDER`]; measured runtimes flow
 //! back through [`OnlineRefit`] so predictions tighten as the run proceeds.
 
-use crate::ladder::{Ladder, Rung, DROP_LEVEL, LADDER};
+use crate::ladder::{first_fit, Ladder, Rung, RungWork, LADDER};
 use crate::refit::{OnlineRefit, RefitReport};
 use perfmodel::feasibility::{ModelSet, MIN_PREDICTED_SECONDS};
 use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
@@ -161,7 +161,7 @@ pub struct Scheduler {
 
 impl Scheduler {
     pub fn new(models: ModelSet, constants: MappingConstants, cfg: SchedulerConfig) -> Scheduler {
-        let ladder = Ladder::new(HYSTERESIS_CYCLES, DROP_LEVEL);
+        let ladder = Ladder::new(HYSTERESIS_CYCLES, LADDER.len() - 1);
         let refit = OnlineRefit::new(REFIT_WINDOW, REFIT_MIN_SAMPLES);
         Scheduler {
             models,
@@ -205,8 +205,8 @@ impl Scheduler {
 
     /// Degraded dimensions for a request on a rung (never upsizes, never
     /// shrinks below the configured minimum side, and always at least 1×1 so
-    /// every executable rung stays renderable). The shift is clamped to 31:
-    /// a degenerate `Rung::Halved { halvings: 32+ }` would otherwise
+    /// every rung stays renderable). The shift is clamped to 31:
+    /// a degenerate `Rung::frame(32+)` would otherwise
     /// overflow the u32 shift (a debug-build panic), not degrade harder —
     /// past 31 halvings the floor decides anyway.
     fn shrunk(&self, req: &RenderRequest, halvings: u8) -> (u32, u32) {
@@ -222,52 +222,30 @@ impl Scheduler {
         self.models.predict_frame_seconds(cfg, &self.constants).max(MIN_PREDICTED_SECONDS)
     }
 
-    /// True when the models put this config past the Figure-15 crossover:
-    /// rasterization predicted faster per frame than ray tracing.
-    fn past_crossover(&self, cells_per_task: usize, pixels: usize) -> bool {
-        let rt = RenderConfig {
-            renderer: RendererKind::RayTracing,
-            cells_per_task,
-            pixels,
-            tasks: self.cfg.tasks,
+    /// The job a request becomes at a rung: its degraded size, the renderer
+    /// it runs as, and its predicted cost — frame + compositing, plus the BVH
+    /// build if this would be the cycle's first ray-traced frame
+    /// (`build_charged`). A switch rung rasterizes a ray-traced request only
+    /// past the Figure-15 crossover, where rasterization is predicted faster;
+    /// otherwise the switch would cost time, not save it.
+    fn plan(&self, req: &RenderRequest, rung: Rung, build_charged: bool) -> PlannedJob {
+        let (width, height) = self.shrunk(req, rung.halvings);
+        let (cells_per_task, pixels) = (req.cells_per_task, width as usize * height as usize);
+        let mut cfg =
+            RenderConfig { renderer: req.renderer, cells_per_task, pixels, tasks: self.cfg.tasks };
+        let raster = RenderConfig { renderer: RendererKind::Rasterization, ..cfg };
+        let ray_traced = cfg.renderer == RendererKind::RayTracing;
+        if rung.switch && ray_traced && self.frame_cost(&raster) < self.frame_cost(&cfg) {
+            cfg = raster;
+        }
+        let build_seconds = if cfg.renderer == RendererKind::RayTracing && !build_charged {
+            self.models.predict_build_seconds(&cfg, &self.constants).max(0.0)
+        } else {
+            0.0
         };
-        let ra = RenderConfig { renderer: RendererKind::Rasterization, ..rt };
-        self.frame_cost(&ra) < self.frame_cost(&rt)
-    }
-
-    /// Concrete (width, height, renderer) for a request at a rung, or `None`
-    /// for the drop rung.
-    fn configure(&self, req: &RenderRequest, rung: Rung) -> Option<(u32, u32, RendererKind)> {
-        match rung {
-            Rung::Drop => None,
-            Rung::Full => Some((req.width, req.height, req.renderer)),
-            Rung::Halved { halvings } => {
-                let (w, h) = self.shrunk(req, halvings);
-                Some((w, h, req.renderer))
-            }
-            Rung::Switched { halvings } => {
-                let (w, h) = self.shrunk(req, halvings);
-                let pixels = w as usize * h as usize;
-                let renderer = if req.renderer == RendererKind::RayTracing
-                    && self.past_crossover(req.cells_per_task, pixels)
-                {
-                    RendererKind::Rasterization
-                } else {
-                    req.renderer
-                };
-                Some((w, h, renderer))
-            }
-        }
-    }
-
-    /// Predicted cost of a job: frame + compositing, plus the BVH build if
-    /// this would be the cycle's first ray-traced frame (`build_charged`).
-    fn job_cost(&self, cfg: &RenderConfig, build_charged: bool) -> f64 {
-        let mut cost = self.frame_cost(cfg);
-        if cfg.renderer == RendererKind::RayTracing && !build_charged {
-            cost += self.models.predict_build_seconds(cfg, &self.constants).max(0.0);
-        }
-        cost
+        let work = RungWork { build_seconds, ..RungWork::default() };
+        let predicted_s = rung.price(&self.models, self.frame_cost(&cfg), &work);
+        PlannedJob { width, height, cfg, rung, predicted_s }
     }
 
     /// Decide one queued request. Deterministic: walks [`LADDER`] from the
@@ -281,22 +259,10 @@ impl Scheduler {
             (cur.budget_s * SAFETY, cur.spent_predicted_s, cur.build_charged)
         };
 
-        let mut outcome = None;
-        for (level, &rung) in LADDER.iter().enumerate().take(DROP_LEVEL).skip(self.ladder.level()) {
-            let Some((w, h, renderer)) = self.configure(&req, rung) else { break };
-            let cfg = RenderConfig {
-                renderer,
-                cells_per_task: req.cells_per_task,
-                pixels: w as usize * h as usize,
-                tasks: self.cfg.tasks,
-            };
-            let predicted = self.job_cost(&cfg, build_charged);
-            if spent + predicted <= effective_budget {
-                let job = PlannedJob { width: w, height: h, cfg, rung, predicted_s: predicted };
-                outcome = Some((level, job));
-                break;
-            }
-        }
+        let outcome = first_fit(&LADDER, self.ladder.level(), |rung| {
+            let job = self.plan(&req, rung, build_charged);
+            (spent + job.predicted_s <= effective_budget).then_some(job)
+        });
 
         // xlint::allow(X006): same guard as above — cur was checked at function entry.
         let cur = self.cur.as_mut().unwrap();
@@ -321,7 +287,7 @@ impl Scheduler {
                 // Even the deepest executable rung did not fit: operate the
                 // rest of the cycle (and the next, until hysteresis relaxes)
                 // fully degraded.
-                self.ladder.escalate_to(DROP_LEVEL - 1);
+                self.ladder.escalate_to(LADDER.len() - 1);
                 Decision::Reject
             }
         }
@@ -378,18 +344,9 @@ impl Scheduler {
         let mut total = 0.0;
         let mut build_charged = false;
         for req in requests {
-            if let Some((w, h, renderer)) = self.configure(req, LADDER[level]) {
-                let cfg = RenderConfig {
-                    renderer,
-                    cells_per_task: req.cells_per_task,
-                    pixels: w as usize * h as usize,
-                    tasks: self.cfg.tasks,
-                };
-                total += self.job_cost(&cfg, build_charged);
-                if cfg.renderer == RendererKind::RayTracing {
-                    build_charged = true;
-                }
-            }
+            let job = self.plan(req, LADDER[level], build_charged);
+            total += job.predicted_s;
+            build_charged |= job.cfg.renderer == RendererKind::RayTracing;
         }
         total
     }
@@ -622,7 +579,7 @@ mod tests {
         assert!(matches!(s.decide(r), Decision::Admit(_)));
         match s.decide(r) {
             Decision::Degrade(j) => {
-                assert_eq!((j.width, j.rung), (256, Rung::Halved { halvings: 1 }))
+                assert_eq!((j.width, j.rung), (256, Rung::frame(1)))
             }
             d => panic!("expected degrade, got {}", d.label()),
         }
@@ -644,16 +601,8 @@ mod tests {
             height: 256,
             cells_per_task: 500,
         };
-        let quarter_cost = s.job_cost(
-            &RenderConfig {
-                renderer: RendererKind::RayTracing,
-                cells_per_task: 500,
-                pixels: 64 * 64,
-                tasks: 64,
-            },
-            false,
-        );
-        assert!(!s.past_crossover(500, 64 * 64));
+        let quarter_cost = s.plan(&heavy, LADDER[2], false).predicted_s;
+        assert_eq!(s.plan(&heavy, LADDER[3], false).cfg.renderer, RendererKind::RayTracing);
         s.cfg.budget_s = 0.9 * quarter_cost / SAFETY;
         s.begin_cycle(0);
         assert!(matches!(s.decide(heavy), Decision::Reject));
@@ -668,31 +617,16 @@ mod tests {
             height: 2048,
             cells_per_task: 3,
         };
-        let rt_quarter = s.job_cost(
-            &RenderConfig {
-                renderer: RendererKind::RayTracing,
-                cells_per_task: 3,
-                pixels: 512 * 512,
-                tasks: 64,
-            },
-            false,
-        );
-        let ra_quarter = s.job_cost(
-            &RenderConfig {
-                renderer: RendererKind::Rasterization,
-                cells_per_task: 3,
-                pixels: 512 * 512,
-                tasks: 64,
-            },
-            false,
-        );
-        assert!(s.past_crossover(3, 512 * 512));
+        let rt_quarter = s.plan(&light, LADDER[2], false).predicted_s;
+        let raster = RenderRequest { renderer: RendererKind::Rasterization, ..light };
+        let ra_quarter = s.plan(&raster, LADDER[2], false).predicted_s;
+        assert_eq!(s.plan(&light, LADDER[3], false).cfg.renderer, RendererKind::Rasterization);
         assert!(ra_quarter < rt_quarter);
         s.cfg.budget_s = 0.5 * (rt_quarter + ra_quarter) / SAFETY;
         s.begin_cycle(0);
         match s.decide(light) {
             Decision::Degrade(j) => {
-                assert_eq!(j.rung, Rung::Switched { halvings: 2 });
+                assert_eq!(j.rung, LADDER[3]);
                 assert_eq!(j.cfg.renderer, RendererKind::Rasterization);
                 assert_eq!(j.width, 512);
             }
@@ -712,8 +646,7 @@ mod tests {
         assert_eq!(s.shrunk(&tiny, 2), (32, 32));
     }
 
-    /// The shrink audit pinned: every ladder rung — whole-frame and the
-    /// frame components of the pass-granular ladder — yields a renderable,
+    /// The shrink audit pinned: every rung of both orderings yields a renderable,
     /// nonzero-pixel config for every seed image size, including odd sides,
     /// sides below the tile floor, and a 1-pixel request. Degenerate
     /// halvings (>= 32, a u32 shift overflow before the audit) clamp to the
@@ -722,11 +655,10 @@ mod tests {
     fn every_rung_stays_renderable_at_all_seed_sizes() {
         let s = sched(1.0);
         let sides = [1u32, 31, 63, 64, 65, 72, 101, 256, 333, 512, 1024, 1080, 2047, 4096];
-        let mut rungs: Vec<Rung> = LADDER.to_vec();
-        rungs.extend(crate::passes::PASS_LADDER.iter().map(|p| p.frame));
-        rungs.push(Rung::Halved { halvings: 31 });
-        rungs.push(Rung::Halved { halvings: 40 });
-        rungs.push(Rung::Switched { halvings: 255 });
+        let mut rungs: Vec<Rung> = [&LADDER[..], &crate::ladder::PASS_LADDER].concat();
+        rungs.push(Rung::frame(31));
+        rungs.push(Rung::frame(40));
+        rungs.push(Rung { switch: true, ..Rung::frame(255) });
         for &side in &sides {
             for kind in [
                 RendererKind::RayTracing,
@@ -735,14 +667,11 @@ mod tests {
             ] {
                 let r = req(kind, side);
                 for &rung in &rungs {
-                    let Some((w, h, _)) = s.configure(&r, rung) else {
-                        assert_eq!(rung, Rung::Drop, "only the drop rung may yield no config");
-                        continue;
-                    };
+                    let PlannedJob { width: w, height: h, .. } = s.plan(&r, rung, false);
                     assert!(w >= 1 && h >= 1, "{rung:?} @ {side}: {w}x{h}");
                     assert!(w <= r.width && h <= r.height, "{rung:?} @ {side} upsized: {w}x{h}");
                     // At or above the floor, shrinking stops at the floor.
-                    if side >= s.cfg.min_image_side && rung.halvings() > 0 {
+                    if side >= s.cfg.min_image_side && rung.halvings > 0 {
                         assert!(w >= s.cfg.min_image_side, "{rung:?} @ {side}: {w}");
                     }
                     // Below the floor, the request passes through unshrunk.
