@@ -30,16 +30,34 @@ impl Default for SvrConfig {
     }
 }
 
-/// Failure modes, mirroring [`crate::volume_unstructured::UvrError`].
+/// Failure modes, mirroring [`crate::volume_unstructured::UvrError`]. All are
+/// checked before the raycast starts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SvrError {
     MissingField(String),
+    /// An axis has fewer than 2 points, so the grid has no cells to march.
+    DegenerateGrid([usize; 3]),
+    /// The field does not hold one value per grid point.
+    FieldLength {
+        name: String,
+        expected: usize,
+        found: usize,
+    },
+    /// `samples_per_ray` is 0, which leaves no sample spacing.
+    NoSamples,
 }
 
 impl std::fmt::Display for SvrError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SvrError::MissingField(n) => write!(f, "no point field named {n}"),
+            SvrError::DegenerateGrid(d) => {
+                write!(f, "grid of {}x{}x{} points has an axis with no cells", d[0], d[1], d[2])
+            }
+            SvrError::FieldLength { name, expected, found } => {
+                write!(f, "point field {name} has {found} values for {expected} points")
+            }
+            SvrError::NoSamples => write!(f, "samples_per_ray must be at least 1"),
         }
     }
 }
@@ -91,6 +109,19 @@ pub fn render_structured(
         .field(field_name)
         .ok_or_else(|| SvrError::MissingField(field_name.to_string()))?
         .values;
+    if grid.dims.iter().any(|&d| d < 2) {
+        return Err(SvrError::DegenerateGrid(grid.dims));
+    }
+    if field.len() != grid.num_points() {
+        return Err(SvrError::FieldLength {
+            name: field_name.to_string(),
+            expected: grid.num_points(),
+            found: field.len(),
+        });
+    }
+    if cfg.samples_per_ray == 0 {
+        return Err(SvrError::NoSamples);
+    }
     let n_px = (width * height) as u64;
 
     let mut phases = PhaseTimer::new();
@@ -163,6 +194,12 @@ fn assemble_stage(
     (frame, active, total_samples, total_cells)
 }
 
+/// Samples whose colours are computed before any of them is composited. A
+/// colour depends only on its own position, so the batch's TF lookups
+/// overlap, where a loop that composites each sample before taking the next
+/// waits on every lookup in turn.
+const SAMPLE_BATCH: usize = 8;
+
 /// March one ray through the grid with a cell-stepping DDA; returns the
 /// premultiplied accumulated color and the work tally.
 #[allow(clippy::too_many_arguments)]
@@ -177,6 +214,9 @@ fn march_ray(
     early_term: f32,
 ) -> (Color, RayWork) {
     let cdims = grid.cell_dims();
+    let inv_sp = grid.spacing.recip();
+    // Point-index strides along j and k (along i it is 1).
+    let (sj, sk) = (grid.dims[0], grid.dims[0] * grid.dims[1]);
     let mut acc = Color::TRANSPARENT;
     let mut work = RayWork::default();
 
@@ -184,7 +224,7 @@ fn march_ray(
     let eps = dt * 1e-3;
     let mut t = t_in + eps;
     let start = ray.at(t);
-    let local = (start - grid.origin) * grid.spacing.recip();
+    let local = (start - grid.origin) * inv_sp;
     let mut ci = (local.x.floor() as i64).clamp(0, cdims[0] as i64 - 1);
     let mut cj = (local.y.floor() as i64).clamp(0, cdims[1] as i64 - 1);
     let mut ck = (local.z.floor() as i64).clamp(0, cdims[2] as i64 - 1);
@@ -217,46 +257,56 @@ fn march_ray(
         // --- Cell-frequency work: load the 8 corners of this cell. ---
         work.cells += 1;
         let (i, j, k) = (ci as usize, cj as usize, ck as usize);
+        let b = grid.point_index(i, j, k);
         let c = [
-            field[grid.point_index(i, j, k)],
-            field[grid.point_index(i + 1, j, k)],
-            field[grid.point_index(i, j + 1, k)],
-            field[grid.point_index(i + 1, j + 1, k)],
-            field[grid.point_index(i, j, k + 1)],
-            field[grid.point_index(i + 1, j, k + 1)],
-            field[grid.point_index(i, j + 1, k + 1)],
-            field[grid.point_index(i + 1, j + 1, k + 1)],
+            field[b],
+            field[b + 1],
+            field[b + sj],
+            field[b + sj + 1],
+            field[b + sk],
+            field[b + sk + 1],
+            field[b + sk + sj],
+            field[b + sk + sj + 1],
         ];
         let cell_min = Vec3::new(
             grid.origin.x + grid.spacing.x * i as f32,
             grid.origin.y + grid.spacing.y * j as f32,
             grid.origin.z + grid.spacing.z * k as f32,
         );
-        let inv_sp = grid.spacing.recip();
 
         // Cell exit parameter.
         let t_exit = t_max[0].min(t_max[1]).min(t_max[2]).min(t_out);
 
-        // --- Sample-frequency work inside [t, t_exit). ---
+        // --- Sample-frequency work inside [t, t_exit), a batch at a time:
+        // colours at positions taken by the same serial `+= dt`, then
+        // compositing in order with the per-sample early-termination test,
+        // so only the samples composited are counted. ---
         while sample_t < t_exit {
-            let p = ray.at(sample_t);
-            let f = (p - cell_min) * inv_sp;
-            let fx = f.x.clamp(0.0, 1.0);
-            let fy = f.y.clamp(0.0, 1.0);
-            let fz = f.z.clamp(0.0, 1.0);
-            let c00 = c[0] * (1.0 - fx) + c[1] * fx;
-            let c10 = c[2] * (1.0 - fx) + c[3] * fx;
-            let c01 = c[4] * (1.0 - fx) + c[5] * fx;
-            let c11 = c[6] * (1.0 - fx) + c[7] * fx;
-            let v = (c00 * (1.0 - fy) + c10 * fy) * (1.0 - fz) + (c01 * (1.0 - fy) + c11 * fy) * fz;
-            let col = tf.sample(v);
-            if col.a > 0.0 {
-                acc = over(acc, col.premultiplied());
+            let mut cols = [Color::TRANSPARENT; SAMPLE_BATCH];
+            let mut n = 0;
+            while n < SAMPLE_BATCH && sample_t < t_exit {
+                let f = (ray.at(sample_t) - cell_min) * inv_sp;
+                let fx = f.x.clamp(0.0, 1.0);
+                let fy = f.y.clamp(0.0, 1.0);
+                let fz = f.z.clamp(0.0, 1.0);
+                let c00 = c[0] * (1.0 - fx) + c[1] * fx;
+                let c10 = c[2] * (1.0 - fx) + c[3] * fx;
+                let c01 = c[4] * (1.0 - fx) + c[5] * fx;
+                let c11 = c[6] * (1.0 - fx) + c[7] * fx;
+                let v =
+                    (c00 * (1.0 - fy) + c10 * fy) * (1.0 - fz) + (c01 * (1.0 - fy) + c11 * fy) * fz;
+                cols[n] = tf.sample(v);
+                sample_t += dt;
+                n += 1;
             }
-            work.samples += 1;
-            sample_t += dt;
-            if acc.a >= early_term {
-                return (acc, work);
+            for col in &cols[..n] {
+                if col.a > 0.0 {
+                    acc = over(acc, col.premultiplied());
+                }
+                work.samples += 1;
+                if acc.a >= early_term {
+                    return (acc, work);
+                }
             }
         }
 
@@ -299,6 +349,132 @@ mod tests {
     fn tfn(grid: &UniformGrid) -> TransferFunction {
         let range = grid.field("scalar").unwrap().range().unwrap();
         TransferFunction::sparse_features(range)
+    }
+
+    /// The per-sample march `march_ray` replaced, kept verbatim as its oracle:
+    /// corners by eight `point_index` calls, `spacing.recip()` per cell, and one
+    /// sample's lookup and composite at a time.
+    #[allow(clippy::too_many_arguments)]
+    fn march_ray_reference(
+        grid: &UniformGrid,
+        field: &[f32],
+        ray: &vecmath::Ray,
+        t_in: f32,
+        t_out: f32,
+        dt: f32,
+        tf: &TransferFunction,
+        early_term: f32,
+    ) -> (Color, RayWork) {
+        let cdims = grid.cell_dims();
+        let mut acc = Color::TRANSPARENT;
+        let mut work = RayWork::default();
+
+        // Enter slightly inside to get a valid starting cell.
+        let eps = dt * 1e-3;
+        let mut t = t_in + eps;
+        let start = ray.at(t);
+        let local = (start - grid.origin) * grid.spacing.recip();
+        let mut ci = (local.x.floor() as i64).clamp(0, cdims[0] as i64 - 1);
+        let mut cj = (local.y.floor() as i64).clamp(0, cdims[1] as i64 - 1);
+        let mut ck = (local.z.floor() as i64).clamp(0, cdims[2] as i64 - 1);
+
+        // DDA setup: t to next crossing per axis and per-axis step.
+        let step = [
+            if ray.dir.x > 0.0 { 1i64 } else { -1 },
+            if ray.dir.y > 0.0 { 1 } else { -1 },
+            if ray.dir.z > 0.0 { 1 } else { -1 },
+        ];
+        let next_boundary = |c: i64, axis: usize| -> f32 {
+            let base = match axis {
+                0 => grid.origin.x + grid.spacing.x * (c + (step[0] > 0) as i64) as f32,
+                1 => grid.origin.y + grid.spacing.y * (c + (step[1] > 0) as i64) as f32,
+                _ => grid.origin.z + grid.spacing.z * (c + (step[2] > 0) as i64) as f32,
+            };
+            match axis {
+                0 => (base - ray.origin.x) * ray.inv_dir.x,
+                1 => (base - ray.origin.y) * ray.inv_dir.y,
+                _ => (base - ray.origin.z) * ray.inv_dir.z,
+            }
+        };
+        let mut t_max = [next_boundary(ci, 0), next_boundary(cj, 1), next_boundary(ck, 2)];
+
+        // Sample positions are globally spaced at multiples of dt from t_in so
+        // sampling density is view-independent.
+        let mut sample_t = t;
+
+        while t < t_out {
+            // --- Cell-frequency work: load the 8 corners of this cell. ---
+            work.cells += 1;
+            let (i, j, k) = (ci as usize, cj as usize, ck as usize);
+            let c = [
+                field[grid.point_index(i, j, k)],
+                field[grid.point_index(i + 1, j, k)],
+                field[grid.point_index(i, j + 1, k)],
+                field[grid.point_index(i + 1, j + 1, k)],
+                field[grid.point_index(i, j, k + 1)],
+                field[grid.point_index(i + 1, j, k + 1)],
+                field[grid.point_index(i, j + 1, k + 1)],
+                field[grid.point_index(i + 1, j + 1, k + 1)],
+            ];
+            let cell_min = Vec3::new(
+                grid.origin.x + grid.spacing.x * i as f32,
+                grid.origin.y + grid.spacing.y * j as f32,
+                grid.origin.z + grid.spacing.z * k as f32,
+            );
+            let inv_sp = grid.spacing.recip();
+
+            // Cell exit parameter.
+            let t_exit = t_max[0].min(t_max[1]).min(t_max[2]).min(t_out);
+
+            // --- Sample-frequency work inside [t, t_exit). ---
+            while sample_t < t_exit {
+                let p = ray.at(sample_t);
+                let f = (p - cell_min) * inv_sp;
+                let fx = f.x.clamp(0.0, 1.0);
+                let fy = f.y.clamp(0.0, 1.0);
+                let fz = f.z.clamp(0.0, 1.0);
+                let c00 = c[0] * (1.0 - fx) + c[1] * fx;
+                let c10 = c[2] * (1.0 - fx) + c[3] * fx;
+                let c01 = c[4] * (1.0 - fx) + c[5] * fx;
+                let c11 = c[6] * (1.0 - fx) + c[7] * fx;
+                let v =
+                    (c00 * (1.0 - fy) + c10 * fy) * (1.0 - fz) + (c01 * (1.0 - fy) + c11 * fy) * fz;
+                let col = tf.sample(v);
+                if col.a > 0.0 {
+                    acc = over(acc, col.premultiplied());
+                }
+                work.samples += 1;
+                sample_t += dt;
+                if acc.a >= early_term {
+                    return (acc, work);
+                }
+            }
+
+            // Advance DDA to the next cell.
+            if t_max[0] <= t_max[1] && t_max[0] <= t_max[2] {
+                t = t_max[0];
+                ci += step[0];
+                if ci < 0 || ci >= cdims[0] as i64 {
+                    break;
+                }
+                t_max[0] = next_boundary(ci, 0);
+            } else if t_max[1] <= t_max[2] {
+                t = t_max[1];
+                cj += step[1];
+                if cj < 0 || cj >= cdims[1] as i64 {
+                    break;
+                }
+                t_max[1] = next_boundary(cj, 1);
+            } else {
+                t = t_max[2];
+                ck += step[2];
+                if ck < 0 || ck >= cdims[2] as i64 {
+                    break;
+                }
+                t_max[2] = next_boundary(ck, 2);
+            }
+        }
+        (acc, work)
     }
 
     #[test]
@@ -388,22 +564,108 @@ mod tests {
         assert_eq!(out.stats.samples_per_ray, 0.0);
     }
 
+    fn ray_bits((c, w): (Color, RayWork)) -> ([u32; 4], u32, u32) {
+        ([c.r.to_bits(), c.g.to_bits(), c.b.to_bits(), c.a.to_bits()], w.samples, w.cells)
+    }
+
+    /// `march_ray` is the per-sample march, bit for bit: every pixel's
+    /// premultiplied RGBA and every ray's samples and cells, through
+    /// `raycast_stage` on both devices, on the frame `insitu_volume_structured`
+    /// renders (CloverLeaf(32) `density_p`, `sparse_features`, close view) at
+    /// sim steps 0–47, reduced to 96². A second TF with opacity ×4 stops most
+    /// rays early, at any sample of a batch. Debug builds check every eighth
+    /// step at 48².
+    #[test]
+    fn batched_march_is_the_per_sample_march_on_the_volume_workload() {
+        let (step_stride, side) = if cfg!(debug_assertions) { (8, 48) } else { (1, 96) };
+        let cfg = SvrConfig::default();
+        let devices = [Device::Serial, Device::parallel()];
+        let mut sim = sims::Cloverleaf::new(32);
+        let mut terminated = 0usize;
+        for step in 0..48 {
+            if step > 0 {
+                sims::ProxySim::step(&mut sim);
+            }
+            if step % step_stride != 0 && step != 47 {
+                continue;
+            }
+            let grid = sim.grid().to_uniform();
+            let field = grid.field("density_p").unwrap();
+            let tf = TransferFunction::sparse_features(field.range().unwrap());
+            let bounds = grid.bounds();
+            let cam = Camera::close_view(&bounds);
+            let dt = bounds.diagonal() / cfg.samples_per_ray as f32;
+            let rays = cam.pixel_rays(side, side);
+            for tf in [tf.clone(), tf.with_opacity_scale(4.0)] {
+                let reference: Vec<_> = (0..side * side)
+                    .map(|i| {
+                        let ray = rays.ray(i % side, i / side, 0.5, 0.5);
+                        ray_bits(match bounds.intersect_ray(&ray, cam.near, f32::INFINITY) {
+                            Some((t_in, t_out)) => march_ray_reference(
+                                &grid,
+                                &field.values,
+                                &ray,
+                                t_in,
+                                t_out,
+                                dt,
+                                &tf,
+                                cfg.early_termination,
+                            ),
+                            None => (Color::TRANSPARENT, RayWork::default()),
+                        })
+                    })
+                    .collect();
+                for (d, device) in devices.iter().enumerate() {
+                    let batched =
+                        raycast_stage(device, &grid, &field.values, &cam, side, side, &tf, &cfg);
+                    for (px, (got, want)) in batched.into_iter().zip(&reference).enumerate() {
+                        assert_eq!(ray_bits(got), *want, "step {step}, pixel {px}, device {d}");
+                    }
+                }
+                terminated += reference
+                    .iter()
+                    .filter(|(c, ..)| f32::from_bits(c[3]) >= cfg.early_termination)
+                    .count();
+            }
+        }
+        assert!(terminated > 100, "only {terminated} rays terminated early");
+    }
+
+    /// The error `render_structured` returns for `field` of `g` under `cfg`.
+    fn render_error(g: &UniformGrid, field: &str, cfg: &SvrConfig) -> SvrError {
+        let cam = Camera::close_view(&g.bounds());
+        render_structured(&Device::Serial, g, field, &cam, 16, 16, &tfn(g), cfg)
+            .map(|out| out.stats.active_pixels)
+            .unwrap_err()
+    }
+
+    #[test]
+    fn a_one_point_axis_is_an_error() {
+        let mut g = volume();
+        g.dims[2] = 1;
+        g.fields[0].values.truncate(25 * 25);
+        let err = render_error(&g, "scalar", &SvrConfig::default());
+        assert_eq!(err, SvrError::DegenerateGrid([25, 25, 1]));
+    }
+
+    #[test]
+    fn a_short_point_field_is_an_error() {
+        let mut g = volume();
+        g.fields[0].values.pop();
+        let err = render_error(&g, "scalar", &SvrConfig::default());
+        let (name, expected, found) = ("scalar".to_string(), 25 * 25 * 25, 25 * 25 * 25 - 1);
+        assert_eq!(err, SvrError::FieldLength { name, expected, found });
+    }
+
+    #[test]
+    fn zero_samples_per_ray_is_an_error() {
+        let cfg = SvrConfig { samples_per_ray: 0, ..SvrConfig::default() };
+        assert_eq!(render_error(&volume(), "scalar", &cfg), SvrError::NoSamples);
+    }
+
     #[test]
     fn missing_field_is_an_error() {
-        let g = volume();
-        let cam = Camera::close_view(&g.bounds());
-        let err = render_structured(
-            &Device::Serial,
-            &g,
-            "nope",
-            &cam,
-            16,
-            16,
-            &tfn(&g),
-            &SvrConfig::default(),
-        )
-        .map(|out| out.stats.active_pixels)
-        .unwrap_err();
+        let err = render_error(&volume(), "nope", &SvrConfig::default());
         assert_eq!(err, SvrError::MissingField("nope".into()));
     }
 }

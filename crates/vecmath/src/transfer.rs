@@ -14,6 +14,9 @@ pub struct TransferFunction {
     /// Scalar range mapped onto `[0,1]`.
     pub range: (f32, f32),
     table: Vec<Color>,
+    /// Forward differences of `table`, kept in step with it (see
+    /// [`forward_differences`]).
+    delta: Vec<Color>,
 }
 
 impl TransferFunction {
@@ -29,7 +32,8 @@ impl TransferFunction {
             let t = i as f32 / (Self::TABLE_SIZE - 1) as f32;
             table.push(sample_points(&points, t));
         }
-        TransferFunction { range, table }
+        let delta = forward_differences(&table);
+        TransferFunction { range, table, delta }
     }
 
     /// The "cool to warm" pseudocolor map common in VisIt/ParaView, with a
@@ -83,17 +87,18 @@ impl TransferFunction {
     }
 
     /// Look up the color for a normalized scalar in `[0,1]` (clamped).
+    ///
+    /// `table[i] + delta[i]·frac` is `table[i].lerp(table[i + 1], frac)`
+    /// bit for bit, with no branch for the last entry: `i` reaches 255 only
+    /// at `t = 1`, where `frac` is 0.
     #[inline]
     pub fn sample_normalized(&self, t: f32) -> Color {
         let t = t.clamp(0.0, 1.0);
         let f = t * (Self::TABLE_SIZE - 1) as f32;
-        let i = f as usize;
+        let i = f as u32;
         let frac = f - i as f32;
-        if i + 1 < Self::TABLE_SIZE {
-            self.table[i].lerp(self.table[i + 1], frac)
-        } else {
-            self.table[Self::TABLE_SIZE - 1]
-        }
+        let i = i as usize;
+        self.table[i].add(self.delta[i].scale(frac))
     }
 
     /// Scale every opacity by `s`, used to correct opacity for sample
@@ -103,8 +108,19 @@ impl TransferFunction {
         for c in &mut self.table {
             c.a = (c.a * s).min(1.0);
         }
+        self.delta = forward_differences(&self.table);
         self
     }
+}
+
+/// `delta[i] = table[i + 1] + table[i]·(−1)`, the difference `Color::lerp`
+/// takes, so adding `delta[i]·frac` to `table[i]` repeats its arithmetic.
+/// The last entry is −0.0 in every channel: `x + (−0.0)·0` is `x` for every
+/// `x`, signed zeros included, where +0.0 would turn a −0.0 into +0.0.
+fn forward_differences(table: &[Color]) -> Vec<Color> {
+    let mut delta: Vec<Color> = table.windows(2).map(|w| w[1].add(w[0].scale(-1.0))).collect();
+    delta.push(Color::new(-0.0, -0.0, -0.0, -0.0));
+    delta
 }
 
 fn sample_points(points: &[(f32, Color)], t: f32) -> Color {
@@ -176,5 +192,98 @@ mod tests {
         let c = tf.sample(0.5);
         assert!((c.a - 0.4).abs() < 1e-3);
         assert!((c.r - 0.5).abs() < 1e-3);
+    }
+
+    /// The lookup before the forward-difference table: a branch for the last
+    /// entry, `Color::lerp` between neighbours everywhere else.
+    fn sample_lerp(tf: &TransferFunction, scalar: f32) -> Color {
+        let (lo, hi) = tf.range;
+        let t = if hi > lo { (scalar - lo) / (hi - lo) } else { 0.5 };
+        let t = t.clamp(0.0, 1.0);
+        let f = t * (TransferFunction::TABLE_SIZE - 1) as f32;
+        let i = f as usize;
+        let frac = f - i as f32;
+        if i + 1 < TransferFunction::TABLE_SIZE {
+            tf.table[i].lerp(tf.table[i + 1], frac)
+        } else {
+            tf.table[TransferFunction::TABLE_SIZE - 1]
+        }
+    }
+
+    fn color_bits(c: Color) -> [u32; 4] {
+        [c.r.to_bits(), c.g.to_bits(), c.b.to_bits(), c.a.to_bits()]
+    }
+
+    /// An `f32` of the given kind: any bit pattern (NaN and ±inf included), a
+    /// special value, a subnormal, or a value in or just outside `lo..hi`.
+    fn scalar_of(kind: u8, bits: u32, u: f32, (lo, hi): (f32, f32)) -> f32 {
+        const SPECIAL: [f32; 8] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
+        match kind {
+            0 => f32::from_bits(bits),
+            1 => SPECIAL[bits as usize % SPECIAL.len()],
+            2 => f32::from_bits(bits & 0x807f_ffff),
+            _ => lo + u * (hi - lo),
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `sample` through the forward-difference table equals the `lerp`
+        /// formula bit for bit: for any scalar, over ordinary, degenerate,
+        /// inverted and arbitrary-bit ranges, on tables built from random
+        /// control points (some channels exactly 0) and then opacity-scaled by
+        /// any factor (negative and non-finite ones included, which put −0.0
+        /// and clamped alphas in the table).
+        #[test]
+        fn forward_difference_lookup_is_the_lerp(
+            points in collection::vec(
+                (0.0f32..1.0, 0u8..16, 0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
+                1..7,
+            ),
+            scale in (0u8..5, -2.0f32..8.0),
+            range in (0u8..4, any::<u64>(), -100.0f32..100.0, 0.0f32..50.0),
+            scalars in collection::vec((0u8..6, any::<u32>(), -0.25f32..1.25), 64..65),
+        ) {
+            let points = points
+                .into_iter()
+                .map(|(p, zeros, r, g, b, a)| {
+                    // Channel `k` is exactly 0 where bit `k` of `zeros` is set.
+                    let ch = |k: u8, v: f32| if zeros & (1 << k) != 0 { 0.0 } else { v };
+                    (p, Color::new(ch(0, r), ch(1, g), ch(2, b), ch(3, a)))
+                })
+                .collect();
+            let (kind, bits, x, w) = range;
+            let range = match kind {
+                0 => (x, x + w),
+                1 => (x, x),
+                2 => (x + w, x),
+                _ => (f32::from_bits(bits as u32), f32::from_bits((bits >> 32) as u32)),
+            };
+            let mut tf = TransferFunction::from_points(range, points);
+            tf = match scale {
+                (0, _) => tf,
+                (1, _) => tf.with_opacity_scale(4.0),
+                (2, s) => tf.with_opacity_scale(s),
+                (3, s) => tf.with_opacity_scale(-s.abs()),
+                (_, s) => tf.with_opacity_scale([f32::NAN, f32::INFINITY, 0.0][s.to_bits() as usize % 3]),
+            };
+            for (kind, bits, u) in scalars {
+                let v = scalar_of(kind, bits, u, range);
+                let (got, want) = (color_bits(tf.sample(v)), color_bits(sample_lerp(&tf, v)));
+                prop_assert_eq!(got, want, "scalar {v:?}, range {range:?}");
+            }
+        }
     }
 }
