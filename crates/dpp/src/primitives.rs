@@ -68,8 +68,8 @@ where
 }
 
 /// Side-effect-only map over `0..n`. The functor must only write through
-/// disjoint or atomic locations — this is the primitive the samplers use to
-/// write into shared atomic buffers.
+/// disjoint or atomic locations — the rasterizer's tile binning (an atomic
+/// histogram, then a `fetch_add` cursor fill) is its one library user.
 pub fn for_each<F>(device: &Device, n: usize, f: F)
 where
     F: Fn(usize) + Sync + Send,

@@ -20,31 +20,35 @@
 //!    replacement for it — solved in `f64` against thresholds lowered past
 //!    the `f32` test's rounding, then widened a slice either side — so the
 //!    test decides every sample and the solve only moves the loop bounds.
-//!    Tets partition space, so at most one writer reaches a sample —
-//!    except at shared faces, where the epsilon'd inside test lets two
-//!    adjacent tets claim the same sample. Those boundary ties are resolved
-//!    with an atomic `fetch_max` keyed on the global tet index, which is both
-//!    scheduling-order independent and exactly the serial last-writer-wins
-//!    outcome (the serial pass visits tets in ascending index order).
-//! 4. **Compositing** — map over pixels, folding this pass's samples
-//!    front-to-back through the transfer function with early termination.
+//!    The image is cut into bands of eight rows, each owned by one task:
+//!    the active tets are counting-sorted into every band their clipped
+//!    screen box reaches, and a band's task walks its tets and writes its
+//!    own slab with plain stores. Tets partition space, so at most one tet
+//!    reaches a sample — except at shared faces, where the epsilon'd inside
+//!    test lets two adjacent tets claim the same sample. A band walks its
+//!    tets in ascending global index, so the last writer, the highest index,
+//!    wins: the serial pass's outcome, whatever the scheduling.
+//! 4. **Compositing** — per band, fold each pixel's samples front-to-back
+//!    through the transfer function with early termination.
 //!
 //! Splitting the buffer into passes trades memory for repeated screen-space
 //! work — exactly the trade-off Figures 4 and 5 of the dissertation sweep.
-//! A pass's slab is resident once, 8 bytes per sample (scalar bits plus the
-//! 4-byte tie-break tag): sampling fills it and compositing reads it in place.
+//! A pass's slab is resident once, as its bands' slabs, 4 bytes per sample:
+//! sampling fills them and compositing reads them in place.
 
 use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
 use dpp::{compact_indices, map, Device};
 use mesh::{Assoc, TetMesh};
-use std::sync::atomic::{AtomicU64, Ordering};
 use vecmath::{over, Camera, Color, TransferFunction, Vec3};
 
-/// Sentinel for "no sample written". Occupied slots pack
-/// `(tet_index + 1) << 32 | scalar_bits`, so every real write is non-zero and
-/// `fetch_max` deterministically keeps the highest-index tet on boundary ties.
-const EMPTY: u64 = 0;
+/// Image rows per band, the sampler's and the compositor's unit of work.
+const BAND: u32 = 8;
+
+/// Scalar bits of a slot no tet sampled: a signalling NaN, which no `f32`
+/// arithmetic result can be (IEEE 754 §6.2: an operation that returns a NaN
+/// returns a quiet one), so no interpolated scalar is taken for a gap.
+const EMPTY: u32 = 0x7F80_0001;
 
 /// Configuration for the unstructured volume renderer.
 #[derive(Debug, Clone)]
@@ -74,8 +78,13 @@ impl Default for UvrConfig {
 /// Failure modes (the memory cap reproduces the paper's OOM behaviour).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UvrError {
-    OutOfMemory { required_bytes: usize, limit_bytes: usize },
+    OutOfMemory {
+        required_bytes: usize,
+        limit_bytes: usize,
+    },
     MissingField(String),
+    /// `depth_samples` is 0, which leaves no sample spacing.
+    NoSamples,
 }
 
 impl std::fmt::Display for UvrError {
@@ -86,6 +95,7 @@ impl std::fmt::Display for UvrError {
                 "sample buffer needs {required_bytes} B but the device limit is {limit_bytes} B"
             ),
             UvrError::MissingField(n) => write!(f, "no point field named {n}"),
+            UvrError::NoSamples => write!(f, "depth_samples must be at least 1"),
         }
     }
 }
@@ -104,7 +114,8 @@ pub struct UvrStats {
     /// CS proxy: cell-location operations per active pixel (tet-pixel-column
     /// tests, the `AP*CS` cell-frequency work of the model).
     pub cells_per_pixel: f64,
-    /// Peak sample-buffer bytes, as [`sample_buffer_bytes`] counts them.
+    /// Peak sample-buffer bytes, as [`sample_buffer_bytes`] counts them: one
+    /// pass's band slabs, resident together.
     pub buffer_bytes: usize,
     /// Seconds summed over the frame's phases.
     pub render_seconds: f64,
@@ -132,7 +143,7 @@ struct ScreenTet {
 
 /// Bytes required for the sample buffer at the given configuration: the
 /// paper's 4-byte float per sample, the quantity Figure 5's OOM gaps are
-/// defined on — not the 8 resident here (the tie-break tag is the other 4).
+/// defined on — and exactly what one pass's band slabs hold.
 pub fn sample_buffer_bytes(width: u32, height: u32, cfg: &UvrConfig) -> usize {
     let slab = cfg.depth_samples.div_ceil(cfg.num_passes.max(1)) as usize;
     width as usize * height as usize * slab * 4
@@ -298,9 +309,71 @@ pub fn column_run(
     (lo <= hi).then_some((lo, hi))
 }
 
-/// Sampling stage: fill this pass's sample slab with `fetch_max`-merged
-/// tagged scalars over each column's run. Returns the slab and the
-/// bounding-box tet-pixel-column tests performed (the CS model input).
+/// A tet's footprint in one pass: pixel columns `x.0..=x.1`, rows
+/// `y.0..=y.1` and depth slices `s.0..=s.1`.
+#[derive(Clone, Copy)]
+struct Footprint {
+    x: (u32, u32),
+    y: (u32, u32),
+    s: (u32, u32),
+}
+
+impl Footprint {
+    /// The tet's screen box clipped to the image and to the pass's slices
+    /// `span.0..span.1`, or `None` when that leaves no column to test.
+    fn of(
+        tet: &ScreenTet,
+        width: u32,
+        height: u32,
+        z0: f32,
+        dz: f32,
+        span: (u32, u32),
+    ) -> Option<Self> {
+        let [bx0, bx1, by0, by1, bz0, bz1] = tet.bbox;
+        let px0 = bx0.floor().max(0.0) as u32;
+        let px1 = (bx1.ceil() as i64).min(width as i64 - 1).max(0) as u32;
+        let py0 = by0.floor().max(0.0) as u32;
+        let py1 = (by1.ceil() as i64).min(height as i64 - 1).max(0) as u32;
+        // Depth slice range of this tet clipped to the pass.
+        let s_lo = (((bz0 - z0) / dz).floor().max(span.0 as f32)) as u32;
+        let s_hi = ((((bz1 - z0) / dz).ceil()) as i64).min(span.1 as i64 - 1).max(0) as u32;
+        let culled = bx1 < 0.0 || by1 < 0.0 || s_lo > s_hi || px0 > px1 || py0 > py1;
+        (!culled).then_some(Footprint { x: (px0, px1), y: (py0, py1), s: (s_lo, s_hi) })
+    }
+
+    /// The bands of [`BAND`] rows the footprint reaches.
+    fn bands(&self) -> std::ops::RangeInclusive<usize> {
+        (self.y.0 / BAND) as usize..=(self.y.1 / BAND) as usize
+    }
+}
+
+/// Counting sort of the active tets into every band their footprint
+/// reaches: band `b`'s tets are `members[start[b]..start[b + 1]]`, in
+/// ascending `active` order — the order the band's plain stores rely on.
+fn bin_by_band(feet: &[Option<Footprint>], n_bands: usize) -> (Vec<usize>, Vec<u32>) {
+    let mut start = vec![0usize; n_bands + 1];
+    for b in feet.iter().flatten().flat_map(Footprint::bands) {
+        start[b + 1] += 1;
+    }
+    for b in 0..n_bands {
+        start[b + 1] += start[b];
+    }
+    let mut cursor = start.clone();
+    let mut members = vec![0u32; start[n_bands]];
+    for (a, f) in feet.iter().enumerate() {
+        for b in f.iter().flat_map(Footprint::bands) {
+            members[cursor[b]] = a as u32;
+            cursor[b] += 1;
+        }
+    }
+    (start, members)
+}
+
+/// Sampling stage: one task per band of [`BAND`] rows fills that band's
+/// slab — `slab` slots per pixel, row-major, [`EMPTY`] where no tet
+/// samples — from the tets binned to it, over each column's run. Returns
+/// the band slabs, top band first, and the bounding-box tet-pixel-column
+/// tests performed (the CS model input).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 fn sampling_stage(
     device: &Device,
@@ -315,118 +388,113 @@ fn sampling_stage(
     slab: usize,
     s_begin: u32,
     s_end: u32,
-) -> (Vec<AtomicU64>, u64) {
+) -> (Vec<Vec<u32>>, u64) {
     #[cfg(test)] // the oracle's switch, never compiled into the library
     if tests::REFERENCE_SAMPLER.with(|on| on.get()) {
-        return tests::sampling_stage_reference(
+        return tests::reference_bands(
             device, active, screen, opacity, term, width, height, z0, dz, slab, s_begin, s_end,
         );
     }
-    let n_px = (width * height) as usize;
-    // Zero-filled by a map, so the pool shares the slab's first-touch page faults.
-    let samples: Vec<AtomicU64> = map(device, n_px * slab, |_| AtomicU64::new(EMPTY));
-    let cells_tested = AtomicU64::new(0);
-    dpp::for_each(device, active.len(), |a| {
-        let Some(tet) = &screen[a] else { return };
-        let tag = (active[a] as u64 + 1) << 32;
-        let [bx0, bx1, by0, by1, bz0, bz1] = tet.bbox;
-        let px0 = bx0.floor().max(0.0) as u32;
-        let px1 = (bx1.ceil() as i64).min(width as i64 - 1).max(0) as u32;
-        let py0 = by0.floor().max(0.0) as u32;
-        let py1 = (by1.ceil() as i64).min(height as i64 - 1).max(0) as u32;
-        if bx1 < 0.0 || by1 < 0.0 {
-            return;
-        }
-        // Depth slice range of this tet clipped to the pass.
-        let s_lo = (((bz0 - z0) / dz).floor().max(s_begin as f32)) as u32;
-        let s_hi = ((((bz1 - z0) / dz).ceil()) as i64).min(s_end as i64 - 1).max(0) as u32;
-        if s_lo > s_hi {
-            return;
-        }
+    // Ascending tet indices, so a band's last writer is the highest index.
+    debug_assert!(active.is_sorted());
+    let feet = map(device, active.len(), |a| {
+        let tet = screen[a].as_ref()?;
+        Footprint::of(tet, width, height, z0, dz, (s_begin, s_end))
+    });
+    let n_bands = height.div_ceil(BAND) as usize;
+    let (start, members) = bin_by_band(&feet, n_bands);
+    let w = width as usize;
+    let bands = dpp::tasks(device, n_bands, |b| {
+        let y0 = b as u32 * BAND;
+        let y1 = (y0 + BAND).min(height) - 1;
+        // Allocated and first touched by the task that fills it.
+        let mut band = vec![EMPTY; (y1 - y0 + 1) as usize * w * slab];
         let mut tested = 0u64;
-        for py in py0..=py1 {
-            for px in px0..=px1 {
-                let pix = (py * width + px) as usize;
-                tested += 1;
-                if opacity[pix] >= term {
-                    continue; // early-termination in the sampler
-                }
-                let centre = (px as f32 + 0.5, py as f32 + 0.5);
-                let run = column_run(&tet.inv, tet.d, centre, z0, dz, (s_lo, s_hi));
-                let Some((lo, hi)) = run else { continue };
-                for sl in lo..=hi {
-                    let zc = z0 + (sl as f32 + 0.5) * dz;
-                    let p = Vec3::new(px as f32 + 0.5, py as f32 + 0.5, zc);
-                    let r = p - tet.d;
-                    let l0 = tet.inv[0][0] * r.x + tet.inv[0][1] * r.y + tet.inv[0][2] * r.z;
-                    let l1 = tet.inv[1][0] * r.x + tet.inv[1][1] * r.y + tet.inv[1][2] * r.z;
-                    let l2 = tet.inv[2][0] * r.x + tet.inv[2][1] * r.y + tet.inv[2][2] * r.z;
-                    let l3 = 1.0 - l0 - l1 - l2;
-                    if l0 >= EPS && l1 >= EPS && l2 >= EPS && l3 >= EPS {
-                        let value = tet.s[0] * l0 + tet.s[1] * l1 + tet.s[2] * l2 + tet.s[3] * l3;
-                        let slot = pix * slab + (sl - s_begin) as usize;
-                        let tagged = tag | value.to_bits() as u64;
-                        // ORDERING: Relaxed — fetch_max is a
-                        // monotonic merge of (tet, value) tags; the
-                        // winner is scheduling-independent and is
-                        // read only after the region joins.
-                        samples[slot].fetch_max(tagged, Ordering::Relaxed);
+        for &a in &members[start[b]..start[b + 1]] {
+            let (Some(tet), Some(f)) = (&screen[a as usize], feet[a as usize]) else { continue };
+            for py in f.y.0.max(y0)..=f.y.1.min(y1) {
+                let ry = py as f32 + 0.5 - tet.d.y;
+                for px in f.x.0..=f.x.1 {
+                    tested += 1;
+                    if opacity[py as usize * w + px as usize] >= term {
+                        continue; // early-termination in the sampler
+                    }
+                    let centre = (px as f32 + 0.5, py as f32 + 0.5);
+                    let run = column_run(&tet.inv, tet.d, centre, z0, dz, f.s);
+                    let Some((lo, hi)) = run else { continue };
+                    // Each coordinate is `(inv[i][0]·rx + inv[i][1]·ry) + inv[i][2]·rz`
+                    // (Rust adds left to right and never fuses), so the
+                    // column's share is taken once, to the bit.
+                    let rx = centre.0 - tet.d.x;
+                    let [c0, c1, c2] = tet.inv.map(|row| row[0] * rx + row[1] * ry);
+                    let local = (py - y0) as usize * w + px as usize;
+                    let slots = &mut band[local * slab..(local + 1) * slab];
+                    for sl in lo..=hi {
+                        let rz = z0 + (sl as f32 + 0.5) * dz - tet.d.z;
+                        let l0 = c0 + tet.inv[0][2] * rz;
+                        let l1 = c1 + tet.inv[1][2] * rz;
+                        let l2 = c2 + tet.inv[2][2] * rz;
+                        let l3 = 1.0 - l0 - l1 - l2;
+                        if l0 >= EPS && l1 >= EPS && l2 >= EPS && l3 >= EPS {
+                            let value =
+                                tet.s[0] * l0 + tet.s[1] * l1 + tet.s[2] * l2 + tet.s[3] * l3;
+                            // Ascending tets: the highest index stores last.
+                            slots[(sl - s_begin) as usize] = value.to_bits();
+                        }
                     }
                 }
             }
         }
-        // ORDERING: Relaxed — commutative statistics counter.
-        cells_tested.fetch_add(tested, Ordering::Relaxed);
+        (band, tested)
     });
-    // ORDERING: Relaxed — read after the for_each joined.
-    let tested = cells_tested.load(Ordering::Relaxed);
-    (samples, tested)
+    let (bands, tested): (Vec<Vec<u32>>, Vec<u64>) = bands.into_iter().unzip();
+    (bands, tested.iter().sum())
 }
 
-/// Compositing stage: fold this pass's samples front-to-back into the
-/// accumulation buffer with early termination. Returns the new accumulation
-/// state and the number of samples composited.
+/// Compositing stage: one task per band folds each of its pixels' samples
+/// front-to-back into the accumulation buffer with early termination.
+/// Returns the new accumulation state and the number of samples composited.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 fn composite_stage(
     device: &Device,
     acc: &[Color],
-    samples: &[AtomicU64],
+    bands: &[Vec<u32>],
+    width: u32,
     slab: usize,
     slab_this: usize,
     term: f32,
     tf: &TransferFunction,
 ) -> (Vec<Color>, u64) {
-    let composited = AtomicU64::new(0);
-    let new_acc = map(device, acc.len(), |pix| {
-        let mut c = acc[pix];
-        if c.a >= term {
-            return c;
-        }
-        let mut n_comp = 0u64;
-        for sl in 0..slab_this {
-            // ORDERING: Relaxed — the sampling region joined before this stage.
-            let packed = samples[pix * slab + sl].load(Ordering::Relaxed);
-            if packed == EMPTY {
-                continue;
-            }
-            let v = f32::from_bits(packed as u32);
-            let col = tf.sample(v);
-            n_comp += 1;
-            if col.a > 0.0 {
-                c = over(c, col.premultiplied());
+    let folded = dpp::tasks(device, bands.len(), |b| {
+        let mut composited = 0u64;
+        let first_px = b * BAND as usize * width as usize;
+        let pixels = bands[b].chunks_exact(slab).zip(&acc[first_px..]);
+        let colors: Vec<Color> = pixels
+            .map(|(slots, &c)| {
+                let mut c = c;
                 if c.a >= term {
-                    break;
+                    return c;
                 }
-            }
-        }
-        if n_comp > 0 {
-            // ORDERING: Relaxed — commutative statistics counter.
-            composited.fetch_add(n_comp, Ordering::Relaxed);
-        }
-        c
+                for &bits in &slots[..slab_this] {
+                    if bits == EMPTY {
+                        continue;
+                    }
+                    let col = tf.sample(f32::from_bits(bits));
+                    composited += 1;
+                    if col.a > 0.0 {
+                        c = over(c, col.premultiplied());
+                        if c.a >= term {
+                            break;
+                        }
+                    }
+                }
+                c
+            })
+            .collect();
+        (colors, composited)
     });
-    // ORDERING: Relaxed — read after the region joined.
-    (new_acc, composited.load(Ordering::Relaxed))
+    let (colors, composited): (Vec<Vec<Color>>, Vec<u64>) = folded.into_iter().unzip();
+    (colors.concat(), composited.iter().sum())
 }
 
 /// Assemble the accumulation buffer into a framebuffer; returns the frame
@@ -465,6 +533,9 @@ pub fn render_unstructured(
         .filter(|f| f.assoc == Assoc::Point)
         .ok_or_else(|| UvrError::MissingField(field_name.to_string()))?
         .values;
+    if cfg.depth_samples == 0 {
+        return Err(UvrError::NoSamples);
+    }
 
     let buffer_bytes = sample_buffer_bytes(width, height, cfg);
     if let Some(limit) = cfg.memory_limit_bytes {
@@ -475,7 +546,7 @@ pub fn render_unstructured(
 
     let n_tets = tets.num_tets();
     let n_px = (width * height) as usize;
-    let s_total = cfg.depth_samples.max(1);
+    let s_total = cfg.depth_samples;
     let passes = cfg.num_passes.max(1).min(s_total);
     let slab = s_total.div_ceil(passes) as usize;
     let term = cfg.early_termination;
@@ -528,7 +599,7 @@ pub fn render_unstructured(
         drop((active, screen));
         let slab_this = (s_end - s_begin) as usize;
         let (next, n) = phases.run("compositing", n_px as u64, || {
-            composite_stage(device, &acc, &samples, slab, slab_this, term, tf)
+            composite_stage(device, &acc, &samples, width, slab, slab_this, term, tf)
         });
         drop(samples);
         acc = next;
@@ -561,6 +632,7 @@ mod tests {
     use proptest::TestRng;
     use sims::{Lulesh, ProxySim};
     use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     thread_local! {
         /// While set, this thread's `sampling_stage` calls run the
@@ -576,8 +648,41 @@ mod tests {
         out
     }
 
+    /// [`sampling_stage_reference`]'s slab cut into `sampling_stage`'s band
+    /// slabs: each slot's winning scalar bits, `EMPTY` where no tet wrote.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn reference_bands(
+        device: &Device,
+        active: &[u32],
+        screen: &[Option<ScreenTet>],
+        opacity: &[f32],
+        term: f32,
+        width: u32,
+        height: u32,
+        z0: f32,
+        dz: f32,
+        slab: usize,
+        s_begin: u32,
+        s_end: u32,
+    ) -> (Vec<Vec<u32>>, u64) {
+        let (samples, tested) = sampling_stage_reference(
+            device, active, screen, opacity, term, width, height, z0, dz, slab, s_begin, s_end,
+        );
+        let slots: Vec<u32> = samples
+            .into_iter()
+            .map(|s| match s.into_inner() {
+                0 => EMPTY,
+                packed => packed as u32,
+            })
+            .collect();
+        let band_slots = BAND as usize * width as usize * slab;
+        (slots.chunks(band_slots).map(<[u32]>::to_vec).collect(), tested)
+    }
+
     /// The sampler as it was before `column_run`: every slice of every pixel
-    /// column of each tet's bounding box takes the inside test. The oracle
+    /// column of each tet's bounding box takes the inside test, and boundary
+    /// ties go to the highest tet index through a `fetch_max` on
+    /// `(tet + 1) << 32 | scalar bits` (0: no sample). The oracle
     /// `sampling_stage` must match slot for slot.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn sampling_stage_reference(
@@ -595,7 +700,7 @@ mod tests {
         s_end: u32,
     ) -> (Vec<AtomicU64>, u64) {
         let n_px = (width * height) as usize;
-        let samples: Vec<AtomicU64> = (0..n_px * slab).map(|_| AtomicU64::new(EMPTY)).collect();
+        let samples: Vec<AtomicU64> = (0..n_px * slab).map(|_| AtomicU64::new(0)).collect();
         let cells_tested = AtomicU64::new(0);
         dpp::for_each(device, active.len(), |a| {
             let Some(tet) = &screen[a] else { return };
@@ -751,7 +856,24 @@ mod tests {
                     sv[1].x = sv[0].x;
                     sv[1].y = sv[0].y;
                 }
-                let s = [unit(rng), unit(rng), unit(rng), unit(rng)];
+                let mut s = [unit(rng), unit(rng), unit(rng), unit(rng)];
+                // Scalars whose samples an empty-slot marker could pass
+                // for: all four one special value, or a mix of them.
+                const SPECIAL: [f32; 8] = [
+                    0.0,
+                    -0.0,
+                    f32::NAN,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    1e-40,
+                    -1e-45,
+                    f32::MIN_POSITIVE,
+                ];
+                match t % 16 {
+                    0 => s = [SPECIAL[(t / 16) % SPECIAL.len()]; 4],
+                    8 => s = s.map(|_| SPECIAL[rng.next_u64() as usize % SPECIAL.len()]),
+                    _ => {}
+                }
                 let mut tet = screen_tet(sv, s)?;
                 if kind == 3 {
                     let row = (rng.next_u64() % 3) as usize;
@@ -787,8 +909,19 @@ mod tests {
         let mut rng = TestRng::new(23);
         let mut written = 0usize;
         let mut culled = false;
+        let mut straddlers = 0usize;
+        // Winning samples of +0.0, -0.0, NaN and subnormal scalar bits.
+        let (mut zeros, mut neg_zeros, mut nans, mut subnormals) = (0, 0, 0, 0);
         for case in 0..12 {
-            let (w, h) = (9 + (rng.next_u64() % 20) as u32, 7 + (rng.next_u64() % 16) as u32);
+            let w = 9 + (rng.next_u64() % 20) as u32;
+            // One to three bands; every fourth case fills its last band,
+            // the rest leave it short.
+            let mut h = BAND + 1 + (rng.next_u64() % (2 * BAND as u64)) as u32;
+            if case % 4 == 0 {
+                h -= h % BAND;
+            } else if h.is_multiple_of(BAND) {
+                h += 1;
+            }
             // dz from 1e-4 to 10, near and far from the camera.
             let dz = 10f32.powf(between(&mut rng, -4.0, 1.0));
             let z0 = between(&mut rng, 0.05, 40.0);
@@ -809,28 +942,61 @@ mod tests {
             let n = 4600;
             let screen = awkward_tets(&mut rng, n, (w, h), (z0, dz), (s_begin, s_end, s_total));
             let active: Vec<u32> = (0..n as u32).map(|t| t * 3 + 1).collect();
+            // A slot as compositing reads it: `None` for no sample, else the
+            // scalar bits — NaNs as one class, since Rust pins neither the
+            // sign nor the payload of a NaN an operation returns (the
+            // optimiser may commute the operands of `+`), and every NaN
+            // samples the transfer function alike.
+            let read = |bits: u32, empty: bool| {
+                (!empty).then_some(if f32::from_bits(bits).is_nan() { u32::MAX } else { bits })
+            };
             for device in &devices {
-                let run = |reference: bool| {
-                    let (buf, tested) = with_sampler(reference, || {
-                        sampling_stage(
-                            device, &active, &screen, &opacity, term, w, h, z0, dz, slab, s_begin,
-                            s_end,
-                        )
-                    });
-                    (buf.into_iter().map(AtomicU64::into_inner).collect::<Vec<u64>>(), tested)
-                };
-                let (want, want_tested) = run(true);
-                let (got, got_tested) = run(false);
+                let (want, want_tested) = sampling_stage_reference(
+                    device, &active, &screen, &opacity, term, w, h, z0, dz, slab, s_begin, s_end,
+                );
+                let want: Vec<Option<u32>> = want
+                    .into_iter()
+                    .map(AtomicU64::into_inner)
+                    .map(|packed| read(packed as u32, packed == 0))
+                    .collect();
+                let (bands, got_tested) = sampling_stage(
+                    device, &active, &screen, &opacity, term, w, h, z0, dz, slab, s_begin, s_end,
+                );
                 assert_eq!(got_tested, want_tested, "case {case} on {device:?}");
+                let rows: Vec<usize> =
+                    bands.iter().map(|b| b.len() / (w as usize * slab)).collect();
+                let want_rows: Vec<usize> =
+                    (0..h).step_by(BAND as usize).map(|y0| (h - y0).min(BAND) as usize).collect();
+                assert_eq!(rows, want_rows, "case {case} on {device:?}: band heights");
+                let got: Vec<Option<u32>> =
+                    bands.concat().into_iter().map(|bits| read(bits, bits == EMPTY)).collect();
+                assert_eq!(got.len(), want.len());
                 if let Some(slot) = (0..want.len()).find(|&i| got[i] != want[i]) {
                     panic!(
-                        "case {case} on {device:?}: slot {slot} holds {:#x}, the oracle {:#x} \
-                         ({w}x{h}, z0 {z0}, dz {dz}, slices {s_begin}..{s_end})",
-                        got[slot], want[slot]
+                        "case {case} on {device:?}: slot {slot} (pixel {}, slice {}) holds \
+                         {:x?}, the oracle {:x?} ({w}x{h}, z0 {z0}, dz {dz}, \
+                         slices {s_begin}..{s_end})",
+                        slot / slab,
+                        slot % slab,
+                        got[slot],
+                        want[slot]
                     );
                 }
-                written += want.iter().filter(|&&v| v != EMPTY).count();
+                for bits in want.iter().flatten() {
+                    let v = f32::from_bits(*bits);
+                    written += 1;
+                    zeros += (*bits == 0) as usize;
+                    neg_zeros += (*bits == 0x8000_0000) as usize;
+                    nans += v.is_nan() as usize;
+                    subnormals += v.is_subnormal() as usize;
+                }
             }
+            straddlers += screen
+                .iter()
+                .flatten()
+                .filter_map(|tet| Footprint::of(tet, w, h, z0, dz, (s_begin, s_end)))
+                .filter(|f| f.bands().count() > 1)
+                .count();
             // The solve is not vacuous: some column of some well-shaped tet
             // is narrower than its bounding box, or empty.
             culled |= screen.iter().flatten().any(|tet| {
@@ -843,6 +1009,9 @@ mod tests {
         }
         assert!(written > 50_000, "only {written} samples written: the cases are too thin");
         assert!(culled, "column_run never narrowed a column");
+        assert!(straddlers > 1000, "only {straddlers} tets straddle a band edge");
+        let specials = [zeros, neg_zeros, nans, subnormals];
+        assert!(specials.iter().all(|&n| n > 100), "+0, -0, NaN, subnormal winners: {specials:?}");
     }
 
     #[test]
@@ -1020,6 +1189,16 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, UvrError::MissingField("nope".into()));
+    }
+
+    #[test]
+    fn zero_depth_samples_is_an_error() {
+        let t = small_tets();
+        let cam = Camera::close_view(&t.bounds());
+        let cfg = UvrConfig { depth_samples: 0, ..Default::default() };
+        let err = render_unstructured(&Device::Serial, &t, "scalar", &cam, 16, 16, &tfn(&t), &cfg)
+            .unwrap_err();
+        assert_eq!(err, UvrError::NoSamples);
     }
 
     #[test]
