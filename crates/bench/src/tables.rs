@@ -1355,20 +1355,19 @@ fn probe_child(setting: Option<(&str, &str)>) -> Option<(f64, f64)> {
     Some((fields[4].parse().ok()?, fields[5].parse().ok()?))
 }
 
-/// `repro graph`: the render-graph executor end to end. A camera orbit
-/// renders frames through the ray-tracing frame graph with cross-frame
-/// caching; every executed pass's measured timing streams into the online
-/// refit as a `PassSample` (the orbit runs on, up to 3× its length, while a
-/// pass family's wall-clock fit is still rejected), the refitted per-pass
-/// models price the pass-granular ladder, and the table prices a budget that
-/// full fidelity misses by less than the ambient-occlusion pass costs: the
-/// pass ladder holds it at *full resolution* by shedding AO, while the
-/// whole-frame ladder's only move is to throw away 75% of the pixels. The
-/// per-pass timing log is written to `graph_passes.csv`.
+/// `repro graph`: pass-granular admission for the ray tracer. A camera orbit
+/// renders frames with one prebuilt `RayTracer`; every phase's measured
+/// timing streams into the online refit as a `PassSample` (the orbit runs
+/// on, up to 3× its length, while a pass family's wall-clock fit is still
+/// rejected), the refitted per-pass models price the pass-granular ladder,
+/// and the table prices a budget that full fidelity misses by less than the
+/// ambient-occlusion pass costs: the pass ladder holds it at *full
+/// resolution* by shedding AO, while the whole-frame ladder's only move is
+/// to throw away 75% of the pixels. The per-phase timing log is written to
+/// `graph_passes.csv`.
 pub fn graph_demo(scale: Scale) -> TextTable {
     use perfmodel::feasibility::ModelSet;
     use perfmodel::sample::{PassSample, Sample};
-    use render::graph::{render_rt_graph, GraphCache};
     use sched::ladder::{first_fit, label_at, Rung, RungWork, LADDER, PASS_LADDER};
     use sched::refit::RefitReport;
     use sched::OnlineRefit;
@@ -1378,20 +1377,17 @@ pub fn graph_demo(scale: Scale) -> TextTable {
         Scale::Quick => 6usize,
         Scale::Full => 18,
     };
-    let device = Device::parallel();
     let spec = &surface_dataset_pool()[4]; // RM 350K
     let mesh = spec.build(scale.dataset_scale());
-    let geom = TriGeometry::from_mesh(&mesh);
-    let tf = TransferFunction::rainbow(geom.scalar_range);
+    let rt = RayTracer::new(Device::parallel(), TriGeometry::from_mesh(&mesh));
+    let tf = TransferFunction::rainbow(rt.geom.scalar_range);
     let cfg = RtConfig::workload3();
-    let bounds = geom.bounds;
+    let bounds = rt.geom.bounds;
 
-    let mut cache = GraphCache::new(64);
     // The window slides over the last `frames` frames, so a preempted
     // frame's outlier ages out of the refit instead of biasing every retry.
     let mut refit = OnlineRefit::new(frames, 4);
-    let mut csv = String::from("frame,pass,work_units,seconds,cached,skipped,freed_bytes\n");
-    let mut build_seconds = 0.0f64;
+    let mut csv = String::from("frame,pass,work_units,seconds\n");
     let mut last_full = None;
     // Install the per-pass models fitted from the observed pass timings, the
     // way the scheduler does online: after the orbit's `frames` frames the
@@ -1405,9 +1401,8 @@ pub fn graph_demo(scale: Scale) -> TextTable {
     let mut report = RefitReport::default();
     let mut used = 0usize;
     for f in 0..3 * frames {
-        // Orbit: every frame's camera is new (ray tables re-run) while the
-        // geometry fingerprint holds (BVH cached after frame 0); each further
-        // lap is offset half a step so it repeats no earlier camera.
+        // Orbit: every frame's camera is new; each further lap is offset
+        // half a step so it repeats no earlier camera.
         let a = (f as f64 + 0.5 * (f / frames) as f64) / frames as f64 * std::f64::consts::TAU;
         let dir = Vec3::new(a.cos() as f32, 0.25, a.sin() as f32);
         let cam = Camera::framing(&bounds, dir, 0.9);
@@ -1416,31 +1411,22 @@ pub fn graph_demo(scale: Scale) -> TextTable {
         // rank-deficient); every third frame, and the orbit's last, lands on
         // full resolution.
         let s = side * (2 + (f % 3) as u32) / 4;
-        let (_, info) =
-            render_rt_graph(&device, &geom, &cam, s, s, &cfg, &tf, &[], Some(&mut cache))
-                .expect("graph render");
-        for r in &info.records {
+        let phases = rt.render_with_map(&cam, s, s, &cfg, &tf).phases;
+        for p in &phases.phases {
             use std::fmt::Write as _;
-            let _ = writeln!(
-                csv,
-                "{f},{},{},{:.6e},{},{},{}",
-                r.name, r.work_units, r.seconds, r.cached, r.skipped, r.freed_bytes
-            );
-            if r.name == "bvh_build" && !r.cached {
-                build_seconds = r.seconds;
-            }
-            // Executed passes feed the per-pass refit features (the refit
-            // windows only the sheddable passes that have a model family).
-            if !r.cached && !r.skipped && r.work_units > 0 {
+            let _ = writeln!(csv, "{f},{},{},{:.6e}", p.name, p.work_units, p.seconds);
+            // Phases that did work feed the per-pass refit (which windows
+            // only the sheddable passes that have a model family).
+            if p.work_units > 0 {
                 refit.observe(Sample::Pass(PassSample {
-                    pass: r.name.to_string(),
-                    work_units: r.work_units as f64,
-                    seconds: r.seconds,
+                    pass: p.name.to_string(),
+                    work_units: p.work_units as f64,
+                    seconds: p.seconds,
                 }));
             }
         }
         if s == side {
-            last_full = Some(info);
+            last_full = Some(phases);
         }
         used = f + 1;
         if used >= frames {
@@ -1459,22 +1445,21 @@ pub fn graph_demo(scale: Scale) -> TextTable {
         report.rejected
     );
 
-    // Whole-frame cost at each resolution rung, measured on the live graph
-    // (warm BVH, fresh camera so nothing else is cached).
+    // Whole-frame cost at each resolution rung, measured on the tracer's
+    // prebuilt BVH from a fresh camera.
     let frame_measured: Vec<f64> = (0..3u8)
         .map(|h| {
             let s = (side >> h).max(8);
             let cam = Camera::framing(&bounds, Vec3::new(0.3, 0.8, -0.6), 0.9);
-            let (_, info) =
-                render_rt_graph(&device, &geom, &cam, s, s, &cfg, &tf, &[], Some(&mut cache))
-                    .expect("graph render");
-            info.total_seconds() - info.seconds_of("bvh_build")
+            rt.render_with_map(&cam, s, s, &cfg, &tf).stats.render_seconds
         })
         .collect();
     let full = last_full.expect("at least one full-resolution frame");
-    let ao_units = full.record("ambient_occlusion").map_or(0.0, |r| r.work_units as f64);
-    let shadow_units = full.record("shadows").map_or(0.0, |r| r.work_units as f64);
-    let work = RungWork { ao_units, shadow_units, build_seconds };
+    let work = RungWork {
+        ao_units: full.work_of("ambient_occlusion") as f64,
+        shadow_units: full.work_of("shadows") as f64,
+        build_seconds: rt.bvh_build_seconds,
+    };
     let price = |r: &Rung| r.price(&set, frame_measured[(r.halvings as usize).min(2)], &work);
     // A budget the pass ladder can hold at full resolution (just above the
     // skip-AO rung) but every full-resolution whole-frame rung misses: the
@@ -1488,7 +1473,7 @@ pub fn graph_demo(scale: Scale) -> TextTable {
 
     let mut t = TextTable::new(
         format!(
-            "Render graph: pass-granular admission under a {:.1} ms budget \
+            "Ray tracer: pass-granular admission under a {:.1} ms budget \
              (pass ladder holds level {pass_level} = {}, whole-frame ladder falls to {})",
             budget * 1e3,
             label_at(&PASS_LADDER, pass_level),

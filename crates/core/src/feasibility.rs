@@ -151,10 +151,10 @@ impl ModelSet {
         self.models().filter(|m| !m.fit.all_coeffs_nonnegative()).map(|m| m.name()).collect()
     }
 
-    /// Predicted seconds a named graph pass would cost at `work_units`, when
-    /// its per-pass model has been fitted (`None` otherwise — the caller
-    /// falls back to whole-frame degradation). Clamped at 0 like the frame
-    /// predictors.
+    /// Predicted seconds a named ray-tracer phase would cost at
+    /// `work_units`, when its per-pass model has been fitted (`None`
+    /// otherwise — the caller falls back to whole-frame degradation).
+    /// Clamped at 0 like the frame predictors.
     pub fn predict_pass_seconds(&self, pass: &str, work_units: f64) -> Option<f64> {
         let m = self.get(Family::for_pass(pass)?)?;
         Some(m.predict(&PassSample { pass: String::new(), work_units, seconds: 0.0 }).max(0.0))

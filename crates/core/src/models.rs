@@ -50,13 +50,13 @@ pub enum Family {
     /// barriered rounds while the DFB pays a linear-in-`Tasks` message tax
     /// that overlapped transfers amortize at scale.
     CompDfb,
-    /// The ray tracer's `ambient_occlusion` graph pass: `T_pass = c0*W + c1`
-    /// where `W` is the work units the pass reported. The whole-frame
+    /// The ray tracer's `ambient_occlusion` phase: `T_pass = c0*W + c1`
+    /// where `W` is the work units the phase recorded. The whole-frame
     /// families predict a renderer's aggregate cost; the pass families
     /// predict what one *sheddable* pass contributes, so the scheduler can
     /// price "skip ambient occlusion" against "halve the image".
     PassAo,
-    /// The ray tracer's `shadows` graph pass; see [`Family::PassAo`].
+    /// The ray tracer's `shadows` phase; see [`Family::PassAo`].
     PassShadows,
 }
 
@@ -72,7 +72,7 @@ pub enum Feed {
     Build,
     /// Compositing samples of one exchange wire.
     Composite(CompositeWire),
-    /// Render-graph pass timings of one named pass.
+    /// Ray-tracer phase timings of one named phase.
     Pass(&'static str),
 }
 
@@ -156,7 +156,7 @@ impl Family {
         }
     }
 
-    /// The family covering a graph pass name, for passes that have one.
+    /// The family covering a phase name, for phases that have one.
     pub fn for_pass(pass: &str) -> Option<Family> {
         Family::ALL.iter().find(|r| matches!(r.feed, Feed::Pass(p) if p == pass)).map(|r| r.family)
     }

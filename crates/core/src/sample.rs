@@ -105,16 +105,16 @@ pub struct CompositeSample {
     pub wire: CompositeWire,
 }
 
-/// One per-pass timing measurement from the render-graph executor: a pass
-/// name, the work units the pass reported (occlusion probes cast, shadow
-/// rays, live pixels shaded), and the measured seconds. These are the refit
-/// features behind pass-granular pricing — `sched::ladder` predicts what
-/// shedding an individual pass would save (`repro graph` prices it).
+/// One per-pass timing measurement: a ray-tracer phase record's name, the
+/// work units it reported (occlusion probes cast, shadow rays, live pixels
+/// shaded), and its measured seconds. These are the refit features behind
+/// pass-granular pricing — `sched::ladder` predicts what shedding an
+/// individual pass would save (`repro graph` prices it).
 #[derive(Debug, Clone)]
 pub struct PassSample {
-    /// Graph pass name (e.g. "ambient_occlusion", "shadows").
+    /// Phase name (e.g. "ambient_occlusion", "shadows").
     pub pass: String,
-    /// Work units the pass reported to the executor.
+    /// Work units the phase recorded.
     pub work_units: f64,
     /// Measured pass seconds.
     pub seconds: f64,
@@ -128,7 +128,7 @@ pub enum Obs<'a> {
     Render(&'a RenderSample),
     /// An image-compositing measurement.
     Composite(&'a CompositeSample),
-    /// A render-graph pass timing.
+    /// A ray-tracer phase timing.
     Pass(&'a PassSample),
 }
 
@@ -139,7 +139,7 @@ pub enum Sample {
     Render(RenderSample),
     /// An image-compositing measurement.
     Composite(CompositeSample),
-    /// A render-graph pass timing.
+    /// A ray-tracer phase timing.
     Pass(PassSample),
 }
 

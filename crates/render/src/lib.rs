@@ -16,15 +16,12 @@
 //! (objects, active pixels, samples per ray, …) and per-phase timings, which
 //! is exactly what the `perfmodel` crate fits its regressions to.
 //!
-//! Each renderer's stages are sequenced by exactly one driver. The ray
-//! tracer's is its pipeline in the [`graph`] module, an explicit
-//! pass/resource DAG (declared reads/writes, deterministic topological
-//! scheduling, buffer aliasing, cross-frame caching, pass-granular
-//! degradation), because its passes are the ones a skip list sheds and a
-//! cache reuses; `RayTracer::render_with_map` runs it at full fidelity with
-//! no cache. The rasterizer and the volume renderers need none of that: their
-//! entry points call the stages in order, each timed as one phase. Either
-//! way the models are fitted to the same code the in situ loop ships.
+//! Each renderer's stages are sequenced by exactly one straight-line driver:
+//! the entry point calls the stages in order over one
+//! [`PhaseTimer`], each stage timed as one phase and each buffer dropped
+//! after its last use. So the models are fitted to the same code the in situ
+//! loop ships. [`graph`] is the one other way into the ray tracer's driver, a
+//! BVH-cached entry point the benchmark still calls.
 
 pub mod counters;
 pub mod framebuffer;

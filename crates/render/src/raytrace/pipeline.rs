@@ -5,9 +5,8 @@ use super::bvh::{Bvh, Hit};
 use super::geometry::TriGeometry;
 use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
-use crate::graph::pipelines::rt::rt_graph;
 use crate::shading::{blinn_phong, hash_rand2, hemisphere_dir, ShadingParams};
-use dpp::{map, Device};
+use dpp::{compact_indices, count_if, gather, map, Device};
 use vecmath::{morton2, Camera, Color, Ray, TransferFunction};
 
 /// Which subset of the pipeline runs — the study's three workloads.
@@ -78,7 +77,7 @@ pub struct RtStats {
     pub rays_traced: u64,
     /// Seconds to build the BVH (the separable `c0*O + c1` model term).
     pub bvh_build_seconds: f64,
-    /// Seconds summed over the frame's executed passes, build excluded.
+    /// Seconds summed over the frame's phases, build excluded.
     pub render_seconds: f64,
 }
 
@@ -128,9 +127,8 @@ impl RayTracer {
         self.render_with_map(camera, width, height, cfg, &tf)
     }
 
-    /// Render with an explicit pseudocolor map: the ray-tracing frame graph
-    /// ([`crate::graph::pipelines::rt`]) over this tracer's prebuilt BVH and
-    /// shading override, with no skips and no cache.
+    /// Render with an explicit pseudocolor map: the one driver, `trace`,
+    /// over this tracer's prebuilt BVH and shading override.
     pub fn render_with_map(
         &self,
         camera: &Camera,
@@ -139,42 +137,116 @@ impl RayTracer {
         cfg: &RtConfig,
         colormap: &TransferFunction,
     ) -> RtOutput {
-        let run = rt_graph(
-            &self.device,
-            &self.geom,
-            Some(&self.bvh),
-            self.shading.as_ref(),
-            camera,
-            width,
-            height,
-            cfg,
-            colormap,
-            &[],
-            None,
-        );
-        // The pass declarations are fixed at compile time, so a graph error
-        // is a bug in this crate: it asserts in debug builds, which the test
-        // suite runs, and in release says so on stderr and hands back a blank
-        // frame rather than panic inside the host simulation.
-        let mut out = match run {
-            Ok((out, _)) => out,
-            Err(e) => {
-                eprintln!("render: frame graph failed ({e}); emitting a blank frame");
-                debug_assert!(false, "ray-tracing graph is malformed: {e}");
-                RtOutput {
-                    frame: Framebuffer::new(width, height),
-                    stats: RtStats { objects: self.geom.num_tris(), ..Default::default() },
-                    phases: PhaseTimer::new(),
-                }
-            }
-        };
+        let (device, geom, shading) = (&self.device, &self.geom, self.shading.as_ref());
+        let mut out = trace(device, geom, &self.bvh, shading, camera, width, height, cfg, colormap);
         out.stats.bvh_build_seconds = self.bvh_build_seconds;
         out
     }
 }
 
+/// The ray tracer's one driver: the WORKLOAD stages straight-line over one
+/// [`PhaseTimer`], each buffer dropped after its last use. `shading`
+/// overrides the default headlight. The caller owns the BVH, so
+/// `stats.bvh_build_seconds` is left 0 for it to fill in.
+///
+/// The phases are `ray_gen`, `intersect`, then `depth_assemble` for
+/// WORKLOAD1 and otherwise `compaction`, (`ambient_occlusion`, `shadows`),
+/// `shade`, `anti_alias`. The bracketed secondary-ray phases run only in the
+/// workload that casts those rays, so no frame records a zero-work phase;
+/// `shade` then reads the neutral terms (all unoccluded, all lights
+/// visible).
+#[allow(clippy::too_many_arguments)] // one argument per model input, plus the BVH and shading
+pub(crate) fn trace(
+    device: &Device,
+    geom: &TriGeometry,
+    bvh: &Bvh,
+    shading: Option<&ShadingParams>,
+    camera: &Camera,
+    width: u32,
+    height: u32,
+    cfg: &RtConfig,
+    colormap: &TransferFunction,
+) -> RtOutput {
+    let ss = if cfg.antialias { 2u32 } else { 1u32 };
+    let (rw, rh) = (width * ss, height * ss);
+    let n_rays = (rw * rh) as usize;
+    let default_shading = ShadingParams::headlight(camera.position, camera.up);
+    let shading = shading.unwrap_or(&default_shading);
+    let mut phases = PhaseTimer::new();
+
+    let (order, rays) = phases.run("ray_gen", n_rays as u64, || {
+        let order = pixel_order_stage(device, cfg, rw, rh);
+        let rays = ray_gen_stage(device, camera, &order, rw, rh);
+        (order, rays)
+    });
+    let hits = phases.run("intersect", n_rays as u64, || intersect_stage(device, geom, bvh, &rays));
+
+    let (frame, active_pixels) = if cfg.workload == Workload::Intersect {
+        drop(rays);
+        phases.run("depth_assemble", n_rays as u64, || {
+            let frame = depth_assemble_stage(&hits, &order, width, height, rw, ss);
+            let active = frame.active_pixels();
+            (frame, active)
+        })
+    } else {
+        // Without `cfg.compaction` the full tables are the live ones: they
+        // move on, since nothing reads them afterwards.
+        let (live, live_rays, live_hits) = phases.run("compaction", n_rays as u64, || {
+            if cfg.compaction {
+                let live = compact_indices(device, n_rays, |i| hits[i].is_hit());
+                let live_rays = gather(device, &live, &rays);
+                let live_hits = gather(device, &live, &hits);
+                (live, live_rays, live_hits)
+            } else {
+                ((0..n_rays as u32).collect(), rays, hits)
+            }
+        });
+        let full = cfg.workload == Workload::Full;
+        let (n_live, n_lights) = (live.len(), shading.lights.len());
+        let occlusion = if full && cfg.ao_samples > 0 {
+            let s = cfg.ao_samples as usize;
+            phases.run("ambient_occlusion", (n_live * s) as u64, || {
+                let occ_hits = ao_stage(device, geom, bvh, cfg, &live, &live_rays, &live_hits);
+                ao_factors_stage(device, &occ_hits, n_live, s)
+            })
+        } else {
+            vec![1.0f32; n_live]
+        };
+        let light_vis = if full {
+            phases.run("shadows", (n_live * n_lights) as u64, || {
+                shadows_stage(device, geom, bvh, shading, &live_rays, &live_hits)
+            })
+        } else {
+            vec![true; n_live * n_lights]
+        };
+        let colors = phases.run("shade", n_live as u64, || {
+            let (rays, hits, occ, vis) = (&live_rays, &live_hits, &occlusion, &light_vis);
+            shade_stage(device, geom, bvh, cfg, shading, colormap, rays, hits, occ, vis)
+        });
+        drop((live_rays, occlusion, light_vis));
+        phases.run("anti_alias", (width * height) as u64, || {
+            let frame = resolve_stage(&live, &live_hits, &colors, &order, width, height, ss);
+            let active = count_if(device, frame.num_pixels(), |i| frame.color[i].a > 0.0);
+            (frame, active)
+        })
+    };
+
+    let secondary = phases.work_of("ambient_occlusion") + phases.work_of("shadows");
+    RtOutput {
+        stats: RtStats {
+            objects: geom.num_tris(),
+            active_pixels,
+            rays_traced: n_rays as u64 + secondary,
+            bvh_build_seconds: 0.0,
+            render_seconds: phases.total_seconds(),
+        },
+        frame,
+        phases,
+    }
+}
+
 /// Primary-ray pixel visitation order (identity or Morton-sorted).
-pub(crate) fn pixel_order_stage(device: &Device, cfg: &RtConfig, rw: u32, rh: u32) -> Vec<u32> {
+fn pixel_order_stage(device: &Device, cfg: &RtConfig, rw: u32, rh: u32) -> Vec<u32> {
     let n_rays = (rw * rh) as usize;
     if cfg.morton_sort_rays {
         let mut codes: Vec<u64> = (0..n_rays as u32).map(|i| morton2(i % rw, i / rw)).collect();
@@ -187,7 +259,7 @@ pub(crate) fn pixel_order_stage(device: &Device, cfg: &RtConfig, rw: u32, rh: u3
 }
 
 /// Primary-ray generation (map over pixels in `pixel_order`).
-pub(crate) fn ray_gen_stage(
+fn ray_gen_stage(
     device: &Device,
     camera: &Camera,
     pixel_order: &[u32],
@@ -202,17 +274,12 @@ pub(crate) fn ray_gen_stage(
 }
 
 /// BVH traversal + closest-hit intersection (map over rays).
-pub(crate) fn intersect_stage(
-    device: &Device,
-    geom: &TriGeometry,
-    bvh: &Bvh,
-    rays: &[Ray],
-) -> Vec<Hit> {
+fn intersect_stage(device: &Device, geom: &TriGeometry, bvh: &Bvh, rays: &[Ray]) -> Vec<Hit> {
     map(device, rays.len(), |i| bvh.closest_hit(geom, &rays[i]))
 }
 
 /// WORKLOAD1 depth-image assembly from raw hits.
-pub(crate) fn depth_assemble_stage(
+fn depth_assemble_stage(
     hits: &[Hit],
     pixel_order: &[u32],
     width: u32,
@@ -239,7 +306,7 @@ pub(crate) fn depth_assemble_stage(
 const AO_DISTANCE: f32 = 0.05;
 
 /// Ambient-occlusion sample rays (map over live hits x samples).
-pub(crate) fn ao_stage(
+fn ao_stage(
     device: &Device,
     geom: &TriGeometry,
     bvh: &Bvh,
@@ -270,12 +337,7 @@ pub(crate) fn ao_stage(
 }
 
 /// Reduce per-sample AO hits to per-hit occlusion factors.
-pub(crate) fn ao_factors_stage(
-    device: &Device,
-    occ_hits: &[bool],
-    n_live: usize,
-    s: usize,
-) -> Vec<f32> {
+fn ao_factors_stage(device: &Device, occ_hits: &[bool], n_live: usize, s: usize) -> Vec<f32> {
     map(device, n_live, |li| {
         let blocked: u32 = (0..s).map(|si| occ_hits[li * s + si] as u32).sum();
         1.0 - blocked as f32 / s as f32
@@ -283,7 +345,7 @@ pub(crate) fn ao_factors_stage(
 }
 
 /// Shadow rays (map over live hits x lights).
-pub(crate) fn shadows_stage(
+fn shadows_stage(
     device: &Device,
     geom: &TriGeometry,
     bvh: &Bvh,
@@ -313,7 +375,7 @@ pub(crate) fn shadows_stage(
 
 /// Blinn-Phong shading with AO darkening and optional reflections.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn shade_stage(
+fn shade_stage(
     device: &Device,
     geom: &TriGeometry,
     bvh: &Bvh,
@@ -348,7 +410,7 @@ pub(crate) fn shade_stage(
 
 /// Scatter shaded colors into the supersampled buffer, then box-filter
 /// into the output frame.
-pub(crate) fn resolve_stage(
+fn resolve_stage(
     live: &[u32],
     live_hits: &[Hit],
     colors: &[Color],
@@ -395,7 +457,7 @@ pub(crate) fn resolve_stage(
 
 /// Shade one hit, optionally recursing along the specular reflection.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn shade_hit(
+fn shade_hit(
     geom: &TriGeometry,
     bvh: &Bvh,
     ray: &Ray,

@@ -3,7 +3,7 @@
 //! orderings, plus the hysteresis that governs recovering fidelity.
 //!
 //! A rung is a frame step (resolution halvings, optionally a switch to
-//! rasterization) with the render-graph pass flags beside it; a whole-frame
+//! rasterization) with the ray tracer's phase flags beside it; a whole-frame
 //! rung sets no pass flag. [`LADDER`] is the scheduler's ordering.
 //! [`PASS_LADDER`] is the pass-granular one `repro graph` prices; nothing in
 //! the in situ path sheds a pass. One past the end of an ordering is the
@@ -15,7 +15,7 @@
 
 use perfmodel::feasibility::ModelSet;
 
-/// One rung: a frame step plus the graph passes it sheds.
+/// One rung: a frame step plus the ray-tracer phases it sheds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rung {
     /// How many times the requested image side is halved.
@@ -24,7 +24,7 @@ pub struct Rung {
     /// say the config is past the Figure-15 crossover (rasterization
     /// predicted faster); otherwise the switch would cost time, not save it.
     pub switch: bool,
-    /// Reuse last frame's BVH through the graph cache instead of charging a
+    /// Reuse last frame's BVH (a `RayTracer` keeps it) instead of charging a
     /// rebuild. Output-neutral while geometry holds still.
     pub reuse_bvh: bool,
     /// Skip the `ambient_occlusion` pass (fallback: fully unoccluded).

@@ -12,7 +12,7 @@
 //! fixed [`ladder::LADDER`] — shrink the image side 2×, then 4×, then switch
 //! ray tracing to rasterization when past the Figure-15 crossover, then drop
 //! the frame — and hysteresis keeps fidelity from flapping cycle to cycle.
-//! The scheduler sheds no render-graph pass: the pass-granular
+//! The scheduler sheds no ray-tracer phase: the pass-granular
 //! [`ladder::PASS_LADDER`] shares the rung type, pricing and walk, but only
 //! `repro graph` prices it.
 //! After execution, measured (simulated-clock) runtimes feed a windowed

@@ -62,7 +62,7 @@ impl OnlineRefit {
     }
 
     /// Record a measurement in the window of the family it feeds. A sample
-    /// no family is fitted on (a graph pass without a model) is ignored — its
+    /// no family is fitted on (a phase without a model) is ignored — its
     /// cost is already captured by the whole-frame models.
     pub fn observe(&mut self, s: Sample) {
         let Some(row) = Family::ALL.iter().find(|r| r.family.routes(Obs::from(&s))) else { return };

@@ -175,7 +175,7 @@ fn renderers_match_golden_frame_hashes() {
     }
 
     // A caller-built split BVH and a shading override must both reach the
-    // graph: two lights, attenuation, one reflection bounce.
+    // driver: two lights, attenuation, one reflection bounce.
     let shading = ShadingParams {
         lights: vec![
             Light { position: cam.position + cam.up * 3.0, intensity: 0.8 },
@@ -233,9 +233,8 @@ fn phase_sequence(phases: &render::PhaseTimer, stats: String) -> String {
 
 // Golden phase sequences (`Device::Serial`, the 72x72 scenes of the frame
 // goldens above), one table per profile, both taken with rustc 1.95.0 at
-// dc128b0 — the last commit whose rasterizer and volume renderers ran on the
-// frame graph, so the oracle that their straight-line drivers record the same
-// phases. `PhaseModelBuilder`, `repro table6/table7/fig4` and the benchmark's
+// dc128b0 — the last commit with every renderer on a frame-graph executor, so
+// the oracle that the straight-line drivers record the same phases. `PhaseModelBuilder`, `repro table6/table7/fig4` and the benchmark's
 // per-phase metrics read these names and work units; the stats are the
 // `T_RT` / `T_RAST` / `T_VR` model inputs. The two tables differ where a
 // float the optimizer evaluates differently decides a cull or a count. The
@@ -362,8 +361,9 @@ fn renderers_match_golden_phase_sequences() {
     assert!(wrong.is_empty(), "phase sequences differ from the goldens:\n{}", wrong.join("\n"));
 }
 
-/// A warm cross-frame cache must not change a single byte: cached passes
-/// replay the exact buffers the cold frame produced.
+/// A warm BVH cache must not change a single byte: in every RT workload the
+/// cold and the warm `render_rt_graph` frames are a prebuilt tracer's frame
+/// bit for bit, and their records are its phases with `bvh_build` in front.
 #[test]
 fn graph_cache_replay_is_bit_identical() {
     use render::graph::{render_rt_graph, GraphCache};
@@ -371,26 +371,32 @@ fn graph_cache_replay_is_bit_identical() {
     let geom = surface();
     let cam = Camera::close_view(&geom.bounds);
     let tf = TransferFunction::rainbow(geom.scalar_range);
-    let cfg = RtConfig::workload3();
+    let tracer = RayTracer::new(Device::Serial, geom.clone());
 
-    let mut cache = GraphCache::new(8);
-    let (cold, _) =
-        render_rt_graph(&d, &geom, &cam, 72, 72, &cfg, &tf, &[], Some(&mut cache)).unwrap();
-    let (warm, info) =
-        render_rt_graph(&d, &geom, &cam, 72, 72, &cfg, &tf, &[], Some(&mut cache)).unwrap();
-    assert_eq!(frame_bits(&warm.frame), frame_bits(&cold.frame), "cached RT frame differs");
-    let prebuilt =
-        RayTracer::new(Device::Serial, geom.clone()).render_with_map(&cam, 72, 72, &cfg, &tf);
-    assert_eq!(
-        frame_bits(&cold.frame),
-        frame_bits(&prebuilt.frame),
-        "graph-built BVH draws other bytes than a tracer's prebuilt one"
-    );
-    assert!(
-        info.records.iter().any(|r| r.name == "bvh_build" && r.cached),
-        "second frame must hit the BVH cache"
-    );
-    assert_eq!(warm.stats.bvh_build_seconds, 0.0, "cached build must cost zero seconds");
+    for cfg in [RtConfig::workload1(), RtConfig::workload2(), RtConfig::workload3()] {
+        let prebuilt = tracer.render_with_map(&cam, 72, 72, &cfg, &tf);
+        let mut cache = GraphCache::new(8);
+        for warm in [false, true] {
+            let what = format!("{:?} {}", cfg.workload, if warm { "warm" } else { "cold" });
+            let (out, info) =
+                render_rt_graph(&d, &geom, &cam, 72, 72, &cfg, &tf, &[], Some(&mut cache)).unwrap();
+            assert_eq!(
+                frame_bits(&out.frame),
+                frame_bits(&prebuilt.frame),
+                "{what}: draws other bytes than a tracer's prebuilt BVH"
+            );
+            let build_units = if warm { 0 } else { geom.num_tris() as u64 };
+            let want: Vec<_> = std::iter::once(("bvh_build", build_units))
+                .chain(prebuilt.phases.phases.iter().map(|p| (p.name, p.work_units)))
+                .collect();
+            let got: Vec<_> = info.records.iter().map(|r| (r.name, r.work_units)).collect();
+            assert_eq!(got, want, "{what}: records are not the tracer's phases");
+            assert_eq!(info.records[0].cached, warm, "{what}: only the warm frame hits");
+            if warm {
+                assert_eq!(out.stats.bvh_build_seconds, 0.0, "cached build must cost zero seconds");
+            }
+        }
+    }
 }
 
 /// A cached pass must miss when *any* value its output depends on changes —
