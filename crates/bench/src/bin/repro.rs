@@ -68,13 +68,6 @@ fn main() {
     }
     let mut failures = Vec::new();
     for id in ids {
-        if id == "grain-probe" {
-            // Hidden child mode for the `scaling` grain sweep: the DPP_*
-            // grains latch at first use, so each setting needs its own
-            // process (see tables::grain_probe).
-            println!("{}", tables::grain_probe());
-            continue;
-        }
         if id == "images" {
             if catch_unwind(AssertUnwindSafe(|| bench_harness::images::all(scale))).is_err() {
                 failures.push("images");

@@ -1163,6 +1163,9 @@ pub fn feasd_demo(scale: Scale) -> TextTable {
 /// `cores_detected` records the host's logical core count: on a single-core
 /// runner the speedup column legitimately hovers near 1x (the pools
 /// oversubscribe one core), and readers must interpret the table against it.
+/// The title names the grains every run uses: they are constants
+/// (`dpp::par_min_len`, `rayon::fold_grain`, `rayon::overpartition`), and
+/// re-tuning one is an edit plus a ledger pair, not a sweep here.
 pub fn scaling(scale: Scale) -> TextTable {
     /// A named benchmark body, run once per pool size.
     type ScalingOp<'a> = (&'a str, Box<dyn FnMut(&Device) + 'a>);
@@ -1179,7 +1182,7 @@ pub fn scaling(scale: Scale) -> TextTable {
     let mut t = TextTable::new(
         format!(
             "Strong scaling of the fork-join engine (n = {n}, frame = {side}x{side}) \
-             [active grains: par_min_len={}, fold_grain={}, overpartition={}]",
+             [grains: par_min_len={}, fold_grain={}, overpartition={}]",
             dpp::par_min_len(),
             rayon::fold_grain(),
             rayon::overpartition()
@@ -1250,109 +1253,7 @@ pub fn scaling(scale: Scale) -> TextTable {
             ]);
         }
     }
-
-    // Grain-knob sweep. The knobs are latched at first use (one process never
-    // mixes two grains), so every setting is observed by a fresh child
-    // process running `repro grain-probe` with the `DPP_*` override set.
-    // When the host binary is not `repro` (e.g. this function under `cargo
-    // test`) the probe is unavailable and the sweep degrades to a note.
-    let sweeps: [(&str, [&str; 3]); 3] = [
-        ("DPP_PAR_MIN_LEN", ["256", "1024", "8192"]),
-        ("DPP_FOLD_GRAIN", ["256", "1024", "8192"]),
-        ("DPP_OVERPARTITION", ["1", "4", "16"]),
-    ];
-    let base = probe_child(None);
-    for (var, vals) in sweeps {
-        for val in vals {
-            match (probe_child(Some((var, val))), base) {
-                (Some((map_s, reduce_s)), Some((map_b, reduce_b))) => {
-                    t.row(vec![
-                        format!("map@{var}={val}"),
-                        PROBE_THREADS.to_string(),
-                        fmt_s(map_s),
-                        format!("{:.2}x", map_b / map_s),
-                        cores.to_string(),
-                    ]);
-                    t.row(vec![
-                        format!("reduce@{var}={val}"),
-                        PROBE_THREADS.to_string(),
-                        fmt_s(reduce_s),
-                        format!("{:.2}x", reduce_b / reduce_s),
-                        cores.to_string(),
-                    ]);
-                }
-                _ => {
-                    t.row(vec![
-                        format!("probe@{var}={val}"),
-                        PROBE_THREADS.to_string(),
-                        "n/a".into(),
-                        "n/a".into(),
-                        cores.to_string(),
-                    ]);
-                }
-            }
-        }
-    }
     t
-}
-
-/// Worker count every grain probe runs at, so probe rows compare
-/// like-for-like across settings.
-const PROBE_THREADS: usize = 4;
-
-/// Body of the hidden `repro grain-probe` mode: time a map and a reduce at
-/// `PROBE_THREADS` workers under whatever `DPP_*` grains this process
-/// latched, and print one parsable line. [`scaling`] shells out here once
-/// per knob setting because the knobs cannot change after first use.
-pub fn grain_probe() -> String {
-    let n: usize = 1 << 18;
-    let data: Vec<u32> = (0..n).map(|i| (i % 977) as u32).collect();
-    let device = Device::parallel_with_threads(PROBE_THREADS);
-    let min3 = |f: &mut dyn FnMut()| -> f64 {
-        f();
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let map_s = min3(&mut || {
-        std::hint::black_box(dpp::map::<u64, _>(&device, n, |i| data[i] as u64 * 3 + 1));
-    });
-    let reduce_s = min3(&mut || {
-        std::hint::black_box(dpp::map_reduce(&device, n, |i| data[i] as u64, 0u64, |a, b| a + b));
-    });
-    format!(
-        "grain-probe,{},{},{},{map_s:.6e},{reduce_s:.6e}",
-        dpp::par_min_len(),
-        rayon::fold_grain(),
-        rayon::overpartition()
-    )
-}
-
-/// Run [`grain_probe`] in a child process with one `DPP_*` override (or none
-/// for the baseline) and parse `(map_s, reduce_s)` back out. `None` when the
-/// current executable does not speak `grain-probe`.
-fn probe_child(setting: Option<(&str, &str)>) -> Option<(f64, f64)> {
-    let exe = std::env::current_exe().ok()?;
-    let mut cmd = std::process::Command::new(exe);
-    cmd.arg("grain-probe");
-    if let Some((var, val)) = setting {
-        cmd.env(var, val);
-    }
-    let out = cmd.output().ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let stdout = String::from_utf8(out.stdout).ok()?;
-    let line = stdout.lines().find(|l| l.starts_with("grain-probe,"))?;
-    let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() != 6 {
-        return None;
-    }
-    Some((fields[4].parse().ok()?, fields[5].parse().ok()?))
 }
 
 /// `repro graph`: pass-granular admission for the ray tracer. A camera orbit

@@ -1,7 +1,7 @@
-//! Model persistence: save fitted model sets + mapping constants to a plain
-//! text format and load them back, so a simulation can calibrate once
-//! (offline, like the paper's study) and reuse the models every run — the
-//! workflow the adaptive layer of Chapter VI assumes.
+//! Model persistence: fitted model sets + mapping constants to a plain text
+//! format ([`to_text`]) and back ([`from_text`]), so a simulation can
+//! calibrate once (offline, like the paper's study) and reuse the models
+//! every run — the workflow the adaptive layer of Chapter VI assumes.
 //!
 //! Format: one record per line, `kind|name|field=value|...`, chosen over a
 //! serde format to keep the artifact diffable and the crate dependency-free.
@@ -159,19 +159,6 @@ pub fn from_text(text: &str) -> Result<(ModelSet, MappingConstants), ParseError>
         }
     }
     Ok((ModelSet::new(&device, models), k))
-}
-
-/// Save to a file.
-pub fn save(path: &std::path::Path, set: &ModelSet, k: &MappingConstants) -> std::io::Result<()> {
-    std::fs::write(path, to_text(set, k))
-}
-
-/// Load from a file.
-pub fn load(
-    path: &std::path::Path,
-) -> Result<(ModelSet, MappingConstants), Box<dyn std::error::Error>> {
-    let text = std::fs::read_to_string(path)?;
-    Ok(from_text(&text)?)
 }
 
 #[cfg(test)]
@@ -458,18 +445,5 @@ model|comp|name=compositing|r2=0.97|resid=0.0001|n=25|coeffs=2e-8;5e-8;1e-3
         let (set2, _) = from_text(&to_text(&set, &k)).unwrap();
         assert_eq!(set2.get(Family::Vr).unwrap().fit.coeffs, vr.fit.coeffs);
         assert!(set2.get(Family::CompRle).is_none());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let (set, k) = sample_set();
-        let path = std::env::temp_dir().join(format!("models_{}.txt", std::process::id()));
-        save(&path, &set, &k).unwrap();
-        let (set2, _) = load(&path).unwrap();
-        assert_eq!(
-            set2.get(Family::Rast).unwrap().fit.coeffs,
-            set.get(Family::Rast).unwrap().fit.coeffs
-        );
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -13,23 +13,14 @@ use rayon::prelude::*;
 /// the scheduling overhead dominates (mirrors EAVL's grain-size heuristics).
 const PAR_GRAIN: usize = 4096;
 
-/// Default for [`par_min_len`].
-pub const DEFAULT_PAR_MIN_LEN: usize = 1024;
-
 /// Once a primitive does fork, the smallest number of elements a single task
 /// may receive (passed to `Par::with_min_len`, and used as the floor for the
 /// explicit chunk sizes in scan/segscan). Keeps per-task claim overhead
 /// amortized on large inputs without affecting results: every chunked
-/// primitive here is exact over any partition, so this knob is safe to
-/// re-tune per host — set `DPP_PAR_MIN_LEN`, latched on first use so one
-/// process never mixes two grains (see `repro scaling` and EXPERIMENTS.md
-/// for the re-anchor procedure).
-pub fn par_min_len() -> usize {
-    static V: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *V.get_or_init(|| match std::env::var("DPP_PAR_MIN_LEN") {
-        Ok(s) => s.trim().parse::<usize>().ok().filter(|&v| v > 0).unwrap_or(DEFAULT_PAR_MIN_LEN),
-        Err(_) => DEFAULT_PAR_MIN_LEN,
-    })
+/// primitive here is exact over any partition, so re-tuning it for a host is
+/// an edit here plus a ledger pair (EXPERIMENTS.md).
+pub const fn par_min_len() -> usize {
+    1024
 }
 
 /// `map`: produce `out[i] = f(i)` for `i in 0..n`.

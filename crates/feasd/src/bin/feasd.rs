@@ -8,26 +8,25 @@
 //!
 //! Every request line produces exactly one reply line (an answer or an
 //! `{"error": ...}` object), so the stream composes with shell pipes. The
-//! service precomputes the default lattice at startup; pass `--no-precompute`
-//! to start cold and watch the backfill path work.
+//! service sweeps the default lattice at startup, so on-lattice queries hit
+//! the table; off-lattice ones are evaluated live and backfilled.
 
 use feasd::{serve, Feasd, FeasdConfig};
 use perfmodel::mapping::MappingConstants;
 use std::io::{stdin, stdout, BufWriter};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: feasd [--no-precompute]  (LDJSON queries on stdin, answers on stdout)");
+    if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
+        eprintln!("usage: feasd  (LDJSON queries on stdin, answers on stdout)");
         return;
     }
-    let cfg = FeasdConfig {
-        precompute: !args.iter().any(|a| a == "--no-precompute"),
-        ..FeasdConfig::default()
-    };
     // The demo ground-truth fit stands in for a calibrated set; a real
-    // deployment would load a persisted study fit here.
-    let service = Feasd::new(sched::demo::ground_truth(), MappingConstants::default(), cfg);
+    // deployment would install a fit from its own study here.
+    let service = Feasd::new(
+        sched::demo::ground_truth(),
+        MappingConstants::default(),
+        FeasdConfig::default(),
+    );
     eprintln!(
         "feasd ready: generation {}, {} precomputed lattice points",
         service.generation(),

@@ -17,9 +17,10 @@
 //! * **Batching** — `pump` drains the queue in priority order and coalesces
 //!   every table miss from the batch into one
 //!   [`perfmodel::batch::predict_batch`] call.
-//! * **Model cache** — one generation-counted `(ModelSet, MappingConstants)`
-//!   snapshot shared by all requests; online refits swap it atomically and
-//!   invalidate the table ([`cache`]).
+//! * **Model generations** — one `(ModelSet, MappingConstants)` fit and the
+//!   table swept from it, held as one value; a batch takes one generation,
+//!   and an online refit ([`Feasd::install_models`]) sweeps the new set and
+//!   swaps the whole value in.
 //! * **Backpressure** — queue depth drives [`sched::QueuePressure`] (the
 //!   admission ladder): speculative queries shed first, normal next,
 //!   `must-render` never — it preempts the queue instead ([`sched::Priority`]).
@@ -29,17 +30,17 @@
 //! * **Time** — the library reads no clock: [`simulate`] charges service
 //!   time to an [`mpirt::EventWorld`], and the benchmark times the real one.
 
-pub mod cache;
 pub mod queue;
 pub mod service;
 pub mod simloop;
 pub mod traffic;
 pub mod wire;
 
-pub use cache::{InstallError, ModelCache, ModelSnapshot};
 pub use perfmodel::fstable::{DeviceClass, FeasTable, Lattice, TableKey};
 pub use sched::Priority;
-pub use service::{Answer, Ask, Feasd, FeasdConfig, Query, Shed, Source, StatsSnapshot, Ticket};
+pub use service::{
+    Answer, Ask, Feasd, FeasdConfig, InstallError, Query, Shed, Source, StatsSnapshot, Ticket,
+};
 pub use simloop::{simulate, SimReport};
 pub use traffic::{generate, ArrivalEvent, ArrivalPattern, TrafficConfig};
 

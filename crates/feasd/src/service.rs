@@ -9,17 +9,22 @@
 //! table with the fresh evaluations, and materializes answers. Everything is
 //! deterministic: answers depend only on the installed model generation and
 //! the query, and drain order is a pure function of the submission sequence.
+//!
+//! A model generation is one value: the fitted set, its mapping constants
+//! and the table swept from them. A batch takes one generation and does all
+//! of its work against it, so no batch mixes two fits and no backfill lands
+//! in another generation's table.
 
-use crate::cache::{InstallError, ModelCache, ModelSnapshot};
 use crate::queue::{Pending, PriorityQueue};
 use perfmodel::batch::{predict_batch, FramePrediction};
-use perfmodel::feasibility::MIN_PREDICTED_SECONDS;
+use perfmodel::feasibility::{ModelSet, MIN_PREDICTED_SECONDS};
 use perfmodel::fstable::{precompute, DeviceClass, FeasTable, Lattice, TableEntry, TableKey};
 use perfmodel::mapping::{MappingConstants, RenderConfig};
 use perfmodel::sample::RendererKind;
 use sched::{Priority, QueuePressure};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, RwLock};
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Opaque handle pairing a submission with its answer.
 pub type Ticket = u64;
@@ -126,11 +131,9 @@ pub struct FeasdConfig {
     pub hysteresis_ticks: u32,
     /// Pool batched model evaluations run on.
     pub pool: dpp::Device,
-    /// The offline sweep (also the side axis plan queries scan).
+    /// The sweep every generation's table starts from (also the side axis
+    /// plan queries scan).
     pub lattice: Lattice,
-    /// Sweep the lattice at construction and again on every model install.
-    /// Off, the table starts empty and fills purely by backfill.
-    pub precompute: bool,
 }
 
 impl Default for FeasdConfig {
@@ -141,7 +144,6 @@ impl Default for FeasdConfig {
             hysteresis_ticks: 3,
             pool: dpp::Device::parallel(),
             lattice: Lattice::service_default(),
-            precompute: true,
         }
     }
 }
@@ -184,6 +186,48 @@ impl StatsSnapshot {
     }
 }
 
+/// Rejected install: the candidate set fails the paper's plausibility
+/// criterion (some model has a negative coefficient).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InstallError {
+    /// Names of the implausible models.
+    pub implausible: Vec<&'static str>,
+}
+
+impl fmt::Display for InstallError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "refusing to install implausible models: {}", self.implausible.join(", "))
+    }
+}
+
+impl std::error::Error for InstallError {}
+
+/// One model generation: the fitted state and the table swept from it.
+/// Immutable but for backfill into its own table.
+#[derive(Debug)]
+struct ModelSnapshot {
+    /// Monotone install counter; starts at 1.
+    generation: u64,
+    /// The fitted per-renderer + compositing models.
+    set: ModelSet,
+    /// The Section 5.8 mapping constants paired with the fit.
+    k: MappingConstants,
+    /// The lattice swept from `set`, plus what batches backfilled since.
+    table: RwLock<FeasTable>,
+}
+
+impl ModelSnapshot {
+    /// Sweep `cfg.lattice` with `set`. Every device class in the lattice
+    /// answers from this one set — the service carries one fitted set; a
+    /// per-class fit can be installed as a later generation.
+    fn sweep(generation: u64, set: ModelSet, k: MappingConstants, cfg: &FeasdConfig) -> Self {
+        let sets: Vec<(DeviceClass, &ModelSet)> =
+            cfg.lattice.devices.iter().map(|&d| (d, &set)).collect();
+        let table = precompute(&sets, &k, &cfg.lattice, &cfg.pool, generation);
+        ModelSnapshot { generation, set, k, table: RwLock::new(table) }
+    }
+}
+
 /// Everything `submit` touches, under one lock: the queue, the pressure
 /// gate it feeds, the ticket counter, and the stats.
 #[derive(Debug)]
@@ -196,35 +240,29 @@ struct Admission {
 
 /// The service. Thread-safe: any number of submitters, pumpers and model
 /// installers may run concurrently. Three locks, never held two at a time:
-/// `admission`, the table's `RwLock` (one read per batch, a write to
-/// backfill or to swap in a rebuilt table) and the model cache's `Arc` swap.
+/// `admission`, `current` (an `Arc` clone per batch; an install holds it to
+/// sweep and swap) and the current generation's table (one read per batch,
+/// a write to backfill).
 #[derive(Debug)]
 pub struct Feasd {
     cfg: FeasdConfig,
-    models: ModelCache,
-    table: RwLock<FeasTable>,
+    current: RwLock<Arc<ModelSnapshot>>,
     admission: Mutex<Admission>,
 }
 
 fn lock_admission<'a>(m: &'a Mutex<Admission>) -> MutexGuard<'a, Admission> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Feasd {
-    /// Build a service around one fitted set. With `cfg.precompute`, the
-    /// lattice is swept immediately so the first query already hits.
-    pub fn new(
-        set: perfmodel::feasibility::ModelSet,
-        k: MappingConstants,
-        mut cfg: FeasdConfig,
-    ) -> Feasd {
+    /// Build a service around one fitted set, generation 1, its lattice
+    /// swept so the first query already hits. The seed set is trusted (it is
+    /// the operator's explicit choice); only *re*-installs are
+    /// plausibility-gated.
+    pub fn new(set: ModelSet, k: MappingConstants, mut cfg: FeasdConfig) -> Feasd {
         // Plan answers scan the sides top-down: sort them once, here.
         cfg.lattice.image_sides.sort_unstable();
-        let models = ModelCache::new(set, k);
-        let table = RwLock::new(Self::build_table(&models.snapshot(), &cfg));
+        let current = RwLock::new(Arc::new(ModelSnapshot::sweep(1, set, k, &cfg)));
         Feasd {
             admission: Mutex::new(Admission {
                 queue: PriorityQueue::new(),
@@ -232,51 +270,38 @@ impl Feasd {
                 next_ticket: 0,
                 stats: StatsSnapshot::default(),
             }),
-            models,
-            table,
+            current,
             cfg,
         }
     }
 
-    fn build_table(snap: &ModelSnapshot, cfg: &FeasdConfig) -> FeasTable {
-        if cfg.precompute {
-            // Every device class in the lattice answers from this snapshot's
-            // set — the service carries one fitted set; a per-class fit can
-            // be installed as a later generation.
-            let sets: Vec<(DeviceClass, &perfmodel::feasibility::ModelSet)> =
-                cfg.lattice.devices.iter().map(|&d| (d, &snap.set)).collect();
-            precompute(&sets, &snap.k, &cfg.lattice, &cfg.pool, snap.generation)
-        } else {
-            FeasTable::new(snap.generation)
-        }
+    /// The current generation. Cheap (one `Arc` clone); a batch holds it
+    /// for all of its work. A panicked writer never leaves a torn value
+    /// behind an `Arc` swap, so a poisoned lock still holds a valid one.
+    fn snapshot(&self) -> Arc<ModelSnapshot> {
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Install a refitted model set as the next generation. The swap is
-    /// atomic for queries (they snapshot the cache per batch) and
-    /// invalidates the table: it is rebuilt for the new generation (swept
-    /// again under `cfg.precompute`, else emptied for backfill).
-    pub fn install_models(
-        &self,
-        set: perfmodel::feasibility::ModelSet,
-        k: MappingConstants,
-    ) -> Result<u64, InstallError> {
-        let generation = self.models.install(set, k)?;
-        let rebuilt = Self::build_table(&self.models.snapshot(), &self.cfg);
-        let mut table = match self.table.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        // A concurrent installer may have raced us to an even newer
-        // generation; never roll the table backwards.
-        if rebuilt.generation >= table.generation {
-            *table = rebuilt;
+    /// Install a refitted model set as the next generation. Fails closed on
+    /// an implausible fit, leaving the previous generation in place. The new
+    /// set is swept into a fresh table and swapped in whole; batches already
+    /// running finish on the generation they took.
+    pub fn install_models(&self, set: ModelSet, k: MappingConstants) -> Result<u64, InstallError> {
+        let implausible = set.implausible_models();
+        if !implausible.is_empty() {
+            return Err(InstallError { implausible });
         }
+        // Installs are rare: sweeping under the write lock keeps generation
+        // numbers in install order at the cost of one sweep of stall.
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        let generation = current.generation + 1;
+        *current = Arc::new(ModelSnapshot::sweep(generation, set, k, &self.cfg));
         Ok(generation)
     }
 
     /// Current model generation.
     pub fn generation(&self) -> u64 {
-        self.models.generation()
+        self.snapshot().generation
     }
 
     /// Queued (admitted, unanswered) queries.
@@ -286,10 +311,7 @@ impl Feasd {
 
     /// Records currently in the feasibility table (precomputed + backfilled).
     pub fn table_len(&self) -> usize {
-        match self.table.read() {
-            Ok(g) => g.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
+        self.snapshot().table.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Counter snapshot.
@@ -327,7 +349,7 @@ impl Feasd {
         if batch.is_empty() {
             return Vec::new();
         }
-        let snap = self.models.snapshot();
+        let snap = self.snapshot();
 
         // 1. Every lattice point any query in the batch needs, deduplicated.
         let mut needed: BTreeMap<TableKey, Option<(FramePrediction, Source)>> = BTreeMap::new();
@@ -340,22 +362,16 @@ impl Feasd {
         // 2. Resolve against the table (one read lock for the whole batch).
         // The BTreeMap iterates keys in ascending order, which is exactly
         // what the galloping batch resolve wants — one merge pass instead of
-        // a binary search per key. A table from an older generation answers
-        // nothing — its entries were computed against retired models.
+        // a binary search per key.
         let mut hits = 0u64;
         {
-            let table = match self.table.read() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if table.generation == snap.generation {
-                let probes: Vec<TableKey> = needed.keys().copied().collect();
-                let resolved = table.resolve_sorted(&probes);
-                for (slot, entry) in needed.values_mut().zip(resolved) {
-                    if let Some(e) = entry {
-                        *slot = Some((e.prediction(), Source::Table));
-                        hits += 1;
-                    }
+            let table = snap.table.read().unwrap_or_else(PoisonError::into_inner);
+            let probes: Vec<TableKey> = needed.keys().copied().collect();
+            let resolved = table.resolve_sorted(&probes);
+            for (slot, entry) in needed.values_mut().zip(resolved) {
+                if let Some(e) = entry {
+                    *slot = Some((e.prediction(), Source::Table));
+                    hits += 1;
                 }
             }
         }
@@ -368,20 +384,15 @@ impl Feasd {
         let misses = miss_keys.len() as u64;
         if !miss_cfgs.is_empty() {
             let predictions = predict_batch(&snap.set, &snap.k, &miss_cfgs, &self.cfg.pool);
-            // 4. Backfill, unless a refit swapped generations mid-batch —
-            // stale predictions must not poison the new table.
-            let mut table = match self.table.write() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            // 4. Backfill into the table of the generation that computed
+            // them; an install since then swapped in a table of its own.
+            let mut table = snap.table.write().unwrap_or_else(PoisonError::into_inner);
             for (key, pred) in miss_keys.iter().zip(&predictions) {
-                if table.generation == snap.generation {
-                    table.insert(TableEntry {
-                        key: *key,
-                        per_frame_s: pred.per_frame_s,
-                        build_s: pred.build_s,
-                    });
-                }
+                table.insert(TableEntry {
+                    key: *key,
+                    per_frame_s: pred.per_frame_s,
+                    build_s: pred.build_s,
+                });
                 if let Some(slot) = needed.get_mut(key) {
                     *slot = Some((*pred, Source::Model));
                 }

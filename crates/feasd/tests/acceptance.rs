@@ -9,7 +9,8 @@
 //! strictly positive shedding under bursty overload), the wall-clock
 //! hot path wins by >= 10x over cold model evaluation, and concurrent
 //! submitters, a pumper and a model installer never lose or duplicate an
-//! answer, nor compute one from two fits.
+//! answer, nor compute one from two fits, nor answer a lattice point from
+//! the models while an install sweeps.
 
 use feasd::{
     generate, simulate, Answer, Ask, DeviceClass, Feasd, FeasdConfig, Lattice, Priority, Query,
@@ -75,13 +76,15 @@ fn table_hits_agree_bit_exactly_with_direct_model_eval() {
     }
 }
 
+/// An image side between two lattice sides: never in the swept table.
+const OFF_LATTICE_SIDE: usize = 1000;
+
 #[test]
 fn duplicate_misses_coalesce_into_one_model_evaluation() {
-    let cfg = FeasdConfig { precompute: false, ..serial_cfg() };
-    let service = Feasd::new(ground_truth(), MappingConstants::default(), cfg);
-    assert_eq!(service.table_len(), 0);
+    let service = Feasd::new(ground_truth(), MappingConstants::default(), serial_cfg());
+    let swept = service.table_len();
     for _ in 0..5 {
-        service.submit(feas_query(Priority::Normal, 1024)).expect("admitted");
+        service.submit(feas_query(Priority::Normal, OFF_LATTICE_SIDE)).expect("admitted");
     }
     let answers = service.pump();
     assert_eq!(answers.len(), 5);
@@ -93,8 +96,8 @@ fn duplicate_misses_coalesce_into_one_model_evaluation() {
     assert!(answers.iter().all(|(_, a)| *a == first), "coalesced answers are identical");
 
     // The miss backfilled the table: the same query now hits.
-    assert_eq!(service.table_len(), 1);
-    service.submit(feas_query(Priority::Normal, 1024)).expect("admitted");
+    assert_eq!(service.table_len(), swept + 1);
+    service.submit(feas_query(Priority::Normal, OFF_LATTICE_SIDE)).expect("admitted");
     let again = service.pump();
     assert_eq!(again[0].1.source, Source::Table);
     assert_eq!(again[0].1.per_frame_s.to_bits(), first.per_frame_s.to_bits());
@@ -188,18 +191,16 @@ fn model_install_swaps_generations_atomically_and_invalidates_the_table() {
     assert_eq!(err.implausible, vec!["volume_rendering"]);
     assert_eq!(service.generation(), 2);
 
-    // Without precompute, an install empties the table instead: stale
-    // backfill from generation 2 must not answer generation 3 queries.
-    let cold = Feasd::new(
-        ground_truth(),
-        MappingConstants::default(),
-        FeasdConfig { precompute: false, ..serial_cfg() },
-    );
-    cold.submit(feas_query(Priority::Normal, 1024)).expect("admitted");
-    cold.pump();
-    assert_eq!(cold.table_len(), 1);
-    cold.install_models(ground_truth(), MappingConstants::default()).expect("plausible");
-    assert_eq!(cold.table_len(), 0, "install invalidates backfilled entries");
+    // Backfill belongs to the generation that computed it: generation 2's
+    // off-lattice entry does not answer generation 3 queries.
+    service.submit(feas_query(Priority::Normal, OFF_LATTICE_SIDE)).expect("admitted");
+    assert_eq!(service.pump()[0].1.source, Source::Model);
+    assert_eq!(service.table_len(), precomputed + 1);
+    service.install_models(ground_truth(), MappingConstants::default()).expect("plausible");
+    assert_eq!(service.table_len(), precomputed, "install drops backfilled entries");
+    service.submit(feas_query(Priority::Normal, OFF_LATTICE_SIDE)).expect("admitted");
+    let (_, a) = service.pump()[0];
+    assert_eq!((a.generation, a.source), (3, Source::Model));
 }
 
 #[test]
@@ -354,8 +355,9 @@ fn wall_clock_table_hit_is_at_least_ten_times_faster_than_cold_eval() {
 /// The locks that stay, exercised: `Feasd` documents that any number of
 /// submitters and pumpers may run concurrently with model installs. Four
 /// submitters, one pumper and one installer share a service; afterwards
-/// every admitted ticket has exactly one answer, and every answer was
-/// computed from exactly the model generation it is stamped with.
+/// every admitted ticket has exactly one answer, every answer was computed
+/// from exactly the model generation it is stamped with, and every
+/// on-lattice feasibility answer came from that generation's table.
 #[test]
 fn concurrent_submit_pump_and_install_answer_every_ticket_once_from_one_generation() {
     const SUBMITTERS: u64 = 4;
@@ -451,7 +453,14 @@ fn concurrent_submit_pump_and_install_answer_every_ticket_once_from_one_generati
     for (ticket, a) in &answers {
         let set = sets.get(a.generation as usize - 1).expect("a generation that was installed");
         let (cells_per_task, tasks) = match asked[ticket].ask {
-            Ask::Feasibility { config, .. } => (config.cells_per_task, config.tasks),
+            Ask::Feasibility { config, .. } => {
+                // Every other axis is drawn from the lattice; the side is
+                // the one traffic moves off it.
+                if lattice.image_sides.contains(&a.image_side) {
+                    assert_eq!(a.source, Source::Table, "ticket {ticket} missed a swept point");
+                }
+                (config.cells_per_task, config.tasks)
+            }
             Ask::Plan { cells_per_task, tasks, .. } => (cells_per_task, tasks),
         };
         // The answer echoes the (renderer, side) it priced.

@@ -425,13 +425,15 @@ impl strawman::AdmissionHook for Scheduler {
         self.observe_render(&cfg, done.seconds, 0.0);
     }
 
+    /// Strawman always ships compressed spans, so its exchanges feed the
+    /// compressed or the DFB model, never the dense one.
     fn observe_composite(&mut self, done: &strawman::CompositeObservation) {
         Scheduler::observe_composite(
             self,
             done.pixels,
             done.avg_active_pixels,
             done.seconds,
-            done.compressed,
+            true,
             done.dfb,
         );
     }

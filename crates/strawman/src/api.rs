@@ -64,7 +64,8 @@ pub struct ExecutedRender {
 
 /// A distributed compositing exchange that ran, reported back so the hook
 /// can refine its compositing cost model against the wire that actually
-/// carried the fragments (dense or RLE-compressed).
+/// carried the fragments (RLE-compressed active-pixel spans, over radix-k
+/// rounds or the DFB).
 #[derive(Debug, Clone, Copy)]
 pub struct CompositeObservation {
     pub cycle: i64,
@@ -74,8 +75,6 @@ pub struct CompositeObservation {
     pub avg_active_pixels: f64,
     /// Simulated exchange seconds.
     pub seconds: f64,
-    /// True when the exchange shipped RLE-compressed active-pixel spans.
-    pub compressed: bool,
     /// True when the exchange ran the asynchronous tile-owner (Distributed
     /// FrameBuffer) protocol rather than barriered radix-k rounds.
     pub dfb: bool,
@@ -98,10 +97,6 @@ pub struct Options {
     pub device: Device,
     /// Directory image files are written into.
     pub output_dir: PathBuf,
-    /// Ship run-length-compressed active-pixel spans during distributed
-    /// compositing (IceT's behavior). On by default; turn off to measure the
-    /// dense exchange — the composited image is pixel-identical either way.
-    pub compress_compositing: bool,
     /// Composite through the asynchronous tile-owner (Distributed
     /// FrameBuffer) exchange instead of barriered radix-k rounds. The merged
     /// image is pixel-identical either way; only the simulated communication
@@ -122,7 +117,6 @@ impl std::fmt::Debug for Options {
         f.debug_struct("Options")
             .field("device", &self.device)
             .field("output_dir", &self.output_dir)
-            .field("compress_compositing", &self.compress_compositing)
             .field("dfb_compositing", &self.dfb_compositing)
             .field("net", &self.net)
             .field("cycle_budget_s", &self.cycle_budget_s)
@@ -136,7 +130,6 @@ impl Default for Options {
         Options {
             device: Device::parallel(),
             output_dir: PathBuf::from("."),
-            compress_compositing: true,
             dfb_compositing: false,
             net: NetModel::cluster(),
             cycle_budget_s: None,
@@ -333,11 +326,11 @@ impl Strawman {
 
     /// Composite per-rank framebuffers (visibility order, front first) into
     /// one frame, as a simulated radix-k exchange — or the asynchronous
-    /// tile-owner DFB exchange when [`Options::dfb_compositing`] is set. Uses
-    /// compressed active-pixel fragments unless
-    /// [`Options::compress_compositing`] is off. Records a `"compositing"`
-    /// phase carrying the simulated exchange seconds and wire bytes; returns
-    /// the merged frame and the exchange stats.
+    /// tile-owner DFB exchange when [`Options::dfb_compositing`] is set —
+    /// shipping run-length-compressed active-pixel spans, as IceT does.
+    /// Records a `"compositing"` phase carrying the simulated exchange
+    /// seconds and wire bytes; returns the merged frame and the exchange
+    /// stats.
     pub fn composite(
         &mut self,
         frames: &[Framebuffer],
@@ -345,7 +338,7 @@ impl Strawman {
     ) -> (Framebuffer, CompositeStats) {
         assert!(!frames.is_empty(), "composite of zero frames");
         let views: Vec<PixelView> = frames.iter().map(frame_view).collect();
-        let opts = ExchangeOptions { compress: self.opts.compress_compositing };
+        let opts = ExchangeOptions::default();
         let (merged, stats) = if self.opts.dfb_compositing {
             dfb_compose_opts(&views, mode, self.opts.net, opts)
         } else {
@@ -362,7 +355,6 @@ impl Strawman {
                 pixels: merged.num_pixels() as f64,
                 avg_active_pixels: avg_active,
                 seconds: stats.simulated_seconds,
-                compressed: opts.compress,
                 dfb: self.opts.dfb_compositing,
             });
         }
@@ -976,13 +968,18 @@ mod tests {
         assert_eq!(sm.phases.bytes_of("compositing"), stats.total_bytes);
         assert!(sm.phases.seconds_of("compositing") > 0.0);
 
-        let mut dense_sm = Strawman::open(Options {
-            device: Device::Serial,
-            compress_compositing: false,
-            ..Options::default()
-        });
-        let (dense_img, dense_stats) = dense_sm.composite(&frames, CompositeMode::ZBuffer);
-        // Compression must not change a single pixel, only the byte count.
+        // The dense exchange of the same frames: compression must not change
+        // a single pixel, only the byte count.
+        let views: Vec<PixelView> = frames.iter().map(frame_view).collect();
+        let factors = compositing::algorithms::default_factors(views.len());
+        let (dense, dense_stats) = radix_k_opts(
+            &views,
+            CompositeMode::ZBuffer,
+            NetModel::cluster(),
+            &factors,
+            ExchangeOptions::dense(),
+        );
+        let dense_img = from_rank_image(&dense);
         for i in 0..img.color.len() {
             assert_eq!(img.color[i], dense_img.color[i], "pixel {i}");
         }
@@ -1048,23 +1045,19 @@ mod tests {
             b.depth[i + 60] = 2.0;
         }
         let frames = [a, b];
-        for compress in [true, false] {
-            let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-            let mut sm = Strawman::open(Options {
-                device: Device::Serial,
-                compress_compositing: compress,
-                scheduler: Some(Box::new(WireHook { log: log.clone() })),
-                ..Options::default()
-            });
-            let (_, stats) = sm.composite(&frames, CompositeMode::ZBuffer);
-            let seen = log.borrow();
-            assert_eq!(seen.len(), 1);
-            assert_eq!(seen[0].compressed, compress);
-            assert!(!seen[0].dfb);
-            assert_eq!(seen[0].pixels, 256.0);
-            assert_eq!(seen[0].avg_active_pixels, 40.0);
-            assert_eq!(seen[0].seconds, stats.simulated_seconds);
-        }
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut sm = Strawman::open(Options {
+            device: Device::Serial,
+            scheduler: Some(Box::new(WireHook { log: log.clone() })),
+            ..Options::default()
+        });
+        let (_, stats) = sm.composite(&frames, CompositeMode::ZBuffer);
+        let seen = log.borrow();
+        assert_eq!(seen.len(), 1);
+        assert!(!seen[0].dfb);
+        assert_eq!(seen[0].pixels, 256.0);
+        assert_eq!(seen[0].avg_active_pixels, 40.0);
+        assert_eq!(seen[0].seconds, stats.simulated_seconds);
     }
 
     #[test]
@@ -1089,7 +1082,6 @@ mod tests {
         let seen = log.borrow();
         assert_eq!(seen.len(), 1);
         assert!(seen[0].dfb);
-        assert!(seen[0].compressed);
         assert_eq!(seen[0].seconds, stats.simulated_seconds);
         // The protocol changes the schedule, never the pixels.
         let mut rk = Strawman::open(Options { device: Device::Serial, ..Options::default() });

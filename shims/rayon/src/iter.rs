@@ -14,7 +14,7 @@
 //! thread, so every bridge is deterministic run-to-run regardless of how the
 //! OS schedules workers. For `fold(..).reduce(..)` and `sum` the partition is
 //! additionally independent of the pool's thread count (grain defaults to
-//! [`DEFAULT_FOLD_GRAIN`]), so results are byte-identical across pool sizes;
+//! [`fold_grain`]), so results are byte-identical across pool sizes;
 //! they equal the serial fold bit-for-bit whenever the operator is exactly
 //! associative over the partition (integer arithmetic, `min`/`max`, disjoint
 //! writes — every correctness-bearing use in this workspace).
@@ -30,42 +30,22 @@
 use crate::pool::{current_pool, PoolState};
 use std::marker::PhantomData;
 use std::mem::{ManuallyDrop, MaybeUninit};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Default auto-partition target: enough chunks per worker that uneven tasks
-/// rebalance, few enough that claim overhead stays invisible.
-const DEFAULT_OVERPARTITION: usize = 4;
-
-/// Thread-count-independent default grain for `fold`/`sum` accumulators (see
-/// the module docs on determinism).
-pub const DEFAULT_FOLD_GRAIN: usize = 1024;
-
-/// Parse a positive integer from `var`, else `default`. Zero and garbage fall
-/// back rather than erroring: a grain of 0 would divide by zero downstream,
-/// and a misspelled knob should never change results silently mid-run.
-fn env_grain(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(s) => s.trim().parse::<usize>().ok().filter(|&v| v > 0).unwrap_or(default),
-        Err(_) => default,
-    }
+/// Chunks-per-worker target for auto-partitioned bridges: enough chunks per
+/// worker that uneven tasks rebalance, few enough that claim overhead stays
+/// invisible. Re-tuning it is safe for results: auto-partitioned bridges are
+/// ordered and exact over any partition.
+pub const fn overpartition() -> usize {
+    4
 }
 
-/// Chunks-per-worker target for auto-partitioned bridges, latched from
-/// `DPP_OVERPARTITION` on first use so one process never mixes two values.
-/// Re-tuning it is safe for results: auto-partitioned bridges are ordered
-/// and exact over any partition.
-pub fn overpartition() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| env_grain("DPP_OVERPARTITION", DEFAULT_OVERPARTITION))
-}
-
-/// The `fold`/`sum` accumulator grain, latched from `DPP_FOLD_GRAIN` on
-/// first use. Changing it changes the accumulator merge tree, so float
-/// reductions may differ in the last bits from the anchored defaults —
-/// re-anchor byte pins after re-tuning (EXPERIMENTS.md).
-pub fn fold_grain() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| env_grain("DPP_FOLD_GRAIN", DEFAULT_FOLD_GRAIN))
+/// The thread-count-independent `fold`/`sum` accumulator grain (see the
+/// module docs on determinism). Changing it changes the accumulator merge
+/// tree, so float reductions may differ in the last bits — re-bless byte
+/// pins after re-tuning (EXPERIMENTS.md).
+pub const fn fold_grain() -> usize {
+    1024
 }
 
 /// A random-access description of a parallel sequence.

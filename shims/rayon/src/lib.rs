@@ -28,7 +28,7 @@ mod pool;
 pub use iter::{
     fold_grain, overpartition, ChunksMutSource, ChunksSource, EnumerateSource, FoldPar,
     IntoParallelIterator, MapSource, Par, ParallelSlice, ParallelSliceMut, ParallelSource,
-    RangeIndex, RangeSource, SliceMutSource, SliceSource, VecSource, ZipSource, DEFAULT_FOLD_GRAIN,
+    RangeIndex, RangeSource, SliceMutSource, SliceSource, VecSource, ZipSource,
 };
 pub use pool::{current_num_threads, join, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder};
 
@@ -196,7 +196,7 @@ mod tests {
             reduce_calls.load(Ordering::Relaxed)
         };
         assert_eq!(count_chunks(5000), 2, "with_min_len(5000) must yield 2 chunks");
-        // Unset => DEFAULT_FOLD_GRAIN (1024) => ceil(10000/1024) = 10 chunks.
+        // Unset => fold_grain() (1024) => ceil(10000/1024) = 10 chunks.
         assert_eq!(count_chunks(0), 10);
         assert_eq!(count_chunks(10_000), 1);
     }

@@ -185,8 +185,8 @@ fn pixel_bits(color: &[Color], depth: &[f32]) -> Vec<[u32; 5]> {
 /// framebuffers and moves the merged image out; the frame it returns is the
 /// one the staged path makes — frames to rank images, the serial reference,
 /// back to a frame — bit for bit under the z test and within the
-/// re-association tolerance under ordered alpha, for both exchanges, both
-/// wire formats, and rank counts that fold, factor unevenly or do neither.
+/// re-association tolerance under ordered alpha, for both exchanges and
+/// rank counts that fold, factor unevenly or do neither.
 #[test]
 fn strawman_composite_is_the_reference_of_its_frames() {
     for ranks in [1usize, 2, 5, 8, 12] {
@@ -212,13 +212,9 @@ fn strawman_composite_is_the_reference_of_its_frames() {
         for mode in [CompositeMode::ZBuffer, CompositeMode::AlphaOrdered] {
             let expect = reference(&images, mode);
             let expect_frame = from_rank_image(&expect);
-            for (dfb, compress) in [(false, true), (false, false), (true, true), (true, false)] {
-                let what = format!("p={ranks} {mode:?} dfb={dfb} compress={compress}");
-                let mut sm = Strawman::open(Options {
-                    dfb_compositing: dfb,
-                    compress_compositing: compress,
-                    ..Options::default()
-                });
+            for dfb in [false, true] {
+                let what = format!("p={ranks} {mode:?} dfb={dfb}");
+                let mut sm = Strawman::open(Options { dfb_compositing: dfb, ..Options::default() });
                 let (frame, stats) = sm.composite(&frames, mode);
                 assert_eq!((frame.width, frame.height), (40, 40), "{what}");
                 match mode {
@@ -236,7 +232,7 @@ fn strawman_composite_is_the_reference_of_its_frames() {
                 }
                 // The API adds nothing to the exchange entered with views of
                 // the frames but the unpremultiply: same bits, same wire.
-                let opts = ExchangeOptions { compress };
+                let opts = ExchangeOptions::default();
                 let (merged, wire) = if dfb {
                     dfb_compose_opts(&views, mode, NetModel::cluster(), opts)
                 } else {
