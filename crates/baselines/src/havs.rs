@@ -12,21 +12,14 @@
 use dpp::sort::sort_pairs_f32_nonneg;
 use dpp::Device;
 use mesh::{Assoc, TetMesh};
-use render::Framebuffer;
-use vecmath::{over, Camera, Color, TransferFunction, Vec3};
-
-/// Timing/shape record for one HAVS render.
-#[derive(Debug, Clone)]
-pub struct HavsStats {
-    pub objects: usize,
-    pub sort_seconds: f64,
-    pub raster_seconds: f64,
-    pub active_pixels: usize,
-}
+use render::volume_unstructured::ScreenTet;
+use render::{Framebuffer, PhaseTimer};
+use vecmath::{over, Camera, Color, TransferFunction};
 
 pub struct HavsOutput {
     pub frame: Framebuffer,
-    pub stats: HavsStats,
+    /// `sort` and `raster`, each with the tet count as its work units.
+    pub phases: PhaseTimer,
 }
 
 /// Render `field_name` of the tet mesh (point-associated) with projected
@@ -47,144 +40,75 @@ pub fn render_havs(
         .values;
     let n = tets.num_tets();
     let fwd = (camera.look_at - camera.position).normalized();
-    let st = camera.screen_transform(width, height);
+    let mut phases = PhaseTimer::new();
 
     // --- Visibility sort: back-to-front by centroid view depth. ---
-    let t_sort = std::time::Instant::now();
-    let depths: Vec<f32> = (0..n)
-        .map(|t| {
-            let p = tets.tet_points(t);
-            let c = (p[0] + p[1] + p[2] + p[3]) * 0.25;
-            (c - camera.position).dot(fwd).max(0.0)
-        })
-        .collect();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    sort_pairs_f32_nonneg(device, &depths, &mut order);
-    let sort_seconds = t_sort.elapsed().as_secs_f64();
+    let order = phases.run("sort", n as u64, || {
+        let depths: Vec<f32> = (0..n)
+            .map(|t| {
+                let p = tets.tet_points(t);
+                let c = (p[0] + p[1] + p[2] + p[3]) * 0.25;
+                (c - camera.position).dot(fwd).max(0.0)
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        sort_pairs_f32_nonneg(device, &depths, &mut order);
+        order
+    });
 
     // --- In-order rasterization, back to front (painter's algorithm with
     //     per-fragment absorption). ---
-    let t_rast = std::time::Instant::now();
-    let mut frame = Framebuffer::new(width, height);
-    // Iterate far-to-near so `over(front, acc)` applies the nearer tet last.
-    for &ti in order.iter().rev() {
-        let t = ti as usize;
-        let pts = tets.tet_points(t);
-        let ix = tets.tets[t];
-        // Screen-space vertices (x, y, view depth).
-        let mut sv = [Vec3::ZERO; 4];
-        let mut ok = true;
-        for (i, p) in pts.iter().enumerate() {
-            let d = (*p - camera.position).dot(fwd);
-            if d < camera.near * 0.5 {
-                ok = false;
-                break;
-            }
-            let s = st.to_screen(*p);
-            if !s.is_finite() {
-                ok = false;
-                break;
-            }
-            sv[i] = Vec3::new(s.x, s.y, d);
-        }
-        if !ok {
-            continue;
-        }
-        // Barycentric inverse in screen space for (x, y, z_view).
-        let d = sv[3];
-        let m0 = sv[0] - d;
-        let m1 = sv[1] - d;
-        let m2 = sv[2] - d;
-        let det = m0.x * (m1.y * m2.z - m2.y * m1.z) - m1.x * (m0.y * m2.z - m2.y * m0.z)
-            + m2.x * (m0.y * m1.z - m1.y * m0.z);
-        if det.abs() < 1e-12 {
-            continue;
-        }
-        let id = 1.0 / det;
-        let inv = [
-            [
-                (m1.y * m2.z - m2.y * m1.z) * id,
-                (m2.x * m1.z - m1.x * m2.z) * id,
-                (m1.x * m2.y - m2.x * m1.y) * id,
-            ],
-            [
-                (m2.y * m0.z - m0.y * m2.z) * id,
-                (m0.x * m2.z - m2.x * m0.z) * id,
-                (m2.x * m0.y - m0.x * m2.y) * id,
-            ],
-            [
-                (m0.y * m1.z - m1.y * m0.z) * id,
-                (m1.x * m0.z - m0.x * m1.z) * id,
-                (m0.x * m1.y - m1.x * m0.y) * id,
-            ],
-        ];
-        let s_vals = [
-            field[ix[0] as usize],
-            field[ix[1] as usize],
-            field[ix[2] as usize],
-            field[ix[3] as usize],
-        ];
-        let x0 = sv.iter().map(|v| v.x).fold(f32::INFINITY, f32::min).floor().max(0.0) as u32;
-        let x1 = (sv.iter().map(|v| v.x).fold(f32::NEG_INFINITY, f32::max).ceil() as i64)
-            .min(width as i64 - 1)
-            .max(0) as u32;
-        let y0 = sv.iter().map(|v| v.y).fold(f32::INFINITY, f32::min).floor().max(0.0) as u32;
-        let y1 = (sv.iter().map(|v| v.y).fold(f32::NEG_INFINITY, f32::max).ceil() as i64)
-            .min(height as i64 - 1)
-            .max(0) as u32;
-        let z0 = sv.iter().map(|v| v.z).fold(f32::INFINITY, f32::min);
-        let z1 = sv.iter().map(|v| v.z).fold(f32::NEG_INFINITY, f32::max);
-        if x0 > x1 || y0 > y1 {
-            continue;
-        }
-        for py in y0..=y1 {
-            for px in x0..=x1 {
-                // Entry/exit depths of the pixel-center column through the
-                // warped tet, found by sampling the z extent.
-                let (mut z_in, mut z_out) = (f32::INFINITY, f32::NEG_INFINITY);
-                let mut value = 0.0f32;
-                let mut hits = 0u32;
-                const Z_PROBES: u32 = 6;
-                for s in 0..Z_PROBES {
-                    let z = z0 + (s as f32 + 0.5) / Z_PROBES as f32 * (z1 - z0);
-                    let r = Vec3::new(px as f32 + 0.5, py as f32 + 0.5, z) - d;
-                    let l0 = inv[0][0] * r.x + inv[0][1] * r.y + inv[0][2] * r.z;
-                    let l1 = inv[1][0] * r.x + inv[1][1] * r.y + inv[1][2] * r.z;
-                    let l2 = inv[2][0] * r.x + inv[2][1] * r.y + inv[2][2] * r.z;
-                    let l3 = 1.0 - l0 - l1 - l2;
-                    if l0 >= -1e-5 && l1 >= -1e-5 && l2 >= -1e-5 && l3 >= -1e-5 {
-                        z_in = z_in.min(z);
-                        z_out = z_out.max(z);
-                        value += s_vals[0] * l0 + s_vals[1] * l1 + s_vals[2] * l2 + s_vals[3] * l3;
-                        hits += 1;
+    let frame = phases.run("raster", n as u64, || {
+        let st = camera.screen_transform(width, height);
+        let mut frame = Framebuffer::new(width, height);
+        // Iterate far-to-near so `over(front, acc)` applies the nearer tet last.
+        for &ti in order.iter().rev() {
+            let Some(tet) = ScreenTet::project(tets, field, ti as usize, camera, fwd, &st) else {
+                continue;
+            };
+            let Some(((x0, x1), (y0, y1))) = tet.pixels(width, height) else { continue };
+            let [.., z0, z1] = tet.bbox;
+            for py in y0..=y1 {
+                for px in x0..=x1 {
+                    // Entry/exit depths of the pixel-center column through the
+                    // warped tet, found by sampling the z extent.
+                    let (mut z_in, mut z_out) = (f32::INFINITY, f32::NEG_INFINITY);
+                    let mut value = 0.0f32;
+                    let mut hits = 0u32;
+                    const Z_PROBES: u32 = 6;
+                    let c = tet.column((px as f32 + 0.5, py as f32 + 0.5));
+                    for s in 0..Z_PROBES {
+                        let z = z0 + (s as f32 + 0.5) / Z_PROBES as f32 * (z1 - z0);
+                        if let Some(v) = tet.value_at(&c, z) {
+                            z_in = z_in.min(z);
+                            z_out = z_out.max(z);
+                            value += v;
+                            hits += 1;
+                        }
                     }
+                    if hits == 0 {
+                        continue;
+                    }
+                    let thickness = (z_out - z_in).max((z1 - z0) / Z_PROBES as f32);
+                    let mean_value = value / hits as f32;
+                    let base = tf.sample(mean_value);
+                    // Absorption: alpha grows with segment thickness.
+                    let alpha = 1.0 - (1.0 - base.a.min(0.999)).powf(thickness * 10.0 + 0.1);
+                    let frag = Color::new(base.r * alpha, base.g * alpha, base.b * alpha, alpha);
+                    let pix = frame.index(px, py);
+                    frame.color[pix] = over(frag, frame.color[pix]);
+                    frame.depth[pix] = frame.depth[pix].min(z_in);
                 }
-                if hits == 0 {
-                    continue;
-                }
-                let thickness = (z_out - z_in).max((z1 - z0) / Z_PROBES as f32);
-                let mean_value = value / hits as f32;
-                let base = tf.sample(mean_value);
-                // Absorption: alpha grows with segment thickness.
-                let alpha = 1.0 - (1.0 - base.a.min(0.999)).powf(thickness * 10.0 + 0.1);
-                let frag = Color::new(base.r * alpha, base.g * alpha, base.b * alpha, alpha);
-                let pix = frame.index(px, py);
-                frame.color[pix] = over(frag, frame.color[pix]);
-                frame.depth[pix] = frame.depth[pix].min(z_in);
             }
         }
-    }
-    // Unpremultiply for display.
-    for c in &mut frame.color {
-        *c = c.unpremultiplied();
-    }
-    let raster_seconds = t_rast.elapsed().as_secs_f64();
-    let active = frame.active_pixels();
+        // Unpremultiply for display.
+        for c in &mut frame.color {
+            *c = c.unpremultiplied();
+        }
+        frame
+    });
 
-    HavsOutput {
-        frame,
-        stats: HavsStats { objects: n, sort_seconds, raster_seconds, active_pixels: active },
-    }
+    HavsOutput { frame, phases }
 }
 
 #[cfg(test)]
@@ -206,9 +130,9 @@ mod tests {
         let t = tets();
         let cam = Camera::close_view(&t.bounds());
         let out = render_havs(&Device::Serial, &t, "scalar", &cam, 48, 48, &tfn(&t));
-        assert!(out.stats.active_pixels > 300, "{}", out.stats.active_pixels);
-        assert_eq!(out.stats.objects, t.num_tets());
-        assert!(out.stats.sort_seconds >= 0.0);
+        assert!(out.frame.active_pixels() > 300, "{}", out.frame.active_pixels());
+        assert_eq!(out.phases.work_of("sort"), t.num_tets() as u64);
+        assert!(out.phases.seconds_of("sort") >= 0.0);
     }
 
     #[test]

@@ -14,12 +14,18 @@
 //!   profile parallelizes scanline packets; `optix` profile adds
 //!   Morton-ordered rays (the GPU throughput trick).
 //! * [`havs`] — projected tetrahedra with a depth sort and in-order
-//!   fragment blending (the k-buffer pipeline, serialized).
+//!   fragment blending (the k-buffer pipeline, serialized); each tet is
+//!   projected and probed through DPP-VR's `ScreenTet`.
 //! * [`bunyk`] — face-connectivity unstructured ray marching with the
 //!   expensive serial adjacency preprocessing step the paper calls out.
 //! * [`visit_like`] — VisIt's slice-based sampling volume renderer: serial,
 //!   per-cell 3D rasterization into a sample buffer, then compositing with
-//!   early ray termination (the SS / S / C phases of Table 9).
+//!   early ray termination (the SS / S / C phases of Table 9). Its per-cell
+//!   math is DPP-VR's `ScreenTet`, `Footprint` and `column_run`, so only the
+//!   loop shape differs and the frame equals a one-pass DPP-VR frame.
+//!
+//! The two tet comparators report a `render::PhaseTimer`, as the renderers
+//! do; the Bunyk ray caster keeps its own stats record.
 
 pub mod bunyk;
 pub mod havs;

@@ -126,7 +126,7 @@ pub fn fig6(scale: Scale) -> TextTable {
             )
             .expect("render");
             let havs = render_havs(&device, &tets, "scalar", &cam, side, side, &tf);
-            let havs_total = havs.stats.sort_seconds + havs.stats.raster_seconds;
+            let havs_total = havs.phases.total_seconds();
             t.row(vec![
                 spec.name.into(),
                 view.into(),
@@ -162,7 +162,7 @@ pub fn fig6(scale: Scale) -> TextTable {
         )
         .expect("render");
         let havs = render_havs(&device, &tets, "scalar", &cam, side, side, &tf);
-        let havs_total = havs.stats.sort_seconds + havs.stats.raster_seconds;
+        let havs_total = havs.phases.total_seconds();
         t.row(vec![
             format!("sweep {}K tets", tets.num_tets() / 1000),
             "far".into(),

@@ -278,14 +278,6 @@ pub fn table9(scale: Scale) -> TextTable {
             ("Close", Camera::close_view(&tets.bounds())),
         ] {
             let visit = render_visit(&tets, "scalar", &cam, side, side, samples, &tf);
-            t.row(vec![
-                format!("{}/{}", spec.name, view),
-                "VisIt-like".into(),
-                fmt_s(visit.stats.screen_space_seconds),
-                fmt_s(visit.stats.sampling_seconds),
-                fmt_s(visit.stats.compositing_seconds),
-                fmt_s(visit.stats.total_seconds),
-            ]);
             let dpp = render_unstructured(
                 &Device::Serial,
                 &tets,
@@ -297,14 +289,17 @@ pub fn table9(scale: Scale) -> TextTable {
                 &UvrConfig { depth_samples: samples, num_passes: 1, ..Default::default() },
             )
             .expect("render");
-            t.row(vec![
-                format!("{}/{}", spec.name, view),
-                "DPP-VR".into(),
-                fmt_s(dpp.phases.seconds_of("screen_space")),
-                fmt_s(dpp.phases.seconds_of("sampling")),
-                fmt_s(dpp.phases.seconds_of("compositing")),
-                fmt_s(dpp.stats.render_seconds),
-            ]);
+            // Both renderers name their phases alike: one reader for both rows.
+            for (sw, phases) in [("VisIt-like", &visit.phases), ("DPP-VR", &dpp.phases)] {
+                t.row(vec![
+                    format!("{}/{}", spec.name, view),
+                    sw.into(),
+                    fmt_s(phases.seconds_of("screen_space")),
+                    fmt_s(phases.seconds_of("sampling")),
+                    fmt_s(phases.seconds_of("compositing")),
+                    fmt_s(phases.total_seconds()),
+                ]);
+            }
         }
     }
     t

@@ -8,8 +8,9 @@
 //!    reduce + exclusive scan + reverse-index + gather = stream compaction of
 //!    the tetrahedra that can contribute samples this pass.
 //! 2. **Screen-space transformation** — map the active tets into screen
-//!    space, precomputing the inverse barycentric matrix (the "interpolation
-//!    constants" the paper re-uses across samples of the same cell).
+//!    space as [`ScreenTet`]s, precomputing the inverse barycentric matrix
+//!    (the "interpolation constants" the paper re-uses across samples of the
+//!    same cell).
 //! 3. **Sampling** — map over active tets; each pixel column of the tet's
 //!    screen AABB is narrowed to the run of depth slices that can lie inside
 //!    the tet ([`column_run`]: along a column the barycentric coordinates are
@@ -40,7 +41,7 @@ use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
 use dpp::{compact_indices, map, Device};
 use mesh::{Assoc, TetMesh};
-use vecmath::{over, Camera, Color, TransferFunction, Vec3};
+use vecmath::{over, Camera, Color, ScreenTransform, TransferFunction, Vec3};
 
 /// Image rows per band, the sampler's and the compositor's unit of work.
 const BAND: u32 = 8;
@@ -128,17 +129,123 @@ pub struct UvrOutput {
     pub phases: PhaseTimer,
 }
 
-/// Screen-space tetrahedron with precomputed barycentric inverse.
-#[derive(Clone, Copy)]
-struct ScreenTet {
+/// A tetrahedron in screen space: the per-tet "interpolation constants" the
+/// screen-space phase computes once and every sample of the tet reuses. The
+/// renderer and the VisIt-like and HAVS comparators all project, clip and
+/// sample tets through this one type.
+#[derive(Debug, Clone, Copy)]
+pub struct ScreenTet {
     /// Fourth screen vertex (the barycentric reference point).
-    d: Vec3,
+    pub d: Vec3,
     /// Inverse of the 3x3 matrix [v0-d | v1-d | v2-d].
-    inv: [[f32; 3]; 3],
+    pub inv: [[f32; 3]; 3],
     /// Vertex scalars (v0, v1, v2, d).
-    s: [f32; 4],
+    pub s: [f32; 4],
     /// Screen AABB: x0, x1, y0, y1 (pixels), z0, z1 (view depth).
-    bbox: [f32; 6],
+    pub bbox: [f32; 6],
+}
+
+impl ScreenTet {
+    /// Project tet `t` of `tets` to pixels and view depth along `fwd` (the
+    /// camera's unit view direction), with its vertices' `field` scalars, or
+    /// `None` when a vertex lies behind half the near distance (the tet
+    /// straddles the camera plane), projects off any finite screen position,
+    /// or the tet is degenerate.
+    pub fn project(
+        tets: &TetMesh,
+        field: &[f32],
+        t: usize,
+        camera: &Camera,
+        fwd: Vec3,
+        st: &ScreenTransform,
+    ) -> Option<ScreenTet> {
+        let mut sv = [Vec3::ZERO; 4];
+        for (v, p) in sv.iter_mut().zip(tets.tet_points(t)) {
+            let d = (p - camera.position).dot(fwd);
+            if d < camera.near * 0.5 {
+                return None;
+            }
+            let s = st.to_screen(p);
+            if !s.is_finite() {
+                return None;
+            }
+            *v = Vec3::new(s.x, s.y, d);
+        }
+        Self::from_screen(sv, tets.tets[t].map(|i| field[i as usize]))
+    }
+
+    /// The tet with screen vertices `sv` (pixels, view depth) and vertex
+    /// scalars `s`: the inverse barycentric matrix and the screen box, or
+    /// `None` when `|det| < 1e-12`.
+    pub fn from_screen(sv: [Vec3; 4], s: [f32; 4]) -> Option<ScreenTet> {
+        let d = sv[3];
+        let (m0, m1, m2) = (sv[0] - d, sv[1] - d, sv[2] - d);
+        // Inverse of column matrix [m0 m1 m2].
+        let det = m0.x * (m1.y * m2.z - m2.y * m1.z) - m1.x * (m0.y * m2.z - m2.y * m0.z)
+            + m2.x * (m0.y * m1.z - m1.y * m0.z);
+        if det.abs() < 1e-12 {
+            return None;
+        }
+        let id = 1.0 / det;
+        let inv = [
+            [
+                (m1.y * m2.z - m2.y * m1.z) * id,
+                (m2.x * m1.z - m1.x * m2.z) * id,
+                (m1.x * m2.y - m2.x * m1.y) * id,
+            ],
+            [
+                (m2.y * m0.z - m0.y * m2.z) * id,
+                (m0.x * m2.z - m2.x * m0.z) * id,
+                (m2.x * m0.y - m0.x * m2.y) * id,
+            ],
+            [
+                (m0.y * m1.z - m1.y * m0.z) * id,
+                (m1.x * m0.z - m0.x * m1.z) * id,
+                (m0.x * m1.y - m1.x * m0.y) * id,
+            ],
+        ];
+        let span = |f: fn(&Vec3) -> f32| {
+            let c = sv.iter().map(f);
+            (c.clone().fold(f32::INFINITY, f32::min), c.fold(f32::NEG_INFINITY, f32::max))
+        };
+        let ((bx0, bx1), (by0, by1), (bz0, bz1)) = (span(|v| v.x), span(|v| v.y), span(|v| v.z));
+        Some(ScreenTet { d, inv, s, bbox: [bx0, bx1, by0, by1, bz0, bz1] })
+    }
+
+    /// The pixel columns `x.0..=x.1` and rows `y.0..=y.1` of the screen box
+    /// clipped to a `width x height` image, or `None` when it leaves none.
+    pub fn pixels(&self, width: u32, height: u32) -> Option<((u32, u32), (u32, u32))> {
+        let [bx0, bx1, by0, by1, ..] = self.bbox;
+        let px0 = bx0.floor().max(0.0) as u32;
+        let px1 = (bx1.ceil() as i64).min(width as i64 - 1).max(0) as u32;
+        let py0 = by0.floor().max(0.0) as u32;
+        let py1 = (by1.ceil() as i64).min(height as i64 - 1).max(0) as u32;
+        (px0 <= px1 && py0 <= py1).then_some(((px0, px1), (py0, py1)))
+    }
+
+    /// The share of each barycentric coordinate the pixel column through
+    /// `centre` fixes: `inv[i][0]·rx + inv[i][1]·ry`, `r` taken from `d`.
+    #[inline]
+    pub fn column(&self, centre: (f32, f32)) -> [f32; 3] {
+        let (rx, ry) = (centre.0 - self.d.x, centre.1 - self.d.y);
+        self.inv.map(|row| row[0] * rx + row[1] * ry)
+    }
+
+    /// The interpolated scalar at view depth `z` on the column `c` (from
+    /// [`ScreenTet::column`]), or `None` when the inside test (every
+    /// coordinate `>= -1e-5`) rejects the point. Each coordinate is
+    /// `c[i] + inv[i][2]·rz`: Rust adds left to right and never fuses, so
+    /// that is `inv[i][0]·rx + inv[i][1]·ry + inv[i][2]·rz` to the bit.
+    #[inline]
+    pub fn value_at(&self, c: &[f32; 3], z: f32) -> Option<f32> {
+        let rz = z - self.d.z;
+        let l0 = c[0] + self.inv[0][2] * rz;
+        let l1 = c[1] + self.inv[1][2] * rz;
+        let l2 = c[2] + self.inv[2][2] * rz;
+        let l3 = 1.0 - l0 - l1 - l2;
+        (l0 >= EPS && l1 >= EPS && l2 >= EPS && l3 >= EPS)
+            .then(|| self.s[0] * l0 + self.s[1] * l1 + self.s[2] * l2 + self.s[3] * l3)
+    }
 }
 
 /// Bytes required for the sample buffer at the given configuration: the
@@ -195,62 +302,7 @@ fn screen_space_stage(
     let fwd = (camera.look_at - camera.position).normalized();
     let st = camera.screen_transform(width, height);
     map(device, active.len(), |a| {
-        let t = active[a] as usize;
-        let pts = tets.tet_points(t);
-        let mut sv = [Vec3::ZERO; 4];
-        for (i, p) in pts.iter().enumerate() {
-            let d = (*p - camera.position).dot(fwd);
-            if d < camera.near * 0.5 {
-                return None; // straddles the camera plane
-            }
-            let s = st.to_screen(*p);
-            if !s.is_finite() {
-                return None;
-            }
-            sv[i] = Vec3::new(s.x, s.y, d);
-        }
-        let ix = tets.tets[t];
-        let s = [
-            field[ix[0] as usize],
-            field[ix[1] as usize],
-            field[ix[2] as usize],
-            field[ix[3] as usize],
-        ];
-        let d = sv[3];
-        let m0 = sv[0] - d;
-        let m1 = sv[1] - d;
-        let m2 = sv[2] - d;
-        // Inverse of column matrix [m0 m1 m2].
-        let det = m0.x * (m1.y * m2.z - m2.y * m1.z) - m1.x * (m0.y * m2.z - m2.y * m0.z)
-            + m2.x * (m0.y * m1.z - m1.y * m0.z);
-        if det.abs() < 1e-12 {
-            return None;
-        }
-        let id = 1.0 / det;
-        let inv = [
-            [
-                (m1.y * m2.z - m2.y * m1.z) * id,
-                (m2.x * m1.z - m1.x * m2.z) * id,
-                (m1.x * m2.y - m2.x * m1.y) * id,
-            ],
-            [
-                (m2.y * m0.z - m0.y * m2.z) * id,
-                (m0.x * m2.z - m2.x * m0.z) * id,
-                (m2.x * m0.y - m0.x * m2.y) * id,
-            ],
-            [
-                (m0.y * m1.z - m1.y * m0.z) * id,
-                (m1.x * m0.z - m0.x * m1.z) * id,
-                (m0.x * m1.y - m1.x * m0.y) * id,
-            ],
-        ];
-        let bx0 = sv.iter().map(|v| v.x).fold(f32::INFINITY, f32::min);
-        let bx1 = sv.iter().map(|v| v.x).fold(f32::NEG_INFINITY, f32::max);
-        let by0 = sv.iter().map(|v| v.y).fold(f32::INFINITY, f32::min);
-        let by1 = sv.iter().map(|v| v.y).fold(f32::NEG_INFINITY, f32::max);
-        let bz0 = sv.iter().map(|v| v.z).fold(f32::INFINITY, f32::min);
-        let bz1 = sv.iter().map(|v| v.z).fold(f32::NEG_INFINITY, f32::max);
-        Some(ScreenTet { d, inv, s, bbox: [bx0, bx1, by0, by1, bz0, bz1] })
+        ScreenTet::project(tets, field, active[a] as usize, camera, fwd, &st)
     })
 }
 
@@ -309,19 +361,21 @@ pub fn column_run(
     (lo <= hi).then_some((lo, hi))
 }
 
-/// A tet's footprint in one pass: pixel columns `x.0..=x.1`, rows
-/// `y.0..=y.1` and depth slices `s.0..=s.1`.
-#[derive(Clone, Copy)]
-struct Footprint {
-    x: (u32, u32),
-    y: (u32, u32),
-    s: (u32, u32),
+/// A tet's footprint in one span of depth slices: pixel columns
+/// `x.0..=x.1`, rows `y.0..=y.1` and depth slices `s.0..=s.1`. The renderer's
+/// sampler and the VisIt-like comparator clip every tet through it.
+#[derive(Debug, Clone, Copy)]
+pub struct Footprint {
+    pub x: (u32, u32),
+    pub y: (u32, u32),
+    pub s: (u32, u32),
 }
 
 impl Footprint {
-    /// The tet's screen box clipped to the image and to the pass's slices
-    /// `span.0..span.1`, or `None` when that leaves no column to test.
-    fn of(
+    /// The tet's screen box clipped to the image and to the slices
+    /// `span.0..span.1` (slice `sl` at depth `z0 + (sl + 0.5) dz`), or `None`
+    /// when that leaves no column to test.
+    pub fn of(
         tet: &ScreenTet,
         width: u32,
         height: u32,
@@ -329,16 +383,14 @@ impl Footprint {
         dz: f32,
         span: (u32, u32),
     ) -> Option<Self> {
-        let [bx0, bx1, by0, by1, bz0, bz1] = tet.bbox;
-        let px0 = bx0.floor().max(0.0) as u32;
-        let px1 = (bx1.ceil() as i64).min(width as i64 - 1).max(0) as u32;
-        let py0 = by0.floor().max(0.0) as u32;
-        let py1 = (by1.ceil() as i64).min(height as i64 - 1).max(0) as u32;
-        // Depth slice range of this tet clipped to the pass.
+        let [_, bx1, _, by1, bz0, bz1] = tet.bbox;
+        if bx1 < 0.0 || by1 < 0.0 {
+            return None;
+        }
+        let (x, y) = tet.pixels(width, height)?;
         let s_lo = (((bz0 - z0) / dz).floor().max(span.0 as f32)) as u32;
         let s_hi = ((((bz1 - z0) / dz).ceil()) as i64).min(span.1 as i64 - 1).max(0) as u32;
-        let culled = bx1 < 0.0 || by1 < 0.0 || s_lo > s_hi || px0 > px1 || py0 > py1;
-        (!culled).then_some(Footprint { x: (px0, px1), y: (py0, py1), s: (s_lo, s_hi) })
+        (s_lo <= s_hi).then_some(Footprint { x, y, s: (s_lo, s_hi) })
     }
 
     /// The bands of [`BAND`] rows the footprint reaches.
@@ -411,9 +463,9 @@ fn sampling_stage(
         let mut band = vec![EMPTY; (y1 - y0 + 1) as usize * w * slab];
         let mut tested = 0u64;
         for &a in &members[start[b]..start[b + 1]] {
-            let (Some(tet), Some(f)) = (&screen[a as usize], feet[a as usize]) else { continue };
+            // By value: the tet's constants stay in registers across its columns.
+            let (Some(tet), Some(f)) = (screen[a as usize], feet[a as usize]) else { continue };
             for py in f.y.0.max(y0)..=f.y.1.min(y1) {
-                let ry = py as f32 + 0.5 - tet.d.y;
                 for px in f.x.0..=f.x.1 {
                     tested += 1;
                     if opacity[py as usize * w + px as usize] >= term {
@@ -422,22 +474,11 @@ fn sampling_stage(
                     let centre = (px as f32 + 0.5, py as f32 + 0.5);
                     let run = column_run(&tet.inv, tet.d, centre, z0, dz, f.s);
                     let Some((lo, hi)) = run else { continue };
-                    // Each coordinate is `(inv[i][0]·rx + inv[i][1]·ry) + inv[i][2]·rz`
-                    // (Rust adds left to right and never fuses), so the
-                    // column's share is taken once, to the bit.
-                    let rx = centre.0 - tet.d.x;
-                    let [c0, c1, c2] = tet.inv.map(|row| row[0] * rx + row[1] * ry);
+                    let c = tet.column(centre);
                     let local = (py - y0) as usize * w + px as usize;
                     let slots = &mut band[local * slab..(local + 1) * slab];
                     for sl in lo..=hi {
-                        let rz = z0 + (sl as f32 + 0.5) * dz - tet.d.z;
-                        let l0 = c0 + tet.inv[0][2] * rz;
-                        let l1 = c1 + tet.inv[1][2] * rz;
-                        let l2 = c2 + tet.inv[2][2] * rz;
-                        let l3 = 1.0 - l0 - l1 - l2;
-                        if l0 >= EPS && l1 >= EPS && l2 >= EPS && l3 >= EPS {
-                            let value =
-                                tet.s[0] * l0 + tet.s[1] * l1 + tet.s[2] * l2 + tet.s[3] * l3;
+                        if let Some(value) = tet.value_at(&c, z0 + (sl as f32 + 0.5) * dz) {
                             // Ascending tets: the highest index stores last.
                             slots[(sl - s_begin) as usize] = value.to_bits();
                         }
@@ -767,40 +808,6 @@ mod tests {
             + m2.x * (m0.y * m1.z - m1.y * m0.z)
     }
 
-    /// What `screen_space_stage` derives from four screen vertices.
-    fn screen_tet(sv: [Vec3; 4], s: [f32; 4]) -> Option<ScreenTet> {
-        let d = sv[3];
-        let (m0, m1, m2) = (sv[0] - d, sv[1] - d, sv[2] - d);
-        let det = det(&sv);
-        if det.abs() < 1e-12 {
-            return None;
-        }
-        let id = 1.0 / det;
-        let inv = [
-            [
-                (m1.y * m2.z - m2.y * m1.z) * id,
-                (m2.x * m1.z - m1.x * m2.z) * id,
-                (m1.x * m2.y - m2.x * m1.y) * id,
-            ],
-            [
-                (m2.y * m0.z - m0.y * m2.z) * id,
-                (m0.x * m2.z - m2.x * m0.z) * id,
-                (m2.x * m0.y - m0.x * m2.y) * id,
-            ],
-            [
-                (m0.y * m1.z - m1.y * m0.z) * id,
-                (m1.x * m0.z - m0.x * m1.z) * id,
-                (m0.x * m1.y - m1.x * m0.y) * id,
-            ],
-        ];
-        let span = |f: fn(&Vec3) -> f32| {
-            let c = sv.iter().map(f);
-            (c.clone().fold(f32::INFINITY, f32::min), c.fold(f32::NEG_INFINITY, f32::max))
-        };
-        let ((bx0, bx1), (by0, by1), (bz0, bz1)) = (span(|v| v.x), span(|v| v.y), span(|v| v.z));
-        Some(ScreenTet { d, inv, s, bbox: [bx0, bx1, by0, by1, bz0, bz1] })
-    }
-
     /// One pass's worth of seeded tets of every awkward kind the sampler can
     /// meet, on a `w x h` image whose slices sit at `z0 + (sl + 0.5) dz`.
     fn awkward_tets(
@@ -874,7 +881,7 @@ mod tests {
                     8 => s = s.map(|_| SPECIAL[rng.next_u64() as usize % SPECIAL.len()]),
                     _ => {}
                 }
-                let mut tet = screen_tet(sv, s)?;
+                let mut tet = ScreenTet::from_screen(sv, s)?;
                 if kind == 3 {
                     let row = (rng.next_u64() % 3) as usize;
                     tet.inv[row][2] = [0.0, 1e-30, -1e-30, 1e-38, -1e-42][(t / 8) % 5];

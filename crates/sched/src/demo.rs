@@ -217,7 +217,6 @@ pub fn run_budgeted_demo(sim: &mut dyn ProxySim, cfg: &DemoConfig) -> DemoReport
                         cost.pixels,
                         cost.avg_active_pixels,
                         cost.comp_s,
-                        true,
                         false,
                     );
                 }

@@ -306,29 +306,21 @@ impl Scheduler {
         self.refit.observe(Sample::Render(s));
     }
 
-    /// Feed back a measured compositing exchange for one frame. `compressed`
-    /// and `dfb` name the exchange wire the measurement used, so the refit
-    /// fits each composite model on the behavior it actually describes: the
-    /// asynchronous tile-owner protocol feeds the DFB model, otherwise the
-    /// span compression choice picks between the compressed and dense models.
+    /// Feed back a measured compositing exchange for one frame. Every
+    /// exchange ships compressed spans; `dfb` names the wire the measurement
+    /// used, so the refit fits the DFB model on the asynchronous tile-owner
+    /// protocol and the compressed model on the barriered exchange.
     pub fn observe_composite(
         &mut self,
         pixels: f64,
         avg_active_pixels: f64,
         seconds: f64,
-        compressed: bool,
         dfb: bool,
     ) {
         if let Some(cur) = self.cur.as_mut() {
             cur.actual_s += seconds;
         }
-        let wire = if dfb {
-            CompositeWire::Dfb
-        } else if compressed {
-            CompositeWire::Compressed
-        } else {
-            CompositeWire::Dense
-        };
+        let wire = if dfb { CompositeWire::Dfb } else { CompositeWire::Compressed };
         self.refit.observe(Sample::Composite(CompositeSample {
             tasks: self.cfg.tasks,
             pixels,
@@ -425,17 +417,9 @@ impl strawman::AdmissionHook for Scheduler {
         self.observe_render(&cfg, done.seconds, 0.0);
     }
 
-    /// Strawman always ships compressed spans, so its exchanges feed the
-    /// compressed or the DFB model, never the dense one.
     fn observe_composite(&mut self, done: &strawman::CompositeObservation) {
-        Scheduler::observe_composite(
-            self,
-            done.pixels,
-            done.avg_active_pixels,
-            done.seconds,
-            true,
-            done.dfb,
-        );
+        let (px, active) = (done.pixels, done.avg_active_pixels);
+        Scheduler::observe_composite(self, px, active, done.seconds, done.dfb);
     }
 }
 

@@ -4,6 +4,7 @@
 //! gas expanding into a quiescent background.
 
 use crate::ProxySim;
+use mesh::field::structured_cell_to_point;
 use mesh::{Field, RectilinearGrid};
 use rayon::prelude::*;
 use vecmath::{Aabb, Vec3};
@@ -115,39 +116,10 @@ impl Cloverleaf {
         g.fields.push(Field::cell("density", self.density()));
         g.fields.push(Field::cell("energy", self.energy()));
         g.fields.push(Field::cell("pressure", self.pressure()));
-        g.fields.push(Field::point("density_p", self.cell_to_point(&self.density())));
-        g.fields.push(Field::point("energy_p", self.cell_to_point(&self.energy())));
+        let pd = self.cells.map(|n| n + 1);
+        g.fields.push(Field::point("density_p", structured_cell_to_point(pd, &self.density())));
+        g.fields.push(Field::point("energy_p", structured_cell_to_point(pd, &self.energy())));
         g
-    }
-
-    /// Average a cell field to points (used for point-based sampling).
-    pub fn cell_to_point(&self, cell: &[f32]) -> Vec<f32> {
-        let [nx, ny, nz] = self.cells;
-        let pd = [nx + 1, ny + 1, nz + 1];
-        let mut out = vec![0.0f32; pd[0] * pd[1] * pd[2]];
-        out.par_chunks_mut(pd[0] * pd[1]).enumerate().for_each(|(pk, slab)| {
-            for pj in 0..pd[1] {
-                for pi in 0..pd[0] {
-                    let mut sum = 0.0;
-                    let mut cnt = 0.0;
-                    for dk in 0..2usize {
-                        for dj in 0..2usize {
-                            for di in 0..2usize {
-                                if pi >= di && pj >= dj && pk >= dk {
-                                    let (ci, cj, ck) = (pi - di, pj - dj, pk - dk);
-                                    if ci < nx && cj < ny && ck < nz {
-                                        sum += cell[(ck * ny + cj) * nx + ci];
-                                        cnt += 1.0;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    slab[pj * pd[0] + pi] = if cnt > 0.0 { sum / cnt } else { 0.0 };
-                }
-            }
-        });
-        out
     }
 
     /// Total mass (conserved by the scheme up to boundary flux).
@@ -298,13 +270,5 @@ mod tests {
         assert!(g.field("density").is_some());
         assert!(g.field("energy_p").is_some());
         assert_eq!(g.field("density_p").unwrap().values.len(), 9 * 9 * 9);
-    }
-
-    #[test]
-    fn cell_to_point_preserves_constant_fields() {
-        let sim = Cloverleaf::new(6);
-        let cell = vec![3.0f32; 6 * 6 * 6];
-        let pt = sim.cell_to_point(&cell);
-        assert!(pt.iter().all(|v| (v - 3.0).abs() < 1e-6));
     }
 }

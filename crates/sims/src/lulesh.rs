@@ -8,6 +8,7 @@
 //! geometry).
 
 use crate::ProxySim;
+use mesh::field::cell_to_point;
 use mesh::{Field, HexMesh, UniformGrid};
 use rayon::prelude::*;
 use vecmath::{Aabb, Vec3};
@@ -106,20 +107,8 @@ impl Lulesh {
             Field::cell("density", self.density()),
         ];
         // Node-averaged energy for point-based rendering.
-        let mut accum = vec![0.0f32; self.nodes.len()];
-        let mut count = vec![0u32; self.nodes.len()];
-        for (h, &e) in self.hexes.iter().zip(self.elem_energy.iter()) {
-            for &v in h {
-                accum[v as usize] += e;
-                count[v as usize] += 1;
-            }
-        }
-        for (a, c) in accum.iter_mut().zip(count.iter()) {
-            if *c > 0 {
-                *a /= *c as f32;
-            }
-        }
-        fields.push(Field::point("e_p", accum));
+        let e_p = cell_to_point(self.nodes.len(), &self.hexes, &self.elem_energy);
+        fields.push(Field::point("e_p", e_p));
         HexMesh { points: self.nodes.clone(), hexes: self.hexes.clone(), fields }
     }
 

@@ -10,6 +10,7 @@ use compositing::{
 use conduit_node::Node;
 use dpp::Device;
 use mesh::external_faces::{external_faces_grid, external_faces_hex};
+use mesh::field::{cell_to_point, structured_cell_to_point};
 use mesh::{Assoc, Field, TriMesh, UniformGrid};
 use mpirt::NetModel;
 use render::counters::{Admission, AdmissionLog, PhaseTimer};
@@ -583,11 +584,9 @@ fn render_plot(
                     r.to_uniform()
                 } else {
                     let mut with_points = r.clone();
-                    let name = ensure_point_field_structured(
-                        &mut with_points.fields,
-                        r.dims(),
-                        &plot.var,
-                    )?;
+                    let name = ensure_point_field(&mut with_points.fields, &plot.var, |c| {
+                        structured_cell_to_point(r.dims(), c)
+                    })?;
                     let d = with_points.dims();
                     let mut resampled =
                         with_points.resample_to_uniform([d[0] - 1, d[1] - 1, d[2] - 1]);
@@ -603,12 +602,10 @@ fn render_plot(
             }
             PublishedMesh::Hexes(h) => {
                 let mut tets = h.to_tets();
-                let name = ensure_point_field_unstructured(
-                    &mut tets.fields,
-                    tets.points.len(),
-                    &tets.tets,
-                    &plot.var,
-                )?;
+                let (n_points, cells) = (tets.points.len(), &tets.tets);
+                let name = ensure_point_field(&mut tets.fields, &plot.var, |c| {
+                    cell_to_point(n_points, cells, c)
+                })?;
                 let range = tets.field(&name).unwrap().range().unwrap_or((0.0, 1.0));
                 let tf = TransferFunction::sparse_features(range);
                 let out = render_unstructured(
@@ -663,8 +660,9 @@ fn surface_geometry(mesh: &mut PublishedMesh, var: &str) -> Result<TriMesh, Stra
             // fields: a cell variable's point average is lent to the mesh for
             // the call and taken back, so the mesh stays as `convert` made it.
             let converted = h.fields.len();
+            let (n_points, cells) = (h.points.len(), &h.hexes);
             let name =
-                ensure_point_field_unstructured(&mut h.fields, h.points.len(), &h.hexes, var)?;
+                ensure_point_field(&mut h.fields, var, |c| cell_to_point(n_points, cells, c))?;
             let tri = external_faces_hex(h, Some(&name));
             h.fields.truncate(converted);
             Ok(tri)
@@ -679,83 +677,26 @@ fn grid_with_point_field(
     var: &str,
 ) -> Result<(UniformGrid, String), StrawmanError> {
     let mut out = g.clone();
-    let name = ensure_point_field_structured(&mut out.fields, g.dims, var)?;
+    let name = ensure_point_field(&mut out.fields, var, |c| structured_cell_to_point(g.dims, c))?;
     Ok((out, name))
 }
 
-/// Ensure the fields of a structured grid with point dimensions `dims`
-/// (uniform or rectilinear) carry `var` as a point field, averaging each
-/// point's up-to-8 adjacent cells when it is a cell field; returns the field
+/// Ensure `fields` carry `var` as a point field, adding `average` of its
+/// values under `{var}__points` when it is a cell field; returns the field
 /// name to use.
-fn ensure_point_field_structured(
+fn ensure_point_field(
     fields: &mut Vec<Field>,
-    dims: [usize; 3],
     var: &str,
+    average: impl FnOnce(&[f32]) -> Vec<f32>,
 ) -> Result<String, StrawmanError> {
     let f = mesh::field::find(fields, var)
         .ok_or_else(|| StrawmanError::UnknownField(var.to_string()))?;
     if f.assoc == Assoc::Point {
         return Ok(var.to_string());
     }
-    let cd = [dims[0] - 1, dims[1] - 1, dims[2] - 1];
-    let mut pvals = vec![0.0f32; dims[0] * dims[1] * dims[2]];
-    for pk in 0..dims[2] {
-        for pj in 0..dims[1] {
-            for pi in 0..dims[0] {
-                let mut sum = 0.0;
-                let mut count = 0.0;
-                for dk in 0..2usize {
-                    for dj in 0..2usize {
-                        for di in 0..2usize {
-                            if pi >= di && pj >= dj && pk >= dk {
-                                let (ci, cj, ck) = (pi - di, pj - dj, pk - dk);
-                                if ci < cd[0] && cj < cd[1] && ck < cd[2] {
-                                    sum += f.values[(ck * cd[1] + cj) * cd[0] + ci];
-                                    count += 1.0;
-                                }
-                            }
-                        }
-                    }
-                }
-                pvals[(pk * dims[1] + pj) * dims[0] + pi] =
-                    if count > 0.0 { sum / count } else { 0.0 };
-            }
-        }
-    }
     let name = format!("{var}__points");
-    fields.push(Field::point(name.clone(), pvals));
-    Ok(name)
-}
-
-/// Ensure the fields of an unstructured mesh (hexes or tets over `n_points`
-/// nodes) carry `var` as a point field, averaging each node's incident cells
-/// when it is a cell field; returns the field name to use.
-fn ensure_point_field_unstructured<const N: usize>(
-    fields: &mut Vec<Field>,
-    n_points: usize,
-    cells: &[[u32; N]],
-    var: &str,
-) -> Result<String, StrawmanError> {
-    let f = mesh::field::find(fields, var)
-        .ok_or_else(|| StrawmanError::UnknownField(var.to_string()))?;
-    if f.assoc == Assoc::Point {
-        return Ok(var.to_string());
-    }
-    let mut accum = vec![0.0f32; n_points];
-    let mut count = vec![0u32; n_points];
-    for (cell, &v) in cells.iter().zip(f.values.iter()) {
-        for &n in cell {
-            accum[n as usize] += v;
-            count[n as usize] += 1;
-        }
-    }
-    for (a, c) in accum.iter_mut().zip(count.iter()) {
-        if *c > 0 {
-            *a /= *c as f32;
-        }
-    }
-    let name = format!("{var}__points");
-    fields.push(Field::point(name.clone(), accum));
+    let values = average(&f.values);
+    fields.push(Field::point(name.clone(), values));
     Ok(name)
 }
 
