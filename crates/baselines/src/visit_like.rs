@@ -9,10 +9,13 @@
 //! ones, which is the crossover Table 9 exhibits.
 //!
 //! The per-cell math is DPP-VR's own: [`ScreenTet`] projects each cell and
-//! tests its samples, [`Footprint`] clips it, [`column_run`] narrows each
-//! column. What differs is the loop shape — one serial cell-major pass over
-//! one full-depth buffer, then a serial per-pixel fold — so the frame equals
-//! a one-pass DPP-VR frame bit for bit and Table 9 compares loops alone.
+//! tests its samples, [`Footprint`] clips it and walks each row's span of its
+//! silhouette, [`column_run`] narrows each column. What differs is the loop
+//! shape — one serial cell-major pass over one full-depth buffer with a
+//! branch per sample, then a serial per-pixel fold over every slot, where
+//! DPP-VR's band tasks store through a select and hand compositing compacted
+//! samples — so the frame equals a one-pass DPP-VR frame bit for bit and
+//! Table 9 compares loops alone.
 
 use mesh::{Assoc, TetMesh};
 use render::volume_unstructured::{column_run, Footprint, ScreenTet};
@@ -76,7 +79,8 @@ pub fn render_visit(
                 continue;
             };
             for py in f.y.0..=f.y.1 {
-                for px in f.x.0..=f.x.1 {
+                // Only the columns of the row's span of the silhouette.
+                for px in f.row(cell, py) {
                     let pix = (py * width + px) as usize;
                     // The column's sample run in depth; the inside test below
                     // still decides each sample of it.
@@ -107,7 +111,8 @@ pub fn render_visit(
                 let col = tf.sample(f32::from_bits(bits));
                 if col.a > 0.0 {
                     acc = over(acc, col.premultiplied());
-                    if acc.a > 0.98 {
+                    // DPP-VR's default termination test, `>=` included.
+                    if acc.a >= 0.98 {
                         break;
                     }
                 }
@@ -153,9 +158,9 @@ mod tests {
     #[test]
     fn image_matches_dpp_vr_closely() {
         // Both project, clip and test every sample through the same
-        // `ScreenTet`, `Footprint` and `column_run` on the same sample grid,
-        // and both keep the highest tet index's sample where two tets claim
-        // one; at one pass nothing terminates DPP-VR's sampling early, so the
+        // `ScreenTet`, `Footprint` (row spans included) and `column_run` on
+        // the same sample grid, and both keep the highest tet index's sample
+        // where two tets claim one; at one pass nothing terminates DPP-VR's sampling early, so the
         // two front-to-back folds see the same samples: the frames are equal.
         let t = tets(6);
         let cam = Camera::close_view(&t.bounds());

@@ -11,8 +11,10 @@
 //!    space as [`ScreenTet`]s, precomputing the inverse barycentric matrix
 //!    (the "interpolation constants" the paper re-uses across samples of the
 //!    same cell).
-//! 3. **Sampling** — map over active tets; each pixel column of the tet's
-//!    screen AABB is narrowed to the run of depth slices that can lie inside
+//! 3. **Sampling** — map over active tets; each row of the tet's screen
+//!    AABB is cut to the span of columns its silhouette covers
+//!    ([`ScreenTet::row_span`]), each such pixel column is narrowed to the
+//!    run of depth slices that can lie inside
 //!    the tet ([`column_run`]: along a column the barycentric coordinates are
 //!    affine in depth, so each of the four half-spaces bounds the run from one
 //!    side), and every sample of that run gets an inside-outside barycentric
@@ -24,7 +26,8 @@
 //!    The image is cut into bands of eight rows, each owned by one task:
 //!    the active tets are counting-sorted into every band their clipped
 //!    screen box reaches, and a band's task walks its tets and writes its
-//!    own slab with plain stores. Tets partition space, so at most one tet
+//!    own slab, through a select rather than a branch per sample. Tets
+//!    partition space, so at most one tet
 //!    reaches a sample — except at shared faces, where the epsilon'd inside
 //!    test lets two adjacent tets claim the same sample. A band walks its
 //!    tets in ascending global index, so the last writer, the highest index,
@@ -34,8 +37,10 @@
 //!
 //! Splitting the buffer into passes trades memory for repeated screen-space
 //! work — exactly the trade-off Figures 4 and 5 of the dissertation sweep.
-//! A pass's slab is resident once, as its bands' slabs, 4 bytes per sample:
-//! sampling fills them and compositing reads them in place.
+//! The buffer is never resident whole: a band's task fills a dense slab of
+//! its own rows, compacts it to each pixel's written samples in slice order
+//! before it ends, and frees it, so a pass holds the pool's in-flight band
+//! slabs plus the compacted samples (4 bytes each) that compositing folds.
 
 use crate::counters::PhaseTimer;
 use crate::framebuffer::Framebuffer;
@@ -112,11 +117,13 @@ pub struct UvrStats {
     pub active_pixels: usize,
     /// SPR: average composited samples per active pixel.
     pub samples_per_ray: f64,
-    /// CS proxy: cell-location operations per active pixel (tet-pixel-column
-    /// tests, the `AP*CS` cell-frequency work of the model).
+    /// CS proxy: cell-location operations per active pixel — tet-pixel-column
+    /// tests, one per column of each tet's clipped screen box whether or not
+    /// its row span reaches it (the `AP*CS` cell-frequency work of the model).
     pub cells_per_pixel: f64,
-    /// Peak sample-buffer bytes, as [`sample_buffer_bytes`] counts them: one
-    /// pass's band slabs, resident together.
+    /// The paper's sample buffer for one pass, as [`sample_buffer_bytes`]
+    /// counts it: the bytes Figure 5's memory cap is taken on, not what the
+    /// band slabs and compacted samples keep resident.
     pub buffer_bytes: usize,
     /// Seconds summed over the frame's phases.
     pub render_seconds: f64,
@@ -143,6 +150,9 @@ pub struct ScreenTet {
     pub s: [f32; 4],
     /// Screen AABB: x0, x1, y0, y1 (pixels), z0, z1 (view depth).
     pub bbox: [f32; 6],
+    /// Screen `(x, y)` of the vertices (v0, v1, v2, d): the corners of the
+    /// silhouette [`ScreenTet::row_span`] walks.
+    pub xy: [[f32; 2]; 4],
 }
 
 impl ScreenTet {
@@ -209,7 +219,21 @@ impl ScreenTet {
             (c.clone().fold(f32::INFINITY, f32::min), c.fold(f32::NEG_INFINITY, f32::max))
         };
         let ((bx0, bx1), (by0, by1), (bz0, bz1)) = (span(|v| v.x), span(|v| v.y), span(|v| v.z));
-        Some(ScreenTet { d, inv, s, bbox: [bx0, bx1, by0, by1, bz0, bz1] })
+        // `det` against the terms it is rounded from, times the screen extent
+        // in pixels: below 2^-12 the f32 inverse may describe a tet other
+        // than the vertices' one, so its silhouette is not trusted and its
+        // screen box stands in for it.
+        let terms = m0.x.abs() * ((m1.y * m2.z).abs() + (m2.y * m1.z).abs())
+            + m1.x.abs() * ((m0.y * m2.z).abs() + (m2.y * m0.z).abs())
+            + m2.x.abs() * ((m0.y * m1.z).abs() + (m1.y * m0.z).abs());
+        let extent = (bx1 - bx0).max(by1 - by0);
+        let bbox = [bx0, bx1, by0, by1, bz0, bz1];
+        let xy = if det.abs() * 4096.0 < terms * extent {
+            box_hull(&bbox)
+        } else {
+            sv.map(|v| [v.x, v.y])
+        };
+        Some(ScreenTet { d, inv, s, bbox, xy })
     }
 
     /// The pixel columns `x.0..=x.1` and rows `y.0..=y.1` of the screen box
@@ -221,6 +245,34 @@ impl ScreenTet {
         let py0 = by0.floor().max(0.0) as u32;
         let py1 = (by1.ceil() as i64).min(height as i64 - 1).max(0) as u32;
         (px0 <= px1 && py0 <= py1).then_some(((px0, px1), (py0, py1)))
+    }
+
+    /// The x-extent, on the row of pixel centres `y + 0.5`, of the silhouette
+    /// (the convex hull of [`ScreenTet::xy`]) dilated by a quarter pixel
+    /// (`SPAN_MARGIN`) in every direction, or `None` when the row misses it.
+    /// Every pixel column whose samples the inside test can accept has its
+    /// centre in this span.
+    pub fn row_span(&self, y: u32) -> Option<(f32, f32)> {
+        // The hull's extent over the rows within the margin of `y + 0.5`: its
+        // corners in that reach and where its edges cross the reach's bounds.
+        // Every edge of the hull joins two vertices, and every segment that
+        // joins two lies inside the hull, so all six pairs are taken.
+        let (ya, yb) = (y as f32 + 0.5 - SPAN_MARGIN, y as f32 + 0.5 + SPAN_MARGIN);
+        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+        for (i, &[px, py]) in self.xy.iter().enumerate() {
+            if py >= ya && py <= yb {
+                (lo, hi) = (lo.min(px), hi.max(px));
+            }
+            for &[qx, qy] in &self.xy[i + 1..] {
+                for yl in [ya, yb] {
+                    if (py - yl) * (qy - yl) < 0.0 {
+                        let x = px + (yl - py) / (qy - py) * (qx - px);
+                        (lo, hi) = (lo.min(x), hi.max(x));
+                    }
+                }
+            }
+        }
+        (lo <= hi).then_some((lo - SPAN_MARGIN, hi + SPAN_MARGIN))
     }
 
     /// The share of each barycentric coordinate the pixel column through
@@ -248,9 +300,18 @@ impl ScreenTet {
     }
 }
 
+/// Corners of a silhouette that holds every pixel centre of the screen box
+/// `bbox` (see [`ScreenTet::pixels`]).
+fn box_hull(bbox: &[f32; 6]) -> [[f32; 2]; 4] {
+    let [bx0, bx1, by0, by1, ..] = *bbox;
+    let (x0, x1, y0, y1) = (bx0.floor(), bx1.ceil() + 1.0, by0.floor(), by1.ceil() + 1.0);
+    [[x0, y0], [x1, y0], [x0, y1], [x1, y1]]
+}
+
 /// Bytes required for the sample buffer at the given configuration: the
-/// paper's 4-byte float per sample, the quantity Figure 5's OOM gaps are
-/// defined on — and exactly what one pass's band slabs hold.
+/// paper's 4-byte float per sample over one pass's `W x H x slab`, the
+/// quantity Figure 5's OOM gaps are defined on. The renderer keeps less
+/// resident (see the module doc): only the bands in flight are dense.
 pub fn sample_buffer_bytes(width: u32, height: u32, cfg: &UvrConfig) -> usize {
     let slab = cfg.depth_samples.div_ceil(cfg.num_passes.max(1)) as usize;
     width as usize * height as usize * slab * 4
@@ -308,6 +369,15 @@ fn screen_space_stage(
 
 /// The inside-outside test's slack: inside is all four coordinates `>= EPS`.
 const EPS: f32 = -1e-5;
+
+/// Pixels [`ScreenTet::row_span`] reaches past a tet's silhouette. The slack
+/// `EPS` grows a tet by `4·10⁻⁵` of its size about its centroid (0.04 px for
+/// a 1000-pixel tet), and a tet whose inverse rounding could move it further
+/// takes its screen box as silhouette. None of the oracle's accepted awkward
+/// columns lies outside the silhouette itself; a one-pixel margin walked
+/// 1.7x the columns of this one on the benchmark frame, and each costs a
+/// [`column_run`] solve.
+const SPAN_MARGIN: f32 = 0.25;
 
 /// The run `(lo, hi)` of depth slices within `slices` that can lie inside a
 /// tet along the pixel column through `centre`, or `None` when none can (the
@@ -393,6 +463,17 @@ impl Footprint {
         (s_lo <= s_hi).then_some(Footprint { x, y, s: (s_lo, s_hi) })
     }
 
+    /// The columns of row `py` within `x` whose pixel centres lie in the
+    /// tet's [`ScreenTet::row_span`]: the only ones the inside test can
+    /// accept a sample of.
+    pub fn row(&self, tet: &ScreenTet, py: u32) -> std::ops::Range<u32> {
+        let Some((xa, xb)) = tet.row_span(py) else { return 0..0 };
+        // `as` saturates, and `end >= lo`: a span off either side leaves none.
+        let lo = ((xa - 0.5).ceil() as i64).max(self.x.0 as i64);
+        let end = ((xb - 0.5).floor() as i64 + 1).min(self.x.1 as i64 + 1).max(lo);
+        lo as u32..end as u32
+    }
+
     /// The bands of [`BAND`] rows the footprint reaches.
     fn bands(&self) -> std::ops::RangeInclusive<usize> {
         (self.y.0 / BAND) as usize..=(self.y.1 / BAND) as usize
@@ -421,10 +502,69 @@ fn bin_by_band(feet: &[Option<Footprint>], n_bands: usize) -> (Vec<usize>, Vec<u
     (start, members)
 }
 
-/// Sampling stage: one task per band of [`BAND`] rows fills that band's
-/// slab — `slab` slots per pixel, row-major, [`EMPTY`] where no tet
-/// samples — from the tets binned to it, over each column's run. Returns
-/// the band slabs, top band first, and the bounding-box tet-pixel-column
+/// One band's samples, compacted: pixel `i` of the band (row-major) holds
+/// `bits[ends[i - 1]..ends[i]]` (from 0 for the first pixel), the scalar bits
+/// of its sampled slices in slice order.
+struct BandSamples {
+    ends: Vec<u32>,
+    bits: Vec<u32>,
+}
+
+impl BandSamples {
+    /// The non-[`EMPTY`] slots of a dense slab of `span` slots per pixel,
+    /// reading pixel `i` only over `reach[i]`: every slot outside it is empty.
+    fn compact(dense: &[u32], span: usize, reach: &[(u32, u32)]) -> Self {
+        let reached = |&(lo, hi): &(u32, u32)| (hi + 1).saturating_sub(lo) as usize;
+        let mut bits = vec![0u32; reach.iter().map(reached).sum()];
+        // Every reached slot is stored; only a sample advances the cursor.
+        let mut n = 0;
+        let ends = dense
+            .chunks_exact(span)
+            .zip(reach)
+            .map(|(slots, &(lo, hi))| {
+                for &b in slots.get(lo as usize..=hi as usize).unwrap_or(&[]) {
+                    bits[n] = b;
+                    n += (b != EMPTY) as usize;
+                }
+                n as u32
+            })
+            .collect();
+        bits.truncate(n);
+        bits.shrink_to_fit();
+        BandSamples { ends, bits }
+    }
+
+    /// Each pixel's samples, in band order.
+    fn pixels(&self) -> impl Iterator<Item = &[u32]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(a, &b)| &self.bits[a as usize..b as usize])
+    }
+}
+
+/// Store the tet's scalar bits in every slot of `slots` (slices `lo..`)
+/// whose depth on the column `c` the inside test accepts. The arithmetic is
+/// [`ScreenTet::value_at`]'s, in its order, so the bits are its; the select
+/// replaces its branch, so the loop carries no data-dependent jump.
+#[inline]
+fn sample_run(tet: &ScreenTet, c: &[f32; 3], z0: f32, dz: f32, lo: u32, slots: &mut [u32]) {
+    let k = tet.inv.map(|row| row[2]);
+    let (s, dz_ref) = (tet.s, tet.d.z);
+    for (sl, slot) in (lo..).zip(slots) {
+        let rz = z0 + (sl as f32 + 0.5) * dz - dz_ref;
+        let (l0, l1, l2) = (c[0] + k[0] * rz, c[1] + k[1] * rz, c[2] + k[2] * rz);
+        let l3 = 1.0 - l0 - l1 - l2;
+        let inside = (l0 >= EPS) & (l1 >= EPS) & (l2 >= EPS) & (l3 >= EPS);
+        let value = s[0] * l0 + s[1] * l1 + s[2] * l2 + s[3] * l3;
+        // Ascending tets: the highest index stores last.
+        *slot = if inside { value.to_bits() } else { *slot };
+    }
+}
+
+/// Sampling stage: one task per band of [`BAND`] rows fills a dense slab —
+/// one slot per pixel and slice of `s_begin..s_end`, row-major, [`EMPTY`]
+/// where no tet samples — from the tets binned to it, over each row's span
+/// of columns and each column's run, then compacts it before the task ends.
+/// Returns the bands, top band first, and the bounding-box tet-pixel-column
 /// tests performed (the CS model input).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 fn sampling_stage(
@@ -437,14 +577,13 @@ fn sampling_stage(
     height: u32,
     z0: f32,
     dz: f32,
-    slab: usize,
     s_begin: u32,
     s_end: u32,
-) -> (Vec<Vec<u32>>, u64) {
+) -> (Vec<BandSamples>, u64) {
     #[cfg(test)] // the oracle's switch, never compiled into the library
     if tests::REFERENCE_SAMPLER.with(|on| on.get()) {
         return tests::reference_bands(
-            device, active, screen, opacity, term, width, height, z0, dz, slab, s_begin, s_end,
+            device, active, screen, opacity, term, width, height, z0, dz, s_begin, s_end,
         );
     }
     // Ascending tet indices, so a band's last writer is the highest index.
@@ -455,71 +594,66 @@ fn sampling_stage(
     });
     let n_bands = height.div_ceil(BAND) as usize;
     let (start, members) = bin_by_band(&feet, n_bands);
-    let w = width as usize;
+    let (w, span) = (width as usize, (s_end - s_begin) as usize);
     let bands = dpp::tasks(device, n_bands, |b| {
         let y0 = b as u32 * BAND;
         let y1 = (y0 + BAND).min(height) - 1;
-        // Allocated and first touched by the task that fills it.
-        let mut band = vec![EMPTY; (y1 - y0 + 1) as usize * w * slab];
+        // Allocated, filled and freed by this task: only the compacted
+        // samples outlive it.
+        let n_px = (y1 - y0 + 1) as usize * w;
+        let mut dense = vec![EMPTY; n_px * span];
+        // Per pixel, the first and last slot any run covered.
+        let mut reach = vec![(u32::MAX, 0u32); n_px];
         let mut tested = 0u64;
         for &a in &members[start[b]..start[b + 1]] {
             // By value: the tet's constants stay in registers across its columns.
             let (Some(tet), Some(f)) = (screen[a as usize], feet[a as usize]) else { continue };
             for py in f.y.0.max(y0)..=f.y.1.min(y1) {
-                for px in f.x.0..=f.x.1 {
-                    tested += 1;
+                // CS counts every bounding-box column, sampled or not.
+                tested += (f.x.1 - f.x.0 + 1) as u64;
+                for px in f.row(&tet, py) {
                     if opacity[py as usize * w + px as usize] >= term {
                         continue; // early-termination in the sampler
                     }
                     let centre = (px as f32 + 0.5, py as f32 + 0.5);
                     let run = column_run(&tet.inv, tet.d, centre, z0, dz, f.s);
                     let Some((lo, hi)) = run else { continue };
-                    let c = tet.column(centre);
                     let local = (py - y0) as usize * w + px as usize;
-                    let slots = &mut band[local * slab..(local + 1) * slab];
-                    for sl in lo..=hi {
-                        if let Some(value) = tet.value_at(&c, z0 + (sl as f32 + 0.5) * dz) {
-                            // Ascending tets: the highest index stores last.
-                            slots[(sl - s_begin) as usize] = value.to_bits();
-                        }
-                    }
+                    let (a, b) = (lo - s_begin, hi - s_begin);
+                    reach[local] = (reach[local].0.min(a), reach[local].1.max(b));
+                    let slots = &mut dense[local * span..][a as usize..=b as usize];
+                    sample_run(&tet, &tet.column(centre), z0, dz, lo, slots);
                 }
             }
         }
-        (band, tested)
+        (BandSamples::compact(&dense, span, &reach), tested)
     });
-    let (bands, tested): (Vec<Vec<u32>>, Vec<u64>) = bands.into_iter().unzip();
+    let (bands, tested): (Vec<BandSamples>, Vec<u64>) = bands.into_iter().unzip();
     (bands, tested.iter().sum())
 }
 
 /// Compositing stage: one task per band folds each of its pixels' samples
 /// front-to-back into the accumulation buffer with early termination.
 /// Returns the new accumulation state and the number of samples composited.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 fn composite_stage(
     device: &Device,
     acc: &[Color],
-    bands: &[Vec<u32>],
+    bands: &[BandSamples],
     width: u32,
-    slab: usize,
-    slab_this: usize,
     term: f32,
     tf: &TransferFunction,
 ) -> (Vec<Color>, u64) {
     let folded = dpp::tasks(device, bands.len(), |b| {
         let mut composited = 0u64;
         let first_px = b * BAND as usize * width as usize;
-        let pixels = bands[b].chunks_exact(slab).zip(&acc[first_px..]);
+        let pixels = bands[b].pixels().zip(&acc[first_px..]);
         let colors: Vec<Color> = pixels
-            .map(|(slots, &c)| {
+            .map(|(samples, &c)| {
                 let mut c = c;
                 if c.a >= term {
                     return c;
                 }
-                for &bits in &slots[..slab_this] {
-                    if bits == EMPTY {
-                        continue;
-                    }
+                for &bits in samples {
                     let col = tf.sample(f32::from_bits(bits));
                     composited += 1;
                     if col.a > 0.0 {
@@ -556,8 +690,8 @@ fn assemble_uvr_stage(acc: &[Color], width: u32, height: u32) -> (Framebuffer, u
 /// Render the tetrahedral mesh's point field through the camera: the
 /// unstructured volume renderer's one driver. One `initialization` phase,
 /// then per depth span the four phases of Algorithm 2, then `assemble`. Each
-/// span's sample slab is dropped as soon as it has been composited, and the
-/// per-tet depth ranges as soon as the last span has selected its tets.
+/// span's compacted samples are dropped as soon as they have been composited,
+/// and the per-tet depth ranges as soon as the last span has selected its tets.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 pub fn render_unstructured(
     device: &Device,
@@ -633,14 +767,12 @@ pub fn render_unstructured(
         let (samples, tested) = phases.run("sampling", active.len() as u64, || {
             let opacity: Vec<f32> = acc.iter().map(|c| c.a).collect();
             sampling_stage(
-                device, &active, &screen, &opacity, term, width, height, z0, dz, slab, s_begin,
-                s_end,
+                device, &active, &screen, &opacity, term, width, height, z0, dz, s_begin, s_end,
             )
         });
         drop((active, screen));
-        let slab_this = (s_end - s_begin) as usize;
         let (next, n) = phases.run("compositing", n_px as u64, || {
-            composite_stage(device, &acc, &samples, width, slab, slab_this, term, tf)
+            composite_stage(device, &acc, &samples, width, term, tf)
         });
         drop(samples);
         acc = next;
@@ -689,8 +821,8 @@ mod tests {
         out
     }
 
-    /// [`sampling_stage_reference`]'s slab cut into `sampling_stage`'s band
-    /// slabs: each slot's winning scalar bits, `EMPTY` where no tet wrote.
+    /// [`sampling_stage_reference`]'s slab cut into `sampling_stage`'s
+    /// bands and compacted: each pixel's winning scalar bits in slice order.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn reference_bands(
         device: &Device,
@@ -702,12 +834,11 @@ mod tests {
         height: u32,
         z0: f32,
         dz: f32,
-        slab: usize,
         s_begin: u32,
         s_end: u32,
-    ) -> (Vec<Vec<u32>>, u64) {
+    ) -> (Vec<BandSamples>, u64) {
         let (samples, tested) = sampling_stage_reference(
-            device, active, screen, opacity, term, width, height, z0, dz, slab, s_begin, s_end,
+            device, active, screen, opacity, term, width, height, z0, dz, s_begin, s_end,
         );
         let slots: Vec<u32> = samples
             .into_iter()
@@ -716,8 +847,10 @@ mod tests {
                 packed => packed as u32,
             })
             .collect();
-        let band_slots = BAND as usize * width as usize * slab;
-        (slots.chunks(band_slots).map(<[u32]>::to_vec).collect(), tested)
+        let span = (s_end - s_begin) as usize;
+        let whole = vec![(0, span as u32 - 1); BAND as usize * width as usize];
+        let bands = slots.chunks(BAND as usize * width as usize * span);
+        (bands.map(|dense| BandSamples::compact(dense, span, &whole)).collect(), tested)
     }
 
     /// The sampler as it was before `column_run`: every slice of every pixel
@@ -736,11 +869,11 @@ mod tests {
         height: u32,
         z0: f32,
         dz: f32,
-        slab: usize,
         s_begin: u32,
         s_end: u32,
     ) -> (Vec<AtomicU64>, u64) {
         let n_px = (width * height) as usize;
+        let slab = (s_end - s_begin) as usize;
         let samples: Vec<AtomicU64> = (0..n_px * slab).map(|_| AtomicU64::new(0)).collect();
         let cells_tested = AtomicU64::new(0);
         dpp::for_each(device, active.len(), |a| {
@@ -819,7 +952,7 @@ mod tests {
     ) -> Vec<Option<ScreenTet>> {
         (0..n)
             .map(|t| {
-                let kind = t % 8;
+                let kind = t % 10;
                 // Centre: on screen, or (kind 5) hanging over / beyond one of
                 // the four image edges; in depth anywhere from before the
                 // first slice to past the last, or (kind 4) on a pass edge.
@@ -863,6 +996,29 @@ mod tests {
                     sv[1].x = sv[0].x;
                     sv[1].y = sv[0].y;
                 }
+                if kind == 8 || kind == 9 {
+                    // Vertices on one line of the screen, on a 1/8-pixel grid
+                    // so every difference is exact: the face v0-v1-d is
+                    // edge-on and `inv[2][2]` is exactly 0 (kind 8), or
+                    // (kind 9) all four lie within a hair of one plane along
+                    // the view ray — an edge-on sliver, a silhouette of
+                    // almost no width.
+                    let grid = |v: f32| (v * 8.0).round() / 8.0;
+                    let (ax, ay) =
+                        ((rng.next_u64() % 9) as f32 - 4.0, (rng.next_u64() % 9) as f32 - 4.0);
+                    let (ax, ay) =
+                        if ax == 0.0 && ay == 0.0 { (1.0, 0.0) } else { (ax / 8.0, ay / 8.0) };
+                    let (ox, oy) = (grid(cx), grid(cy));
+                    let hair = if kind == 9 { 10f32.powf(between(rng, -6.0, -2.0)) } else { 0.0 };
+                    for (v, k) in sv.iter_mut().zip([-3.0, 5.0, 2.0, 0.0]) {
+                        let off = if kind == 9 { between(rng, -hair, hair) } else { 0.0 };
+                        (v.x, v.y) = (ox + k * ax - off * ay, oy + k * ay + off * ax);
+                    }
+                    if kind == 8 {
+                        (sv[2].x, sv[2].y) =
+                            (cx + between(rng, -ex, ex), cy + between(rng, -ex, ex));
+                    }
+                }
                 let mut s = [unit(rng), unit(rng), unit(rng), unit(rng)];
                 // Scalars whose samples an empty-slot marker could pass
                 // for: all four one special value, or a mix of them.
@@ -882,28 +1038,35 @@ mod tests {
                     _ => {}
                 }
                 let mut tet = ScreenTet::from_screen(sv, s)?;
+                // Kinds 3, 7 and one in eight of kind 6 set `inv` by hand, so
+                // it describes no tet of these vertices: the screen box stands
+                // in for the silhouette, as it does for a tet whose inverse is
+                // too ill-conditioned to trust.
                 if kind == 3 {
                     let row = (rng.next_u64() % 3) as usize;
-                    tet.inv[row][2] = [0.0, 1e-30, -1e-30, 1e-38, -1e-42][(t / 8) % 5];
+                    tet.inv[row][2] = [0.0, 1e-30, -1e-30, 1e-38, -1e-42][(t / 10) % 5];
+                    tet.xy = box_hull(&tet.bbox);
                 }
                 if kind == 7 {
                     // A face edge-on and, along the pixel column nearest the
                     // centre, its coordinate within a few ulps of the
                     // threshold: only rounding decides, in every slice.
                     let row = (rng.next_u64() % 3) as usize;
-                    tet.inv[row][2] = [0.0, 1e-30, -1e-30][(t / 8) % 3];
+                    tet.inv[row][2] = [0.0, 1e-30, -1e-30][(t / 10) % 3];
                     let (rx, ry) = (cx.floor() + 0.5 - tet.d.x, cy.floor() + 0.5 - tet.d.y);
                     if rx.abs() > 0.05 {
                         let ulps = (rng.next_u64() % 9) as f32 - 4.0;
                         tet.inv[row][0] =
                             (EPS * (1.0 + ulps * f32::EPSILON) - tet.inv[row][1] * ry) / rx;
                     }
+                    tet.xy = box_hull(&tet.bbox);
                 }
-                if kind == 6 && t % 64 == 6 {
+                if kind == 6 && (t / 10).is_multiple_of(8) {
                     let row = (rng.next_u64() % 3) as usize;
                     let col = (rng.next_u64() % 3) as usize;
                     tet.inv[row][col] =
-                        [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38][(t / 64) % 4];
+                        [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38][(t / 80) % 4];
+                    tet.xy = box_hull(&tet.bbox);
                 }
                 Some(tet)
             })
@@ -940,7 +1103,7 @@ mod tests {
                 let b = (rng.next_u64() % (s_total as u64 / 2)) as u32;
                 (b, b + 16 + (rng.next_u64() % (s_total - b - 15) as u64) as u32)
             };
-            let slab = (s_end - s_begin) as usize + (rng.next_u64() % 3) as usize;
+            let span = (s_end - s_begin) as usize;
             let term = 0.98;
             let opacity: Vec<f32> = (0..w * h)
                 .map(|_| if rng.next_u64().is_multiple_of(5) { 0.99 } else { 0.3 })
@@ -949,51 +1112,50 @@ mod tests {
             let n = 4600;
             let screen = awkward_tets(&mut rng, n, (w, h), (z0, dz), (s_begin, s_end, s_total));
             let active: Vec<u32> = (0..n as u32).map(|t| t * 3 + 1).collect();
-            // A slot as compositing reads it: `None` for no sample, else the
-            // scalar bits — NaNs as one class, since Rust pins neither the
-            // sign nor the payload of a NaN an operation returns (the
-            // optimiser may commute the operands of `+`), and every NaN
-            // samples the transfer function alike.
-            let read = |bits: u32, empty: bool| {
-                (!empty).then_some(if f32::from_bits(bits).is_nan() { u32::MAX } else { bits })
-            };
+            // A sample as compositing reads it: its scalar bits — NaNs as one
+            // class, since Rust pins neither the sign nor the payload of a NaN
+            // an operation returns (the optimiser may commute the operands of
+            // `+`), and every NaN samples the transfer function alike.
+            let read = |bits: u32| if f32::from_bits(bits).is_nan() { u32::MAX } else { bits };
             for device in &devices {
                 let (want, want_tested) = sampling_stage_reference(
-                    device, &active, &screen, &opacity, term, w, h, z0, dz, slab, s_begin, s_end,
+                    device, &active, &screen, &opacity, term, w, h, z0, dz, s_begin, s_end,
                 );
-                let want: Vec<Option<u32>> = want
+                // Each pixel's written slots of the brute-force slab, in slice order.
+                let want: Vec<Vec<u32>> = want
                     .into_iter()
                     .map(AtomicU64::into_inner)
-                    .map(|packed| read(packed as u32, packed == 0))
+                    .collect::<Vec<u64>>()
+                    .chunks(span)
+                    .map(|slots| {
+                        slots.iter().filter(|&&p| p != 0).map(|&p| read(p as u32)).collect()
+                    })
                     .collect();
                 let (bands, got_tested) = sampling_stage(
-                    device, &active, &screen, &opacity, term, w, h, z0, dz, slab, s_begin, s_end,
+                    device, &active, &screen, &opacity, term, w, h, z0, dz, s_begin, s_end,
                 );
                 assert_eq!(got_tested, want_tested, "case {case} on {device:?}");
-                let rows: Vec<usize> =
-                    bands.iter().map(|b| b.len() / (w as usize * slab)).collect();
+                let rows: Vec<usize> = bands.iter().map(|b| b.ends.len() / w as usize).collect();
                 let want_rows: Vec<usize> =
                     (0..h).step_by(BAND as usize).map(|y0| (h - y0).min(BAND) as usize).collect();
                 assert_eq!(rows, want_rows, "case {case} on {device:?}: band heights");
-                let got: Vec<Option<u32>> =
-                    bands.concat().into_iter().map(|bits| read(bits, bits == EMPTY)).collect();
+                let got: Vec<Vec<u32>> = bands
+                    .iter()
+                    .flat_map(|b| b.pixels().map(|px| px.iter().map(|&bits| read(bits)).collect()))
+                    .collect();
                 assert_eq!(got.len(), want.len());
-                if let Some(slot) = (0..want.len()).find(|&i| got[i] != want[i]) {
+                if let Some(pixel) = (0..want.len()).find(|&i| got[i] != want[i]) {
                     panic!(
-                        "case {case} on {device:?}: slot {slot} (pixel {}, slice {}) holds \
-                         {:x?}, the oracle {:x?} ({w}x{h}, z0 {z0}, dz {dz}, \
-                         slices {s_begin}..{s_end})",
-                        slot / slab,
-                        slot % slab,
-                        got[slot],
-                        want[slot]
+                        "case {case} on {device:?}: pixel {pixel} holds {:x?}, the oracle {:x?} \
+                         ({w}x{h}, z0 {z0}, dz {dz}, slices {s_begin}..{s_end})",
+                        got[pixel], want[pixel]
                     );
                 }
-                for bits in want.iter().flatten() {
-                    let v = f32::from_bits(*bits);
+                for &bits in want.iter().flatten() {
+                    let v = f32::from_bits(bits);
                     written += 1;
-                    zeros += (*bits == 0) as usize;
-                    neg_zeros += (*bits == 0x8000_0000) as usize;
+                    zeros += (bits == 0) as usize;
+                    neg_zeros += (bits == 0x8000_0000) as usize;
                     nans += v.is_nan() as usize;
                     subnormals += v.is_subnormal() as usize;
                 }
@@ -1019,6 +1181,56 @@ mod tests {
         assert!(straddlers > 1000, "only {straddlers} tets straddle a band edge");
         let specials = [zeros, neg_zeros, nans, subnormals];
         assert!(specials.iter().all(|&n| n > 100), "+0, -0, NaN, subnormal winners: {specials:?}");
+    }
+
+    #[test]
+    fn row_spans_hold_every_column_the_inside_test_accepts() {
+        // Every pixel column of each awkward tet's screen box, on and off the
+        // image: if `column_run` and the inside test accept a sample of it,
+        // its centre lies in the row's span, margin included.
+        let mut rng = TestRng::new(41);
+        let (mut accepted, mut on_vertices, mut skipped) = (0usize, 0usize, 0usize);
+        for _ in 0..12 {
+            let dz = 10f32.powf(between(&mut rng, -4.0, 1.0));
+            let z0 = between(&mut rng, 0.05, 40.0);
+            let screen = awkward_tets(&mut rng, 2000, (24, 24), (z0, dz), (0, 64, 64));
+            for tet in screen.iter().flatten() {
+                let [bx0, bx1, by0, by1, bz0, bz1] = tet.bbox;
+                let s = (
+                    ((bz0 - z0) / dz).floor().max(0.0) as u32,
+                    ((bz1 - z0) / dz).ceil().clamp(0.0, 63.0) as u32,
+                );
+                let boxed = tet.xy == box_hull(&tet.bbox);
+                for py in (by0.floor().max(0.0) as u32)..=(by1.ceil().max(0.0) as u32) {
+                    let span = tet.row_span(py);
+                    for px in bx0.floor() as i32..=bx1.ceil() as i32 {
+                        let centre = (px as f32 + 0.5, py as f32 + 0.5);
+                        let inside = span.is_some_and(|(a, b)| a <= centre.0 && centre.0 <= b);
+                        skipped += !inside as usize;
+                        let Some((lo, hi)) = column_run(&tet.inv, tet.d, centre, z0, dz, s) else {
+                            continue;
+                        };
+                        let c = tet.column(centre);
+                        let z = |sl: u32| z0 + (sl as f32 + 0.5) * dz;
+                        if (lo..=hi).all(|sl| tet.value_at(&c, z(sl)).is_none()) {
+                            continue;
+                        }
+                        accepted += 1;
+                        on_vertices += !boxed as usize;
+                        assert!(
+                            inside,
+                            "column ({px}, {py}) has samples but lies outside the row span \
+                             {span:?} of {tet:?} (z0 {z0}, dz {dz})"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            on_vertices > 20_000,
+            "only {on_vertices} of {accepted} accepted columns had vertex silhouettes"
+        );
+        assert!(skipped > 20_000, "row spans skipped only {skipped} box columns");
     }
 
     #[test]
