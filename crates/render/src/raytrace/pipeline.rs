@@ -225,7 +225,8 @@ pub(crate) fn trace(
         });
         drop((live_rays, occlusion, light_vis));
         phases.run("anti_alias", (width * height) as u64, || {
-            let frame = resolve_stage(&live, &live_hits, &colors, &order, width, height, ss);
+            let frame =
+                resolve_stage(device, &live, &live_hits, &colors, &order, width, height, ss);
             let active = count_if(device, frame.num_pixels(), |i| frame.color[i].a > 0.0);
             (frame, active)
         })
@@ -408,9 +409,12 @@ fn shade_stage(
     })
 }
 
-/// Scatter shaded colors into the supersampled buffer, then box-filter
-/// into the output frame.
+/// Box-filter the shaded sub-pixels into the output frame, one output
+/// pixel per `map` item: a slot table maps each sub-pixel to its live ray,
+/// and each pixel gathers its `ss²` sub-samples through it.
+#[allow(clippy::too_many_arguments)]
 fn resolve_stage(
+    device: &Device,
     live: &[u32],
     live_hits: &[Hit],
     colors: &[Color],
@@ -419,40 +423,52 @@ fn resolve_stage(
     height: u32,
     ss: u32,
 ) -> Framebuffer {
-    let rw = width * ss;
-    let rh = height * ss;
-    let mut frame = Framebuffer::new(width, height);
-    let aa = (ss * ss) as f32;
-    let mut accum: Vec<Color> = vec![Color::TRANSPARENT; (rw * rh) as usize];
-    let mut depth_ss: Vec<f32> = vec![f32::INFINITY; (rw * rh) as usize];
-    for (li, &src) in live.iter().enumerate() {
-        let p = pixel_order[src as usize] as usize;
-        accum[p] = colors[li];
-        depth_ss[p] = live_hits[li].t;
+    #[cfg(test)] // the oracle's switch, never compiled into the library
+    if tests::REFERENCE_RESOLVE.with(|on| on.get()) {
+        return tests::resolve_stage_reference(
+            live,
+            live_hits,
+            colors,
+            pixel_order,
+            width,
+            height,
+            ss,
+        );
     }
-    for py in 0..height {
-        for px in 0..width {
-            let mut c = Color::TRANSPARENT;
-            let mut d = f32::INFINITY;
-            let mut any = false;
-            for sy in 0..ss {
-                for sx in 0..ss {
-                    let sp = ((py * ss + sy) * rw + px * ss + sx) as usize;
-                    c = c.add(accum[sp].premultiplied());
-                    if depth_ss[sp] < d {
-                        d = depth_ss[sp];
-                    }
-                    any |= accum[sp].a > 0.0;
+    const NO_RAY: u32 = u32::MAX;
+    let rw = width * ss;
+    let mut slot = vec![NO_RAY; (rw * height * ss) as usize];
+    for (li, &src) in live.iter().enumerate() {
+        slot[pixel_order[src as usize] as usize] = li as u32;
+    }
+    let aa = (ss * ss) as f32;
+    let pixels = map(device, (width * height) as usize, |ix| {
+        let (px, py) = (ix as u32 % width, ix as u32 / width);
+        let mut c = Color::TRANSPARENT;
+        let mut d = f32::INFINITY;
+        let mut any = false;
+        for sy in 0..ss {
+            for sx in 0..ss {
+                let (color, depth) = match slot[((py * ss + sy) * rw + px * ss + sx) as usize] {
+                    NO_RAY => (Color::TRANSPARENT, f32::INFINITY),
+                    li => (colors[li as usize], live_hits[li as usize].t),
+                };
+                c = c.add(color.premultiplied());
+                if depth < d {
+                    d = depth;
                 }
-            }
-            if any {
-                let ix = frame.index(px, py);
-                frame.color[ix] = c.scale(1.0 / aa).unpremultiplied();
-                frame.depth[ix] = d;
+                any |= color.a > 0.0;
             }
         }
-    }
-    frame
+        if any {
+            (c.scale(1.0 / aa).unpremultiplied(), d)
+        } else {
+            (Color::TRANSPARENT, f32::INFINITY)
+        }
+    });
+    drop(slot);
+    let (color, depth) = pixels.into_iter().unzip();
+    Framebuffer { width, height, color, depth }
 }
 
 /// Shade one hit, optionally recursing along the specular reflection.
@@ -510,6 +526,112 @@ mod tests {
     use super::*;
     use mesh::datasets::{field_grid, FieldKind};
     use mesh::isosurface::isosurface;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// While set, this thread's `resolve_stage` calls run the serial
+        /// oracle below instead.
+        pub(super) static REFERENCE_RESOLVE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The serial `resolve_stage` that the per-pixel `map` replaced, kept
+    /// verbatim as its oracle: scatter shaded colors into the supersampled
+    /// buffer, then box-filter into the output frame.
+    pub(super) fn resolve_stage_reference(
+        live: &[u32],
+        live_hits: &[Hit],
+        colors: &[Color],
+        pixel_order: &[u32],
+        width: u32,
+        height: u32,
+        ss: u32,
+    ) -> Framebuffer {
+        let rw = width * ss;
+        let rh = height * ss;
+        let mut frame = Framebuffer::new(width, height);
+        let aa = (ss * ss) as f32;
+        let mut accum: Vec<Color> = vec![Color::TRANSPARENT; (rw * rh) as usize];
+        let mut depth_ss: Vec<f32> = vec![f32::INFINITY; (rw * rh) as usize];
+        for (li, &src) in live.iter().enumerate() {
+            let p = pixel_order[src as usize] as usize;
+            accum[p] = colors[li];
+            depth_ss[p] = live_hits[li].t;
+        }
+        for py in 0..height {
+            for px in 0..width {
+                let mut c = Color::TRANSPARENT;
+                let mut d = f32::INFINITY;
+                let mut any = false;
+                for sy in 0..ss {
+                    for sx in 0..ss {
+                        let sp = ((py * ss + sy) * rw + px * ss + sx) as usize;
+                        c = c.add(accum[sp].premultiplied());
+                        if depth_ss[sp] < d {
+                            d = depth_ss[sp];
+                        }
+                        any |= accum[sp].a > 0.0;
+                    }
+                }
+                if any {
+                    let ix = frame.index(px, py);
+                    frame.color[ix] = c.scale(1.0 / aa).unpremultiplied();
+                    frame.depth[ix] = d;
+                }
+            }
+        }
+        frame
+    }
+
+    /// The per-pixel resolve gives the serial oracle's colour and depth bit
+    /// for bit on the benchmark's close and far 288² views of LULESH(24),
+    /// steps 0 and 31 (debug builds: step 0): WORKLOAD2, WORKLOAD3 (2×2
+    /// supersampling, compaction) and Morton-sorted WORKLOAD2, on the serial
+    /// and the parallel device.
+    #[test]
+    fn per_pixel_resolve_is_the_serial_resolve() {
+        let side = 288;
+        let mut sim = sims::Lulesh::new(24);
+        let mut morton = RtConfig::workload2();
+        morton.morton_sort_rays = true;
+        let configs = [RtConfig::workload2(), RtConfig::workload3(), morton];
+        let bits = |f: &Framebuffer| -> Vec<u32> {
+            let color = f.color.iter().flat_map(|c| [c.r, c.g, c.b, c.a]);
+            color.chain(f.depth.iter().copied()).map(f32::to_bits).collect()
+        };
+        let last_step = if cfg!(debug_assertions) { 0 } else { 31 };
+        for step in 0..=last_step {
+            if step > 0 {
+                sims::ProxySim::step(&mut sim);
+            }
+            if step != 0 && step != last_step {
+                continue;
+            }
+            let hexes = sim.hex_mesh();
+            let tris = mesh::external_faces::external_faces_hex(&hexes, Some("e_p"));
+            let bounds = hexes.bounds();
+            for device in [Device::Serial, Device::parallel()] {
+                let rt = RayTracer::new(device, TriGeometry::from_mesh(&tris));
+                for cam in [Camera::close_view(&bounds), Camera::far_view(&bounds)] {
+                    for cfg in &configs {
+                        let frame = |reference: bool| {
+                            REFERENCE_RESOLVE.with(|on| on.set(reference));
+                            let out = rt.render(&cam, side, side, cfg);
+                            REFERENCE_RESOLVE.with(|on| on.set(false));
+                            out
+                        };
+                        let (got, want) = (frame(false), frame(true));
+                        assert!(want.stats.active_pixels > 1000, "the view should see the mesh");
+                        assert_eq!(got.stats.active_pixels, want.stats.active_pixels);
+                        assert!(
+                            bits(&got.frame) == bits(&want.frame),
+                            "step {step}, {:?}, {cfg:?}: frames differ",
+                            rt.device
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn tracer(device: Device) -> RayTracer {
         let g = field_grid(FieldKind::ShockShell, [20, 20, 20]);
