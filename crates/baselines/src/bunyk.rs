@@ -9,7 +9,7 @@
 
 use mesh::{Assoc, TetMesh};
 use rayon::prelude::*;
-use render::Framebuffer;
+use render::{Framebuffer, PhaseTimer, RenderOutput, RenderStats};
 use std::collections::HashMap;
 use vecmath::{over, Camera, Color, Ray, TransferFunction, Vec3};
 
@@ -55,29 +55,15 @@ impl Connectivity {
     }
 }
 
-/// Stats of one Bunyk render.
-#[derive(Debug, Clone)]
-pub struct BunykStats {
-    pub objects: usize,
-    pub preprocess_seconds: f64,
-    pub render_seconds: f64,
-    pub active_pixels: usize,
-    /// Total cell-to-cell marching steps.
-    pub cells_marched: u64,
-}
-
-pub struct BunykOutput {
-    pub frame: Framebuffer,
-    pub stats: BunykStats,
-}
-
 /// Ray/triangle test returning the `t` parameter only.
 #[inline]
 fn hit_face(ray: &Ray, a: Vec3, b: Vec3, c: Vec3) -> Option<f32> {
     render::raytrace::bvh::intersect_triangle(ray, a, b - a, c - a).map(|(t, _, _)| t)
 }
 
-/// Render with the connectivity marcher. `conn` may be reused across frames.
+/// Render with the connectivity marcher, timed as one `march` phase whose
+/// work units are the cell-to-cell steps. `conn` may be reused across
+/// frames; its build is not part of the render.
 #[allow(clippy::too_many_arguments)]
 pub fn render_bunyk(
     tets: &TetMesh,
@@ -88,7 +74,7 @@ pub fn render_bunyk(
     height: u32,
     tf: &TransferFunction,
     step_scale: f32,
-) -> BunykOutput {
+) -> RenderOutput {
     let field = &tets
         .field(field_name)
         .filter(|f| f.assoc == Assoc::Point)
@@ -183,15 +169,17 @@ pub fn render_bunyk(
         }
     }
 
-    BunykOutput {
+    let mut phases = PhaseTimer::new();
+    phases.record("march", t0.elapsed().as_secs_f64(), cells_marched);
+    RenderOutput {
         frame,
-        stats: BunykStats {
-            objects: tets.num_tets(),
-            preprocess_seconds: conn.preprocess_seconds,
-            render_seconds: t0.elapsed().as_secs_f64(),
-            active_pixels: active,
-            cells_marched,
+        stats: RenderStats {
+            objects: tets.num_tets() as f64,
+            active_pixels: active as f64,
+            render_seconds: phases.total_seconds(),
+            ..RenderStats::default()
         },
+        phases,
     }
 }
 
@@ -260,8 +248,8 @@ mod tests {
         let r = t.field("scalar").unwrap().range().unwrap();
         let tf = TransferFunction::sparse_features(r);
         let out = render_bunyk(&t, &conn, "scalar", &cam, 40, 40, &tf, 0.01);
-        assert!(out.stats.active_pixels > 200, "{}", out.stats.active_pixels);
-        assert!(out.stats.cells_marched > 1000);
+        assert!(out.stats.active_pixels > 200.0, "{}", out.stats.active_pixels);
+        assert!(out.phases.work_of("march") > 1000);
     }
 
     #[test]

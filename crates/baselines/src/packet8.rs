@@ -199,7 +199,7 @@ mod tests {
         let (hits, _) = intersect_image_packets(&geom, &bvh, &cam, 56, 40);
         let rt = RayTracer::new(Device::Serial, geom);
         let out = rt.render(&cam, 56, 40, &RtConfig::workload1());
-        assert_eq!(hits, out.stats.active_pixels);
+        assert_eq!(hits as f64, out.stats.active_pixels);
     }
 
     #[test]
@@ -209,7 +209,7 @@ mod tests {
         let (hits53, _) = intersect_image_packets(&geom, &bvh, &cam, 53, 31);
         let rt = RayTracer::new(Device::Serial, geom);
         let out = rt.render(&cam, 53, 31, &RtConfig::workload1());
-        assert_eq!(hits53, out.stats.active_pixels);
+        assert_eq!(hits53 as f64, out.stats.active_pixels);
     }
 
     #[test]

@@ -329,7 +329,7 @@ mod tests {
         let (hits, _) = tuned.intersect_image(&cam, 40, 40);
         let rt = RayTracer::new(Device::Serial, geom);
         let out = rt.render(&cam, 40, 40, &render::raytrace::RtConfig::workload1());
-        assert_eq!(hits, out.stats.active_pixels);
+        assert_eq!(hits as f64, out.stats.active_pixels);
     }
 
     #[test]

@@ -177,7 +177,7 @@ mod tests {
             &UvrConfig { depth_samples: 50, num_passes: 1, ..Default::default() },
         )
         .unwrap();
-        assert!(b.stats.active_pixels > 200, "{}", b.stats.active_pixels);
+        assert!(b.stats.active_pixels > 200.0, "{}", b.stats.active_pixels);
         let bits = |f: &Framebuffer| -> Vec<u32> {
             let rgba = f.color.iter().flat_map(|c| [c.r, c.g, c.b, c.a]);
             rgba.chain(f.depth.iter().copied()).map(f32::to_bits).collect()

@@ -69,7 +69,7 @@ impl Corpus {
         self.render
             .iter()
             .filter(|s| s.device == device && s.renderer == renderer)
-            .cloned()
+            .copied()
             .collect()
     }
 

@@ -219,7 +219,7 @@ pub fn fig7(scale: Scale) -> TextTable {
                 view.into(),
                 fmt_s(dpp.stats.render_seconds),
                 fmt_s(bk.stats.render_seconds),
-                fmt_s(bk.stats.preprocess_seconds),
+                fmt_s(conn.preprocess_seconds),
             ]);
         }
     }

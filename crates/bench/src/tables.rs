@@ -492,7 +492,7 @@ fn model_xy(
     let samples = corpus.subset(device, renderer);
     let family = Family::for_renderer(renderer);
     let xs: Vec<Vec<f64>> = samples.iter().map(|s| family.features(s)).collect();
-    let ys: Vec<f64> = samples.iter().map(|s| s.render_seconds).collect();
+    let ys: Vec<f64> = samples.iter().map(|s| s.stats.render_seconds).collect();
     (xs, ys)
 }
 
@@ -584,7 +584,7 @@ pub fn table15(scale: Scale) -> TextTable {
         // The paper's Titan table compares *rendering* time only — "our
         // compositing model is not appropriate at the scale of 1024 MPI
         // tasks, so we do not present it here" (Section 5.7). We do the same.
-        let actual = local.render_seconds;
+        let actual = local.stats.render_seconds;
         let cfg = RenderConfig {
             renderer,
             cells_per_task: n,
@@ -643,23 +643,22 @@ pub fn table16(scale: Scale) -> TextTable {
         let mapped = map_inputs(&cfg, &k);
         let set = &sets[device];
         let predict = |s: &perfmodel::sample::RenderSample| set.predict_local_seconds(s);
-        let (aux_pred, aux_obs) = match renderer {
-            RendererKind::VolumeRendering => (mapped.samples_per_ray, observed.samples_per_ray),
-            RendererKind::Rasterization => {
-                (mapped.pixels_per_triangle, observed.pixels_per_triangle)
-            }
-            RendererKind::RayTracing => (mapped.objects, observed.objects),
+        let aux = |s: &render::RenderStats| match renderer {
+            RendererKind::VolumeRendering => s.samples_per_ray,
+            RendererKind::Rasterization => s.pixels_per_triangle,
+            RendererKind::RayTracing => s.objects,
         };
+        let (m, o) = (&mapped.stats, &observed.stats);
         t.row(vec![
             i.to_string(),
             format!("{}/{}", device, renderer.name()),
-            fmt_count(mapped.active_pixels),
-            fmt_count(observed.active_pixels),
-            format!("{aux_pred:.1}"),
-            format!("{aux_obs:.1}"),
+            fmt_count(m.active_pixels),
+            fmt_count(o.active_pixels),
+            format!("{:.1}", aux(m)),
+            format!("{:.1}", aux(o)),
             fmt_s(predict(&mapped)),
             fmt_s(predict(&observed)),
-            fmt_s(observed.render_seconds),
+            fmt_s(o.render_seconds),
         ]);
     }
     t

@@ -120,7 +120,7 @@ impl ModelSet {
         let sample = CompositeSample {
             tasks: cfg.tasks,
             pixels: cfg.pixels as f64,
-            avg_active_pixels: inputs.active_pixels,
+            avg_active_pixels: inputs.stats.active_pixels,
             seconds: 0.0,
             wire,
         };

@@ -14,6 +14,7 @@
 //! * `CS = N`
 
 use crate::sample::{RenderSample, RendererKind};
+use render::RenderStats;
 
 /// A user-level rendering configuration.
 #[derive(Debug, Clone, Copy)]
@@ -56,15 +57,17 @@ impl MappingConstants {
         let fills: Vec<f64> = observed
             .iter()
             .filter(|s| s.pixels > 0.0)
-            .map(|s| s.active_pixels / s.pixels * (s.tasks as f64).cbrt())
+            .map(|s| s.stats.active_pixels / s.pixels * (s.tasks as f64).cbrt())
             .collect();
         if !fills.is_empty() {
             c.ap_fill = fills.iter().sum::<f64>() / fills.len() as f64;
         }
         let sprs: Vec<f64> = observed
             .iter()
-            .filter(|s| s.renderer == RendererKind::VolumeRendering && s.samples_per_ray > 0.0)
-            .map(|s| s.samples_per_ray * (s.tasks as f64).cbrt())
+            .filter(|s| {
+                s.renderer == RendererKind::VolumeRendering && s.stats.samples_per_ray > 0.0
+            })
+            .map(|s| s.stats.samples_per_ray * (s.tasks as f64).cbrt())
             .collect();
         if !sprs.is_empty() {
             c.spr_base = sprs.iter().sum::<f64>() / sprs.len() as f64;
@@ -73,10 +76,10 @@ impl MappingConstants {
             .iter()
             .filter(|s| {
                 s.renderer == RendererKind::Rasterization
-                    && s.visible_objects > 0.0
-                    && s.active_pixels > 0.0
+                    && s.stats.visible_objects > 0.0
+                    && s.stats.active_pixels > 0.0
             })
-            .map(|s| s.pixels_per_triangle * s.visible_objects / s.active_pixels)
+            .map(|s| s.stats.pixels_per_triangle * s.stats.visible_objects / s.stats.active_pixels)
             .collect();
         if !ppts.is_empty() {
             c.ppt_factor = ppts.iter().sum::<f64>() / ppts.len() as f64;
@@ -99,18 +102,19 @@ pub fn map_inputs(cfg: &RenderConfig, k: &MappingConstants) -> RenderSample {
     let ppt = if vo > 0.0 { k.ppt_factor * ap / vo } else { 0.0 };
     RenderSample {
         renderer: cfg.renderer,
-        device: String::new(),
-        source: "mapping".into(),
-        objects,
-        active_pixels: ap,
-        visible_objects: vo,
-        pixels_per_triangle: ppt,
-        samples_per_ray: k.spr_base / tasks_scale,
-        cells_spanned: n,
+        device: "",
+        source: "mapping",
+        stats: RenderStats {
+            objects,
+            active_pixels: ap,
+            visible_objects: vo,
+            pixels_per_triangle: ppt,
+            samples_per_ray: k.spr_base / tasks_scale,
+            cells_spanned: n,
+            ..RenderStats::default()
+        },
         pixels: cfg.pixels as f64,
         tasks: cfg.tasks,
-        build_seconds: 0.0,
-        render_seconds: 0.0,
     }
 }
 
@@ -128,13 +132,17 @@ mod tests {
             tasks: 8,
         };
         let m = map_inputs(&cfg, &k);
-        assert!((m.objects - 12.0 * 185.0 * 185.0).abs() < 1.0);
+        assert!((m.stats.objects - 12.0 * 185.0 * 185.0).abs() < 1.0);
         // AP = 0.55 * P / 2 for 8 tasks.
-        assert!((m.active_pixels - 0.55 * (1712.0f64 * 1712.0) / 2.0).abs() < 1.0);
-        assert_eq!(m.visible_objects, m.objects.min(m.active_pixels));
+        assert!((m.stats.active_pixels - 0.55 * (1712.0f64 * 1712.0) / 2.0).abs() < 1.0);
+        assert_eq!(m.stats.visible_objects, m.stats.objects.min(m.stats.active_pixels));
         // PPT ~ 7.9 (the paper's Table 16 value for this config).
-        assert!((m.pixels_per_triangle - 7.94).abs() < 0.3, "{}", m.pixels_per_triangle);
-        assert!((m.cells_spanned - 185.0).abs() < 1e-9);
+        assert!(
+            (m.stats.pixels_per_triangle - 7.94).abs() < 0.3,
+            "{}",
+            m.stats.pixels_per_triangle
+        );
+        assert!((m.stats.cells_spanned - 185.0).abs() < 1e-9);
     }
 
     #[test]
@@ -147,9 +155,9 @@ mod tests {
             tasks: 1,
         };
         let m = map_inputs(&cfg, &k);
-        assert_eq!(m.objects, 1e6);
-        assert_eq!(m.samples_per_ray, 373.0);
-        assert_eq!(m.cells_spanned, 100.0);
+        assert_eq!(m.stats.objects, 1e6);
+        assert_eq!(m.stats.samples_per_ray, 373.0);
+        assert_eq!(m.stats.cells_spanned, 100.0);
     }
 
     #[test]
@@ -163,8 +171,8 @@ mod tests {
             },
             &MappingConstants::default(),
         );
-        s.active_pixels = 4_000.0; // observed 40% fill
-        s.samples_per_ray = 200.0;
+        s.stats.active_pixels = 4_000.0; // observed 40% fill
+        s.stats.samples_per_ray = 200.0;
         let c = MappingConstants::calibrated(&[s]);
         assert!((c.ap_fill - 0.4).abs() < 1e-9);
         assert!((c.spr_base - 200.0).abs() < 1e-9);
@@ -184,7 +192,7 @@ mod tests {
                 &k,
             )
         };
-        assert!(mk(8).active_pixels < mk(1).active_pixels);
-        assert!((mk(8).active_pixels * 2.0 - mk(1).active_pixels).abs() < 1.0);
+        assert!(mk(8).stats.active_pixels < mk(1).stats.active_pixels);
+        assert!((mk(8).stats.active_pixels * 2.0 - mk(1).stats.active_pixels).abs() < 1.0);
     }
 }

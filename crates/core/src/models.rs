@@ -11,7 +11,7 @@
 //! * Total:         `T_total = max_tasks(T_LR) + T_COMP`
 
 use crate::regression::LinearRegression;
-use crate::sample::{CompositeWire, Obs, RendererKind};
+use crate::sample::{CompositeWire, Obs, RenderSample, RendererKind};
 
 /// A performance-model family. The discriminant is the family's index into
 /// [`Family::ALL`] (and into a `ModelSet`).
@@ -167,7 +167,7 @@ impl Family {
         match (self.row().feed, s) {
             (Feed::Render(kind), Obs::Render(s)) => s.renderer == kind,
             (Feed::Build, Obs::Render(s)) => {
-                s.renderer == RendererKind::RayTracing && s.build_seconds > 0.0
+                s.renderer == RendererKind::RayTracing && s.stats.build_seconds > 0.0
             }
             (Feed::Composite(wire), Obs::Composite(s)) => s.wire == wire,
             (Feed::Pass(pass), Obs::Pass(s)) => s.pass == pass,
@@ -179,15 +179,15 @@ impl Family {
     /// `feature_names` (the last entry is 1.0 for the intercept).
     pub fn features<'a>(self, s: impl Into<Obs<'a>>) -> Vec<f64> {
         match (self, s.into()) {
-            (Family::Rt, Obs::Render(s)) => {
+            (Family::Rt, Obs::Render(RenderSample { stats: s, .. })) => {
                 let log_o = if s.objects > 1.0 { s.objects.log2() } else { 0.0 };
                 vec![s.active_pixels * log_o, s.active_pixels, 1.0]
             }
-            (Family::RtBuild, Obs::Render(s)) => vec![s.objects, 1.0],
-            (Family::Rast, Obs::Render(s)) => {
+            (Family::RtBuild, Obs::Render(RenderSample { stats: s, .. })) => vec![s.objects, 1.0],
+            (Family::Rast, Obs::Render(RenderSample { stats: s, .. })) => {
                 vec![s.objects, s.visible_objects * s.pixels_per_triangle, 1.0]
             }
-            (Family::Vr, Obs::Render(s)) => {
+            (Family::Vr, Obs::Render(RenderSample { stats: s, .. })) => {
                 vec![s.active_pixels * s.cells_spanned, s.active_pixels * s.samples_per_ray, 1.0]
             }
             (Family::Comp, Obs::Composite(s)) => vec![s.avg_active_pixels, s.pixels, 1.0],
@@ -224,8 +224,8 @@ impl Family {
     /// The measured seconds this family is fitted against.
     fn target(self, s: Obs<'_>) -> f64 {
         match s {
-            Obs::Render(s) if self.row().feed == Feed::Build => s.build_seconds,
-            Obs::Render(s) => s.render_seconds,
+            Obs::Render(s) if self.row().feed == Feed::Build => s.stats.build_seconds,
+            Obs::Render(s) => s.stats.render_seconds,
             Obs::Composite(s) => s.seconds,
             Obs::Pass(s) => s.seconds,
         }
@@ -285,7 +285,8 @@ pub fn total_time(per_task_render_seconds: &[f64], compositing_seconds: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::{CompositeSample, PassSample, RenderSample};
+    use crate::sample::{CompositeSample, PassSample};
+    use render::RenderStats;
 
     #[test]
     fn table_is_indexed_by_family_and_required_rows_lead() {
@@ -306,18 +307,17 @@ mod tests {
     fn synth_rt_sample(o: f64, ap: f64, c: [f64; 3], build: [f64; 2]) -> RenderSample {
         RenderSample {
             renderer: RendererKind::RayTracing,
-            device: "parallel".into(),
-            source: "synthetic".into(),
-            objects: o,
-            active_pixels: ap,
-            visible_objects: 0.0,
-            pixels_per_triangle: 0.0,
-            samples_per_ray: 0.0,
-            cells_spanned: 0.0,
+            device: "parallel",
+            source: "synthetic",
+            stats: RenderStats {
+                objects: o,
+                active_pixels: ap,
+                build_seconds: build[0] * o + build[1],
+                render_seconds: c[0] * ap * o.log2() + c[1] * ap + c[2],
+                ..RenderStats::default()
+            },
             pixels: ap * 2.0,
             tasks: 1,
-            build_seconds: build[0] * o + build[1],
-            render_seconds: c[0] * ap * o.log2() + c[1] * ap + c[2],
         }
     }
 
@@ -339,7 +339,7 @@ mod tests {
         assert!((build_fit.coeffs()[0] - b[0]).abs() / b[0] < 1e-6);
         // Prediction round-trips.
         let p = fitted.predict(&samples[3]);
-        assert!((p - samples[3].render_seconds).abs() < 1e-9);
+        assert!((p - samples[3].stats.render_seconds).abs() < 1e-9);
     }
 
     #[test]
@@ -352,18 +352,18 @@ mod tests {
             let spr = 200.0 + (i % 5) as f64 * 50.0;
             samples.push(RenderSample {
                 renderer: RendererKind::VolumeRendering,
-                device: "serial".into(),
-                source: "synthetic".into(),
-                objects: 1e6,
-                active_pixels: ap,
-                visible_objects: 0.0,
-                pixels_per_triangle: 0.0,
-                samples_per_ray: spr,
-                cells_spanned: cs,
+                device: "serial",
+                source: "synthetic",
+                stats: RenderStats {
+                    objects: 1e6,
+                    active_pixels: ap,
+                    samples_per_ray: spr,
+                    cells_spanned: cs,
+                    render_seconds: c[0] * ap * cs + c[1] * ap * spr + c[2],
+                    ..RenderStats::default()
+                },
                 pixels: ap * 1.8,
                 tasks: 1,
-                build_seconds: 0.0,
-                render_seconds: c[0] * ap * cs + c[1] * ap * spr + c[2],
             });
         }
         let fitted = Family::Vr.fit(&samples);

@@ -343,6 +343,7 @@ resid=0.0000006931471805599452|n=137|warn=0|rank=2|coeffs=1.4285714285714286e-9;
         use crate::sample::{
             CompositeSample, CompositeWire, PassSample, RenderSample, RendererKind, Sample,
         };
+        use render::RenderStats;
 
         let planted = |feed: Feed, i: usize| {
             let x = 1.0 + i as f64;
@@ -352,18 +353,21 @@ resid=0.0000006931471805599452|n=137|warn=0|rank=2|coeffs=1.4285714285714286e-9;
                         Feed::Render(kind) => kind,
                         _ => RendererKind::RayTracing,
                     },
-                    device: "parallel".into(),
-                    source: "planted".into(),
-                    objects: 1000.0 * x,
-                    active_pixels: 700.0 * x + 13.0,
-                    visible_objects: 90.0 * x,
-                    pixels_per_triangle: 3.0 + 0.5 * x,
-                    samples_per_ray: 40.0 + 7.0 * x,
-                    cells_spanned: 10.0 + 2.0 * x,
+                    device: "parallel",
+                    source: "planted",
+                    stats: RenderStats {
+                        objects: 1000.0 * x,
+                        active_pixels: 700.0 * x + 13.0,
+                        visible_objects: 90.0 * x,
+                        pixels_per_triangle: 3.0 + 0.5 * x,
+                        samples_per_ray: 40.0 + 7.0 * x,
+                        cells_spanned: 10.0 + 2.0 * x,
+                        build_seconds: 1e-4 * x + 3e-5,
+                        render_seconds: 2e-3 * x + 1e-4 * x * x,
+                        ..RenderStats::default()
+                    },
                     pixels: 65536.0,
                     tasks: 8,
-                    build_seconds: 1e-4 * x + 3e-5,
-                    render_seconds: 2e-3 * x + 1e-4 * x * x,
                 }),
                 Feed::Composite(_) => Sample::Composite(CompositeSample {
                     tasks: 4 + i,

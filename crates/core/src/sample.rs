@@ -1,6 +1,8 @@
 //! Experiment records: one row per rendering test (the corpus the models
 //! are fitted on).
 
+use render::RenderStats;
+
 /// Which rendering technique a sample measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RendererKind {
@@ -34,34 +36,22 @@ impl RendererKind {
 }
 
 /// One single-node rendering measurement with its observed model inputs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct RenderSample {
     /// Renderer that produced the measurement.
     pub renderer: RendererKind,
     /// Device name ("serial" / "parallel").
-    pub device: String,
+    pub device: &'static str,
     /// Simulation-code label the data came from.
-    pub source: String,
-    /// O: objects (triangles or cells).
-    pub objects: f64,
-    /// AP: active pixels.
-    pub active_pixels: f64,
-    /// VO: visible objects (rasterization).
-    pub visible_objects: f64,
-    /// PPT: pixels per triangle (rasterization).
-    pub pixels_per_triangle: f64,
-    /// SPR: samples per ray (volume rendering).
-    pub samples_per_ray: f64,
-    /// CS: cells spanned (volume rendering).
-    pub cells_spanned: f64,
+    pub source: &'static str,
+    /// The model inputs (O, AP, VO, PPT, SPR, CS) and the build and render
+    /// seconds: what the render reported, or what
+    /// [`crate::mapping::map_inputs`] predicts (zero seconds).
+    pub stats: RenderStats,
     /// Full image pixel count.
     pub pixels: f64,
     /// MPI tasks of the configuration the sample belongs to.
     pub tasks: usize,
-    /// Acceleration-structure build seconds (ray tracing; 0 otherwise).
-    pub build_seconds: f64,
-    /// Render seconds (excluding build).
-    pub render_seconds: f64,
 }
 
 /// Which exchange the wire bytes of a compositing measurement traveled as:

@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 use render::raster::rasterize;
 use render::raytrace::{RayTracer, RtConfig, TriGeometry};
 use render::volume_structured::{render_structured, SvrConfig};
+use render::RenderStats;
 use vecmath::{Camera, Color, TransferFunction, Vec3};
 
 /// Failures surfaced by the study driver instead of panicking mid-sweep: a
@@ -143,8 +144,7 @@ pub fn run_one_with_samples(
     let kind = FieldKind::ShockShell;
     let grid = field_grid(kind, [n; 3]);
     let camera = Camera::framing(&grid.bounds(), Vec3::new(0.4, 0.3, 1.0), fill);
-    let pixels = (side as f64) * (side as f64);
-    match renderer {
+    let (source, outp) = match renderer {
         RendererKind::RayTracing => {
             // xlint::allow(X014): external_faces_grid panics only on a missing
             // point field; field_grid above always adds "scalar".
@@ -153,22 +153,7 @@ pub fn run_one_with_samples(
             let rt = RayTracer::new(device.clone(), geom);
             let cfgr = RtConfig::workload2();
             let _warm = rt.render(&camera, side, side, &cfgr);
-            let outp = rt.render(&camera, side, side, &cfgr);
-            Ok(RenderSample {
-                renderer,
-                device: device.name().into(),
-                source: "external_faces".into(),
-                objects: outp.stats.objects as f64,
-                active_pixels: outp.stats.active_pixels as f64,
-                visible_objects: 0.0,
-                pixels_per_triangle: 0.0,
-                samples_per_ray: 0.0,
-                cells_spanned: 0.0,
-                pixels,
-                tasks: 1,
-                build_seconds: outp.stats.bvh_build_seconds,
-                render_seconds: outp.stats.render_seconds,
-            })
+            ("external_faces", rt.render(&camera, side, side, &cfgr))
         }
         RendererKind::Rasterization => {
             // xlint::allow(X014): external_faces_grid panics only on a missing
@@ -177,22 +162,7 @@ pub fn run_one_with_samples(
             let geom = TriGeometry::from_mesh(&tris);
             let tf = TransferFunction::rainbow(geom.scalar_range);
             let _warm = rasterize(device, &geom, &camera, side, side, &tf, None);
-            let outp = rasterize(device, &geom, &camera, side, side, &tf, None);
-            Ok(RenderSample {
-                renderer,
-                device: device.name().into(),
-                source: "external_faces".into(),
-                objects: outp.stats.objects as f64,
-                active_pixels: outp.stats.active_pixels as f64,
-                visible_objects: outp.stats.visible_objects as f64,
-                pixels_per_triangle: outp.stats.pixels_per_triangle,
-                samples_per_ray: 0.0,
-                cells_spanned: 0.0,
-                pixels,
-                tasks: 1,
-                build_seconds: 0.0,
-                render_seconds: outp.stats.render_seconds,
-            })
+            ("external_faces", rasterize(device, &geom, &camera, side, side, &tf, None))
         }
         RendererKind::VolumeRendering => {
             let range = grid
@@ -201,27 +171,22 @@ pub fn run_one_with_samples(
                 .ok_or_else(|| StudyError::Render("synthesized grid has no scalar range".into()))?;
             let tf = TransferFunction::sparse_features(range);
             let vcfg = SvrConfig { samples_per_ray, ..Default::default() };
-            let _warm = render_structured(device, &grid, "scalar", &camera, side, side, &tf, &vcfg)
-                .map_err(|e| StudyError::Render(e.to_string()))?;
-            let outp = render_structured(device, &grid, "scalar", &camera, side, side, &tf, &vcfg)
-                .map_err(|e| StudyError::Render(e.to_string()))?;
-            Ok(RenderSample {
-                renderer,
-                device: device.name().into(),
-                source: "structured_grid".into(),
-                objects: outp.stats.objects as f64,
-                active_pixels: outp.stats.active_pixels as f64,
-                visible_objects: 0.0,
-                pixels_per_triangle: 0.0,
-                samples_per_ray: outp.stats.samples_per_ray,
-                cells_spanned: outp.stats.cells_spanned,
-                pixels,
-                tasks: 1,
-                build_seconds: 0.0,
-                render_seconds: outp.stats.render_seconds,
-            })
+            let render = || {
+                render_structured(device, &grid, "scalar", &camera, side, side, &tf, &vcfg)
+                    .map_err(|e| StudyError::Render(e.to_string()))
+            };
+            let _warm = render()?;
+            ("structured_grid", render()?)
         }
-    }
+    };
+    Ok(RenderSample {
+        renderer,
+        device: device.name(),
+        source,
+        stats: outp.stats,
+        pixels: (side as f64) * (side as f64),
+        tasks: 1,
+    })
 }
 
 /// [`run_render_study`] priced on a deterministic simulated clock instead of
@@ -253,13 +218,13 @@ pub fn reprice_on_simulated_clock(samples: &mut [RenderSample], seed: u64) {
     for s in samples.iter_mut() {
         // Deterministic stand-in for measurement noise: seeded, ±3%.
         let jitter = 1.0 + 0.03 * (2.0 * rng.gen::<f64>() - 1.0);
-        let (build, render) = simulated_costs(s, jitter);
+        let (build, render) = simulated_costs(s.renderer, &s.stats, jitter);
         let t0 = world.now(0);
         world.compute(0, build);
         let t1 = world.now(0);
         world.compute(0, render);
-        s.build_seconds = t1 - t0;
-        s.render_seconds = world.now(0) - t1;
+        s.stats.build_seconds = t1 - t0;
+        s.stats.render_seconds = world.now(0) - t1;
     }
 }
 
@@ -270,8 +235,8 @@ pub fn reprice_on_simulated_clock(samples: &mut [RenderSample], seed: u64) {
 /// so a constant-dominated law would bury the regressors in noise and the
 /// fit-quality claim would be about nothing. Returns `(build, render)`
 /// seconds before jitter is folded in.
-fn simulated_costs(s: &RenderSample, jitter: f64) -> (f64, f64) {
-    let render = match s.renderer {
+fn simulated_costs(renderer: RendererKind, s: &RenderStats, jitter: f64) -> (f64, f64) {
+    let render = match renderer {
         RendererKind::RayTracing => {
             let log_o = if s.objects > 1.0 { s.objects.log2() } else { 0.0 };
             2e-8 * s.active_pixels * log_o + 1e-7 * s.active_pixels + 5e-4
@@ -285,7 +250,7 @@ fn simulated_costs(s: &RenderSample, jitter: f64) -> (f64, f64) {
                 + 2e-4
         }
     };
-    let build = match s.renderer {
+    let build = match renderer {
         RendererKind::RayTracing => 2e-7 * s.objects + 1e-4,
         RendererKind::Rasterization | RendererKind::VolumeRendering => 0.0,
     };
@@ -425,12 +390,51 @@ mod tests {
     fn run_one_records_inputs_per_renderer() {
         let d = Device::parallel();
         let rt = run_one(&d, RendererKind::RayTracing, 16, 48, 0.9).unwrap();
-        assert!(rt.objects > 0.0 && rt.active_pixels > 0.0);
-        assert!(rt.build_seconds > 0.0 && rt.render_seconds > 0.0);
+        assert!(rt.stats.objects > 0.0 && rt.stats.active_pixels > 0.0);
+        assert!(rt.stats.build_seconds > 0.0 && rt.stats.render_seconds > 0.0);
         let ra = run_one(&d, RendererKind::Rasterization, 16, 48, 0.9).unwrap();
-        assert!(ra.visible_objects > 0.0 && ra.pixels_per_triangle > 0.0);
+        assert!(ra.stats.visible_objects > 0.0 && ra.stats.pixels_per_triangle > 0.0);
         let vr = run_one(&d, RendererKind::VolumeRendering, 16, 48, 0.9).unwrap();
-        assert!(vr.samples_per_ray > 1.0 && vr.cells_spanned > 1.0);
+        assert!(vr.stats.samples_per_ray > 1.0 && vr.stats.cells_spanned > 1.0);
+    }
+
+    /// Table 16's t(obs) column rests on this: a sample's model inputs are
+    /// the ones its render reported, bit for bit.
+    #[test]
+    fn study_samples_carry_their_renders_inputs() {
+        let (d, n, px, fill) = (Device::Serial, 12, 40, 0.9);
+        let grid = field_grid(FieldKind::ShockShell, [n; 3]);
+        let cam = Camera::framing(&grid.bounds(), Vec3::new(0.4, 0.3, 1.0), fill);
+        let geom = TriGeometry::from_mesh(&external_faces_grid(&grid, "scalar"));
+        let rainbow = TransferFunction::rainbow(geom.scalar_range);
+        let sparse =
+            TransferFunction::sparse_features(grid.field("scalar").unwrap().range().unwrap());
+        let vcfg = SvrConfig::default();
+        let direct = [
+            (RendererKind::RayTracing, {
+                let rt = RayTracer::new(d.clone(), geom.clone());
+                rt.render(&cam, px, px, &RtConfig::workload2())
+            }),
+            (RendererKind::Rasterization, rasterize(&d, &geom, &cam, px, px, &rainbow, None)),
+            (RendererKind::VolumeRendering, {
+                render_structured(&d, &grid, "scalar", &cam, px, px, &sparse, &vcfg).unwrap()
+            }),
+        ];
+        let inputs = |s: &RenderStats| {
+            let six = [
+                s.objects,
+                s.active_pixels,
+                s.visible_objects,
+                s.pixels_per_triangle,
+                s.samples_per_ray,
+                s.cells_spanned,
+            ];
+            (six.map(f64::to_bits), s.rays_traced)
+        };
+        for (kind, out) in direct {
+            let sample = run_one(&d, kind, n, px, fill).unwrap();
+            assert_eq!(inputs(&sample.stats), inputs(&out.stats), "{kind:?}");
+        }
     }
 
     #[test]
@@ -467,9 +471,9 @@ mod tests {
         // Bit-identical across runs: observed inputs are deterministic and
         // the clock is simulated, so there is nothing left to wobble.
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.render_seconds.to_bits(), y.render_seconds.to_bits());
-            assert_eq!(x.build_seconds.to_bits(), y.build_seconds.to_bits());
-            assert_eq!(x.active_pixels, y.active_pixels);
+            assert_eq!(x.stats.render_seconds.to_bits(), y.stats.render_seconds.to_bits());
+            assert_eq!(x.stats.build_seconds.to_bits(), y.stats.build_seconds.to_bits());
+            assert_eq!(x.stats.active_pixels, y.stats.active_pixels);
         }
         // The planted law is the VR model form, so the fit must be tight —
         // only the seeded ±3% jitter separates it from exact recovery.

@@ -7,6 +7,7 @@
 //! units per second is our throughput proxy for the paper's IPC columns
 //! (Tables 6 and 7). DESIGN.md documents this substitution.
 
+use crate::framebuffer::Framebuffer;
 use std::time::Instant;
 
 /// One completed phase: name, elapsed seconds, work units processed, and
@@ -97,6 +98,45 @@ impl PhaseTimer {
     pub fn merge(&mut self, o: PhaseTimer) {
         self.phases.extend(o.phases);
     }
+}
+
+/// What one render measured: the six inputs of the paper's models, the rays
+/// a tracer cast, and its build and render seconds. An input a renderer has
+/// no use for is 0. The inputs are `f64` because
+/// `perfmodel::mapping::map_inputs` fills the same record with the
+/// fractional values it predicts.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RenderStats {
+    /// O: triangles, cells or tetrahedra submitted.
+    pub objects: f64,
+    /// AP: pixels the render wrote.
+    pub active_pixels: f64,
+    /// VO: triangles surviving the rasterizer's cull.
+    pub visible_objects: f64,
+    /// PPT: pixels the rasterizer considered per visible triangle.
+    pub pixels_per_triangle: f64,
+    /// SPR: samples per active ray (volume rendering).
+    pub samples_per_ray: f64,
+    /// CS: cells spanned per active ray (volume rendering). The unstructured
+    /// renderer counts tet-pixel-column tests per active pixel: one per
+    /// column of each tet's clipped screen box, whether or not its row span
+    /// reaches it (the `AP*CS` cell-frequency work of the model).
+    pub cells_spanned: f64,
+    /// Rays traced through the BVH (primary + AO + shadow).
+    pub rays_traced: u64,
+    /// Seconds to build the acceleration structure (ray tracing's separable
+    /// `c0*O + c1` term).
+    pub build_seconds: f64,
+    /// Seconds summed over the frame's phases, build excluded.
+    pub render_seconds: f64,
+}
+
+/// One render's result: the frame, what it measured, and its phases.
+#[derive(Debug)]
+pub struct RenderOutput {
+    pub frame: Framebuffer,
+    pub stats: RenderStats,
+    pub phases: PhaseTimer,
 }
 
 /// Outcome of one render request offered to in situ admission control.

@@ -10,9 +10,9 @@
 
 use std::sync::Arc;
 
-use crate::counters::PhaseTimer;
+use crate::counters::{PhaseTimer, RenderOutput};
 use crate::raytrace::pipeline::trace;
-use crate::raytrace::{Bvh, Hit, RtConfig, RtOutput, TriGeometry, Workload};
+use crate::raytrace::{Bvh, Hit, RtConfig, TriGeometry, Workload};
 use crate::shading::ShadingParams;
 use dpp::Device;
 use vecmath::{Camera, Color, Ray, TransferFunction};
@@ -105,7 +105,7 @@ pub fn render_rt_graph(
     colormap: &TransferFunction,
     skips: &[&str],
     cache: Option<&mut GraphCache>,
-) -> Result<(RtOutput, GraphInfo), GraphError> {
+) -> Result<(RenderOutput, GraphInfo), GraphError> {
     if let Some(pass) = skips.first() {
         return Err(GraphError::NoFallback { pass: pass.to_string() });
     }
@@ -119,7 +119,7 @@ pub fn render_rt_graph(
         phases.record("bvh_build", 0.0, 0);
     }
     let mut out = trace(device, geom, &bvh, None, camera, width, height, cfg, colormap);
-    out.stats.bvh_build_seconds = phases.total_seconds();
+    out.stats.build_seconds = phases.total_seconds();
     phases.merge(out.phases);
     out.phases = phases;
 

@@ -12,9 +12,10 @@
 //! * [`volume_structured`] / [`volume_unstructured`] — the ray-casting volume
 //!   renderers of Chapters III and V. Model: `T_VR = c0·(AP·CS) + c1·(AP·SPR) + c2`.
 //!
-//! Every renderer reports a stats record carrying the *observed* model inputs
-//! (objects, active pixels, samples per ray, …) and per-phase timings, which
-//! is exactly what the `perfmodel` crate fits its regressions to.
+//! Every renderer returns one [`RenderOutput`]: the frame, a [`RenderStats`]
+//! carrying the *observed* model inputs (objects, active pixels, samples per
+//! ray, …), and per-phase timings, which is exactly what the `perfmodel`
+//! crate fits its regressions to.
 //!
 //! Each renderer's stages are sequenced by exactly one straight-line driver:
 //! the entry point calls the stages in order over one
@@ -32,5 +33,5 @@ pub mod shading;
 pub mod volume_structured;
 pub mod volume_unstructured;
 
-pub use counters::PhaseTimer;
+pub use counters::{PhaseTimer, RenderOutput, RenderStats};
 pub use framebuffer::Framebuffer;

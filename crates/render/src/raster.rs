@@ -6,7 +6,7 @@
 //! transform/cull term plus a fill term proportional to visible objects times
 //! pixels considered per triangle. The renderer measures both inputs.
 
-use crate::counters::PhaseTimer;
+use crate::counters::{PhaseTimer, RenderOutput, RenderStats};
 use crate::framebuffer::Framebuffer;
 use crate::raytrace::TriGeometry;
 use crate::shading::{blinn_phong, ShadingParams};
@@ -16,30 +16,6 @@ use vecmath::{Camera, Color, TransferFunction, Vec3};
 
 /// Side of the square screen tiles used for binning.
 pub const TILE: u32 = 64;
-
-/// Rasterization statistics: the model inputs.
-#[derive(Debug, Clone)]
-pub struct RasterStats {
-    /// O: triangles submitted.
-    pub objects: usize,
-    /// VO: triangles surviving the cull.
-    pub visible_objects: usize,
-    /// Total pixels considered across all visible triangles (VO * PPT).
-    pub pixels_considered: u64,
-    /// PPT: pixels considered per visible triangle.
-    pub pixels_per_triangle: f64,
-    /// AP: pixels written.
-    pub active_pixels: usize,
-    /// Seconds summed over the frame's phases.
-    pub render_seconds: f64,
-}
-
-/// Render result.
-pub struct RasterOutput {
-    pub frame: Framebuffer,
-    pub stats: RasterStats,
-    pub phases: PhaseTimer,
-}
 
 /// Screen-space triangle produced by the transform stage.
 #[derive(Debug, Clone, Copy)]
@@ -269,7 +245,7 @@ pub fn rasterize(
     height: u32,
     colormap: &TransferFunction,
     shading: Option<&ShadingParams>,
-) -> RasterOutput {
+) -> RenderOutput {
     let n = geom.num_tris();
     let default_shading = ShadingParams::headlight(camera.position, camera.up);
     let shading = shading.unwrap_or(&default_shading);
@@ -305,14 +281,14 @@ pub fn rasterize(
     let (frame, active) = phases
         .run("stitch", (width * height) as u64, || stitch_stage(device, tiles, width, height));
 
-    RasterOutput {
-        stats: RasterStats {
-            objects: n,
-            visible_objects: vo,
-            pixels_considered: pc,
+    RenderOutput {
+        stats: RenderStats {
+            objects: n as f64,
+            visible_objects: vo as f64,
             pixels_per_triangle: if vo > 0 { pc as f64 / vo as f64 } else { 0.0 },
-            active_pixels: active,
+            active_pixels: active as f64,
             render_seconds: phases.total_seconds(),
+            ..RenderStats::default()
         },
         frame,
         phases,
@@ -399,8 +375,8 @@ mod tests {
         let cam = Camera::close_view(&g.bounds);
         let tf = TransferFunction::rainbow(g.scalar_range);
         let out = rasterize(&Device::Serial, &g, &cam, 64, 64, &tf, None);
-        assert!(out.stats.active_pixels > 200, "{}", out.stats.active_pixels);
-        assert!(out.stats.visible_objects > 0);
+        assert!(out.stats.active_pixels > 200.0, "{}", out.stats.active_pixels);
+        assert!(out.stats.visible_objects > 0.0);
         assert!(out.stats.visible_objects <= out.stats.objects);
         assert!(out.stats.pixels_per_triangle > 0.0);
     }
@@ -463,7 +439,7 @@ mod tests {
         let cam = Camera::default();
         let tf = TransferFunction::rainbow((0.0, 1.0));
         let out = rasterize(&Device::Serial, &g, &cam, 32, 32, &tf, None);
-        assert_eq!(out.stats.active_pixels, 0);
-        assert_eq!(out.stats.visible_objects, 0);
+        assert_eq!(out.stats.active_pixels, 0.0);
+        assert_eq!(out.stats.visible_objects, 0.0);
     }
 }

@@ -15,5 +15,5 @@ pub mod sbvh;
 
 pub use bvh::{Bvh, Hit};
 pub use geometry::TriGeometry;
-pub use pipeline::{RayTracer, RtConfig, RtOutput, RtStats, Workload};
+pub use pipeline::{RayTracer, RtConfig, Workload};
 pub use sbvh::build_split_bvh;

@@ -3,7 +3,7 @@
 
 use super::bvh::{Bvh, Hit};
 use super::geometry::TriGeometry;
-use crate::counters::PhaseTimer;
+use crate::counters::{PhaseTimer, RenderOutput, RenderStats};
 use crate::framebuffer::Framebuffer;
 use crate::shading::{blinn_phong, hash_rand2, hemisphere_dir, ShadingParams};
 use dpp::{compact_indices, count_if, gather, map, Device};
@@ -65,29 +65,6 @@ impl RtConfig {
     }
 }
 
-/// Measured quantities of one render: the performance-model inputs plus
-/// stage timings.
-#[derive(Debug, Clone, Default)]
-pub struct RtStats {
-    /// O: number of triangles.
-    pub objects: usize,
-    /// AP: pixels whose color was produced by a hit.
-    pub active_pixels: usize,
-    /// Total rays traced through the BVH (primary + AO + shadow + bounce).
-    pub rays_traced: u64,
-    /// Seconds to build the BVH (the separable `c0*O + c1` model term).
-    pub bvh_build_seconds: f64,
-    /// Seconds summed over the frame's phases, build excluded.
-    pub render_seconds: f64,
-}
-
-/// Render result: image, stats, per-phase breakdown.
-pub struct RtOutput {
-    pub frame: Framebuffer,
-    pub stats: RtStats,
-    pub phases: PhaseTimer,
-}
-
 /// The data-parallel ray tracer: geometry + BVH + device.
 pub struct RayTracer {
     pub device: Device,
@@ -122,7 +99,7 @@ impl RayTracer {
     }
 
     /// Render one frame with the default rainbow pseudocolor map.
-    pub fn render(&self, camera: &Camera, width: u32, height: u32, cfg: &RtConfig) -> RtOutput {
+    pub fn render(&self, camera: &Camera, width: u32, height: u32, cfg: &RtConfig) -> RenderOutput {
         let tf = TransferFunction::rainbow(self.geom.scalar_range);
         self.render_with_map(camera, width, height, cfg, &tf)
     }
@@ -136,10 +113,10 @@ impl RayTracer {
         height: u32,
         cfg: &RtConfig,
         colormap: &TransferFunction,
-    ) -> RtOutput {
+    ) -> RenderOutput {
         let (device, geom, shading) = (&self.device, &self.geom, self.shading.as_ref());
         let mut out = trace(device, geom, &self.bvh, shading, camera, width, height, cfg, colormap);
-        out.stats.bvh_build_seconds = self.bvh_build_seconds;
+        out.stats.build_seconds = self.bvh_build_seconds;
         out
     }
 }
@@ -147,7 +124,7 @@ impl RayTracer {
 /// The ray tracer's one driver: the WORKLOAD stages straight-line over one
 /// [`PhaseTimer`], each buffer dropped after its last use. `shading`
 /// overrides the default headlight. The caller owns the BVH, so
-/// `stats.bvh_build_seconds` is left 0 for it to fill in.
+/// `stats.build_seconds` is left 0 for it to fill in.
 ///
 /// The phases are `ray_gen`, `intersect`, then `depth_assemble` for
 /// WORKLOAD1 and otherwise `compaction`, (`ambient_occlusion`, `shadows`),
@@ -166,7 +143,7 @@ pub(crate) fn trace(
     height: u32,
     cfg: &RtConfig,
     colormap: &TransferFunction,
-) -> RtOutput {
+) -> RenderOutput {
     let ss = if cfg.antialias { 2u32 } else { 1u32 };
     let (rw, rh) = (width * ss, height * ss);
     let n_rays = (rw * rh) as usize;
@@ -233,13 +210,13 @@ pub(crate) fn trace(
     };
 
     let secondary = phases.work_of("ambient_occlusion") + phases.work_of("shadows");
-    RtOutput {
-        stats: RtStats {
-            objects: geom.num_tris(),
-            active_pixels,
+    RenderOutput {
+        stats: RenderStats {
+            objects: geom.num_tris() as f64,
+            active_pixels: active_pixels as f64,
             rays_traced: n_rays as u64 + secondary,
-            bvh_build_seconds: 0.0,
             render_seconds: phases.total_seconds(),
+            ..RenderStats::default()
         },
         frame,
         phases,
@@ -620,7 +597,7 @@ mod tests {
                             out
                         };
                         let (got, want) = (frame(false), frame(true));
-                        assert!(want.stats.active_pixels > 1000, "the view should see the mesh");
+                        assert!(want.stats.active_pixels > 1000.0, "the view should see the mesh");
                         assert_eq!(got.stats.active_pixels, want.stats.active_pixels);
                         assert!(
                             bits(&got.frame) == bits(&want.frame),
@@ -644,9 +621,9 @@ mod tests {
         let rt = tracer(Device::Serial);
         let cam = Camera::close_view(&rt.geom.bounds);
         let out = rt.render(&cam, 64, 64, &RtConfig::workload1());
-        assert!(out.stats.active_pixels > 200, "{}", out.stats.active_pixels);
+        assert!(out.stats.active_pixels > 200.0, "{}", out.stats.active_pixels);
         assert_eq!(out.stats.rays_traced, 64 * 64);
-        assert!(out.stats.objects > 0);
+        assert!(out.stats.objects > 0.0);
     }
 
     #[test]
@@ -654,7 +631,7 @@ mod tests {
         let rt = tracer(Device::Serial);
         let cam = Camera::close_view(&rt.geom.bounds);
         let out = rt.render(&cam, 48, 48, &RtConfig::workload2());
-        assert!(out.stats.active_pixels > 100);
+        assert!(out.stats.active_pixels > 100.0);
         let c = out.frame.color[out.frame.index(24, 24)];
         assert!(c.a > 0.0 && (c.r + c.g + c.b) > 0.0);
     }

@@ -8,7 +8,7 @@
 //! *sample-frequency* work (trilinear interpolation + transfer function +
 //! front-to-back compositing — the `AP*SPR` term).
 
-use crate::counters::PhaseTimer;
+use crate::counters::{PhaseTimer, RenderOutput, RenderStats};
 use crate::framebuffer::Framebuffer;
 use dpp::{map, Device};
 use mesh::UniformGrid;
@@ -64,27 +64,6 @@ impl std::fmt::Display for SvrError {
 
 impl std::error::Error for SvrError {}
 
-/// Measured model inputs for one structured-volume render.
-#[derive(Debug, Clone)]
-pub struct SvrStats {
-    /// O: number of cells.
-    pub objects: usize,
-    /// AP: rays that entered the volume.
-    pub active_pixels: usize,
-    /// SPR: average samples taken per active ray.
-    pub samples_per_ray: f64,
-    /// CS: average cells spanned per active ray.
-    pub cells_spanned: f64,
-    /// Seconds summed over the frame's phases.
-    pub render_seconds: f64,
-}
-
-pub struct SvrOutput {
-    pub frame: Framebuffer,
-    pub stats: SvrStats,
-    pub phases: PhaseTimer,
-}
-
 /// Per-ray work tally returned from the kernel.
 #[derive(Clone, Copy, Default)]
 struct RayWork {
@@ -104,7 +83,7 @@ pub fn render_structured(
     height: u32,
     tf: &TransferFunction,
     cfg: &SvrConfig,
-) -> Result<SvrOutput, SvrError> {
+) -> Result<RenderOutput, SvrError> {
     let field = &grid
         .field(field_name)
         .ok_or_else(|| SvrError::MissingField(field_name.to_string()))?
@@ -131,13 +110,14 @@ pub fn render_structured(
     let (frame, active, total_samples, total_cells) =
         phases.run("assemble", n_px, || assemble_stage(&results, width, height));
 
-    Ok(SvrOutput {
-        stats: SvrStats {
-            objects: grid.num_cells(),
-            active_pixels: active,
+    Ok(RenderOutput {
+        stats: RenderStats {
+            objects: grid.num_cells() as f64,
+            active_pixels: active as f64,
             samples_per_ray: if active > 0 { total_samples as f64 / active as f64 } else { 0.0 },
             cells_spanned: if active > 0 { total_cells as f64 / active as f64 } else { 0.0 },
             render_seconds: phases.total_seconds(),
+            ..RenderStats::default()
         },
         frame,
         phases,
@@ -492,7 +472,7 @@ mod tests {
             &SvrConfig::default(),
         )
         .unwrap();
-        assert!(out.stats.active_pixels > 500, "{}", out.stats.active_pixels);
+        assert!(out.stats.active_pixels > 500.0, "{}", out.stats.active_pixels);
         assert!(out.stats.samples_per_ray > 10.0);
         assert!(out.stats.cells_spanned > 5.0);
         // Shell should color center pixels.
@@ -560,7 +540,7 @@ mod tests {
             &SvrConfig::default(),
         )
         .unwrap();
-        assert_eq!(out.stats.active_pixels, 0);
+        assert_eq!(out.stats.active_pixels, 0.0);
         assert_eq!(out.stats.samples_per_ray, 0.0);
     }
 

@@ -42,7 +42,7 @@
 //! before it ends, and frees it, so a pass holds the pool's in-flight band
 //! slabs plus the compacted samples (4 bytes each) that compositing folds.
 
-use crate::counters::PhaseTimer;
+use crate::counters::{PhaseTimer, RenderOutput, RenderStats};
 use crate::framebuffer::Framebuffer;
 use dpp::{compact_indices, map, Device};
 use mesh::{Assoc, TetMesh};
@@ -107,34 +107,6 @@ impl std::fmt::Display for UvrError {
 }
 
 impl std::error::Error for UvrError {}
-
-/// Measured model inputs.
-#[derive(Debug, Clone)]
-pub struct UvrStats {
-    /// O: number of tetrahedra.
-    pub objects: usize,
-    /// AP: pixels that received at least one sample.
-    pub active_pixels: usize,
-    /// SPR: average composited samples per active pixel.
-    pub samples_per_ray: f64,
-    /// CS proxy: cell-location operations per active pixel — tet-pixel-column
-    /// tests, one per column of each tet's clipped screen box whether or not
-    /// its row span reaches it (the `AP*CS` cell-frequency work of the model).
-    pub cells_per_pixel: f64,
-    /// The paper's sample buffer for one pass, as [`sample_buffer_bytes`]
-    /// counts it: the bytes Figure 5's memory cap is taken on, not what the
-    /// band slabs and compacted samples keep resident.
-    pub buffer_bytes: usize,
-    /// Seconds summed over the frame's phases.
-    pub render_seconds: f64,
-}
-
-#[derive(Debug)]
-pub struct UvrOutput {
-    pub frame: Framebuffer,
-    pub stats: UvrStats,
-    pub phases: PhaseTimer,
-}
 
 /// A tetrahedron in screen space: the per-tet "interpolation constants" the
 /// screen-space phase computes once and every sample of the tet reuses. The
@@ -702,7 +674,7 @@ pub fn render_unstructured(
     height: u32,
     tf: &TransferFunction,
     cfg: &UvrConfig,
-) -> Result<UvrOutput, UvrError> {
+) -> Result<RenderOutput, UvrError> {
     let field: &[f32] = &tets
         .field(field_name)
         .filter(|f| f.assoc == Assoc::Point)
@@ -783,14 +755,14 @@ pub fn render_unstructured(
         phases.run("assemble", n_px as u64, || assemble_uvr_stage(&acc, width, height));
 
     let per_active = |total: u64| if active_px > 0 { total as f64 / active_px as f64 } else { 0.0 };
-    Ok(UvrOutput {
-        stats: UvrStats {
-            objects: n_tets,
-            active_pixels: active_px,
+    Ok(RenderOutput {
+        stats: RenderStats {
+            objects: n_tets as f64,
+            active_pixels: active_px as f64,
             samples_per_ray: per_active(composited),
-            cells_per_pixel: per_active(cells_tested),
-            buffer_bytes,
+            cells_spanned: per_active(cells_tested),
             render_seconds: phases.total_seconds(),
+            ..RenderStats::default()
         },
         frame,
         phases,
@@ -1262,17 +1234,13 @@ mod tests {
                     .unwrap()
                 };
                 let (want, got) = (render(true), render(false));
-                assert!(want.stats.active_pixels > 100, "{:?}", want.stats);
+                assert!(want.stats.active_pixels > 100.0, "{:?}", want.stats);
                 assert_eq!(got.stats.active_pixels, want.stats.active_pixels);
                 assert_eq!(
                     got.stats.samples_per_ray.to_bits(),
                     want.stats.samples_per_ray.to_bits()
                 );
-                assert_eq!(
-                    got.stats.cells_per_pixel.to_bits(),
-                    want.stats.cells_per_pixel.to_bits()
-                );
-                assert_eq!(got.stats.buffer_bytes, want.stats.buffer_bytes);
+                assert_eq!(got.stats.cells_spanned.to_bits(), want.stats.cells_spanned.to_bits());
                 assert_eq!(got.frame.color, want.frame.color);
             }
         }
@@ -1302,9 +1270,9 @@ mod tests {
             &UvrConfig { depth_samples: 64, ..Default::default() },
         )
         .unwrap();
-        assert!(out.stats.active_pixels > 300, "{}", out.stats.active_pixels);
+        assert!(out.stats.active_pixels > 300.0, "{}", out.stats.active_pixels);
         assert!(out.stats.samples_per_ray > 1.0);
-        assert!(out.stats.cells_per_pixel > 1.0);
+        assert!(out.stats.cells_spanned > 1.0);
     }
 
     #[test]
@@ -1312,45 +1280,25 @@ mod tests {
         let t = small_tets();
         let cam = Camera::close_view(&t.bounds());
         let tf = tfn(&t);
-        let one = render_unstructured(
-            &Device::Serial,
-            &t,
-            "scalar",
-            &cam,
-            32,
-            32,
-            &tf,
-            &UvrConfig {
-                depth_samples: 60,
-                num_passes: 1,
-                early_termination: 1.1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let four = render_unstructured(
-            &Device::Serial,
-            &t,
-            "scalar",
-            &cam,
-            32,
-            32,
-            &tf,
-            &UvrConfig {
-                depth_samples: 60,
-                num_passes: 4,
-                early_termination: 1.1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let cfg = |num_passes| UvrConfig {
+            depth_samples: 60,
+            num_passes,
+            early_termination: 1.1,
+            ..Default::default()
+        };
+        let render = |cfg: &UvrConfig| {
+            render_unstructured(&Device::Serial, &t, "scalar", &cam, 32, 32, &tf, cfg).unwrap()
+        };
+        let (one, four) = (render(&cfg(1)), render(&cfg(4)));
         assert!(
             one.frame.mean_abs_diff(&four.frame) < 1e-4,
             "diff {}",
             one.frame.mean_abs_diff(&four.frame)
         );
         // Multi-pass uses a quarter of the buffer.
-        assert!(four.stats.buffer_bytes * 3 < one.stats.buffer_bytes * 4);
+        assert!(
+            sample_buffer_bytes(32, 32, &cfg(4)) * 3 < sample_buffer_bytes(32, 32, &cfg(1)) * 4
+        );
     }
 
     #[test]

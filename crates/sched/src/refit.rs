@@ -140,8 +140,8 @@ mod tests {
         // predictions from the window even though the prior is far off.
         let k = MappingConstants::default();
         let truth = |s: &RenderSample| {
-            2e-10 * s.active_pixels * s.cells_spanned
-                + 1e-9 * s.active_pixels * s.samples_per_ray
+            2e-10 * s.stats.active_pixels * s.stats.cells_spanned
+                + 1e-9 * s.stats.active_pixels * s.stats.samples_per_ray
                 + 1e-2
         };
         let mut refit = OnlineRefit::new(64, 8);
@@ -156,7 +156,7 @@ mod tests {
                 tasks: 8,
             };
             let mut s = map_inputs(&cfg, &k);
-            s.render_seconds = truth(&s);
+            s.stats.render_seconds = truth(&s);
             refit.observe(Sample::Render(s));
             cfgs.push(cfg);
         }
@@ -181,8 +181,8 @@ mod tests {
     fn constant_data_size_window_refits_stably() {
         let k = MappingConstants::default();
         let truth = |s: &RenderSample| {
-            2e-10 * s.active_pixels * s.cells_spanned
-                + 1e-9 * s.active_pixels * s.samples_per_ray
+            2e-10 * s.stats.active_pixels * s.stats.cells_spanned
+                + 1e-9 * s.stats.active_pixels * s.stats.samples_per_ray
                 + 1e-2
         };
         let mut refit = OnlineRefit::new(64, 8);
@@ -195,7 +195,7 @@ mod tests {
                 tasks: 64,
             };
             let mut s = map_inputs(&cfg, &k);
-            s.render_seconds = truth(&s);
+            s.stats.render_seconds = truth(&s);
             refit.observe(Sample::Render(s));
             cfgs.push(cfg);
         }
@@ -236,14 +236,16 @@ mod tests {
                         tasks: 8,
                     };
                     let mut s = map_inputs(&cfg, &k);
-                    s.render_seconds = law(&s);
-                    s.build_seconds = build(&s);
+                    s.stats.render_seconds = law(&s);
+                    s.stats.build_seconds = build(&s);
                     Sample::Render(s)
                 })
                 .collect::<Vec<Sample>>()
         };
         let rt_law = |s: &RenderSample| {
-            3e-8 * s.active_pixels * s.objects.log2() + 5e-7 * s.active_pixels + 1e-3
+            3e-8 * s.stats.active_pixels * s.stats.objects.log2()
+                + 5e-7 * s.stats.active_pixels
+                + 1e-3
         };
         let composite = |wire, shape: &[(f64, usize)], law: fn(f64, f64, f64) -> f64| {
             shape
@@ -277,13 +279,17 @@ mod tests {
             // Hook-driven observations: the build is folded into render time.
             Family::Rt => (render(RendererKind::RayTracing, |_| 0.0, rt_law), 1e-6),
             Family::RtBuild => {
-                (render(RendererKind::RayTracing, |s| 2e-8 * s.objects + 5e-4, rt_law), 1e-6)
+                (render(RendererKind::RayTracing, |s| 2e-8 * s.stats.objects + 5e-4, rt_law), 1e-6)
             }
             Family::Rast => (
                 render(
                     RendererKind::Rasterization,
                     |_| 0.0,
-                    |s| 4e-9 * s.objects + 4e-10 * s.visible_objects * s.pixels_per_triangle + 1e-3,
+                    |s| {
+                        4e-9 * s.stats.objects
+                            + 4e-10 * s.stats.visible_objects * s.stats.pixels_per_triangle
+                            + 1e-3
+                    },
                 ),
                 1e-6,
             ),
@@ -292,8 +298,8 @@ mod tests {
                     RendererKind::VolumeRendering,
                     |_| 0.0,
                     |s| {
-                        2e-10 * s.active_pixels * s.cells_spanned
-                            + 1e-9 * s.active_pixels * s.samples_per_ray
+                        2e-10 * s.stats.active_pixels * s.stats.cells_spanned
+                            + 1e-9 * s.stats.active_pixels * s.stats.samples_per_ray
                             + 1e-2
                     },
                 ),
@@ -326,8 +332,8 @@ mod tests {
     /// The seconds `family` is fitted against, as recorded in `s`.
     fn measured(family: Family, s: &Sample) -> f64 {
         match s {
-            Sample::Render(s) if family == Family::RtBuild => s.build_seconds,
-            Sample::Render(s) => s.render_seconds,
+            Sample::Render(s) if family == Family::RtBuild => s.stats.build_seconds,
+            Sample::Render(s) => s.stats.render_seconds,
             Sample::Composite(s) => s.seconds,
             Sample::Pass(s) => s.seconds,
         }
@@ -438,7 +444,7 @@ mod tests {
         };
         for _ in 0..3 {
             let mut s = map_inputs(&cfg, &k);
-            s.render_seconds = 0.5;
+            s.stats.render_seconds = 0.5;
             refit.observe(Sample::Render(s));
         }
         let mut set = prior();
@@ -460,12 +466,12 @@ mod tests {
         };
         for i in 0..10 {
             let mut s = map_inputs(&cfg, &k);
-            s.render_seconds = i as f64;
+            s.stats.render_seconds = i as f64;
             refit.observe(Sample::Render(s));
         }
         assert_eq!(refit.len(), 4);
         let seconds = |s: Option<&Sample>| match s {
-            Some(Sample::Render(s)) => s.render_seconds,
+            Some(Sample::Render(s)) => s.stats.render_seconds,
             other => panic!("not a render sample: {other:?}"),
         };
         let rt = &refit.windows[Family::Rt as usize];

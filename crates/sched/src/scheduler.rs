@@ -301,8 +301,8 @@ impl Scheduler {
             cur.actual_s += local_seconds + build_seconds;
         }
         let mut s = map_inputs(cfg, &self.constants);
-        s.render_seconds = local_seconds;
-        s.build_seconds = build_seconds;
+        s.stats.render_seconds = local_seconds;
+        s.stats.build_seconds = build_seconds;
         self.refit.observe(Sample::Render(s));
     }
 

@@ -78,7 +78,7 @@ impl SimulatedExecutor {
                 &CompositeSample {
                     tasks: cfg.tasks,
                     pixels: cfg.pixels as f64,
-                    avg_active_pixels: inputs.active_pixels,
+                    avg_active_pixels: inputs.stats.active_pixels,
                     seconds: 0.0,
                     wire: CompositeWire::Dense,
                 },
@@ -91,7 +91,7 @@ impl SimulatedExecutor {
             build_s: build,
             comp_s: comp,
             pixels: cfg.pixels as f64,
-            avg_active_pixels: inputs.active_pixels,
+            avg_active_pixels: inputs.stats.active_pixels,
         }
     }
 }

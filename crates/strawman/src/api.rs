@@ -13,7 +13,7 @@ use mesh::external_faces::{external_faces_grid, external_faces_hex};
 use mesh::field::{cell_to_point, structured_cell_to_point};
 use mesh::{Assoc, Field, TriMesh, UniformGrid};
 use mpirt::NetModel;
-use render::counters::{Admission, AdmissionLog, PhaseTimer};
+use render::counters::{Admission, AdmissionLog, PhaseTimer, RenderOutput};
 use render::raster::rasterize;
 use render::raytrace::{RayTracer, RtConfig, TriGeometry};
 use render::volume_structured::{render_structured, SvrConfig};
@@ -494,7 +494,7 @@ impl Strawman {
             };
 
             let t0 = std::time::Instant::now();
-            let (frame, renderer, active) =
+            let (out, renderer) =
                 render_plot(&self.opts.device, published, &plot, &camera, w, h, &mut self.phases)?;
             let seconds = t0.elapsed().as_secs_f64();
             if let Some(hook) = self.opts.scheduler.as_mut() {
@@ -507,7 +507,7 @@ impl Strawman {
                     seconds,
                 });
             }
-            let mut frame = frame;
+            let mut frame = out.frame;
             frame.set_background(Color::WHITE);
 
             let path = if file.is_empty() {
@@ -524,7 +524,7 @@ impl Strawman {
                 width: w,
                 height: h,
                 render_seconds: seconds,
-                active_pixels: active,
+                active_pixels: out.stats.active_pixels as usize,
             });
             self.last_frame = Some(frame);
         }
@@ -555,7 +555,7 @@ fn render_plot(
     width: u32,
     height: u32,
     phases: &mut PhaseTimer,
-) -> Result<(Framebuffer, &'static str, usize), StrawmanError> {
+) -> Result<(RenderOutput, &'static str), StrawmanError> {
     match plot.plot_type {
         PlotType::Pseudocolor => {
             let traced = plot.renderer == RendererKind::RayTracer;
@@ -565,11 +565,11 @@ fn render_plot(
                 Surface::Traced(rt) if traced => {
                     let out =
                         rt.render_with_map(camera, width, height, &RtConfig::workload2(), &tf);
-                    Ok((out.frame, "raytracer", out.stats.active_pixels))
+                    Ok((out, "raytracer"))
                 }
                 _ => {
                     let out = rasterize(device, surface.geom(), camera, width, height, &tf, None);
-                    Ok((out.frame, "rasterizer", out.stats.active_pixels))
+                    Ok((out, "rasterizer"))
                 }
             }
         }
@@ -619,7 +619,7 @@ fn render_plot(
                     &UvrConfig::default(),
                 )
                 .map_err(|e| StrawmanError::Render(e.to_string()))?;
-                Ok((out.frame, "volume_unstructured", out.stats.active_pixels))
+                Ok((out, "volume_unstructured"))
             }
         },
     }
@@ -633,14 +633,14 @@ fn render_grid_volume(
     camera: &Camera,
     width: u32,
     height: u32,
-) -> Result<(Framebuffer, &'static str, usize), StrawmanError> {
+) -> Result<(RenderOutput, &'static str), StrawmanError> {
     let (g, name) = grid_with_point_field(g, var)?;
     let range = g.field(&name).unwrap().range().unwrap_or((0.0, 1.0));
     let tf = TransferFunction::sparse_features(range);
     let out =
         render_structured(device, &g, &name, camera, width, height, &tf, &SvrConfig::default())
             .map_err(|e| StrawmanError::Render(e.to_string()))?;
-    Ok((out.frame, "volume_structured", out.stats.active_pixels))
+    Ok((out, "volume_structured"))
 }
 
 /// Build the pseudocolor surface geometry (external faces) for a variable.

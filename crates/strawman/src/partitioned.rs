@@ -24,6 +24,7 @@ use dpp::Device;
 use mesh::partition::{partitioned_tris, Partition};
 use mesh::TriMesh;
 use render::raytrace::{RayTracer, RtConfig, TriGeometry};
+use render::RenderStats;
 use vecmath::{Camera, TransferFunction};
 
 /// One rank's contribution to a distributed frame.
@@ -31,14 +32,9 @@ use vecmath::{Camera, TransferFunction};
 pub struct RankFrame {
     /// Full-resolution fragment set (premultiplied colors + nearest depth).
     pub image: RankImage,
-    /// Measured render seconds on this rank (the `T_LR` model input).
-    pub render_seconds: f64,
-    /// Measured BVH build seconds on this rank.
-    pub build_seconds: f64,
-    /// Triangles this rank owned.
-    pub tris: usize,
-    /// Pixels this rank produced a fragment for.
-    pub active_pixels: usize,
+    /// The rank's ray-tracer stats: `objects` are the triangles it owned,
+    /// `render_seconds` the `T_LR` model input.
+    pub stats: RenderStats,
 }
 
 /// Render each per-rank triangle set into a [`RankFrame`]. A rank with no
@@ -63,22 +59,13 @@ pub fn render_rank_frames(
             if part.num_tris() == 0 {
                 return RankFrame {
                     image: RankImage::empty(width, height),
-                    render_seconds: 0.0,
-                    build_seconds: 0.0,
-                    tris: 0,
-                    active_pixels: 0,
+                    stats: RenderStats::default(),
                 };
             }
             let geom = TriGeometry::from_mesh(part);
             let rt = RayTracer::new(device.clone(), geom);
             let out = rt.render_with_map(camera, width, height, cfg, tf);
-            RankFrame {
-                image: to_rank_image(&out.frame),
-                render_seconds: out.stats.render_seconds,
-                build_seconds: out.stats.bvh_build_seconds,
-                tris: part.num_tris(),
-                active_pixels: out.stats.active_pixels,
-            }
+            RankFrame { image: to_rank_image(&out.frame), stats: out.stats }
         })
         .collect()
 }
@@ -137,11 +124,25 @@ mod tests {
         // Single-rank reference.
         let tf = TransferFunction::rainbow(mesh.scalar_range());
         let rt = RayTracer::new(device.clone(), TriGeometry::from_mesh(&mesh));
-        let single = to_rank_image(&rt.render_with_map(&camera, w, h, &cfg, &tf).frame);
+        let out = rt.render_with_map(&camera, w, h, &cfg, &tf);
+        let single = to_rank_image(&out.frame);
         assert!(single.active_pixels() > 50, "fixture must be visible");
+        let centroids = mesh::partition::tri_centroids(&mesh);
+
+        // One rank owns every triangle: its stats are the tracer's.
+        let one = render_partitioned(
+            &device,
+            &mesh,
+            &Partition::bisect(&centroids, 1),
+            &camera,
+            w,
+            h,
+            &cfg,
+        );
+        let inputs = |s: &RenderStats| (s.objects, s.active_pixels, s.rays_traced);
+        assert_eq!(inputs(&one[0].stats), inputs(&out.stats), "one rank's stats");
 
         for ranks in [2usize, 3, 5] {
-            let centroids = mesh::partition::tri_centroids(&mesh);
             let part = Partition::bisect(&centroids, ranks);
             let frames = render_partitioned(&device, &mesh, &part, &camera, w, h, &cfg);
             assert_eq!(frames.len(), ranks);
@@ -201,13 +202,12 @@ mod tests {
             &RtConfig::workload2(),
         );
         assert_eq!(frames.len(), 8);
-        let empty = frames.iter().filter(|f| f.tris == 0).count();
+        let empty = frames.iter().filter(|f| f.stats.objects == 0.0).count();
         assert_eq!(empty, 5);
-        for f in frames.iter().filter(|f| f.tris == 0) {
-            assert_eq!(f.active_pixels, 0);
-            assert_eq!(f.render_seconds, 0.0);
+        for f in frames.iter().filter(|f| f.stats.objects == 0.0) {
+            assert_eq!(f.stats, RenderStats::default());
             assert_eq!(f.image.active_pixels(), 0);
         }
-        assert!(frames.iter().any(|f| f.active_pixels > 0), "visible ranks must draw");
+        assert!(frames.iter().any(|f| f.stats.active_pixels > 0.0), "visible ranks must draw");
     }
 }

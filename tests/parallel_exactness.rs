@@ -326,8 +326,8 @@ fn renderers_match_golden_phase_sequences() {
 
     let out = rasterize(&d, &geom, &cam, 72, 72, &tf, None);
     let s = &out.stats;
-    let stats =
-        format!("vo {} pc {} ap {}", s.visible_objects, s.pixels_considered, s.active_pixels);
+    let pc = (s.pixels_per_triangle * s.visible_objects).round() as u64;
+    let stats = format!("vo {} pc {pc} ap {}", s.visible_objects, s.active_pixels);
     got.push(("raster", phase_sequence(&out.phases, stats)));
 
     let (grid, vtf, vcam) = volume();
@@ -343,7 +343,7 @@ fn renderers_match_golden_phase_sequences() {
         let cfg = UvrConfig { depth_samples: 64, num_passes, ..Default::default() };
         let out = render_unstructured(&d, &tets, "scalar", &vcam, 72, 72, &vtf, &cfg).unwrap();
         let s = &out.stats;
-        let (spr, cpp) = (s.samples_per_ray.to_bits(), s.cells_per_pixel.to_bits());
+        let (spr, cpp) = (s.samples_per_ray.to_bits(), s.cells_spanned.to_bits());
         let stats = format!("ap {} spr {spr:#x} cpp {cpp:#x}", s.active_pixels);
         got.push((name, phase_sequence(&out.phases, stats)));
     }
@@ -393,7 +393,7 @@ fn graph_cache_replay_is_bit_identical() {
             assert_eq!(got, want, "{what}: records are not the tracer's phases");
             assert_eq!(info.records[0].cached, warm, "{what}: only the warm frame hits");
             if warm {
-                assert_eq!(out.stats.bvh_build_seconds, 0.0, "cached build must cost zero seconds");
+                assert_eq!(out.stats.build_seconds, 0.0, "cached build must cost zero seconds");
             }
         }
     }

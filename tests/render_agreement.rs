@@ -58,7 +58,7 @@ fn tuned_tracers_see_the_same_picture_as_dpp() {
     for profile in [Profile::Embree, Profile::Optix] {
         let tuned = TunedTracer::from_geometry(geom.clone(), profile);
         let (hits, _) = tuned.intersect_image(&cam, 72, 72);
-        assert_eq!(hits, dpp_out.stats.active_pixels, "{profile:?}");
+        assert_eq!(hits as f64, dpp_out.stats.active_pixels, "{profile:?}");
     }
 }
 

@@ -35,7 +35,7 @@ fn models_fit_and_cross_validate_on_the_simulated_clock() {
         run_render_study_simulated(&device, RendererKind::VolumeRendering, &small_study()).unwrap();
     let fit = Family::Vr.fit(&vr);
     let xs: Vec<Vec<f64>> = vr.iter().map(|s| Family::Vr.features(s)).collect();
-    let ys: Vec<f64> = vr.iter().map(|s| s.render_seconds).collect();
+    let ys: Vec<f64> = vr.iter().map(|s| s.stats.render_seconds).collect();
     let acc = k_fold_accuracy(&xs, &ys, 3);
     assert!(fit.r_squared() > 0.95, "R^2 = {}", fit.r_squared());
     assert!(acc.within_50 >= 90.0, "CV within-50 = {}", acc.within_50);
@@ -52,7 +52,7 @@ fn models_fit_on_real_wall_clock_measurements_smoke() {
     let vr = run_render_study(&device, RendererKind::VolumeRendering, &small_study()).unwrap();
     let fit = Family::Vr.fit(&vr);
     let xs: Vec<Vec<f64>> = vr.iter().map(|s| Family::Vr.features(s)).collect();
-    let ys: Vec<f64> = vr.iter().map(|s| s.render_seconds).collect();
+    let ys: Vec<f64> = vr.iter().map(|s| s.stats.render_seconds).collect();
     let acc = k_fold_accuracy(&xs, &ys, 3);
     assert!(fit.r_squared() > 0.6, "R^2 = {}", fit.r_squared());
     assert!(acc.within_50 >= 60.0, "CV within-50 = {}", acc.within_50);
@@ -63,12 +63,12 @@ fn rt_build_scales_with_objects() {
     let device = Device::parallel();
     let small = run_one(&device, RendererKind::RayTracing, 16, 64, 0.9).unwrap();
     let big = run_one(&device, RendererKind::RayTracing, 48, 64, 0.9).unwrap();
-    assert!(big.objects > small.objects * 4.0);
+    assert!(big.stats.objects > small.stats.objects * 4.0);
     assert!(
-        big.build_seconds > small.build_seconds,
+        big.stats.build_seconds > small.stats.build_seconds,
         "bigger BVH must take longer: {} vs {}",
-        big.build_seconds,
-        small.build_seconds
+        big.stats.build_seconds,
+        small.stats.build_seconds
     );
 }
 
@@ -93,11 +93,11 @@ fn mapping_predicts_observed_inputs_within_bounds() {
         &k,
     );
     // Active pixels within 2x, SPR within 2x, CS exact by construction.
-    let ap_ratio = mapped.active_pixels / test.active_pixels;
+    let ap_ratio = mapped.stats.active_pixels / test.stats.active_pixels;
     assert!((0.5..=2.0).contains(&ap_ratio), "AP ratio {ap_ratio}");
-    let spr_ratio = mapped.samples_per_ray / test.samples_per_ray;
+    let spr_ratio = mapped.stats.samples_per_ray / test.stats.samples_per_ray;
     assert!((0.5..=2.0).contains(&spr_ratio), "SPR ratio {spr_ratio}");
-    assert_eq!(mapped.cells_spanned, 32.0);
+    assert_eq!(mapped.stats.cells_spanned, 32.0);
 }
 
 #[test]
