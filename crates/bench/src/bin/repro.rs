@@ -52,7 +52,6 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("dfb", tables::dfb),
     ("sched", tables::sched_demo),
     ("feasd", tables::feasd_demo),
-    ("graph", tables::graph_demo),
     ("rebalance", tables::rebalance),
     ("scaling", tables::scaling),
 ];

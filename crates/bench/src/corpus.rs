@@ -81,8 +81,7 @@ impl Corpus {
     /// Fit the full model set for one device: every family the corpus has
     /// samples for, each on the samples of its [`Feed`] (the wired study
     /// measures all three exchange kinds, so every compositing family has its
-    /// own). Per-pass models come from live timings, not the offline corpus;
-    /// the online refit installs them at run time.
+    /// own).
     pub fn fit_models(&self, device: &str) -> ModelSet {
         let render = |kind| {
             let of_kind = move |s: &&RenderSample| s.device == device && s.renderer == kind;
@@ -96,7 +95,6 @@ impl Corpus {
                     let all = self.composite.iter().map(Obs::Composite);
                     all.filter(|s| row.family.routes(*s)).collect()
                 }
-                Feed::Pass(_) => Vec::new(),
             };
             (row.required || !fed.is_empty()).then(|| row.family.fit(fed))
         });

@@ -1250,169 +1250,6 @@ pub fn scaling(scale: Scale) -> TextTable {
     t
 }
 
-/// `repro graph`: pass-granular admission for the ray tracer. A camera orbit
-/// renders frames with one prebuilt `RayTracer`; every phase's measured
-/// timing streams into the online refit as a `PassSample` (the orbit runs
-/// on, up to 3× its length, while a pass family's wall-clock fit is still
-/// rejected), the refitted per-pass models price the pass-granular ladder,
-/// and the table prices a budget that full fidelity misses by less than the
-/// ambient-occlusion pass costs: the pass ladder holds it at *full
-/// resolution* by shedding AO, while the whole-frame ladder's only move is
-/// to throw away 75% of the pixels. The per-phase timing log is written to
-/// `graph_passes.csv`.
-pub fn graph_demo(scale: Scale) -> TextTable {
-    use perfmodel::feasibility::ModelSet;
-    use perfmodel::sample::{PassSample, Sample};
-    use sched::ladder::{first_fit, label_at, Rung, RungWork, LADDER, PASS_LADDER};
-    use sched::refit::RefitReport;
-    use sched::OnlineRefit;
-
-    let side = scale.image_side();
-    let frames = match scale {
-        Scale::Quick => 6usize,
-        Scale::Full => 18,
-    };
-    let spec = &surface_dataset_pool()[4]; // RM 350K
-    let mesh = spec.build(scale.dataset_scale());
-    let rt = RayTracer::new(Device::parallel(), TriGeometry::from_mesh(&mesh));
-    let tf = TransferFunction::rainbow(rt.geom.scalar_range);
-    let cfg = RtConfig::workload3();
-    let bounds = rt.geom.bounds;
-
-    // The window slides over the last `frames` frames, so a preempted
-    // frame's outlier ages out of the refit instead of biasing every retry.
-    let mut refit = OnlineRefit::new(frames, 4);
-    let mut csv = String::from("frame,pass,work_units,seconds\n");
-    let mut last_full = None;
-    // Install the per-pass models fitted from the observed pass timings, the
-    // way the scheduler does online: after the orbit's `frames` frames the
-    // window is re-solved, and while a pass family is still missing (a
-    // wall-clock fit whose noise-driven intercept came out negative is
-    // rejected) one more frame is observed and the window re-solved again.
-    let mut set = sched::demo::ground_truth();
-    let both_installed = |set: &ModelSet| {
-        set.get(Family::PassAo).is_some() && set.get(Family::PassShadows).is_some()
-    };
-    let mut report = RefitReport::default();
-    let mut used = 0usize;
-    for f in 0..3 * frames {
-        // Orbit: every frame's camera is new; each further lap is offset
-        // half a step so it repeats no earlier camera.
-        let a = (f as f64 + 0.5 * (f / frames) as f64) / frames as f64 * std::f64::consts::TAU;
-        let dir = Vec3::new(a.cos() as f32, 0.25, a.sin() as f32);
-        let cam = Camera::framing(&bounds, dir, 0.9);
-        // Cycle the resolution so the observed pass work units span a range
-        // the 2-term regression can fit (constant work would be
-        // rank-deficient); every third frame, and the orbit's last, lands on
-        // full resolution.
-        let s = side * (2 + (f % 3) as u32) / 4;
-        let phases = rt.render_with_map(&cam, s, s, &cfg, &tf).phases;
-        for p in &phases.phases {
-            use std::fmt::Write as _;
-            let _ = writeln!(csv, "{f},{},{},{:.6e}", p.name, p.work_units, p.seconds);
-            // Phases that did work feed the per-pass refit (which windows
-            // only the sheddable passes that have a model family).
-            if p.work_units > 0 {
-                refit.observe(Sample::Pass(PassSample {
-                    pass: p.name.to_string(),
-                    work_units: p.work_units as f64,
-                    seconds: p.seconds,
-                }));
-            }
-        }
-        if s == side {
-            last_full = Some(phases);
-        }
-        used = f + 1;
-        if used >= frames {
-            report = refit.refit_into(&mut set);
-            if both_installed(&set) {
-                break;
-            }
-        }
-    }
-    crate::write_artifact("graph_passes.csv", &csv);
-    assert!(
-        both_installed(&set),
-        "per-pass refit must install both pass models within {used} frames \
-         (refitted: {:?}, rejected: {:?})",
-        report.refitted,
-        report.rejected
-    );
-
-    // Whole-frame cost at each resolution rung, measured on the tracer's
-    // prebuilt BVH from a fresh camera.
-    let frame_measured: Vec<f64> = (0..3u8)
-        .map(|h| {
-            let s = (side >> h).max(8);
-            let cam = Camera::framing(&bounds, Vec3::new(0.3, 0.8, -0.6), 0.9);
-            rt.render_with_map(&cam, s, s, &cfg, &tf).stats.render_seconds
-        })
-        .collect();
-    let full = last_full.expect("at least one full-resolution frame");
-    let work = RungWork {
-        ao_units: full.work_of("ambient_occlusion") as f64,
-        shadow_units: full.work_of("shadows") as f64,
-        build_seconds: rt.bvh_build_seconds,
-    };
-    let price = |r: &Rung| r.price(&set, frame_measured[(r.halvings as usize).min(2)], &work);
-    // A budget the pass ladder can hold at full resolution (just above the
-    // skip-AO rung) but every full-resolution whole-frame rung misses: the
-    // whole-frame ladder must halve.
-    let budget = price(&PASS_LADDER[2]) * 1.02;
-    let level = |rungs: &[Rung]| {
-        first_fit(rungs, 0, |r| (price(&r) <= budget).then_some(()))
-            .map_or(rungs.len(), |(l, ())| l)
-    };
-    let (pass_level, frame_level) = (level(&PASS_LADDER), level(&LADDER));
-
-    let mut t = TextTable::new(
-        format!(
-            "Ray tracer: pass-granular admission under a {:.1} ms budget \
-             (pass ladder holds level {pass_level} = {}, whole-frame ladder falls to {})",
-            budget * 1e3,
-            label_at(&PASS_LADDER, pass_level),
-            label_at(&LADDER, frame_level),
-        ),
-        &["ladder", "rung", "predicted (s)", "within budget", "pixels kept"],
-    );
-    for (name, rungs) in [("pass", &PASS_LADDER[..]), ("whole-frame", &LADDER)] {
-        for i in 0..=rungs.len() {
-            let (pred, kept) = rungs
-                .get(i)
-                .map_or((0.0, 0.0), |r| (price(r), 100.0 * 0.25f64.powi(i32::from(r.halvings))));
-            t.row(vec![
-                name.into(),
-                format!("{i}: {}", label_at(rungs, i)),
-                fmt_s(pred),
-                if pred <= budget { "yes" } else { "no" }.into(),
-                format!("{kept:.0}%"),
-            ]);
-        }
-    }
-    // The refit trailer: which families the observed pass timings installed.
-    for family in [Family::PassAo, Family::PassShadows] {
-        if let Some(m) = set.get(family) {
-            let name = m.name();
-            t.row(vec![
-                "refit".into(),
-                name.into(),
-                format!("r2={:.3} n={}", m.fit.r_squared, m.fit.n),
-                if report.refitted.contains(&name) { "installed" } else { "kept" }.into(),
-                String::new(),
-            ]);
-        }
-    }
-    t.row(vec![
-        "refit".into(),
-        "orbit frames observed".into(),
-        format!("{used} (bound {})", 3 * frames),
-        String::new(),
-        String::new(),
-    ]);
-    t
-}
-
 /// One cycle of the [`rebalance_run`] simulation, under both schemes.
 #[derive(Debug, Clone)]
 pub struct RebalanceCycle {

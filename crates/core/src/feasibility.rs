@@ -5,7 +5,7 @@
 
 use crate::mapping::{map_inputs, MappingConstants, RenderConfig};
 use crate::models::{Family, FittedLinearModel};
-use crate::sample::{CompositeSample, CompositeWire, PassSample, RenderSample, RendererKind};
+use crate::sample::{CompositeSample, CompositeWire, RenderSample, RendererKind};
 
 /// Floor applied to predicted per-frame seconds before they are used as a
 /// divisor. A degenerate fit (all-zero coefficients, e.g. from a windowed
@@ -19,9 +19,8 @@ pub const MIN_PREDICTED_SECONDS: f64 = 1e-9;
 /// indexed by [`Family`]. The required families are always present; an
 /// optional family is present once a fit for it has been installed, and its
 /// absence has a defined fallback: per-wire compositing degrades along
-/// `CompDfb -> CompRle -> Comp` (so legacy persisted sets predict exactly
-/// what they always did), and the per-pass predictor answers `None` so
-/// admission never banks on unmeasured savings.
+/// `CompDfb -> CompRle -> Comp`, so legacy persisted sets predict exactly
+/// what they always did.
 #[derive(Debug, Clone)]
 pub struct ModelSet {
     /// Device label the single-node models were fitted on.
@@ -149,15 +148,6 @@ impl ModelSet {
     /// predictions.
     pub fn implausible_models(&self) -> Vec<&'static str> {
         self.models().filter(|m| !m.fit.all_coeffs_nonnegative()).map(|m| m.name()).collect()
-    }
-
-    /// Predicted seconds a named ray-tracer phase would cost at
-    /// `work_units`, when its per-pass model has been fitted (`None`
-    /// otherwise — the caller falls back to whole-frame degradation).
-    /// Clamped at 0 like the frame predictors.
-    pub fn predict_pass_seconds(&self, pass: &str, work_units: f64) -> Option<f64> {
-        let m = self.get(Family::for_pass(pass)?)?;
-        Some(m.predict(&PassSample { pass: String::new(), work_units, seconds: 0.0 }).max(0.0))
     }
 
     /// Predicted one-time BVH build seconds (ray tracing only; 0 otherwise).

@@ -33,4 +33,4 @@ pub(crate) mod test_models;
 
 pub use models::{Family, FittedLinearModel};
 pub use regression::LinearRegression;
-pub use sample::{CompositeSample, PassSample, RenderSample, RendererKind};
+pub use sample::{CompositeSample, RenderSample, RendererKind};

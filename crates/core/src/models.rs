@@ -50,14 +50,6 @@ pub enum Family {
     /// barriered rounds while the DFB pays a linear-in-`Tasks` message tax
     /// that overlapped transfers amortize at scale.
     CompDfb,
-    /// The ray tracer's `ambient_occlusion` phase: `T_pass = c0*W + c1`
-    /// where `W` is the work units the phase recorded. The whole-frame
-    /// families predict a renderer's aggregate cost; the pass families
-    /// predict what one *sheddable* pass contributes, so the scheduler can
-    /// price "skip ambient occlusion" against "halve the image".
-    PassAo,
-    /// The ray tracer's `shadows` phase; see [`Family::PassAo`].
-    PassShadows,
 }
 
 /// Which measured samples feed a family: the sample kind, plus the key that
@@ -72,8 +64,6 @@ pub enum Feed {
     Build,
     /// Compositing samples of one exchange wire.
     Composite(CompositeWire),
-    /// Ray-tracer phase timings of one named phase.
-    Pass(&'static str),
 }
 
 /// One row of [`Family::ALL`]: everything about a family that is data.
@@ -110,7 +100,7 @@ impl Family {
     /// The one list of model families, required ones first. Persisted record
     /// order, refit install order and report order all follow it.
     #[rustfmt::skip]
-    pub const ALL: [FamilyRow; 9] = [
+    pub const ALL: [FamilyRow; 7] = [
         row(Family::Rt, "ray_tracing", "rt", &["AP*log2(O)", "AP", "1"], true, Feed::Render(RendererKind::RayTracing)),
         row(Family::RtBuild, "ray_tracing_build", "rt_build", &["O", "1"], true, Feed::Build),
         row(Family::Rast, "rasterization", "rast", &["O", "VO*PPT", "1"], true, Feed::Render(RendererKind::Rasterization)),
@@ -118,8 +108,6 @@ impl Family {
         row(Family::Comp, "compositing", "comp", &["avg(AP)", "Pixels", "1"], true, Feed::Composite(CompositeWire::Dense)),
         row(Family::CompRle, "compositing_compressed", "comp_rle", &["avg(AP)", "Pixels", "AF", "1"], false, Feed::Composite(CompositeWire::Compressed)),
         row(Family::CompDfb, "compositing_dfb", "comp_dfb", &["avg(AP)", "Pixels", "Tasks", "1"], false, Feed::Composite(CompositeWire::Dfb)),
-        row(Family::PassAo, "pass_ambient_occlusion", "pass_ao", &["W", "1"], false, Feed::Pass("ambient_occlusion")),
-        row(Family::PassShadows, "pass_shadows", "pass_shadows", &["W", "1"], false, Feed::Pass("shadows")),
     ];
 
     /// Number of required families — the leading rows of [`Family::ALL`].
@@ -156,11 +144,6 @@ impl Family {
         }
     }
 
-    /// The family covering a phase name, for phases that have one.
-    pub fn for_pass(pass: &str) -> Option<Family> {
-        Family::ALL.iter().find(|r| matches!(r.feed, Feed::Pass(p) if p == pass)).map(|r| r.family)
-    }
-
     /// True when `s` is one of the samples this family is fitted on (its
     /// [`Feed`]). At most one family per refit window routes any sample.
     pub fn routes(self, s: Obs<'_>) -> bool {
@@ -170,7 +153,6 @@ impl Family {
                 s.renderer == RendererKind::RayTracing && s.stats.build_seconds > 0.0
             }
             (Feed::Composite(wire), Obs::Composite(s)) => s.wire == wire,
-            (Feed::Pass(pass), Obs::Pass(s)) => s.pass == pass,
             _ => false,
         }
     }
@@ -197,7 +179,6 @@ impl Family {
             (Family::CompDfb, Obs::Composite(s)) => {
                 vec![s.avg_active_pixels, s.pixels, s.tasks as f64, 1.0]
             }
-            (Family::PassAo | Family::PassShadows, Obs::Pass(s)) => vec![s.work_units, 1.0],
             (family, other) => {
                 debug_assert!(false, "{family:?} has no feature row over {other:?}");
                 Vec::new()
@@ -227,7 +208,6 @@ impl Family {
             Obs::Render(s) if self.row().feed == Feed::Build => s.stats.build_seconds,
             Obs::Render(s) => s.stats.render_seconds,
             Obs::Composite(s) => s.seconds,
-            Obs::Pass(s) => s.seconds,
         }
     }
 }
@@ -285,7 +265,7 @@ pub fn total_time(per_task_render_seconds: &[f64], compositing_seconds: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::{CompositeSample, PassSample};
+    use crate::sample::CompositeSample;
     use render::RenderStats;
 
     #[test]
@@ -444,28 +424,6 @@ mod tests {
         assert!((fitted.coeffs()[2] - c[2]).abs() / c[2] < 1e-6);
         let pred = fitted.predict(&samples[9]);
         assert!((pred - samples[9].seconds).abs() / samples[9].seconds < 1e-6);
-    }
-
-    #[test]
-    fn pass_model_recovers_planted_law() {
-        // Planted per-ray cost + fixed setup overhead for each pass family.
-        let c = [2.5e-8, 4e-4];
-        let pass = |w: f64| PassSample {
-            pass: "ambient_occlusion".into(),
-            work_units: w,
-            seconds: c[0] * w + c[1],
-        };
-        let samples: Vec<PassSample> = (1..20).map(|i| pass(3000.0 * i as f64)).collect();
-        let fitted = Family::PassAo.fit(&samples);
-        assert_eq!(fitted.name(), "pass_ambient_occlusion");
-        assert!(fitted.r_squared() > 0.9999);
-        assert!((fitted.coeffs()[0] - c[0]).abs() / c[0] < 1e-6);
-        let p = fitted.predict(&pass(7500.0));
-        assert!((p - (c[0] * 7500.0 + c[1])).abs() < 1e-9);
-        // Pass-name routing covers exactly the sheddable passes.
-        assert_eq!(Family::for_pass("shadows"), Some(Family::PassShadows));
-        assert_eq!(Family::for_pass("ambient_occlusion"), Some(Family::PassAo));
-        assert_eq!(Family::for_pass("intersect"), None);
     }
 
     #[test]

@@ -169,9 +169,9 @@ mod tests {
         FittedLinearModel { family, fit: LinearRegression::with_stats(coeffs, r2, resid, n) }
     }
 
-    /// A set carrying all nine families.
+    /// A set carrying all seven families.
     fn sample_set() -> (ModelSet, MappingConstants) {
-        let coeffs: [(Family, &[f64]); 9] = [
+        let coeffs: [(Family, &[f64]); 7] = [
             (Family::Rt, &[2e-9, 1e-8, 1e-3]),
             (Family::RtBuild, &[2e-8, 1e-3]),
             (Family::Rast, &[4e-9, 4e-10, 1e-3]),
@@ -179,8 +179,6 @@ mod tests {
             (Family::Comp, &[2e-8, 5e-8, 1e-3]),
             (Family::CompRle, &[3e-8, 2e-8, 2e-4, 8e-4]),
             (Family::CompDfb, &[4e-8, 9e-9, 2e-6, 3e-4]),
-            (Family::PassAo, &[2.5e-8, 4e-4]),
-            (Family::PassShadows, &[1.5e-8, 2e-4]),
         ];
         (
             ModelSet::new("parallel", coeffs.map(|(f, c)| fit(f, c.to_vec(), 0.97, 1e-4, 25))),
@@ -221,13 +219,6 @@ mod tests {
                     0.3333333333333333,
                     f64::MIN_POSITIVE,
                 ),
-                fit(
-                    Family::PassAo,
-                    vec![1.0 / 3.0 * 1e-7, 4.9e-324],
-                    0.123_456_789_012_345_68,
-                    2.0_f64.sqrt() * 1e-5,
-                ),
-                fit(Family::PassShadows, vec![-1e-300, 0.1 + 0.7], 1.0 - f64::EPSILON, 0.0),
             ],
         );
         let k = MappingConstants {
@@ -261,7 +252,7 @@ mod tests {
         let (set2, k2) = from_text(&text).unwrap();
         assert_eq!(set2.device, "parallel");
         assert_same_fits(&set, &set2);
-        assert_eq!(set2.get(Family::PassShadows).unwrap().fit.coeffs, vec![1.5e-8, 2e-4]);
+        assert_eq!(set2.get(Family::CompDfb).unwrap().fit.coeffs, vec![4e-8, 9e-9, 2e-6, 3e-4]);
         assert_eq!(set2.get(Family::Vr).unwrap().fit.n, 25);
         assert_eq!(k2.ap_fill, k.ap_fill);
         assert_eq!(k2.spr_base, k.spr_base);
@@ -300,7 +291,7 @@ mod tests {
     fn golden_files_load_and_rewrite_byte_identically() {
         // Both files were written at the commit before the family table
         // existed: the v2 file is that writer's output for `awkward_set` (less
-        // the two records of families retired since), the v1 file its five
+        // the four records of families retired since), the v1 file its five
         // required records in the seed writer's shape.
         let v2 = include_str!("../tests/data/models_v2_all_families.txt");
         let (set, k) = from_text(v2).unwrap();
@@ -323,13 +314,29 @@ mod tests {
 
     #[test]
     fn retired_family_tag_is_a_parse_error_not_a_half_load() {
-        // The LOD proxy families were retired with the proxies nobody drew. A
-        // file written before that (the nine surviving records, then this
-        // one) must fail whole rather than load as a set missing a fit.
-        let retired = "model|lod_half|name=lod_half|r2=0.9999999999999999|\
-resid=0.0000006931471805599452|n=137|warn=0|rank=2|coeffs=1.4285714285714286e-9;-5e-324\n";
-        let old = format!("{}{retired}", include_str!("../tests/data/models_v2_all_families.txt"));
-        assert_eq!(from_text(&old).unwrap_err(), ParseError("unknown model tag lod_half".into()));
+        // The LOD proxy families were retired with the proxies nobody drew,
+        // and the per-pass families with the pass ladder nothing executed. A
+        // file written before that (the seven surviving records, then one
+        // retired record) must fail whole rather than load as a set missing
+        // a fit.
+        let retired = [
+            (
+                "lod_half",
+                "model|lod_half|name=lod_half|r2=0.9999999999999999|\
+resid=0.0000006931471805599452|n=137|warn=0|rank=2|coeffs=1.4285714285714286e-9;-5e-324\n",
+            ),
+            (
+                "pass_ao",
+                "model|pass_ao|name=pass_ambient_occlusion|r2=0.12345678901234568|\
+resid=0.000014142135623730953|n=137|warn=0|rank=2|coeffs=3.333333333333333e-8;5e-324\n",
+            ),
+        ];
+        let v2 = include_str!("../tests/data/models_v2_all_families.txt");
+        for (tag, record) in retired {
+            let old = format!("{v2}{record}");
+            let want = ParseError(format!("unknown model tag {tag}"));
+            assert_eq!(from_text(&old).unwrap_err(), want);
+        }
     }
 
     #[test]
@@ -340,9 +347,7 @@ resid=0.0000006931471805599452|n=137|warn=0|rank=2|coeffs=1.4285714285714286e-9;
         // test honest about the solver's actual output values, irrational
         // intercepts and all; looping over `Family::ALL` keeps it exhaustive.
         use crate::models::Feed;
-        use crate::sample::{
-            CompositeSample, CompositeWire, PassSample, RenderSample, RendererKind, Sample,
-        };
+        use crate::sample::{CompositeSample, CompositeWire, RenderSample, RendererKind, Sample};
         use render::RenderStats;
 
         let planted = |feed: Feed, i: usize| {
@@ -375,11 +380,6 @@ resid=0.0000006931471805599452|n=137|warn=0|rank=2|coeffs=1.4285714285714286e-9;
                     avg_active_pixels: 900.0 * x,
                     seconds: 5e-4 * x + 2e-5 * x * x,
                     wire: CompositeWire::Compressed,
-                }),
-                Feed::Pass(pass) => Sample::Pass(PassSample {
-                    pass: pass.into(),
-                    work_units: 500.0 * x,
-                    seconds: 3e-5 * x + 7e-6,
                 }),
             }
         };

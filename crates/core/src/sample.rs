@@ -95,21 +95,6 @@ pub struct CompositeSample {
     pub wire: CompositeWire,
 }
 
-/// One per-pass timing measurement: a ray-tracer phase record's name, the
-/// work units it reported (occlusion probes cast, shadow rays, live pixels
-/// shaded), and its measured seconds. These are the refit features behind
-/// pass-granular pricing — `sched::ladder` predicts what shedding an
-/// individual pass would save (`repro graph` prices it).
-#[derive(Debug, Clone)]
-pub struct PassSample {
-    /// Phase name (e.g. "ambient_occlusion", "shadows").
-    pub pass: String,
-    /// Work units the phase recorded.
-    pub work_units: f64,
-    /// Measured pass seconds.
-    pub seconds: f64,
-}
-
 /// A borrowed measurement of any kind: what a model family's feature row
 /// reads (see [`crate::models::Family::features`]).
 #[derive(Debug, Clone, Copy)]
@@ -118,8 +103,6 @@ pub enum Obs<'a> {
     Render(&'a RenderSample),
     /// An image-compositing measurement.
     Composite(&'a CompositeSample),
-    /// A ray-tracer phase timing.
-    Pass(&'a PassSample),
 }
 
 /// An owned measurement of any kind: what the online refit windows hold.
@@ -129,8 +112,6 @@ pub enum Sample {
     Render(RenderSample),
     /// An image-compositing measurement.
     Composite(CompositeSample),
-    /// A ray-tracer phase timing.
-    Pass(PassSample),
 }
 
 impl<'a> From<&'a Sample> for Obs<'a> {
@@ -138,7 +119,6 @@ impl<'a> From<&'a Sample> for Obs<'a> {
         match s {
             Sample::Render(s) => Obs::Render(s),
             Sample::Composite(s) => Obs::Composite(s),
-            Sample::Pass(s) => Obs::Pass(s),
         }
     }
 }
@@ -152,12 +132,6 @@ impl<'a> From<&'a RenderSample> for Obs<'a> {
 impl<'a> From<&'a CompositeSample> for Obs<'a> {
     fn from(s: &'a CompositeSample) -> Obs<'a> {
         Obs::Composite(s)
-    }
-}
-
-impl<'a> From<&'a PassSample> for Obs<'a> {
-    fn from(s: &'a PassSample) -> Obs<'a> {
-        Obs::Pass(s)
     }
 }
 

@@ -3,18 +3,39 @@
 //! geometry"). For an N^3 grid the result is exactly 12 N^2 triangles — the
 //! `O = 12 N^2` term of the model-input mapping in Section 5.8.
 
-use crate::structured::UniformGrid;
+use crate::field::{find, Field};
+use crate::structured::{RectilinearGrid, UniformGrid};
 use crate::unstructured::{HexMesh, TriMesh};
+use vecmath::Vec3;
 
 /// External faces of a uniform grid with a point field mapped to per-vertex
 /// scalars. Produces `12 * (nx*ny + ny*nz + nz*nx) / 3`-ish triangles —
 /// exactly two triangles per boundary cell face.
 pub fn external_faces_grid(grid: &UniformGrid, field_name: &str) -> TriMesh {
-    let field = &grid
-        .field(field_name)
-        .unwrap_or_else(|| panic!("no point field named {field_name}"))
-        .values;
-    let c = grid.cell_dims();
+    let field = point_values(&grid.fields, field_name);
+    structured_faces(grid.dims, field, |i, j, k| grid.point_position(i, j, k))
+}
+
+/// External faces of a rectilinear grid, at its published axis coordinates
+/// (stretched axes included); otherwise as [`external_faces_grid`].
+pub fn external_faces_rectilinear(grid: &RectilinearGrid, field_name: &str) -> TriMesh {
+    let field = point_values(&grid.fields, field_name);
+    structured_faces(grid.dims(), field, |i, j, k| grid.point_position(i, j, k))
+}
+
+fn point_values<'a>(fields: &'a [Field], field_name: &str) -> &'a [f32] {
+    &find(fields, field_name).unwrap_or_else(|| panic!("no point field named {field_name}")).values
+}
+
+/// The one face walker of a structured grid of `dims` points per axis
+/// (x fastest): two triangles per boundary cell face, each vertex at
+/// `position(i, j, k)` with its scalar from `field`.
+fn structured_faces(
+    dims: [usize; 3],
+    field: &[f32],
+    position: impl Fn(usize, usize, usize) -> Vec3,
+) -> TriMesh {
+    let c = [dims[0] - 1, dims[1] - 1, dims[2] - 1];
     let mut mesh = TriMesh::default();
     let expected = 4 * (c[0] * c[1] + c[1] * c[2] + c[2] * c[0]);
     mesh.tris.reserve(expected);
@@ -23,8 +44,8 @@ pub fn external_faces_grid(grid: &UniformGrid, field_name: &str) -> TriMesh {
     let mut emit_quad = |corners: [(usize, usize, usize); 4]| {
         let base = mesh.points.len() as u32;
         for (i, j, k) in corners {
-            mesh.points.push(grid.point_position(i, j, k));
-            mesh.scalars.push(field[grid.point_index(i, j, k)]);
+            mesh.points.push(position(i, j, k));
+            mesh.scalars.push(field[(k * dims[1] + j) * dims[0] + i]);
         }
         mesh.tris.push([base, base + 1, base + 2]);
         mesh.tris.push([base, base + 2, base + 3]);

@@ -12,9 +12,8 @@
 //! fixed [`ladder::LADDER`] — shrink the image side 2×, then 4×, then switch
 //! ray tracing to rasterization when past the Figure-15 crossover, then drop
 //! the frame — and hysteresis keeps fidelity from flapping cycle to cycle.
-//! The scheduler sheds no ray-tracer phase: the pass-granular
-//! [`ladder::PASS_LADDER`] shares the rung type, pricing and walk, but only
-//! `repro graph` prices it.
+//! A job is priced whole-frame, as the paper's models price it: no rung
+//! sheds a ray-tracer phase.
 //! After execution, measured (simulated-clock) runtimes feed a windowed
 //! re-solve over [`perfmodel::regression::LinearRegression`], shrinking
 //! prediction error over the run.
@@ -35,7 +34,7 @@ pub mod simexec;
 
 pub use backpressure::QueuePressure;
 pub use demo::{run_budgeted_demo, DemoConfig, DemoReport};
-pub use ladder::{Ladder, Rung, LADDER, PASS_LADDER};
+pub use ladder::{Ladder, Rung, LADDER};
 pub use priority::{Priority, PRIORITIES};
 pub use rebalance::{RebalanceConfig, Rebalancer};
 pub use refit::OnlineRefit;

@@ -61,9 +61,7 @@ impl OnlineRefit {
         }
     }
 
-    /// Record a measurement in the window of the family it feeds. A sample
-    /// no family is fitted on (a phase without a model) is ignored — its
-    /// cost is already captured by the whole-frame models.
+    /// Record a measurement in the window of the family it feeds.
     pub fn observe(&mut self, s: Sample) {
         let Some(row) = Family::ALL.iter().find(|r| r.family.routes(Obs::from(&s))) else { return };
         let q = &mut self.windows[window_owner(row) as usize];
@@ -117,9 +115,7 @@ impl OnlineRefit {
 mod tests {
     use super::*;
     use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
-    use perfmodel::sample::{
-        CompositeSample, CompositeWire, PassSample, RenderSample, RendererKind,
-    };
+    use perfmodel::sample::{CompositeSample, CompositeWire, RenderSample, RendererKind};
 
     fn prior() -> ModelSet {
         ModelSet::from_coeffs(
@@ -267,14 +263,6 @@ mod tests {
         let barriered: Vec<(f64, usize)> = (1..=8).map(|i| (128.0 * i as f64, 64)).collect();
         let overlapped: Vec<(f64, usize)> =
             (1..=10).map(|i| (128.0 * (1 + i % 4) as f64, 1usize << (i % 7))).collect();
-        let pass = |pass: &str, scale: f64, law: fn(f64) -> f64| {
-            (1..=10)
-                .map(|i| {
-                    let w = 5000.0 * i as f64 * scale;
-                    Sample::Pass(PassSample { pass: pass.into(), work_units: w, seconds: law(w) })
-                })
-                .collect::<Vec<Sample>>()
-        };
         match family {
             // Hook-driven observations: the build is folded into render time.
             Family::Rt => (render(RendererKind::RayTracing, |_| 0.0, rt_law), 1e-6),
@@ -324,8 +312,6 @@ mod tests {
                 }),
                 1e-5,
             ),
-            Family::PassAo => (pass("ambient_occlusion", 1.0, |w| 2.5e-8 * w + 4e-4), 1e-6),
-            Family::PassShadows => (pass("shadows", 0.4, |w| 1.2e-8 * w + 2e-4), 1e-6),
         }
     }
 
@@ -335,7 +321,6 @@ mod tests {
             Sample::Render(s) if family == Family::RtBuild => s.stats.build_seconds,
             Sample::Render(s) => s.stats.render_seconds,
             Sample::Composite(s) => s.seconds,
-            Sample::Pass(s) => s.seconds,
         }
     }
 
@@ -349,17 +334,15 @@ mod tests {
 
     /// For each family, a planted-law window installs exactly that family
     /// (and `rt` + `rt_build` for a ray-tracing window with measured
-    /// builds), recovering the law; samples no family is fitted on are not
-    /// windowed; and a refit over every window reports in table order.
+    /// builds), recovering the law; and a refit over every window reports in
+    /// table order.
     #[test]
     fn each_family_refits_from_its_own_window() {
-        let unrouted =
-            [Sample::Pass(PassSample { pass: "intersect".into(), work_units: 5e3, seconds: 1.0 })];
         let mut all = OnlineRefit::new(64, 4);
         for row in &Family::ALL {
             let (window, tol) = planted_window(row.family);
             let mut refit = OnlineRefit::new(64, 4);
-            for s in window.iter().chain(&unrouted) {
+            for s in &window {
                 refit.observe(s.clone());
                 all.observe(s.clone());
             }
@@ -394,16 +377,6 @@ mod tests {
             let (window, tol) = planted_window(row.family);
             assert_recovers(&set, row.family, &window, tol);
         }
-        // The pass-keyed predictor reaches the installed models at points
-        // off the window, and answers `None` where no family exists.
-        for w in [7500.0, 40000.0] {
-            let (ao, sh) = (2.5e-8 * w + 4e-4, 1.2e-8 * w + 2e-4);
-            let got = set.predict_pass_seconds("ambient_occlusion", w).unwrap();
-            assert!((got - ao).abs() / ao < 1e-6, "{got}");
-            let got = set.predict_pass_seconds("shadows", w).unwrap();
-            assert!((got - sh).abs() / sh < 1e-6, "{got}");
-        }
-        assert!(set.predict_pass_seconds("intersect", 1.0).is_none());
     }
 
     /// A window whose re-solve carries a negative coefficient (here: cost

@@ -7,7 +7,7 @@
 //! fidelity, it walks down the degradation [`LADDER`]; measured runtimes flow
 //! back through [`OnlineRefit`] so predictions tighten as the run proceeds.
 
-use crate::ladder::{first_fit, Ladder, Rung, RungWork, LADDER};
+use crate::ladder::{first_fit, Ladder, Rung, LADDER};
 use crate::refit::{OnlineRefit, RefitReport};
 use perfmodel::feasibility::{ModelSet, MIN_PREDICTED_SECONDS};
 use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
@@ -243,8 +243,7 @@ impl Scheduler {
         } else {
             0.0
         };
-        let work = RungWork { build_seconds, ..RungWork::default() };
-        let predicted_s = rung.price(&self.models, self.frame_cost(&cfg), &work);
+        let predicted_s = self.frame_cost(&cfg) + build_seconds;
         PlannedJob { width, height, cfg, rung, predicted_s }
     }
 
@@ -381,6 +380,12 @@ fn renderer_kind(label: &str) -> Option<RendererKind> {
     }
 }
 
+/// Cells per axis of one task's block, guessed from a render's cell count as
+/// if the block were a cube.
+fn cells_per_task(cells: usize) -> usize {
+    (cells as f64).cbrt().round().max(1.0) as usize
+}
+
 impl strawman::AdmissionHook for Scheduler {
     fn admit(&mut self, req: &strawman::AdmissionRequest) -> strawman::AdmissionDecision {
         if self.cur.as_ref().map(|c| c.cycle) != Some(req.cycle) {
@@ -389,7 +394,7 @@ impl strawman::AdmissionHook for Scheduler {
         let Some(renderer) = renderer_kind(req.renderer) else {
             return strawman::AdmissionDecision::Admit;
         };
-        let cells_per_task = (req.cells as f64).cbrt().round().max(1.0) as usize;
+        let cells_per_task = cells_per_task(req.cells);
         let request =
             RenderRequest { renderer, width: req.width, height: req.height, cells_per_task };
         match self.decide(request) {
@@ -408,7 +413,7 @@ impl strawman::AdmissionHook for Scheduler {
         let Some(renderer) = renderer_kind(done.renderer) else { return };
         let cfg = RenderConfig {
             renderer,
-            cells_per_task: (done.cells as f64).cbrt().round().max(1.0) as usize,
+            cells_per_task: cells_per_task(done.cells),
             pixels: done.width as usize * done.height as usize,
             tasks: self.cfg.tasks,
         };
@@ -632,7 +637,7 @@ mod tests {
         assert_eq!(s.shrunk(&tiny, 2), (32, 32));
     }
 
-    /// The shrink audit pinned: every rung of both orderings yields a renderable,
+    /// The shrink audit pinned: every rung of the ladder yields a renderable,
     /// nonzero-pixel config for every seed image size, including odd sides,
     /// sides below the tile floor, and a 1-pixel request. Degenerate
     /// halvings (>= 32, a u32 shift overflow before the audit) clamp to the
@@ -641,7 +646,7 @@ mod tests {
     fn every_rung_stays_renderable_at_all_seed_sizes() {
         let s = sched(1.0);
         let sides = [1u32, 31, 63, 64, 65, 72, 101, 256, 333, 512, 1024, 1080, 2047, 4096];
-        let mut rungs: Vec<Rung> = [&LADDER[..], &crate::ladder::PASS_LADDER].concat();
+        let mut rungs: Vec<Rung> = LADDER.to_vec();
         rungs.push(Rung::frame(31));
         rungs.push(Rung::frame(40));
         rungs.push(Rung { switch: true, ..Rung::frame(255) });

@@ -9,7 +9,7 @@ use compositing::{
 };
 use conduit_node::Node;
 use dpp::Device;
-use mesh::external_faces::{external_faces_grid, external_faces_hex};
+use mesh::external_faces::{external_faces_grid, external_faces_hex, external_faces_rectilinear};
 use mesh::field::{cell_to_point, structured_cell_to_point};
 use mesh::{Assoc, Field, TriMesh, UniformGrid};
 use mpirt::NetModel;
@@ -650,15 +650,18 @@ fn surface_geometry(mesh: &mut PublishedMesh, var: &str) -> Result<TriMesh, Stra
             let (g, name) = grid_with_point_field(g, var)?;
             Ok(external_faces_grid(&g, &name))
         }
+        // The face walkers read their scalar from the mesh's own fields: a
+        // cell variable's point average is lent to the mesh for the call and
+        // taken back, so the mesh stays as `convert` made it.
         PublishedMesh::Rectilinear(r) => {
-            let g = r.to_uniform();
-            let (g, name) = grid_with_point_field(&g, var)?;
-            Ok(external_faces_grid(&g, &name))
+            let (converted, dims) = (r.fields.len(), r.dims());
+            let name =
+                ensure_point_field(&mut r.fields, var, |c| structured_cell_to_point(dims, c))?;
+            let tri = external_faces_rectilinear(r, &name);
+            r.fields.truncate(converted);
+            Ok(tri)
         }
         PublishedMesh::Hexes(h) => {
-            // `external_faces_hex` reads its scalar from the mesh's own
-            // fields: a cell variable's point average is lent to the mesh for
-            // the call and taken back, so the mesh stays as `convert` made it.
             let converted = h.fields.len();
             let (n_points, cells) = (h.points.len(), &h.hexes);
             let name =
@@ -875,6 +878,30 @@ mod tests {
         sm.execute(&a).unwrap();
         assert_eq!(sm.records[0].renderer, "volume_structured");
         assert!(sm.records[0].active_pixels > 50);
+    }
+
+    #[test]
+    fn stretched_rectilinear_surface_sits_at_the_published_coordinates() {
+        let mut d = Node::new();
+        d.set("coords/type", "rectilinear");
+        d.set("coords/values/x", vec![0.0f32, 0.1, 1.0]);
+        d.set("coords/values/y", vec![0.0f32, 1.0]);
+        d.set("coords/values/z", vec![0.0f32, 1.0]);
+        d.set("fields/q/association", "element");
+        d.set("fields/q/values", vec![1.0f32, 2.0]);
+        let mut mesh = convert(&d).unwrap();
+        let tri = surface_geometry(&mut mesh, "q").unwrap();
+        let mut xs: Vec<f32> = tri.points.iter().map(|p| p.x).collect();
+        xs.sort_by(f32::total_cmp);
+        xs.dedup();
+        assert_eq!(xs, [0.0, 0.1, 1.0]);
+        // Each vertex carries the point average of the cells around its x.
+        for (p, &q) in tri.points.iter().zip(&tri.scalars) {
+            let want = [(0.0, 1.0), (0.1, 1.5), (1.0, 2.0)].iter().find(|w| w.0 == p.x).unwrap().1;
+            assert_eq!(q, want, "{p:?}");
+        }
+        // The lent point average is taken back.
+        assert!(mesh.field("q__points").is_none());
     }
 
     #[test]

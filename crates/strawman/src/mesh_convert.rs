@@ -220,15 +220,19 @@ fn read_fields(data: &Node, n_points: usize, n_cells: usize) -> Result<Vec<Field
 }
 
 fn convert_uniform(data: &Node) -> Result<PublishedMesh, ConvertError> {
-    let dim = |axis: &str| -> Result<usize, ConvertError> {
+    let dim = |axis: &str| {
         data.get_i64(&format!("coords/dims/{axis}"))
-            .map(|v| v as usize)
             .ok_or(ConvertError::MissingPath("coords/dims/{i,j,k}"))
     };
     let dims = [dim("i")?, dim("j")?, dim("k")?];
     if dims.iter().any(|&d| d < 2) {
         return Err(ConvertError::BadShape(format!("point dims {dims:?} < 2")));
     }
+    let points = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(usize::try_from(d).ok()?));
+    if points.is_none() {
+        return Err(ConvertError::BadShape(format!("point dims {dims:?} overflow a point count")));
+    }
+    let dims = dims.map(|d| d as usize);
     let get = |p: &str, default: f64| data.get_f64(p).unwrap_or(default);
     let origin = Vec3::new(
         get("coords/origin/x", 0.0) as f32,
@@ -325,6 +329,16 @@ mod tests {
         assert_eq!(g.spacing.x, 0.5);
         assert_eq!(g.spacing.y, 1.0);
         assert_eq!(g.field("t").unwrap().values.len(), 60);
+    }
+
+    #[test]
+    fn negative_or_overflowing_dims_rejected() {
+        for (axis, dim) in [("i", -1i64), ("k", i64::MIN), ("j", 1 << 62)] {
+            let mut d = uniform_node();
+            d.set(&format!("coords/dims/{axis}"), dim);
+            let err = convert(&d).unwrap_err();
+            assert!(matches!(err, ConvertError::BadShape(_)), "{axis}={dim}: {err}");
+        }
     }
 
     #[test]
