@@ -10,7 +10,6 @@
 use mesh::{Assoc, TetMesh};
 use rayon::prelude::*;
 use render::{Framebuffer, PhaseTimer, RenderOutput, RenderStats};
-use std::collections::HashMap;
 use vecmath::{over, Camera, Color, Ray, TransferFunction, Vec3};
 
 /// Face-connectivity structure: for each tet, its 4 neighbors
@@ -29,11 +28,20 @@ const TET_FACES: [[usize; 3]; 4] = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]];
 
 impl Connectivity {
     /// Serial preprocessing pass (the algorithm's defining overhead).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the comparator times its connectivity build for the study"
+    )]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "faces are matched by lookup; the boundary list is sorted before it leaves"
+    )]
     pub fn build(tets: &TetMesh) -> Connectivity {
         let t0 = std::time::Instant::now();
         let n = tets.num_tets();
         let mut neighbors = vec![[u32::MAX; 4]; n];
-        let mut map: HashMap<[u32; 3], (u32, u8)> = HashMap::with_capacity(n * 2);
+        let mut map: std::collections::HashMap<[u32; 3], (u32, u8)> =
+            std::collections::HashMap::with_capacity(n * 2);
         for t in 0..n {
             let ix = tets.tets[t];
             for (f, face) in TET_FACES.iter().enumerate() {
@@ -50,7 +58,10 @@ impl Connectivity {
                 }
             }
         }
-        let boundary: Vec<(u32, u8)> = map.into_values().collect();
+        // Sorted, so the entry search's tie-break (first nearest face wins)
+        // does not depend on the hasher's iteration order.
+        let mut boundary: Vec<(u32, u8)> = map.into_values().collect();
+        boundary.sort_unstable();
         Connectivity { neighbors, boundary, preprocess_seconds: t0.elapsed().as_secs_f64() }
     }
 }
@@ -64,7 +75,11 @@ fn hit_face(ray: &Ray, a: Vec3, b: Vec3, c: Vec3) -> Option<f32> {
 /// Render with the connectivity marcher, timed as one `march` phase whose
 /// work units are the cell-to-cell steps. `conn` may be reused across
 /// frames; its build is not part of the render.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per render input, as the other renderers take them"
+)]
+#[expect(clippy::disallowed_methods, reason = "the comparator times its own march for the study")]
 pub fn render_bunyk(
     tets: &TetMesh,
     conn: &Connectivity,

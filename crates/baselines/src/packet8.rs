@@ -118,6 +118,10 @@ impl RayPacket {
 /// WORKLOAD1 over a whole image with 8-ray packets against the DPP tracer's
 /// own LBVH (same tree as the scalar back-end: only the *back-end* differs).
 /// Returns (hit count, elapsed seconds).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the comparator times its own traversal for the study"
+)]
 pub fn intersect_image_packets(
     geom: &TriGeometry,
     bvh: &Bvh,

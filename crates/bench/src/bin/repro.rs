@@ -89,6 +89,7 @@ fn main() {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "the harness reports each stage's wall time")]
 fn run(id: &str, scale: Scale) {
     let t0 = std::time::Instant::now();
     let Some(&(_, experiment)) = EXPERIMENTS.iter().find(|&&(e, _)| e == id) else {

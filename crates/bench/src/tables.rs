@@ -363,6 +363,7 @@ pub fn count_marked_lines(text: &str, section: &str) -> usize {
 
 /// Table 11: simulation burden — vis s/cycle vs sim s/cycle for the three
 /// proxies, each with the renderer the paper used.
+#[expect(clippy::disallowed_methods, reason = "the harness measures wall time")]
 pub fn table11(scale: Scale) -> TextTable {
     use sims::ProxySim;
     let mut t = TextTable::new(
@@ -625,7 +626,7 @@ pub fn table16(scale: Scale) -> TextTable {
         (RendererKind::RayTracing, 30, 168),
         (RendererKind::Rasterization, 34, 280),
     ];
-    let sets: std::collections::HashMap<&str, perfmodel::feasibility::ModelSet> =
+    let sets: std::collections::BTreeMap<&str, perfmodel::feasibility::ModelSet> =
         DEVICES.iter().map(|d| (*d, corpus.fit_models(d))).collect();
     for (i, (renderer, n, side)) in configs.iter().enumerate() {
         let device = if i % 2 == 0 { "parallel" } else { "serial" };
@@ -899,6 +900,7 @@ pub fn composite_cv(
 /// Ablations of the design choices DESIGN.md calls out: stream compaction,
 /// Morton ray ordering, anti-aliasing, sampler-side early termination, and
 /// the pass-count/memory trade — each toggled in isolation.
+#[expect(clippy::disallowed_methods, reason = "the harness measures wall time")]
 pub fn ablations(scale: Scale) -> TextTable {
     let mut t = TextTable::new(
         "Ablations: design-choice on/off timings",
@@ -1160,6 +1162,7 @@ pub fn feasd_demo(scale: Scale) -> TextTable {
 /// The title names the grains every run uses: they are constants
 /// (`dpp::par_min_len`, `rayon::fold_grain`, `rayon::overpartition`), and
 /// re-tuning one is an edit plus a ledger pair, not a sweep here.
+#[expect(clippy::disallowed_methods, reason = "the harness measures wall time")]
 pub fn scaling(scale: Scale) -> TextTable {
     /// A named benchmark body, run once per pool size.
     type ScalingOp<'a> = (&'a str, Box<dyn FnMut(&Device) + 'a>);

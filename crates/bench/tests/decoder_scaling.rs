@@ -14,6 +14,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Median seconds of five runs of `decode`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the decoder's scaling claim is a wall-clock claim, measured here"
+)]
 fn median_seconds(mut decode: impl FnMut()) -> f64 {
     let mut xs: Vec<f64> = (0..5)
         .map(|_| {

@@ -231,6 +231,10 @@ pub fn binary_swap(
 }
 
 /// [`binary_swap`] with explicit exchange options.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "compositing phase timer: the models take its seconds as data"
+)]
 pub fn binary_swap_opts(
     images: &[impl Pixels],
     mode: CompositeMode,
@@ -355,6 +359,10 @@ fn exchange(
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "compositing phase timer: the models take its seconds as data"
+)]
 fn run_radix<F: Fragment>(
     images: &[PixelView],
     mode: CompositeMode,
@@ -448,8 +456,12 @@ fn run_radix<F: Fragment>(
                     bytes_dense: sent_pixels * bpp,
                     messages: k - 1,
                 };
-                // xlint::allow(X006): every rank holds exactly one fragment per radix round by construction.
-                (RankState { start: ps, end: pe, frag: frag.unwrap() }, cost, compute)
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "every rank holds exactly one fragment per radix round by construction"
+                )]
+                let frag = frag.unwrap();
+                (RankState { start: ps, end: pe, frag }, cost, compute)
             })
             .collect();
         let costs: Vec<RoundCost> = results.iter().map(|r| r.1).collect();

@@ -81,6 +81,10 @@ impl<F: Fragment> TileBuffer<F> {
 
     /// Park `frag` and fold any newly contiguous suffix, returning the
     /// measured fold seconds — the owner's compute for this delivery.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "DFB fold timer: the models take its seconds as data"
+    )]
     fn insert(&mut self, rank: usize, frag: F, mode: CompositeMode) -> f64 {
         self.pending[rank] = Some(frag);
         let t0 = Instant::now();
@@ -175,6 +179,10 @@ fn shuffle(order: &mut [usize], mut state: u64) {
 /// One tile's composited result plus its (rank, fold-seconds) delivery trace.
 type MergedTile<F> = (Option<F>, Vec<(usize, f64)>);
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "DFB production timer: the models take its seconds as data"
+)]
 fn run_dfb<F: Fragment>(
     images: &[PixelView],
     mode: CompositeMode,

@@ -31,6 +31,8 @@
 //! rendering with the exchange while staying byte-identical to the
 //! serial [`reference()`] under any fragment arrival order.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod algorithms;
 pub mod dfb;
 pub mod image;

@@ -335,7 +335,10 @@ pub fn composite(front: &SpanImage, back: &SpanImage, mode: CompositeMode) -> Sp
     let mut b = SegCursor::new(back);
     let mut out = Builder::new(front.width, front.height);
     while let Some((f_act, f_avail)) = f.peek() {
-        // xlint::allow(X006): guarded by the len assert at function top; cursors advance in lockstep.
+        #[expect(
+            clippy::expect_used,
+            reason = "guarded by the len assert at function top; cursors advance in lockstep"
+        )]
         let (b_act, b_avail) = b.peek().expect("fragments cover equal pixel counts");
         let n = f_avail.min(b_avail);
         let fp = f.take(n);

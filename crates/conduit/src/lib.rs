@@ -12,6 +12,8 @@
 //!   (`node.set("fields/e/values", …)`), with introspection (`has_path`,
 //!   `keys`) instead of compile-time codegen.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::fmt;
 use std::sync::Arc;
 
@@ -132,7 +134,8 @@ impl Node {
         }
         let Node::List(items) = self else { unreachable!() };
         items.push(Node::Empty);
-        items.last_mut().unwrap()
+        let last = items.len() - 1;
+        &mut items[last]
     }
 
     /// Iterate list children (empty iterator for non-lists).

@@ -17,6 +17,9 @@
 //!    renderable in a fixed budget (Figure 14) and the ray-tracing vs
 //!    rasterization regime map (Figure 15).
 
+#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod batch;
 pub mod crossval;
 pub mod feasibility;

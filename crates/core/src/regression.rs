@@ -85,7 +85,7 @@ impl LinearRegression {
 
     /// Fit on rows of features against targets. Panics if shapes disagree or
     /// there are fewer rows than features.
-    #[allow(clippy::needless_range_loop)] // triangular fills read clearest indexed
+    #[allow(clippy::needless_range_loop, reason = "triangular fills read clearest indexed")]
     pub fn fit(xs: &[Vec<f64>], ys: &[f64]) -> LinearRegression {
         assert_eq!(xs.len(), ys.len(), "row count mismatch");
         let n = xs.len();
@@ -192,7 +192,7 @@ impl LinearRegression {
 /// pivoting and a pivot tolerance relative to the largest diagonal. Returns
 /// the solution and the number of accepted pivots (the effective rank);
 /// degenerate columns get zero coefficients.
-#[allow(clippy::needless_range_loop)] // index form mirrors the linear algebra
+#[allow(clippy::needless_range_loop, reason = "index form mirrors the linear algebra")]
 fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> (Vec<f64>, usize) {
     let k = b.len();
     let max_diag = (0..k).fold(0.0f64, |acc, i| acc.max(a[i][i].abs()));

@@ -146,8 +146,6 @@ pub fn run_one_with_samples(
     let camera = Camera::framing(&grid.bounds(), Vec3::new(0.4, 0.3, 1.0), fill);
     let (source, outp) = match renderer {
         RendererKind::RayTracing => {
-            // xlint::allow(X014): external_faces_grid panics only on a missing
-            // point field; field_grid above always adds "scalar".
             let tris = external_faces_grid(&grid, "scalar");
             let geom = TriGeometry::from_mesh(&tris);
             let rt = RayTracer::new(device.clone(), geom);
@@ -156,8 +154,6 @@ pub fn run_one_with_samples(
             ("external_faces", rt.render(&camera, side, side, &cfgr))
         }
         RendererKind::Rasterization => {
-            // xlint::allow(X014): external_faces_grid panics only on a missing
-            // point field; field_grid above always adds "scalar".
             let tris = external_faces_grid(&grid, "scalar");
             let geom = TriGeometry::from_mesh(&tris);
             let tf = TransferFunction::rainbow(geom.scalar_range);

@@ -45,6 +45,10 @@ impl Device {
     }
 
     /// Parallel device clamped to exactly `threads` worker threads.
+    ///
+    /// # Panics
+    /// If the pool's threads cannot be started.
+    #[expect(clippy::expect_used, reason = "a device without its threads cannot run")]
     pub fn parallel_with_threads(threads: usize) -> Device {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads.max(1))

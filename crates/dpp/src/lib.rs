@@ -20,6 +20,8 @@
 //! property: one implementation, several devices, one model form per
 //! (algorithm, device) pair with device-specific fitted coefficients.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod device;
 pub mod primitives;
 pub mod simd;

@@ -96,10 +96,13 @@ pub fn scatter<T: Copy + Send + Sync>(
     // so provide a fast path behind a debug assertion.
     #[cfg(debug_assertions)]
     {
-        let mut seen = std::collections::HashSet::with_capacity(indices.len());
+        let mut seen = vec![false; out.len()];
         for &ix in indices {
-            assert!(seen.insert(ix), "scatter index {ix} duplicated");
             assert!((ix as usize) < out.len(), "scatter index {ix} out of range");
+            assert!(
+                !std::mem::replace(&mut seen[ix as usize], true),
+                "scatter index {ix} duplicated"
+            );
         }
     }
     let _ = device;
@@ -149,6 +152,9 @@ where
 
 /// Exclusive scan (prefix sum) of `u32` values. `out[0] = 0`,
 /// `out[i] = sum(data[0..i])`. Returns the pair `(scan, total)`.
+///
+/// # Panics
+/// If the values sum past `u32::MAX`.
 pub fn exclusive_scan_u32(device: &Device, data: &[u32]) -> (Vec<u32>, u32) {
     let n = data.len();
     if n == 0 {
@@ -187,6 +193,7 @@ pub fn exclusive_scan_u32(device: &Device, data: &[u32]) -> (Vec<u32>, u32) {
     }
 }
 
+#[expect(clippy::expect_used, reason = "callers scan counts whose sum fits a u32")]
 fn serial_exscan(data: &[u32]) -> (Vec<u32>, u32) {
     let mut out = Vec::with_capacity(data.len());
     let mut acc = 0u32;
@@ -263,8 +270,9 @@ struct SendPtr<T>(*mut T);
 // SAFETY: SendPtr is used only by the scatter in `reverse_index`, where the
 // exclusive scan gives every kept element a unique output slot; concurrent
 // writers never alias.
-unsafe impl<T> Send for SendPtr<T> {} // SAFETY: see above — unique slots only.
-unsafe impl<T> Sync for SendPtr<T> {} // SAFETY: see above — unique slots only.
+unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: as for `Send` above: unique slots only.
+unsafe impl<T> Sync for SendPtr<T> {}
 
 /// Stream compaction: return the indices `i` where `keep(i)` is true,
 /// preserving order. Built from map + scan + reverse-index, exactly as the

@@ -11,7 +11,11 @@
 // The `add`/`sub`/`mul` method names intentionally mirror the lane
 // intrinsics they stand in for, and the indexed loops are the shape LLVM
 // auto-vectorizes most reliably.
-#![allow(clippy::should_implement_trait, clippy::needless_range_loop)]
+#![allow(
+    clippy::should_implement_trait,
+    clippy::needless_range_loop,
+    reason = "lane-op names mirror the intrinsics; indexed loops vectorize most reliably"
+)]
 
 /// Eight f32 lanes operated on element-wise.
 #[derive(Debug, Clone, Copy, PartialEq)]

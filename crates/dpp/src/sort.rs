@@ -114,8 +114,9 @@ fn radix_pass_parallel(
     // SAFETY: Ptr is only shared across the scatter below, where every
     // (chunk, bucket) pair writes a disjoint offset range of the output;
     // no two threads ever touch the same slot.
-    unsafe impl<T> Send for Ptr<T> {} // SAFETY: see above — disjoint writes only.
-    unsafe impl<T> Sync for Ptr<T> {} // SAFETY: see above — disjoint writes only.
+    unsafe impl<T> Send for Ptr<T> {}
+    // SAFETY: as for `Send` above: disjoint writes only.
+    unsafe impl<T> Sync for Ptr<T> {}
     let pk = Ptr(dst_k.as_mut_ptr());
     let pv = Ptr(dst_v.as_mut_ptr());
     let pk = &pk;

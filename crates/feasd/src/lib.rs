@@ -26,7 +26,8 @@
 //!   `must-render` never — it preempts the queue instead ([`sched::Priority`]).
 //! * **Blocking** — nothing blocks, because nothing waits: [`serve`], the
 //!   `feasd` binary and [`simulate`] are synchronous submit-then-pump loops
-//!   with no channel in them (xlint's X001 is what keeps one out).
+//!   with no channel in them (the `disallowed-methods` ban on `mpsc` in
+//!   `clippy.toml` keeps one out).
 //! * **Time** — the library reads no clock: [`simulate`] charges service
 //!   time to an [`mpirt::EventWorld`], and the benchmark times the real one.
 

@@ -242,7 +242,8 @@ struct Admission {
 /// installers may run concurrently. Three locks, never held two at a time:
 /// `admission`, `current` (an `Arc` clone per batch; an install holds it to
 /// sweep and swap) and the current generation's table (one read per batch,
-/// a write to backfill).
+/// a write to backfill). With no two held at once there is no lock order to
+/// invert, so no interleaving of callers can deadlock.
 #[derive(Debug)]
 pub struct Feasd {
     cfg: FeasdConfig,

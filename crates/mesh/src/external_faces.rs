@@ -11,6 +11,9 @@ use vecmath::Vec3;
 /// External faces of a uniform grid with a point field mapped to per-vertex
 /// scalars. Produces `12 * (nx*ny + ny*nz + nz*nx) / 3`-ish triangles —
 /// exactly two triangles per boundary cell face.
+///
+/// # Panics
+/// If `field_name` names no point field of the grid.
 pub fn external_faces_grid(grid: &UniformGrid, field_name: &str) -> TriMesh {
     let field = point_values(&grid.fields, field_name);
     structured_faces(grid.dims, field, |i, j, k| grid.point_position(i, j, k))
@@ -18,11 +21,15 @@ pub fn external_faces_grid(grid: &UniformGrid, field_name: &str) -> TriMesh {
 
 /// External faces of a rectilinear grid, at its published axis coordinates
 /// (stretched axes included); otherwise as [`external_faces_grid`].
+///
+/// # Panics
+/// If `field_name` names no point field of the grid.
 pub fn external_faces_rectilinear(grid: &RectilinearGrid, field_name: &str) -> TriMesh {
     let field = point_values(&grid.fields, field_name);
     structured_faces(grid.dims(), field, |i, j, k| grid.point_position(i, j, k))
 }
 
+#[expect(clippy::panic, reason = "callers name a point field the grid carries")]
 fn point_values<'a>(fields: &'a [Field], field_name: &str) -> &'a [f32] {
     &find(fields, field_name).unwrap_or_else(|| panic!("no point field named {field_name}")).values
 }
@@ -100,6 +107,10 @@ const HEX_FACES: [[usize; 4]; 6] = [
 /// # Panics
 /// If `field_name` names no field or a field whose length is not
 /// `points.len()`, or if a hexahedron references a point the mesh lacks.
+#[expect(
+    clippy::panic,
+    reason = "callers name a field of the mesh and pass hexes over its own points"
+)]
 pub fn external_faces_hex(mesh: &HexMesh, field_name: Option<&str>) -> TriMesh {
     let n_points = mesh.points.len();
     let field = field_name.map(|n| {
@@ -177,17 +188,20 @@ mod tests {
     use super::*;
     use crate::field::Field;
     use proptest::prelude::*;
-    use std::collections::HashMap;
     use vecmath::{Aabb, Vec3};
 
     /// The `HashMap` version of [`external_faces_hex`] that the counting
     /// sort replaced, kept verbatim as its oracle.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the oracle is the HashMap version; it sorts what it iterates"
+    )]
     fn external_faces_hex_reference(mesh: &HexMesh, field_name: Option<&str>) -> TriMesh {
         let field = field_name
             .map(|n| &mesh.field(n).unwrap_or_else(|| panic!("no field named {n}")).values);
         // Count occurrences of each face by its sorted vertex key.
-        let mut counts: HashMap<[u32; 4], (u32, [u32; 4])> =
-            HashMap::with_capacity(mesh.num_hexes() * 3);
+        let mut counts: std::collections::HashMap<[u32; 4], (u32, [u32; 4])> =
+            std::collections::HashMap::with_capacity(mesh.num_hexes() * 3);
         for h in &mesh.hexes {
             for f in HEX_FACES {
                 let quad = [h[f[0]], h[f[1]], h[f[2]], h[f[3]]];

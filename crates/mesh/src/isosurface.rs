@@ -22,6 +22,11 @@ const CORNER_OFFSETS: [[usize; 3]; 8] =
 /// point field interpolated onto the surface) when given, else the
 /// z-coordinate of the vertex — the paper's renderings color isosurfaces by
 /// a secondary quantity the same way.
+///
+/// # Panics
+/// If `field_name`, or `color_field` when given, names no point field of
+/// the grid.
+#[expect(clippy::panic, reason = "callers name point fields the grid carries")]
 pub fn isosurface(
     grid: &UniformGrid,
     field_name: &str,

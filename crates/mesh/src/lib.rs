@@ -7,6 +7,8 @@
 //! filters used by the study: marching-tetrahedra isosurfacing, external
 //! faces, and hexahedron-to-tetrahedron decomposition.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod datasets;
 pub mod external_faces;
 pub mod field;

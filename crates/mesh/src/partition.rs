@@ -4,9 +4,9 @@
 //! Every distributed-data path in the workspace — per-rank rendering, the
 //! rebalancing controller, the migration accounting — consumes a
 //! [`Partition`] built here. The assignment vector is deliberately private
-//! and the one escape hatch ([`Partition::from_assignments`]) is banned by
-//! xlint X011 outside this module, so a per-rank cell assignment can only
-//! come from the deterministic bisection below: single source of truth.
+//! and the one escape hatch (`Partition::from_assignments`) exists only in
+//! this module's tests, so a per-rank cell assignment can only come from the
+//! deterministic bisection below: single source of truth.
 //!
 //! The bisection is *weighted*: cells carry a cost (uniform by default,
 //! measured per-cell seconds when the rebalancer recomputes split planes),
@@ -76,19 +76,6 @@ impl Partition {
         let mut assignments = vec![0u32; centroids.len()];
         let mut cells: Vec<u32> = (0..centroids.len() as u32).collect();
         bisect_rec(centroids, weights, &mut cells, 0, ranks, &mut assignments);
-        Partition { assignments, ranks }
-    }
-
-    /// Escape hatch for synthetic assignments (deliberately skewed layouts
-    /// in experiments, adversarial cases in tests). xlint X011 bans calls
-    /// outside `mesh::partition` in the byte-pinned crates: everything that
-    /// feeds pinned pixels must go through the bisection.
-    pub fn from_assignments(assignments: Vec<u32>, ranks: usize) -> Partition {
-        let ranks = ranks.max(1);
-        assert!(
-            assignments.iter().all(|&r| (r as usize) < ranks),
-            "assignment out of range for {ranks} ranks"
-        );
         Partition { assignments, ranks }
     }
 
@@ -285,6 +272,19 @@ mod tests {
     use super::*;
     use crate::datasets::{field_grid, FieldKind};
     use crate::isosurface::isosurface;
+
+    impl Partition {
+        /// Synthetic assignments for the tests below. Outside this module
+        /// every `Partition` comes from the bisection.
+        fn from_assignments(assignments: Vec<u32>, ranks: usize) -> Partition {
+            let ranks = ranks.max(1);
+            assert!(
+                assignments.iter().all(|&r| (r as usize) < ranks),
+                "assignment out of range for {ranks} ranks"
+            );
+            Partition { assignments, ranks }
+        }
+    }
 
     fn cloud(n: usize, seed: u64) -> Vec<Vec3> {
         // Deterministic xorshift point cloud.

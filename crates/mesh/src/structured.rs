@@ -164,7 +164,11 @@ impl RectilinearGrid {
     pub fn bounds(&self) -> Aabb {
         Aabb::from_corners(
             Vec3::new(self.xs[0], self.ys[0], self.zs[0]),
-            Vec3::new(*self.xs.last().unwrap(), *self.ys.last().unwrap(), *self.zs.last().unwrap()),
+            Vec3::new(
+                self.xs[self.xs.len() - 1],
+                self.ys[self.ys.len() - 1],
+                self.zs[self.zs.len() - 1],
+            ),
         )
     }
 

@@ -14,6 +14,8 @@
 //! round-structured exchanges (direct-send, binary-swap, radix-k); [`event`]
 //! has the rules.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod event;
 pub mod net;
 

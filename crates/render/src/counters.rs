@@ -44,6 +44,7 @@ impl PhaseTimer {
     }
 
     /// Time a closure as one phase.
+    #[expect(clippy::disallowed_methods, reason = "`PhaseTimer` is the renderers' only clock")]
     pub fn run<R>(&mut self, name: &'static str, work_units: u64, f: impl FnOnce() -> R) -> R {
         let t0 = Instant::now();
         let r = f();

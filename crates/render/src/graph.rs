@@ -94,7 +94,7 @@ impl GraphCache {
 /// with 0 s and 0 work units) while the triangle positions hold, the
 /// amortized `c0*O` build term. A non-empty `skips` is refused: no pass has
 /// a fallback.
-#[allow(clippy::too_many_arguments)] // one argument per model input, plus skips and cache
+#[allow(clippy::too_many_arguments, reason = "one argument per model input, plus skips and cache")]
 pub fn render_rt_graph(
     device: &Device,
     geom: &TriGeometry,

@@ -24,9 +24,13 @@
 //! loop ships. [`graph`] is the one other way into the ray tracer's driver, a
 //! BVH-cached entry point the benchmark still calls.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod counters;
 pub mod framebuffer;
 pub mod graph;
+#[cfg(clippy)]
+mod lint_fixtures;
 pub mod raster;
 pub mod raytrace;
 pub mod shading;

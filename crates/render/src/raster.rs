@@ -99,7 +99,10 @@ fn bin_count_stage(
     let n_tiles = (tiles_x * tiles_y) as usize;
     let counts: Vec<AtomicU32> = (0..n_tiles).map(|_| AtomicU32::new(0)).collect();
     dpp::for_each(device, visible.len(), |vi| {
-        // xlint::allow(X006): visible[] only holds indices of triangles that projected to Some.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "visible[] only holds indices of triangles that projected to Some"
+        )]
         let tri = screen[visible[vi] as usize].as_ref().unwrap();
         let (tx0, tx1, ty0, ty1) = tile_range(tri, width, height, tiles_x, tiles_y);
         for ty in ty0..=ty1 {
@@ -117,7 +120,7 @@ fn bin_count_stage(
 
 /// Tile binning fill stage: scatter visible triangle ids into per-tile
 /// segments at `offsets`, loaded into a plain vector after the join.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a stage takes each of its inputs by name")]
 fn bin_fill_stage(
     device: &Device,
     screen: &[Option<ScreenTri>],
@@ -132,7 +135,10 @@ fn bin_fill_stage(
     let cursors: Vec<AtomicU32> = offsets.iter().map(|&o| AtomicU32::new(o)).collect();
     let bins: Vec<AtomicU32> = (0..total_pairs as usize).map(|_| AtomicU32::new(0)).collect();
     dpp::for_each(device, visible.len(), |vi| {
-        // xlint::allow(X006): visible[] only holds indices of triangles that projected to Some.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "visible[] only holds indices of triangles that projected to Some"
+        )]
         let tri = screen[visible[vi] as usize].as_ref().unwrap();
         let (tx0, tx1, ty0, ty1) = tile_range(tri, width, height, tiles_x, tiles_y);
         for ty in ty0..=ty1 {
@@ -158,7 +164,7 @@ type TileFrame = (u32, Vec<Color>, Vec<f32>);
 /// (tiles are disjoint, so no pixel depends on which worker filled it).
 /// Returns the per-tile color/depth buffers and the total pixels considered
 /// (the PPT model input).
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a stage takes each of its inputs by name")]
 fn sample_fill_stage(
     device: &Device,
     geom: &TriGeometry,
@@ -195,7 +201,10 @@ fn sample_fill_stage(
         tris.sort_unstable();
         let mut considered = 0u64;
         for src in tris {
-            // xlint::allow(X006): bins hold only visible[] entries, which all projected to Some.
+            #[expect(
+                clippy::unwrap_used,
+                reason = "bins hold only visible[] entries, which all projected to Some"
+            )]
             let tri = screen[src as usize].as_ref().unwrap();
             considered += raster_tri_into_tile(
                 geom, tri, x0, y0, x1, y1, tw, &mut color, &mut depth, colormap, shading, camera,
@@ -296,7 +305,7 @@ pub fn rasterize(
 }
 
 /// Rasterize one screen triangle into a tile buffer; returns pixels considered.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a stage takes each of its inputs by name")]
 fn raster_tri_into_tile(
     geom: &TriGeometry,
     tri: &ScreenTri,

@@ -132,7 +132,10 @@ impl RayTracer {
 /// workload that casts those rays, so no frame records a zero-work phase;
 /// `shade` then reads the neutral terms (all unoccluded, all lights
 /// visible).
-#[allow(clippy::too_many_arguments)] // one argument per model input, plus the BVH and shading
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per model input, plus the BVH and shading"
+)]
 pub(crate) fn trace(
     device: &Device,
     geom: &TriGeometry,
@@ -352,7 +355,7 @@ fn shadows_stage(
 }
 
 /// Blinn-Phong shading with AO darkening and optional reflections.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a stage takes each of its inputs by name")]
 fn shade_stage(
     device: &Device,
     geom: &TriGeometry,
@@ -389,7 +392,7 @@ fn shade_stage(
 /// Box-filter the shaded sub-pixels into the output frame, one output
 /// pixel per `map` item: a slot table maps each sub-pixel to its live ray,
 /// and each pixel gathers its `ss²` sub-samples through it.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a stage takes each of its inputs by name")]
 fn resolve_stage(
     device: &Device,
     live: &[u32],
@@ -449,7 +452,7 @@ fn resolve_stage(
 }
 
 /// Shade one hit, optionally recursing along the specular reflection.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a stage takes each of its inputs by name")]
 fn shade_hit(
     geom: &TriGeometry,
     bvh: &Bvh,

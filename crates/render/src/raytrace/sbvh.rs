@@ -63,7 +63,10 @@ fn refs_bounds(refs: &[PrimRef]) -> Aabb {
 }
 
 /// Recursive build over a reference list; returns the node index.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the recursion threads its build state through arguments"
+)]
 fn build(
     nodes: &mut Vec<BvhNode>,
     order: &mut Vec<u32>,

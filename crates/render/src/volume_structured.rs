@@ -73,7 +73,7 @@ struct RayWork {
 
 /// Render `field_name` of `grid` through `camera`: the structured volume
 /// renderer's one driver, timed as two phases (`raycast`, `assemble`).
-#[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
+#[allow(clippy::too_many_arguments, reason = "mirrors the paper's kernel signature")]
 pub fn render_structured(
     device: &Device,
     grid: &UniformGrid,
@@ -125,7 +125,7 @@ pub fn render_structured(
 }
 
 /// The raycast stage: one DDA march per pixel.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a stage takes each of its inputs by name")]
 fn raycast_stage(
     device: &Device,
     grid: &UniformGrid,
@@ -182,7 +182,7 @@ const SAMPLE_BATCH: usize = 8;
 
 /// March one ray through the grid with a cell-stepping DDA; returns the
 /// premultiplied accumulated color and the work tally.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a stage takes each of its inputs by name")]
 fn march_ray(
     grid: &UniformGrid,
     field: &[f32],
@@ -334,7 +334,10 @@ mod tests {
     /// The per-sample march `march_ray` replaced, kept verbatim as its oracle:
     /// corners by eight `point_index` calls, `spacing.recip()` per cell, and one
     /// sample's lookup and composite at a time.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the oracle keeps the signature of the code it replaced"
+    )]
     fn march_ray_reference(
         grid: &UniformGrid,
         field: &[f32],

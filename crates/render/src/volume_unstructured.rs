@@ -538,7 +538,7 @@ fn sample_run(tet: &ScreenTet, c: &[f32; 3], z0: f32, dz: f32, lo: u32, slots: &
 /// of columns and each column's run, then compacts it before the task ends.
 /// Returns the bands, top band first, and the bounding-box tet-pixel-column
 /// tests performed (the CS model input).
-#[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
+#[allow(clippy::too_many_arguments, reason = "mirrors the paper's kernel signature")]
 fn sampling_stage(
     device: &Device,
     active: &[u32],
@@ -664,7 +664,7 @@ fn assemble_uvr_stage(acc: &[Color], width: u32, height: u32) -> (Framebuffer, u
 /// then per depth span the four phases of Algorithm 2, then `assemble`. Each
 /// span's compacted samples are dropped as soon as they have been composited,
 /// and the per-tet depth ranges as soon as the last span has selected its tets.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
+#[allow(clippy::too_many_arguments, reason = "mirrors the paper's kernel signature")]
 pub fn render_unstructured(
     device: &Device,
     tets: &TetMesh,
@@ -795,7 +795,10 @@ mod tests {
 
     /// [`sampling_stage_reference`]'s slab cut into `sampling_stage`'s
     /// bands and compacted: each pixel's winning scalar bits in slice order.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the oracle keeps the signature of the code it replaced"
+    )]
     pub(super) fn reference_bands(
         device: &Device,
         active: &[u32],
@@ -830,7 +833,10 @@ mod tests {
     /// ties go to the highest tet index through a `fetch_max` on
     /// `(tet + 1) << 32 | scalar bits` (0: no sample). The oracle
     /// `sampling_stage` must match slot for slot.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the oracle keeps the signature of the code it replaced"
+    )]
     pub(super) fn sampling_stage_reference(
         device: &Device,
         active: &[u32],

@@ -23,6 +23,8 @@
 //! [`demo`] module drives the same scheduler from the proxy apps against a
 //! [`SimulatedExecutor`] standing in for a 64-rank machine.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod backpressure;
 pub mod demo;
 pub mod ladder;

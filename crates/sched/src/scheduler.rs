@@ -253,7 +253,10 @@ impl Scheduler {
     /// frames stay at a coherent fidelity).
     pub fn decide(&mut self, req: RenderRequest) -> Decision {
         let (effective_budget, spent, build_charged) = {
-            // xlint::allow(X006): public-API misuse guard; the message is the contract.
+            #[expect(
+                clippy::expect_used,
+                reason = "public-API misuse guard; the message is the contract"
+            )]
             let cur = self.cur.as_ref().expect("decide() called outside begin_cycle()/end_cycle()");
             (cur.budget_s * SAFETY, cur.spent_predicted_s, cur.build_charged)
         };
@@ -263,7 +266,7 @@ impl Scheduler {
             (spent + job.predicted_s <= effective_budget).then_some(job)
         });
 
-        // xlint::allow(X006): same guard as above — cur was checked at function entry.
+        #[expect(clippy::unwrap_used, reason = "`cur` was checked at function entry")]
         let cur = self.cur.as_mut().unwrap();
         cur.requests.push(req);
         match outcome {

@@ -69,12 +69,6 @@ impl Cloverleaf {
         Cloverleaf { cells, dx, state, cycle: 0, time: 0.0 }
     }
 
-    #[inline]
-    #[allow(dead_code)] // used by tests
-    fn idx(&self, i: usize, j: usize, k: usize) -> usize {
-        (k * self.cells[1] + j) * self.cells[0] + i
-    }
-
     /// CFL-limited time step.
     fn dt(&self) -> f32 {
         let max_speed = self
@@ -225,6 +219,12 @@ impl ProxySim for Cloverleaf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cloverleaf {
+        fn idx(&self, i: usize, j: usize, k: usize) -> usize {
+            (k * self.cells[1] + j) * self.cells[0] + i
+        }
+    }
 
     #[test]
     fn initial_condition_has_dense_corner() {

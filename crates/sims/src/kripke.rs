@@ -6,6 +6,7 @@
 
 use crate::ProxySim;
 use mesh::{Field, UniformGrid};
+use std::panic::resume_unwind;
 use vecmath::{Aabb, Vec3};
 
 /// The Kripke proxy.
@@ -192,9 +193,9 @@ impl ProxySim for Kripke {
         let sweeps: Vec<Vec<f32>> = crossbeam::thread::scope(|s| {
             let handles: Vec<_> =
                 OCTANTS.iter().map(|dir| s.spawn(|_| this.sweep(*dir, &prev))).collect();
-            handles.into_iter().map(|h| h.join().expect("octant sweep panicked")).collect()
+            handles.into_iter().map(|h| h.join().unwrap_or_else(|e| resume_unwind(e))).collect()
         })
-        .expect("octant sweep scope panicked");
+        .unwrap_or_else(|e| resume_unwind(e));
         for psi in sweeps {
             for (p, v) in phi.iter_mut().zip(psi) {
                 *p += weight * v;

@@ -18,6 +18,8 @@
 //! evolving fields) and (b) a real per-cycle compute cost to measure
 //! visualization burden against (Table 11).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod cloverleaf;
 pub mod kripke;
 pub mod lulesh;

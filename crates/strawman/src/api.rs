@@ -262,6 +262,10 @@ impl Published {
     /// The surface of `var`: extracted when the first plot of it draws
     /// (`"surface_geometry"` phase), given a BVH when the first ray-traced one
     /// does (`"bvh_build"` phase). An unknown variable leaves nothing behind.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the in situ driver measures per-phase wall time"
+    )]
     fn surface(
         &mut self,
         device: &Device,
@@ -436,6 +440,10 @@ impl Strawman {
         self.published = None;
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the in situ driver measures per-phase wall time"
+    )]
     fn render_and_save(
         &mut self,
         width: u32,
@@ -606,7 +614,7 @@ fn render_plot(
                 let name = ensure_point_field(&mut tets.fields, &plot.var, |c| {
                     cell_to_point(n_points, cells, c)
                 })?;
-                let range = tets.field(&name).unwrap().range().unwrap_or((0.0, 1.0));
+                let range = tets.field(&name).and_then(|f| f.range()).unwrap_or((0.0, 1.0));
                 let tf = TransferFunction::sparse_features(range);
                 let out = render_unstructured(
                     device,
@@ -635,7 +643,7 @@ fn render_grid_volume(
     height: u32,
 ) -> Result<(RenderOutput, &'static str), StrawmanError> {
     let (g, name) = grid_with_point_field(g, var)?;
-    let range = g.field(&name).unwrap().range().unwrap_or((0.0, 1.0));
+    let range = g.field(&name).and_then(|f| f.range()).unwrap_or((0.0, 1.0));
     let tf = TransferFunction::sparse_features(range);
     let out =
         render_structured(device, &g, &name, camera, width, height, &tf, &SvrConfig::default())

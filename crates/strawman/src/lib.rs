@@ -35,6 +35,8 @@
 //! file-system path — the WebSocket streaming path is out of scope, see
 //! DESIGN.md).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod api;
 pub mod mesh_convert;
 pub mod partitioned;

@@ -190,9 +190,8 @@ fn strip_field_structured(
 
 fn read_fields(data: &Node, n_points: usize, n_cells: usize) -> Result<Vec<Field>, ConvertError> {
     let mut out = Vec::new();
-    if let Some(fields) = data.get("fields") {
-        for name in fields.keys() {
-            let f = fields.get(name).unwrap();
+    if let Some(Node::Object(fields)) = data.get("fields") {
+        for (name, f) in fields {
             let assoc = match f.get_str("association") {
                 Some("vertex") => Assoc::Point,
                 Some("element") => Assoc::Cell,
@@ -244,6 +243,16 @@ fn convert_uniform(data: &Node) -> Result<PublishedMesh, ConvertError> {
         get("coords/spacing/y", 1.0) as f32,
         get("coords/spacing/z", 1.0) as f32,
     );
+    // Checked after the `f32` cast, which turns a spacing past `f32::MAX`
+    // into infinity and one below the smallest subnormal into zero.
+    if ![origin.x, origin.y, origin.z].iter().all(|c| c.is_finite()) {
+        return Err(ConvertError::BadShape(format!("origin {origin:?} is not finite")));
+    }
+    if ![spacing.x, spacing.y, spacing.z].iter().all(|s| s.is_finite() && *s > 0.0) {
+        return Err(ConvertError::BadShape(format!(
+            "spacing {spacing:?} is not finite and positive"
+        )));
+    }
     let mut g = UniformGrid { dims, origin, spacing, fields: Vec::new() };
     g.fields = read_fields(data, g.num_points(), g.num_cells())?;
     Ok(PublishedMesh::Uniform(g))
@@ -259,6 +268,7 @@ fn convert_rectilinear(data: &Node) -> Result<PublishedMesh, ConvertError> {
     if g.xs.len() < 2 || g.ys.len() < 2 || g.zs.len() < 2 {
         return Err(ConvertError::BadShape("rectilinear axes need >= 2 coords".into()));
     }
+    check_finite(&[&g.xs, &g.ys, &g.zs])?;
     let (np, nc) = (g.num_points(), g.num_cells());
     let mut g = g;
     g.fields = read_fields(data, np, nc)?;
@@ -275,6 +285,7 @@ fn convert_explicit(data: &Node) -> Result<PublishedMesh, ConvertError> {
     if xs.len() != ys.len() || ys.len() != zs.len() {
         return Err(ConvertError::BadShape("coordinate arrays differ in length".into()));
     }
+    check_finite(&[xs, ys, zs])?;
     let ttype = data.get_str("topology/type").ok_or(ConvertError::MissingPath("topology/type"))?;
     if ttype != "unstructured" {
         return Err(ConvertError::Unsupported(format!(
@@ -303,6 +314,19 @@ fn convert_explicit(data: &Node) -> Result<PublishedMesh, ConvertError> {
     let n_cells = hexes.len();
     let fields = read_fields(data, n_points, n_cells)?;
     Ok(PublishedMesh::Hexes(HexMesh { points, hexes, fields }))
+}
+
+/// Refuse a coordinate no renderer can place: NaN or infinite.
+fn check_finite(axes: &[&[f32]; 3]) -> Result<(), ConvertError> {
+    for (axis, values) in ["x", "y", "z"].iter().zip(axes) {
+        if let Some(i) = values.iter().position(|v| !v.is_finite()) {
+            return Err(ConvertError::BadShape(format!(
+                "coordinate {axis}[{i}] = {} is not finite",
+                values[i]
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -349,7 +373,27 @@ mod tests {
     }
 
     #[test]
-    fn rectilinear_conversion() {
+    fn non_finite_or_non_positive_spacing_rejected() {
+        // 1e39 and 1e-50 are finite and positive as f64, but not as f32.
+        for s in [f64::NAN, f64::INFINITY, 1e39, 0.0, -0.5, 1e-50] {
+            let mut d = uniform_node();
+            d.set("coords/spacing/y", s);
+            let err = convert(&d).unwrap_err();
+            assert!(matches!(err, ConvertError::BadShape(_)), "spacing {s}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_finite_origin_rejected() {
+        for o in [f64::NAN, f64::NEG_INFINITY, 1e39] {
+            let mut d = uniform_node();
+            d.set("coords/origin/z", o);
+            let err = convert(&d).unwrap_err();
+            assert!(matches!(err, ConvertError::BadShape(_)), "origin {o}: {err}");
+        }
+    }
+
+    fn rectilinear_node() -> Node {
         let mut d = Node::new();
         d.set("coords/type", "rectilinear");
         d.set("coords/values/x", vec![0.0f32, 1.0, 3.0]);
@@ -357,14 +401,20 @@ mod tests {
         d.set("coords/values/z", vec![0.0f32, 1.0]);
         d.set("fields/rho/association", "element");
         d.set("fields/rho/values", vec![0.5f32, 0.25]);
-        let m = convert(&d).unwrap();
-        let PublishedMesh::Rectilinear(g) = m else { panic!() };
-        assert_eq!(g.num_cells(), 2);
-        assert_eq!(g.field("rho").unwrap().assoc, Assoc::Cell);
+        d
     }
 
     #[test]
-    fn explicit_hex_conversion() {
+    fn non_finite_rectilinear_coordinate_rejected() {
+        for v in [f32::NAN, f32::INFINITY] {
+            let mut d = rectilinear_node();
+            d.set("coords/values/x", vec![0.0f32, v, 3.0]);
+            let err = convert(&d).unwrap_err();
+            assert!(matches!(err, ConvertError::BadShape(_)), "x[1] = {v}: {err}");
+        }
+    }
+
+    fn explicit_node() -> Node {
         let mut d = Node::new();
         d.set("coords/type", "explicit");
         d.set("coords/x", vec![0.0f32, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]);
@@ -375,7 +425,30 @@ mod tests {
         d.set("topology/elements/connectivity", (0u32..8).collect::<Vec<u32>>());
         d.set("fields/e/association", "element");
         d.set("fields/e/values", vec![9.0f32]);
-        let m = convert(&d).unwrap();
+        d
+    }
+
+    #[test]
+    fn non_finite_explicit_coordinate_rejected() {
+        for v in [f32::NAN, f32::NEG_INFINITY] {
+            let mut d = explicit_node();
+            d.set("coords/y", vec![0.0f32, 0.0, 1.0, 1.0, 0.0, v, 1.0, 1.0]);
+            let err = convert(&d).unwrap_err();
+            assert!(matches!(err, ConvertError::BadShape(_)), "y[5] = {v}: {err}");
+        }
+    }
+
+    #[test]
+    fn rectilinear_conversion() {
+        let m = convert(&rectilinear_node()).unwrap();
+        let PublishedMesh::Rectilinear(g) = m else { panic!() };
+        assert_eq!(g.num_cells(), 2);
+        assert_eq!(g.field("rho").unwrap().assoc, Assoc::Cell);
+    }
+
+    #[test]
+    fn explicit_hex_conversion() {
+        let m = convert(&explicit_node()).unwrap();
         let PublishedMesh::Hexes(h) = m else { panic!() };
         assert_eq!(h.num_hexes(), 1);
         assert_eq!(h.field("e").unwrap().values, vec![9.0]);

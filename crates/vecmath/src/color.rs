@@ -55,7 +55,7 @@ impl Color {
     /// Channel-wise sum (named like the lane op it parallels, not `Add`,
     /// because color addition here is premultiplied-accumulation specific).
     #[inline]
-    #[allow(clippy::should_implement_trait)]
+    #[allow(clippy::should_implement_trait, reason = "premultiplied accumulation is not `Add`")]
     pub fn add(self, o: Color) -> Color {
         Color::new(self.r + o.r, self.g + o.g, self.b + o.b, self.a + o.a)
     }

@@ -6,6 +6,8 @@
 //! layer with `f32` precision (matching the single-precision kernels in
 //! EAVL/VTK-m) and no external dependencies.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod aabb;
 pub mod camera;
 pub mod color;

@@ -59,7 +59,7 @@ impl Mat4 {
     }
 
     /// Matrix product `self * rhs`.
-    #[allow(clippy::needless_range_loop)] // index form mirrors the math
+    #[allow(clippy::needless_range_loop, reason = "index form mirrors the math")]
     pub fn mul(&self, rhs: &Mat4) -> Mat4 {
         let mut out = [[0.0f32; 4]; 4];
         for r in 0..4 {
@@ -90,7 +90,7 @@ impl Mat4 {
 
     /// General inverse via Gauss-Jordan elimination with partial pivoting.
     /// Returns `None` for singular matrices.
-    #[allow(clippy::needless_range_loop)] // index form mirrors the math
+    #[allow(clippy::needless_range_loop, reason = "index form mirrors the math")]
     pub fn inverse(&self) -> Option<Mat4> {
         // Augmented [A | I] in f64 for stability.
         let mut a = [[0.0f64; 8]; 4];

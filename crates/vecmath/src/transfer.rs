@@ -24,6 +24,10 @@ impl TransferFunction {
 
     /// Build from control points `(position in [0,1], color)`. Points are
     /// sorted internally; at least one point is required.
+    ///
+    /// # Panics
+    /// If `points` is empty or a position is NaN.
+    #[expect(clippy::unwrap_used, reason = "control point positions are never NaN")]
     pub fn from_points(range: (f32, f32), mut points: Vec<(f32, Color)>) -> TransferFunction {
         assert!(!points.is_empty(), "transfer function needs control points");
         points.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());

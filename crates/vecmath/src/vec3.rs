@@ -129,7 +129,10 @@ impl From<[f32; 3]> for Vec3 {
 
 impl Index<usize> for Vec3 {
     type Output = f32;
+    /// # Panics
+    /// If `i > 2`, as indexing a three-element slice would.
     #[inline]
+    #[expect(clippy::panic, reason = "the `Index` contract: out of range panics")]
     fn index(&self, i: usize) -> &f32 {
         match i {
             0 => &self.x,

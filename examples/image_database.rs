@@ -15,6 +15,7 @@ use mesh::isosurface::isosurface;
 use render::raytrace::{RayTracer, RtConfig, TriGeometry};
 use vecmath::{Camera, Vec3};
 
+#[expect(clippy::disallowed_methods, reason = "the demo reports its wall time")]
 fn main() {
     let grid = field_grid(FieldKind::ShockShell, [48, 48, 48]);
     let surface = isosurface(&grid, "scalar", 0.5, Some("elevation"));

@@ -4,8 +4,12 @@
 //! scoped threads with the crossbeam signature (the spawn closure receives
 //! the scope, so spawned threads can spawn siblings, and `scope` returns
 //! `thread::Result` instead of propagating child panics). It is the one
-//! door every thread in the workspace goes through (xlint X001): the `rayon`
-//! shim's worker pools and Kripke's scoped sweeps are built on it.
+//! door every thread in the workspace goes through: the `rayon` shim's
+//! worker pools and Kripke's scoped sweeps are built on it.
+
+// The blessed thread layer: the workspace bans raw `std::thread` and `mpsc`
+// (clippy.toml), and this crate and `rayon` are where threads start.
+#![allow(clippy::disallowed_methods, reason = "the shim is the workspace's thread layer")]
 
 /// Scoped threads in the crossbeam style, layered over `std::thread::scope`.
 pub mod thread {

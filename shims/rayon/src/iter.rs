@@ -108,6 +108,8 @@ macro_rules! impl_range_index {
 }
 impl_range_index!(usize, u32, u64, i32, i64);
 
+// SAFETY: `get` computes a value from the index alone, so fetching any index
+// from any thread is sound.
 unsafe impl<T: RangeIndex> ParallelSource for RangeSource<T> {
     type Item = T;
 
@@ -125,6 +127,8 @@ pub struct SliceSource<'a, T> {
     slice: &'a [T],
 }
 
+// SAFETY: `get` hands out shared references to a `Sync` slice, which any
+// number of threads may hold at once.
 unsafe impl<'a, T: Sync> ParallelSource for SliceSource<'a, T> {
     type Item = &'a T;
 
@@ -144,6 +148,7 @@ pub struct ChunksSource<'a, T> {
     chunk: usize,
 }
 
+// SAFETY: as for `SliceSource`: shared sub-slices of a `Sync` slice.
 unsafe impl<'a, T: Sync> ParallelSource for ChunksSource<'a, T> {
     type Item = &'a [T];
 
@@ -169,8 +174,11 @@ pub struct SliceMutSource<'a, T> {
 // SAFETY: disjoint-index discipline (see `ParallelSource::get`) means no two
 // threads ever hold a reference to the same element.
 unsafe impl<T: Send> Send for SliceMutSource<'_, T> {}
+// SAFETY: as for `Send` above: a shared source only yields disjoint `&mut`.
 unsafe impl<T: Send> Sync for SliceMutSource<'_, T> {}
 
+// SAFETY: index `i` maps to element `i` alone, so fetching each index once
+// hands out one `&mut` per element.
 unsafe impl<'a, T: Send> ParallelSource for SliceMutSource<'a, T> {
     type Item = &'a mut T;
 
@@ -194,8 +202,11 @@ pub struct ChunksMutSource<'a, T> {
 
 // SAFETY: as for `SliceMutSource` — chunks at distinct indices are disjoint.
 unsafe impl<T: Send> Send for ChunksMutSource<'_, T> {}
+// SAFETY: as for `Send` above: a shared source only yields disjoint chunks.
 unsafe impl<T: Send> Sync for ChunksMutSource<'_, T> {}
 
+// SAFETY: index `i` maps to the chunk `[i * chunk, (i + 1) * chunk)` alone,
+// so fetching each index once hands out disjoint `&mut` chunks.
 unsafe impl<'a, T: Send> ParallelSource for ChunksMutSource<'a, T> {
     type Item = &'a mut [T];
 
@@ -222,7 +233,10 @@ pub struct VecSource<T: Send> {
     cap: usize,
 }
 
+// SAFETY: the source owns its `Send` elements; moving it moves them.
 unsafe impl<T: Send> Send for VecSource<T> {}
+// SAFETY: shared access only moves elements out through `get`, once per
+// index, so no element is reached from two threads.
 unsafe impl<T: Send> Sync for VecSource<T> {}
 
 impl<T: Send> VecSource<T> {
@@ -232,6 +246,8 @@ impl<T: Send> VecSource<T> {
     }
 }
 
+// SAFETY: `get` moves element `i` out with `ptr::read`; fetching each index
+// once moves each element once, and `truncate` drops only unfetched ones.
 unsafe impl<T: Send> ParallelSource for VecSource<T> {
     type Item = T;
 
@@ -273,6 +289,8 @@ pub struct MapSource<S, F> {
     f: F,
 }
 
+// SAFETY: `get(i)` fetches `inner.get(i)` once, so the inner source sees the
+// same at-most-once fetches as this one.
 unsafe impl<S, F, O> ParallelSource for MapSource<S, F>
 where
     S: ParallelSource,
@@ -300,6 +318,7 @@ pub struct EnumerateSource<S> {
     inner: S,
 }
 
+// SAFETY: as for `MapSource`: one inner fetch per outer fetch, same index.
 unsafe impl<S: ParallelSource> ParallelSource for EnumerateSource<S> {
     type Item = (usize, S::Item);
 
@@ -333,6 +352,8 @@ impl<A: ParallelSource, B: ParallelSource> ZipSource<A, B> {
     }
 }
 
+// SAFETY: `get(i)` fetches index `i` once from each side, and both sides
+// were truncated to `len`, so each side sees at-most-once fetches in range.
 unsafe impl<A: ParallelSource, B: ParallelSource> ParallelSource for ZipSource<A, B> {
     type Item = (A::Item, B::Item);
 
@@ -651,6 +672,7 @@ impl<T> Clone for SendPtr<T> {
 impl<T> Copy for SendPtr<T> {}
 // SAFETY: carried across threads only under the disjoint-index discipline.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send` above: tasks sharing the pointer write disjoint slots.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Elements per task: enough chunks for every worker to take

@@ -22,6 +22,10 @@
 //! `fold`/`reduce` partitions are thread-count-independent. Worker panics
 //! propagate to the submitting caller, as with real rayon.
 
+// The blessed thread layer: the workspace bans raw `std::thread` and `mpsc`
+// (clippy.toml), and this crate and `crossbeam` are where threads start.
+#![allow(clippy::disallowed_methods, reason = "the shim is the workspace's thread layer")]
+
 mod iter;
 mod pool;
 
@@ -40,7 +44,6 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use crate::RangeSource;
-    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -98,10 +101,15 @@ mod tests {
     #[test]
     fn parallel_work_is_spread_across_pool_workers() {
         let p = pool(4);
-        let ids = Mutex::new(HashSet::new());
+        let ids = Mutex::new(Vec::new());
         p.install(|| {
             (0..64usize).into_par_iter().with_min_len(1).for_each(|_| {
-                ids.lock().unwrap().insert(std::thread::current().id());
+                let id = std::thread::current().id();
+                let mut ids = ids.lock().unwrap();
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+                drop(ids);
                 // Give other workers a chance to claim tasks.
                 std::thread::sleep(std::time::Duration::from_millis(1));
             });
@@ -167,6 +175,18 @@ mod tests {
     }
 
     #[test]
+    fn float_sum_is_identical_across_pool_sizes() {
+        // `sum` merges per-chunk sums in ascending chunk order over the same
+        // thread-count-independent partition as `fold`, so a float sum is
+        // bit-identical on every pool.
+        let data: Vec<f64> = (0..100_000).map(|i| ((i * 37) % 1001) as f64 * 0.1).collect();
+        let run = |p: &crate::ThreadPool| p.install(|| data.par_iter().sum::<f64>());
+        let r1 = run(&pool(1));
+        assert_eq!(r1.to_bits(), run(&pool(2)).to_bits());
+        assert_eq!(r1.to_bits(), run(&pool(8)).to_bits());
+    }
+
+    #[test]
     fn collect_preserves_order_under_oversubscription() {
         let p = pool(8);
         let out: Vec<usize> =
@@ -187,12 +207,14 @@ mod tests {
                 it.fold(|| 0usize, |a, i| a + i).reduce(
                     || 0usize,
                     |a, b| {
+                        // ORDERING: Relaxed: a counter read after the join.
                         reduce_calls.fetch_add(1, Ordering::Relaxed);
                         a + b
                     },
                 )
             });
             assert_eq!(total, 10_000 * 9_999 / 2);
+            // ORDERING: Relaxed: `install` has joined every task.
             reduce_calls.load(Ordering::Relaxed)
         };
         assert_eq!(count_chunks(5000), 2, "with_min_len(5000) must yield 2 chunks");
@@ -232,6 +254,7 @@ mod tests {
         struct D(usize);
         impl Drop for D {
             fn drop(&mut self) {
+                // ORDERING: Relaxed: a counter read after the join.
                 DROPS.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -239,6 +262,7 @@ mod tests {
         let picked: Vec<usize> = v.into_par_iter().zip(0..4usize).map(|(d, _)| d.0).collect();
         assert_eq!(picked, vec![0, 1, 2, 3]);
         assert_eq!(
+            // ORDERING: Relaxed: `collect` has joined every task.
             DROPS.load(Ordering::Relaxed),
             10,
             "all 10 items dropped (4 moved, 6 truncated)"

@@ -50,12 +50,15 @@ struct Job {
 // SAFETY: `body` is only dereferenced by threads that won a task claim, and
 // the submitting caller keeps the referent alive until all claims are spent.
 unsafe impl Send for Job {}
+// SAFETY: as for `Send` above; every other field is `Sync` itself.
 unsafe impl Sync for Job {}
 
 impl Job {
     /// Claim and run tasks until the batch is exhausted.
     fn work(&self) {
         loop {
+            // ORDERING: Relaxed: the cursor only hands out distinct indices;
+            // results are published through the `done` mutex, not the cursor.
             let i = self.cursor.fetch_add(1, Ordering::Relaxed);
             if i >= self.num_tasks {
                 return;
@@ -97,6 +100,7 @@ thread_local! {
 
 fn next_pool_id() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(1);
+    // ORDERING: Relaxed: the ids only need to be distinct.
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
@@ -140,7 +144,7 @@ impl PoolState {
     }
 
     fn make_job(body: &(dyn Fn(usize) + Sync), num_tasks: usize) -> Arc<Job> {
-        // SAFETY (lifetime erasure): see module docs — the submitter blocks
+        // SAFETY: lifetime erasure; see module docs — the submitter blocks
         // until the batch completes, so the erased borrow cannot dangle while
         // reachable from the queue in a claimable state.
         let body: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(body) };
@@ -193,6 +197,9 @@ impl PoolState {
                     if let Some(job) = q.pop_front() {
                         break job;
                     }
+                    // ORDERING: SeqCst, and read under the queue lock that
+                    // `Drop` stores under, so no wake-up falls between the
+                    // check and the wait.
                     if self.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
@@ -344,6 +351,7 @@ impl Drop for ThreadPool {
         // between the check and the wait and that worker sleeps forever. A
         // poisoned lock guards the same state, and `drop` must not panic.
         let queue = self.state.queue.lock().unwrap_or_else(|e| e.into_inner());
+        // ORDERING: SeqCst, paired with the workers' load under the same lock.
         self.state.shutdown.store(true, Ordering::SeqCst);
         self.state.work_ready.notify_all();
         drop(queue);

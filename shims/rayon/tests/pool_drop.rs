@@ -11,6 +11,10 @@ use std::time::Duration;
 const CYCLES: usize = if cfg!(debug_assertions) { 20_000 } else { 100_000 };
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a watchdog on a raw thread: a hung pool can not watch itself"
+)]
 fn dropping_a_pool_never_loses_the_shutdown_wakeup() {
     let (done, watchdog) = mpsc::channel();
     // Detached on purpose: a hung `drop` can not be joined, only reported.
