@@ -14,7 +14,7 @@ use crate::simexec::SimulatedExecutor;
 use perfmodel::feasibility::ModelSet;
 use perfmodel::mapping::{MappingConstants, RenderConfig};
 use perfmodel::models::Family;
-use perfmodel::sample::RendererKind;
+use perfmodel::sample::{RendererKind, Sample};
 use sims::ProxySim;
 
 /// Demo parameters; [`DemoConfig::quick`] is the configuration the
@@ -211,14 +211,8 @@ pub fn run_budgeted_demo(sim: &mut dyn ProxySim, cfg: &DemoConfig) -> DemoReport
                     if charge {
                         built = true;
                     }
-                    sched.observe_render(&job.cfg, cost.local_s, cost.build_s);
-                    // The executor models the default barriered RLE exchange.
-                    sched.observe_composite(
-                        cost.pixels,
-                        cost.avg_active_pixels,
-                        cost.comp_s,
-                        false,
-                    );
+                    sched.observe_sample(Sample::Render(cost.render));
+                    sched.observe_sample(Sample::Composite(cost.composite));
                 }
                 Decision::Reject => {}
             }

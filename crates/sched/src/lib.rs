@@ -14,14 +14,19 @@
 //! the frame — and hysteresis keeps fidelity from flapping cycle to cycle.
 //! A job is priced whole-frame, as the paper's models price it: no rung
 //! sheds a ray-tracer phase.
-//! After execution, measured (simulated-clock) runtimes feed a windowed
-//! re-solve over [`perfmodel::regression::LinearRegression`], shrinking
-//! prediction error over the run.
+//! After execution, each render and exchange comes back as one
+//! [`perfmodel::sample::Sample`] through [`Scheduler::observe_sample`], and a
+//! windowed re-solve over [`perfmodel::regression::LinearRegression`] shrinks
+//! prediction error over the run. The refit fits on the inputs each render
+//! observed; admission predicts on mapped inputs, since it prices a render
+//! before it runs.
 //!
 //! [`Scheduler`] implements [`strawman::AdmissionHook`], so it plugs straight
-//! into [`strawman::Options`] to gate real renders by wall clock; the
-//! [`demo`] module drives the same scheduler from the proxy apps against a
-//! [`SimulatedExecutor`] standing in for a 64-rank machine.
+//! into [`strawman::Options`] to gate real renders, learning from each
+//! render's own [`strawman::ExecutedRender::stats`]; the [`demo`] module
+//! drives the same scheduler from the proxy apps against a
+//! [`SimulatedExecutor`] standing in for a 64-rank machine, whose
+//! [`JobCost`] hands over the same two sample kinds on a simulated clock.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 

@@ -4,14 +4,17 @@
 //! each queued job's cost — local frame + compositing, plus the BVH build for
 //! the cycle's first ray-traced job (subsequent frames amortize it) — and
 //! packs jobs against the budget. When a job does not fit at the current
-//! fidelity, it walks down the degradation [`LADDER`]; measured runtimes flow
-//! back through [`OnlineRefit`] so predictions tighten as the run proceeds.
+//! fidelity, it walks down the degradation [`LADDER`]. Each executed job's
+//! observations come back as [`Sample`]s through
+//! [`observe_sample`](Scheduler::observe_sample) and feed [`OnlineRefit`], so
+//! predictions tighten as the run proceeds: the refit fits on the inputs a
+//! render observed, while admission predicts on mapped inputs.
 
 use crate::ladder::{first_fit, Ladder, Rung, LADDER};
 use crate::refit::{OnlineRefit, RefitReport};
 use perfmodel::feasibility::{ModelSet, MIN_PREDICTED_SECONDS};
-use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
-use perfmodel::sample::{CompositeSample, CompositeWire, RendererKind, Sample};
+use perfmodel::mapping::{MappingConstants, RenderConfig};
+use perfmodel::sample::{CompositeSample, CompositeWire, RenderSample, RendererKind, Sample};
 
 /// One queued render request (what the simulation asked for).
 #[derive(Debug, Clone, Copy)]
@@ -111,7 +114,10 @@ pub struct CycleRecord {
     pub budget_s: f64,
     /// Predicted cost of the executed jobs at decision time.
     pub predicted_s: f64,
-    /// Measured cost of the executed jobs.
+    /// Measured cost of the executed jobs: the seconds of every observed
+    /// sample, i.e. what the models price (render and build phases, and
+    /// compositing). Strawman's wall time per render, surface extraction
+    /// included, stays in its `RenderRecord::render_seconds`.
     pub actual_s: f64,
 }
 
@@ -143,8 +149,9 @@ struct OpenCycle {
 
 /// The online scheduler. Create it with calibrated (or deliberately
 /// conservative) models; per cycle call [`begin_cycle`](Scheduler::begin_cycle),
-/// [`decide`](Scheduler::decide) per request, the observe methods per
-/// executed job, then [`end_cycle`](Scheduler::end_cycle).
+/// [`decide`](Scheduler::decide) per request,
+/// [`observe_sample`](Scheduler::observe_sample) per executed render and
+/// exchange, then [`end_cycle`](Scheduler::end_cycle).
 pub struct Scheduler {
     pub models: ModelSet,
     pub constants: MappingConstants,
@@ -295,41 +302,18 @@ impl Scheduler {
         }
     }
 
-    /// Feed back a measured (or simulated) local render time for an executed
-    /// job, excluding compositing (reported via
-    /// [`observe_composite`](Scheduler::observe_composite)).
-    pub fn observe_render(&mut self, cfg: &RenderConfig, local_seconds: f64, build_seconds: f64) {
+    /// Feed back one observation of an executed job: a render (its measured
+    /// inputs, frame and build seconds) or the frame's compositing exchange.
+    /// Its seconds are charged to the open cycle, and the sample joins the
+    /// refit window of the model family it feeds.
+    pub fn observe_sample(&mut self, s: Sample) {
         if let Some(cur) = self.cur.as_mut() {
-            cur.actual_s += local_seconds + build_seconds;
+            cur.actual_s += match &s {
+                Sample::Render(r) => r.stats.render_seconds + r.stats.build_seconds,
+                Sample::Composite(c) => c.seconds,
+            };
         }
-        let mut s = map_inputs(cfg, &self.constants);
-        s.stats.render_seconds = local_seconds;
-        s.stats.build_seconds = build_seconds;
-        self.refit.observe(Sample::Render(s));
-    }
-
-    /// Feed back a measured compositing exchange for one frame. Every
-    /// exchange ships compressed spans; `dfb` names the wire the measurement
-    /// used, so the refit fits the DFB model on the asynchronous tile-owner
-    /// protocol and the compressed model on the barriered exchange.
-    pub fn observe_composite(
-        &mut self,
-        pixels: f64,
-        avg_active_pixels: f64,
-        seconds: f64,
-        dfb: bool,
-    ) {
-        if let Some(cur) = self.cur.as_mut() {
-            cur.actual_s += seconds;
-        }
-        let wire = if dfb { CompositeWire::Dfb } else { CompositeWire::Compressed };
-        self.refit.observe(Sample::Composite(CompositeSample {
-            tasks: self.cfg.tasks,
-            pixels,
-            avg_active_pixels,
-            seconds,
-            wire,
-        }));
+        self.refit.observe(s);
     }
 
     /// Cost of the cycle's full request list if every job ran at `level`
@@ -383,12 +367,6 @@ fn renderer_kind(label: &str) -> Option<RendererKind> {
     }
 }
 
-/// Cells per axis of one task's block, guessed from a render's cell count as
-/// if the block were a cube.
-fn cells_per_task(cells: usize) -> usize {
-    (cells as f64).cbrt().round().max(1.0) as usize
-}
-
 impl strawman::AdmissionHook for Scheduler {
     fn admit(&mut self, req: &strawman::AdmissionRequest) -> strawman::AdmissionDecision {
         if self.cur.as_ref().map(|c| c.cycle) != Some(req.cycle) {
@@ -397,7 +375,9 @@ impl strawman::AdmissionHook for Scheduler {
         let Some(renderer) = renderer_kind(req.renderer) else {
             return strawman::AdmissionDecision::Admit;
         };
-        let cells_per_task = cells_per_task(req.cells);
+        // Admission predicts before the render runs, from mapped inputs: the
+        // cells per axis of one task's block, as if the block were a cube.
+        let cells_per_task = (req.cells as f64).cbrt().round().max(1.0) as usize;
         let request =
             RenderRequest { renderer, width: req.width, height: req.height, cells_per_task };
         match self.decide(request) {
@@ -414,20 +394,24 @@ impl strawman::AdmissionHook for Scheduler {
 
     fn observe(&mut self, done: &strawman::ExecutedRender) {
         let Some(renderer) = renderer_kind(done.renderer) else { return };
-        let cfg = RenderConfig {
+        self.observe_sample(Sample::Render(RenderSample {
             renderer,
-            cells_per_task: cells_per_task(done.cells),
-            pixels: done.width as usize * done.height as usize,
+            device: "",
+            source: "strawman",
+            stats: done.stats,
+            pixels: f64::from(done.width) * f64::from(done.height),
             tasks: self.cfg.tasks,
-        };
-        // Wall-clock observations fold any build into the render time; the
-        // refit gates the build model on nonzero build samples.
-        self.observe_render(&cfg, done.seconds, 0.0);
+        }));
     }
 
     fn observe_composite(&mut self, done: &strawman::CompositeObservation) {
-        let (px, active) = (done.pixels, done.avg_active_pixels);
-        Scheduler::observe_composite(self, px, active, done.seconds, done.dfb);
+        self.observe_sample(Sample::Composite(CompositeSample {
+            tasks: self.cfg.tasks,
+            pixels: done.pixels,
+            avg_active_pixels: done.avg_active_pixels,
+            seconds: done.seconds,
+            wire: if done.dfb { CompositeWire::Dfb } else { CompositeWire::Compressed },
+        }));
     }
 }
 

@@ -6,28 +6,25 @@
 
 use perfmodel::feasibility::{ModelSet, MIN_PREDICTED_SECONDS};
 use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
-use perfmodel::sample::{CompositeSample, CompositeWire, RendererKind};
+use perfmodel::sample::{CompositeSample, CompositeWire, RenderSample, RendererKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Simulated cost of one executed job, split the way the models split it.
-#[derive(Debug, Clone, Copy)]
+/// Simulated cost of one executed job, as the two observations the scheduler
+/// learns from.
+#[derive(Debug, Clone)]
 pub struct JobCost {
-    /// Local render seconds (max over ranks; excludes build + compositing).
-    pub local_s: f64,
-    /// BVH build seconds (0 unless this job triggered a build).
-    pub build_s: f64,
-    /// Compositing-exchange seconds for the frame.
-    pub comp_s: f64,
-    /// Image pixels, for feeding the compositing observation back.
-    pub pixels: f64,
-    /// Mapped average active pixels per rank.
-    pub avg_active_pixels: f64,
+    /// The job's mapped inputs with its local render seconds (max over
+    /// ranks) and its BVH build seconds (0 unless this job triggered one).
+    pub render: RenderSample,
+    /// The frame's compositing exchange, on the default barriered RLE wire.
+    pub composite: CompositeSample,
 }
 
 impl JobCost {
     pub fn total(&self) -> f64 {
-        self.local_s + self.build_s + self.comp_s
+        let stats = &self.render.stats;
+        stats.render_seconds + stats.build_seconds + self.composite.seconds
     }
 }
 
@@ -64,35 +61,25 @@ impl SimulatedExecutor {
     /// build (the caller amortizes builds across a cycle's ray-traced
     /// frames).
     pub fn execute(&mut self, cfg: &RenderConfig, charge_build: bool) -> JobCost {
-        let inputs = map_inputs(cfg, &self.constants);
-        let local = self.truth.predict_local_seconds(&inputs).max(0.0) * self.jitter();
-        let build = if cfg.renderer == RendererKind::RayTracing && charge_build {
-            self.truth.predict_build_seconds(cfg, &self.constants) * self.jitter()
-        } else {
-            0.0
+        let mut render = map_inputs(cfg, &self.constants);
+        render.stats.render_seconds =
+            self.truth.predict_local_seconds(&render).max(0.0) * self.jitter();
+        if cfg.renderer == RendererKind::RayTracing && charge_build {
+            render.stats.build_seconds =
+                self.truth.predict_build_seconds(cfg, &self.constants) * self.jitter();
+        }
+        let mut composite = CompositeSample {
+            tasks: cfg.tasks,
+            pixels: cfg.pixels as f64,
+            avg_active_pixels: render.stats.active_pixels,
+            seconds: 0.0,
+            wire: CompositeWire::Compressed,
         };
         // The machine's wire truth is the dense-form law.
-        let comp = self
-            .truth
-            .predict_composite_seconds(
-                &CompositeSample {
-                    tasks: cfg.tasks,
-                    pixels: cfg.pixels as f64,
-                    avg_active_pixels: inputs.stats.active_pixels,
-                    seconds: 0.0,
-                    wire: CompositeWire::Dense,
-                },
-                CompositeWire::Dense,
-            )
-            .max(0.0)
-            * self.jitter();
-        JobCost {
-            local_s: local,
-            build_s: build,
-            comp_s: comp,
-            pixels: cfg.pixels as f64,
-            avg_active_pixels: inputs.stats.active_pixels,
-        }
+        composite.seconds =
+            self.truth.predict_composite_seconds(&composite, CompositeWire::Dense).max(0.0)
+                * self.jitter();
+        JobCost { render, composite }
     }
 }
 
@@ -121,6 +108,37 @@ mod tests {
         assert_ne!(a.execute(&cfg, true).total(), c.execute(&cfg, true).total());
     }
 
+    /// A job's two samples are the rows the scheduler refits on: the render
+    /// at the job's mapped inputs with its frame and build seconds, and the
+    /// exchange of its frame on the default RLE wire.
+    #[test]
+    fn samples_carry_the_jobs_mapped_inputs() {
+        let cfg = RenderConfig {
+            renderer: RendererKind::RayTracing,
+            cells_per_task: 20,
+            pixels: 512 * 512,
+            tasks: 64,
+        };
+        let k = MappingConstants::default();
+        let mut ex = SimulatedExecutor::new(ground_truth(), k, 0.05, 42);
+        let mapped = map_inputs(&cfg, &k);
+        let JobCost { render, composite } = ex.execute(&cfg, true);
+        let mut inputs = render.stats;
+        (inputs.render_seconds, inputs.build_seconds) = (0.0, 0.0);
+        assert_eq!(inputs, mapped.stats);
+        assert_eq!(
+            (render.renderer, render.pixels, render.tasks),
+            (cfg.renderer, mapped.pixels, 64)
+        );
+        assert!(render.stats.render_seconds > 0.0 && render.stats.build_seconds > 0.0);
+        assert_eq!(composite.wire, CompositeWire::Compressed);
+        assert_eq!((composite.tasks, composite.pixels), (64, mapped.pixels));
+        assert_eq!(composite.avg_active_pixels, mapped.stats.active_pixels);
+        assert!(composite.seconds > 0.0);
+        // A job that reuses the cycle's BVH reports no build.
+        assert_eq!(ex.execute(&cfg, false).render.stats.build_seconds, 0.0);
+    }
+
     #[test]
     fn noise_stays_within_amplitude() {
         let cfg = RenderConfig {
@@ -134,8 +152,8 @@ mod tests {
         let want = ex.true_frame_seconds(&cfg);
         for _ in 0..50 {
             let c = ex.execute(&cfg, false);
-            assert_eq!(c.build_s, 0.0);
-            let got = c.local_s + c.comp_s;
+            assert_eq!(c.render.stats.build_seconds, 0.0);
+            let got = c.total();
             assert!((got - want).abs() <= 0.1 * want + 1e-12, "{got} vs {want}");
         }
     }

@@ -8,7 +8,12 @@ use perfmodel::feasibility::ModelSet;
 use perfmodel::mapping::MappingConstants;
 use perfmodel::models::Family;
 use sched::{Scheduler, SchedulerConfig};
-use strawman::{Options, Strawman, StrawmanError};
+use std::cell::RefCell;
+use std::rc::Rc;
+use strawman::{
+    AdmissionDecision, AdmissionHook, AdmissionRequest, CompositeObservation, ExecutedRender,
+    Options, Strawman, StrawmanError,
+};
 
 /// A model set where cost is purely pixel-driven (1 µs/pixel of compositing,
 /// no local-render or build cost — the other required families stay at the
@@ -94,4 +99,46 @@ fn impossible_budget_rejects_the_render() {
     assert!(matches!(result, Err(StrawmanError::Rejected)));
     assert!(sm.records.is_empty());
     assert_eq!(sm.admissions.totals(), (0, 0, 1));
+}
+
+/// Shares one scheduler between Strawman's hook slot and the test, so the
+/// test can read its refit report afterwards.
+struct Shared(Rc<RefCell<Scheduler>>);
+
+impl AdmissionHook for Shared {
+    fn admit(&mut self, req: &AdmissionRequest) -> AdmissionDecision {
+        AdmissionHook::admit(&mut *self.0.borrow_mut(), req)
+    }
+    fn observe(&mut self, done: &ExecutedRender) {
+        AdmissionHook::observe(&mut *self.0.borrow_mut(), done)
+    }
+    fn observe_composite(&mut self, done: &CompositeObservation) {
+        AdmissionHook::observe_composite(&mut *self.0.borrow_mut(), done)
+    }
+}
+
+/// The refit learns the BVH build from real renders: each publish's
+/// ray-traced render reports the build it measured, so eight cycles give the
+/// build model the samples it needs and the cycle's close re-solves it.
+#[test]
+fn ray_traced_cycles_refit_the_build_model() {
+    let sched = Rc::new(RefCell::new(scheduler(1e3)));
+    let mut sm = Strawman::open(Options {
+        device: Device::Serial,
+        output_dir: std::env::temp_dir(),
+        cycle_budget_s: Some(1e3),
+        scheduler: Some(Box::new(Shared(Rc::clone(&sched)))),
+        ..Options::default()
+    });
+    for cycle in 0..8i64 {
+        let mut data = uniform_data(12);
+        data.set("state/cycle", cycle);
+        sm.publish(&data).unwrap();
+        sm.execute(&actions(64)).unwrap();
+    }
+    assert_eq!(sm.admissions.totals(), (8, 0, 0));
+    let mut s = sched.borrow_mut();
+    s.end_cycle();
+    assert_eq!(s.history.len(), 8);
+    assert!(s.last_refit.refitted.contains(&"ray_tracing_build"), "{:?}", s.last_refit);
 }

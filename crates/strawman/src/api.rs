@@ -13,7 +13,7 @@ use mesh::external_faces::{external_faces_grid, external_faces_hex, external_fac
 use mesh::field::{cell_to_point, structured_cell_to_point};
 use mesh::{Assoc, Field, TriMesh, UniformGrid};
 use mpirt::NetModel;
-use render::counters::{Admission, AdmissionLog, PhaseTimer, RenderOutput};
+use render::counters::{Admission, AdmissionLog, PhaseTimer, RenderOutput, RenderStats};
 use render::raster::rasterize;
 use render::raytrace::{RayTracer, RtConfig, TriGeometry};
 use render::volume_structured::{render_structured, SvrConfig};
@@ -50,7 +50,7 @@ pub enum AdmissionDecision {
 }
 
 /// A render that actually ran, reported back so the hook can refine its cost
-/// models against measured time.
+/// models against what the render measured.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecutedRender {
     pub cycle: i64,
@@ -59,8 +59,11 @@ pub struct ExecutedRender {
     pub renderer: &'static str,
     pub width: u32,
     pub height: u32,
-    pub cells: usize,
-    pub seconds: f64,
+    /// The render's own record: its observed model inputs, `render_seconds`
+    /// over its frame phases, and as `build_seconds` the `"bvh_build"` phase
+    /// this render recorded (0 when it drew a BVH an earlier render of the
+    /// publish built). Surface extraction is in neither.
+    pub stats: RenderStats,
 }
 
 /// A distributed compositing exchange that ran, reported back so the hook
@@ -86,7 +89,7 @@ pub struct CompositeObservation {
 /// model-driven scheduler; any budget policy can plug in here.
 pub trait AdmissionHook {
     fn admit(&mut self, req: &AdmissionRequest) -> AdmissionDecision;
-    /// Observe a completed render's measured wall time.
+    /// Observe what a completed render measured.
     fn observe(&mut self, done: &ExecutedRender);
     /// Observe a completed compositing exchange. Default: ignore (render-only
     /// policies need not care about the wire).
@@ -229,6 +232,7 @@ pub struct RenderRecord {
     /// Everything this render made the cycle wait for: the first render of a
     /// variable after a publish carries its surface extraction, the first
     /// ray-traced one its BVH build (each also a [`Strawman::phases`] record).
+    /// Wall time: the hook is handed [`ExecutedRender::stats`] instead.
     pub render_seconds: f64,
     pub active_pixels: usize,
 }
@@ -501,19 +505,17 @@ impl Strawman {
                 }
             };
 
-            let t0 = std::time::Instant::now();
+            let (t0, first_phase) = (std::time::Instant::now(), self.phases.phases.len());
             let (out, renderer) =
                 render_plot(&self.opts.device, published, &plot, &camera, w, h, &mut self.phases)?;
             let seconds = t0.elapsed().as_secs_f64();
+            let mut stats = out.stats;
+            let built = self.phases.phases[first_phase..].iter().find(|p| p.name == "bvh_build");
+            stats.build_seconds = built.map_or(0.0, |p| p.seconds);
             if let Some(hook) = self.opts.scheduler.as_mut() {
-                hook.observe(&ExecutedRender {
-                    cycle: self.cycle,
-                    renderer,
-                    width: w,
-                    height: h,
-                    cells,
-                    seconds,
-                });
+                let done =
+                    ExecutedRender { cycle: self.cycle, renderer, width: w, height: h, stats };
+                hook.observe(&done);
             }
             let mut frame = out.frame;
             frame.set_background(Color::WHITE);
@@ -532,7 +534,7 @@ impl Strawman {
                 width: w,
                 height: h,
                 render_seconds: seconds,
-                active_pixels: out.stats.active_pixels as usize,
+                active_pixels: stats.active_pixels as usize,
             });
             self.last_frame = Some(frame);
         }
@@ -992,22 +994,68 @@ mod tests {
         }
     }
 
-    /// Records compositing exchanges into a log shared with the test (the
-    /// hook itself is boxed away inside [`Options`]).
-    struct WireHook {
+    /// Admits everything and records what it observes into logs shared with
+    /// the test (the hook itself is boxed away inside [`Options`]).
+    #[derive(Default)]
+    struct LogHook {
+        renders: std::rc::Rc<std::cell::RefCell<Vec<ExecutedRender>>>,
         log: std::rc::Rc<std::cell::RefCell<Vec<CompositeObservation>>>,
     }
 
-    impl AdmissionHook for WireHook {
+    impl AdmissionHook for LogHook {
         fn admit(&mut self, _req: &AdmissionRequest) -> AdmissionDecision {
             AdmissionDecision::Admit
         }
 
-        fn observe(&mut self, _done: &ExecutedRender) {}
+        fn observe(&mut self, done: &ExecutedRender) {
+            self.renders.borrow_mut().push(*done);
+        }
 
         fn observe_composite(&mut self, done: &CompositeObservation) {
             self.log.borrow_mut().push(*done);
         }
+    }
+
+    /// The hook sees each render's own record. Two ray-traced renders of one
+    /// plot in one `execute`: the first reports the BVH build it recorded,
+    /// bit for bit, and the second, which draws that BVH, reports exactly 0
+    /// (not the -0.0 of an empty sum). Neither carries surface extraction.
+    #[test]
+    fn the_hook_observes_each_renders_own_stats() {
+        let hook = LogHook::default();
+        let renders = hook.renders.clone();
+        let mut sm = Strawman::open(Options {
+            device: Device::Serial,
+            scheduler: Some(Box::new(hook)),
+            ..Options::default()
+        });
+        sm.publish(&uniform_data(12)).unwrap();
+        let mut a = actions("scalar", "pseudocolor", "");
+        let Node::List(items) = &mut a else { panic!("actions are a list") };
+        let mut far = items[2].clone();
+        far.set("camera", "far");
+        items.push(far);
+        sm.execute(&a).unwrap();
+
+        let seen = renders.borrow();
+        assert_eq!(seen.len(), 2);
+        let phase = |name| sm.phases.phases.iter().filter(|p| p.name == name).collect::<Vec<_>>();
+        let (build, extract) = (phase("bvh_build"), phase("surface_geometry"));
+        assert_eq!((build.len(), extract.len()), (1, 1));
+        assert_eq!(seen[0].stats.build_seconds.to_bits(), build[0].seconds.to_bits());
+        assert_eq!(seen[1].stats.build_seconds.to_bits(), 0.0f64.to_bits());
+        for (done, rec) in seen.iter().zip(&sm.records) {
+            assert_eq!((done.renderer, done.width, done.height), ("raytracer", 48, 48));
+            assert_eq!(done.stats.active_pixels as usize, rec.active_pixels);
+            assert!(done.stats.active_pixels > 50.0);
+            // The wall time spans the phases the render reported, and more.
+            let reported = done.stats.render_seconds + done.stats.build_seconds;
+            assert!(reported <= rec.render_seconds, "{reported} > {}", rec.render_seconds);
+        }
+        assert!(
+            seen[0].stats.render_seconds + build[0].seconds + extract[0].seconds
+                <= sm.records[0].render_seconds
+        );
     }
 
     #[test]
@@ -1024,7 +1072,7 @@ mod tests {
         let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let mut sm = Strawman::open(Options {
             device: Device::Serial,
-            scheduler: Some(Box::new(WireHook { log: log.clone() })),
+            scheduler: Some(Box::new(LogHook { log: log.clone(), ..LogHook::default() })),
             ..Options::default()
         });
         let (_, stats) = sm.composite(&frames, CompositeMode::ZBuffer);
@@ -1051,7 +1099,7 @@ mod tests {
         let mut sm = Strawman::open(Options {
             device: Device::Serial,
             dfb_compositing: true,
-            scheduler: Some(Box::new(WireHook { log: log.clone() })),
+            scheduler: Some(Box::new(LogHook { log: log.clone(), ..LogHook::default() })),
             ..Options::default()
         });
         let (img, stats) = sm.composite(&frames, CompositeMode::ZBuffer);

@@ -269,6 +269,17 @@ fn convert_rectilinear(data: &Node) -> Result<PublishedMesh, ConvertError> {
         return Err(ConvertError::BadShape("rectilinear axes need >= 2 coords".into()));
     }
     check_finite(&[&g.xs, &g.ys, &g.zs])?;
+    // Cell lookup bisects each axis, which places nothing right on an axis
+    // that ever steps back or repeats a coordinate.
+    for (name, axis) in ["x", "y", "z"].iter().zip([&g.xs, &g.ys, &g.zs]) {
+        if let Some(i) = axis.windows(2).position(|w| w[1] <= w[0]) {
+            let (a, b) = (axis[i], axis[i + 1]);
+            return Err(ConvertError::BadShape(format!(
+                "rectilinear axis {name} is not strictly increasing: {name}[{}] = {b} after {a}",
+                i + 1
+            )));
+        }
+    }
     let (np, nc) = (g.num_points(), g.num_cells());
     let mut g = g;
     g.fields = read_fields(data, np, nc)?;
@@ -411,6 +422,25 @@ mod tests {
             d.set("coords/values/x", vec![0.0f32, v, 3.0]);
             let err = convert(&d).unwrap_err();
             assert!(matches!(err, ConvertError::BadShape(_)), "x[1] = {v}: {err}");
+        }
+    }
+
+    /// Cell lookup assumes sorted axes, so a descending or repeated one is
+    /// refused with the axis and the index where it stops increasing.
+    #[test]
+    fn non_increasing_rectilinear_axis_rejected() {
+        // Each case keeps the field's length equal to the cell count, so
+        // only the axis is wrong.
+        for (axis, values, cells, at) in
+            [("x", [3.0f32, 1.0, 0.0], 2, "x[1] = 1"), ("y", [0.0, 2.0, 2.0], 4, "y[2] = 2")]
+        {
+            let mut d = rectilinear_node();
+            d.set(&format!("coords/values/{axis}"), values.to_vec());
+            d.set("fields/rho/values", vec![0.5f32; cells]);
+            let err = convert(&d).unwrap_err();
+            let ConvertError::BadShape(msg) = &err else { panic!("{axis}: {err}") };
+            assert!(msg.contains(&format!("axis {axis} is not strictly increasing")), "{msg}");
+            assert!(msg.contains(at), "{msg}");
         }
     }
 
