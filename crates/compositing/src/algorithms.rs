@@ -1,4 +1,5 @@
-//! The compositing algorithms: direct send, binary swap, and radix-k.
+//! The compositing algorithms: direct send, binary swap, and radix-k, and
+//! [`compose`], the one dispatch from a [`CompositeWire`] to an exchange.
 //!
 //! All three are expressed as the same round-structured partition exchange
 //! with different round factorizations (Peterka et al.'s radix-k insight,
@@ -18,15 +19,15 @@
 //!
 //! By default every exchange ships **run-length compressed** fragments
 //! ([`crate::rle::SpanImage`]) — IceT's active-pixel optimization — and the
-//! per-round compression ratio is recorded in [`CompositeStats`]. Pass
-//! [`ExchangeOptions`] with `compress: false` (via the `*_opts` entry
-//! points) for the dense exchange; both paths produce pixel-identical
-//! output, so the delta in `total_bytes`/`simulated_seconds` isolates what
-//! compression buys.
+//! per-round wire and dense bytes are recorded in [`CompositeStats`]. Pass
+//! [`ExchangeOptions::dense`] for the dense exchange; both paths produce
+//! pixel-identical output, so the delta in `total_bytes`/`simulated_seconds`
+//! isolates what compression buys.
 
+use crate::dfb::dfb_compose_opts;
 use crate::image::{CompositeMode, PixelView, Pixels, RankImage};
 use crate::rle::SpanImage;
-use mpirt::{EventWorld, NetModel, RoundCost};
+use mpirt::{EventWorld, NetModel, RoundBytes, RoundCost};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -51,23 +52,47 @@ impl ExchangeOptions {
     }
 }
 
-/// Wire vs. would-have-been-dense bytes of one communication round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundBytes {
-    /// Bytes actually moved (compressed when compression is on).
-    pub wire_bytes: u64,
-    /// Bytes a dense exchange of the same partitions would have moved.
-    pub dense_bytes: u64,
+/// Which exchange carries the fragments: dense full-image fragments over
+/// radix-k rounds, run-length-compressed active-pixel spans over the same
+/// rounds (the default, as in IceT), or the asynchronous per-tile
+/// Distributed FrameBuffer exchange. The compositing models are fitted per
+/// wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum CompositeWire {
+    /// Full-image fragments, uncompressed.
+    Dense,
+    #[default]
+    /// Run-length-encoded active-pixel spans.
+    Compressed,
+    /// Message-driven per-tile exchange (compressed fragments, no barrier).
+    Dfb,
 }
 
-impl RoundBytes {
-    /// Dense-to-wire ratio; 1.0 for an empty round.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.wire_bytes == 0 {
-            1.0
-        } else {
-            self.dense_bytes as f64 / self.wire_bytes as f64
+impl CompositeWire {
+    /// Stable lowercase name used in CSV rows.
+    pub fn name(&self) -> &'static str {
+        match self {
+            CompositeWire::Dense => "dense",
+            CompositeWire::Compressed => "compressed",
+            CompositeWire::Dfb => "dfb",
         }
+    }
+}
+
+/// Composite `images` over the exchange `wire` names: radix-k at
+/// [`default_factors`] for the dense and compressed wires, the DFB for
+/// [`CompositeWire::Dfb`].
+pub fn compose(
+    images: &[impl Pixels],
+    mode: CompositeMode,
+    net: NetModel,
+    wire: CompositeWire,
+) -> (RankImage, CompositeStats) {
+    let radix_k = |opts| radix_k_opts(images, mode, net, &default_factors(images.len()), opts);
+    match wire {
+        CompositeWire::Dense => radix_k(ExchangeOptions::dense()),
+        CompositeWire::Compressed => radix_k(ExchangeOptions::default()),
+        CompositeWire::Dfb => dfb_compose_opts(images, mode, net, ExchangeOptions::default()),
     }
 }
 
@@ -83,8 +108,9 @@ pub struct CompositeStats {
     /// Bytes the same rounds would have moved without compression; equals
     /// `total_bytes` for a dense exchange.
     pub dense_bytes: u64,
-    /// Per-round byte tallies, in execution order (fold round first for
-    /// non-power-of-two binary swap, final gather last).
+    /// Per-round byte tallies, in execution order, as the exchange's world
+    /// recorded them (fold round first for non-power-of-two binary swap,
+    /// final gather last; the DFB's scatter, then its gather).
     pub per_round: Vec<RoundBytes>,
     /// Communication rounds (including the final gather).
     pub rounds: usize,
@@ -92,20 +118,15 @@ pub struct CompositeStats {
 
 impl CompositeStats {
     /// The record of an exchange that ran on `world`, whose ranks spent
-    /// `compute_seconds` blending in total and whose communication phases
-    /// moved `per_round`.
-    pub(crate) fn from_world(
-        world: &EventWorld,
-        compute_seconds: f64,
-        per_round: Vec<RoundBytes>,
-    ) -> CompositeStats {
+    /// `compute_seconds` blending in total.
+    pub(crate) fn from_world(world: EventWorld, compute_seconds: f64) -> CompositeStats {
         CompositeStats {
             simulated_seconds: world.elapsed(),
             compute_seconds,
             total_bytes: world.total_bytes,
             dense_bytes: world.dense_bytes,
-            rounds: per_round.len(),
-            per_round,
+            rounds: world.round_bytes.len(),
+            per_round: world.round_bytes,
         }
     }
 
@@ -199,15 +220,6 @@ impl Fragment for SpanImage {
 
 /// Direct send: every rank owns `1/P` of the pixels and receives that part
 /// from all other ranks in one round.
-pub fn direct_send(
-    images: &[impl Pixels],
-    mode: CompositeMode,
-    net: NetModel,
-) -> (RankImage, CompositeStats) {
-    direct_send_opts(images, mode, net, ExchangeOptions::default())
-}
-
-/// [`direct_send`] with explicit exchange options.
 pub fn direct_send_opts(
     images: &[impl Pixels],
     mode: CompositeMode,
@@ -222,15 +234,6 @@ pub fn direct_send_opts(
 /// `2*(P - 2^floor(log2 P))` ranks merge pairwise (whole-image sends), which
 /// leaves a power-of-two group of contiguous visibility blocks for the swap
 /// rounds.
-pub fn binary_swap(
-    images: &[impl Pixels],
-    mode: CompositeMode,
-    net: NetModel,
-) -> (RankImage, CompositeStats) {
-    binary_swap_opts(images, mode, net, ExchangeOptions::default())
-}
-
-/// [`binary_swap`] with explicit exchange options.
 #[expect(
     clippy::disallowed_methods,
     reason = "compositing phase timer: the models take its seconds as data"
@@ -316,16 +319,6 @@ struct RankState<F> {
 
 /// General radix-k compositing. `factors` must multiply to `images.len()`.
 /// Rank index is visibility order (front = rank 0) for `AlphaOrdered`.
-pub fn radix_k(
-    images: &[impl Pixels],
-    mode: CompositeMode,
-    net: NetModel,
-    factors: &[usize],
-) -> (RankImage, CompositeStats) {
-    radix_k_opts(images, mode, net, factors, ExchangeOptions::default())
-}
-
-/// [`radix_k`] with explicit exchange options.
 pub fn radix_k_opts(
     images: &[impl Pixels],
     mode: CompositeMode,
@@ -502,13 +495,7 @@ fn run_radix<F: Fragment>(
         messages: p.saturating_sub(1),
     };
     world.finish_round(&gather_costs);
-
-    let per_round = world
-        .round_bytes
-        .iter()
-        .map(|&(wire_bytes, dense_bytes)| RoundBytes { wire_bytes, dense_bytes })
-        .collect();
-    (full, CompositeStats::from_world(&world, compute_total, per_round))
+    (full, CompositeStats::from_world(world, compute_total))
 }
 
 #[cfg(test)]
@@ -543,44 +530,47 @@ mod tests {
 
     #[test]
     fn all_algorithms_match_reference_zbuffer() {
+        let (net, opts) = (NetModel::zero(), ExchangeOptions::default());
         for p in [1usize, 2, 4, 6, 8, 12] {
             let imgs = make_images(p, 16, 9, 42 + p as u64);
             let expect = reference(&imgs, CompositeMode::ZBuffer);
-            let (ds, _) = direct_send(&imgs, CompositeMode::ZBuffer, NetModel::zero());
+            let (ds, _) = direct_send_opts(&imgs, CompositeMode::ZBuffer, net, opts);
             assert!(ds.max_color_diff(&expect) < 1e-6, "direct send p={p}");
             let (rk, _) =
-                radix_k(&imgs, CompositeMode::ZBuffer, NetModel::zero(), &default_factors(p));
+                radix_k_opts(&imgs, CompositeMode::ZBuffer, net, &default_factors(p), opts);
             assert!(rk.max_color_diff(&expect) < 1e-6, "radix-k p={p}");
-            let (bs, _) = binary_swap(&imgs, CompositeMode::ZBuffer, NetModel::zero());
+            let (bs, _) = binary_swap_opts(&imgs, CompositeMode::ZBuffer, net, opts);
             assert!(bs.max_color_diff(&expect) < 1e-6, "binary swap p={p}");
         }
     }
 
     #[test]
     fn all_algorithms_match_reference_alpha() {
+        let (net, opts) = (NetModel::zero(), ExchangeOptions::default());
         for p in [1usize, 2, 4, 8, 9, 16] {
             let imgs = make_images(p, 13, 7, 1000 + p as u64);
             let expect = reference(&imgs, CompositeMode::AlphaOrdered);
-            let (ds, _) = direct_send(&imgs, CompositeMode::AlphaOrdered, NetModel::zero());
+            let (ds, _) = direct_send_opts(&imgs, CompositeMode::AlphaOrdered, net, opts);
             assert!(ds.max_color_diff(&expect) < 2e-5, "direct send p={p}");
             let (rk, _) =
-                radix_k(&imgs, CompositeMode::AlphaOrdered, NetModel::zero(), &default_factors(p));
+                radix_k_opts(&imgs, CompositeMode::AlphaOrdered, net, &default_factors(p), opts);
             assert!(rk.max_color_diff(&expect) < 2e-5, "radix-k p={p}");
-            let (bs, _) = binary_swap(&imgs, CompositeMode::AlphaOrdered, NetModel::zero());
+            let (bs, _) = binary_swap_opts(&imgs, CompositeMode::AlphaOrdered, net, opts);
             assert!(bs.max_color_diff(&expect) < 2e-5, "binary swap p={p}");
         }
     }
 
     #[test]
     fn binary_swap_has_log_rounds() {
+        let (net, opts) = (NetModel::cluster(), ExchangeOptions::default());
         let imgs = make_images(8, 8, 8, 3);
-        let (_, st) = binary_swap(&imgs, CompositeMode::ZBuffer, NetModel::cluster());
+        let (_, st) = binary_swap_opts(&imgs, CompositeMode::ZBuffer, net, opts);
         assert_eq!(st.rounds, 3 + 1); // log2(8) + gather
-        let (_, st2) = direct_send(&imgs, CompositeMode::ZBuffer, NetModel::cluster());
+        let (_, st2) = direct_send_opts(&imgs, CompositeMode::ZBuffer, net, opts);
         assert_eq!(st2.rounds, 1 + 1);
         // Non-power-of-two adds one fold round: 12 -> fold + log2(8) + gather.
         let imgs12 = make_images(12, 8, 8, 4);
-        let (out, st3) = binary_swap(&imgs12, CompositeMode::AlphaOrdered, NetModel::cluster());
+        let (out, st3) = binary_swap_opts(&imgs12, CompositeMode::AlphaOrdered, net, opts);
         assert_eq!(st3.rounds, 1 + 3 + 1);
         let expect = reference(&imgs12, CompositeMode::AlphaOrdered);
         assert!(out.max_color_diff(&expect) < 2e-5);
@@ -613,10 +603,11 @@ mod tests {
 
     #[test]
     fn bigger_images_cost_more_simulated_time() {
+        let (net, opts) = (NetModel::cluster(), ExchangeOptions::default());
         let small = make_images(4, 16, 16, 9);
         let big = make_images(4, 64, 64, 9);
-        let (_, a) = binary_swap(&small, CompositeMode::AlphaOrdered, NetModel::cluster());
-        let (_, b) = binary_swap(&big, CompositeMode::AlphaOrdered, NetModel::cluster());
+        let (_, a) = binary_swap_opts(&small, CompositeMode::AlphaOrdered, net, opts);
+        let (_, b) = binary_swap_opts(&big, CompositeMode::AlphaOrdered, net, opts);
         assert!(b.simulated_seconds > a.simulated_seconds);
         assert!(b.total_bytes > a.total_bytes);
     }
@@ -629,10 +620,54 @@ mod tests {
         }
     }
 
+    /// `compose` is the call each wire used to be dispatched to by hand:
+    /// the same image bits, bytes and rounds, at a non-power-of-two rank
+    /// count (through default factors `[2, 3]`) and a power of two.
+    #[test]
+    fn compose_runs_the_exchange_its_wire_names() {
+        let bits = |img: &RankImage| -> Vec<u32> {
+            img.color
+                .iter()
+                .zip(&img.depth)
+                .flat_map(|(c, d)| [c.r, c.g, c.b, c.a, *d].map(f32::to_bits))
+                .collect()
+        };
+        let net = NetModel::cluster();
+        for p in [6usize, 8] {
+            let imgs = make_images(p, 80, 60, 500 + p as u64);
+            let factors = default_factors(p);
+            for mode in [CompositeMode::ZBuffer, CompositeMode::AlphaOrdered] {
+                for (wire, (want, want_st)) in [
+                    (
+                        CompositeWire::Dense,
+                        radix_k_opts(&imgs, mode, net, &factors, ExchangeOptions::dense()),
+                    ),
+                    (
+                        CompositeWire::Compressed,
+                        radix_k_opts(&imgs, mode, net, &factors, ExchangeOptions::default()),
+                    ),
+                    (
+                        CompositeWire::Dfb,
+                        dfb_compose_opts(&imgs, mode, net, ExchangeOptions::default()),
+                    ),
+                ] {
+                    let (got, st) = compose(&imgs, mode, net, wire);
+                    let what = format!("p={p} {mode:?} {}", wire.name());
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                    assert_eq!(st.total_bytes, want_st.total_bytes, "{what}");
+                    assert_eq!(st.dense_bytes, want_st.dense_bytes, "{what}");
+                    assert_eq!(st.per_round, want_st.per_round, "{what}");
+                    assert_eq!(st.rounds, want_st.rounds, "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn single_rank_is_identity() {
+        let (net, opts) = (NetModel::cluster(), ExchangeOptions::default());
         let imgs = make_images(1, 10, 10, 5);
-        let (out, st) = direct_send(&imgs, CompositeMode::ZBuffer, NetModel::cluster());
+        let (out, st) = direct_send_opts(&imgs, CompositeMode::ZBuffer, net, opts);
         assert!(out.max_color_diff(&imgs[0]) < 1e-7);
         assert_eq!(st.total_bytes, 0);
         assert_eq!(st.dense_bytes, 0);

@@ -31,7 +31,7 @@
 //! rendering and compositing — the DFB's reason to exist — shows up in
 //! `simulated_seconds`.
 
-use crate::algorithms::{views_of, CompositeStats, ExchangeOptions, Fragment, RoundBytes};
+use crate::algorithms::{views_of, CompositeStats, ExchangeOptions, Fragment};
 use crate::image::{CompositeMode, PixelView, Pixels, RankImage};
 use crate::rle::SpanImage;
 use mpirt::{EventWorld, NetModel};
@@ -107,24 +107,14 @@ impl<F: Fragment> TileBuffer<F> {
     }
 }
 
-/// DFB composite with default options (compressed fragments).
-pub fn dfb_compose(
-    images: &[impl Pixels],
-    mode: CompositeMode,
-    net: NetModel,
-) -> (RankImage, CompositeStats) {
-    dfb_compose_opts(images, mode, net, ExchangeOptions::default())
-}
-
-/// [`dfb_compose`] with explicit exchange options.
+/// DFB composite with every rank's clock starting at zero.
 pub fn dfb_compose_opts(
     images: &[impl Pixels],
     mode: CompositeMode,
     net: NetModel,
     opts: ExchangeOptions,
 ) -> (RankImage, CompositeStats) {
-    let starts = vec![0.0; images.len()];
-    dfb_compose_staggered(images, mode, net, opts, &starts)
+    dfb_compose_staggered(images, mode, net, opts, &vec![0.0; images.len()])
 }
 
 /// DFB composite where rank `r`'s clock starts at `starts[r]` — its render
@@ -137,12 +127,7 @@ pub fn dfb_compose_staggered(
     opts: ExchangeOptions,
     starts: &[f64],
 ) -> (RankImage, CompositeStats) {
-    let images = views_of(images);
-    if opts.compress {
-        run_dfb::<SpanImage>(&images, mode, net, starts, None)
-    } else {
-        run_dfb::<RankImage>(&images, mode, net, starts, None)
-    }
+    dfb(images, mode, net, opts, starts, None)
 }
 
 /// Adversarial entry point: deliver every tile's fragments in a seeded
@@ -156,12 +141,23 @@ pub fn dfb_compose_shuffled(
     opts: ExchangeOptions,
     arrival_seed: u64,
 ) -> (RankImage, CompositeStats) {
-    let starts = vec![0.0; images.len()];
+    dfb(images, mode, net, opts, &vec![0.0; images.len()], Some(arrival_seed))
+}
+
+/// Run the exchange in the wire format `opts` selects.
+fn dfb(
+    images: &[impl Pixels],
+    mode: CompositeMode,
+    net: NetModel,
+    opts: ExchangeOptions,
+    starts: &[f64],
+    arrival_seed: Option<u64>,
+) -> (RankImage, CompositeStats) {
     let images = views_of(images);
     if opts.compress {
-        run_dfb::<SpanImage>(&images, mode, net, &starts, Some(arrival_seed))
+        run_dfb::<SpanImage>(&images, mode, net, starts, arrival_seed)
     } else {
-        run_dfb::<RankImage>(&images, mode, net, &starts, Some(arrival_seed))
+        run_dfb::<RankImage>(&images, mode, net, starts, arrival_seed)
     }
 }
 
@@ -237,7 +233,7 @@ fn run_dfb<F: Fragment>(
             }
         }
     }
-    let scatter = RoundBytes { wire_bytes: world.total_bytes, dense_bytes: world.dense_bytes };
+    world.close_round();
 
     // 3. Delivery order per tile: arrival order (ties broken by rank), or an
     //    adversarial permutation when a seed is given. The folded pixels must
@@ -304,10 +300,7 @@ fn run_dfb<F: Fragment>(
         let start = world.now(0).max(first_byte);
         world.recv(0, start + transfer);
     }
-    let gather = RoundBytes {
-        wire_bytes: world.total_bytes - scatter.wire_bytes,
-        dense_bytes: world.dense_bytes - scatter.dense_bytes,
-    };
+    world.close_round();
 
     // 7. Final assembly at the root.
     let t_asm = Instant::now();
@@ -322,7 +315,7 @@ fn run_dfb<F: Fragment>(
     world.compute(0, asm);
     compute_total += asm;
 
-    (out, CompositeStats::from_world(&world, compute_total, vec![scatter, gather]))
+    (out, CompositeStats::from_world(world, compute_total))
 }
 
 #[cfg(test)]
@@ -371,7 +364,8 @@ mod tests {
             let imgs = make_images(p, 16, 9, 40 + p as u64);
             for mode in [CompositeMode::ZBuffer, CompositeMode::AlphaOrdered] {
                 let expect = reference(&imgs, mode);
-                let (out, _) = dfb_compose(&imgs, mode, NetModel::cluster());
+                let (out, _) =
+                    dfb_compose_opts(&imgs, mode, NetModel::cluster(), ExchangeOptions::default());
                 assert_eq!(bits(&out), bits(&expect), "p={p} {mode:?}");
             }
         }
@@ -396,7 +390,8 @@ mod tests {
     fn shuffled_arrivals_do_not_change_pixels() {
         let imgs = make_images(7, 24, 13, 99);
         for mode in [CompositeMode::ZBuffer, CompositeMode::AlphaOrdered] {
-            let (canonical, _) = dfb_compose(&imgs, mode, NetModel::cluster());
+            let (canonical, _) =
+                dfb_compose_opts(&imgs, mode, NetModel::cluster(), ExchangeOptions::default());
             for seed in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
                 let (out, _) = dfb_compose_shuffled(
                     &imgs,
@@ -413,7 +408,12 @@ mod tests {
     #[test]
     fn single_rank_moves_no_bytes() {
         let imgs = make_images(1, 10, 10, 5);
-        let (out, st) = dfb_compose(&imgs, CompositeMode::ZBuffer, NetModel::cluster());
+        let (out, st) = dfb_compose_opts(
+            &imgs,
+            CompositeMode::ZBuffer,
+            NetModel::cluster(),
+            ExchangeOptions::default(),
+        );
         assert_eq!(bits(&out), bits(&imgs[0]));
         assert_eq!(st.total_bytes, 0);
         assert_eq!(st.dense_bytes, 0);
@@ -423,7 +423,12 @@ mod tests {
     #[test]
     fn per_round_tallies_sum_to_totals() {
         let imgs = make_images(8, 64, 48, 21);
-        let (_, st) = dfb_compose(&imgs, CompositeMode::AlphaOrdered, NetModel::cluster());
+        let (_, st) = dfb_compose_opts(
+            &imgs,
+            CompositeMode::AlphaOrdered,
+            NetModel::cluster(),
+            ExchangeOptions::default(),
+        );
         assert_eq!(st.per_round.len(), 2);
         let wire: u64 = st.per_round.iter().map(|r| r.wire_bytes).sum();
         let dense: u64 = st.per_round.iter().map(|r| r.dense_bytes).sum();
@@ -448,7 +453,12 @@ mod tests {
         // The slowest producer bounds the exchange from below; pixels are
         // unaffected by the stagger.
         assert!(st.simulated_seconds >= 2.0);
-        let (plain, _) = dfb_compose(&imgs, CompositeMode::AlphaOrdered, NetModel::cluster());
+        let (plain, _) = dfb_compose_opts(
+            &imgs,
+            CompositeMode::AlphaOrdered,
+            NetModel::cluster(),
+            ExchangeOptions::default(),
+        );
         assert_eq!(bits(&out), bits(&plain));
     }
 

@@ -54,31 +54,9 @@ pub struct RenderSample {
     pub tasks: usize,
 }
 
-/// Which exchange the wire bytes of a compositing measurement traveled as:
-/// dense full-image fragments, run-length-compressed active-pixel spans
-/// (the default wire path since the RLE compositing change), or the
-/// asynchronous per-tile Distributed FrameBuffer exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CompositeWire {
-    /// Full-image fragments, uncompressed.
-    Dense,
-    #[default]
-    /// Run-length-encoded active-pixel spans.
-    Compressed,
-    /// Message-driven per-tile exchange (compressed fragments, no barrier).
-    Dfb,
-}
-
-impl CompositeWire {
-    /// Stable lowercase name used in CSV rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CompositeWire::Dense => "dense",
-            CompositeWire::Compressed => "compressed",
-            CompositeWire::Dfb => "dfb",
-        }
-    }
-}
+/// Which exchange a compositing measurement ran; defined by the exchange
+/// layer, which dispatches on it.
+pub use compositing::CompositeWire;
 
 /// One image-compositing measurement.
 #[derive(Debug, Clone)]

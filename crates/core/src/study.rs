@@ -4,7 +4,7 @@
 //! [`StudyConfig`] so the full sweep and a laptop-quick sweep share code).
 
 use crate::sample::{CompositeSample, CompositeWire, RenderSample, RendererKind};
-use compositing::{dfb_compose_opts, radix_k_opts, CompositeMode, ExchangeOptions, RankImage};
+use compositing::{compose, CompositeMode, RankImage};
 use dpp::Device;
 use mesh::datasets::{field_grid, FieldKind};
 use mesh::external_faces::external_faces_grid;
@@ -316,7 +316,6 @@ pub fn run_composite_study_wired(
             let images = synth_rank_images(tasks, side, seed ^ (tasks as u64) << 20 ^ side as u64);
             let avg_ap =
                 images.iter().map(|i| i.active_pixels() as f64).sum::<f64>() / tasks as f64;
-            let factors = compositing::algorithms::default_factors(tasks);
             for wire in [CompositeWire::Dense, CompositeWire::Compressed, CompositeWire::Dfb] {
                 // Min of three runs: the clock only ever sees scheduler
                 // jitter as inflation (a barriered round takes the maximum
@@ -326,28 +325,7 @@ pub fn run_composite_study_wired(
                 let seconds = (0..3)
                     .map(|_| {
                         timing_pool
-                            .install(|| match wire {
-                                CompositeWire::Dense => radix_k_opts(
-                                    &images,
-                                    CompositeMode::AlphaOrdered,
-                                    net,
-                                    &factors,
-                                    ExchangeOptions::dense(),
-                                ),
-                                CompositeWire::Compressed => radix_k_opts(
-                                    &images,
-                                    CompositeMode::AlphaOrdered,
-                                    net,
-                                    &factors,
-                                    ExchangeOptions::default(),
-                                ),
-                                CompositeWire::Dfb => dfb_compose_opts(
-                                    &images,
-                                    CompositeMode::AlphaOrdered,
-                                    net,
-                                    ExchangeOptions::default(),
-                                ),
-                            })
+                            .install(|| compose(&images, CompositeMode::AlphaOrdered, net, wire))
                             .1
                             .simulated_seconds
                     })
@@ -498,7 +476,6 @@ mod tests {
         let (net, tasks, seed) = (NetModel::cluster(), 8usize, 9u64);
         let samples = run_composite_study_wired(net, &[tasks], &[64, 128], seed).unwrap();
         assert_eq!(samples.len(), 6);
-        let factors = compositing::algorithms::default_factors(tasks);
         for side in [64u32, 128u32] {
             let px = (side as f64) * (side as f64);
             let of = |wire| samples.iter().find(|s| s.pixels == px && s.wire == wire).unwrap();
@@ -513,9 +490,8 @@ mod tests {
             let images = synth_rank_images(tasks, side, seed ^ (tasks as u64) << 20 ^ side as u64);
             let ap = images.iter().map(|i| i.active_pixels() as f64).sum::<f64>() / tasks as f64;
             assert_eq!(ap, comp.avg_active_pixels, "side {side}: not the study's images");
-            let exchange =
-                |opts| radix_k_opts(&images, CompositeMode::AlphaOrdered, net, &factors, opts).1;
-            let (d, c) = (exchange(ExchangeOptions::dense()), exchange(ExchangeOptions::default()));
+            let exchange = |wire| compose(&images, CompositeMode::AlphaOrdered, net, wire).1;
+            let (d, c) = (exchange(CompositeWire::Dense), exchange(CompositeWire::Compressed));
             assert_eq!(c.dense_bytes, d.total_bytes, "side {side}: other partitions moved");
             assert!(c.total_bytes < d.total_bytes, "side {side}: {c:?} vs {d:?}");
         }
@@ -580,21 +556,15 @@ mod tests {
         let (net, big, mode) = (NetModel::cluster(), 512.0 * 512.0, CompositeMode::AlphaOrdered);
         let (mut rle, mut dfb) = (Vec::new(), Vec::new());
         for tasks in [2usize, 8, 64] {
-            let factors = compositing::algorithms::default_factors(tasks);
             for side in [256u32, 512, 1024] {
                 let images =
                     synth_rank_images(tasks, side, 31 ^ (tasks as u64) << 20 ^ side as u64);
                 let ap =
                     images.iter().map(|i| i.active_pixels() as f64).sum::<f64>() / tasks as f64;
-                let opts = ExchangeOptions::default();
-                for (wire, stats, out) in [
-                    (
-                        CompositeWire::Compressed,
-                        radix_k_opts(&images, mode, net, &factors, opts).1,
-                        &mut rle,
-                    ),
-                    (CompositeWire::Dfb, dfb_compose_opts(&images, mode, net, opts).1, &mut dfb),
-                ] {
+                for (wire, out) in
+                    [(CompositeWire::Compressed, &mut rle), (CompositeWire::Dfb, &mut dfb)]
+                {
+                    let stats = compose(&images, mode, net, wire).1;
                     let seconds = stats.total_bytes as f64 / net.bandwidth_bps;
                     let pixels = f64::from(side) * f64::from(side);
                     let sample =

@@ -22,7 +22,10 @@
 //!
 //! Byte accounting is the same on both paths: `total_bytes` is
 //! post-compression wire traffic, `dense_bytes` what the same sends would
-//! have cost uncompressed, and the clock always advances on wire bytes.
+//! have cost uncompressed, and the clock always advances on wire bytes. The
+//! world also keeps the one per-round record, [`RoundBytes`]: a barriered
+//! round records its own costs' bytes, and a message-driven exchange closes
+//! its phases with [`EventWorld::close_round`].
 
 use crate::net::NetModel;
 
@@ -51,6 +54,15 @@ impl RoundCost {
     }
 }
 
+/// Wire vs. would-have-been-dense bytes of one communication round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoundBytes {
+    /// Bytes actually moved (compressed when compression is on).
+    pub wire_bytes: u64,
+    /// Bytes a dense exchange of the same data would have moved.
+    pub dense_bytes: u64,
+}
+
 /// Per-rank-clock executor for message-driven and barriered exchanges.
 #[derive(Debug, Clone)]
 pub struct EventWorld {
@@ -64,11 +76,9 @@ pub struct EventWorld {
     pub total_bytes: u64,
     /// Bytes the same sends would have moved uncompressed.
     pub dense_bytes: u64,
-    /// Messages injected by [`EventWorld::send`].
-    pub messages: u64,
-    /// `(wire_bytes, dense_bytes)` of each barriered round, in execution
-    /// order.
-    pub round_bytes: Vec<(u64, u64)>,
+    /// The bytes of each round closed so far, barriered or not, in
+    /// execution order.
+    pub round_bytes: Vec<RoundBytes>,
 }
 
 impl EventWorld {
@@ -86,7 +96,6 @@ impl EventWorld {
             elapsed_s: starts.iter().copied().fold(0.0, f64::max),
             total_bytes: 0,
             dense_bytes: 0,
-            messages: 0,
             round_bytes: Vec::new(),
         }
     }
@@ -122,7 +131,6 @@ impl EventWorld {
         self.compute(from, self.net.latency_s);
         self.total_bytes += wire_bytes as u64;
         self.dense_bytes += bytes_dense as u64;
-        self.messages += 1;
         self.clock[from] + wire_bytes as f64 / self.net.bandwidth_bps
     }
 
@@ -146,7 +154,19 @@ impl EventWorld {
         self.clock.fill(self.elapsed_s);
         self.total_bytes += wire;
         self.dense_bytes += dense;
-        self.round_bytes.push((wire, dense));
+        self.round_bytes.push(RoundBytes { wire_bytes: wire, dense_bytes: dense });
+    }
+
+    /// Close a round of message-driven traffic: record, as one
+    /// [`RoundBytes`], what [`EventWorld::send`] moved that no round closed
+    /// so far holds.
+    pub fn close_round(&mut self) {
+        let (wire, dense) =
+            self.round_bytes.iter().fold((0, 0), |(w, d), r| (w + r.wire_bytes, d + r.dense_bytes));
+        self.round_bytes.push(RoundBytes {
+            wire_bytes: self.total_bytes - wire,
+            dense_bytes: self.dense_bytes - dense,
+        });
     }
 
     /// Simulated elapsed seconds: the slowest rank's clock.
@@ -184,7 +204,6 @@ mod tests {
         assert!((arrival - 2e-3).abs() < 1e-12);
         w.recv(1, arrival);
         assert!((w.now(1) - 2e-3).abs() < 1e-12);
-        assert_eq!(w.messages, 1);
     }
 
     #[test]
@@ -203,7 +222,18 @@ mod tests {
         w.send(1, 100, 100);
         assert_eq!(w.total_bytes, 350);
         assert_eq!(w.dense_bytes, 1100);
-        assert_eq!(w.messages, 2);
+    }
+
+    #[test]
+    fn a_closed_round_holds_the_sends_no_earlier_round_holds() {
+        let mut w = EventWorld::new(3, NetModel::cluster());
+        w.send(0, 100, 400);
+        w.send(1, 20, 20);
+        w.close_round();
+        w.send(2, 50, 60);
+        w.close_round();
+        let round = |wire_bytes, dense_bytes| RoundBytes { wire_bytes, dense_bytes };
+        assert_eq!(w.round_bytes, vec![round(120, 420), round(50, 60)]);
     }
 
     #[test]
@@ -267,7 +297,7 @@ mod tests {
         assert!((w.elapsed_s - 250e-6).abs() < 1e-12);
         assert_eq!(w.total_bytes, 250);
         assert_eq!(w.dense_bytes, 1000);
-        assert_eq!(w.round_bytes, vec![(250, 1000)]);
+        assert_eq!(w.round_bytes, vec![RoundBytes { wire_bytes: 250, dense_bytes: 1000 }]);
     }
 
     #[test]
@@ -295,6 +325,6 @@ mod tests {
         // Event sends and round sends land in the same byte tallies.
         assert_eq!(w.total_bytes, 3000);
         assert_eq!(w.dense_bytes, 6000);
-        assert_eq!(w.round_bytes, vec![(2000, 2000)]);
+        assert_eq!(w.round_bytes, vec![RoundBytes { wire_bytes: 2000, dense_bytes: 2000 }]);
     }
 }

@@ -19,7 +19,7 @@
 pub mod event;
 pub mod net;
 
-pub use event::{EventWorld, RoundCost};
+pub use event::{EventWorld, RoundBytes, RoundCost};
 pub use net::NetModel;
 
 /// What `benchmark/` still calls the engine (barriered rounds once had a

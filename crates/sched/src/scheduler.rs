@@ -14,7 +14,7 @@ use crate::ladder::{first_fit, Ladder, Rung, LADDER};
 use crate::refit::{OnlineRefit, RefitReport};
 use perfmodel::feasibility::{ModelSet, MIN_PREDICTED_SECONDS};
 use perfmodel::mapping::{MappingConstants, RenderConfig};
-use perfmodel::sample::{CompositeSample, CompositeWire, RenderSample, RendererKind, Sample};
+use perfmodel::sample::{CompositeSample, RenderSample, RendererKind, Sample};
 
 /// One queued render request (what the simulation asked for).
 #[derive(Debug, Clone, Copy)]
@@ -410,7 +410,7 @@ impl strawman::AdmissionHook for Scheduler {
             pixels: done.pixels,
             avg_active_pixels: done.avg_active_pixels,
             seconds: done.seconds,
-            wire: if done.dfb { CompositeWire::Dfb } else { CompositeWire::Compressed },
+            wire: done.wire,
         }));
     }
 }

@@ -3,10 +3,7 @@
 
 use crate::mesh_convert::{convert, ConvertError, PublishedMesh};
 use crate::png;
-use compositing::{
-    dfb_compose_opts, radix_k_opts, CompositeMode, CompositeStats, ExchangeOptions, PixelView,
-    RankImage,
-};
+use compositing::{compose, CompositeMode, CompositeStats, CompositeWire, PixelView, RankImage};
 use conduit_node::Node;
 use dpp::Device;
 use mesh::external_faces::{external_faces_grid, external_faces_hex, external_faces_rectilinear};
@@ -79,9 +76,9 @@ pub struct CompositeObservation {
     pub avg_active_pixels: f64,
     /// Simulated exchange seconds.
     pub seconds: f64,
-    /// True when the exchange ran the asynchronous tile-owner (Distributed
-    /// FrameBuffer) protocol rather than barriered radix-k rounds.
-    pub dfb: bool,
+    /// The exchange that ran: compressed radix-k rounds, or the
+    /// asynchronous tile-owner Distributed FrameBuffer.
+    pub wire: CompositeWire,
 }
 
 /// Admission control consulted before every render when
@@ -334,12 +331,12 @@ impl Strawman {
     }
 
     /// Composite per-rank framebuffers (visibility order, front first) into
-    /// one frame, as a simulated radix-k exchange — or the asynchronous
-    /// tile-owner DFB exchange when [`Options::dfb_compositing`] is set —
-    /// shipping run-length-compressed active-pixel spans, as IceT does.
+    /// one frame through [`compose`]: [`CompositeWire::Compressed`] radix-k,
+    /// or [`CompositeWire::Dfb`] when [`Options::dfb_compositing`] is set,
+    /// both shipping run-length-compressed active-pixel spans, as IceT does.
     /// Records a `"compositing"` phase carrying the simulated exchange
-    /// seconds and wire bytes; returns the merged frame and the exchange
-    /// stats.
+    /// seconds and wire bytes, and reports the wire to the hook; returns the
+    /// merged frame and the exchange stats.
     pub fn composite(
         &mut self,
         frames: &[Framebuffer],
@@ -347,13 +344,9 @@ impl Strawman {
     ) -> (Framebuffer, CompositeStats) {
         assert!(!frames.is_empty(), "composite of zero frames");
         let views: Vec<PixelView> = frames.iter().map(frame_view).collect();
-        let opts = ExchangeOptions::default();
-        let (merged, stats) = if self.opts.dfb_compositing {
-            dfb_compose_opts(&views, mode, self.opts.net, opts)
-        } else {
-            let factors = compositing::algorithms::default_factors(views.len());
-            radix_k_opts(&views, mode, self.opts.net, &factors, opts)
-        };
+        let wire =
+            if self.opts.dfb_compositing { CompositeWire::Dfb } else { CompositeWire::Compressed };
+        let (merged, stats) = compose(&views, mode, self.opts.net, wire);
         let pixels = merged.num_pixels() as u64 * frames.len() as u64;
         self.phases.record_bytes("compositing", stats.simulated_seconds, pixels, stats.total_bytes);
         if let Some(hook) = self.opts.scheduler.as_mut() {
@@ -364,7 +357,7 @@ impl Strawman {
                 pixels: merged.num_pixels() as f64,
                 avg_active_pixels: avg_active,
                 seconds: stats.simulated_seconds,
-                dfb: self.opts.dfb_compositing,
+                wire,
             });
         }
         let RankImage { width, height, mut color, depth } = merged;
@@ -949,14 +942,8 @@ mod tests {
         // The dense exchange of the same frames: compression must not change
         // a single pixel, only the byte count.
         let views: Vec<PixelView> = frames.iter().map(frame_view).collect();
-        let factors = compositing::algorithms::default_factors(views.len());
-        let (dense, dense_stats) = radix_k_opts(
-            &views,
-            CompositeMode::ZBuffer,
-            NetModel::cluster(),
-            &factors,
-            ExchangeOptions::dense(),
-        );
+        let (dense, dense_stats) =
+            compose(&views, CompositeMode::ZBuffer, NetModel::cluster(), CompositeWire::Dense);
         let dense_img = from_rank_image(&dense);
         for i in 0..img.color.len() {
             assert_eq!(img.color[i], dense_img.color[i], "pixel {i}");
@@ -1078,7 +1065,7 @@ mod tests {
         let (_, stats) = sm.composite(&frames, CompositeMode::ZBuffer);
         let seen = log.borrow();
         assert_eq!(seen.len(), 1);
-        assert!(!seen[0].dfb);
+        assert_eq!(seen[0].wire, CompositeWire::Compressed);
         assert_eq!(seen[0].pixels, 256.0);
         assert_eq!(seen[0].avg_active_pixels, 40.0);
         assert_eq!(seen[0].seconds, stats.simulated_seconds);
@@ -1105,7 +1092,7 @@ mod tests {
         let (img, stats) = sm.composite(&frames, CompositeMode::ZBuffer);
         let seen = log.borrow();
         assert_eq!(seen.len(), 1);
-        assert!(seen[0].dfb);
+        assert_eq!(seen[0].wire, CompositeWire::Dfb);
         assert_eq!(seen[0].seconds, stats.simulated_seconds);
         // The protocol changes the schedule, never the pixels.
         let mut rk = Strawman::open(Options { device: Device::Serial, ..Options::default() });

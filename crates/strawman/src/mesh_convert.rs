@@ -12,7 +12,7 @@
 //!   unstructured: topology/elements/shape = "hexs",
 //!                 topology/elements/connectivity (u32 array, 8 per hex)
 //! fields/<name>/association = "vertex" | "element"
-//! fields/<name>/values      = f32 array
+//! fields/<name>/values      = f32 array (finite values only)
 //! ```
 
 use conduit_node::Node;
@@ -212,7 +212,14 @@ fn read_fields(data: &Node, n_points: usize, n_cells: usize) -> Result<Vec<Field
                     if assoc == Assoc::Point { "points" } else { "cells" }
                 )));
             }
-            out.push(Field { name: name.to_string(), assoc, values: values.to_vec() });
+            let values = values.to_vec();
+            if let Some(i) = values.iter().position(|v| !v.is_finite()) {
+                return Err(ConvertError::BadShape(format!(
+                    "field {name}[{i}] = {} is not finite",
+                    values[i]
+                )));
+            }
+            out.push(Field { name: name.to_string(), assoc, values });
         }
     }
     Ok(out)
@@ -381,6 +388,28 @@ mod tests {
         let mut d = uniform_node();
         d.set("fields/t/values", vec![0.0f32; 7]);
         assert!(matches!(convert(&d), Err(ConvertError::BadShape(_))));
+    }
+
+    /// No renderer can colour a NaN or infinite scalar, and the surface and
+    /// volume plots drew one differently, so a field value that is not
+    /// finite is refused at publish with the field and the index.
+    #[test]
+    fn non_finite_field_value_rejected() {
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut points = vec![1.0f32; 60];
+            points[17] = v;
+            let mut d = uniform_node();
+            d.set("fields/t/values", points);
+            let err = convert(&d).unwrap_err();
+            let ConvertError::BadShape(msg) = &err else { panic!("point {v}: {err}") };
+            assert!(msg.contains("field t[17]"), "{msg}");
+
+            let mut d = rectilinear_node();
+            d.set("fields/rho/values", vec![0.5f32, v]);
+            let err = convert(&d).unwrap_err();
+            let ConvertError::BadShape(msg) = &err else { panic!("cell {v}: {err}") };
+            assert!(msg.contains("field rho[1]"), "{msg}");
+        }
     }
 
     #[test]

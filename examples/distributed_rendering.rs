@@ -5,7 +5,7 @@
 //! algorithm, which also reports bytes moved and simulated seconds —
 //! producing identical pictures.
 
-use compositing::{radix_k, reference, CompositeMode, RankImage};
+use compositing::{compose, reference, CompositeMode, CompositeWire, RankImage};
 use dpp::Device;
 use mesh::datasets::{field_grid, FieldKind};
 use mesh::isosurface::isosurface;
@@ -57,13 +57,10 @@ fn main() {
     // --- Path 1: the serial reference, every rank image merged in order. ---
     let via_reference = reference(&images, CompositeMode::ZBuffer);
 
-    // --- Path 2: barriered radix-k over the same rank images. ---
-    let (via_radix, stats) = radix_k(
-        &images,
-        CompositeMode::ZBuffer,
-        NetModel::cluster(),
-        &compositing::algorithms::default_factors(RANKS),
-    );
+    // --- Path 2: barriered radix-k over the same rank images, shipping
+    // run-length-compressed spans. ---
+    let (via_radix, stats) =
+        compose(&images, CompositeMode::ZBuffer, NetModel::cluster(), CompositeWire::Compressed);
     println!(
         "radix-k: {} rounds, {} bytes moved, {:.4} s simulated",
         stats.rounds, stats.total_bytes, stats.simulated_seconds

@@ -3,8 +3,8 @@
 //! the whole scene, for every compositing algorithm.
 
 use compositing::{
-    binary_swap, binary_swap_opts, dfb_compose_opts, direct_send, direct_send_opts, radix_k,
-    radix_k_opts, reference, CompositeMode, ExchangeOptions, PixelView, RankImage,
+    binary_swap_opts, dfb_compose_opts, direct_send_opts, radix_k_opts, reference, CompositeMode,
+    ExchangeOptions, PixelView, RankImage,
 };
 use dpp::Device;
 use mesh::datasets::{field_grid, FieldKind};
@@ -76,11 +76,12 @@ fn distributed_render_equals_single_rank_render() {
     // Distributed: render slabs, composite with every algorithm.
     let images: Vec<RankImage> =
         (0..ranks).map(|r| render_mesh(&rank_mesh(r, ranks), &cam)).collect();
+    let (mode, net, opts) = (CompositeMode::ZBuffer, NetModel::zero(), ExchangeOptions::default());
     for (name, composited) in [
-        ("reference", reference(&images, CompositeMode::ZBuffer)),
-        ("direct_send", direct_send(&images, CompositeMode::ZBuffer, NetModel::zero()).0),
-        ("binary_swap", binary_swap(&images, CompositeMode::ZBuffer, NetModel::zero()).0),
-        ("radix_k", radix_k(&images, CompositeMode::ZBuffer, NetModel::zero(), &[2, 2]).0),
+        ("reference", reference(&images, mode)),
+        ("direct_send", direct_send_opts(&images, mode, net, opts).0),
+        ("binary_swap", binary_swap_opts(&images, mode, net, opts).0),
+        ("radix_k", radix_k_opts(&images, mode, net, &[2, 2], opts).0),
     ] {
         // Depth-composited sub-domains must reproduce the whole-scene image
         // almost exactly (tiny BVH traversal-order epsilon at slab seams).
@@ -159,11 +160,12 @@ fn compositing_cost_reported_for_simulated_scale() {
     // 256 simulated ranks: the simulated clock handles rank counts no thread
     // pool could, reporting wire-inclusive timing.
     let images = perfmodel::study::synth_rank_images(256, 64, 1);
-    let (out, stats) = radix_k(
+    let (out, stats) = radix_k_opts(
         &images,
         CompositeMode::AlphaOrdered,
         NetModel::cluster(),
         &compositing::algorithms::default_factors(256),
+        ExchangeOptions::default(),
     );
     assert_eq!(out.num_pixels(), 64 * 64);
     assert!(stats.simulated_seconds > 0.0);

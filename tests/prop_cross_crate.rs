@@ -1,6 +1,9 @@
 //! Cross-crate property tests: invariants that span subsystem boundaries.
 
-use compositing::{binary_swap, direct_send, radix_k, reference, CompositeMode, RankImage};
+use compositing::{
+    binary_swap_opts, direct_send_opts, radix_k_opts, reference, CompositeMode, ExchangeOptions,
+    RankImage,
+};
 use conduit_node::Node;
 use mpirt::NetModel;
 use proptest::prelude::*;
@@ -41,13 +44,14 @@ proptest! {
     fn compositing_algorithms_are_equivalent(images in arb_rank_images(12)) {
         for mode in [CompositeMode::ZBuffer, CompositeMode::AlphaOrdered] {
             let expect = reference(&images, mode);
-            let (ds, _) = direct_send(&images, mode, NetModel::zero());
+            let (net, opts) = (NetModel::zero(), ExchangeOptions::default());
+            let (ds, _) = direct_send_opts(&images, mode, net, opts);
             prop_assert!(ds.max_color_diff(&expect) < 3e-5);
             let factors = compositing::algorithms::default_factors(images.len());
-            let (rk, _) = radix_k(&images, mode, NetModel::zero(), &factors);
+            let (rk, _) = radix_k_opts(&images, mode, net, &factors, opts);
             prop_assert!(rk.max_color_diff(&expect) < 3e-5);
             if images.len().is_power_of_two() {
-                let (bs, _) = binary_swap(&images, mode, NetModel::zero());
+                let (bs, _) = binary_swap_opts(&images, mode, net, opts);
                 prop_assert!(bs.max_color_diff(&expect) < 3e-5);
             }
         }
