@@ -12,7 +12,7 @@ use crate::counters::{PhaseTimer, RenderOutput, RenderStats};
 use crate::framebuffer::Framebuffer;
 use dpp::{map, Device};
 use mesh::UniformGrid;
-use vecmath::{over, Camera, Color, TransferFunction, Vec3};
+use vecmath::{over, Aabb, Camera, Color, TransferFunction, Vec3};
 
 /// Configuration for the structured volume renderer.
 #[derive(Debug, Clone)]
@@ -45,6 +45,10 @@ pub enum SvrError {
     },
     /// `samples_per_ray` is 0, which leaves no sample spacing.
     NoSamples,
+    /// `samples_per_ray` spaces samples closer than an `f32` ray parameter
+    /// can step at the far side of the grid, where `sample_t += dt` would
+    /// leave `sample_t` where it was and the march would never end.
+    SpacingBelowPrecision(u32),
 }
 
 impl std::fmt::Display for SvrError {
@@ -58,6 +62,10 @@ impl std::fmt::Display for SvrError {
                 write!(f, "point field {name} has {found} values for {expected} points")
             }
             SvrError::NoSamples => write!(f, "samples_per_ray must be at least 1"),
+            SvrError::SpacingBelowPrecision(n) => write!(
+                f,
+                "samples_per_ray {n} spaces samples below the precision of the ray parameter"
+            ),
         }
     }
 }
@@ -101,6 +109,10 @@ pub fn render_structured(
     if cfg.samples_per_ray == 0 {
         return Err(SvrError::NoSamples);
     }
+    let bounds = grid.bounds();
+    if !advances_to(sample_spacing(&bounds, cfg), farthest_corner(&bounds, camera.position)) {
+        return Err(SvrError::SpacingBelowPrecision(cfg.samples_per_ray));
+    }
     let n_px = (width * height) as u64;
 
     let mut phases = PhaseTimer::new();
@@ -137,7 +149,7 @@ fn raycast_stage(
     cfg: &SvrConfig,
 ) -> Vec<(Color, RayWork)> {
     let bounds = grid.bounds();
-    let dt = bounds.diagonal() / cfg.samples_per_ray as f32;
+    let dt = sample_spacing(&bounds, cfg);
     let n_px = (width * height) as usize;
     let rays = camera.pixel_rays(width, height);
     map(device, n_px, |i| {
@@ -147,6 +159,25 @@ fn raycast_stage(
         };
         march_ray(grid, field, &ray, t_in, t_out, dt, tf, cfg.early_termination)
     })
+}
+
+/// The distance between consecutive samples of a ray.
+fn sample_spacing(bounds: &Aabb, cfg: &SvrConfig) -> f32 {
+    bounds.diagonal() / cfg.samples_per_ray as f32
+}
+
+/// The distance from `eye` to the farthest corner of `bounds`: no ray from
+/// `eye` leaves the box farther along its (unit) direction.
+fn farthest_corner(bounds: &Aabb, eye: Vec3) -> f32 {
+    (bounds.min - eye).abs().max((bounds.max - eye).abs()).length()
+}
+
+/// True when `t += dt` moves every `t` in `[0, t_far]`, with a margin for
+/// the rounding of the slab test's exit: `dt` is more than half an ulp at
+/// the top of the binade that holds the margined `t_far`.
+fn advances_to(dt: f32, t_far: f32) -> bool {
+    let binade = f32::from_bits((t_far * (1.0 + 1.0 / 1024.0)).to_bits() & 0x7f80_0000);
+    dt > binade * (f32::EPSILON / 2.0)
 }
 
 /// The frame-assembly stage: fold per-ray results into a framebuffer plus
@@ -174,10 +205,10 @@ fn assemble_stage(
     (frame, active, total_samples, total_cells)
 }
 
-/// Samples whose colours are computed before any of them is composited. A
-/// colour depends only on its own position, so the batch's TF lookups
-/// overlap, where a loop that composites each sample before taking the next
-/// waits on every lookup in turn.
+/// Samples taken per batch, and the width of the batch's lane loop. The
+/// loop from position to TF table position has a fixed trip count and no
+/// exit, so it runs in SIMD lanes; only the table gather and the composite
+/// wait on each other.
 const SAMPLE_BATCH: usize = 8;
 
 /// March one ray through the grid with a cell-stepping DDA; returns the
@@ -258,14 +289,22 @@ fn march_ray(
         let t_exit = t_max[0].min(t_max[1]).min(t_max[2]).min(t_out);
 
         // --- Sample-frequency work inside [t, t_exit), a batch at a time:
-        // colours at positions taken by the same serial `+= dt`, then
-        // compositing in order with the per-sample early-termination test,
-        // so only the samples composited are counted. ---
+        // positions by the same serial `+= dt`; then, in lanes, each
+        // position's value and TF table position (lanes past `n` are
+        // computed and discarded); then the gather and the composite in
+        // order with the per-sample early-termination test, so only the
+        // samples composited are counted. ---
         while sample_t < t_exit {
-            let mut cols = [Color::TRANSPARENT; SAMPLE_BATCH];
+            let mut ts = [0.0f32; SAMPLE_BATCH];
             let mut n = 0;
             while n < SAMPLE_BATCH && sample_t < t_exit {
-                let f = (ray.at(sample_t) - cell_min) * inv_sp;
+                ts[n] = sample_t;
+                sample_t += dt;
+                n += 1;
+            }
+            let mut at = [(0u32, 0.0f32); SAMPLE_BATCH];
+            for (at, &st) in at.iter_mut().zip(&ts) {
+                let f = (ray.at(st) - cell_min) * inv_sp;
                 let fx = f.x.clamp(0.0, 1.0);
                 let fy = f.y.clamp(0.0, 1.0);
                 let fz = f.z.clamp(0.0, 1.0);
@@ -275,11 +314,10 @@ fn march_ray(
                 let c11 = c[6] * (1.0 - fx) + c[7] * fx;
                 let v =
                     (c00 * (1.0 - fy) + c10 * fy) * (1.0 - fz) + (c01 * (1.0 - fy) + c11 * fy) * fz;
-                cols[n] = tf.sample(v);
-                sample_t += dt;
-                n += 1;
+                *at = tf.locate(v);
             }
-            for col in &cols[..n] {
+            for &at in &at[..n] {
+                let col = tf.entry(at);
                 if col.a > 0.0 {
                     acc = over(acc, col.premultiplied());
                 }
@@ -614,6 +652,120 @@ mod tests {
         assert!(terminated > 100, "only {terminated} rays terminated early");
     }
 
+    /// Every pixel of a `side`² close view of `field` of `grid`, through
+    /// `raycast_stage` on both devices, against `march_ray_reference`: RGBA
+    /// bits, samples and cells. Returns how many rays terminated early.
+    fn assert_march_is_the_reference(
+        grid: &UniformGrid,
+        field: &str,
+        tf: &TransferFunction,
+        side: u32,
+        what: &str,
+    ) -> usize {
+        let cfg = SvrConfig::default();
+        let values = &grid.field(field).unwrap().values;
+        let bounds = grid.bounds();
+        let cam = Camera::close_view(&bounds);
+        let dt = bounds.diagonal() / cfg.samples_per_ray as f32;
+        let rays = cam.pixel_rays(side, side);
+        let reference: Vec<_> = (0..side * side)
+            .map(|i| {
+                let ray = rays.ray(i % side, i / side, 0.5, 0.5);
+                ray_bits(match bounds.intersect_ray(&ray, cam.near, f32::INFINITY) {
+                    Some((t_in, t_out)) => march_ray_reference(
+                        grid,
+                        values,
+                        &ray,
+                        t_in,
+                        t_out,
+                        dt,
+                        tf,
+                        cfg.early_termination,
+                    ),
+                    None => (Color::TRANSPARENT, RayWork::default()),
+                })
+            })
+            .collect();
+        for (d, device) in [Device::Serial, Device::parallel()].iter().enumerate() {
+            let lanes = raycast_stage(device, grid, values, &cam, side, side, tf, &cfg);
+            for (px, (got, want)) in lanes.into_iter().zip(&reference).enumerate() {
+                assert_eq!(ray_bits(got), *want, "{what}, pixel {px}, device {d}");
+            }
+        }
+        reference.iter().filter(|(c, ..)| f32::from_bits(c[3]) >= cfg.early_termination).count()
+    }
+
+    /// The grid of a CloverLeaf run with `dims` cells, as
+    /// `insitu_volume_structured` renders it (`dims` = 32³), at each sim
+    /// step in `steps`, with its `sparse_features` TF.
+    fn cloverleaf_frames(
+        dims: [usize; 3],
+        steps: &[usize],
+    ) -> Vec<(usize, UniformGrid, TransferFunction)> {
+        let mut sim = sims::Cloverleaf::with_dims(dims);
+        let mut frames = Vec::new();
+        for step in 0..=steps.iter().copied().max().unwrap_or(0) {
+            if step > 0 {
+                sims::ProxySim::step(&mut sim);
+            }
+            if steps.contains(&step) {
+                let grid = sim.grid().to_uniform();
+                let range = grid.field("density_p").unwrap().range().unwrap();
+                frames.push((step, grid, TransferFunction::sparse_features(range)));
+            }
+        }
+        frames
+    }
+
+    /// The lane march on the benchmark's own frame size, 320², at the first
+    /// and last sim steps the 96² oracle covers, with the benchmark's TF and
+    /// with its opacity ×4. Release only: debug checks step 0 at 160².
+    #[test]
+    fn batched_march_is_the_per_sample_march_on_the_benchmark_frame() {
+        let (steps, side): (&[usize], u32) =
+            if cfg!(debug_assertions) { (&[0], 160) } else { (&[0, 47], 320) };
+        let mut terminated = 0;
+        for (step, grid, tf) in cloverleaf_frames([32; 3], steps) {
+            for tf in [tf.clone(), tf.with_opacity_scale(4.0)] {
+                let what = format!("step {step} at {side}²");
+                terminated += assert_march_is_the_reference(&grid, "density_p", &tf, side, &what);
+            }
+        }
+        assert!(terminated > 1000, "only {terminated} rays terminated early");
+    }
+
+    /// A grid with a different cell count on each axis, so the corner
+    /// strides along j and k differ from a cube's and rays cross cells of
+    /// each axis at different rates.
+    #[test]
+    fn batched_march_is_the_per_sample_march_on_a_stretched_grid() {
+        let side = if cfg!(debug_assertions) { 48 } else { 128 };
+        for (step, grid, tf) in cloverleaf_frames([48, 32, 24], &[0, 15]) {
+            assert_eq!(grid.dims, [49, 33, 25]);
+            for tf in [tf.clone(), tf.with_opacity_scale(4.0)] {
+                let what = format!("48x32x24, step {step}");
+                assert_march_is_the_reference(&grid, "density_p", &tf, side, &what);
+            }
+        }
+    }
+
+    /// A TF whose range is one value (`hi == lo`): every lane takes the
+    /// mid-table branch of `locate`, so each sample has the same colour.
+    #[test]
+    fn batched_march_is_the_per_sample_march_under_a_one_value_range() {
+        let side = if cfg!(debug_assertions) { 48 } else { 96 };
+        for (step, grid, tf) in cloverleaf_frames([32; 3], &[0, 31]) {
+            let lo = tf.range.0;
+            for tf in [
+                TransferFunction::sparse_features((lo, lo)),
+                TransferFunction::cool_warm((lo, lo)).with_opacity_scale(4.0),
+            ] {
+                let what = format!("range ({lo}, {lo}), step {step}");
+                assert_march_is_the_reference(&grid, "density_p", &tf, side, &what);
+            }
+        }
+    }
+
     /// The error `render_structured` returns for `field` of `g` under `cfg`.
     fn render_error(g: &UniformGrid, field: &str, cfg: &SvrConfig) -> SvrError {
         let cam = Camera::close_view(&g.bounds());
@@ -644,6 +796,27 @@ mod tests {
     fn zero_samples_per_ray_is_an_error() {
         let cfg = SvrConfig { samples_per_ray: 0, ..SvrConfig::default() };
         assert_eq!(render_error(&volume(), "scalar", &cfg), SvrError::NoSamples);
+    }
+
+    /// A sample spacing below half an ulp of the ray parameter is refused
+    /// before the raycast, where the march would spin on a `sample_t` that
+    /// `+= dt` no longer moves. On a 2×2 frame of an 8³ grid (rays reach
+    /// t ≈ 4.7, where half an ulp is 2.4e-7), 10⁷ samples per ray
+    /// (dt ≈ 3.5e-7) still renders.
+    #[test]
+    fn a_spacing_the_ray_cannot_step_is_an_error() {
+        let g = field_grid(FieldKind::ShockShell, [8, 8, 8]);
+        let cam = Camera::close_view(&g.bounds());
+        let render = |samples_per_ray| {
+            let cfg = SvrConfig { samples_per_ray, ..SvrConfig::default() };
+            render_structured(&Device::Serial, &g, "scalar", &cam, 2, 2, &tfn(&g), &cfg)
+        };
+        let out = render(10_000_000).unwrap();
+        assert_eq!(out.stats.active_pixels, 4.0);
+        for n in [100_000_000, u32::MAX] {
+            let err = render(n).map(|out| out.stats.active_pixels).unwrap_err();
+            assert_eq!(err, SvrError::SpacingBelowPrecision(n));
+        }
     }
 
     #[test]

@@ -82,25 +82,52 @@ impl TransferFunction {
         )
     }
 
-    /// Look up the color for a raw scalar value.
+    /// Look up the color for a raw scalar value: [`Self::entry`] at
+    /// [`Self::locate`].
     #[inline]
     pub fn sample(&self, scalar: f32) -> Color {
-        let (lo, hi) = self.range;
-        let t = if hi > lo { (scalar - lo) / (hi - lo) } else { 0.5 };
-        self.sample_normalized(t)
+        self.entry(self.locate(scalar))
     }
 
-    /// Look up the color for a normalized scalar in `[0,1]` (clamped).
+    /// Where a raw scalar falls in the table: the entry index and the
+    /// fraction toward the next entry. A degenerate or inverted range maps
+    /// every scalar to the middle of the table.
+    #[inline]
+    pub fn locate(&self, scalar: f32) -> (u32, f32) {
+        let (lo, hi) = self.range;
+        let t = if hi > lo { (scalar - lo) / (hi - lo) } else { 0.5 };
+        Self::locate_normalized(t)
+    }
+
+    /// The table position of a normalized scalar, clamped to `[0,1]`: the
+    /// whole and fractional parts of `f = t·255`.
+    ///
+    /// The whole part is `f as u32`, taken without the cast, which SSE2 can
+    /// only do one value at a time: adding 2²³ to an `f` in `[0, 255]` rounds
+    /// it to the nearest integer and leaves that integer in the low mantissa
+    /// bits, and one compare takes a round-up back down. A NaN lands on entry
+    /// 0 with a NaN fraction, as the cast put it. The same bits as the cast
+    /// for every `t`, so the lanes of a batch take it in packed registers.
+    #[inline]
+    fn locate_normalized(t: f32) -> (u32, f32) {
+        let t = t.clamp(0.0, 1.0);
+        let f = t * (Self::TABLE_SIZE - 1) as f32;
+        let nearest = (f + 8_388_608.0).to_bits() & 0x007f_ffff;
+        let i = nearest - ((nearest as i32 as f32) > f) as u32;
+        let i = if f.is_nan() { 0 } else { i };
+        (i, f - i as i32 as f32)
+    }
+
+    /// The color at a table position from [`Self::locate`].
     ///
     /// `table[i] + delta[i]·frac` is `table[i].lerp(table[i + 1], frac)`
     /// bit for bit, with no branch for the last entry: `i` reaches 255 only
     /// at `t = 1`, where `frac` is 0.
+    ///
+    /// # Panics
+    /// If `i` is not below [`Self::TABLE_SIZE`], which `locate` never returns.
     #[inline]
-    pub fn sample_normalized(&self, t: f32) -> Color {
-        let t = t.clamp(0.0, 1.0);
-        let f = t * (Self::TABLE_SIZE - 1) as f32;
-        let i = f as u32;
-        let frac = f - i as f32;
+    pub fn entry(&self, (i, frac): (u32, f32)) -> Color {
         let i = i as usize;
         self.table[i].add(self.delta[i].scale(frac))
     }
@@ -214,6 +241,31 @@ mod tests {
         }
     }
 
+    /// `locate_normalized` takes the whole part the way `f as u32` does, on
+    /// either side of every table entry and every half-way point (where the
+    /// rounding add ties), on a sweep of the whole `[0, 1]` input range, and
+    /// on NaN, ±0 and the values the clamp catches.
+    #[test]
+    fn whole_part_is_the_cast() {
+        let cast = |t: f32| {
+            let f = t.clamp(0.0, 1.0) * (TransferFunction::TABLE_SIZE - 1) as f32;
+            let i = f as u32;
+            (i, (f - i as f32).to_bits())
+        };
+        let near_entries = (0..=2 * (TransferFunction::TABLE_SIZE - 1) as u32).flat_map(|h| {
+            let bits = (h as f32 / 2.0 / (TransferFunction::TABLE_SIZE - 1) as f32).to_bits();
+            bits.saturating_sub(64)..bits + 64
+        });
+        let sweep = (0..=1.0f32.to_bits()).step_by(4099);
+        let special = [f32::NAN, -f32::NAN, 0.0, -0.0, -1.0, 2.0, f32::INFINITY, f32::NEG_INFINITY]
+            .map(f32::to_bits);
+        for bits in near_entries.chain(sweep).chain(special) {
+            let t = f32::from_bits(bits);
+            let (i, frac) = TransferFunction::locate_normalized(t);
+            assert_eq!((i, frac.to_bits()), cast(t), "t = {t:?} ({bits:#010x})");
+        }
+    }
+
     fn color_bits(c: Color) -> [u32; 4] {
         [c.r.to_bits(), c.g.to_bits(), c.b.to_bits(), c.a.to_bits()]
     }
@@ -249,7 +301,9 @@ mod tests {
         /// inverted and arbitrary-bit ranges, on tables built from random
         /// control points (some channels exactly 0) and then opacity-scaled by
         /// any factor (negative and non-finite ones included, which put −0.0
-        /// and clamped alphas in the table).
+        /// and clamped alphas in the table). The split lookup the volume
+        /// ray caster takes in two loops — `locate`, then `entry` — gives
+        /// the same bits, from an index inside the table.
         #[test]
         fn forward_difference_lookup_is_the_lerp(
             points in collection::vec(
@@ -287,6 +341,9 @@ mod tests {
                 let v = scalar_of(kind, bits, u, range);
                 let (got, want) = (color_bits(tf.sample(v)), color_bits(sample_lerp(&tf, v)));
                 prop_assert_eq!(got, want, "scalar {v:?}, range {range:?}");
+                let at = tf.locate(v);
+                prop_assert!((at.0 as usize) < TransferFunction::TABLE_SIZE, "{at:?}");
+                prop_assert_eq!(color_bits(tf.entry(at)), got, "scalar {v:?}, range {range:?}");
             }
         }
     }
