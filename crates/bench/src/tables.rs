@@ -1082,11 +1082,12 @@ pub fn sched_demo(scale: Scale) -> TextTable {
             if scheduled {
                 for c in &report.cycles {
                     use std::fmt::Write as _;
-                    let within = c.actual_s <= report.budget_s;
+                    let (predicted_s, actual_s) = (c.predicted_s(), c.actual_s());
+                    let within = actual_s <= report.budget_s;
                     let _ = writeln!(
                         trajectory,
-                        "{},{},{},{:.6e},{:.6e},{within}",
-                        report.sim, c.cycle, c.level, c.predicted_s, c.actual_s
+                        "{},{},{},{predicted_s:.6e},{actual_s:.6e},{within}",
+                        report.sim, c.cycle, c.level
                     );
                 }
             }

@@ -105,26 +105,29 @@ impl ModelSet {
     }
 
     /// [`predict_frame_seconds`](ModelSet::predict_frame_seconds) for an
-    /// explicit compositing wire. Missing per-wire models degrade along
-    /// `CompDfb -> CompRle -> Comp`, so a set without the newer fits
-    /// predicts exactly what it always did.
+    /// explicit compositing wire: the sum of [`price_frame`](ModelSet::price_frame).
     pub fn predict_frame_seconds_wire(
         &self,
         cfg: &RenderConfig,
         k: &MappingConstants,
         wire: CompositeWire,
     ) -> f64 {
-        let inputs = map_inputs(cfg, k);
-        let local = self.predict_local_seconds(&inputs);
-        let sample = CompositeSample {
-            tasks: cfg.tasks,
-            pixels: cfg.pixels as f64,
-            avg_active_pixels: inputs.stats.active_pixels,
-            seconds: 0.0,
-            wire,
-        };
-        let comp = self.predict_composite_seconds(&sample, wire);
-        local.max(0.0) + comp.max(0.0)
+        let (local_s, comp_s) = self.price_frame(&map_inputs(cfg, k), wire);
+        local_s + comp_s
+    }
+
+    /// One frame's price at its mapped `inputs` in the paper's two parts,
+    /// `(max(T_LR), T_COMP)`, each clamped to 0. A frame at one task
+    /// exchanges nothing, so its `T_COMP` is 0. Missing per-wire models
+    /// degrade along `CompDfb -> CompRle -> Comp`, so a set without the newer
+    /// fits predicts exactly what it always did.
+    pub fn price_frame(&self, inputs: &RenderSample, wire: CompositeWire) -> (f64, f64) {
+        let (tasks, pixels, avg_active_pixels) =
+            (inputs.tasks, inputs.pixels, inputs.stats.active_pixels);
+        let sample = CompositeSample { tasks, pixels, avg_active_pixels, seconds: 0.0, wire };
+        let comp_s =
+            if tasks > 1 { self.predict_composite_seconds(&sample, wire).max(0.0) } else { 0.0 };
+        (self.predict_local_seconds(inputs).max(0.0), comp_s)
     }
 
     /// Predicted local render seconds (no build, no compositing, unclamped)
@@ -365,6 +368,27 @@ mod tests {
         // as dense.
         let fallback = bare.predict_frame_seconds_wire(&cfg, &k, CompositeWire::Dfb);
         assert_eq!(fallback.to_bits(), dense.to_bits());
+    }
+
+    /// `max(T_LR) + T_COMP` has no exchange at one task: the frame is its
+    /// local part alone, while two tasks pay the compositing model.
+    #[test]
+    fn one_task_frames_price_no_compositing() {
+        let (set, k) = (toy_models(), MappingConstants::default());
+        for renderer in
+            [RendererKind::RayTracing, RendererKind::Rasterization, RendererKind::VolumeRendering]
+        {
+            let one = RenderConfig { renderer, cells_per_task: 50, pixels: 512 * 512, tasks: 1 };
+            let inputs = map_inputs(&one, &k);
+            let (local_s, comp_s) = set.price_frame(&inputs, CompositeWire::Compressed);
+            assert_eq!((local_s, comp_s), (set.predict_local_seconds(&inputs).max(0.0), 0.0));
+            assert_eq!(set.predict_frame_seconds(&one, &k), local_s);
+            let two = RenderConfig { tasks: 2, ..one };
+            let (local_s, comp_s) = set.price_frame(&map_inputs(&two, &k), CompositeWire::Dense);
+            assert!(comp_s > 0.0, "{renderer:?}");
+            let frame = set.predict_frame_seconds_wire(&two, &k, CompositeWire::Dense);
+            assert_eq!(frame.to_bits(), (local_s + comp_s).to_bits());
+        }
     }
 
     #[test]

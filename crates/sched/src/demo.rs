@@ -64,16 +64,16 @@ impl DemoReport {
         if self.cycles.is_empty() {
             return 1.0;
         }
-        let within = self.cycles.iter().filter(|c| c.actual_s <= self.budget_s).count();
+        let within = self.cycles.iter().filter(|c| c.actual_s() <= self.budget_s).count();
         within as f64 / self.cycles.len() as f64
     }
 
     pub fn degraded_total(&self) -> u32 {
-        self.cycles.iter().map(|c| c.degraded).sum()
+        self.cycles.iter().map(|c| c.degraded()).sum()
     }
 
     pub fn rejected_total(&self) -> u32 {
-        self.cycles.iter().map(|c| c.rejected).sum()
+        self.cycles.iter().map(|c| c.rejected()).sum()
     }
 
     /// Median absolute relative prediction error over the first quartile of
@@ -279,7 +279,7 @@ mod tests {
             assert_eq!(report.cycles.len(), 10);
             assert!(report.budget_s > 0.0);
             // Something executed every cycle.
-            assert!(report.cycles.iter().all(|c| c.actual_s > 0.0));
+            assert!(report.cycles.iter().all(|c| c.actual_s() > 0.0));
         }
     }
 }

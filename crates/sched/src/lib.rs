@@ -14,12 +14,15 @@
 //! the frame — and hysteresis keeps fidelity from flapping cycle to cycle.
 //! A job is priced whole-frame, as the paper's models price it: no rung
 //! sheds a ray-tracer phase.
-//! After execution, each render and exchange comes back as one
-//! [`perfmodel::sample::Sample`] through [`Scheduler::observe_sample`], and a
-//! windowed re-solve over [`perfmodel::regression::LinearRegression`] shrinks
-//! prediction error over the run. The refit fits on the inputs each render
-//! observed; admission predicts on mapped inputs, since it prices a render
-//! before it runs.
+//! Every decision leaves a [`Receipt`]: the request, its rung, and its price
+//! split into local (t(map)), compositing and build seconds at the mapped
+//! inputs. Each render and exchange comes back as one
+//! [`perfmodel::sample::Sample`] through [`Scheduler::observe_sample`], fills
+//! the oldest receipt waiting for it with what it measured and, for a
+//! render, t(obs), the models' price at its observed inputs, and feeds a
+//! windowed re-solve over [`perfmodel::regression::LinearRegression`]. A
+//! closed [`CycleRecord`] is the cycle's receipts and refit report, so
+//! Table 16's split is read from [`Scheduler::history`] alone.
 //!
 //! [`Scheduler`] implements [`strawman::AdmissionHook`], so it plugs straight
 //! into [`strawman::Options`] to gate real renders, learning from each
@@ -45,5 +48,7 @@ pub use ladder::{Ladder, Rung, LADDER};
 pub use priority::{Priority, PRIORITIES};
 pub use rebalance::{RebalanceConfig, Rebalancer};
 pub use refit::OnlineRefit;
-pub use scheduler::{CycleRecord, Decision, PlannedJob, RenderRequest, Scheduler, SchedulerConfig};
+pub use scheduler::{
+    CycleRecord, Decision, PlannedJob, Receipt, RenderRequest, Scheduler, SchedulerConfig,
+};
 pub use simexec::{JobCost, SimulatedExecutor};

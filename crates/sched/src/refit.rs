@@ -71,15 +71,6 @@ impl OnlineRefit {
         q.push_back(s);
     }
 
-    /// Total buffered observations, for reporting.
-    pub fn len(&self) -> usize {
-        self.windows.iter().map(VecDeque::len).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Re-solve every family whose window holds at least `min_samples` of
     /// the samples it is fitted on (its [`Feed`]: the BVH-build model counts
     /// only samples with a *measured* build, each compositing model only its
@@ -346,7 +337,8 @@ mod tests {
                 refit.observe(s.clone());
                 all.observe(s.clone());
             }
-            assert_eq!(refit.len(), window.len(), "{}", row.name);
+            let buffered: usize = refit.windows.iter().map(VecDeque::len).sum();
+            assert_eq!(buffered, window.len(), "{}", row.name);
             let mut set = prior();
             let rep = refit.refit_into(&mut set);
             let expected = match row.family {
@@ -442,12 +434,12 @@ mod tests {
             s.stats.render_seconds = i as f64;
             refit.observe(Sample::Render(s));
         }
-        assert_eq!(refit.len(), 4);
         let seconds = |s: Option<&Sample>| match s {
             Some(Sample::Render(s)) => s.stats.render_seconds,
             other => panic!("not a render sample: {other:?}"),
         };
         let rt = &refit.windows[Family::Rt as usize];
+        assert_eq!(rt.len(), 4);
         assert_eq!(seconds(rt.back()), 9.0);
         assert_eq!(seconds(rt.front()), 6.0);
     }

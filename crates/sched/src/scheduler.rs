@@ -4,17 +4,19 @@
 //! each queued job's cost — local frame + compositing, plus the BVH build for
 //! the cycle's first ray-traced job (subsequent frames amortize it) — and
 //! packs jobs against the budget. When a job does not fit at the current
-//! fidelity, it walks down the degradation [`LADDER`]. Each executed job's
-//! observations come back as [`Sample`]s through
-//! [`observe_sample`](Scheduler::observe_sample) and feed [`OnlineRefit`], so
-//! predictions tighten as the run proceeds: the refit fits on the inputs a
-//! render observed, while admission predicts on mapped inputs.
+//! fidelity, it walks down the degradation [`LADDER`]. Every decision leaves
+//! a [`Receipt`]. Each executed job's observations come back as [`Sample`]s
+//! through [`observe_sample`](Scheduler::observe_sample), fill the oldest
+//! receipt waiting for them and feed [`OnlineRefit`], so predictions tighten
+//! as the run proceeds: the refit fits on the inputs a render observed,
+//! while admission predicts on mapped inputs.
 
 use crate::ladder::{first_fit, Ladder, Rung, LADDER};
 use crate::refit::{OnlineRefit, RefitReport};
 use perfmodel::feasibility::{ModelSet, MIN_PREDICTED_SECONDS};
-use perfmodel::mapping::{MappingConstants, RenderConfig};
-use perfmodel::sample::{CompositeSample, RenderSample, RendererKind, Sample};
+use perfmodel::mapping::{map_inputs, MappingConstants, RenderConfig};
+use perfmodel::sample::{CompositeSample, CompositeWire, RenderSample, RendererKind, Sample};
+use render::RenderStats;
 
 /// One queued render request (what the simulation asked for).
 #[derive(Debug, Clone, Copy)]
@@ -35,8 +37,16 @@ pub struct PlannedJob {
     /// differ from the request after a ladder switch).
     pub cfg: RenderConfig,
     pub rung: Rung,
-    /// Predicted cost charged against the budget (frame + compositing, plus
-    /// the BVH build if this job triggers one).
+    /// The inputs `cfg` maps to, which the job is priced at.
+    pub mapped: RenderStats,
+    /// t(map): the local frame seconds at `mapped`.
+    pub local_s: f64,
+    /// Compositing seconds (0 at one task).
+    pub comp_s: f64,
+    /// BVH build seconds, charged only to the cycle's first ray-traced job.
+    pub build_s: f64,
+    /// Predicted cost charged against the budget: the frame, floored at
+    /// [`MIN_PREDICTED_SECONDS`], plus the build.
     pub predicted_s: f64,
 }
 
@@ -49,23 +59,6 @@ pub enum Decision {
     Degrade(PlannedJob),
     /// Does not fit even at the deepest executable rung; drop the frame.
     Reject,
-}
-
-impl Decision {
-    pub fn job(&self) -> Option<&PlannedJob> {
-        match self {
-            Decision::Admit(j) | Decision::Degrade(j) => Some(j),
-            Decision::Reject => None,
-        }
-    }
-
-    pub fn label(&self) -> &'static str {
-        match self {
-            Decision::Admit(_) => "admit",
-            Decision::Degrade(_) => "degrade",
-            Decision::Reject => "reject",
-        }
-    }
 }
 
 /// Scheduler tuning knobs.
@@ -84,7 +77,7 @@ pub struct SchedulerConfig {
 
 /// Jobs are packed against `SAFETY * budget_s`, leaving headroom for
 /// prediction noise so small errors do not blow the budget.
-const SAFETY: f64 = 0.9;
+pub const SAFETY: f64 = 0.9;
 /// Consecutive headroom cycles required before regaining one rung.
 const HYSTERESIS_CYCLES: u32 = 3;
 /// Upgrading requires the cycle's demand one level up to fit within
@@ -101,50 +94,100 @@ impl SchedulerConfig {
     }
 }
 
-/// What one closed cycle looked like.
+/// One request's record, from decision to observation (Table 16's split):
+/// where on the ladder it landed, what it was priced at from which mapped
+/// inputs, and, once its samples came back, what the render observed, what
+/// the same models predict at those observed inputs, and what the exchange
+/// took.
 #[derive(Debug, Clone, Copy)]
+pub struct Receipt {
+    /// `None` on an unpriced receipt: a sample that arrived while no
+    /// decision of the open cycle waited for it.
+    pub request: Option<RenderRequest>,
+    /// The [`LADDER`] level the decision landed on; `LADDER.len()`, one past
+    /// the deepest rung, is the drop (rejected or unpriced).
+    pub level: usize,
+    /// The job as priced; `None` when rejected or unpriced.
+    pub job: Option<PlannedJob>,
+    /// The render's own statistics, measured seconds included.
+    pub observed: Option<RenderStats>,
+    /// t(obs): the local seconds the models predict at `observed`'s inputs
+    /// (0 until a render is observed).
+    pub t_obs_s: f64,
+    /// Seconds of the frame's compositing exchange.
+    pub exchange_s: Option<f64>,
+}
+
+impl Receipt {
+    /// A receipt no decision made: what an unmatched sample fills.
+    const UNPRICED: Receipt = Receipt {
+        request: None,
+        level: LADDER.len(),
+        job: None,
+        observed: None,
+        t_obs_s: 0.0,
+        exchange_s: None,
+    };
+}
+
+/// One cycle's receipts, in decision order, with the refit that closed it.
+/// While the cycle is open, `level` and `refit` wait for
+/// [`end_cycle`](Scheduler::end_cycle).
+#[derive(Debug, Clone)]
 pub struct CycleRecord {
     pub cycle: i64,
     /// Ladder level the cycle operated at (deepest rung reached).
     pub level: usize,
-    pub admitted: u32,
-    pub degraded: u32,
-    pub rejected: u32,
     /// Budget in force for the cycle.
     pub budget_s: f64,
-    /// Predicted cost of the executed jobs at decision time.
-    pub predicted_s: f64,
-    /// Measured cost of the executed jobs: the seconds of every observed
-    /// sample, i.e. what the models price (render and build phases, and
-    /// compositing). Strawman's wall time per render, surface extraction
-    /// included, stays in its `RenderRecord::render_seconds`.
-    pub actual_s: f64,
+    pub receipts: Vec<Receipt>,
+    /// What the end-of-cycle refit did (installed, rejected, condition-warned
+    /// families).
+    pub refit: RefitReport,
 }
 
 impl CycleRecord {
+    fn jobs(&self) -> impl Iterator<Item = &PlannedJob> {
+        self.receipts.iter().filter_map(|r| r.job.as_ref())
+    }
+
+    pub fn admitted(&self) -> u32 {
+        self.receipts.iter().filter(|r| r.job.is_some() && r.level == 0).count() as u32
+    }
+
+    pub fn degraded(&self) -> u32 {
+        self.receipts.iter().filter(|r| r.job.is_some() && r.level > 0).count() as u32
+    }
+
+    pub fn rejected(&self) -> u32 {
+        self.receipts.iter().filter(|r| r.request.is_some() && r.job.is_none()).count() as u32
+    }
+
+    /// Predicted cost of the cycle's jobs at decision time.
+    pub fn predicted_s(&self) -> f64 {
+        self.jobs().fold(0.0, |sum, j| sum + j.predicted_s)
+    }
+
+    /// Measured cost: the seconds of every observed sample, i.e. what the
+    /// models price (render and build phases, and compositing). Strawman's
+    /// wall time per render, surface extraction included, stays in its
+    /// `RenderRecord::render_seconds`.
+    pub fn actual_s(&self) -> f64 {
+        self.receipts.iter().fold(0.0, |sum, r| {
+            let sum = r.observed.map_or(sum, |o| sum + (o.render_seconds + o.build_seconds));
+            r.exchange_s.map_or(sum, |x| sum + x)
+        })
+    }
+
     pub fn within_budget(&self) -> bool {
-        self.actual_s <= self.budget_s
+        self.actual_s() <= self.budget_s
     }
 
     /// `|predicted - actual| / actual` for the cycle's executed work.
     pub fn abs_rel_error(&self) -> f64 {
-        (self.predicted_s - self.actual_s).abs() / self.actual_s.max(MIN_PREDICTED_SECONDS)
+        let actual_s = self.actual_s();
+        (self.predicted_s() - actual_s).abs() / actual_s.max(MIN_PREDICTED_SECONDS)
     }
-}
-
-struct OpenCycle {
-    cycle: i64,
-    budget_s: f64,
-    spent_predicted_s: f64,
-    actual_s: f64,
-    admitted: u32,
-    degraded: u32,
-    rejected: u32,
-    /// Everything requested this cycle (including rejected jobs), for the
-    /// end-of-cycle headroom computation.
-    requests: Vec<RenderRequest>,
-    /// A BVH build has been charged this cycle; later RT frames reuse it.
-    build_charged: bool,
 }
 
 /// The online scheduler. Create it with calibrated (or deliberately
@@ -160,31 +203,14 @@ pub struct Scheduler {
     refit: OnlineRefit,
     /// Closed cycles, oldest first.
     pub history: Vec<CycleRecord>,
-    /// What the most recent end-of-cycle refit did (installed, rejected,
-    /// condition-warned families).
-    pub last_refit: RefitReport,
-    cur: Option<OpenCycle>,
+    cur: Option<CycleRecord>,
 }
 
 impl Scheduler {
     pub fn new(models: ModelSet, constants: MappingConstants, cfg: SchedulerConfig) -> Scheduler {
         let ladder = Ladder::new(HYSTERESIS_CYCLES, LADDER.len() - 1);
         let refit = OnlineRefit::new(REFIT_WINDOW, REFIT_MIN_SAMPLES);
-        Scheduler {
-            models,
-            constants,
-            cfg,
-            ladder,
-            refit,
-            history: Vec::new(),
-            last_refit: RefitReport::default(),
-            cur: None,
-        }
-    }
-
-    /// Current ladder level (0 = full fidelity).
-    pub fn level(&self) -> usize {
-        self.ladder.level()
+        Scheduler { models, constants, cfg, ladder, refit, history: Vec::new(), cur: None }
     }
 
     /// Open a cycle with the configured budget.
@@ -197,17 +223,8 @@ impl Scheduler {
         if self.cur.is_some() {
             self.end_cycle();
         }
-        self.cur = Some(OpenCycle {
-            cycle,
-            budget_s,
-            spent_predicted_s: 0.0,
-            actual_s: 0.0,
-            admitted: 0,
-            degraded: 0,
-            rejected: 0,
-            requests: Vec::new(),
-            build_charged: false,
-        });
+        let (level, receipts, refit) = (0, Vec::new(), RefitReport::default());
+        self.cur = Some(CycleRecord { cycle, level, budget_s, receipts, refit });
     }
 
     /// Degraded dimensions for a request on a rung (never upsizes, never
@@ -245,87 +262,84 @@ impl Scheduler {
         if rung.switch && ray_traced && self.frame_cost(&raster) < self.frame_cost(&cfg) {
             cfg = raster;
         }
-        let build_seconds = if cfg.renderer == RendererKind::RayTracing && !build_charged {
+        let build_s = if cfg.renderer == RendererKind::RayTracing && !build_charged {
             self.models.predict_build_seconds(&cfg, &self.constants).max(0.0)
         } else {
             0.0
         };
-        let predicted_s = self.frame_cost(&cfg) + build_seconds;
-        PlannedJob { width, height, cfg, rung, predicted_s }
+        let inputs = map_inputs(&cfg, &self.constants);
+        let (local_s, comp_s) = self.models.price_frame(&inputs, CompositeWire::Compressed);
+        let predicted_s = (local_s + comp_s).max(MIN_PREDICTED_SECONDS) + build_s;
+        let mapped = inputs.stats;
+        PlannedJob { width, height, cfg, rung, mapped, local_s, comp_s, build_s, predicted_s }
     }
 
     /// Decide one queued request. Deterministic: walks [`LADDER`] from the
     /// hysteresis level down; the level is sticky upward within a cycle (a
     /// job that forced a deeper rung pins later jobs there too, so a cycle's
-    /// frames stay at a coherent fidelity).
+    /// frames stay at a coherent fidelity). The decision is the open cycle's
+    /// next receipt.
     pub fn decide(&mut self, req: RenderRequest) -> Decision {
-        let (effective_budget, spent, build_charged) = {
-            #[expect(
-                clippy::expect_used,
-                reason = "public-API misuse guard; the message is the contract"
-            )]
-            let cur = self.cur.as_ref().expect("decide() called outside begin_cycle()/end_cycle()");
-            (cur.budget_s * SAFETY, cur.spent_predicted_s, cur.build_charged)
-        };
-
+        #[expect(
+            clippy::expect_used,
+            reason = "public-API misuse guard; the message is the contract"
+        )]
+        let cur = self.cur.as_ref().expect("decide() called outside begin_cycle()/end_cycle()");
+        let (effective_budget, spent) = (cur.budget_s * SAFETY, cur.predicted_s());
+        let build_charged = cur.jobs().any(|j| j.cfg.renderer == RendererKind::RayTracing);
         let outcome = first_fit(&LADDER, self.ladder.level(), |rung| {
             let job = self.plan(&req, rung, build_charged);
             (spent + job.predicted_s <= effective_budget).then_some(job)
         });
-
+        // No rung fit: operate the rest of the cycle (and the next, until
+        // hysteresis relaxes) fully degraded.
+        let (level, job) = outcome.map_or((LADDER.len(), None), |(level, job)| (level, Some(job)));
+        self.ladder.escalate_to(level.min(LADDER.len() - 1));
+        let receipt = Receipt { request: Some(req), level, job, ..Receipt::UNPRICED };
         #[expect(clippy::unwrap_used, reason = "`cur` was checked at function entry")]
-        let cur = self.cur.as_mut().unwrap();
-        cur.requests.push(req);
-        match outcome {
-            Some((level, job)) => {
-                cur.spent_predicted_s += job.predicted_s;
-                if job.cfg.renderer == RendererKind::RayTracing {
-                    cur.build_charged = true;
-                }
-                if level == 0 {
-                    cur.admitted += 1;
-                    Decision::Admit(job)
-                } else {
-                    cur.degraded += 1;
-                    self.ladder.escalate_to(level);
-                    Decision::Degrade(job)
-                }
-            }
-            None => {
-                cur.rejected += 1;
-                // Even the deepest executable rung did not fit: operate the
-                // rest of the cycle (and the next, until hysteresis relaxes)
-                // fully degraded.
-                self.ladder.escalate_to(LADDER.len() - 1);
-                Decision::Reject
-            }
+        self.cur.as_mut().unwrap().receipts.push(receipt);
+        match job {
+            Some(job) if level == 0 => Decision::Admit(job),
+            Some(job) => Decision::Degrade(job),
+            None => Decision::Reject,
         }
     }
 
     /// Feed back one observation of an executed job: a render (its measured
     /// inputs, frame and build seconds) or the frame's compositing exchange.
-    /// Its seconds are charged to the open cycle, and the sample joins the
-    /// refit window of the model family it feeds.
+    /// It fills the oldest priced receipt of the open cycle still waiting for
+    /// its kind (or, if none waits, an unpriced one), and joins the refit
+    /// window of the model family it feeds.
     pub fn observe_sample(&mut self, s: Sample) {
         if let Some(cur) = self.cur.as_mut() {
-            cur.actual_s += match &s {
-                Sample::Render(r) => r.stats.render_seconds + r.stats.build_seconds,
-                Sample::Composite(c) => c.seconds,
+            let waits = |r: &Receipt| match s {
+                Sample::Render(_) => r.job.is_some() && r.observed.is_none(),
+                Sample::Composite(_) => r.job.is_some() && r.exchange_s.is_none(),
             };
+            let i = cur.receipts.iter().position(waits).unwrap_or(cur.receipts.len());
+            if i == cur.receipts.len() {
+                cur.receipts.push(Receipt::UNPRICED);
+            }
+            let receipt = &mut cur.receipts[i];
+            match &s {
+                Sample::Render(r) => {
+                    receipt.observed = Some(r.stats);
+                    receipt.t_obs_s = self.models.predict_local_seconds(r).max(0.0);
+                }
+                Sample::Composite(c) => receipt.exchange_s = Some(c.seconds),
+            }
         }
         self.refit.observe(s);
     }
 
     /// Cost of the cycle's full request list if every job ran at `level`
     /// (the headroom probe for hysteresis upgrades).
-    fn cycle_cost_at_level(&self, requests: &[RenderRequest], level: usize) -> f64 {
-        let mut total = 0.0;
-        let mut build_charged = false;
-        for req in requests {
+    fn cycle_cost_at_level(&self, cycle: &CycleRecord, level: usize) -> f64 {
+        let requests = cycle.receipts.iter().filter_map(|r| r.request.as_ref());
+        let (total, _) = requests.fold((0.0, false), |(total, build_charged), req| {
             let job = self.plan(req, LADDER[level], build_charged);
-            total += job.predicted_s;
-            build_charged |= job.cfg.renderer == RendererKind::RayTracing;
-        }
+            (total + job.predicted_s, build_charged || job.cfg.renderer == RendererKind::RayTracing)
+        });
         total
     }
 
@@ -333,26 +347,14 @@ impl Scheduler {
     /// whether fidelity may recover, and append the cycle record. Returns the
     /// record just appended, or `None` if no cycle was open.
     pub fn end_cycle(&mut self) -> Option<&CycleRecord> {
-        let cur = self.cur.take()?;
-        self.last_refit = self.refit.refit_into(&mut self.models);
-        let level = self.ladder.level();
-        let headroom = if level > 0 {
-            let up_cost = self.cycle_cost_at_level(&cur.requests, level - 1);
-            up_cost <= UPGRADE_MARGIN * SAFETY * cur.budget_s
-        } else {
-            false
-        };
+        let mut rec = self.cur.take()?;
+        rec.refit = self.refit.refit_into(&mut self.models);
+        rec.level = self.ladder.level();
+        let headroom = rec.level > 0
+            && self.cycle_cost_at_level(&rec, rec.level - 1)
+                <= UPGRADE_MARGIN * SAFETY * rec.budget_s;
         self.ladder.relax(headroom);
-        self.history.push(CycleRecord {
-            cycle: cur.cycle,
-            level,
-            admitted: cur.admitted,
-            degraded: cur.degraded,
-            rejected: cur.rejected,
-            budget_s: cur.budget_s,
-            predicted_s: cur.spent_predicted_s,
-            actual_s: cur.actual_s,
-        });
+        self.history.push(rec);
         self.history.last()
     }
 }
@@ -439,30 +441,46 @@ mod tests {
     /// then stepwise recovery, one rung per three headroom cycles.
     #[test]
     fn decisions_are_deterministic_and_hysteretic() {
-        let mut s = sched(0.08);
-        let mut transcript = Vec::new();
-        for cycle in 0..17i64 {
-            s.begin_cycle(cycle);
-            let mut line = format!("c{cycle:02}");
+        let stream = |cycle: i64| {
             let mut requests =
                 vec![req(RendererKind::VolumeRendering, 512), req(RendererKind::RayTracing, 512)];
             if (4..7).contains(&cycle) {
                 requests.push(req(RendererKind::VolumeRendering, 4096));
             }
-            for r in requests {
-                let d = s.decide(r);
-                match d.job() {
-                    Some(j) => {
-                        line.push_str(&format!(" {}:{}@{}", d.label(), j.rung.label(), j.width))
+            requests
+        };
+        let run = || {
+            let mut s = sched(0.08);
+            for cycle in 0..17i64 {
+                s.begin_cycle(cycle);
+                for r in stream(cycle) {
+                    s.decide(r);
+                }
+                s.end_cycle();
+            }
+            s.history
+        };
+        let history = run();
+        let mut transcript = Vec::new();
+        for rec in &history {
+            let mut line = format!("c{:02}", rec.cycle);
+            for r in &rec.receipts {
+                match (r.job, r.level) {
+                    (Some(j), 0) => {
+                        line.push_str(&format!(" admit:{}@{}", j.rung.label(), j.width))
                     }
-                    None => line.push_str(" reject"),
+                    (Some(j), _) => {
+                        line.push_str(&format!(" degrade:{}@{}", j.rung.label(), j.width))
+                    }
+                    (None, _) => line.push_str(" reject"),
                 }
             }
-            s.end_cycle();
-            let rec = s.history.last().unwrap();
             line.push_str(&format!(
                 " | L{} a{} d{} r{}",
-                rec.level, rec.admitted, rec.degraded, rec.rejected
+                rec.level,
+                rec.admitted(),
+                rec.degraded(),
+                rec.rejected()
             ));
             transcript.push(line);
         }
@@ -487,22 +505,12 @@ mod tests {
         ];
         assert_eq!(transcript, expected);
         // Re-running the identical stream reproduces the identical transcript.
-        let mut s2 = sched(0.08);
-        for cycle in 0..17i64 {
-            s2.begin_cycle(cycle);
-            let mut requests =
-                vec![req(RendererKind::VolumeRendering, 512), req(RendererKind::RayTracing, 512)];
-            if (4..7).contains(&cycle) {
-                requests.push(req(RendererKind::VolumeRendering, 4096));
-            }
-            for r in requests {
-                s2.decide(r);
-            }
-            s2.end_cycle();
-        }
-        for (a, b) in s.history.iter().zip(s2.history.iter()) {
-            assert_eq!(a.predicted_s.to_bits(), b.predicted_s.to_bits());
-            assert_eq!((a.level, a.admitted, a.degraded), (b.level, b.admitted, b.degraded));
+        for (a, b) in history.iter().zip(run().iter()) {
+            assert_eq!(a.predicted_s().to_bits(), b.predicted_s().to_bits());
+            assert_eq!(
+                (a.level, a.admitted(), a.degraded()),
+                (b.level, b.admitted(), b.degraded())
+            );
         }
     }
 
@@ -513,8 +521,11 @@ mod tests {
         let mut s = sched(10.0);
         s.begin_cycle(0);
         let r = req(RendererKind::RayTracing, 512);
-        let first = s.decide(r).job().unwrap().predicted_s;
-        let second = s.decide(r).job().unwrap().predicted_s;
+        s.decide(r);
+        s.decide(r);
+        s.end_cycle();
+        let charged = |rec: &CycleRecord, i: usize| rec.receipts[i].job.unwrap().predicted_s;
+        let (first, second) = (charged(&s.history[0], 0), charged(&s.history[0], 1));
         let build = s.models.predict_build_seconds(
             &RenderConfig {
                 renderer: RendererKind::RayTracing,
@@ -526,11 +537,11 @@ mod tests {
         );
         assert!(build > 0.0);
         assert!((first - second - build).abs() < 1e-15, "{first} vs {second} + {build}");
-        s.end_cycle();
         // A fresh cycle charges the build again.
         s.begin_cycle(1);
-        let again = s.decide(r).job().unwrap().predicted_s;
-        assert_eq!(again.to_bits(), first.to_bits());
+        s.decide(r);
+        s.end_cycle();
+        assert_eq!(charged(&s.history[1], 0).to_bits(), first.to_bits());
     }
 
     /// Packing is cumulative: a job that fits alone degrades once earlier
@@ -559,7 +570,7 @@ mod tests {
             Decision::Degrade(j) => {
                 assert_eq!((j.width, j.rung), (256, Rung::frame(1)))
             }
-            d => panic!("expected degrade, got {}", d.label()),
+            d => panic!("expected degrade, got {d:?}"),
         }
         s.end_cycle();
     }
@@ -608,7 +619,7 @@ mod tests {
                 assert_eq!(j.cfg.renderer, RendererKind::Rasterization);
                 assert_eq!(j.width, 512);
             }
-            d => panic!("expected switched degrade, got {}", d.label()),
+            d => panic!("expected switched degrade, got {d:?}"),
         }
         s.end_cycle();
     }

@@ -21,13 +21,6 @@ pub struct JobCost {
     pub composite: CompositeSample,
 }
 
-impl JobCost {
-    pub fn total(&self) -> f64 {
-        let stats = &self.render.stats;
-        stats.render_seconds + stats.build_seconds + self.composite.seconds
-    }
-}
-
 /// The executor: ground truth + noise + simulated clock.
 pub struct SimulatedExecutor {
     truth: ModelSet,
@@ -88,6 +81,11 @@ mod tests {
     use super::*;
     use crate::demo::ground_truth;
 
+    /// Every second a job's two samples measured.
+    fn total(c: &JobCost) -> f64 {
+        c.render.stats.render_seconds + c.render.stats.build_seconds + c.composite.seconds
+    }
+
     #[test]
     fn execution_is_deterministic_per_seed() {
         let cfg = RenderConfig {
@@ -102,10 +100,10 @@ mod tests {
         for _ in 0..5 {
             let ca = a.execute(&cfg, true);
             let cb = b.execute(&cfg, true);
-            assert_eq!(ca.total().to_bits(), cb.total().to_bits());
+            assert_eq!(total(&ca).to_bits(), total(&cb).to_bits());
         }
         let mut c = SimulatedExecutor::new(ground_truth(), k, 0.05, 43);
-        assert_ne!(a.execute(&cfg, true).total(), c.execute(&cfg, true).total());
+        assert_ne!(total(&a.execute(&cfg, true)), total(&c.execute(&cfg, true)));
     }
 
     /// A job's two samples are the rows the scheduler refits on: the render
@@ -153,7 +151,7 @@ mod tests {
         for _ in 0..50 {
             let c = ex.execute(&cfg, false);
             assert_eq!(c.render.stats.build_seconds, 0.0);
-            let got = c.total();
+            let got = total(&c);
             assert!((got - want).abs() <= 0.1 * want + 1e-12, "{got} vs {want}");
         }
     }

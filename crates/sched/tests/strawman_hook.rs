@@ -140,5 +140,12 @@ fn ray_traced_cycles_refit_the_build_model() {
     let mut s = sched.borrow_mut();
     s.end_cycle();
     assert_eq!(s.history.len(), 8);
-    assert!(s.last_refit.refitted.contains(&"ray_tracing_build"), "{:?}", s.last_refit);
+    let refit = &s.history[7].refit;
+    assert!(refit.refitted.contains(&"ray_tracing_build"), "{refit:?}");
+    // Each cycle's one receipt holds the render the hook observed for it.
+    for rec in &s.history {
+        let [receipt] = rec.receipts[..] else { panic!("{:?}", rec.receipts) };
+        let observed = receipt.observed.expect("the render was observed");
+        assert!(observed.render_seconds > 0.0 && observed.build_seconds > 0.0);
+    }
 }

@@ -15,7 +15,7 @@ use perfmodel::mapping::MappingConstants;
 use perfmodel::models::Family;
 use perfmodel::sample::RendererKind;
 use perfmodel::study::{run_composite_study, run_render_study, StudyConfig};
-use sched::{Scheduler, SchedulerConfig};
+use sched::{Receipt, Scheduler, SchedulerConfig};
 use sims::{Kripke, ProxySim};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -37,6 +37,32 @@ impl AdmissionHook for SharedSched {
     }
     fn observe_composite(&mut self, done: &CompositeObservation) {
         AdmissionHook::observe_composite(&mut *self.0.borrow_mut(), done)
+    }
+}
+
+/// One receipt as one line: the family and rung it ran as, mapped against
+/// observed AP, t(map) against t(obs) against the measured local seconds
+/// (the split of the paper's Table 16), and the predicted against the
+/// measured BVH build.
+fn receipt_line(r: &Receipt) -> String {
+    let secs = |s: Option<f64>| s.map_or("-".to_string(), |s| format!("{s:.4}"));
+    let obs = r.observed;
+    match (r.request, r.job) {
+        (Some(req), None) => {
+            format!("{} {}x{} rejected", req.renderer.name(), req.width, req.height)
+        }
+        (_, job) => format!(
+            "{} {}: AP map {} obs {}, t(map) {} t(obs) {} measured {} s, build {} -> {} s",
+            job.map_or("unpriced", |j| j.cfg.renderer.name()),
+            job.map_or("-".to_string(), |j| format!("{}@{}", j.rung.label(), j.width)),
+            job.map_or("-".to_string(), |j| format!("{:.0}", j.mapped.active_pixels)),
+            obs.map_or("-".to_string(), |o| format!("{:.0}", o.active_pixels)),
+            secs(job.map(|j| j.local_s)),
+            secs(obs.map(|_| r.t_obs_s)),
+            secs(obs.map(|o| o.render_seconds)),
+            secs(job.map(|j| j.build_s)),
+            secs(obs.map(|o| o.build_seconds)),
+        ),
     }
 }
 
@@ -165,21 +191,22 @@ fn main() {
     }
 
     // Close the scheduler's last open cycle, then report its own view: the
-    // ladder level it operated at and how prediction error moved as the
-    // online refit absorbed the measured wall times.
+    // ladder level it operated at and, receipt by receipt, what each render
+    // was priced at and what it measured as the online refit absorbed it.
     sched.borrow_mut().end_cycle();
     let (admitted, degraded, rejected) = sm.admissions.totals();
     println!("\nadmissions: {admitted} admitted, {degraded} degraded, {rejected} rejected");
     let sched = sched.borrow();
     for rec in &sched.history {
         println!(
-            "  cycle {:2}: level {}, predicted {:.3} s, actual {:.3} s, within budget: {}",
+            "  cycle {:2}: level {}, within budget: {}",
             rec.cycle,
             rec.level,
-            rec.predicted_s,
-            rec.actual_s,
             rec.within_budget()
         );
+        for r in &rec.receipts {
+            println!("    {}", receipt_line(r));
+        }
     }
     let within = sched.history.iter().filter(|r| r.within_budget()).count();
     println!(
