@@ -29,40 +29,38 @@ const TET_FACES: [[usize; 3]; 4] = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]];
 impl Connectivity {
     /// Serial preprocessing pass (the algorithm's defining overhead).
     #[expect(
-        clippy::disallowed_methods,
-        reason = "the comparator times its connectivity build for the study"
-    )]
-    #[expect(
         clippy::disallowed_types,
         reason = "faces are matched by lookup; the boundary list is sorted before it leaves"
     )]
     pub fn build(tets: &TetMesh) -> Connectivity {
-        let t0 = std::time::Instant::now();
-        let n = tets.num_tets();
-        let mut neighbors = vec![[u32::MAX; 4]; n];
-        let mut map: std::collections::HashMap<[u32; 3], (u32, u8)> =
-            std::collections::HashMap::with_capacity(n * 2);
-        for t in 0..n {
-            let ix = tets.tets[t];
-            for (f, face) in TET_FACES.iter().enumerate() {
-                let mut key = [ix[face[0]], ix[face[1]], ix[face[2]]];
-                key.sort_unstable();
-                match map.remove(&key) {
-                    Some((ot, of)) => {
-                        neighbors[t][f] = ot;
-                        neighbors[ot as usize][of as usize] = t as u32;
-                    }
-                    None => {
-                        map.insert(key, (t as u32, f as u8));
+        let ((neighbors, boundary), preprocess_seconds) = dpp::timed(|| {
+            let n = tets.num_tets();
+            let mut neighbors = vec![[u32::MAX; 4]; n];
+            let mut map: std::collections::HashMap<[u32; 3], (u32, u8)> =
+                std::collections::HashMap::with_capacity(n * 2);
+            for t in 0..n {
+                let ix = tets.tets[t];
+                for (f, face) in TET_FACES.iter().enumerate() {
+                    let mut key = [ix[face[0]], ix[face[1]], ix[face[2]]];
+                    key.sort_unstable();
+                    match map.remove(&key) {
+                        Some((ot, of)) => {
+                            neighbors[t][f] = ot;
+                            neighbors[ot as usize][of as usize] = t as u32;
+                        }
+                        None => {
+                            map.insert(key, (t as u32, f as u8));
+                        }
                     }
                 }
             }
-        }
-        // Sorted, so the entry search's tie-break (first nearest face wins)
-        // does not depend on the hasher's iteration order.
-        let mut boundary: Vec<(u32, u8)> = map.into_values().collect();
-        boundary.sort_unstable();
-        Connectivity { neighbors, boundary, preprocess_seconds: t0.elapsed().as_secs_f64() }
+            // Sorted, so the entry search's tie-break (first nearest face wins)
+            // does not depend on the hasher's iteration order.
+            let mut boundary: Vec<(u32, u8)> = map.into_values().collect();
+            boundary.sort_unstable();
+            (neighbors, boundary)
+        });
+        Connectivity { neighbors, boundary, preprocess_seconds }
     }
 }
 
@@ -79,7 +77,6 @@ fn hit_face(ray: &Ray, a: Vec3, b: Vec3, c: Vec3) -> Option<f32> {
     clippy::too_many_arguments,
     reason = "one argument per render input, as the other renderers take them"
 )]
-#[expect(clippy::disallowed_methods, reason = "the comparator times its own march for the study")]
 pub fn render_bunyk(
     tets: &TetMesh,
     conn: &Connectivity,
@@ -95,97 +92,99 @@ pub fn render_bunyk(
         .filter(|f| f.assoc == Assoc::Point)
         .unwrap_or_else(|| panic!("bunyk needs point field {field_name}"))
         .values;
-    let t0 = std::time::Instant::now();
-    let n_px = (width * height) as usize;
-    let bounds = tets.bounds();
-    let step = bounds.diagonal() * step_scale;
+    let ((frame, cells_marched, active), march_s) = dpp::timed(|| {
+        let n_px = (width * height) as usize;
+        let bounds = tets.bounds();
+        let step = bounds.diagonal() * step_scale;
 
-    let results: Vec<(Color, f32, u64)> = (0..n_px)
-        .into_par_iter()
-        .map(|i| {
-            let px = i as u32 % width;
-            let py = i as u32 / width;
-            let ray = camera.primary_ray(px, py, width, height, 0.5, 0.5);
-            if bounds.intersect_ray(&ray, 0.0, f32::INFINITY).is_none() {
-                return (Color::TRANSPARENT, f32::INFINITY, 0);
-            }
-            // Entry: nearest boundary-face hit.
-            let mut entry_t = f32::INFINITY;
-            let mut cell = u32::MAX;
-            for &(t, f) in &conn.boundary {
-                let ix = tets.tets[t as usize];
-                let face = TET_FACES[f as usize];
-                let a = tets.points[ix[face[0]] as usize];
-                let b = tets.points[ix[face[1]] as usize];
-                let c = tets.points[ix[face[2]] as usize];
-                if let Some(th) = hit_face(&ray, a, b, c) {
-                    if th < entry_t {
-                        entry_t = th;
-                        cell = t;
-                    }
+        let results: Vec<(Color, f32, u64)> = (0..n_px)
+            .into_par_iter()
+            .map(|i| {
+                let px = i as u32 % width;
+                let py = i as u32 / width;
+                let ray = camera.primary_ray(px, py, width, height, 0.5, 0.5);
+                if bounds.intersect_ray(&ray, 0.0, f32::INFINITY).is_none() {
+                    return (Color::TRANSPARENT, f32::INFINITY, 0);
                 }
-            }
-            if cell == u32::MAX {
-                return (Color::TRANSPARENT, f32::INFINITY, 0);
-            }
-            // March cell to cell.
-            let mut acc = Color::TRANSPARENT;
-            let mut t_cur = entry_t + 1e-5;
-            let mut marched = 0u64;
-            let max_steps = tets.num_tets() as u64 * 4;
-            while cell != u32::MAX && marched < max_steps {
-                marched += 1;
-                let tix = tets.tets[cell as usize];
-                // Exit face: nearest forward face hit other than entry.
-                let mut exit_t = f32::INFINITY;
-                let mut exit_face = usize::MAX;
-                for (f, face) in TET_FACES.iter().enumerate() {
-                    let a = tets.points[tix[face[0]] as usize];
-                    let b = tets.points[tix[face[1]] as usize];
-                    let c = tets.points[tix[face[2]] as usize];
+                // Entry: nearest boundary-face hit.
+                let mut entry_t = f32::INFINITY;
+                let mut cell = u32::MAX;
+                for &(t, f) in &conn.boundary {
+                    let ix = tets.tets[t as usize];
+                    let face = TET_FACES[f as usize];
+                    let a = tets.points[ix[face[0]] as usize];
+                    let b = tets.points[ix[face[1]] as usize];
+                    let c = tets.points[ix[face[2]] as usize];
                     if let Some(th) = hit_face(&ray, a, b, c) {
-                        if th > t_cur && th < exit_t {
-                            exit_t = th;
-                            exit_face = f;
+                        if th < entry_t {
+                            entry_t = th;
+                            cell = t;
                         }
                     }
                 }
-                if exit_face == usize::MAX {
-                    break; // numeric corner; give up on this ray
+                if cell == u32::MAX {
+                    return (Color::TRANSPARENT, f32::INFINITY, 0);
                 }
-                // Integrate the segment [t_cur, exit_t] by sampling its
-                // midpoint scalar (barycentric interpolation).
-                let mid = ray.at((t_cur + exit_t) * 0.5);
-                let value = barycentric_value(tets, field, cell as usize, mid);
-                let seg = exit_t - t_cur;
-                let base = tf.sample(value);
-                let alpha = 1.0 - (1.0 - base.a.min(0.999)).powf(seg / step.max(1e-9));
-                let frag = Color::new(base.r * alpha, base.g * alpha, base.b * alpha, alpha);
-                acc = over(acc, frag);
-                if acc.a > 0.98 {
-                    break;
+                // March cell to cell.
+                let mut acc = Color::TRANSPARENT;
+                let mut t_cur = entry_t + 1e-5;
+                let mut marched = 0u64;
+                let max_steps = tets.num_tets() as u64 * 4;
+                while cell != u32::MAX && marched < max_steps {
+                    marched += 1;
+                    let tix = tets.tets[cell as usize];
+                    // Exit face: nearest forward face hit other than entry.
+                    let mut exit_t = f32::INFINITY;
+                    let mut exit_face = usize::MAX;
+                    for (f, face) in TET_FACES.iter().enumerate() {
+                        let a = tets.points[tix[face[0]] as usize];
+                        let b = tets.points[tix[face[1]] as usize];
+                        let c = tets.points[tix[face[2]] as usize];
+                        if let Some(th) = hit_face(&ray, a, b, c) {
+                            if th > t_cur && th < exit_t {
+                                exit_t = th;
+                                exit_face = f;
+                            }
+                        }
+                    }
+                    if exit_face == usize::MAX {
+                        break; // numeric corner; give up on this ray
+                    }
+                    // Integrate the segment [t_cur, exit_t] by sampling its
+                    // midpoint scalar (barycentric interpolation).
+                    let mid = ray.at((t_cur + exit_t) * 0.5);
+                    let value = barycentric_value(tets, field, cell as usize, mid);
+                    let seg = exit_t - t_cur;
+                    let base = tf.sample(value);
+                    let alpha = 1.0 - (1.0 - base.a.min(0.999)).powf(seg / step.max(1e-9));
+                    let frag = Color::new(base.r * alpha, base.g * alpha, base.b * alpha, alpha);
+                    acc = over(acc, frag);
+                    if acc.a > 0.98 {
+                        break;
+                    }
+                    cell = conn.neighbors[cell as usize][exit_face];
+                    t_cur = exit_t + 1e-5;
                 }
-                cell = conn.neighbors[cell as usize][exit_face];
-                t_cur = exit_t + 1e-5;
-            }
-            (acc, entry_t, marched)
-        })
-        .collect();
+                (acc, entry_t, marched)
+            })
+            .collect();
 
-    let mut frame = Framebuffer::new(width, height);
-    let mut active = 0usize;
-    let mut cells_marched = 0u64;
-    for (i, (c, d, m)) in results.into_iter().enumerate() {
-        cells_marched += m;
-        if c.a > 0.0 {
-            frame.color[i] = c.unpremultiplied();
-            frame.depth[i] = d;
-            active += 1;
+        let mut frame = Framebuffer::new(width, height);
+        let mut active = 0usize;
+        let mut cells_marched = 0u64;
+        for (i, (c, d, m)) in results.into_iter().enumerate() {
+            cells_marched += m;
+            if c.a > 0.0 {
+                frame.color[i] = c.unpremultiplied();
+                frame.depth[i] = d;
+                active += 1;
+            }
         }
-    }
+        (frame, cells_marched, active)
+    });
 
     let mut phases = PhaseTimer::new();
-    phases.record("march", t0.elapsed().as_secs_f64(), cells_marched);
+    phases.record("march", march_s, cells_marched);
     RenderOutput {
         frame,
         stats: RenderStats {

@@ -118,10 +118,6 @@ impl RayPacket {
 /// WORKLOAD1 over a whole image with 8-ray packets against the DPP tracer's
 /// own LBVH (same tree as the scalar back-end: only the *back-end* differs).
 /// Returns (hit count, elapsed seconds).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the comparator times its own traversal for the study"
-)]
 pub fn intersect_image_packets(
     geom: &TriGeometry,
     bvh: &Bvh,
@@ -130,26 +126,26 @@ pub fn intersect_image_packets(
     height: u32,
 ) -> (usize, f64) {
     use rayon::prelude::*;
-    let t0 = std::time::Instant::now();
-    let hits: usize = (0..height)
-        .into_par_iter()
-        .map(|py| {
-            let mut row_hits = 0usize;
-            let mut px = 0u32;
-            while px < width {
-                let lanes = (width - px).min(8);
-                let rays: Vec<Ray> = (0..lanes)
-                    .map(|l| camera.primary_ray(px + l, py, width, height, 0.5, 0.5))
-                    .collect();
-                let mut packet = RayPacket::from_rays(&rays);
-                traverse_packet(geom, bvh, &mut packet);
-                row_hits += packet.hit.iter().take(lanes as usize).filter(|&&h| h).count();
-                px += lanes;
-            }
-            row_hits
-        })
-        .sum();
-    (hits, t0.elapsed().as_secs_f64())
+    dpp::timed(|| {
+        (0..height)
+            .into_par_iter()
+            .map(|py| {
+                let mut row_hits = 0usize;
+                let mut px = 0u32;
+                while px < width {
+                    let lanes = (width - px).min(8);
+                    let rays: Vec<Ray> = (0..lanes)
+                        .map(|l| camera.primary_ray(px + l, py, width, height, 0.5, 0.5))
+                        .collect();
+                    let mut packet = RayPacket::from_rays(&rays);
+                    traverse_packet(geom, bvh, &mut packet);
+                    row_hits += packet.hit.iter().take(lanes as usize).filter(|&&h| h).count();
+                    px += lanes;
+                }
+                row_hits
+            })
+            .sum()
+    })
 }
 
 fn traverse_packet(geom: &TriGeometry, bvh: &Bvh, packet: &mut RayPacket) {

@@ -50,25 +50,23 @@ impl TunedTracer {
         Self::from_geometry(geom, profile)
     }
 
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the comparator times its BVH build for the study"
-    )]
     pub fn from_geometry(geom: TriGeometry, profile: Profile) -> TunedTracer {
-        let t0 = std::time::Instant::now();
-        let n = geom.num_tris();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let centroids: Vec<Vec3> = (0..n).map(|t| geom.tri_centroid(t)).collect();
-        let aabbs: Vec<Aabb> = (0..n).map(|t| geom.tri_aabb(t)).collect();
-        let mut nodes = Vec::with_capacity(2 * n.max(1));
-        let leaf_size = match profile {
-            Profile::Embree => 4,
-            Profile::Optix => 8,
-        };
-        if n > 0 {
-            build_sah(&mut nodes, &mut order, &centroids, &aabbs, 0, n, leaf_size);
-        }
-        TunedTracer { geom, nodes, order, profile, build_seconds: t0.elapsed().as_secs_f64() }
+        let ((nodes, order), build_seconds) = dpp::timed(|| {
+            let n = geom.num_tris();
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            let centroids: Vec<Vec3> = (0..n).map(|t| geom.tri_centroid(t)).collect();
+            let aabbs: Vec<Aabb> = (0..n).map(|t| geom.tri_aabb(t)).collect();
+            let mut nodes = Vec::with_capacity(2 * n.max(1));
+            let leaf_size = match profile {
+                Profile::Embree => 4,
+                Profile::Optix => 8,
+            };
+            if n > 0 {
+                build_sah(&mut nodes, &mut order, &centroids, &aabbs, 0, n, leaf_size);
+            }
+            (nodes, order)
+        });
+        TunedTracer { geom, nodes, order, profile, build_seconds }
     }
 
     /// Closest hit with the fused while-loop kernel.
@@ -133,48 +131,50 @@ impl TunedTracer {
     /// WORKLOAD1: intersect every primary ray of a `w x h` image; returns
     /// (hit count, elapsed seconds). The benchmark the paper's Tables 3-5
     /// report as rays/second.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the comparator times its own traversal for the study"
-    )]
     pub fn intersect_image(&self, camera: &Camera, width: u32, height: u32) -> (usize, f64) {
-        let t0 = std::time::Instant::now();
-        let n = (width * height) as usize;
-        let hits: usize = match self.profile {
-            Profile::Embree => {
-                // Scanline packets: one row per task.
-                (0..height)
-                    .into_par_iter()
-                    .map(|py| {
-                        let mut h = 0usize;
-                        for px in 0..width {
-                            let ray = camera.primary_ray(px, py, width, height, 0.5, 0.5);
-                            h += self.closest_hit(&ray).is_hit() as usize;
-                        }
-                        h
-                    })
-                    .sum()
+        dpp::timed(|| {
+            let n = (width * height) as usize;
+            match self.profile {
+                Profile::Embree => {
+                    // Scanline packets: one row per task.
+                    (0..height)
+                        .into_par_iter()
+                        .map(|py| {
+                            let mut h = 0usize;
+                            for px in 0..width {
+                                let ray = camera.primary_ray(px, py, width, height, 0.5, 0.5);
+                                h += self.closest_hit(&ray).is_hit() as usize;
+                            }
+                            h
+                        })
+                        .sum()
+                }
+                Profile::Optix => {
+                    // Morton-ordered rays in fixed-size warps.
+                    let mut codes: Vec<(u64, u32)> =
+                        (0..n as u32).map(|i| (morton2(i % width, i / width), i)).collect();
+                    codes.sort_unstable_by_key(|c| c.0);
+                    codes
+                        .par_chunks(256)
+                        .map(|warp| {
+                            let mut h = 0usize;
+                            for &(_, i) in warp {
+                                let ray = camera.primary_ray(
+                                    i % width,
+                                    i / width,
+                                    width,
+                                    height,
+                                    0.5,
+                                    0.5,
+                                );
+                                h += self.closest_hit(&ray).is_hit() as usize;
+                            }
+                            h
+                        })
+                        .sum()
+                }
             }
-            Profile::Optix => {
-                // Morton-ordered rays in fixed-size warps.
-                let mut codes: Vec<(u64, u32)> =
-                    (0..n as u32).map(|i| (morton2(i % width, i / width), i)).collect();
-                codes.sort_unstable_by_key(|c| c.0);
-                codes
-                    .par_chunks(256)
-                    .map(|warp| {
-                        let mut h = 0usize;
-                        for &(_, i) in warp {
-                            let ray =
-                                camera.primary_ray(i % width, i / width, width, height, 0.5, 0.5);
-                            h += self.closest_hit(&ray).is_hit() as usize;
-                        }
-                        h
-                    })
-                    .sum()
-            }
-        };
-        (hits, t0.elapsed().as_secs_f64())
+        })
     }
 }
 

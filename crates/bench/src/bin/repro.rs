@@ -89,15 +89,15 @@ fn main() {
     }
 }
 
-#[expect(clippy::disallowed_methods, reason = "the harness reports each stage's wall time")]
 fn run(id: &str, scale: Scale) {
-    let t0 = std::time::Instant::now();
-    let Some(&(_, experiment)) = EXPERIMENTS.iter().find(|&&(e, _)| e == id) else {
-        eprintln!("unknown experiment id: {id}");
-        std::process::exit(2);
-    };
-    let table = experiment(scale);
-    println!("{}", table.render());
-    write_artifact(&format!("{id}.csv"), &table.to_csv());
-    println!("[{id} done in {:.1}s]\n", t0.elapsed().as_secs_f64());
+    let ((), seconds) = dpp::timed(|| {
+        let Some(&(_, experiment)) = EXPERIMENTS.iter().find(|&&(e, _)| e == id) else {
+            eprintln!("unknown experiment id: {id}");
+            std::process::exit(2);
+        };
+        let table = experiment(scale);
+        println!("{}", table.render());
+        write_artifact(&format!("{id}.csv"), &table.to_csv());
+    });
+    println!("[{id} done in {seconds:.1}s]\n");
 }

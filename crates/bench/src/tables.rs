@@ -363,7 +363,6 @@ pub fn count_marked_lines(text: &str, section: &str) -> usize {
 
 /// Table 11: simulation burden — vis s/cycle vs sim s/cycle for the three
 /// proxies, each with the renderer the paper used.
-#[expect(clippy::disallowed_methods, reason = "the harness measures wall time")]
 pub fn table11(scale: Scale) -> TextTable {
     use sims::ProxySim;
     let mut t = TextTable::new(
@@ -385,17 +384,16 @@ pub fn table11(scale: Scale) -> TextTable {
         let mut sim_s = 0.0;
         let mut vis_s = 0.0;
         for _ in 0..cycles {
-            let t0 = std::time::Instant::now();
-            sim.step();
-            sim_s += t0.elapsed().as_secs_f64();
+            sim_s += dpp::timed(|| sim.step()).1;
             let grid = sim.grid().to_uniform();
-            let t1 = std::time::Instant::now();
-            let tris = mesh::external_faces::external_faces_grid(&grid, "density_p");
-            let geom = TriGeometry::from_mesh(&tris);
-            let rt = RayTracer::new(device.clone(), geom);
-            let cam = Camera::close_view(&rt.geom.bounds);
-            let _ = rt.render(&cam, side, side, &RtConfig::workload2());
-            vis_s += t1.elapsed().as_secs_f64();
+            vis_s += dpp::timed(|| {
+                let tris = mesh::external_faces::external_faces_grid(&grid, "density_p");
+                let geom = TriGeometry::from_mesh(&tris);
+                let rt = RayTracer::new(device.clone(), geom);
+                let cam = Camera::close_view(&rt.geom.bounds);
+                let _ = rt.render(&cam, side, side, &RtConfig::workload2());
+            })
+            .1;
         }
         t.row(vec![
             "CloverLeaf3D (ray tracing)".into(),
@@ -410,17 +408,16 @@ pub fn table11(scale: Scale) -> TextTable {
         let mut sim_s = 0.0;
         let mut vis_s = 0.0;
         for _ in 0..cycles {
-            let t0 = std::time::Instant::now();
-            sim.step();
-            sim_s += t0.elapsed().as_secs_f64();
+            sim_s += dpp::timed(|| sim.step()).1;
             let grid = sim.grid();
-            let t1 = std::time::Instant::now();
-            let tris = mesh::external_faces::external_faces_grid(&grid, "phi_p");
-            let geom = TriGeometry::from_mesh(&tris);
-            let tf = TransferFunction::rainbow(geom.scalar_range);
-            let cam = Camera::close_view(&geom.bounds);
-            let _ = render::raster::rasterize(&device, &geom, &cam, side, side, &tf, None);
-            vis_s += t1.elapsed().as_secs_f64();
+            vis_s += dpp::timed(|| {
+                let tris = mesh::external_faces::external_faces_grid(&grid, "phi_p");
+                let geom = TriGeometry::from_mesh(&tris);
+                let tf = TransferFunction::rainbow(geom.scalar_range);
+                let cam = Camera::close_view(&geom.bounds);
+                let _ = render::raster::rasterize(&device, &geom, &cam, side, side, &tf, None);
+            })
+            .1;
         }
         t.row(vec![
             "Kripke (rasterization)".into(),
@@ -435,26 +432,25 @@ pub fn table11(scale: Scale) -> TextTable {
         let mut sim_s = 0.0;
         let mut vis_s = 0.0;
         for _ in 0..cycles {
-            let t0 = std::time::Instant::now();
-            sim.step();
-            sim_s += t0.elapsed().as_secs_f64();
+            sim_s += dpp::timed(|| sim.step()).1;
             let hexes = sim.hex_mesh();
-            let t1 = std::time::Instant::now();
-            let tets = hexes.to_tets();
-            let range = tets.field("e_p").unwrap().range().unwrap_or((0.0, 1.0));
-            let tf = TransferFunction::sparse_features(range);
-            let cam = Camera::close_view(&tets.bounds());
-            let _ = render_unstructured(
-                &device,
-                &tets,
-                "e_p",
-                &cam,
-                side,
-                side,
-                &tf,
-                &UvrConfig { depth_samples: 128, ..Default::default() },
-            );
-            vis_s += t1.elapsed().as_secs_f64();
+            vis_s += dpp::timed(|| {
+                let tets = hexes.to_tets();
+                let range = tets.field("e_p").unwrap().range().unwrap_or((0.0, 1.0));
+                let tf = TransferFunction::sparse_features(range);
+                let cam = Camera::close_view(&tets.bounds());
+                let _ = render_unstructured(
+                    &device,
+                    &tets,
+                    "e_p",
+                    &cam,
+                    side,
+                    side,
+                    &tf,
+                    &UvrConfig { depth_samples: 128, ..Default::default() },
+                );
+            })
+            .1;
         }
         t.row(vec![
             "LULESH (volume rendering)".into(),
@@ -900,7 +896,6 @@ pub fn composite_cv(
 /// Ablations of the design choices DESIGN.md calls out: stream compaction,
 /// Morton ray ordering, anti-aliasing, sampler-side early termination, and
 /// the pass-count/memory trade — each toggled in isolation.
-#[expect(clippy::disallowed_methods, reason = "the harness measures wall time")]
 pub fn ablations(scale: Scale) -> TextTable {
     let mut t = TextTable::new(
         "Ablations: design-choice on/off timings",
@@ -978,14 +973,15 @@ pub fn ablations(scale: Scale) -> TextTable {
         let n_rays = (side as f64) * (side as f64);
         let time_tracer = |bvh: &render::raytrace::Bvh| {
             let probe = |_: ()| {
-                let t0 = std::time::Instant::now();
-                for py in 0..side {
-                    for px in 0..side {
-                        let ray = cam.primary_ray(px, py, side, side, 0.5, 0.5);
-                        std::hint::black_box(bvh.closest_hit(&geom, &ray));
+                dpp::timed(|| {
+                    for py in 0..side {
+                        for px in 0..side {
+                            let ray = cam.primary_ray(px, py, side, side, 0.5, 0.5);
+                            std::hint::black_box(bvh.closest_hit(&geom, &ray));
+                        }
                     }
-                }
-                t0.elapsed().as_secs_f64()
+                })
+                .1
             };
             probe(()); // warm
             probe(())
@@ -1163,7 +1159,6 @@ pub fn feasd_demo(scale: Scale) -> TextTable {
 /// The title names the grains every run uses: they are constants
 /// (`dpp::par_min_len`, `rayon::fold_grain`, `rayon::overpartition`), and
 /// re-tuning one is an edit plus a ledger pair, not a sweep here.
-#[expect(clippy::disallowed_methods, reason = "the harness measures wall time")]
 pub fn scaling(scale: Scale) -> TextTable {
     /// A named benchmark body, run once per pool size.
     type ScalingOp<'a> = (&'a str, Box<dyn FnMut(&Device) + 'a>);
@@ -1199,9 +1194,7 @@ pub fn scaling(scale: Scale) -> TextTable {
         f();
         let mut best = f64::INFINITY;
         for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64());
+            best = best.min(dpp::timed(&mut *f).1);
         }
         best
     };

@@ -5,27 +5,16 @@
 //! `feasd::serve` puts no cap on the length of a line, and model files and
 //! `.fst` tables are read whole. Every check is a ratio of two decodes on
 //! one machine, ten times the bytes against at most twenty times the
-//! seconds, never a wall-clock constant. It lives under `crates/bench/`
-//! because that is where reading the clock is sanctioned (X007).
+//! seconds, never a wall-clock constant, each read through `dpp::timed`
+//! (X007).
 
 use perfmodel::fstable::{FeasTable, TableEntry, TableKey};
 use perfmodel::persist;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Median seconds of five runs of `decode`.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the decoder's scaling claim is a wall-clock claim, measured here"
-)]
 fn median_seconds(mut decode: impl FnMut()) -> f64 {
-    let mut xs: Vec<f64> = (0..5)
-        .map(|_| {
-            let t0 = Instant::now();
-            decode();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
+    let mut xs: Vec<f64> = (0..5).map(|_| dpp::timed(&mut decode).1).collect();
     xs.sort_by(f64::total_cmp);
     xs[2]
 }

@@ -29,7 +29,6 @@ use crate::image::{CompositeMode, PixelView, Pixels, RankImage};
 use crate::rle::SpanImage;
 use mpirt::{EventWorld, NetModel, RoundBytes, RoundCost};
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Knobs for the round exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,10 +233,6 @@ pub fn direct_send_opts(
 /// `2*(P - 2^floor(log2 P))` ranks merge pairwise (whole-image sends), which
 /// leaves a power-of-two group of contiguous visibility blocks for the swap
 /// rounds.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "compositing phase timer: the models take its seconds as data"
-)]
 pub fn binary_swap_opts(
     images: &[impl Pixels],
     mode: CompositeMode,
@@ -265,17 +260,18 @@ pub fn binary_swap_opts(
     let mut pairs: Vec<RankImage> = Vec::with_capacity(m);
     let mut fold_compute = 0.0f64;
     for i in 0..m {
-        let t0 = Instant::now();
-        // The odd member ships its whole image to the even member (active
-        // spans only when compression is on).
-        let sent = if opts.compress {
-            SpanImage::from_view(images[2 * i + 1]).wire_bytes(mode)
-        } else {
-            n_px * bpp
-        };
-        let mut back = RankImage::from_view(images[2 * i + 1]);
-        back.merge_front(&RankImage::from_view(images[2 * i]), mode);
-        let dt = t0.elapsed().as_secs_f64();
+        let ((sent, back), dt) = dpp::timed(|| {
+            // The odd member ships its whole image to the even member (active
+            // spans only when compression is on).
+            let sent = if opts.compress {
+                SpanImage::from_view(images[2 * i + 1]).wire_bytes(mode)
+            } else {
+                n_px * bpp
+            };
+            let mut back = RankImage::from_view(images[2 * i + 1]);
+            back.merge_front(&RankImage::from_view(images[2 * i]), mode);
+            (sent, back)
+        });
         fold_compute += dt;
         fold_costs[2 * i + 1] =
             RoundCost { compute_s: 0.0, bytes_sent: sent, bytes_dense: n_px * bpp, messages: 1 };
@@ -352,10 +348,6 @@ fn exchange(
     }
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "compositing phase timer: the models take its seconds as data"
-)]
 fn run_radix<F: Fragment>(
     images: &[PixelView],
     mode: CompositeMode,
@@ -373,13 +365,8 @@ fn run_radix<F: Fragment>(
 
     // Initial (compressed) fragment construction is compute the ranks do,
     // each on its own.
-    let encoded: Vec<(F, f64)> = images
-        .par_iter()
-        .map(|&view| {
-            let t0 = Instant::now();
-            (F::from_view(view), t0.elapsed().as_secs_f64())
-        })
-        .collect();
+    let encoded: Vec<(F, f64)> =
+        images.par_iter().map(|&view| dpp::timed(|| F::from_view(view))).collect();
     compute_total += encoded.iter().map(|e| e.1).sum::<f64>();
     let mut states: Vec<RankState<F>> =
         encoded.into_iter().map(|(frag, _)| RankState { start: 0, end: n_px, frag }).collect();
@@ -403,45 +390,46 @@ fn run_radix<F: Fragment>(
                     (my.start + j * len / k, my.start + (j + 1) * len / k)
                 };
                 let (ps, pe) = part(d);
-                let t0 = Instant::now();
-                // Merge members front (digit 0) to back (digit k-1).
-                let mut frag: Option<F> = None;
-                for j in 0..k {
-                    let member = group_base + j * stride;
-                    let ms = &states[member];
-                    // The member's fragment covers [ms.start, ms.end); take
-                    // the sub-slice corresponding to [ps, pe).
-                    let piece = ms.frag.slice(ps - ms.start, pe - ms.start);
-                    frag = Some(match frag {
-                        None => piece,
-                        Some(mut acc) => {
-                            // `acc` holds members 0..j (in front), so the new
-                            // piece goes behind: merge acc into piece.
-                            match mode {
-                                CompositeMode::ZBuffer => {
-                                    acc.merge_front(&piece, CompositeMode::ZBuffer);
-                                    acc
-                                }
-                                CompositeMode::AlphaOrdered => {
-                                    let mut back = piece;
-                                    back.merge_front(&acc, CompositeMode::AlphaOrdered);
-                                    back
+                let ((frag, wire), compute) = dpp::timed(|| {
+                    // Merge members front (digit 0) to back (digit k-1).
+                    let mut frag: Option<F> = None;
+                    for j in 0..k {
+                        let member = group_base + j * stride;
+                        let ms = &states[member];
+                        // The member's fragment covers [ms.start, ms.end); take
+                        // the sub-slice corresponding to [ps, pe).
+                        let piece = ms.frag.slice(ps - ms.start, pe - ms.start);
+                        frag = Some(match frag {
+                            None => piece,
+                            Some(mut acc) => {
+                                // `acc` holds members 0..j (in front), so the new
+                                // piece goes behind: merge acc into piece.
+                                match mode {
+                                    CompositeMode::ZBuffer => {
+                                        acc.merge_front(&piece, CompositeMode::ZBuffer);
+                                        acc
+                                    }
+                                    CompositeMode::AlphaOrdered => {
+                                        let mut back = piece;
+                                        back.merge_front(&acc, CompositeMode::AlphaOrdered);
+                                        back
+                                    }
                                 }
                             }
-                        }
-                    });
-                }
-                // Wire bytes: this rank sends its own fragment's other k-1
-                // parts (compressed sizing included in the timed window — it
-                // is the packing cost).
-                let mut wire = 0usize;
-                for j in 0..k {
-                    if j != d {
-                        let (s, e) = part(j);
-                        wire += my.frag.wire_bytes_range(s - my.start, e - my.start, mode);
+                        });
                     }
-                }
-                let compute = t0.elapsed().as_secs_f64();
+                    // Wire bytes: this rank sends its own fragment's other k-1
+                    // parts (compressed sizing included in the timed window — it
+                    // is the packing cost).
+                    let mut wire = 0usize;
+                    for j in 0..k {
+                        if j != d {
+                            let (s, e) = part(j);
+                            wire += my.frag.wire_bytes_range(s - my.start, e - my.start, mode);
+                        }
+                    }
+                    (frag, wire)
+                });
                 let sent_pixels = len - (pe - ps);
                 let cost = RoundCost {
                     compute_s: compute,
@@ -467,12 +455,13 @@ fn run_radix<F: Fragment>(
     // Final gather to root: every rank ships its piece; the root's NIC
     // serializes the incoming image, so the root is charged the full byte
     // volume.
-    let t0 = Instant::now();
-    let mut full = RankImage::empty(width, height);
-    for st in &states {
-        st.frag.write_into(&mut full, st.start);
-    }
-    let assemble = t0.elapsed().as_secs_f64();
+    let (full, assemble) = dpp::timed(|| {
+        let mut full = RankImage::empty(width, height);
+        for st in &states {
+            st.frag.write_into(&mut full, st.start);
+        }
+        full
+    });
     compute_total += assemble;
     let mut gather_costs = vec![RoundCost::default(); p];
     let mut incoming_wire = 0usize;

@@ -36,7 +36,6 @@ use crate::image::{CompositeMode, PixelView, Pixels, RankImage};
 use crate::rle::SpanImage;
 use mpirt::{EventWorld, NetModel};
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Target pixels per tile. Fixed tile *size* (as in the DFB paper) means the
 /// tile count tracks the image, not the rank count: message granularity
@@ -81,24 +80,21 @@ impl<F: Fragment> TileBuffer<F> {
 
     /// Park `frag` and fold any newly contiguous suffix, returning the
     /// measured fold seconds — the owner's compute for this delivery.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "DFB fold timer: the models take its seconds as data"
-    )]
     fn insert(&mut self, rank: usize, frag: F, mode: CompositeMode) -> f64 {
         self.pending[rank] = Some(frag);
-        let t0 = Instant::now();
-        while self.next > 0 {
-            let Some(front) = self.pending[self.next - 1].take() else {
-                break;
-            };
-            self.next -= 1;
-            match self.acc.as_mut() {
-                None => self.acc = Some(front),
-                Some(back) => back.merge_front(&front, mode),
+        let ((), fold_s) = dpp::timed(|| {
+            while self.next > 0 {
+                let Some(front) = self.pending[self.next - 1].take() else {
+                    break;
+                };
+                self.next -= 1;
+                match self.acc.as_mut() {
+                    None => self.acc = Some(front),
+                    Some(back) => back.merge_front(&front, mode),
+                }
             }
-        }
-        t0.elapsed().as_secs_f64()
+        });
+        fold_s
     }
 
     /// The fully folded tile; `None` only if nothing was ever inserted.
@@ -175,10 +171,6 @@ fn shuffle(order: &mut [usize], mut state: u64) {
 /// One tile's composited result plus its (rank, fold-seconds) delivery trace.
 type MergedTile<F> = (Option<F>, Vec<(usize, f64)>);
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "DFB production timer: the models take its seconds as data"
-)]
 fn run_dfb<F: Fragment>(
     images: &[PixelView],
     mode: CompositeMode,
@@ -203,15 +195,15 @@ fn run_dfb<F: Fragment>(
     let produced: Vec<(Vec<F>, f64)> = images
         .par_iter()
         .map(|&view| {
-            let t0 = Instant::now();
-            let whole = F::from_view(view);
-            let frags: Vec<F> = (0..tiles)
-                .map(|t| {
-                    let (s, e) = tile_bounds(t, tiles, n_px);
-                    whole.slice(s, e)
-                })
-                .collect();
-            (frags, t0.elapsed().as_secs_f64())
+            dpp::timed(|| {
+                let whole = F::from_view(view);
+                (0..tiles)
+                    .map(|t| {
+                        let (s, e) = tile_bounds(t, tiles, n_px);
+                        whole.slice(s, e)
+                    })
+                    .collect()
+            })
         })
         .collect();
     for (r, (_, dt)) in produced.iter().enumerate() {
@@ -303,15 +295,16 @@ fn run_dfb<F: Fragment>(
     world.close_round();
 
     // 7. Final assembly at the root.
-    let t_asm = Instant::now();
-    let mut out = RankImage::empty(width, height);
-    for (t, (frag, _)) in merged.iter().enumerate() {
-        if let Some(f) = frag {
-            let (s, _) = tile_bounds(t, tiles, n_px);
-            f.write_into(&mut out, s);
+    let (out, asm) = dpp::timed(|| {
+        let mut out = RankImage::empty(width, height);
+        for (t, (frag, _)) in merged.iter().enumerate() {
+            if let Some(f) = frag {
+                let (s, _) = tile_bounds(t, tiles, n_px);
+                f.write_into(&mut out, s);
+            }
         }
-    }
-    let asm = t_asm.elapsed().as_secs_f64();
+        out
+    });
     world.compute(0, asm);
     compute_total += asm;
 
@@ -403,6 +396,32 @@ mod tests {
                 assert_eq!(bits(&out), bits(&canonical), "seed={seed} {mode:?}");
             }
         }
+    }
+
+    /// What a duplicate delivery does today: a duplicate of a rank already
+    /// folded is parked and never read, and a duplicate of a rank still
+    /// pending replaces the first copy.
+    #[test]
+    fn duplicate_deliveries_are_parked_or_replace_the_pending_copy() {
+        let mode = CompositeMode::AlphaOrdered;
+        let imgs = make_images(3, 16, 9, 3);
+        let other = make_images(3, 16, 9, 4);
+        let deliver = |deliveries: [(usize, &RankImage); 4]| {
+            let mut buf = TileBuffer::new(3);
+            for (r, img) in deliveries {
+                buf.insert(r, img.clone(), mode);
+            }
+            buf
+        };
+        // Rank 2 folds on arrival, so its duplicate stays parked behind `next`.
+        let buf = deliver([(2, &imgs[2]), (2, &other[2]), (1, &imgs[1]), (0, &imgs[0])]);
+        assert!(buf.pending[2].is_some());
+        assert_eq!(bits(&buf.finish().unwrap()), bits(&reference(&imgs, mode)));
+        // Rank 0 waits for ranks 1 and 2, so its duplicate replaces it.
+        let buf = deliver([(0, &imgs[0]), (0, &other[0]), (2, &imgs[2]), (1, &imgs[1])]);
+        let replaced = [other[0].clone(), imgs[1].clone(), imgs[2].clone()];
+        assert_ne!(bits(&reference(&replaced, mode)), bits(&reference(&imgs, mode)));
+        assert_eq!(bits(&buf.finish().unwrap()), bits(&reference(&replaced, mode)));
     }
 
     #[test]

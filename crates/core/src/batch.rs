@@ -22,8 +22,17 @@ pub struct FramePrediction {
 }
 
 impl FramePrediction {
+    /// What `set` predicts for `cfg`, mapped through `k`.
+    pub fn of(set: &ModelSet, cfg: &RenderConfig, k: &MappingConstants) -> FramePrediction {
+        FramePrediction {
+            per_frame_s: set.predict_frame_seconds(cfg, k),
+            build_s: set.predict_build_seconds(cfg, k),
+        }
+    }
+
     /// Images renderable in `budget_s`, amortizing the build (Figure 14),
-    /// clamped to the same floor as [`crate::feasibility::images_in_budget`].
+    /// with the per-frame seconds floored at
+    /// [`crate::feasibility::MIN_PREDICTED_SECONDS`].
     pub fn images_in_budget(&self, budget_s: f64) -> f64 {
         let per_frame = self.per_frame_s.max(crate::feasibility::MIN_PREDICTED_SECONDS);
         (budget_s - self.build_s).max(0.0) / per_frame
@@ -38,13 +47,7 @@ pub fn predict_batch(
     cfgs: &[RenderConfig],
     device: &Device,
 ) -> Vec<FramePrediction> {
-    dpp::primitives::map(device, cfgs.len(), |i| {
-        let cfg = &cfgs[i];
-        FramePrediction {
-            per_frame_s: set.predict_frame_seconds(cfg, k),
-            build_s: set.predict_build_seconds(cfg, k),
-        }
-    })
+    dpp::primitives::map(device, cfgs.len(), |i| FramePrediction::of(set, &cfgs[i], k))
 }
 
 #[cfg(test)]

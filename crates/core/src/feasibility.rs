@@ -3,6 +3,7 @@
 //! how many images fit in a time budget (Figure 14), and when ray tracing
 //! beats rasterization (Figure 15).
 
+use crate::batch::FramePrediction;
 use crate::mapping::{map_inputs, MappingConstants, RenderConfig};
 use crate::models::{Family, FittedLinearModel};
 use crate::sample::{CompositeSample, CompositeWire, RenderSample, RendererKind};
@@ -164,8 +165,8 @@ impl ModelSet {
 }
 
 /// Figure 14: number of images renderable inside `budget_seconds`, per
-/// image size, for one renderer. BVH builds amortize: built once, then every
-/// frame reuses it.
+/// image size, for one renderer, by [`FramePrediction::images_in_budget`]:
+/// BVH builds amortize, built once, then every frame reuses it.
 pub fn images_in_budget(
     set: &ModelSet,
     k: &MappingConstants,
@@ -184,10 +185,7 @@ pub fn images_in_budget(
                 pixels: (side as usize) * (side as usize),
                 tasks,
             };
-            let build = set.predict_build_seconds(&cfg, k);
-            let per_frame = set.predict_frame_seconds(&cfg, k).max(MIN_PREDICTED_SECONDS);
-            let remaining = (budget_seconds - build).max(0.0);
-            (side, remaining / per_frame)
+            (side, FramePrediction::of(set, &cfg, k).images_in_budget(budget_seconds))
         })
         .collect()
 }

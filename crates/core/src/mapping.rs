@@ -32,7 +32,8 @@ pub struct RenderConfig {
 /// Calibration constants of the mapping. The defaults are the paper's
 /// (0.55 screen fill, 4 pixels of overdraw per active pixel, 373-sample
 /// rays); [`MappingConstants::calibrated`] re-derives fill and SPR base for
-/// this repo's cameras and samplers from a probe render.
+/// this repo's cameras and samplers from a probe render, and
+/// [`MappingConstants::recalibrated`] re-derives them from later renders.
 #[derive(Debug, Clone, Copy)]
 pub struct MappingConstants {
     /// Fraction of image pixels active for one task.
@@ -53,7 +54,13 @@ impl MappingConstants {
     /// Derive fill and SPR constants from observed samples (one per renderer
     /// at `tasks = 1`), keeping the paper's functional form.
     pub fn calibrated(observed: &[RenderSample]) -> MappingConstants {
-        let mut c = MappingConstants::default();
+        MappingConstants::default().recalibrated(observed)
+    }
+
+    /// These constants with each one `observed` has samples for re-derived
+    /// from them (the mean over those samples); the others are kept.
+    pub fn recalibrated(&self, observed: &[RenderSample]) -> MappingConstants {
+        let mut c = *self;
         let fills: Vec<f64> = observed
             .iter()
             .filter(|s| s.pixels > 0.0)

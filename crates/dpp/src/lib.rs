@@ -29,3 +29,13 @@ pub mod sort;
 
 pub use device::Device;
 pub use primitives::*;
+
+/// Run `f` and return its result with the wall seconds it took. This is the
+/// workspace's one wall-clock read (clippy.toml, X007): measured seconds
+/// reach the models only as data, and only through here.
+#[expect(clippy::disallowed_methods, reason = "the workspace's one wall-clock read")]
+pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let t0 = std::time::Instant::now();
+    let r = f();
+    (r, t0.elapsed().as_secs_f64())
+}

@@ -456,13 +456,7 @@ impl Feasd {
                         pixels: (key.image_side as usize) * (key.image_side as usize),
                         tasks: key.tasks as usize,
                     });
-                    (
-                        FramePrediction {
-                            per_frame_s: snap.set.predict_frame_seconds(&cfg, &snap.k),
-                            build_s: snap.set.predict_build_seconds(&cfg, &snap.k),
-                        },
-                        Source::Model,
-                    )
+                    (FramePrediction::of(&snap.set, &cfg, &snap.k), Source::Model)
                 }
             }
         };

@@ -8,7 +8,6 @@
 //! (Tables 6 and 7). DESIGN.md documents this substitution.
 
 use crate::framebuffer::Framebuffer;
-use std::time::Instant;
 
 /// One completed phase: name, elapsed seconds, work units processed, and
 /// bytes moved over the (simulated) wire — nonzero only for communication
@@ -44,16 +43,9 @@ impl PhaseTimer {
     }
 
     /// Time a closure as one phase.
-    #[expect(clippy::disallowed_methods, reason = "`PhaseTimer` is the renderers' only clock")]
     pub fn run<R>(&mut self, name: &'static str, work_units: u64, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let r = f();
-        self.phases.push(PhaseRecord {
-            name,
-            seconds: t0.elapsed().as_secs_f64(),
-            work_units,
-            bytes_moved: 0,
-        });
+        let (r, seconds) = dpp::timed(f);
+        self.record(name, seconds, work_units);
         r
     }
 

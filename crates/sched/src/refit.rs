@@ -9,7 +9,7 @@
 
 use perfmodel::feasibility::ModelSet;
 use perfmodel::models::{Family, FamilyRow, Feed};
-use perfmodel::sample::{Obs, Sample};
+use perfmodel::sample::{Obs, RenderSample, Sample};
 use std::collections::VecDeque;
 
 /// What one [`OnlineRefit::refit_into`] pass did, for scheduler and repro
@@ -69,6 +69,15 @@ impl OnlineRefit {
             q.pop_front();
         }
         q.push_back(s);
+    }
+
+    /// The render samples the windows hold, window by window in
+    /// [`Family::ALL`] order, oldest first.
+    pub fn render_samples(&self) -> impl Iterator<Item = &RenderSample> {
+        self.windows.iter().flatten().filter_map(|s| match s {
+            Sample::Render(r) => Some(r),
+            Sample::Composite(_) => None,
+        })
     }
 
     /// Re-solve every family whose window holds at least `min_samples` of

@@ -9,7 +9,9 @@
 //! through [`observe_sample`](Scheduler::observe_sample), fill the oldest
 //! receipt waiting for them and feed [`OnlineRefit`], so predictions tighten
 //! as the run proceeds: the refit fits on the inputs a render observed,
-//! while admission predicts on mapped inputs.
+//! while admission predicts on mapped inputs, whose mapping each
+//! [`end_cycle`](Scheduler::end_cycle) recalibrates from the renders in the
+//! refit windows.
 
 use crate::ladder::{first_fit, Ladder, Rung, LADDER};
 use crate::refit::{OnlineRefit, RefitReport};
@@ -343,12 +345,15 @@ impl Scheduler {
         total
     }
 
-    /// Close the cycle: refit models from the observation windows, decide
+    /// Close the cycle: refit models from the observation windows,
+    /// recalibrate the mapping from the render samples in them, decide
     /// whether fidelity may recover, and append the cycle record. Returns the
     /// record just appended, or `None` if no cycle was open.
     pub fn end_cycle(&mut self) -> Option<&CycleRecord> {
         let mut rec = self.cur.take()?;
         rec.refit = self.refit.refit_into(&mut self.models);
+        let observed: Vec<RenderSample> = self.refit.render_samples().cloned().collect();
+        self.constants = self.constants.recalibrated(&observed);
         rec.level = self.ladder.level();
         let headroom = rec.level > 0
             && self.cycle_cost_at_level(&rec, rec.level - 1)
@@ -542,6 +547,33 @@ mod tests {
         s.decide(r);
         s.end_cycle();
         assert_eq!(charged(&s.history[1], 0).to_bits(), first.to_bits());
+    }
+
+    /// `end_cycle` recalibrates the mapping from the render samples in the
+    /// refit windows: a render that observed half its mapped active pixels
+    /// halves the fill the next cycle maps with, and the constants no sample
+    /// speaks for are kept.
+    #[test]
+    fn end_cycle_recalibrates_the_mapping_from_observed_renders() {
+        let (mut s, r) = (sched(10.0), req(RendererKind::RayTracing, 512));
+        let k = s.constants;
+        let planned = |s: &mut Scheduler| match s.decide(r) {
+            Decision::Admit(job) => job,
+            d => panic!("{d:?}"),
+        };
+        s.begin_cycle(0);
+        let job = planned(&mut s);
+        let stats = RenderStats { active_pixels: 0.5 * job.mapped.active_pixels, ..job.mapped };
+        let (renderer, pixels) = (job.cfg.renderer, job.cfg.pixels as f64);
+        let sample =
+            RenderSample { renderer, device: "", source: "test", stats, pixels, tasks: 64 };
+        s.observe_sample(Sample::Render(sample));
+        s.end_cycle();
+        assert!((s.constants.ap_fill / k.ap_fill - 0.5).abs() < 1e-12, "{:?}", s.constants);
+        assert_eq!((s.constants.ppt_factor, s.constants.spr_base), (k.ppt_factor, k.spr_base));
+        s.begin_cycle(1);
+        let next = planned(&mut s).mapped.active_pixels;
+        assert!((next / stats.active_pixels - 1.0).abs() < 1e-12, "{next}");
     }
 
     /// Packing is cumulative: a job that fits alone degrades once earlier

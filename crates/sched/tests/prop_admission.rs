@@ -55,7 +55,7 @@ proptest! {
             for _ in 0..stray_before {
                 stray(&mut exec, &mut sched);
             }
-            let mut executed = Vec::new();
+            let (mut executed, mut reported) = (Vec::new(), Vec::new());
             let mut built = false;
             for (r, log2_side, cells_per_task) in requests {
                 let side = 1u32 << log2_side;
@@ -66,7 +66,9 @@ proptest! {
                 };
                 let charge = job.cfg.renderer == RendererKind::RayTracing && !built;
                 built |= charge;
-                executed.push(exec.execute(&job.cfg, charge));
+                let cost = exec.execute(&job.cfg, charge);
+                reported.push((cost.render.stats.objects, cost.render.stats.active_pixels));
+                executed.push(cost);
                 if !observe_late {
                     let cost = executed.pop().unwrap();
                     sched.observe_sample(Sample::Render(cost.render));
@@ -91,6 +93,7 @@ proptest! {
             // an unpriced receipt of its own.
             let unpriced = rec.receipts.iter().filter(|r| r.request.is_none()).count();
             prop_assert_eq!(unpriced, 2 * (stray_before + stray_after));
+            let mut reported = reported.into_iter();
             for r in &rec.receipts {
                 match (r.request, r.job) {
                     (Some(_), None) => prop_assert!(
@@ -100,11 +103,11 @@ proptest! {
                     ),
                     (Some(_), Some(job)) => {
                         prop_assert!(r.exchange_s.is_some(), "{:?}", r);
-                        // First in, first out: the executor reports a job's
-                        // mapped inputs, so each receipt holds its own render.
+                        // First in, first out: each receipt holds the render
+                        // the executor reported for its own job.
                         let observed = r.observed.map(|o| (o.objects, o.active_pixels));
-                        let mapped = (job.mapped.objects, job.mapped.active_pixels);
-                        prop_assert_eq!(observed, Some(mapped));
+                        prop_assert_eq!(observed, reported.next());
+                        prop_assert_eq!(observed.map(|o| o.0), Some(job.mapped.objects));
                         prop_assert!(tasks > 1 || job.comp_s == 0.0, "{:?}", job);
                     }
                     (None, job) => prop_assert!(job.is_none()),

@@ -6,7 +6,7 @@
 
 use crate::ProxySim;
 use mesh::{Field, UniformGrid};
-use std::panic::resume_unwind;
+use rayon::prelude::*;
 use vecmath::{Aabb, Vec3};
 
 /// The Kripke proxy.
@@ -186,16 +186,10 @@ impl ProxySim for Kripke {
         let mut phi = vec![0.0f32; prev.len()];
         let weight = 4.0 * std::f32::consts::PI / OCTANTS.len() as f32;
         // Octant sweeps are independent given the previous iterate; sweep
-        // them in parallel on the crossbeam shim's scoped threads (the
-        // audited layer every repo thread goes through). Join order is fixed
-        // by octant index, so the += accumulation below stays deterministic.
-        let this = &*self;
-        let sweeps: Vec<Vec<f32>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> =
-                OCTANTS.iter().map(|dir| s.spawn(|_| this.sweep(*dir, &prev))).collect();
-            handles.into_iter().map(|h| h.join().unwrap_or_else(|e| resume_unwind(e))).collect()
-        })
-        .unwrap_or_else(|e| resume_unwind(e));
+        // them on the rayon pool, one task per octant. `collect` keeps octant
+        // order, so the += accumulation below stays deterministic.
+        let sweeps: Vec<Vec<f32>> =
+            OCTANTS.par_iter().with_max_len(1).map(|dir| self.sweep(*dir, &prev)).collect();
         for psi in sweeps {
             for (p, v) in phi.iter_mut().zip(psi) {
                 *p += weight * v;
@@ -227,6 +221,32 @@ impl ProxySim for Kripke {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Kripke on the pool folds the same octant sweeps in the same order as
+    /// a serial loop, so its flux is the serial fold's bit for bit at any
+    /// worker count.
+    #[test]
+    fn pooled_sweeps_equal_the_serial_fold_bit_for_bit() {
+        let mut serial = Kripke::new(12);
+        for _ in 0..8 {
+            let prev = serial.phi.clone();
+            let weight = 4.0 * std::f32::consts::PI / OCTANTS.len() as f32;
+            let mut phi = vec![0.0f32; prev.len()];
+            for dir in OCTANTS {
+                for (p, v) in phi.iter_mut().zip(serial.sweep(dir, &prev)) {
+                    *p += weight * v;
+                }
+            }
+            serial.phi = phi;
+        }
+        let bits = |phi: &[f32]| phi.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for workers in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
+            let mut sim = Kripke::new(12);
+            pool.install(|| (0..8).for_each(|_| sim.step()));
+            assert_eq!(bits(sim.phi()), bits(serial.phi()), "{workers} workers");
+        }
+    }
 
     #[test]
     fn flux_appears_after_first_iteration() {

@@ -263,10 +263,6 @@ impl Published {
     /// The surface of `var`: extracted when the first plot of it draws
     /// (`"surface_geometry"` phase), given a BVH when the first ray-traced one
     /// does (`"bvh_build"` phase). An unknown variable leaves nothing behind.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the in situ driver measures per-phase wall time"
-    )]
     fn surface(
         &mut self,
         device: &Device,
@@ -277,10 +273,12 @@ impl Published {
         let (var, surface) = match self.surfaces.iter().position(|(v, _)| v == var) {
             Some(i) => self.surfaces.swap_remove(i),
             None => {
-                let t0 = std::time::Instant::now();
-                let geom = TriGeometry::from_mesh(&surface_geometry(&mut self.mesh, var)?);
-                let cells = self.mesh.num_cells() as u64;
-                phases.record("surface_geometry", t0.elapsed().as_secs_f64(), cells);
+                let (extracted, seconds) = dpp::timed(|| {
+                    let geom = TriGeometry::from_mesh(&surface_geometry(&mut self.mesh, var)?);
+                    Ok::<_, StrawmanError>((geom, self.mesh.num_cells() as u64))
+                });
+                let (geom, cells) = extracted?;
+                phases.record("surface_geometry", seconds, cells);
                 (var.to_string(), Surface::Geometry(geom))
             }
         };
@@ -437,10 +435,6 @@ impl Strawman {
         self.published = None;
     }
 
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the in situ driver measures per-phase wall time"
-    )]
     fn render_and_save(
         &mut self,
         width: u32,
@@ -498,10 +492,11 @@ impl Strawman {
                 }
             };
 
-            let (t0, first_phase) = (std::time::Instant::now(), self.phases.phases.len());
-            let (out, renderer) =
-                render_plot(&self.opts.device, published, &plot, &camera, w, h, &mut self.phases)?;
-            let seconds = t0.elapsed().as_secs_f64();
+            let first_phase = self.phases.phases.len();
+            let (rendered, seconds) = dpp::timed(|| {
+                render_plot(&self.opts.device, published, &plot, &camera, w, h, &mut self.phases)
+            });
+            let (out, renderer) = rendered?;
             let mut stats = out.stats;
             let built = self.phases.phases[first_phase..].iter().find(|p| p.name == "bvh_build");
             stats.build_seconds = built.map_or(0.0, |p| p.seconds);

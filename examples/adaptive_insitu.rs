@@ -4,8 +4,10 @@
 //! plugs into Strawman's admission hook. A probe cycle at full fidelity
 //! measures what the un-budgeted pipeline costs, the budget is then set well
 //! below it, and the scheduler must degrade (or reject) renders to keep each
-//! cycle inside the budget — with its online refit tightening predictions
-//! from the measured wall times as the run proceeds.
+//! cycle inside the budget. From the second scheduled cycle on, each job is
+//! priced at the active pixels the renders observed: the scheduler
+//! recalibrates its mapping at every `end_cycle`. Its refit windows fill only
+//! at the last one, so the models themselves do not move in-run.
 
 use conduit_node::Node;
 use dpp::Device;

@@ -15,7 +15,6 @@ use mesh::isosurface::isosurface;
 use render::raytrace::{RayTracer, RtConfig, TriGeometry};
 use vecmath::{Camera, Vec3};
 
-#[expect(clippy::disallowed_methods, reason = "the demo reports its wall time")]
 fn main() {
     let grid = field_grid(FieldKind::ShockShell, [48, 48, 48]);
     let surface = isosurface(&grid, "scalar", 0.5, Some("elevation"));
@@ -31,23 +30,24 @@ fn main() {
     let cfg = RtConfig::workload2();
     let (n_phi, n_theta, side) = (8u32, 3u32, 256u32);
 
-    let t0 = std::time::Instant::now();
-    let mut total_rays = 0u64;
-    for ti in 0..n_theta {
-        let theta = 0.3 + 0.9 * ti as f32 / n_theta as f32;
-        for pi in 0..n_phi {
-            let phi = 2.0 * std::f32::consts::PI * pi as f32 / n_phi as f32;
-            let dir = Vec3::new(theta.sin() * phi.cos(), theta.cos(), theta.sin() * phi.sin());
-            let cam = Camera::framing(&bounds, dir, 0.9);
-            let out = tracer.render(&cam, side, side, &cfg);
-            total_rays += out.stats.rays_traced;
-            let mut frame = out.frame;
-            frame.set_background(vecmath::Color::WHITE);
-            let path = out_dir.join(format!("view_t{ti}_p{pi}.png"));
-            strawman::api::write_image(&frame, &path, "png").expect("write");
+    let (total_rays, elapsed) = dpp::timed(|| {
+        let mut total_rays = 0u64;
+        for ti in 0..n_theta {
+            let theta = 0.3 + 0.9 * ti as f32 / n_theta as f32;
+            for pi in 0..n_phi {
+                let phi = 2.0 * std::f32::consts::PI * pi as f32 / n_phi as f32;
+                let dir = Vec3::new(theta.sin() * phi.cos(), theta.cos(), theta.sin() * phi.sin());
+                let cam = Camera::framing(&bounds, dir, 0.9);
+                let out = tracer.render(&cam, side, side, &cfg);
+                total_rays += out.stats.rays_traced;
+                let mut frame = out.frame;
+                frame.set_background(vecmath::Color::WHITE);
+                let path = out_dir.join(format!("view_t{ti}_p{pi}.png"));
+                strawman::api::write_image(&frame, &path, "png").expect("write");
+            }
         }
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
+        total_rays
+    });
     let n_images = (n_phi * n_theta) as f64;
     println!(
         "rendered {} images ({side}x{side}) in {:.2} s  ->  {:.1} images/s, {:.1} Mrays/s",

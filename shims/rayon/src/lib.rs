@@ -13,8 +13,11 @@
 //!   [`ThreadPool::install`] to their own workers — `install` really executes
 //!   its closure *on a pool thread*, and nested `par_*` calls inside are
 //!   clamped to that pool, so thread-count-clamped strong-scaling studies
-//!   measure what they claim to. Workers are built on the `crossbeam` shim's
-//!   scoped threads.
+//!   measure what they claim to.
+//!
+//! This crate is the one place threads start in the workspace: each pool's
+//! workers live in a `std::thread::scope` owned by a detached supervisor
+//! thread.
 //!
 //! Determinism: chunk partitions are pure functions of input length and grain
 //! (see [`Par::with_min_len`]); ordered consumers merge per-chunk results in
@@ -22,8 +25,8 @@
 //! `fold`/`reduce` partitions are thread-count-independent. Worker panics
 //! propagate to the submitting caller, as with real rayon.
 
-// The blessed thread layer: the workspace bans raw `std::thread` and `mpsc`
-// (clippy.toml), and this crate and `crossbeam` are where threads start.
+// The thread layer: the workspace bans raw `std::thread` and `mpsc`
+// (clippy.toml), and this crate is where threads start.
 #![allow(clippy::disallowed_methods, reason = "the shim is the workspace's thread layer")]
 
 mod iter;

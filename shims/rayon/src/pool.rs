@@ -20,8 +20,7 @@
 //! [`std::panic::resume_unwind`] after the batch completes — the same
 //! observable behavior as real rayon.
 //!
-//! Workers are spawned through the `crossbeam` shim's scoped threads: each
-//! pool starts one detached supervisor thread whose `crossbeam::thread::scope`
+//! Each pool starts one detached supervisor thread whose `std::thread::scope`
 //! owns the workers, so dropping a [`ThreadPool`] joins every worker through
 //! the supervisor.
 
@@ -210,21 +209,19 @@ impl PoolState {
         }
     }
 
-    /// Start the workers behind a detached supervisor whose crossbeam scope
-    /// owns them; joining the supervisor joins every worker.
+    /// Start the workers behind a detached supervisor whose scope owns them;
+    /// joining the supervisor joins every worker.
     fn spawn_workers(self: &Arc<Self>) -> std::thread::JoinHandle<()> {
         let state = self.clone();
         std::thread::Builder::new()
             .name("rayon-shim-supervisor".into())
             .spawn(move || {
-                let n = state.num_threads;
-                crossbeam::thread::scope(|s| {
-                    for _ in 0..n {
+                std::thread::scope(|s| {
+                    for _ in 0..state.num_threads {
                         let st = state.clone();
-                        s.spawn(move |_| st.worker_loop());
+                        s.spawn(move || st.worker_loop());
                     }
-                })
-                .expect("rayon shim worker panicked outside a task");
+                });
             })
             .expect("failed to spawn rayon shim supervisor")
     }

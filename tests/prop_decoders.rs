@@ -13,8 +13,7 @@
 //!
 //! Damaged inputs stay a few KB, so this file says nothing about time; that
 //! each decoder's time is linear in its input is measured in
-//! `crates/bench/tests/decoder_scaling.rs`, where reading the clock is
-//! sanctioned (X007).
+//! `crates/bench/tests/decoder_scaling.rs`, through `dpp::timed` (X007).
 
 use feasd::wire::query_from_json;
 use perfmodel::feasibility::ModelSet;
