@@ -26,7 +26,7 @@
 
 use crate::dfb::dfb_compose_opts;
 use crate::image::{CompositeMode, PixelView, Pixels, RankImage};
-use crate::rle::SpanImage;
+use crate::rle::{composite_windows, SpanImage};
 use mpirt::{EventWorld, NetModel, RoundBytes, RoundCost};
 use rayon::prelude::*;
 
@@ -153,10 +153,18 @@ pub fn reference(images: &[RankImage], mode: CompositeMode) -> RankImage {
 /// or run-length spans. Both implement identical merge semantics, so the
 /// round loop (and the [`crate::dfb`] tile exchange) is generic over the
 /// wire format.
-pub(crate) trait Fragment: Clone + Send + Sync {
+pub(crate) trait Fragment: Send + Sync {
     fn from_view(view: PixelView<'_>) -> Self;
     fn slice(&self, start: usize, end: usize) -> Self;
-    fn merge_front(&mut self, front: &Self, mode: CompositeMode);
+    /// Pixels `[fs, fs + n)` of `front` merged in front of pixels
+    /// `[bs, bs + n)` of `back`, read where they lie, as a new `n`-pixel
+    /// fragment.
+    fn merge_windows(
+        front: (&Self, usize),
+        back: (&Self, usize),
+        n: usize,
+        mode: CompositeMode,
+    ) -> Self;
     /// Bytes this whole fragment costs to send.
     fn wire_bytes(&self, mode: CompositeMode) -> usize;
     /// Bytes the sub-range `[start, end)` costs to send.
@@ -164,6 +172,8 @@ pub(crate) trait Fragment: Clone + Send + Sync {
     fn write_into(&self, out: &mut RankImage, start: usize);
 }
 
+/// The dense wire serves probes and studies only, so it merges windows
+/// through slices.
 impl Fragment for RankImage {
     fn from_view(view: PixelView<'_>) -> RankImage {
         RankImage::from_view(view)
@@ -173,8 +183,15 @@ impl Fragment for RankImage {
         RankImage::slice(self, start, end)
     }
 
-    fn merge_front(&mut self, front: &RankImage, mode: CompositeMode) {
-        RankImage::merge_front(self, front, mode)
+    fn merge_windows(
+        (front, fs): (&RankImage, usize),
+        (back, bs): (&RankImage, usize),
+        n: usize,
+        mode: CompositeMode,
+    ) -> RankImage {
+        let mut out = back.slice(bs, bs + n);
+        out.merge_front(&front.slice(fs, fs + n), mode);
+        out
     }
 
     fn wire_bytes(&self, mode: CompositeMode) -> usize {
@@ -200,8 +217,13 @@ impl Fragment for SpanImage {
         SpanImage::slice(self, start, end)
     }
 
-    fn merge_front(&mut self, front: &SpanImage, mode: CompositeMode) {
-        SpanImage::merge_front(self, front, mode)
+    fn merge_windows(
+        front: (&SpanImage, usize),
+        back: (&SpanImage, usize),
+        n: usize,
+        mode: CompositeMode,
+    ) -> SpanImage {
+        composite_windows(front, back, n, mode)
     }
 
     fn wire_bytes(&self, mode: CompositeMode) -> usize {
@@ -391,32 +413,23 @@ fn run_radix<F: Fragment>(
                 };
                 let (ps, pe) = part(d);
                 let ((frag, wire), compute) = dpp::timed(|| {
-                    // Merge members front (digit 0) to back (digit k-1).
-                    let mut frag: Option<F> = None;
-                    for j in 0..k {
-                        let member = group_base + j * stride;
-                        let ms = &states[member];
-                        // The member's fragment covers [ms.start, ms.end); take
-                        // the sub-slice corresponding to [ps, pe).
-                        let piece = ms.frag.slice(ps - ms.start, pe - ms.start);
-                        frag = Some(match frag {
-                            None => piece,
-                            Some(mut acc) => {
-                                // `acc` holds members 0..j (in front), so the new
-                                // piece goes behind: merge acc into piece.
-                                match mode {
-                                    CompositeMode::ZBuffer => {
-                                        acc.merge_front(&piece, CompositeMode::ZBuffer);
-                                        acc
-                                    }
-                                    CompositeMode::AlphaOrdered => {
-                                        let mut back = piece;
-                                        back.merge_front(&acc, CompositeMode::AlphaOrdered);
-                                        back
-                                    }
-                                }
-                            }
-                        });
+                    // Merge members front (digit 0) to back (digit k-1), each
+                    // read in place: member `j`'s fragment covers
+                    // [ms.start, ms.end), so [ps, pe) starts at ps - ms.start.
+                    let n = pe - ps;
+                    let window = |j: usize| {
+                        let ms = &states[group_base + j * stride];
+                        (&ms.frag, ps - ms.start)
+                    };
+                    // `acc` holds members 0..j (in front), so member j goes
+                    // behind it.
+                    let merge = |acc: (&F, usize), j: usize| match mode {
+                        CompositeMode::ZBuffer => F::merge_windows(window(j), acc, n, mode),
+                        CompositeMode::AlphaOrdered => F::merge_windows(acc, window(j), n, mode),
+                    };
+                    let mut frag = merge(window(0), 1);
+                    for j in 2..k {
+                        frag = merge((&frag, 0), j);
                     }
                     // Wire bytes: this rank sends its own fragment's other k-1
                     // parts (compressed sizing included in the timed window — it
@@ -437,11 +450,6 @@ fn run_radix<F: Fragment>(
                     bytes_dense: sent_pixels * bpp,
                     messages: k - 1,
                 };
-                #[expect(
-                    clippy::unwrap_used,
-                    reason = "every rank holds exactly one fragment per radix round by construction"
-                )]
-                let frag = frag.unwrap();
                 (RankState { start: ps, end: pe, frag }, cost, compute)
             })
             .collect();

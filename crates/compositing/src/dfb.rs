@@ -62,36 +62,53 @@ fn tile_owner(t: usize, ranks: usize) -> usize {
 /// Fragments may be inserted in any order; folding only ever consumes the
 /// contiguous suffix of ranks already present, back to front, so the
 /// result bits are a function of the fragments alone — never of the
-/// insertion permutation.
-struct TileBuffer<F> {
-    /// Fragments parked until their rank's turn, rank-indexed. A plain Vec:
+/// insertion permutation. A fragment is a window `(&F, start)` of its
+/// rank's one encoded image: nothing is copied to be parked.
+struct TileBuffer<'a, F> {
+    /// Windows parked until their rank's turn, rank-indexed. A plain Vec:
     /// iteration order must not depend on hasher state (X005).
-    pending: Vec<Option<F>>,
-    /// Folded suffix `[next, p)` — the back of the image so far.
-    acc: Option<F>,
+    pending: Vec<Option<(&'a F, usize)>>,
+    /// Folded suffix `[next, p)` — the back of the image so far: still the
+    /// back rank's window until a second rank folds onto it.
+    acc: Option<Folded<'a, F>>,
     /// Lowest rank already folded into `acc`; counts down from `p`.
     next: usize,
+    /// Pixels per window.
+    n: usize,
 }
 
-impl<F: Fragment> TileBuffer<F> {
-    fn new(ranks: usize) -> TileBuffer<F> {
-        TileBuffer { pending: vec![None; ranks], acc: None, next: ranks }
+/// A tile's folded suffix.
+enum Folded<'a, F> {
+    /// One rank's window, not merged with anything yet.
+    Window((&'a F, usize)),
+    /// The merge of two or more ranks' windows.
+    Merged(F),
+}
+
+impl<'a, F: Fragment> TileBuffer<'a, F> {
+    fn new(ranks: usize, n: usize) -> TileBuffer<'a, F> {
+        TileBuffer { pending: vec![None; ranks], acc: None, next: ranks, n }
     }
 
-    /// Park `frag` and fold any newly contiguous suffix, returning the
+    /// Park `window` and fold any newly contiguous suffix, returning the
     /// measured fold seconds — the owner's compute for this delivery.
-    fn insert(&mut self, rank: usize, frag: F, mode: CompositeMode) -> f64 {
-        self.pending[rank] = Some(frag);
+    fn insert(&mut self, rank: usize, window: (&'a F, usize), mode: CompositeMode) -> f64 {
+        self.pending[rank] = Some(window);
         let ((), fold_s) = dpp::timed(|| {
             while self.next > 0 {
                 let Some(front) = self.pending[self.next - 1].take() else {
                     break;
                 };
                 self.next -= 1;
-                match self.acc.as_mut() {
-                    None => self.acc = Some(front),
-                    Some(back) => back.merge_front(&front, mode),
-                }
+                self.acc = Some(match self.acc.take() {
+                    None => Folded::Window(front),
+                    Some(Folded::Window(back)) => {
+                        Folded::Merged(F::merge_windows(front, back, self.n, mode))
+                    }
+                    Some(Folded::Merged(back)) => {
+                        Folded::Merged(F::merge_windows(front, (&back, 0), self.n, mode))
+                    }
+                });
             }
         });
         fold_s
@@ -99,7 +116,10 @@ impl<F: Fragment> TileBuffer<F> {
 
     /// The fully folded tile; `None` only if nothing was ever inserted.
     fn finish(self) -> Option<F> {
-        self.acc
+        self.acc.map(|acc| match acc {
+            Folded::Window((frag, start)) => frag.slice(start, start + self.n),
+            Folded::Merged(frag) => frag,
+        })
     }
 }
 
@@ -190,22 +210,10 @@ fn run_dfb<F: Fragment>(
     let mut world = EventWorld::with_starts(starts, net);
     let mut compute_total = 0.0f64;
 
-    // 1. Fragment production: each rank encodes its image and slices it into
-    //    per-tile fragments as its local (render) work completes.
-    let produced: Vec<(Vec<F>, f64)> = images
-        .par_iter()
-        .map(|&view| {
-            dpp::timed(|| {
-                let whole = F::from_view(view);
-                (0..tiles)
-                    .map(|t| {
-                        let (s, e) = tile_bounds(t, tiles, n_px);
-                        whole.slice(s, e)
-                    })
-                    .collect()
-            })
-        })
-        .collect();
+    // 1. Fragment production: each rank encodes its image once, as its local
+    //    (render) work completes; tiles are windows of it.
+    let produced: Vec<(F, f64)> =
+        images.par_iter().map(|&view| dpp::timed(|| F::from_view(view))).collect();
     for (r, (_, dt)) in produced.iter().enumerate() {
         world.compute(r, *dt);
         compute_total += *dt;
@@ -215,14 +223,14 @@ fn run_dfb<F: Fragment>(
     //    owners, eagerly, in tile order. `arrival[t][r]` is when tile t's
     //    fragment from rank r is available at the owner.
     let mut arrival = vec![vec![0.0f64; p]; tiles];
-    for (r, (frags, _)) in produced.iter().enumerate() {
-        for (t, frag) in frags.iter().enumerate() {
-            if tile_owner(t, p) == r {
-                arrival[t][r] = world.now(r);
+    for (r, (frag, _)) in produced.iter().enumerate() {
+        for (t, at) in arrival.iter_mut().enumerate() {
+            at[r] = if tile_owner(t, p) == r {
+                world.now(r)
             } else {
                 let (s, e) = tile_bounds(t, tiles, n_px);
-                arrival[t][r] = world.send(r, frag.wire_bytes(mode), (e - s) * bpp);
-            }
+                world.send(r, frag.wire_bytes_range(s, e, mode), (e - s) * bpp)
+            };
         }
     }
     world.close_round();
@@ -253,9 +261,10 @@ fn run_dfb<F: Fragment>(
         .par_iter()
         .enumerate()
         .map(|(t, order)| {
-            let mut buf = TileBuffer::new(p);
+            let (s, e) = tile_bounds(t, tiles, n_px);
+            let mut buf = TileBuffer::new(p, e - s);
             let folds: Vec<(usize, f64)> =
-                order.iter().map(|&r| (r, buf.insert(r, produced[r].0[t].clone(), mode))).collect();
+                order.iter().map(|&r| (r, buf.insert(r, (&produced[r].0, s), mode))).collect();
             (buf.finish(), folds)
         })
         .collect();
@@ -400,28 +409,34 @@ mod tests {
 
     /// What a duplicate delivery does today: a duplicate of a rank already
     /// folded is parked and never read, and a duplicate of a rank still
-    /// pending replaces the first copy.
+    /// pending replaces the first copy. Every delivery is a window of a
+    /// whole image, at an offset into it, as `run_dfb` parks them.
     #[test]
     fn duplicate_deliveries_are_parked_or_replace_the_pending_copy() {
         let mode = CompositeMode::AlphaOrdered;
         let imgs = make_images(3, 16, 9, 3);
         let other = make_images(3, 16, 9, 4);
+        let (start, n) = (37, 64);
+        let tile = |imgs: &[RankImage]| -> Vec<RankImage> {
+            imgs.iter().map(|img| img.slice(start, start + n)).collect()
+        };
         let deliver = |deliveries: [(usize, &RankImage); 4]| {
-            let mut buf = TileBuffer::new(3);
+            let mut buf = TileBuffer::new(3, n);
             for (r, img) in deliveries {
-                buf.insert(r, img.clone(), mode);
+                buf.insert(r, (img, start), mode);
             }
-            buf
+            (buf.pending[2].is_some(), buf.finish().unwrap())
         };
         // Rank 2 folds on arrival, so its duplicate stays parked behind `next`.
-        let buf = deliver([(2, &imgs[2]), (2, &other[2]), (1, &imgs[1]), (0, &imgs[0])]);
-        assert!(buf.pending[2].is_some());
-        assert_eq!(bits(&buf.finish().unwrap()), bits(&reference(&imgs, mode)));
+        let (parked, folded) =
+            deliver([(2, &imgs[2]), (2, &other[2]), (1, &imgs[1]), (0, &imgs[0])]);
+        assert!(parked);
+        assert_eq!(bits(&folded), bits(&reference(&tile(&imgs), mode)));
         // Rank 0 waits for ranks 1 and 2, so its duplicate replaces it.
-        let buf = deliver([(0, &imgs[0]), (0, &other[0]), (2, &imgs[2]), (1, &imgs[1])]);
-        let replaced = [other[0].clone(), imgs[1].clone(), imgs[2].clone()];
-        assert_ne!(bits(&reference(&replaced, mode)), bits(&reference(&imgs, mode)));
-        assert_eq!(bits(&buf.finish().unwrap()), bits(&reference(&replaced, mode)));
+        let (_, folded) = deliver([(0, &imgs[0]), (0, &other[0]), (2, &imgs[2]), (1, &imgs[1])]);
+        let replaced = tile(&[other[0].clone(), imgs[1].clone(), imgs[2].clone()]);
+        assert_ne!(bits(&reference(&replaced, mode)), bits(&reference(&tile(&imgs), mode)));
+        assert_eq!(bits(&folded), bits(&reference(&replaced, mode)));
     }
 
     #[test]

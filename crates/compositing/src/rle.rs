@@ -82,7 +82,18 @@ struct Builder {
 
 impl Builder {
     fn new(width: u32, height: u32) -> Builder {
-        Builder { width, height, len: 0, runs: Vec::new(), color: Vec::new(), depth: Vec::new() }
+        Builder::with_capacity(width, height, 0, 0)
+    }
+
+    fn with_capacity(width: u32, height: u32, runs: usize, payload: usize) -> Builder {
+        Builder {
+            width,
+            height,
+            len: 0,
+            runs: Vec::with_capacity(runs),
+            color: Vec::with_capacity(payload),
+            depth: Vec::with_capacity(payload),
+        }
     }
 
     fn push_background(&mut self, n: usize) {
@@ -98,27 +109,26 @@ impl Builder {
         }
     }
 
-    fn push_pixel(&mut self, c: Color, d: f32) {
-        self.len += 1;
-        match self.runs.last_mut() {
-            Some(r) => r.active += 1,
-            None => self.runs.push(Run { background: 0, active: 1 }),
-        }
-        self.color.push(c);
-        self.depth.push(d);
-    }
-
-    fn push_active(&mut self, colors: impl Iterator<Item = Color>, depths: &[f32]) {
-        if depths.is_empty() {
+    /// Append one active piece; `colors` and `depths` yield equally many
+    /// pixels.
+    fn push_active(
+        &mut self,
+        colors: impl Iterator<Item = Color>,
+        depths: impl Iterator<Item = f32>,
+    ) {
+        let before = self.depth.len();
+        self.color.extend(colors);
+        self.depth.extend(depths);
+        debug_assert_eq!(self.color.len(), self.depth.len());
+        let n = self.depth.len() - before;
+        if n == 0 {
             return;
         }
-        self.len += depths.len();
+        self.len += n;
         match self.runs.last_mut() {
-            Some(r) => r.active += depths.len() as u32,
-            None => self.runs.push(Run { background: 0, active: depths.len() as u32 }),
+            Some(r) => r.active += n as u32,
+            None => self.runs.push(Run { background: 0, active: n as u32 }),
         }
-        self.color.extend(colors);
-        self.depth.extend_from_slice(depths);
     }
 
     fn finish(self) -> SpanImage {
@@ -133,8 +143,9 @@ impl Builder {
     }
 }
 
-/// Cursor over the alternating segments of a [`SpanImage`], supporting
-/// partial consumption (needed when two images' run boundaries interleave).
+/// Cursor over the alternating segments of a window of a [`SpanImage`],
+/// supporting partial consumption (needed when two images' run boundaries
+/// interleave).
 struct SegCursor<'a> {
     runs: &'a [Run],
     /// Index of the current run pair.
@@ -145,45 +156,66 @@ struct SegCursor<'a> {
     remaining: usize,
     /// Payload index of the next active pixel.
     payload: usize,
+    /// Pixels left in the window.
+    left: usize,
 }
 
 impl<'a> SegCursor<'a> {
-    fn new(img: &'a SpanImage) -> SegCursor<'a> {
-        let remaining = img.runs.first().map_or(0, |r| r.background as usize);
-        SegCursor { runs: &img.runs, run: 0, in_active: false, remaining, payload: 0 }
+    /// A cursor over pixels `[start, start + n)` of `img`.
+    fn window(img: &'a SpanImage, start: usize, n: usize) -> SegCursor<'a> {
+        assert!(start + n <= img.len, "window {start}+{n} of {}", img.len);
+        let (mut pos, mut payload) = (0usize, 0usize);
+        // The run half holding `start` and its pixels from `start` on; past
+        // the last run when `start` is the image end.
+        let mut at = (img.runs.len(), true, 0usize);
+        for (run, r) in img.runs.iter().enumerate() {
+            let background_end = pos + r.background as usize;
+            pos = background_end + r.active as usize;
+            if start < background_end {
+                at = (run, false, background_end - start);
+                break;
+            }
+            if start < pos {
+                payload += start - background_end;
+                at = (run, true, pos - start);
+                break;
+            }
+            payload += r.active as usize;
+        }
+        let (run, in_active, remaining) = at;
+        SegCursor { runs: &img.runs, run, in_active, remaining, payload, left: n }
     }
 
-    /// `(is_active, available)` of the current non-empty segment, or `None`
-    /// at the end.
+    /// `(is_active, available)` of the current non-empty segment, clipped to
+    /// the window, or `None` at the window's end.
     fn peek(&mut self) -> Option<(bool, usize)> {
+        if self.left == 0 {
+            return None;
+        }
         while self.remaining == 0 {
             if !self.in_active {
-                if self.run >= self.runs.len() {
-                    return None;
-                }
                 self.in_active = true;
                 self.remaining = self.runs[self.run].active as usize;
             } else {
+                // The window lies inside the image, so another run follows.
                 self.run += 1;
-                if self.run >= self.runs.len() {
-                    return None;
-                }
                 self.in_active = false;
                 self.remaining = self.runs[self.run].background as usize;
             }
         }
-        Some((self.in_active, self.remaining))
+        Some((self.in_active, self.remaining.min(self.left)))
     }
 
     /// Consume `n` pixels of the current segment (`n <= peek().1`); returns
     /// the payload start index (meaningful only for active segments).
     fn take(&mut self, n: usize) -> usize {
-        debug_assert!(n <= self.remaining);
+        debug_assert!(n <= self.remaining && n <= self.left);
         let start = self.payload;
         if self.in_active {
             self.payload += n;
         }
         self.remaining -= n;
+        self.left -= n;
         start
     }
 }
@@ -210,7 +242,10 @@ impl SpanImage {
             let bg_end = run_end(i, false);
             b.push_background(bg_end - i);
             i = run_end(bg_end, true);
-            b.push_active((bg_end..i).map(|j| view.premultiplied(j)), &depth[bg_end..i]);
+            b.push_active(
+                (bg_end..i).map(|j| view.premultiplied(j)),
+                depth[bg_end..i].iter().copied(),
+            );
         }
         b.finish()
     }
@@ -291,7 +326,10 @@ impl SpanImage {
         let mut b = Builder::new(self.width, self.height);
         self.for_segments_in(start, end, |active, p, n| {
             if active {
-                b.push_active(self.color[p..p + n].iter().copied(), &self.depth[p..p + n]);
+                b.push_active(
+                    self.color[p..p + n].iter().copied(),
+                    self.depth[p..p + n].iter().copied(),
+                );
             } else {
                 b.push_background(n);
             }
@@ -318,75 +356,94 @@ impl SpanImage {
         let bpp = RankImage::bytes_per_pixel(mode);
         ((end - start) * bpp).min(HEADER_BYTES + runs * RUN_BYTES + active * bpp)
     }
-
-    /// Merge `front` into `self` with the same per-pixel semantics (and
-    /// bit-exact results) as [`RankImage::merge_front`], operating directly
-    /// on the compressed spans.
-    pub fn merge_front(&mut self, front: &SpanImage, mode: CompositeMode) {
-        *self = composite(front, self, mode);
-    }
 }
 
-/// Compressed-domain merge: `front` over/in-front-of `back`, mirroring
-/// `back.merge_front(&front, mode)` of the dense path exactly.
+/// Compressed-domain merge of two whole fragments: `front` over/in-front-of
+/// `back`, mirroring `back.merge_front(&front, mode)` of the dense path
+/// exactly.
 pub fn composite(front: &SpanImage, back: &SpanImage, mode: CompositeMode) -> SpanImage {
     assert_eq!(front.len, back.len, "fragment size mismatch");
-    let mut f = SegCursor::new(front);
-    let mut b = SegCursor::new(back);
-    let mut out = Builder::new(front.width, front.height);
+    composite_windows((front, 0), (back, 0), front.len, mode)
+}
+
+/// Compressed-domain merge of two windows where they lie: pixels
+/// `[fs, fs + n)` of `front` over/in-front-of pixels `[bs, bs + n)` of
+/// `back`, as a new `n`-pixel fragment. Bit for bit
+/// `composite(&front.slice(fs, fs + n), &back.slice(bs, bs + n), mode)`,
+/// without building either slice.
+pub fn composite_windows<'a>(
+    (front, fs): (&'a SpanImage, usize),
+    (back, bs): (&'a SpanImage, usize),
+    n: usize,
+    mode: CompositeMode,
+) -> SpanImage {
+    let mut f = SegCursor::window(front, fs, n);
+    let mut b = SegCursor::window(back, bs, n);
+    let mut out = Builder::with_capacity(
+        front.width,
+        front.height,
+        front.runs.len() + back.runs.len(),
+        n.min(front.active_pixels() + back.active_pixels()),
+    );
     while let Some((f_act, f_avail)) = f.peek() {
         #[expect(
             clippy::expect_used,
-            reason = "guarded by the len assert at function top; cursors advance in lockstep"
+            reason = "both windows are `n` pixels long; cursors advance in lockstep"
         )]
-        let (b_act, b_avail) = b.peek().expect("fragments cover equal pixel counts");
+        let (b_act, b_avail) = b.peek().expect("windows cover equal pixel counts");
         let n = f_avail.min(b_avail);
-        let fp = f.take(n);
-        let bp = b.take(n);
+        // Each side's payload for the piece; a background piece has none.
+        let payload = |img: &'a SpanImage, p: usize, active: bool| -> (&'a [Color], &'a [f32]) {
+            if active {
+                (&img.color[p..p + n], &img.depth[p..p + n])
+            } else {
+                (&[], &[])
+            }
+        };
+        let (fc, fd) = payload(front, f.take(n), f_act);
+        let (bc, bd) = payload(back, b.take(n), b_act);
         match (f_act, b_act) {
             // Background over background stays background.
             (false, false) => out.push_background(n),
             // Background in front never obscures: z-test against +inf fails,
             // and over(transparent, x) == x; the back payload survives.
-            (false, true) => {
-                out.push_active(back.color[bp..bp + n].iter().copied(), &back.depth[bp..bp + n])
-            }
+            (false, true) => out.push_active(bc.iter().copied(), bd.iter().copied()),
             (true, false) => match mode {
                 // over(x, transparent) == x, depth min(d, inf) == d.
-                CompositeMode::AlphaOrdered => out
-                    .push_active(front.color[fp..fp + n].iter().copied(), &front.depth[fp..fp + n]),
+                CompositeMode::AlphaOrdered => {
+                    out.push_active(fc.iter().copied(), fd.iter().copied())
+                }
                 // The z test `front.depth < inf` can still fail for an
                 // active pixel whose color is set but whose depth is
                 // infinite; the dense path keeps the background there.
                 CompositeMode::ZBuffer => {
-                    for i in 0..n {
-                        let d = front.depth[fp + i];
-                        if d < f32::INFINITY {
-                            out.push_pixel(front.color[fp + i], d);
-                        } else {
-                            out.push_background(1);
-                        }
+                    let mut i = 0;
+                    while i < n {
+                        let hit = |d: &f32| *d < f32::INFINITY;
+                        let j = fd[i..].iter().position(|d| !hit(d)).map_or(n, |k| i + k);
+                        out.push_active(fc[i..j].iter().copied(), fd[i..j].iter().copied());
+                        i = fd[j..].iter().position(hit).map_or(n, |k| j + k);
+                        out.push_background(i - j);
                     }
                 }
             },
             (true, true) => match mode {
-                CompositeMode::ZBuffer => {
-                    for i in 0..n {
-                        if front.depth[fp + i] < back.depth[bp + i] {
-                            out.push_pixel(front.color[fp + i], front.depth[fp + i]);
-                        } else {
-                            out.push_pixel(back.color[bp + i], back.depth[bp + i]);
-                        }
-                    }
-                }
-                CompositeMode::AlphaOrdered => {
-                    for i in 0..n {
-                        out.push_pixel(
-                            over(front.color[fp + i], back.color[bp + i]),
-                            back.depth[bp + i].min(front.depth[fp + i]),
-                        );
-                    }
-                }
+                CompositeMode::ZBuffer => out.push_active(
+                    fc.iter().zip(bc).zip(fd.iter().zip(bd)).map(
+                        |((c, k), (f, b))| {
+                            if f < b {
+                                *c
+                            } else {
+                                *k
+                            }
+                        },
+                    ),
+                    fd.iter().zip(bd).map(|(f, b)| if f < b { *f } else { *b }),
+                ),
+                CompositeMode::AlphaOrdered => out.push_active(
+                    fc.iter().zip(bc).map(|(&f, &b)| over(f, b)),
+                    bd.iter().zip(fd).map(|(&b, &f)| b.min(f)),
+                ),
             },
         }
     }
@@ -494,7 +551,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_front_matches_dense_both_modes() {
+    fn composite_matches_dense_both_modes() {
         let inf = f32::INFINITY;
         let a = image_from(
             &[(0.5, 2.0), (0.0, inf), (0.3, 1.0), (0.0, inf), (0.9, 4.0), (0.2, 0.5)],
@@ -507,8 +564,7 @@ mod tests {
         for mode in [CompositeMode::ZBuffer, CompositeMode::AlphaOrdered] {
             let mut dense = b.clone();
             dense.merge_front(&a, mode);
-            let mut span = SpanImage::encode(&b);
-            span.merge_front(&SpanImage::encode(&a), mode);
+            let span = composite(&SpanImage::encode(&a), &SpanImage::encode(&b), mode);
             assert_images_equal(&span.decode(), &dense);
         }
     }

@@ -4,7 +4,7 @@
 //! adversarial payloads (zero-alpha colored pixels, active pixels with
 //! infinite depth) that a naive "active == visible" predicate would drop.
 
-use compositing::rle::{composite, Run};
+use compositing::rle::{composite, composite_windows, Run};
 use compositing::{CompositeMode, PixelView, RankImage, SpanImage};
 use proptest::prelude::*;
 use vecmath::Color;
@@ -111,6 +111,62 @@ fn pixel_at_a_time_spans(img: &RankImage) -> String {
     )
 }
 
+/// Window starts in `img`, by where they fall: inside a background run,
+/// inside an active run, on a run boundary (the first pixel included), and
+/// the image end.
+fn starts_by_kind(img: &RankImage) -> [Vec<usize>; 4] {
+    let active = |i: usize| {
+        let c = img.color[i];
+        c.a != 0.0 || c.r != 0.0 || c.g != 0.0 || c.b != 0.0 || img.depth[i].is_finite()
+    };
+    let mut kinds: [Vec<usize>; 4] = Default::default();
+    for i in 0..img.num_pixels() {
+        let kind = match (i > 0 && active(i - 1) == active(i), active(i)) {
+            (true, false) => 0,
+            (true, true) => 1,
+            (false, _) => 2,
+        };
+        kinds[kind].push(i);
+    }
+    kinds[3].push(img.num_pixels());
+    kinds
+}
+
+/// `composite_windows` against merging the two slices, field for field,
+/// for every start of each kind in `front` (paired with a start of the same
+/// kind in `back`, when it has one) and lengths from zero to the most both
+/// windows allow.
+fn check_windows(front: &RankImage, back: &RankImage) -> Result<(), String> {
+    let (sf, sb) = (SpanImage::encode(front), SpanImage::encode(back));
+    let n = front.num_pixels();
+    let (front_kinds, back_kinds) = (starts_by_kind(front), starts_by_kind(back));
+    for (kind, starts) in front_kinds.iter().enumerate() {
+        for (i, &fs) in starts.iter().enumerate() {
+            let theirs = &back_kinds[kind];
+            let bs = if theirs.is_empty() { n - fs } else { theirs[(i * 7) % theirs.len()] };
+            let most = n - fs.max(bs);
+            for len in [0, 1.min(most), most / 2, most] {
+                for mode in [CompositeMode::ZBuffer, CompositeMode::AlphaOrdered] {
+                    let got = composite_windows((&sf, fs), (&sb, bs), len, mode);
+                    let want = composite(&sf.slice(fs, fs + len), &sb.slice(bs, bs + len), mode);
+                    prop_assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "front {}+{} back {}+{} kind {} {:?}",
+                        fs,
+                        len,
+                        bs,
+                        len,
+                        kind,
+                        mode
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 fn assert_bit_exact(a: &RankImage, b: &RankImage) -> Result<(), String> {
     prop_assert_eq!(a.color.len(), b.color.len());
     for i in 0..a.color.len() {
@@ -118,6 +174,23 @@ fn assert_bit_exact(a: &RankImage, b: &RankImage) -> Result<(), String> {
         prop_assert!(a.depth[i] == b.depth[i], "depth {}: {} vs {}", i, a.depth[i], b.depth[i]);
     }
     Ok(())
+}
+
+/// One fixed pair with starts of every kind in both images.
+#[test]
+fn windows_of_every_kind_equal_merging_the_slices() {
+    let pixels: Vec<Px> =
+        [(0, 0.0, 0.0), (0, 0.0, 0.0), (1, 0.5, 2.0), (1, 0.25, 1.0), (2, 0.5, 3.0), (0, 0.0, 0.0)]
+            .into_iter()
+            .chain([(3, 0.7, 0.0), (3, 0.1, 0.0), (0, 0.0, 0.0), (1, 0.9, 0.5), (0, 0.0, 0.0)])
+            .collect();
+    let front = build_image(11, 3, &pixels);
+    let back = build_image(11, 3, &pixels.iter().rev().copied().collect::<Vec<_>>());
+    for img in [&front, &back] {
+        assert!(starts_by_kind(img).iter().all(|starts| !starts.is_empty()));
+    }
+    check_windows(&front, &back).unwrap();
+    check_windows(&back, &front).unwrap();
 }
 
 proptest! {
@@ -239,5 +312,17 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// A window merge is the merge of the two slices, bit for bit and run
+    /// for run, wherever the windows start and however long they are.
+    #[test]
+    fn composite_windows_is_composite_of_the_slices(
+        w in 1u32..12,
+        h in 1u32..8,
+        front_px in proptest::collection::vec((0u8..8, 0.0f32..1.0, 0.0f32..10.0), 0..96),
+        back_px in proptest::collection::vec((0u8..8, 0.0f32..1.0, 0.0f32..10.0), 0..96)
+    ) {
+        check_windows(&build_image(w, h, &front_px), &build_image(w, h, &back_px))?;
     }
 }

@@ -192,14 +192,34 @@ impl Family {
         I: IntoIterator,
         I::Item: Into<Obs<'a>>,
     {
-        let (xs, ys): (Vec<Vec<f64>>, Vec<f64>) = samples
+        let (xs, ys) = self.rows(samples);
+        FittedLinearModel { family: self, fit: LinearRegression::fit(&xs, &ys) }
+    }
+
+    /// [`Family::fit`] anchored at `prior`'s coefficients
+    /// ([`LinearRegression::fit_toward`]): the online refit's estimator.
+    pub fn fit_toward<'a, I>(self, samples: I, prior: &[f64]) -> FittedLinearModel
+    where
+        I: IntoIterator,
+        I::Item: Into<Obs<'a>>,
+    {
+        let (xs, ys) = self.rows(samples);
+        FittedLinearModel { family: self, fit: LinearRegression::fit_toward(&xs, &ys, prior) }
+    }
+
+    /// Feature rows and targets of `samples`.
+    fn rows<'a, I>(self, samples: I) -> (Vec<Vec<f64>>, Vec<f64>)
+    where
+        I: IntoIterator,
+        I::Item: Into<Obs<'a>>,
+    {
+        samples
             .into_iter()
             .map(|s| {
                 let s = s.into();
                 (self.features(s), self.target(s))
             })
-            .unzip();
-        FittedLinearModel { family: self, fit: LinearRegression::fit(&xs, &ys) }
+            .unzip()
     }
 
     /// The measured seconds this family is fitted against.

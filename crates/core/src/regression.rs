@@ -17,7 +17,7 @@
 //! 1. **Column scaling.** Every feature column is divided by its max-abs
 //!    value, so the scaled normal matrix has diagonal entries of comparable
 //!    size and pivot comparisons are meaningful. All-zero columns are dropped
-//!    outright (their coefficient is exactly 0.0, as before).
+//!    outright (their coefficient is the prior's: exactly 0.0 for `fit`).
 //! 2. **Relative pivot tolerance.** Rank is judged against the largest
 //!    diagonal of the *scaled* normal matrix rather than an absolute 1e-12,
 //!    so collinearity is detected regardless of feature magnitude. The count
@@ -28,7 +28,10 @@
 //!    deterministically instead of amplifying cancellation noise into huge
 //!    opposite-signed coefficient pairs. The fallback is surfaced as
 //!    [`LinearRegression::condition_warning`] so refit loops and repro
-//!    tables can report it.
+//!    tables can report it. [`LinearRegression::fit_toward`] pulls the same
+//!    ridge toward a prior model instead of toward zero, so a refit over a
+//!    window that determines only some directions keeps the prior in the
+//!    others.
 //!
 //! Coefficients are unscaled back to the original feature units, so
 //! prediction is unchanged: `y = b . x` on raw features.
@@ -45,6 +48,17 @@ const REL_PIVOT_TOL: f64 = 1e-10;
 /// Large enough to dominate cancellation noise (~1e-16 relative), small
 /// enough not to bias well-determined directions measurably.
 const REL_RIDGE: f64 = 1e-8;
+
+/// Ridge term of [`LinearRegression::fit_toward`], relative to the mean
+/// diagonal. A ridge toward the model in force may be far stronger than one
+/// toward zero. A refit window of near-repeated rows (render inputs that
+/// drift in their fifth digit) leaves directions carrying ~1e-10 of the
+/// scaled variance; at `REL_RIDGE` the solve still fits timing noise along
+/// them (on `examples/adaptive_insitu.rs` the VR window gave slopes of
+/// −1.2e-7 and −1.6e-8 and an intercept of 0.62 s, and was rejected). At
+/// 1e-4 those directions keep the anchor, and a direction the window does
+/// determine (a share of order one) is biased by ~1e-4 of its correction.
+const REL_ANCHOR_RIDGE: f64 = 1e-4;
 
 /// A fitted least-squares linear model `y = b . x`.
 #[derive(Debug, Clone)]
@@ -85,14 +99,33 @@ impl LinearRegression {
 
     /// Fit on rows of features against targets. Panics if shapes disagree or
     /// there are fewer rows than features.
-    #[allow(clippy::needless_range_loop, reason = "triangular fills read clearest indexed")]
     pub fn fit(xs: &[Vec<f64>], ys: &[f64]) -> LinearRegression {
+        let k = xs.first().map_or(0, Vec::len);
+        LinearRegression::fit_ridged(xs, ys, &vec![0.0; k], REL_RIDGE)
+    }
+
+    /// [`LinearRegression::fit`] anchored at `prior` (one coefficient per
+    /// feature column): a full-rank window gets the OLS answer, and a
+    /// rank-deficient one solves the generalised ridge
+    /// `min ‖Xβ − y‖² + λ‖S(β − prior)‖²` (`S` the column scaling, `λ` at
+    /// `REL_ANCHOR_RIDGE`) instead of the ridge toward zero, so the window
+    /// corrects `prior` only in the directions it determines. A column the
+    /// window never exercises keeps its prior coefficient bit for bit.
+    pub fn fit_toward(xs: &[Vec<f64>], ys: &[f64], prior: &[f64]) -> LinearRegression {
+        LinearRegression::fit_ridged(xs, ys, prior, REL_ANCHOR_RIDGE)
+    }
+
+    /// The one solve: OLS, or on a rank-deficient window the ridge of
+    /// relative weight `rel_ridge` toward `prior`.
+    #[allow(clippy::needless_range_loop, reason = "triangular fills read clearest indexed")]
+    fn fit_ridged(xs: &[Vec<f64>], ys: &[f64], prior: &[f64], rel_ridge: f64) -> LinearRegression {
         assert_eq!(xs.len(), ys.len(), "row count mismatch");
         let n = xs.len();
         assert!(n > 0, "no observations");
         let k = xs[0].len();
         assert!(xs.iter().all(|r| r.len() == k), "ragged feature rows");
         assert!(n >= k, "need at least as many observations as features");
+        assert_eq!(prior.len(), k, "one prior coefficient per feature column");
 
         // Column scales (max-abs); all-zero columns are dropped predictors.
         let mut scale = vec![0.0f64; k];
@@ -126,20 +159,26 @@ impl LinearRegression {
         let (solution, effective_rank) = solve(a.clone(), b.clone());
         let condition_warning = effective_rank < m;
         let solution = if condition_warning {
-            // Rank-deficient window: re-solve with a small ridge term, which
-            // keeps collinear splits bounded and deterministic.
+            // Rank-deficient window: re-solve with a ridge term toward the
+            // prior's scaled coefficients, which keeps collinear splits
+            // bounded and deterministic and leaves the prior standing in the
+            // directions the window does not determine.
             let mean_diag = (0..m).map(|i| a[i][i]).sum::<f64>() / m.max(1) as f64;
-            let lambda = REL_RIDGE * mean_diag.max(f64::MIN_POSITIVE);
-            for i in 0..m {
-                a[i][i] += lambda;
+            let lambda = rel_ridge * mean_diag.max(f64::MIN_POSITIVE);
+            for (ii, &i) in active.iter().enumerate() {
+                a[ii][ii] += lambda;
+                if prior[i] != 0.0 {
+                    b[ii] += lambda * prior[i] * scale[i];
+                }
             }
             solve(a, b).0
         } else {
             solution
         };
 
-        // Unscale back to raw-feature coefficients.
-        let mut coeffs = vec![0.0f64; k];
+        // Unscale back to raw-feature coefficients; a dropped column keeps
+        // its prior.
+        let mut coeffs = prior.to_vec();
         for (ii, &i) in active.iter().enumerate() {
             coeffs[i] = solution[ii] / scale[i];
         }
@@ -381,5 +420,44 @@ mod tests {
         assert!((fit.coeffs[0] - 3e-12).abs() / 3e-12 < 1e-6, "{:?}", fit.coeffs);
         assert!((fit.coeffs[1] - 2e4).abs() / 2e4 < 1e-6);
         assert!((fit.coeffs[2] - 0.5).abs() < 1e-6);
+    }
+
+    /// A window of one repeated row determines one direction. The fit
+    /// anchored at a prior moves the prediction at that row to the window's
+    /// mean and keeps the prior's prediction, bit for bit, at a row
+    /// S-orthogonal to it (for non-negative features: a row on the columns
+    /// the window never exercises).
+    #[test]
+    fn anchored_fit_corrects_the_prior_only_where_the_window_speaks() {
+        let prior = vec![2e-7, 3e-7, 5e-3, 1e-2];
+        let row = vec![4.0e4, 1.2e5, 0.0, 1.0];
+        let xs = vec![row.clone(); 4];
+        let ys = [0.05, 0.07, 0.06, 0.062];
+        let mean = ys.iter().sum::<f64>() / ys.len() as f64;
+        let fit = LinearRegression::fit_toward(&xs, &ys, &prior);
+        assert!(fit.condition_warning && fit.effective_rank == 1, "{fit:?}");
+        assert!((fit.predict(&row) - mean).abs() / mean < 1e-4, "{fit:?}");
+        let orthogonal = [0.0, 0.0, 7.5, 0.0];
+        let unmoved = LinearRegression::with_stats(prior.clone(), 0.0, 0.0, 0);
+        assert_eq!(fit.predict(&orthogonal).to_bits(), unmoved.predict(&orthogonal).to_bits());
+        // The correction lies along the scaled row: each scaled coefficient
+        // moves by the same amount.
+        let moved: Vec<f64> = [0, 1, 3].map(|i| (fit.coeffs[i] - prior[i]) * row[i]).to_vec();
+        assert!(moved.iter().all(|m| (m - moved[0]).abs() <= 1e-6 * moved[0].abs()), "{moved:?}");
+        // The plain fit drops the unexercised column to zero instead.
+        assert_eq!(LinearRegression::fit(&xs, &ys).coeffs[2], 0.0);
+    }
+
+    /// On a full-rank window the anchored fit is the OLS fit, bit for bit.
+    #[test]
+    fn anchored_fit_of_a_full_rank_window_is_ols() {
+        let xs: Vec<Vec<f64>> =
+            (0..12).map(|i| vec![i as f64, ((i * i) % 7) as f64, 1.0]).collect();
+        let ys: Vec<f64> =
+            xs.iter().map(|x| 2.0 * x[0] + 0.5 * x[1] + 3.0 + 1e-3 * x[1] * x[1]).collect();
+        let ols = LinearRegression::fit(&xs, &ys);
+        let anchored = LinearRegression::fit_toward(&xs, &ys, &[9.0, 9.0, 9.0]);
+        assert!(!anchored.condition_warning);
+        assert_eq!(anchored.coeffs, ols.coeffs);
     }
 }

@@ -411,7 +411,12 @@ mod tests {
         }
     }
 
+    /// Wall-clock smoke of the same fits: R² over eight tiny renders timed
+    /// on a shared machine, so it can fail under load. Opt in with
+    /// `cargo test -p perfmodel -- --ignored`; the planted-law tests below
+    /// check the fits off the clock.
     #[test]
+    #[ignore = "wall-clock fit; flaky under load"]
     fn tiny_study_fits_with_positive_r2() {
         let d = Device::parallel();
         let cfg = StudyConfig {
@@ -453,6 +458,26 @@ mod tests {
         // only the seeded ±3% jitter separates it from exact recovery.
         let fit = Family::Vr.fit(&a);
         assert!(fit.r_squared() > 0.95, "r2 = {}", fit.r_squared());
+    }
+
+    /// The ray-tracing study on the simulated clock: the planted law is the
+    /// RT model form, so only the seeded ±3% jitter separates the fit from
+    /// exact recovery.
+    #[test]
+    fn simulated_rt_study_recovers_its_planted_law() {
+        let cfg = StudyConfig {
+            tests: 8,
+            data_cells: (12, 32),
+            image_side: (48, 128),
+            fill: (0.5, 1.0),
+            seed: 7,
+        };
+        let samples =
+            run_render_study_simulated(&Device::parallel(), RendererKind::RayTracing, &cfg)
+                .unwrap();
+        assert_eq!(samples.len(), 8);
+        let fit = Family::Rt.fit(&samples);
+        assert!(fit.r_squared() > 0.95, "rt r2 = {}", fit.r_squared());
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Live model refinement: measured runtimes accumulate in sliding windows,
 //! and each model family is periodically re-solved over its window through
-//! [`Family::fit`] (i.e. [`perfmodel::regression::LinearRegression`]),
-//! replacing the corresponding model in the scheduler's [`ModelSet`].
+//! [`Family::fit_toward`] (i.e. [`perfmodel::regression::LinearRegression`])
+//! anchored at the model it replaces in the scheduler's [`ModelSet`].
 //!
 //! A windowed re-solve — rather than, say, exponential smoothing of the
-//! coefficients — keeps the refit exactly the paper's estimator, just over
-//! recent data, so the residual statistics stay meaningful.
+//! coefficients — keeps the refit exactly the paper's estimator on a window
+//! that determines every coefficient, just over recent data, so the
+//! residual statistics stay meaningful. A steady run's window often does
+//! not (one or two distinct rows against three to five coefficients); there
+//! the re-solve corrects the installed model only in the directions the
+//! window determines and keeps it in the rest.
 
 use perfmodel::feasibility::ModelSet;
 use perfmodel::models::{Family, FamilyRow, Feed};
@@ -84,10 +88,12 @@ impl OnlineRefit {
     /// the samples it is fitted on (its [`Feed`]: the BVH-build model counts
     /// only samples with a *measured* build, each compositing model only its
     /// own exchange wire), installing the re-solve in `set` when it is
-    /// plausible (see [`RefitReport`]). Families below the floor keep their
-    /// prior; an implausible candidate (negative marginal cost) must not
-    /// replace a working model with one whose negative terms the predictor
-    /// would silently clip to zero.
+    /// plausible (see [`RefitReport`]). The re-solve is anchored at the
+    /// family's installed model; when that leaves a coefficient negative it
+    /// is redone with the ridge toward zero ([`Family::fit`]). Families
+    /// below the floor keep their prior; an implausible candidate (negative
+    /// marginal cost) must not replace a working model with one whose
+    /// negative terms the predictor would silently clip to zero.
     pub fn refit_into(&self, set: &mut ModelSet) -> RefitReport {
         let mut rep = RefitReport::default();
         for row in &Family::ALL {
@@ -96,7 +102,13 @@ impl OnlineRefit {
             if fed.len() < self.min_samples {
                 continue;
             }
-            let candidate = row.family.fit(fed);
+            let anchored = set
+                .get(row.family)
+                .map(|prior| row.family.fit_toward(fed.iter().copied(), &prior.fit.coeffs));
+            let candidate = match anchored {
+                Some(c) if c.fit.all_coeffs_nonnegative() => c,
+                _ => row.family.fit(fed),
+            };
             if candidate.fit.all_coeffs_nonnegative() {
                 if candidate.fit.condition_warning {
                     rep.condition_warnings.push(row.name);
@@ -212,6 +224,47 @@ mod tests {
             let got = set.get(Family::Vr).unwrap().predict(&inputs);
             assert!((got - want).abs() / want < 1e-3, "refit {got} vs truth {want}");
         }
+    }
+
+    /// A window of one repeated volume-rendering row, under a prior that
+    /// over-predicts it by a fifth: the refit moves the prediction at that
+    /// row to the window's mean and keeps the prior's split between the two
+    /// slopes, which the window cannot tell apart.
+    #[test]
+    fn one_row_window_moves_the_prior_to_its_mean() {
+        let k = MappingConstants::default();
+        let cfg = RenderConfig {
+            renderer: RendererKind::VolumeRendering,
+            cells_per_task: 40,
+            pixels: 256 * 256,
+            tasks: 8,
+        };
+        let inputs = map_inputs(&cfg, &k);
+        let (cs, spr) = (
+            inputs.stats.active_pixels * inputs.stats.cells_spanned,
+            inputs.stats.active_pixels * inputs.stats.samples_per_ray,
+        );
+        let mut set = prior();
+        let before = vec![0.013 / cs, 0.013 / spr, 0.01];
+        set.install(perfmodel::FittedLinearModel {
+            family: Family::Vr,
+            fit: perfmodel::LinearRegression::with_stats(before.clone(), 1.0, 0.0, 8),
+        });
+        let mut refit = OnlineRefit::new(64, 4);
+        let seconds = [0.031, 0.029, 0.0305, 0.0295];
+        for t in seconds {
+            let mut s = inputs;
+            s.stats.render_seconds = t;
+            refit.observe(Sample::Render(s));
+        }
+        let rep = refit.refit_into(&mut set);
+        assert_eq!(rep.refitted, ["volume_rendering"], "{rep:?}");
+        assert!(rep.rejected.is_empty(), "{rep:?}");
+        let vr = set.get(Family::Vr).unwrap();
+        let (got, mean) = (vr.predict(&inputs), seconds.iter().sum::<f64>() / 4.0);
+        assert!((got - mean).abs() / mean < 1e-4, "refit {got} vs window mean {mean}");
+        let split = |c: &[f64]| (c[0] * cs) / (c[1] * spr);
+        assert!((split(&vr.fit.coeffs) - split(&before)).abs() < 1e-6, "{:?}", vr.fit.coeffs);
     }
 
     /// A planted-law window for `family`: samples whose measured seconds

@@ -201,10 +201,12 @@ fn main() {
     let sched = sched.borrow();
     for rec in &sched.history {
         println!(
-            "  cycle {:2}: level {}, within budget: {}",
+            "  cycle {:2}: level {}, within budget: {}, refit {:?}, rejected {:?}",
             rec.cycle,
             rec.level,
-            rec.within_budget()
+            rec.within_budget(),
+            rec.refit.refitted,
+            rec.refit.rejected
         );
         for r in &rec.receipts {
             println!("    {}", receipt_line(r));
