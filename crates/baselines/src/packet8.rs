@@ -131,6 +131,7 @@ pub fn intersect_image_packets(
             .into_par_iter()
             .map(|py| {
                 let mut row_hits = 0usize;
+                let mut stack = Vec::with_capacity(bvh.stack_len());
                 let mut px = 0u32;
                 while px < width {
                     let lanes = (width - px).min(8);
@@ -138,7 +139,7 @@ pub fn intersect_image_packets(
                         .map(|l| camera.primary_ray(px + l, py, width, height, 0.5, 0.5))
                         .collect();
                     let mut packet = RayPacket::from_rays(&rays);
-                    traverse_packet(geom, bvh, &mut packet);
+                    traverse_packet(geom, bvh, &mut packet, &mut stack);
                     row_hits += packet.hit.iter().take(lanes as usize).filter(|&&h| h).count();
                     px += lanes;
                 }
@@ -148,30 +149,35 @@ pub fn intersect_image_packets(
     })
 }
 
-fn traverse_packet(geom: &TriGeometry, bvh: &Bvh, packet: &mut RayPacket) {
-    if bvh.nodes.is_empty() {
+/// The packet's walk of the DPP tracer's four-wide tree: at each node the
+/// packet is tested against each of the four child boxes, and a child any
+/// lane enters is pushed (a leaf as its `prim_order` range). `stack`, empty
+/// on entry and on return, holds (child, count) pairs: a node when
+/// `count == 0`, else a leaf range.
+fn traverse_packet(
+    geom: &TriGeometry,
+    bvh: &Bvh,
+    packet: &mut RayPacket,
+    stack: &mut Vec<(u32, u32)>,
+) {
+    if bvh.num_nodes() == 0 {
         return;
     }
-    let mut stack = [0u32; 64];
-    let mut sp = 1usize;
-    stack[0] = 0;
-    while sp > 0 {
-        sp -= 1;
-        let ni = stack[sp] as usize;
-        let node = &bvh.nodes[ni];
-        if !packet.any_hits_aabb(&node.aabb) {
-            continue;
-        }
-        if node.count > 0 {
-            for s in node.start..node.start + node.count {
+    stack.push((0, 0));
+    while let Some((child, count)) = stack.pop() {
+        if count > 0 {
+            for s in child..child + count {
                 let p = bvh.prim_order[s as usize] as usize;
                 packet.intersect_tri(geom.v0[p], geom.e1[p], geom.e2[p]);
             }
-        } else {
-            stack[sp] = node.right;
-            sp += 1;
-            stack[sp] = ni as u32 + 1;
-            sp += 1;
+            continue;
+        }
+        let node = bvh.node(child);
+        // Last lane pushed first, so lane 0 is popped next.
+        for lane in (0..node.used_lanes()).rev() {
+            if packet.any_hits_aabb(&node.lane_box(lane)) {
+                stack.push((node.child(lane), node.count(lane)));
+            }
         }
     }
 }

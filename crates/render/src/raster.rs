@@ -160,6 +160,48 @@ fn bin_fill_stage(
 /// One sampled tile: (tile index, color buffer, depth buffer).
 type TileFrame = (u32, Vec<Color>, Vec<f32>);
 
+/// The screen rectangle `[x0, x1) x [y0, y1)` of one tile.
+#[derive(Debug, Clone, Copy)]
+struct TileRect {
+    x0: u32,
+    y0: u32,
+    x1: u32,
+    y1: u32,
+}
+
+impl TileRect {
+    fn width(&self) -> usize {
+        (self.x1 - self.x0) as usize
+    }
+
+    fn pixels(&self) -> usize {
+        self.width() * (self.y1 - self.y0) as usize
+    }
+}
+
+/// What the tile's shading reads of a pixel's nearest fragment: its
+/// triangle and screen-space barycentrics. The size of a [`Color`], so a
+/// tile's fragments become its colors in place.
+#[derive(Debug, Clone, Copy)]
+struct Fragment {
+    src: u32,
+    w: [f32; 3],
+}
+
+impl Fragment {
+    /// A pixel no triangle covers (`src == u32::MAX`).
+    const NONE: Fragment = Fragment { src: u32::MAX, w: [0.0; 3] };
+}
+
+const _: () = assert!(std::mem::size_of::<Fragment>() == std::mem::size_of::<Color>());
+
+/// The pixel-shading inputs every fragment of a frame shares.
+struct Look<'a> {
+    colormap: &'a TransferFunction,
+    shading: &'a ShadingParams,
+    camera: &'a Camera,
+}
+
 /// Per-tile barycentric sampling stage with a z-buffer, one task per tile
 /// (tiles are disjoint, so no pixel depends on which worker filled it).
 /// Returns the per-tile color/depth buffers and the total pixels considered
@@ -179,17 +221,13 @@ fn sample_fill_stage(
     shading: &ShadingParams,
     camera: &Camera,
 ) -> (Vec<TileFrame>, u64) {
+    let look = Look { colormap, shading, camera };
+    let fill = tile_fill();
     let filled = dpp::tasks(device, count_vals.len(), |tile| {
         let tx = tile as u32 % tiles_x;
         let ty = tile as u32 / tiles_x;
-        let x0 = tx * TILE;
-        let y0 = ty * TILE;
-        let x1 = (x0 + TILE).min(width);
-        let y1 = (y0 + TILE).min(height);
-        let tw = (x1 - x0) as usize;
-        let th = (y1 - y0) as usize;
-        let mut color = vec![Color::TRANSPARENT; tw * th];
-        let mut depth = vec![f32::INFINITY; tw * th];
+        let (x0, y0) = (tx * TILE, ty * TILE);
+        let rect = TileRect { x0, y0, x1: (x0 + TILE).min(width), y1: (y0 + TILE).min(height) };
         let start = offsets[tile] as usize;
         let end = start + count_vals[tile] as usize;
         // The parallel bin fill claims slots with `fetch_add`, so the
@@ -199,21 +237,59 @@ fn sample_fill_stage(
         // shared edges resolve identically on every device.
         let mut tris: Vec<u32> = bins[start..end].to_vec();
         tris.sort_unstable();
-        let mut considered = 0u64;
-        for src in tris {
-            #[expect(
-                clippy::unwrap_used,
-                reason = "bins hold only visible[] entries, which all projected to Some"
-            )]
-            let tri = screen[src as usize].as_ref().unwrap();
-            considered += raster_tri_into_tile(
-                geom, tri, x0, y0, x1, y1, tw, &mut color, &mut depth, colormap, shading, camera,
-            );
-        }
+        let (color, depth, considered) = fill(geom, screen, &tris, rect, &look);
         ((tile as u32, color, depth), considered)
     });
     let (frames, considered): (Vec<TileFrame>, Vec<u64>) = filled.into_iter().unzip();
     (frames, considered.iter().sum())
+}
+
+/// A tile's fill: its colors, depths and pixels considered.
+type TileFill =
+    fn(&TriGeometry, &[Option<ScreenTri>], &[u32], TileRect, &Look) -> (Vec<Color>, Vec<f32>, u64);
+
+/// [`fill_tile`]; in the test build, its oracle while this thread's switch
+/// is on.
+fn tile_fill() -> TileFill {
+    #[cfg(test)] // the oracle's switch, never compiled into the library
+    if tests::SHADE_EACH_FRAGMENT.with(|on| on.get()) {
+        return tests::fill_tile_shading_each_fragment;
+    }
+    fill_tile
+}
+
+/// Sample one tile's triangles, in `tris` order, into a z-buffer that keeps
+/// each pixel's nearest fragment, then shade each covered pixel once.
+/// Returns the tile's colors, depths and the pixels considered.
+fn fill_tile(
+    geom: &TriGeometry,
+    screen: &[Option<ScreenTri>],
+    tris: &[u32],
+    rect: TileRect,
+    look: &Look,
+) -> (Vec<Color>, Vec<f32>, u64) {
+    let mut depth = vec![f32::INFINITY; rect.pixels()];
+    let mut nearest = vec![Fragment::NONE; rect.pixels()];
+    let mut considered = 0u64;
+    for &src in tris {
+        considered += raster_tri_into_tile(screen_tri(screen, src), rect, &mut depth, |ix, f| {
+            nearest[ix] = f;
+        });
+    }
+    let shade_pixel = |f: Fragment| match f.src {
+        u32::MAX => Color::TRANSPARENT,
+        _ => shade(geom, &f, look),
+    };
+    (nearest.into_iter().map(shade_pixel).collect(), depth, considered)
+}
+
+/// The screen triangle of a binned triangle id.
+fn screen_tri(screen: &[Option<ScreenTri>], src: u32) -> &ScreenTri {
+    #[expect(
+        clippy::unwrap_used,
+        reason = "bins hold only visible[] entries, which all projected to Some"
+    )]
+    screen[src as usize].as_ref().unwrap()
 }
 
 /// Stitch per-tile buffers into a full framebuffer and count active pixels.
@@ -304,22 +380,16 @@ pub fn rasterize(
     }
 }
 
-/// Rasterize one screen triangle into a tile buffer; returns pixels considered.
-#[allow(clippy::too_many_arguments, reason = "a stage takes each of its inputs by name")]
+/// Rasterize one screen triangle into a tile's z-buffer: `nearer` gets the
+/// tile index and fragment of each pixel whose depth it lowers. Returns
+/// the pixels considered.
 fn raster_tri_into_tile(
-    geom: &TriGeometry,
     tri: &ScreenTri,
-    x0: u32,
-    y0: u32,
-    x1: u32,
-    y1: u32,
-    tw: usize,
-    color: &mut [Color],
+    rect: TileRect,
     depth: &mut [f32],
-    colormap: &TransferFunction,
-    shading: &ShadingParams,
-    camera: &Camera,
+    mut nearer: impl FnMut(usize, Fragment),
 ) -> u64 {
+    let TileRect { x0, y0, x1, y1 } = rect;
     let [a, b, c] = tri.p;
     let min_x = a.x.min(b.x).min(c.x).floor().max(x0 as f32) as u32;
     let max_x = (a.x.max(b.x).max(c.x).ceil() as u32).min(x1.saturating_sub(1).max(x0));
@@ -330,7 +400,7 @@ fn raster_tri_into_tile(
     }
     let area = (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y);
     let inv_area = 1.0 / area;
-    let t = tri.src as usize;
+    let tw = rect.width();
     let mut considered = 0u64;
     for py in min_y..=max_y {
         for px in min_x..=max_x {
@@ -348,21 +418,27 @@ fn raster_tri_into_tile(
             let ix = (py - y0) as usize * tw + (px - x0) as usize;
             if z < depth[ix] {
                 depth[ix] = z;
-                // Interpolate attributes (screen-space barycentrics, as the
-                // paper's sampler does).
-                let scalar = geom.s0[t] * w0 + geom.s1[t] * w1 + geom.s2[t] * w2;
-                let normal = (geom.n0[t] * w0 + geom.n1[t] * w1 + geom.n2[t] * w2).normalized();
-                let wa = geom.v0[t];
-                let wb = wa + geom.e1[t];
-                let wc = wa + geom.e2[t];
-                let wp = wa * w0 + wb * w1 + wc * w2;
-                let view = (camera.position - wp).normalized();
-                let base = colormap.sample(scalar);
-                color[ix] = blinn_phong(shading, wp, normal, view, base, &[true]);
+                nearer(ix, Fragment { src: tri.src, w: [w0, w1, w2] });
             }
         }
     }
     considered
+}
+
+/// Shade one fragment: attributes interpolated with its screen-space
+/// barycentrics (as the paper's sampler does), then Blinn-Phong.
+fn shade(geom: &TriGeometry, f: &Fragment, look: &Look) -> Color {
+    let t = f.src as usize;
+    let [w0, w1, w2] = f.w;
+    let scalar = geom.s0[t] * w0 + geom.s1[t] * w1 + geom.s2[t] * w2;
+    let normal = (geom.n0[t] * w0 + geom.n1[t] * w1 + geom.n2[t] * w2).normalized();
+    let wa = geom.v0[t];
+    let wb = wa + geom.e1[t];
+    let wc = wa + geom.e2[t];
+    let wp = wa * w0 + wb * w1 + wc * w2;
+    let view = (look.camera.position - wp).normalized();
+    let base = look.colormap.sample(scalar);
+    blinn_phong(look.shading, wp, normal, view, base, &[true])
 }
 
 #[cfg(test)]
@@ -371,6 +447,79 @@ mod tests {
     use crate::raytrace::{RayTracer, RtConfig};
     use mesh::datasets::{field_grid, FieldKind};
     use mesh::isosurface::isosurface;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// While set, this thread's `sample_fill_stage` calls fill their
+        /// tiles with the oracle below instead.
+        pub(super) static SHADE_EACH_FRAGMENT: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The tile fill that deferred shading replaced, kept as its oracle:
+    /// every fragment that lowers a pixel's depth is shaded on the spot.
+    pub(super) fn fill_tile_shading_each_fragment(
+        geom: &TriGeometry,
+        screen: &[Option<ScreenTri>],
+        tris: &[u32],
+        rect: TileRect,
+        look: &Look,
+    ) -> (Vec<Color>, Vec<f32>, u64) {
+        let mut color = vec![Color::TRANSPARENT; rect.pixels()];
+        let mut depth = vec![f32::INFINITY; rect.pixels()];
+        let mut considered = 0u64;
+        for &src in tris {
+            considered +=
+                raster_tri_into_tile(screen_tri(screen, src), rect, &mut depth, |ix, f| {
+                    color[ix] = shade(geom, &f, look);
+                });
+        }
+        (color, depth, considered)
+    }
+
+    /// Shading each pixel once, after its tile's last triangle, gives the
+    /// per-fragment oracle's colour and depth bits and pixels considered on
+    /// the benchmark's close and far 288² views of LULESH(24), steps 0 and
+    /// 31 (debug builds: step 0), on the serial and the parallel device.
+    #[test]
+    fn deferred_shading_is_shading_each_fragment() {
+        let side = 288;
+        let mut sim = sims::Lulesh::new(24);
+        let bits = |f: &Framebuffer| -> Vec<u32> {
+            let color = f.color.iter().flat_map(|c| [c.r, c.g, c.b, c.a]);
+            color.chain(f.depth.iter().copied()).map(f32::to_bits).collect()
+        };
+        let last_step = if cfg!(debug_assertions) { 0 } else { 31 };
+        for step in 0..=last_step {
+            if step > 0 {
+                sims::ProxySim::step(&mut sim);
+            }
+            if step != 0 && step != last_step {
+                continue;
+            }
+            let hexes = sim.hex_mesh();
+            let tris = mesh::external_faces::external_faces_hex(&hexes, Some("e_p"));
+            let geom = TriGeometry::from_mesh(&tris);
+            let tf = TransferFunction::rainbow(geom.scalar_range);
+            let bounds = hexes.bounds();
+            for device in [Device::Serial, Device::parallel()] {
+                for cam in [Camera::close_view(&bounds), Camera::far_view(&bounds)] {
+                    let frame = |reference: bool| {
+                        SHADE_EACH_FRAGMENT.with(|on| on.set(reference));
+                        let out = rasterize(&device, &geom, &cam, side, side, &tf, None);
+                        SHADE_EACH_FRAGMENT.with(|on| on.set(false));
+                        out
+                    };
+                    let (got, want) = (frame(false), frame(true));
+                    assert!(want.stats.active_pixels > 1000.0, "the view should see the mesh");
+                    assert_eq!(got.stats.pixels_per_triangle, want.stats.pixels_per_triangle);
+                    assert!(
+                        bits(&got.frame) == bits(&want.frame),
+                        "step {step}, {device:?}: frames differ"
+                    );
+                }
+            }
+        }
+    }
 
     fn geom() -> TriGeometry {
         let g = field_grid(FieldKind::ShockShell, [18, 18, 18]);

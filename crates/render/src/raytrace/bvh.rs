@@ -1,19 +1,26 @@
-//! Linear BVH construction and traversal.
+//! Linear BVH construction, and the four-wide tree the tracer walks.
 //!
 //! The build is the LBVH variant the SC16 ray-tracing model assumes
 //! (`c0 * O` build complexity): Morton codes over primitive centroids (map),
 //! radix sort (the `dpp` sort primitive), then a top-down radix split on the
-//! sorted codes.
+//! sorted codes. That gives a binary tree; `Bvh::from_binary` collapses it
+//! in linear time into the tree that is walked, whose nodes hold four child
+//! boxes in lanes (the layout of Embree's wide BVHs, which OSPRay walks):
+//! a node keeps opening its largest-area interior child until it has four.
+//! The split BVH (`sbvh`) is collapsed the same way.
 //!
 //! Traversal is one ray per data-parallel lane with a short stack, ordered
 //! as in Aila & Laine's kernels and the tuned CPU tracers Chapter II compares
-//! against: an interior node tests both children's boxes and enters the
-//! nearer first, carrying the farther one's entry distance on the stack so
-//! it is dropped on pop once a closer hit is known. Ties in `t` go to the
-//! triangle earlier in `prim_order`; the builders lay leaves out in preorder
-//! ([`Bvh::validate`] and `validate_split` check it), so this is the hit a
-//! left-first preorder walk keeps. The tests hold the walk to that preorder
-//! walk and to a brute force over `prim_order`, `Hit` for `Hit`, bit for bit.
+//! against: a node tests its four child boxes in one exit-free lane loop and
+//! pushes the ones the ray enters farthest-first, each with its entry
+//! distance, so the nearest is entered next and a child whose entry lies
+//! past the closest hit found by then is dropped on pop. Ties in `t` go to
+//! the triangle earlier in `prim_order`; the builders lay leaves out in
+//! preorder and the collapse keeps a node's lanes in preorder ([`Bvh::validate`]
+//! and `validate_split` check it), so whatever the tree's shape, the hit is
+//! the brute-force minimum over `prim_order`. The tests hold the walk to the
+//! binary tree's ordered walk and to that brute force, `Hit` for `Hit`, bit
+//! for bit.
 
 use super::geometry::TriGeometry;
 use dpp::sort::sort_pairs_u64;
@@ -23,22 +30,161 @@ use vecmath::{morton3, Aabb, Ray, Vec3};
 /// Maximum primitives per leaf (the study's EAVL tracer used 8).
 pub const MAX_LEAF_SIZE: usize = 8;
 
-/// Flat BVH node. `count > 0` marks a leaf over `prim_order[start..start+count]`;
-/// otherwise the left child is `self + 1` and the right child is `right`.
+/// Children per node of the walked tree.
+const LANES: usize = 4;
+
+/// One value per lane of a node.
+type Row = [f32; LANES];
+
+/// Rows per node: the children's min x, max x, min y, max y, min z, max z,
+/// then their `child` and `count` as `f32` bits (see [`WideNode`]), which
+/// `f32::from_bits` and `to_bits` carry unchanged.
+const ROWS: usize = 8;
+
+/// Bytes per cache line; a node spans two.
+const LINE: usize = 64;
+
+/// The `child` of a lane that holds no child.
+const NO_CHILD: u32 = u32::MAX;
+
+/// A node with no child in any lane: its boxes are empty (min +∞, max −∞),
+/// which a slab test taken near plane first never enters.
+const EMPTY_NODE: [Row; ROWS] = [
+    [f32::INFINITY; LANES],
+    [f32::NEG_INFINITY; LANES],
+    [f32::INFINITY; LANES],
+    [f32::NEG_INFINITY; LANES],
+    [f32::INFINITY; LANES],
+    [f32::NEG_INFINITY; LANES],
+    [f32::from_bits(NO_CHILD); LANES],
+    [0.0; LANES],
+];
+
+/// The stacks the walk keeps inline, for trees whose depth (see
+/// [`Bvh::stack_len`]) fits them: setting up a stack costs in proportion to
+/// its size, so a shallow tree takes the small one. A deeper tree walks with
+/// a heap stack of its own size.
+const SMALL_STACK: usize = 32;
+const LARGE_STACK: usize = 96;
+
+/// Binary BVH node, the builders' output. `count > 0` marks a leaf over
+/// `prim_order[start..start+count]`; otherwise the left child is `self + 1`
+/// and the right child is `right`.
 #[derive(Debug, Clone, Copy)]
-pub struct BvhNode {
-    pub aabb: Aabb,
-    pub right: u32,
-    pub start: u32,
-    pub count: u32,
+pub(crate) struct BvhNode {
+    pub(crate) aabb: Aabb,
+    pub(crate) right: u32,
+    pub(crate) start: u32,
+    pub(crate) count: u32,
 }
 
-/// A bounding volume hierarchy over a [`TriGeometry`].
+/// A builder's binary tree over its `prim_order`, before the collapse.
+#[derive(Debug, Clone)]
+pub(crate) struct BinaryBvh {
+    pub(crate) nodes: Vec<BvhNode>,
+    pub(crate) prim_order: Vec<u32>,
+}
+
+/// The four-wide nodes, [`ROWS`] rows each, in one vector of rows whose
+/// node 0 starts on a cache line, so each node spans two lines. A vector of
+/// a 64-byte-aligned node type would place them so too, but through an
+/// aligned allocation, which glibc's allocator serves by splitting a larger
+/// chunk; at one per build, those splits grew the heap (the `insitu_surface`
+/// benchmark's peak RSS rose by a tenth and more on x86-64 Linux).
+#[derive(Debug)]
+struct NodeRows {
+    rows: Vec<Row>,
+    /// Padding rows before node 0 (0–3).
+    first: usize,
+}
+
+impl NodeRows {
+    /// Room for `nodes` nodes, so pushing that many keeps node 0 in place.
+    fn with_capacity(nodes: usize) -> NodeRows {
+        let row = std::mem::size_of::<Row>();
+        let mut rows = Vec::with_capacity(nodes * ROWS + LINE / row);
+        let first = (rows.as_ptr() as usize).wrapping_neg() % LINE / row;
+        rows.resize(first, [0.0; LANES]);
+        NodeRows { rows, first }
+    }
+
+    fn nodes(&self) -> &[[Row; ROWS]] {
+        self.rows[self.first..].as_chunks().0
+    }
+
+    /// Append a node with no children; returns its index.
+    fn push_empty(&mut self) -> u32 {
+        let index = self.nodes().len() as u32;
+        self.rows.extend_from_slice(&EMPTY_NODE);
+        index
+    }
+
+    fn set_lane(&mut self, node: u32, lane: usize, aabb: &Aabb, child: u32, count: u32) {
+        let at = self.first + node as usize * ROWS;
+        let rows = &mut self.rows[at..at + ROWS];
+        for axis in 0..3 {
+            rows[2 * axis][lane] = aabb.min[axis];
+            rows[2 * axis + 1][lane] = aabb.max[axis];
+        }
+        rows[6][lane] = f32::from_bits(child);
+        rows[7][lane] = f32::from_bits(count);
+    }
+}
+
+impl Clone for NodeRows {
+    /// A copy whose node 0 starts on a line of its own allocation.
+    fn clone(&self) -> NodeRows {
+        let mut copy = NodeRows::with_capacity(self.nodes().len());
+        copy.rows.extend_from_slice(&self.rows[self.first..]);
+        copy
+    }
+}
+
+/// Four-wide BVH node, read in place: lane `i` is child `i`, the lanes in
+/// preorder, the used ones first.
+#[derive(Debug, Clone, Copy)]
+pub struct WideNode<'a>(&'a [Row; ROWS]);
+
+impl WideNode<'_> {
+    /// Lane `lane`'s child: for a leaf lane (`count > 0`) the start of its
+    /// range of `prim_order`, for an interior lane the index of its node,
+    /// for an unused lane `u32::MAX`.
+    pub fn child(&self, lane: usize) -> u32 {
+        self.0[6][lane].to_bits()
+    }
+
+    /// Lane `lane`'s leaf size; 0 for an interior or unused lane.
+    pub fn count(&self, lane: usize) -> u32 {
+        self.0[7][lane].to_bits()
+    }
+
+    /// The number of used lanes.
+    pub fn used_lanes(&self) -> usize {
+        (0..LANES).take_while(|&l| self.child(l) != NO_CHILD).count()
+    }
+
+    /// Lane `lane`'s box.
+    pub fn lane_box(&self, lane: usize) -> Aabb {
+        let b = self.0;
+        Aabb {
+            min: Vec3::new(b[0][lane], b[2][lane], b[4][lane]),
+            max: Vec3::new(b[1][lane], b[3][lane], b[5][lane]),
+        }
+    }
+}
+
+/// A bounding volume hierarchy over a [`TriGeometry`]: four-wide nodes, the
+/// root at index 0.
 #[derive(Debug, Clone)]
 pub struct Bvh {
-    pub nodes: Vec<BvhNode>,
+    nodes: NodeRows,
     /// Primitive indices in tree order; leaves reference ranges of this.
     pub prim_order: Vec<u32>,
+    /// The root's box; empty for an empty tree.
+    root: Aabb,
+    /// Stack entries a walk can need: `3 * depth + 1`, `depth` counting the
+    /// nodes on the tree's longest root-to-leaf path.
+    stack_len: usize,
 }
 
 /// A ray-triangle hit record. `prim == u32::MAX` marks a miss.
@@ -86,39 +232,127 @@ pub fn intersect_triangle(ray: &Ray, v0: Vec3, e1: Vec3, e2: Vec3) -> Option<(f3
     }
 }
 
+/// One pending child of the walk: a node (`count == 0`) or a leaf range,
+/// with the distance at which the ray enters its box.
+#[derive(Debug, Clone, Copy)]
+struct StackEntry {
+    child: u32,
+    count: u32,
+    near: f32,
+}
+
+const NO_ENTRY: StackEntry = StackEntry { child: 0, count: 0, near: 0.0 };
+
+/// A ray set up for slab tests against the boxes of a [`WideNode`].
+///
+/// Each axis's slab is taken near plane first by the sign of the ray's
+/// `inv_dir` (Williams et al.), so no per-box min/max of the two plane
+/// distances is needed. On a ray parallel to an axis whose origin lies on
+/// one of that axis's box planes, the plane's term is 0·∞ = NaN; the
+/// running max (min) keeps its value when a term is NaN, as `f32::max`
+/// (`f32::min`) would, so the NaN leaves the entry or exit distance to the
+/// other axes, and the ray, which lies in the closed slab, keeps the box. (A
+/// min/max of the two plane terms, as `Aabb::intersect_ray` takes, turns
+/// that NaN into the other plane's ±∞ and drops the box.)
+struct Slabs {
+    origin: Vec3,
+    inv_dir: Vec3,
+    /// Index into the planes of each axis's near plane; the far plane is
+    /// the other of the pair (`^ 1`).
+    near_plane: [usize; 3],
+}
+
+impl Slabs {
+    #[inline(always)]
+    fn new(ray: &Ray) -> Slabs {
+        let inv = ray.inv_dir;
+        let near_plane = [0, 1, 2].map(|a| 2 * a + (inv[a] < 0.0) as usize);
+        Slabs { origin: ray.origin, inv_dir: inv, near_plane }
+    }
+
+    /// The distance at which the ray enters the box `b`, clipped to
+    /// `[0, t_max]`, and whether it enters it there: [`Slabs::enter`] for
+    /// one box, the near plane chosen by value rather than by index, so a
+    /// ray that misses the root does not wait on the index's load (a third
+    /// of such a ray's cost).
+    #[inline(always)]
+    fn enter_root(&self, b: &Aabb, t_max: f32) -> (f32, bool) {
+        let (o, inv) = (self.origin, self.inv_dir);
+        let t0 = (b.min - o) * inv;
+        let t1 = (b.max - o) * inv;
+        let mut t_near = 0.0f32;
+        let mut t_far = t_max;
+        for axis in 0..3 {
+            let (n, f) = if inv[axis] < 0.0 { (t1[axis], t0[axis]) } else { (t0[axis], t1[axis]) };
+            t_near = if n > t_near { n } else { t_near };
+            t_far = if f < t_far { f } else { t_far };
+        }
+        (t_near, t_near <= t_far)
+    }
+
+    /// The distance at which the ray enters lane `l`'s box of node `b`,
+    /// clipped to `[0, t_max]`, and whether it enters it there.
+    #[inline(always)]
+    fn enter(&self, b: &[Row; ROWS], l: usize, t_max: f32) -> (f32, bool) {
+        let (o, inv, [x, y, z]) = (self.origin, self.inv_dir, self.near_plane);
+        // `if t > acc { t } else { acc }` keeps `acc` when `t` is NaN and is
+        // one SIMD max over the lanes (likewise for min).
+        let mut t_near = 0.0f32;
+        let mut t_far = t_max;
+        for (axis, &near) in [x, y, z].iter().enumerate() {
+            let t0 = (b[near][l] - o[axis]) * inv[axis];
+            let t1 = (b[near ^ 1][l] - o[axis]) * inv[axis];
+            t_near = if t0 > t_near { t0 } else { t_near };
+            t_far = if t1 < t_far { t1 } else { t_far };
+        }
+        (t_near, t_near <= t_far)
+    }
+}
+
 impl Bvh {
     /// Build over all triangles of `geom` using the given device for the
     /// data-parallel stages (Morton map + radix sort).
     pub fn build(device: &Device, geom: &TriGeometry) -> Bvh {
-        let n = geom.num_tris();
-        if n == 0 {
-            return Bvh { nodes: Vec::new(), prim_order: Vec::new() };
-        }
-        // Centroid bounds for Morton normalization.
-        let centroids: Vec<Vec3> = map(device, n, |i| geom.tri_centroid(i));
-        let cb = dpp::reduce(
-            device,
-            &map(device, n, |i| (centroids[i], centroids[i])),
-            (Vec3::splat(f32::INFINITY), Vec3::splat(f32::NEG_INFINITY)),
-            |a, b| (a.0.min(b.0), a.1.max(b.1)),
-        );
-        let cbounds = Aabb { min: cb.0, max: cb.1 };
+        Bvh::from_binary(build_lbvh(device, geom))
+    }
 
-        // Morton codes (map) + radix sort (dpp primitive).
-        let mut codes: Vec<u64> = map(device, n, |i| {
-            let q = cbounds.normalize_point(centroids[i]);
-            morton3(q.x, q.y, q.z) as u64
-        });
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        sort_pairs_u64(device, &mut codes, &mut order);
+    /// Collapse a builder's binary tree into four-wide nodes, in time linear
+    /// in its size. Each wide node starts from a binary interior node's two
+    /// children and keeps replacing its largest-area interior child (the
+    /// first of equal areas) by that child's two children until it has four
+    /// or only leaves; a replaced child's children take its place, so the
+    /// lanes stay in preorder. Wide nodes are laid out in preorder too.
+    pub(crate) fn from_binary(binary: BinaryBvh) -> Bvh {
+        let BinaryBvh { nodes: bin, prim_order } = binary;
+        // A wide node takes the place of at least one binary interior node.
+        let mut nodes = NodeRows::with_capacity(bin.len().div_ceil(2));
+        let root = bin.first().map_or(Aabb::empty(), |node| node.aabb);
+        let depth = match bin.first() {
+            None => 0,
+            Some(leaf) if leaf.count > 0 => {
+                let node = nodes.push_empty();
+                nodes.set_lane(node, 0, &leaf.aabb, leaf.start, leaf.count);
+                1
+            }
+            Some(_) => collapse(&bin, 0, &mut nodes),
+        };
+        Bvh { nodes, prim_order, root, stack_len: 3 * depth + 1 }
+    }
 
-        // Per-primitive AABBs in sorted order.
-        let prim_aabbs: Vec<Aabb> = map(device, n, |i| geom.tri_aabb(order[i] as usize));
+    /// The number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.nodes.nodes().len()
+    }
 
-        let mut nodes: Vec<BvhNode> = Vec::with_capacity(2 * n);
-        build_range(&mut nodes, &codes, &prim_aabbs, 0, n, 29);
+    /// Node `index`; the root is node 0.
+    pub fn node(&self, index: u32) -> WideNode<'_> {
+        WideNode(&self.nodes.nodes()[index as usize])
+    }
 
-        Bvh { nodes, prim_order: order }
+    /// Stack entries a walk of this tree can need (a node pushes up to four
+    /// children after its own entry is popped).
+    pub fn stack_len(&self) -> usize {
+        self.stack_len
     }
 
     /// Closest-hit traversal.
@@ -133,36 +367,74 @@ impl Bvh {
         self.traverse(geom, ray, max_t, true).is_hit()
     }
 
-    /// Ordered walk: both children are tested at their parent and the nearer
-    /// is entered first, so `closest` shrinks early and culls more. A popped
-    /// node is skipped when its entry distance is past `closest` — exactly
-    /// what re-testing its box against `closest` would decide. Equal `t`
-    /// goes to the triangle earlier in `prim_order`, which is the hit the
-    /// left-first preorder walk finds first (leaves lie in preorder).
     fn traverse(&self, geom: &TriGeometry, ray: &Ray, max_t: f32, any: bool) -> Hit {
-        let Some(root) = self.nodes.first() else { return Hit::MISS };
-        let Some((root_near, _)) = root.aabb.intersect_ray(ray, 0.0, max_t) else {
+        let slabs = Slabs::new(ray);
+        let (near, enters) = slabs.enter_root(&self.root, max_t);
+        if !enters {
             return Hit::MISS;
-        };
+        }
+        self.walk_entered(near, &slabs, geom, ray, max_t, any)
+    }
+
+    /// The walk of a ray that enters the root's box at `near`, on a stack
+    /// sized for the tree. Kept out of line, so a ray that misses the root
+    /// pays for no stack.
+    #[inline(never)]
+    fn walk_entered(
+        &self,
+        near: f32,
+        slabs: &Slabs,
+        geom: &TriGeometry,
+        ray: &Ray,
+        max_t: f32,
+        any: bool,
+    ) -> Hit {
+        let root = StackEntry { child: 0, count: 0, near };
+        let len = self.stack_len;
+        if len <= SMALL_STACK {
+            self.walk(&mut [NO_ENTRY; SMALL_STACK], root, slabs, geom, ray, max_t, any)
+        } else if len <= LARGE_STACK {
+            self.walk(&mut [NO_ENTRY; LARGE_STACK], root, slabs, geom, ray, max_t, any)
+        } else {
+            self.walk(&mut vec![NO_ENTRY; len], root, slabs, geom, ray, max_t, any)
+        }
+    }
+
+    /// Ordered four-wide walk from `root` (the root node, entered). A node's
+    /// four boxes are slab-tested ([`Slabs`]) in one exit-free lane loop
+    /// against `[0, closest]`; the children the ray enters are pushed
+    /// farthest first, so the nearest is popped next, and a popped child is
+    /// skipped when its entry distance is past `closest`. Equal `t` goes to
+    /// the triangle earlier in `prim_order`.
+    #[allow(clippy::too_many_arguments, reason = "the ray's two set-ups, its stack and its bound")]
+    #[inline(always)]
+    fn walk(
+        &self,
+        stack: &mut [StackEntry],
+        root: StackEntry,
+        slabs: &Slabs,
+        geom: &TriGeometry,
+        ray: &Ray,
+        max_t: f32,
+        any: bool,
+    ) -> Hit {
+        let nodes = self.nodes.nodes();
         let mut best = Hit::MISS;
         // `prim_order` position of `best`; 0 while it is a miss, so a tie
         // with `max_t` is never a hit.
         let mut best_pos = 0usize;
         let mut closest = max_t;
-        // (node, the distance at which the ray enters its box)
-        let mut stack = [(0u32, 0.0f32); 64];
-        stack[0] = (0, root_near);
+        stack[0] = root;
         let mut sp = 1usize;
         while sp > 0 {
             sp -= 1;
-            let (ni, near) = stack[sp];
+            let StackEntry { child, count, near } = stack[sp];
             if near > closest {
                 continue;
             }
-            let node = &self.nodes[ni as usize];
-            if node.count > 0 {
-                let start = node.start as usize;
-                for pos in start..start + node.count as usize {
+            if count > 0 {
+                let start = child as usize;
+                for pos in start..start + count as usize {
                     let prim = self.prim_order[pos];
                     let p = prim as usize;
                     if let Some((t, u, v)) =
@@ -178,50 +450,50 @@ impl Bvh {
                         }
                     }
                 }
-            } else {
-                debug_assert!(sp + 2 <= stack.len(), "BVH stack overflow");
-                let (l, r) = (ni + 1, node.right);
-                let enter_l = self.nodes[l as usize].aabb.intersect_ray(ray, 0.0, closest);
-                let enter_r = self.nodes[r as usize].aabb.intersect_ray(ray, 0.0, closest);
-                // The farther child goes below the nearer one; on a tie the
-                // left child (earlier in preorder) is popped first.
-                match (enter_l, enter_r) {
-                    (Some((nl, _)), Some((nr, _))) => {
-                        let (below, above) =
-                            if nr < nl { ((l, nl), (r, nr)) } else { ((r, nr), (l, nl)) };
-                        stack[sp] = below;
-                        stack[sp + 1] = above;
-                        sp += 2;
-                    }
-                    (Some((nl, _)), None) => {
-                        stack[sp] = (l, nl);
-                        sp += 1;
-                    }
-                    (None, Some((nr, _))) => {
-                        stack[sp] = (r, nr);
-                        sp += 1;
-                    }
-                    (None, None) => {}
+                continue;
+            }
+            let node = &nodes[child as usize];
+            let mut enter = [0.0f32; LANES];
+            let mut hit = [false; LANES];
+            for l in 0..LANES {
+                (enter[l], hit[l]) = slabs.enter(node, l, closest);
+            }
+            // Insert each entered child below those of this node it must be
+            // popped after: the farther, and on equal distance the earlier
+            // lane stays on top (it is earlier in preorder).
+            let base = sp;
+            for l in 0..LANES {
+                if !hit[l] {
+                    continue;
                 }
+                let (child, count) = (node[6][l].to_bits(), node[7][l].to_bits());
+                let entry = StackEntry { child, count, near: enter[l] };
+                let mut at = sp;
+                while at > base && stack[at - 1].near <= entry.near {
+                    stack[at] = stack[at - 1];
+                    at -= 1;
+                }
+                stack[at] = entry;
+                sp += 1;
             }
         }
         best
     }
 
     /// Validate structural invariants: those of `validate_tree` (children
-    /// inside parents, bounded leaves in preorder), plus every primitive
-    /// referenced exactly once and contained in its leaf's AABB.
-    /// Used by tests and debug assertions.
+    /// inside parents, bounded leaves in preorder, a stack for the depth),
+    /// plus every primitive referenced exactly once and contained in its
+    /// leaf's AABB. Used by tests and debug assertions.
     pub fn validate(&self, geom: &TriGeometry) -> Result<(), String> {
         let mut seen = vec![false; geom.num_tris()];
-        self.validate_tree(geom, |ix, node| {
-            for i in node.start..node.start + node.count {
+        self.validate_tree(geom, |leaf, start, count| {
+            for i in start..start + count {
                 let p = self.prim_order[i as usize] as usize;
                 if std::mem::replace(&mut seen[p], true) {
                     return Err(format!("prim {p} referenced twice"));
                 }
-                if !node.aabb.contains_box(&geom.tri_aabb(p)) {
-                    return Err(format!("prim {p} escapes leaf {ix} AABB"));
+                if !leaf.contains_box(&geom.tri_aabb(p)) {
+                    return Err(format!("prim {p} escapes its leaf's AABB"));
                 }
             }
             Ok(())
@@ -229,57 +501,147 @@ impl Bvh {
     }
 
     /// The invariants of every builder's tree, duplicate references allowed:
-    /// every child AABB inside its parent, leaves of at most
-    /// [`MAX_LEAF_SIZE`] references, every primitive referenced, and leaves
-    /// that, visited in preorder (left child before right), take increasing,
-    /// non-overlapping ranges of `prim_order` — the ordered walk's tie rule
-    /// depends on that. `leaf` sees each leaf, in that order.
+    /// used lanes before unused ones, every interior lane's box around all
+    /// of its node's boxes, leaves of at most [`MAX_LEAF_SIZE`] references,
+    /// every primitive referenced, leaves that, visited in preorder (lane 0
+    /// first), take increasing, non-overlapping ranges of `prim_order` — the
+    /// ordered walk's tie rule depends on that — and a [`Bvh::stack_len`]
+    /// that covers the tree's depth. `leaf` sees each leaf's box, start and
+    /// count, in that order.
     pub(crate) fn validate_tree(
         &self,
         geom: &TriGeometry,
-        mut leaf: impl FnMut(u32, &BvhNode) -> Result<(), String>,
+        mut leaf: impl FnMut(&Aabb, u32, u32) -> Result<(), String>,
     ) -> Result<(), String> {
         if geom.num_tris() == 0 {
             return Ok(());
         }
         let mut seen = vec![false; geom.num_tris()];
         let mut next_start = 0;
-        let mut stack = vec![0u32];
-        while let Some(ix) = stack.pop() {
-            let node = &self.nodes[ix as usize];
-            if node.count > 0 {
-                if node.count as usize > MAX_LEAF_SIZE {
-                    return Err(format!("leaf {ix} has {} refs", node.count));
+        let mut max_depth = 0;
+        // Preorder over lanes: (child, count, depth of the node it is a lane
+        // of, its box); the root node's box is the tree's root box.
+        let mut stack = vec![(0u32, 0u32, 0usize, self.root)];
+        while let Some((child, count, depth, lane_box)) = stack.pop() {
+            if count > 0 {
+                if count as usize > MAX_LEAF_SIZE {
+                    return Err(format!("leaf at {child} has {count} refs"));
                 }
-                if node.start < next_start {
+                if child < next_start {
                     return Err(format!(
-                        "leaf {ix} starts at {} of prim_order, before the end ({next_start}) \
-                         of the leaf preceding it in preorder",
-                        node.start
+                        "leaf at {child} of prim_order starts before the end ({next_start}) \
+                         of the leaf preceding it in preorder"
                     ));
                 }
-                next_start = node.start + node.count;
-                for i in node.start..next_start {
+                next_start = child + count;
+                for i in child..next_start {
                     seen[self.prim_order[i as usize] as usize] = true;
                 }
-                leaf(ix, node)?;
-            } else {
-                for child in [ix + 1, node.right] {
-                    let c = &self.nodes[child as usize];
-                    if !node.aabb.contains_box(&c.aabb) {
-                        return Err(format!("child {child} escapes parent {ix}"));
-                    }
-                }
-                // Right below left: the left child is visited next.
-                stack.push(node.right);
-                stack.push(ix + 1);
+                leaf(&lane_box, child, count)?;
+                continue;
             }
+            let Some(node) = self.nodes.nodes().get(child as usize).map(WideNode) else {
+                return Err(format!("node {child} is out of range"));
+            };
+            max_depth = max_depth.max(depth + 1);
+            let used = node.used_lanes();
+            if used == 0 || (used..LANES).any(|l| node.child(l) != NO_CHILD) {
+                return Err(format!("node {child} has no child or a gap between its lanes"));
+            }
+            // Last lane pushed first, so lane 0 is visited next.
+            for lane in (0..used).rev() {
+                let inner = node.lane_box(lane);
+                if !lane_box.contains_box(&inner) {
+                    return Err(format!("lane {lane} of node {child} escapes its parent's box"));
+                }
+                let (c, n) = (node.child(lane), node.count(lane));
+                if n == 0 && c <= child {
+                    return Err(format!("lane {lane} of node {child} points back to {c}"));
+                }
+                stack.push((c, n, depth + 1, inner));
+            }
+        }
+        if self.stack_len < 3 * max_depth + 1 {
+            return Err(format!(
+                "stack of {} entries for a tree {max_depth} nodes deep",
+                self.stack_len
+            ));
         }
         if let Some(p) = seen.iter().position(|s| !s) {
             return Err(format!("prim {p} unreferenced"));
         }
         Ok(())
     }
+}
+
+/// Collapse the binary subtree under interior node `b` into wide nodes
+/// appended to `wide` in preorder (see `Bvh::from_binary`); returns the
+/// depth of the wide subtree in nodes.
+fn collapse(bin: &[BvhNode], b: u32, wide: &mut NodeRows) -> usize {
+    let node = &bin[b as usize];
+    let mut kids = [b + 1, node.right, 0, 0];
+    let mut n = 2;
+    while n < LANES {
+        let mut open: Option<(usize, f32)> = None;
+        for (i, &k) in kids[..n].iter().enumerate() {
+            let kid = &bin[k as usize];
+            let area = kid.aabb.surface_area();
+            if kid.count == 0 && open.is_none_or(|(_, a)| area > a) {
+                open = Some((i, area));
+            }
+        }
+        let Some((i, _)) = open else { break };
+        let k = kids[i];
+        kids.copy_within(i + 1..n, i + 2);
+        kids[i] = k + 1;
+        kids[i + 1] = bin[k as usize].right;
+        n += 1;
+    }
+    let me = wide.push_empty();
+    let mut depth = 0;
+    for (lane, &k) in kids[..n].iter().enumerate() {
+        let kid = &bin[k as usize];
+        if kid.count > 0 {
+            wide.set_lane(me, lane, &kid.aabb, kid.start, kid.count);
+        } else {
+            let at = wide.nodes().len() as u32;
+            depth = depth.max(collapse(bin, k, wide));
+            wide.set_lane(me, lane, &kid.aabb, at, 0);
+        }
+    }
+    depth + 1
+}
+
+/// The LBVH's binary tree over all triangles of `geom`.
+pub(crate) fn build_lbvh(device: &Device, geom: &TriGeometry) -> BinaryBvh {
+    let n = geom.num_tris();
+    if n == 0 {
+        return BinaryBvh { nodes: Vec::new(), prim_order: Vec::new() };
+    }
+    // Centroid bounds for Morton normalization.
+    let centroids: Vec<Vec3> = map(device, n, |i| geom.tri_centroid(i));
+    let cb = dpp::reduce(
+        device,
+        &map(device, n, |i| (centroids[i], centroids[i])),
+        (Vec3::splat(f32::INFINITY), Vec3::splat(f32::NEG_INFINITY)),
+        |a, b| (a.0.min(b.0), a.1.max(b.1)),
+    );
+    let cbounds = Aabb { min: cb.0, max: cb.1 };
+
+    // Morton codes (map) + radix sort (dpp primitive).
+    let mut codes: Vec<u64> = map(device, n, |i| {
+        let q = cbounds.normalize_point(centroids[i]);
+        morton3(q.x, q.y, q.z) as u64
+    });
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    sort_pairs_u64(device, &mut codes, &mut order);
+
+    // Per-primitive AABBs in sorted order.
+    let prim_aabbs: Vec<Aabb> = map(device, n, |i| geom.tri_aabb(order[i] as usize));
+
+    let mut nodes: Vec<BvhNode> = Vec::with_capacity(2 * n);
+    build_range(&mut nodes, &codes, &prim_aabbs, 0, n, 29);
+    BinaryBvh { nodes, prim_order: order }
 }
 
 /// Recursive radix-split build over the Morton-sorted range `[start, end)`.
@@ -344,6 +706,67 @@ fn partition_point(codes: &[u64], pred: impl Fn(u64) -> bool) -> usize {
 }
 
 #[cfg(test)]
+impl BinaryBvh {
+    /// The binary tree's ordered walk, the one the four-wide walk replaced
+    /// and its oracle: an interior node tests both children's boxes
+    /// (`Aabb::intersect_ray`) and pushes the farther first, the left on a
+    /// tie; a popped node is skipped when its entry distance is past
+    /// `closest`; equal `t` goes to the earlier `prim_order` position.
+    pub(crate) fn ordered_walk(&self, geom: &TriGeometry, ray: &Ray, max_t: f32, any: bool) -> Hit {
+        let Some(root) = self.nodes.first() else { return Hit::MISS };
+        let Some((root_near, _)) = root.aabb.intersect_ray(ray, 0.0, max_t) else {
+            return Hit::MISS;
+        };
+        let mut best = Hit::MISS;
+        let mut best_pos = 0usize;
+        let mut closest = max_t;
+        let mut stack = vec![(0u32, root_near)];
+        while let Some((ni, near)) = stack.pop() {
+            if near > closest {
+                continue;
+            }
+            let node = &self.nodes[ni as usize];
+            if node.count > 0 {
+                let start = node.start as usize;
+                for pos in start..start + node.count as usize {
+                    let prim = self.prim_order[pos];
+                    let p = prim as usize;
+                    if let Some((t, u, v)) =
+                        intersect_triangle(ray, geom.v0[p], geom.e1[p], geom.e2[p])
+                    {
+                        if t < closest || (t == closest && pos < best_pos) {
+                            closest = t;
+                            best_pos = pos;
+                            best = Hit { t, prim, u, v };
+                            if any {
+                                return best;
+                            }
+                        }
+                    }
+                }
+            } else {
+                let (l, r) = (ni + 1, node.right);
+                let enter_l = self.nodes[l as usize].aabb.intersect_ray(ray, 0.0, closest);
+                let enter_r = self.nodes[r as usize].aabb.intersect_ray(ray, 0.0, closest);
+                match (enter_l, enter_r) {
+                    (Some((nl, _)), Some((nr, _))) => {
+                        if nr < nl {
+                            stack.extend([(l, nl), (r, nr)]);
+                        } else {
+                            stack.extend([(r, nr), (l, nl)]);
+                        }
+                    }
+                    (Some((nl, _)), None) => stack.push((l, nl)),
+                    (None, Some((nr, _))) => stack.push((r, nr)),
+                    (None, None) => {}
+                }
+            }
+        }
+        best
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use mesh::datasets::{field_grid, FieldKind};
@@ -404,66 +827,64 @@ mod tests {
             tris: vec![[0, 1, 2], [0, 1, 3]],
             scalars: vec![0.0; 4],
         });
-        let leaf = |start: u32, prim: usize| BvhNode {
-            aabb: geom.tri_aabb(prim),
-            right: 0,
-            start,
-            count: 1,
+        let root = |first: u32, second: u32| {
+            let mut nodes = NodeRows::with_capacity(1);
+            let node = nodes.push_empty();
+            nodes.set_lane(node, 0, &geom.tri_aabb(first as usize), first, 1);
+            nodes.set_lane(node, 1, &geom.tri_aabb(second as usize), second, 1);
+            Bvh { nodes, prim_order: vec![0, 1], root: geom.bounds, stack_len: 4 }
         };
-        let root = BvhNode { aabb: geom.bounds, right: 2, start: 0, count: 0 };
-        // The left leaf holds the second entry of `prim_order`.
-        let swapped = Bvh { nodes: vec![root, leaf(1, 1), leaf(0, 0)], prim_order: vec![0, 1] };
-        let err = swapped.validate(&geom).unwrap_err();
+        // Lane 0 holds the second entry of `prim_order`.
+        let err = root(1, 0).validate(&geom).unwrap_err();
         assert!(err.contains("preorder"), "{err}");
-        let in_order = Bvh { nodes: vec![root, leaf(0, 0), leaf(1, 1)], prim_order: vec![0, 1] };
-        in_order.validate(&geom).unwrap();
-    }
-
-    /// The walk the ordered traversal replaced: right child pushed first so
-    /// the left is popped next, each node's box re-tested against `closest`
-    /// on pop, the first hit at a given `t` kept. The oracle for
-    /// [`Bvh::closest_hit`].
-    fn preorder_closest_hit(bvh: &Bvh, geom: &TriGeometry, ray: &Ray) -> Hit {
-        let mut best = Hit::MISS;
-        let mut closest = f32::INFINITY;
-        let mut stack = if bvh.nodes.is_empty() { vec![] } else { vec![0u32] };
-        while let Some(ni) = stack.pop() {
-            let node = &bvh.nodes[ni as usize];
-            if node.aabb.intersect_ray(ray, 0.0, closest).is_none() {
-                continue;
-            }
-            if node.count > 0 {
-                let start = node.start as usize;
-                for &prim in &bvh.prim_order[start..start + node.count as usize] {
-                    let p = prim as usize;
-                    if let Some((t, u, v)) =
-                        intersect_triangle(ray, geom.v0[p], geom.e1[p], geom.e2[p])
-                    {
-                        if t < closest {
-                            closest = t;
-                            best = Hit { t, prim, u, v };
-                        }
-                    }
-                }
-            } else {
-                stack.push(node.right);
-                stack.push(ni + 1);
-            }
-        }
-        best
+        root(0, 1).validate(&geom).unwrap();
+        let shallow = Bvh { stack_len: 3, ..root(0, 1) };
+        assert!(shallow.validate(&geom).unwrap_err().contains("stack"));
     }
 
     fn hit_bits(h: Hit) -> (u32, u32, u32, u32) {
         (h.prim, h.t.to_bits(), h.u.to_bits(), h.v.to_bits())
     }
 
-    /// The ordered walk returns the preorder walk's `Hit`, bit for bit, on
-    /// every pixel of both 288² views of every LULESH step the
+    /// The wide walk agrees with the binary tree's ordered walk `Hit` for
+    /// `Hit` on `rays`, and any-hit for any-hit at `max_t` one ulp short of
+    /// and one ulp past the closest `t` (past it, both may miss: a box whose
+    /// slab entry rounds above the triangle's `t` is culled). Returns the
+    /// number of hits.
+    fn agree_with_binary_walk(
+        binary: &BinaryBvh,
+        bvh: &Bvh,
+        geom: &TriGeometry,
+        rays: impl Iterator<Item = Ray>,
+    ) -> u64 {
+        let mut hits = 0;
+        for ray in rays {
+            let wide = bvh.closest_hit(geom, &ray);
+            let ordered = binary.ordered_walk(geom, &ray, f32::INFINITY, false);
+            assert_eq!(hit_bits(wide), hit_bits(ordered), "{ray:?}: {wide:?} vs {ordered:?}");
+            if wide.is_hit() {
+                hits += 1;
+                let (under, over) = (wide.t.to_bits() - 1, wide.t.to_bits() + 1);
+                for max_t in [under, over].map(f32::from_bits) {
+                    let any = bvh.any_hit(geom, &ray, max_t);
+                    let ordered = binary.ordered_walk(geom, &ray, max_t, true).is_hit();
+                    assert_eq!(any, ordered, "{ray:?} at max_t {max_t}");
+                }
+            } else {
+                assert!(!bvh.any_hit(geom, &ray, f32::INFINITY));
+            }
+        }
+        hits
+    }
+
+    /// The wide walk returns the binary ordered walk's `Hit`, bit for bit,
+    /// on every pixel of both 288² views of every LULESH step the
     /// `insitu_surface` benchmark can render (up to 15 pre-steps, then a
-    /// 32-cycle period: steps 0–47). Debug builds check every eighth step
+    /// 32-cycle period: steps 0–47), and the same any-hit answers just
+    /// short of and just past each hit. Debug builds check every eighth step
     /// and every fifth row and column.
     #[test]
-    fn ordered_walk_is_the_preorder_walk_on_the_surface_workload() {
+    fn wide_walk_is_the_binary_walk_on_the_surface_workload() {
         let (step_stride, px_stride) = if cfg!(debug_assertions) { (8, 5) } else { (1, 1) };
         let side = 288;
         let mut sim = sims::Lulesh::new(24);
@@ -477,27 +898,111 @@ mod tests {
             }
             let hexes = sim.hex_mesh();
             let geom = TriGeometry::from_mesh(&external_faces_hex(&hexes, Some("e_p")));
-            let bvh = Bvh::build(&Device::Serial, &geom);
+            let binary = build_lbvh(&Device::Serial, &geom);
+            let bvh = Bvh::from_binary(binary.clone());
             bvh.validate(&geom).unwrap();
             let bounds = hexes.bounds();
             for cam in [vecmath::Camera::close_view(&bounds), vecmath::Camera::far_view(&bounds)] {
                 let rays = cam.pixel_rays(side, side);
-                for py in (0..side).step_by(px_stride) {
-                    for px in (0..side).step_by(px_stride) {
-                        let ray = rays.ray(px, py, 0.5, 0.5);
-                        let ordered = bvh.closest_hit(&geom, &ray);
-                        let preorder = preorder_closest_hit(&bvh, &geom, &ray);
-                        assert_eq!(
-                            hit_bits(ordered),
-                            hit_bits(preorder),
-                            "step {step}, pixel ({px}, {py}): {ordered:?} vs {preorder:?}"
-                        );
-                        hits += ordered.is_hit() as u64;
-                    }
-                }
+                let pixels = (0..side)
+                    .step_by(px_stride)
+                    .flat_map(|py| (0..side).step_by(px_stride).map(move |px| (px, py)));
+                let rays = pixels.map(|(px, py)| rays.ray(px, py, 0.5, 0.5));
+                hits += agree_with_binary_walk(&binary, &bvh, &geom, rays);
             }
         }
         assert!(hits > 1000, "the views should see the mesh ({hits} hits)");
+    }
+
+    /// Equal Morton codes leave the LBVH only median splits: at n = 2¹⁶
+    /// copies of one triangle the tree is as deep as it gets for its size,
+    /// its stack covers that depth, and every ray meets every copy at one
+    /// `t`, so the walk must keep position 0.
+    #[test]
+    fn degenerate_lbvh_walks_within_its_stack() {
+        let n = 1 << 16;
+        let geom = TriGeometry::from_mesh(&mesh::TriMesh {
+            points: vec![Vec3::ZERO, Vec3::X, Vec3::Y],
+            tris: vec![[0, 1, 2]; n],
+            scalars: vec![0.0; 3],
+        });
+        let binary = build_lbvh(&Device::Serial, &geom);
+        let bvh = Bvh::from_binary(binary.clone());
+        bvh.validate(&geom).unwrap();
+        // 2¹³ leaves of eight under median splits: 14 binary levels.
+        assert!(bvh.stack_len() > 3 * 7, "{}", bvh.stack_len());
+        let rays = [(0.25, 0.25), (0.1, 0.7), (0.9, 0.9)]
+            .map(|(x, y)| Ray::new(Vec3::new(x, y, 1.0), -Vec3::Z));
+        let hits = agree_with_binary_walk(&binary, &bvh, &geom, rays.into_iter());
+        assert_eq!(hits, 2);
+        for ray in rays {
+            assert_eq!(
+                hit_bits(bvh.closest_hit(&geom, &ray)),
+                hit_bits(brute_force(&bvh, &geom, &ray))
+            );
+        }
+    }
+
+    /// A binary chain (each interior node a one-triangle leaf and the rest)
+    /// collapses to a wide tree a third as deep, deeper than the inline
+    /// stacks hold: the walk takes a heap stack of the tree's own size and
+    /// still returns the binary walk's hits.
+    #[test]
+    fn deep_tree_walks_with_a_stack_of_its_depth() {
+        let n = 300u32;
+        let mut m = mesh::TriMesh::default();
+        for i in 0..n {
+            let x = i as f32;
+            m.points.extend([
+                Vec3::new(x, 0.0, 0.0),
+                Vec3::new(x + 0.5, 0.0, 0.0),
+                Vec3::new(x, 1.0, 0.0),
+            ]);
+            m.scalars.extend([0.0; 3]);
+            m.tris.push([3 * i, 3 * i + 1, 3 * i + 2]);
+        }
+        let geom = TriGeometry::from_mesh(&m);
+        let mut nodes = Vec::new();
+        for i in 0..n {
+            let mut rest = Aabb::empty();
+            for t in i..n {
+                rest = rest.union(&geom.tri_aabb(t as usize));
+            }
+            let leaf = BvhNode { aabb: geom.tri_aabb(i as usize), right: 0, start: i, count: 1 };
+            if i + 1 == n {
+                nodes.push(leaf);
+            } else {
+                let here = nodes.len() as u32;
+                nodes.push(BvhNode { aabb: rest, right: here + 2, start: 0, count: 0 });
+                nodes.push(leaf);
+            }
+        }
+        let binary = BinaryBvh { nodes, prim_order: (0..n).collect() };
+        let bvh = Bvh::from_binary(binary.clone());
+        bvh.validate(&geom).unwrap();
+        assert!(bvh.stack_len() > LARGE_STACK, "{}", bvh.stack_len());
+        let rays = (0..n).map(|i| Ray::new(Vec3::new(i as f32 + 0.1, 0.2, -1.0), Vec3::Z));
+        assert_eq!(agree_with_binary_walk(&binary, &bvh, &geom, rays), n as u64);
+    }
+
+    /// Node 0 starts on a cache line, in a built tree and in its clone,
+    /// wherever the allocator hands out 16-byte-aligned blocks (every
+    /// 64-bit target's `malloc` does), and the clone holds the same nodes.
+    #[test]
+    fn nodes_start_on_a_line() {
+        let geom = test_geom();
+        let bvh = Bvh::build(&Device::Serial, &geom);
+        let copy = bvh.clone();
+        let bits = |b: &Bvh| -> Vec<u32> {
+            b.nodes.nodes().iter().flatten().flatten().map(|v| v.to_bits()).collect()
+        };
+        for b in [&bvh, &copy] {
+            if (b.nodes.rows.as_ptr() as usize).is_multiple_of(16) {
+                assert_eq!(b.nodes.nodes().as_ptr() as usize % LINE, 0);
+            }
+        }
+        assert!(bvh.num_nodes() > 1);
+        assert_eq!(bits(&bvh), bits(&copy));
     }
 
     #[test]
@@ -541,7 +1046,4 @@ mod tests {
         let r = Ray::new(Vec3::new(0.25, 0.25, -1.0), -Vec3::Z);
         assert!(intersect_triangle(&r, v0, e1, e2).is_none());
     }
-
-    use dpp::Device;
-    use vecmath::Ray;
 }

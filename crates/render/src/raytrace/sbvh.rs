@@ -9,12 +9,12 @@
 //!
 //! Simplification vs the original: straddling references keep their AABB
 //! clipped to the bin slab (box clipping, not exact triangle clipping), a
-//! looser but conservative bound. The produced tree reuses the flat
-//! [`BvhNode`] layout, so the existing traversal kernels work unchanged; the
-//! only structural difference is that `prim_order` may reference a triangle
-//! more than once.
+//! looser but conservative bound. The build makes a binary tree, which
+//! `Bvh::from_binary` collapses into the four-wide nodes the LBVH's walk
+//! takes, so both trees are walked by the same code; the only structural
+//! difference is that `prim_order` may reference a triangle more than once.
 
-use super::bvh::{Bvh, BvhNode, MAX_LEAF_SIZE};
+use super::bvh::{BinaryBvh, Bvh, BvhNode, MAX_LEAF_SIZE};
 use super::geometry::TriGeometry;
 use vecmath::Aabb;
 
@@ -32,9 +32,14 @@ struct PrimRef {
 /// the object split's children exceeds `split_alpha * root_area` (the
 /// paper's 1e-6 makes them nearly always considered).
 pub fn build_split_bvh(geom: &TriGeometry, split_alpha: f32) -> Bvh {
+    Bvh::from_binary(build_split_binary(geom, split_alpha))
+}
+
+/// The split BVH's binary tree, before the collapse.
+fn build_split_binary(geom: &TriGeometry, split_alpha: f32) -> BinaryBvh {
     let n = geom.num_tris();
     if n == 0 {
-        return Bvh { nodes: Vec::new(), prim_order: Vec::new() };
+        return BinaryBvh { nodes: Vec::new(), prim_order: Vec::new() };
     }
     let refs: Vec<PrimRef> =
         (0..n).map(|t| PrimRef { prim: t as u32, aabb: geom.tri_aabb(t) }).collect();
@@ -51,7 +56,7 @@ pub fn build_split_bvh(geom: &TriGeometry, split_alpha: f32) -> Bvh {
     // straddles every plane.
     let mut budget = (n / 2).max(8) as isize;
     build(&mut nodes, &mut order, refs, threshold, 0, &mut budget);
-    Bvh { nodes, prim_order: order }
+    BinaryBvh { nodes, prim_order: order }
 }
 
 fn refs_bounds(refs: &[PrimRef]) -> Aabb {
@@ -322,9 +327,10 @@ fn best_bin_split(counts: &[usize; BINS], bb: &[Aabb; BINS]) -> Option<BinSplit>
 
 /// Structural check for split BVHs: every triangle referenced at least
 /// once, children contained in parents, leaf sizes bounded, leaves in
-/// preorder. (Duplicates are legal — that is the point of the split.)
+/// preorder, a stack for the depth. (Duplicates are legal — that is the
+/// point of the split.)
 pub fn validate_split(bvh: &Bvh, geom: &TriGeometry) -> Result<(), String> {
-    bvh.validate_tree(geom, |_, _| Ok(()))
+    bvh.validate_tree(geom, |_, _, _| Ok(()))
 }
 
 #[cfg(test)]
@@ -351,11 +357,14 @@ mod tests {
         assert!(bvh.prim_order.len() <= geom.num_tris() * 3);
     }
 
+    /// The split BVH's wide walk returns its binary tree's ordered walk's
+    /// `Hit` bit for bit, and the LBVH's nearest `t`.
     #[test]
     fn split_bvh_traversal_matches_lbvh() {
         let geom = scene();
         let lbvh = super::super::bvh::Bvh::build(&Device::Serial, &geom);
-        let sbvh = build_split_bvh(&geom, 1e-6);
+        let binary = build_split_binary(&geom, 1e-6);
+        let sbvh = Bvh::from_binary(binary.clone());
         let cam = Camera::close_view(&geom.bounds);
         let mut hits = 0;
         for py in (0..64).step_by(3) {
@@ -363,7 +372,13 @@ mod tests {
                 let ray = cam.primary_ray(px, py, 64, 64, 0.5, 0.5);
                 let a = lbvh.closest_hit(&geom, &ray);
                 let b = sbvh.closest_hit(&geom, &ray);
+                let c = binary.ordered_walk(&geom, &ray, f32::INFINITY, false);
                 assert_eq!(a.t.to_bits(), b.t.to_bits(), "({px},{py})");
+                assert_eq!(
+                    (b.prim, b.t.to_bits(), b.u.to_bits(), b.v.to_bits()),
+                    (c.prim, c.t.to_bits(), c.u.to_bits(), c.v.to_bits()),
+                    "({px},{py})"
+                );
                 hits += a.is_hit() as u32;
             }
         }
@@ -413,7 +428,7 @@ mod tests {
     fn empty_scene() {
         let geom = TriGeometry::from_mesh(&mesh::TriMesh::default());
         let bvh = build_split_bvh(&geom, 1e-6);
-        assert!(bvh.nodes.is_empty());
+        assert_eq!(bvh.num_nodes(), 0);
         validate_split(&bvh, &geom).unwrap();
     }
 }

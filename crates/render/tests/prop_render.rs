@@ -173,3 +173,122 @@ proptest! {
         }
     }
 }
+
+/// Axis-aligned triangles and quads on a grid of 1/8 in `[-1, 1]`: every
+/// leaf box has planes at grid values, and a leaf over faces of one plane
+/// has zero thickness, like the external faces of a hex mesh.
+fn arb_axis_aligned_mesh() -> impl Strategy<Value = mesh::TriMesh> {
+    (1usize..60, any::<u64>()).prop_map(|(n, seed)| {
+        let mut rng = Rng(seed | 1);
+        let mut grid = || (rng.next_u64() % 17) as f32 / 8.0 - 1.0;
+        let mut m = mesh::TriMesh::default();
+        for t in 0..n {
+            let axis = t % 3;
+            let plane = grid();
+            let (a0, a1, b0, b1) = (grid(), grid(), grid(), grid());
+            let corner = |a: f32, b: f32| {
+                let mut p = [0.0f32; 3];
+                p[axis] = plane;
+                p[(axis + 1) % 3] = a;
+                p[(axis + 2) % 3] = b;
+                Vec3::new(p[0], p[1], p[2])
+            };
+            let i = m.points.len() as u32;
+            m.points.extend([corner(a0, b0), corner(a1, b0), corner(a1, b1), corner(a0, b1)]);
+            m.scalars.extend_from_slice(&[t as f32; 4]);
+            m.tris.push([i, i + 1, i + 2]);
+            // Every other face is a quad: a second triangle across the diagonal.
+            if t % 2 == 0 {
+                m.tris.push([i, i + 2, i + 3]);
+            }
+        }
+        m
+    })
+}
+
+/// Rays at the slab test's edges: axis-parallel rays (two zero direction
+/// components, so `inv_dir` holds ±∞ and a slab term on a box plane is
+/// 0·∞ = NaN) whose origin takes its other two coordinates from the mesh's
+/// vertices, so it lies on leaf-box planes; and rays from origins inside the
+/// root box, half of them axis-parallel too.
+fn slab_edge_rays(m: &mesh::TriMesh, seed: u64, count: usize) -> Vec<Ray> {
+    let mut rng = Rng(seed | 1);
+    let mut bounds = vecmath::Aabb::empty();
+    for &p in &m.points {
+        bounds.expand(p);
+    }
+    (0..count)
+        .map(|i| {
+            // Along one axis, either way; the other components +0 or -0.
+            let axis = rng.below(3);
+            let mut dir = [0.0f32; 3];
+            for (k, d) in dir.iter_mut().enumerate() {
+                let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+                *d = sign * if k == axis { 1.0 } else { 0.0 };
+            }
+            let origin = if i % 2 == 0 {
+                // On the planes through a vertex, from outside the mesh.
+                let vertex = m.points[rng.below(m.points.len())];
+                let mut o = [vertex.x, vertex.y, vertex.z];
+                o[axis] = -3.0 * dir[axis];
+                o
+            } else {
+                // Inside the root box.
+                [0, 1, 2]
+                    .map(|k| bounds.min[k] + (bounds.max[k] - bounds.min[k]) * rng.coord().abs())
+            };
+            // Every fourth ray, from inside, in a random direction.
+            let dir = if i % 4 == 3 { rng.vec3() } else { Vec3::new(dir[0], dir[1], dir[2]) };
+            let dir = if dir.length() < 1e-3 { Vec3::Z } else { dir };
+            Ray::new(Vec3::new(origin[0], origin[1], origin[2]), dir)
+        })
+        .collect()
+}
+
+/// Every hit over `bvh.prim_order` at exactly `t`.
+fn hits_at(bvh: &Bvh, geom: &TriGeometry, ray: &Ray, t: f32) -> Vec<(u32, u32, u32, u32)> {
+    let hits = bvh.prim_order.iter().filter_map(|&prim| {
+        let p = prim as usize;
+        let (t, u, v) = intersect_triangle(ray, geom.v0[p], geom.e1[p], geom.e2[p])?;
+        Some(Hit { t, prim, u, v })
+    });
+    hits.filter(|h| h.t.to_bits() == t.to_bits()).map(hit_bits).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On zero-thickness leaf boxes, axis-parallel rays along box planes and
+    /// origins inside the root box, the LBVH's closest hit is the brute
+    /// force over its `prim_order`, bit for bit. The split BVH's is at the
+    /// brute force's `t` and is one of its hits there: a reference the
+    /// spatial split duplicated keeps a box clipped to its own side of the
+    /// split plane, so where another triangle ties at that `t`, the walk may
+    /// meet only the later copy, which the brute force, testing the whole
+    /// triangle at every position, does not (the binary walk did the same).
+    /// Any-hit agrees with both: a hit within 1.001 of the closest `t`,
+    /// none within `t` itself.
+    #[test]
+    fn slab_test_edges_keep_every_hit(m in arb_axis_aligned_mesh(), seed in any::<u64>()) {
+        let geom = TriGeometry::from_mesh(&m);
+        let lbvh = Bvh::build(&Device::Serial, &geom);
+        let sbvh = render::raytrace::build_split_bvh(&geom, 1e-6);
+        for (split, bvh) in [(false, &lbvh), (true, &sbvh)] {
+            for ray in slab_edge_rays(&m, seed, 64) {
+                let (a, b) = (bvh.closest_hit(&geom, &ray), brute_force(bvh, &geom, &ray));
+                if split {
+                    prop_assert_eq!(a.t.to_bits(), b.t.to_bits(), "{:?}: {:?} vs {:?}", ray, a, b);
+                    prop_assert!(!a.is_hit() || hits_at(bvh, &geom, &ray, a.t).contains(&hit_bits(a)));
+                } else {
+                    prop_assert_eq!(hit_bits(a), hit_bits(b), "{:?}: {:?} vs brute force {:?}", ray, a, b);
+                }
+                if a.is_hit() {
+                    prop_assert!(bvh.any_hit(&geom, &ray, a.t * 1.001));
+                    prop_assert!(!bvh.any_hit(&geom, &ray, a.t));
+                } else {
+                    prop_assert!(!bvh.any_hit(&geom, &ray, f32::INFINITY));
+                }
+            }
+        }
+    }
+}
