@@ -15,16 +15,20 @@
 //! pushes the ones the ray enters farthest-first, each with its entry
 //! distance, so the nearest is entered next and a child whose entry lies
 //! past the closest hit found by then is dropped on pop. Ties in `t` go to
-//! the triangle earlier in `prim_order`; the builders lay leaves out in
-//! preorder and the collapse keeps a node's lanes in preorder ([`Bvh::validate`]
-//! and `validate_split` check it), so whatever the tree's shape, the hit is
-//! the brute-force minimum over `prim_order`. The tests hold the walk to the
-//! binary tree's ordered walk and to that brute force, `Hit` for `Hit`, bit
-//! for bit.
+//! the triangle whose first position in `prim_order` is earlier (the split
+//! BVH may reference a triangle twice, and the walk may meet only the later
+//! copy), and a triangle's box holds every hit `intersect_triangle` accepts
+//! (`TriGeometry::tri_aabb`), so whatever the tree's shape, the hit is the
+//! brute-force minimum over `prim_order`. The builders lay leaves out in
+//! preorder and the collapse keeps a node's lanes in preorder
+//! ([`Bvh::validate`] and `validate_split` check it). The tests hold the walk
+//! to the binary tree's ordered walk and to that brute force, `Hit` for
+//! `Hit`, bit for bit.
 
 use super::geometry::TriGeometry;
 use dpp::sort::sort_pairs_u64;
 use dpp::{map, Device};
+use std::cell::RefCell;
 use vecmath::{morton3, Aabb, Ray, Vec3};
 
 /// Maximum primitives per leaf (the study's EAVL tracer used 8).
@@ -60,12 +64,13 @@ const EMPTY_NODE: [Row; ROWS] = [
     [0.0; LANES],
 ];
 
-/// The stacks the walk keeps inline, for trees whose depth (see
-/// [`Bvh::stack_len`]) fits them: setting up a stack costs in proportion to
-/// its size, so a shallow tree takes the small one. A deeper tree walks with
-/// a heap stack of its own size.
-const SMALL_STACK: usize = 32;
-const LARGE_STACK: usize = 96;
+thread_local! {
+    /// The walk's stack, one per thread, grown to the deepest tree walked
+    /// on the thread so far and reused by every ray after: a stack set up
+    /// per ray would cost in proportion to its size on every ray that
+    /// enters the root.
+    static STACK: RefCell<Vec<StackEntry>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Binary BVH node, the builders' output. `count > 0` marks a leaf over
 /// `prim_order[start..start+count]`; otherwise the left child is `self + 1`
@@ -83,6 +88,32 @@ pub(crate) struct BvhNode {
 pub(crate) struct BinaryBvh {
     pub(crate) nodes: Vec<BvhNode>,
     pub(crate) prim_order: Vec<u32>,
+    /// See [`Bvh`]'s field of the name.
+    pub(crate) first_pos: Vec<u32>,
+}
+
+/// For a `prim_order` over `num_prims` triangles that names some more than
+/// once, each position's triangle's first position in it; empty when every
+/// triangle appears once.
+pub(crate) fn first_positions(prim_order: &[u32], num_prims: usize) -> Vec<u32> {
+    if prim_order.len() <= num_prims {
+        return Vec::new();
+    }
+    let mut first = vec![u32::MAX; num_prims];
+    (0..prim_order.len() as u32)
+        .map(|pos| {
+            let first = &mut first[prim_order[pos as usize] as usize];
+            *first = (*first).min(pos);
+            *first
+        })
+        .collect()
+}
+
+/// The rank by which the walks break a tie in `t`: the first position in
+/// `prim_order` of the triangle at `pos` (see [`Bvh`]'s `first_pos`).
+#[inline(always)]
+fn tie_rank(first_pos: &[u32], pos: usize) -> usize {
+    first_pos.get(pos).map_or(pos, |&first| first as usize)
 }
 
 /// The four-wide nodes, [`ROWS`] rows each, in one vector of rows whose
@@ -180,6 +211,13 @@ pub struct Bvh {
     nodes: NodeRows,
     /// Primitive indices in tree order; leaves reference ranges of this.
     pub prim_order: Vec<u32>,
+    /// Where `prim_order` names a triangle more than once (the split BVH's
+    /// duplicated references), each position's triangle's first position,
+    /// the rank by which a tie in `t` is broken; empty where every triangle
+    /// appears once and a position is its own rank. A copy whose clipped box
+    /// misses the hit point can then lose no tie: any copy the walk meets
+    /// ranks as the first.
+    first_pos: Vec<u32>,
     /// The root's box; empty for an empty tree.
     root: Aabb,
     /// Stack entries a walk can need: `3 * depth + 1`, `depth` counting the
@@ -247,63 +285,41 @@ const NO_ENTRY: StackEntry = StackEntry { child: 0, count: 0, near: 0.0 };
 ///
 /// Each axis's slab is taken near plane first by the sign of the ray's
 /// `inv_dir` (Williams et al.), so no per-box min/max of the two plane
-/// distances is needed. On a ray parallel to an axis whose origin lies on
-/// one of that axis's box planes, the plane's term is 0·∞ = NaN; the
-/// running max (min) keeps its value when a term is NaN, as `f32::max`
-/// (`f32::min`) would, so the NaN leaves the entry or exit distance to the
-/// other axes, and the ray, which lies in the closed slab, keeps the box. (A
-/// min/max of the two plane terms, as `Aabb::intersect_ray` takes, turns
-/// that NaN into the other plane's ±∞ and drops the box.)
+/// distances is needed; the near plane's distance is picked by value, which
+/// is one select over a node's four lanes. On a ray parallel to an axis
+/// whose origin lies on one of that axis's box planes, the plane's term is
+/// 0·∞ = NaN; the running max (min) keeps its value when a term is NaN, as
+/// `f32::max` (`f32::min`) would, so the NaN leaves the entry or exit
+/// distance to the other axes, and the ray, which lies in the closed slab,
+/// keeps the box. (A min/max of the two plane terms, as
+/// `Aabb::intersect_ray` takes, turns that NaN into the other plane's ±∞
+/// and drops the box.)
 struct Slabs {
     origin: Vec3,
     inv_dir: Vec3,
-    /// Index into the planes of each axis's near plane; the far plane is
-    /// the other of the pair (`^ 1`).
-    near_plane: [usize; 3],
 }
 
 impl Slabs {
     #[inline(always)]
     fn new(ray: &Ray) -> Slabs {
-        let inv = ray.inv_dir;
-        let near_plane = [0, 1, 2].map(|a| 2 * a + (inv[a] < 0.0) as usize);
-        Slabs { origin: ray.origin, inv_dir: inv, near_plane }
+        Slabs { origin: ray.origin, inv_dir: ray.inv_dir }
     }
 
     /// The distance at which the ray enters the box `b`, clipped to
-    /// `[0, t_max]`, and whether it enters it there: [`Slabs::enter`] for
-    /// one box, the near plane chosen by value rather than by index, so a
-    /// ray that misses the root does not wait on the index's load (a third
-    /// of such a ray's cost).
+    /// `[0, t_max]`, and whether it enters it there.
     #[inline(always)]
-    fn enter_root(&self, b: &Aabb, t_max: f32) -> (f32, bool) {
+    fn enter(&self, b: &Aabb, t_max: f32) -> (f32, bool) {
         let (o, inv) = (self.origin, self.inv_dir);
-        let t0 = (b.min - o) * inv;
-        let t1 = (b.max - o) * inv;
         let mut t_near = 0.0f32;
         let mut t_far = t_max;
         for axis in 0..3 {
-            let (n, f) = if inv[axis] < 0.0 { (t1[axis], t0[axis]) } else { (t0[axis], t1[axis]) };
+            let t0 = (b.min[axis] - o[axis]) * inv[axis];
+            let t1 = (b.max[axis] - o[axis]) * inv[axis];
+            let (n, f) = if inv[axis] < 0.0 { (t1, t0) } else { (t0, t1) };
+            // `if t > acc { t } else { acc }` keeps `acc` when `t` is NaN
+            // and is one SIMD max over the lanes (likewise for min).
             t_near = if n > t_near { n } else { t_near };
             t_far = if f < t_far { f } else { t_far };
-        }
-        (t_near, t_near <= t_far)
-    }
-
-    /// The distance at which the ray enters lane `l`'s box of node `b`,
-    /// clipped to `[0, t_max]`, and whether it enters it there.
-    #[inline(always)]
-    fn enter(&self, b: &[Row; ROWS], l: usize, t_max: f32) -> (f32, bool) {
-        let (o, inv, [x, y, z]) = (self.origin, self.inv_dir, self.near_plane);
-        // `if t > acc { t } else { acc }` keeps `acc` when `t` is NaN and is
-        // one SIMD max over the lanes (likewise for min).
-        let mut t_near = 0.0f32;
-        let mut t_far = t_max;
-        for (axis, &near) in [x, y, z].iter().enumerate() {
-            let t0 = (b[near][l] - o[axis]) * inv[axis];
-            let t1 = (b[near ^ 1][l] - o[axis]) * inv[axis];
-            t_near = if t0 > t_near { t0 } else { t_near };
-            t_far = if t1 < t_far { t1 } else { t_far };
         }
         (t_near, t_near <= t_far)
     }
@@ -323,7 +339,7 @@ impl Bvh {
     /// or only leaves; a replaced child's children take its place, so the
     /// lanes stay in preorder. Wide nodes are laid out in preorder too.
     pub(crate) fn from_binary(binary: BinaryBvh) -> Bvh {
-        let BinaryBvh { nodes: bin, prim_order } = binary;
+        let BinaryBvh { nodes: bin, prim_order, first_pos } = binary;
         // A wide node takes the place of at least one binary interior node.
         let mut nodes = NodeRows::with_capacity(bin.len().div_ceil(2));
         let root = bin.first().map_or(Aabb::empty(), |node| node.aabb);
@@ -336,7 +352,7 @@ impl Bvh {
             }
             Some(_) => collapse(&bin, 0, &mut nodes),
         };
-        Bvh { nodes, prim_order, root, stack_len: 3 * depth + 1 }
+        Bvh { nodes, prim_order, first_pos, root, stack_len: 3 * depth + 1 }
     }
 
     /// The number of nodes.
@@ -369,16 +385,16 @@ impl Bvh {
 
     fn traverse(&self, geom: &TriGeometry, ray: &Ray, max_t: f32, any: bool) -> Hit {
         let slabs = Slabs::new(ray);
-        let (near, enters) = slabs.enter_root(&self.root, max_t);
+        let (near, enters) = slabs.enter(&self.root, max_t);
         if !enters {
             return Hit::MISS;
         }
         self.walk_entered(near, &slabs, geom, ray, max_t, any)
     }
 
-    /// The walk of a ray that enters the root's box at `near`, on a stack
-    /// sized for the tree. Kept out of line, so a ray that misses the root
-    /// pays for no stack.
+    /// The walk of a ray that enters the root's box at `near`, on the
+    /// thread's stack, grown to [`Bvh::stack_len`] if it is shorter. Kept
+    /// out of line, so a ray that misses the root pays for no stack.
     #[inline(never)]
     fn walk_entered(
         &self,
@@ -390,14 +406,12 @@ impl Bvh {
         any: bool,
     ) -> Hit {
         let root = StackEntry { child: 0, count: 0, near };
-        let len = self.stack_len;
-        if len <= SMALL_STACK {
-            self.walk(&mut [NO_ENTRY; SMALL_STACK], root, slabs, geom, ray, max_t, any)
-        } else if len <= LARGE_STACK {
-            self.walk(&mut [NO_ENTRY; LARGE_STACK], root, slabs, geom, ray, max_t, any)
-        } else {
-            self.walk(&mut vec![NO_ENTRY; len], root, slabs, geom, ray, max_t, any)
-        }
+        STACK.with_borrow_mut(|stack| {
+            if stack.len() < self.stack_len {
+                stack.resize(self.stack_len, NO_ENTRY);
+            }
+            self.walk(stack, root, slabs, geom, ray, max_t, any)
+        })
     }
 
     /// Ordered four-wide walk from `root` (the root node, entered). A node's
@@ -405,7 +419,7 @@ impl Bvh {
     /// against `[0, closest]`; the children the ray enters are pushed
     /// farthest first, so the nearest is popped next, and a popped child is
     /// skipped when its entry distance is past `closest`. Equal `t` goes to
-    /// the triangle earlier in `prim_order`.
+    /// the lower [`tie_rank`].
     #[allow(clippy::too_many_arguments, reason = "the ray's two set-ups, its stack and its bound")]
     #[inline(always)]
     fn walk(
@@ -420,9 +434,9 @@ impl Bvh {
     ) -> Hit {
         let nodes = self.nodes.nodes();
         let mut best = Hit::MISS;
-        // `prim_order` position of `best`; 0 while it is a miss, so a tie
-        // with `max_t` is never a hit.
-        let mut best_pos = 0usize;
+        // Tie rank of `best`; 0 while it is a miss, so a tie with `max_t`
+        // is never a hit.
+        let mut best_rank = 0usize;
         let mut closest = max_t;
         stack[0] = root;
         let mut sp = 1usize;
@@ -440,9 +454,10 @@ impl Bvh {
                     if let Some((t, u, v)) =
                         intersect_triangle(ray, geom.v0[p], geom.e1[p], geom.e2[p])
                     {
-                        if t < closest || (t == closest && pos < best_pos) {
+                        let rank = tie_rank(&self.first_pos, pos);
+                        if t < closest || (t == closest && rank < best_rank) {
                             closest = t;
-                            best_pos = pos;
+                            best_rank = rank;
                             best = Hit { t, prim, u, v };
                             if any {
                                 return best;
@@ -456,7 +471,7 @@ impl Bvh {
             let mut enter = [0.0f32; LANES];
             let mut hit = [false; LANES];
             for l in 0..LANES {
-                (enter[l], hit[l]) = slabs.enter(node, l, closest);
+                (enter[l], hit[l]) = slabs.enter(&WideNode(node).lane_box(l), closest);
             }
             // Insert each entered child below those of this node it must be
             // popped after: the farther, and on equal distance the earlier
@@ -616,7 +631,7 @@ fn collapse(bin: &[BvhNode], b: u32, wide: &mut NodeRows) -> usize {
 pub(crate) fn build_lbvh(device: &Device, geom: &TriGeometry) -> BinaryBvh {
     let n = geom.num_tris();
     if n == 0 {
-        return BinaryBvh { nodes: Vec::new(), prim_order: Vec::new() };
+        return BinaryBvh { nodes: Vec::new(), prim_order: Vec::new(), first_pos: Vec::new() };
     }
     // Centroid bounds for Morton normalization.
     let centroids: Vec<Vec3> = map(device, n, |i| geom.tri_centroid(i));
@@ -641,7 +656,7 @@ pub(crate) fn build_lbvh(device: &Device, geom: &TriGeometry) -> BinaryBvh {
 
     let mut nodes: Vec<BvhNode> = Vec::with_capacity(2 * n);
     build_range(&mut nodes, &codes, &prim_aabbs, 0, n, 29);
-    BinaryBvh { nodes, prim_order: order }
+    BinaryBvh { nodes, prim_order: order, first_pos: Vec::new() }
 }
 
 /// Recursive radix-split build over the Morton-sorted range `[start, end)`.
@@ -711,14 +726,14 @@ impl BinaryBvh {
     /// and its oracle: an interior node tests both children's boxes
     /// (`Aabb::intersect_ray`) and pushes the farther first, the left on a
     /// tie; a popped node is skipped when its entry distance is past
-    /// `closest`; equal `t` goes to the earlier `prim_order` position.
+    /// `closest`; equal `t` goes to the lower [`tie_rank`].
     pub(crate) fn ordered_walk(&self, geom: &TriGeometry, ray: &Ray, max_t: f32, any: bool) -> Hit {
         let Some(root) = self.nodes.first() else { return Hit::MISS };
         let Some((root_near, _)) = root.aabb.intersect_ray(ray, 0.0, max_t) else {
             return Hit::MISS;
         };
         let mut best = Hit::MISS;
-        let mut best_pos = 0usize;
+        let mut best_rank = 0usize;
         let mut closest = max_t;
         let mut stack = vec![(0u32, root_near)];
         while let Some((ni, near)) = stack.pop() {
@@ -734,9 +749,10 @@ impl BinaryBvh {
                     if let Some((t, u, v)) =
                         intersect_triangle(ray, geom.v0[p], geom.e1[p], geom.e2[p])
                     {
-                        if t < closest || (t == closest && pos < best_pos) {
+                        let rank = tie_rank(&self.first_pos, pos);
+                        if t < closest || (t == closest && rank < best_rank) {
                             closest = t;
-                            best_pos = pos;
+                            best_rank = rank;
                             best = Hit { t, prim, u, v };
                             if any {
                                 return best;
@@ -832,7 +848,8 @@ mod tests {
             let node = nodes.push_empty();
             nodes.set_lane(node, 0, &geom.tri_aabb(first as usize), first, 1);
             nodes.set_lane(node, 1, &geom.tri_aabb(second as usize), second, 1);
-            Bvh { nodes, prim_order: vec![0, 1], root: geom.bounds, stack_len: 4 }
+            let root = geom.tri_aabb(0).union(&geom.tri_aabb(1));
+            Bvh { nodes, prim_order: vec![0, 1], first_pos: Vec::new(), root, stack_len: 4 }
         };
         // Lane 0 holds the second entry of `prim_order`.
         let err = root(1, 0).validate(&geom).unwrap_err();
@@ -944,11 +961,16 @@ mod tests {
     }
 
     /// A binary chain (each interior node a one-triangle leaf and the rest)
-    /// collapses to a wide tree a third as deep, deeper than the inline
-    /// stacks hold: the walk takes a heap stack of the tree's own size and
-    /// still returns the binary walk's hits.
+    /// collapses to a wide tree a third as deep, deeper than the tree this
+    /// thread walked before it: the walk grows the thread's stack to the
+    /// deep tree's own size and still returns the binary walk's hits.
     #[test]
     fn deep_tree_walks_with_a_stack_of_its_depth() {
+        let shallow_geom = test_geom();
+        let shallow = Bvh::build(&Device::Serial, &shallow_geom);
+        let cam = vecmath::Camera::close_view(&shallow_geom.bounds);
+        let ray = cam.primary_ray(32, 32, 64, 64, 0.5, 0.5);
+        assert!(shallow.closest_hit(&shallow_geom, &ray).is_hit());
         let n = 300u32;
         let mut m = mesh::TriMesh::default();
         for i in 0..n {
@@ -977,10 +999,10 @@ mod tests {
                 nodes.push(leaf);
             }
         }
-        let binary = BinaryBvh { nodes, prim_order: (0..n).collect() };
+        let binary = BinaryBvh { nodes, prim_order: (0..n).collect(), first_pos: Vec::new() };
         let bvh = Bvh::from_binary(binary.clone());
         bvh.validate(&geom).unwrap();
-        assert!(bvh.stack_len() > LARGE_STACK, "{}", bvh.stack_len());
+        assert!(bvh.stack_len() > 3 * shallow.stack_len(), "{}", bvh.stack_len());
         let rays = (0..n).map(|i| Ray::new(Vec3::new(i as f32 + 0.1, 0.2, -1.0), Vec3::Z));
         assert_eq!(agree_with_binary_walk(&binary, &bvh, &geom, rays), n as u64);
     }
@@ -1003,6 +1025,31 @@ mod tests {
         }
         assert!(bvh.num_nodes() > 1);
         assert_eq!(bits(&bvh), bits(&copy));
+    }
+
+    /// `intersect_triangle` accepts a hit a little outside its triangle: here
+    /// one ulp past the edge at x = −0.625, on a ray along y, which misses
+    /// the vertices' AABB in x. The padded box holds the hit, so the walk
+    /// returns it, as the brute force does.
+    #[test]
+    fn a_hit_just_outside_its_triangle_is_inside_its_box() {
+        let geom = TriGeometry::from_mesh(&mesh::TriMesh {
+            points: vec![
+                Vec3::new(-1.0, 0.0, -1.0),
+                Vec3::new(-0.625, 0.0, -1.0),
+                Vec3::new(-0.625, 0.0, 0.0),
+            ],
+            tris: vec![[0, 1, 2]],
+            scalars: vec![0.0; 3],
+        });
+        let x = f32::from_bits((-0.625f32).to_bits() - 1);
+        let ray = Ray::new(Vec3::new(x, -1.0, -0.5), Vec3::Y);
+        let edge = Aabb::from_corners(Vec3::new(-1.0, 0.0, -1.0), Vec3::new(-0.625, 0.0, 0.0));
+        assert!(edge.intersect_ray(&ray, 0.0, f32::INFINITY).is_none());
+        let bvh = Bvh::build(&Device::Serial, &geom);
+        let hit = bvh.closest_hit(&geom, &ray);
+        assert!(hit.is_hit());
+        assert_eq!(hit_bits(hit), hit_bits(brute_force(&bvh, &geom, &ray)));
     }
 
     #[test]

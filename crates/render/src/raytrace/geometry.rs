@@ -86,7 +86,11 @@ impl TriGeometry {
         g
     }
 
-    /// AABB of triangle `t`.
+    /// Box of triangle `t`: its vertices' AABB, padded on every side by
+    /// 1e-5 of its largest extent. `intersect_triangle` accepts hits up to
+    /// 1e-6 outside the triangle in barycentric terms, which can lie outside
+    /// the vertices' AABB; the pad keeps them inside, so a walk that tests
+    /// the box meets every hit the brute force finds.
     #[inline]
     pub fn tri_aabb(&self, t: usize) -> Aabb {
         let a = self.v0[t];
@@ -94,7 +98,9 @@ impl TriGeometry {
         let c = a + self.e2[t];
         let mut bb = Aabb::from_corners(a, b);
         bb.expand(c);
-        bb
+        let e = bb.max - bb.min;
+        let pad = Vec3::splat(e.x.max(e.y).max(e.z) * 1e-5);
+        Aabb { min: bb.min - pad, max: bb.max + pad }
     }
 
     /// Centroid of triangle `t`.

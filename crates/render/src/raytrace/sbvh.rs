@@ -12,9 +12,11 @@
 //! looser but conservative bound. The build makes a binary tree, which
 //! `Bvh::from_binary` collapses into the four-wide nodes the LBVH's walk
 //! takes, so both trees are walked by the same code; the only structural
-//! difference is that `prim_order` may reference a triangle more than once.
+//! difference is that `prim_order` may reference a triangle more than once,
+//! so the build records each position's first position (`first_positions`)
+//! for the walk's tie rule.
 
-use super::bvh::{BinaryBvh, Bvh, BvhNode, MAX_LEAF_SIZE};
+use super::bvh::{first_positions, BinaryBvh, Bvh, BvhNode, MAX_LEAF_SIZE};
 use super::geometry::TriGeometry;
 use vecmath::Aabb;
 
@@ -39,7 +41,7 @@ pub fn build_split_bvh(geom: &TriGeometry, split_alpha: f32) -> Bvh {
 fn build_split_binary(geom: &TriGeometry, split_alpha: f32) -> BinaryBvh {
     let n = geom.num_tris();
     if n == 0 {
-        return BinaryBvh { nodes: Vec::new(), prim_order: Vec::new() };
+        return BinaryBvh { nodes: Vec::new(), prim_order: Vec::new(), first_pos: Vec::new() };
     }
     let refs: Vec<PrimRef> =
         (0..n).map(|t| PrimRef { prim: t as u32, aabb: geom.tri_aabb(t) }).collect();
@@ -56,7 +58,8 @@ fn build_split_binary(geom: &TriGeometry, split_alpha: f32) -> BinaryBvh {
     // straddles every plane.
     let mut budget = (n / 2).max(8) as isize;
     build(&mut nodes, &mut order, refs, threshold, 0, &mut budget);
-    BinaryBvh { nodes, prim_order: order }
+    let first_pos = first_positions(&order, n);
+    BinaryBvh { nodes, prim_order: order, first_pos }
 }
 
 fn refs_bounds(refs: &[PrimRef]) -> Aabb {
@@ -335,6 +338,7 @@ pub fn validate_split(bvh: &Bvh, geom: &TriGeometry) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::bvh::{intersect_triangle, Hit};
     use super::*;
     use dpp::Device;
     use mesh::datasets::{field_grid, FieldKind};
@@ -383,6 +387,61 @@ mod tests {
             }
         }
         assert!(hits > 50);
+    }
+
+    /// Where two triangles tie at the closest `t`, a copy of the earlier
+    /// one may sit in a leaf the walk skips: here triangle 6 is at positions
+    /// 1 and 9, and the box of the copy at 1 is clipped to its side of a
+    /// split plane, away from the point where the ray meets both triangle 6
+    /// and triangle 3 (position 6). The walk meets triangle 3 and the copy
+    /// at 9 instead; ranked by its first position, 1, the copy wins the tie,
+    /// so the walk returns the brute force over `prim_order`, which tests
+    /// the whole triangle at position 1. (Ranked by position, triangle 3
+    /// would win, in the binary walk as in the wide one.)
+    #[test]
+    fn a_tie_goes_to_the_first_position_of_a_duplicated_triangle() {
+        let tri =
+            |a: [f32; 3], b: [f32; 3], c: [f32; 3]| [a, b, c].map(|[x, y, z]| Vec3::new(x, y, z));
+        let tris = [
+            tri([-0.375, 0.0, -0.625], [-0.375, 0.875, 0.875], [-0.375, 0.0, 0.875]),
+            tri([0.75, -0.625, -0.75], [0.75, -0.625, 0.0], [-0.375, -0.625, 0.0]),
+            tri([0.0, 1.0, 0.625], [0.875, 1.0, 0.625], [0.875, -0.25, 0.625]),
+            tri([0.0, 1.0, 0.625], [0.875, -0.25, 0.625], [0.0, -0.25, 0.625]),
+            tri([0.875, -0.125, 0.25], [0.875, -0.125, -0.5], [0.125, -0.125, -0.5]),
+            tri([0.875, -0.125, 0.25], [0.125, -0.125, -0.5], [0.125, -0.125, 0.25]),
+            tri([-0.5, 1.0, 0.625], [0.125, 1.0, 0.625], [0.125, -0.75, 0.625]),
+            tri([-0.75, -0.375, 0.0], [-0.75, -0.75, 0.0], [-0.75, -0.75, -0.625]),
+            tri([-0.75, -0.375, 0.0], [-0.75, -0.75, -0.625], [-0.75, -0.375, -0.625]),
+        ];
+        let mut m = mesh::TriMesh::default();
+        for (i, t) in tris.iter().enumerate() {
+            m.points.extend(t);
+            m.scalars.extend([0.0; 3]);
+            m.tris.push([0, 1, 2].map(|k| 3 * i as u32 + k));
+        }
+        let geom = TriGeometry::from_mesh(&m);
+        let binary = build_split_binary(&geom, 1e-6);
+        let sbvh = Bvh::from_binary(binary.clone());
+        assert_eq!(sbvh.prim_order, [1, 6, 7, 8, 0, 2, 3, 4, 5, 6]);
+        let ray = Ray::new(Vec3::new(0.0, -0.25, -3.0), Vec3::Z);
+        let bits = |h: Hit| (h.prim, h.t.to_bits(), h.u.to_bits(), h.v.to_bits());
+        let wide = sbvh.closest_hit(&geom, &ray);
+        let ordered = binary.ordered_walk(&geom, &ray, f32::INFINITY, false);
+        assert_eq!(bits(wide), bits(ordered));
+        let mut brute = Hit::MISS;
+        for &prim in &sbvh.prim_order {
+            let p = prim as usize;
+            if let Some((t, u, v)) = intersect_triangle(&ray, geom.v0[p], geom.e1[p], geom.e2[p]) {
+                if t < brute.t {
+                    brute = Hit { t, prim, u, v };
+                }
+            }
+        }
+        assert_eq!(bits(wide), bits(brute));
+        assert_eq!((wide.prim, wide.t), (6, 3.625));
+        // Triangle 3 ties with it.
+        let (v0, e1, e2) = (geom.v0[3], geom.e1[3], geom.e2[3]);
+        assert_eq!(intersect_triangle(&ray, v0, e1, e2).map(|(t, _, _)| t), Some(3.625));
     }
 
     #[test]

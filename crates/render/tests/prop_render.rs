@@ -245,43 +245,27 @@ fn slab_edge_rays(m: &mesh::TriMesh, seed: u64, count: usize) -> Vec<Ray> {
         .collect()
 }
 
-/// Every hit over `bvh.prim_order` at exactly `t`.
-fn hits_at(bvh: &Bvh, geom: &TriGeometry, ray: &Ray, t: f32) -> Vec<(u32, u32, u32, u32)> {
-    let hits = bvh.prim_order.iter().filter_map(|&prim| {
-        let p = prim as usize;
-        let (t, u, v) = intersect_triangle(ray, geom.v0[p], geom.e1[p], geom.e2[p])?;
-        Some(Hit { t, prim, u, v })
-    });
-    hits.filter(|h| h.t.to_bits() == t.to_bits()).map(hit_bits).collect()
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(1000))]
 
     /// On zero-thickness leaf boxes, axis-parallel rays along box planes and
-    /// origins inside the root box, the LBVH's closest hit is the brute
-    /// force over its `prim_order`, bit for bit. The split BVH's is at the
-    /// brute force's `t` and is one of its hits there: a reference the
-    /// spatial split duplicated keeps a box clipped to its own side of the
-    /// split plane, so where another triangle ties at that `t`, the walk may
-    /// meet only the later copy, which the brute force, testing the whole
-    /// triangle at every position, does not (the binary walk did the same).
-    /// Any-hit agrees with both: a hit within 1.001 of the closest `t`,
-    /// none within `t` itself.
+    /// origins inside the root box, each tree's closest hit is the brute
+    /// force over its `prim_order`, bit for bit, and any-hit agrees: a hit
+    /// within 1.001 of the closest `t`, none within `t` itself. The cases
+    /// run to 1000, past the first that failed before triangle boxes were
+    /// padded (a tie whose earlier triangle's zero-thickness box begins an
+    /// ulp or two past the other's `t`; a hit an ulp outside its triangle's
+    /// edge) and before ties were ranked by first position (a split BVH
+    /// copy clipped away from the tie).
     #[test]
     fn slab_test_edges_keep_every_hit(m in arb_axis_aligned_mesh(), seed in any::<u64>()) {
         let geom = TriGeometry::from_mesh(&m);
         let lbvh = Bvh::build(&Device::Serial, &geom);
         let sbvh = render::raytrace::build_split_bvh(&geom, 1e-6);
-        for (split, bvh) in [(false, &lbvh), (true, &sbvh)] {
+        for bvh in [&lbvh, &sbvh] {
             for ray in slab_edge_rays(&m, seed, 64) {
                 let (a, b) = (bvh.closest_hit(&geom, &ray), brute_force(bvh, &geom, &ray));
-                if split {
-                    prop_assert_eq!(a.t.to_bits(), b.t.to_bits(), "{:?}: {:?} vs {:?}", ray, a, b);
-                    prop_assert!(!a.is_hit() || hits_at(bvh, &geom, &ray, a.t).contains(&hit_bits(a)));
-                } else {
-                    prop_assert_eq!(hit_bits(a), hit_bits(b), "{:?}: {:?} vs brute force {:?}", ray, a, b);
-                }
+                prop_assert_eq!(hit_bits(a), hit_bits(b), "{:?}: {:?} vs brute force {:?}", ray, a, b);
                 if a.is_hit() {
                     prop_assert!(bvh.any_hit(&geom, &ray, a.t * 1.001));
                     prop_assert!(!bvh.any_hit(&geom, &ray, a.t));
